@@ -139,9 +139,22 @@ def guard_of(b: BoolExpr, var_index: dict[str, int], negate: bool = False) -> Gu
 
 @dataclass(frozen=True)
 class IntervalElem:
-    """Per-variable [lo, hi] bounds; +-inf for missing bounds."""
+    """Per-variable [lo, hi] bounds: Python ints of magnitude at most 2^52,
+    or +-inf for missing bounds."""
 
     bounds: tuple[tuple[float, float], ...]
+
+
+_EXACT = 2 ** 52  # bounds stay within this magnitude, where floats are exact too
+
+
+def _outward(lo, hi) -> tuple[float, float]:
+    """Send a bound beyond +-2^52 outward to +-inf; never round it."""
+    return (lo if -_EXACT <= lo <= _EXACT else -INF,
+            hi if -_EXACT <= hi <= _EXACT else INF)
+
+
+_NOT_CLOSED = object()  # OctElem.closure before the first closure
 
 
 class OctElem:
@@ -149,16 +162,25 @@ class OctElem:
 
     Literal 2k is +v_k, literal 2k+1 is -v_k.  Stored matrices are tightly
     closed except directly after widening (closure there would break the
-    termination guarantee); operations re-close lazily.
+    termination guarantee); operations close lazily.
+
+    An unclosed element caches its closure in `closure`: the closed element,
+    or None when unsatisfiable, filled by `OctagonDomain._closed` on first
+    use (`_NOT_CLOSED` until then).  The element is immutable, so the cache
+    never goes stale.  The unclosed matrix `m` itself is kept, and `closed`
+    stays False: `widen` must read the widened bounds, not their closure, or
+    widening may not terminate.  A closed element leaves `closure` unset
+    rather than pointing to itself, so elements form no reference cycles.
     """
 
-    __slots__ = ("m", "closed", "_bytes")
+    __slots__ = ("m", "closed", "closure", "_bytes")
 
     def __init__(self, m: np.ndarray, closed: bool):
         m = np.asarray(m, dtype=float)
         m.setflags(write=False)
         self.m = m
         self.closed = closed
+        self.closure = _NOT_CLOSED
         self._bytes = m.tobytes()
 
     def __eq__(self, other):
@@ -275,7 +297,7 @@ class IntervalDomain:
         if havoc_slots(e):
             rng = (-INF, INF)
         else:
-            rng = self._expr_range(d, e)
+            rng = _outward(*self._expr_range(d, e))
         return IntervalElem(tuple(
             rng if k == vi else bd for k, bd in enumerate(d.bounds)))
 
@@ -288,12 +310,13 @@ class IntervalDomain:
             (-INF, INF) if k in drop else bd for k, bd in enumerate(d.bounds)))
 
     def _refine_atom(self, d: IntervalElem, atom: LinearAtom):
-        # for each variable, bound it using the interval of the other terms
+        # for each variable, bound it using the interval of the other terms;
+        # finite sums and quotients stay in exact integer arithmetic
         bounds = list(d.bounds)
         lows = []
         for i, c in enumerate(atom.coeffs):
             if c == 0:
-                lows.append(0.0)
+                lows.append(0)
                 continue
             lo, hi = bounds[i]
             lows.append(c * lo if c > 0 else c * hi)
@@ -308,12 +331,12 @@ class IntervalDomain:
                 continue
             lo, hi = bounds[i]
             if c > 0:
-                hi = min(hi, math.floor(limit / c))
+                hi = min(hi, limit // c)
             else:
-                lo = max(lo, math.ceil(limit / c))
+                lo = max(lo, -(-limit // c))  # ceil(limit / c)
             if lo > hi:
                 return BOTTOM
-            bounds[i] = (lo, hi)
+            bounds[i] = _outward(lo, hi)
         return IntervalElem(tuple(bounds))
 
     def _apply_guard(self, d, g: Guard):
@@ -443,7 +466,9 @@ class OctagonDomain:
     def _closed(self, d: OctElem) -> Optional[OctElem]:
         if d.closed:
             return d
-        return self._close_matrix(d.m)
+        if d.closure is _NOT_CLOSED:
+            d.closure = self._close_matrix(d.m)
+        return d.closure
 
     # lattice
 
@@ -741,16 +766,14 @@ class OctagonDomain:
             j = self.join(j, e)
         if j is BOTTOM:
             return BOTTOM
-        region_of = {}
+        region_of = np.full(self.n, -1)
         for r, vs in enumerate(partition):
-            for v in vs:
-                region_of[v] = r
-        m = np.full((self.size, self.size), INF)
+            region_of[list(vs)] = r
+        if np.any(region_of < 0):
+            raise DomainError("the partition leaves a variable out")
+        lit_region = np.repeat(region_of, 2)  # literals 2k, 2k+1 share v_k's region
+        m = np.where(lit_region[:, None] == lit_region[None, :], j.m, INF)
         np.fill_diagonal(m, 0.0)
-        for i in range(self.size):
-            for k in range(self.size):
-                if region_of[i // 2] == region_of[k // 2]:
-                    m[i, k] = j.m[i, k]
         return self._close_matrix(m) or BOTTOM
 
     # inspection
@@ -1011,35 +1034,7 @@ def recency_admit_sync(receiver: int, incoming: RecencyFact) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Uniform operation surface (explicit-domain dispatch)
-
-
-def dom_leq(domain, a, b) -> bool:
-    return domain.leq(a, b)
-
-
-def dom_join(domain, a, b):
-    return domain.join(a, b)
-
-
-def dom_widen(domain, a, b):
-    return domain.widen(a, b)
-
-
-def transfer_assign(domain, d, var, expr):
-    return domain.assign(d, var, expr)
-
-
-def transfer_assume(domain, d, cond):
-    return domain.assume(d, cond)
-
-
-def forget(domain, d, variables):
-    return domain.forget(d, variables)
-
-
-def mix_abstract(domain, elems, partition):
-    return domain.mix(elems, partition)
+# Helpers
 
 
 def singleton_partition(n: int) -> tuple[tuple[int, ...], ...]:

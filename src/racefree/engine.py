@@ -194,18 +194,22 @@ class _Frame:
             succs: dict[int, list[int]] = {}
             for i in t.instructions:
                 succs.setdefault(i.source, []).append(i.target)
-            color: dict[int, int] = {}
-
-            def dfs(n: int):
-                color[n] = 1
-                for s in succs.get(n, ()):
+            # iterative DFS (a recursive one overflows on long threads);
+            # color 1 = on the stack, 2 = finished
+            color: dict[int, int] = {t.entry: 1}
+            stack = [(t.entry, iter(succs.get(t.entry, ())))]
+            while stack:
+                n, pending = stack[-1]
+                for s in pending:
                     if color.get(s, 0) == 1:
                         points.add(s)
                     elif color.get(s, 0) == 0:
-                        dfs(s)
-                color[n] = 2
-
-            dfs(t.entry)
+                        color[s] = 1
+                        stack.append((s, iter(succs.get(s, ()))))
+                        break
+                else:
+                    color[n] = 2
+                    stack.pop()
         for i in self.p.instructions:
             if isinstance(i.command, Acquire):
                 points.add(i.target)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
+
 from racefree.absdom import (
     BOTTOM,
     EnvSetDomain,
@@ -212,3 +214,21 @@ def rand_partition(n, rng):
         parts.append(tuple(sorted(idx[:k])))
         idx = idx[k:]
     return tuple(parts)
+
+
+def octagon_mix_loop(dom: OctagonDomain, elems, partition):
+    """Reference octagon mix: the per-entry double loop that the NumPy
+    region mask of OctagonDomain.mix replaced.  Kept as the test oracle."""
+    j = BOTTOM
+    for e in elems:
+        j = dom.join(j, e)
+    if j is BOTTOM:
+        return BOTTOM
+    region_of = {v: r for r, vs in enumerate(partition) for v in vs}
+    m = np.full((dom.size, dom.size), INF)
+    np.fill_diagonal(m, 0.0)
+    for i in range(dom.size):
+        for k in range(dom.size):
+            if region_of[i // 2] == region_of[k // 2]:
+                m[i, k] = j.m[i, k]
+    return dom._close_matrix(m) or BOTTOM

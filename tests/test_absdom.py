@@ -15,6 +15,7 @@ from racefree.absdom import (
     IntervalDomain,
     IntervalElem,
     OctagonDomain,
+    OctElem,
     RecencyFact,
     box_points,
     recency_admit_sync,
@@ -208,6 +209,23 @@ def test_envset_mix_matches_bruteforce_cartesian():
         assert mixed == frozenset(domtools.concrete_mix(envs, singleton_partition(2)))
 
 
+@given(st.integers(1, 5), st.integers(1, 3), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_octagon_mix_matches_reference_loop(n, k, rng):
+    dom = OctagonDomain(tuple(f"v{i}" for i in range(n)))
+    elems = [domtools.rand_octagon(dom, rng) for _ in range(k)]
+    partition = domtools.rand_partition(n, rng)
+    want = domtools.octagon_mix_loop(dom, elems, partition)
+    got = dom.mix(elems, partition)
+    assert got == want  # OctElem equality is bytewise: bit-identical matrices
+
+
+def test_octagon_mix_rejects_partial_partition():
+    dom = OctagonDomain(("x", "y"))
+    with pytest.raises(DomainError):
+        dom.mix([dom.initial()], ((0,),))
+
+
 def test_mix_empty_list_rejected():
     dom = IntervalDomain(("x",))
     with pytest.raises(DomainError):
@@ -240,6 +258,86 @@ def test_closure_idempotent_and_gamma_exact():
         again = dom._close_matrix(closed.m)
         assert again == closed
         assert (dom.contains_points(rawe, pts) == dom.contains_points(closed, pts)).all()
+
+
+def _count_closures(monkeypatch, target: OctElem) -> list:
+    """Record each `_close_matrix` call made on `target`'s own matrix."""
+    calls = []
+    original = OctagonDomain._close_matrix
+
+    def counting(self, m):
+        if m is target.m:
+            calls.append(1)
+        return original(self, m)
+
+    monkeypatch.setattr(OctagonDomain, "_close_matrix", counting)
+    return calls
+
+
+def test_widened_element_is_closed_once(monkeypatch):
+    dom = OctagonDomain(("x", "y"))
+    a = octagon_from(dom, ["x == 0", "y == 0"])
+    b = octagon_from(dom, ["x >= 0", "x <= 1", "y == x"])
+    w = dom.widen(a, dom.join(a, b))
+    assert not w.closed
+    raw = w.m.tobytes()
+    calls = _count_closures(monkeypatch, w)
+    x_plus_1 = BinExpr("+", VarRef("x"), IntLit(1))
+    for _ in range(2):
+        assert dom.leq(a, w) and dom.leq(w, w)
+        assert dom.equal(w, w)
+        assert dom.join(w, a) == dom.join(a, w)
+        assert dom.widen(w, a) is w
+        dom.assign(w, "y", x_plus_1)
+        dom.assume(w, cond("x <= 3", "x, y"))
+    assert len(calls) == 1
+    # the widened matrix is kept as it was, and the cache is no self-loop
+    assert not w.closed and w.m.tobytes() == raw
+    c = dom._closed(w)
+    assert c.closed and c is not w and c.closure is not c
+    assert dom.entails(w, cond("y == x", "x, y"))
+
+
+def test_unsatisfiable_widened_element_caches_bottom(monkeypatch):
+    dom = OctagonDomain(("x",))
+    m = dom.top().m.copy()
+    m[1, 0] = -2.0  # x <= -1
+    m[0, 1] = -2.0  # -x <= -1
+    w = OctElem(m, closed=False)
+    calls = _count_closures(monkeypatch, w)
+    for _ in range(2):
+        assert dom.leq(w, dom.initial())
+        assert dom.equal(w, w)
+        assert dom.join(w, dom.initial()) == dom.initial()
+        assert dom.assume(w, cond("x <= 3", "x")) is BOTTOM
+        assert dom.assign(w, "x", IntLit(1)) is BOTTOM
+    assert len(calls) == 1
+    assert w.closure is None
+
+
+# ---------------------------------------------------------------------------
+# bounds near 2^53 (floats stop being exact integers there)
+
+
+def test_interval_bound_above_2_pow_52_goes_to_infinity():
+    dom = IntervalDomain(("x",))
+    big = dom.assign(dom.initial(), "x", IntLit(9007199254740993))
+    assert big.bounds == ((-INF, INF),)
+    assert not dom.entails(big, cond("x == 9007199254740994", "x"))
+    edge = dom.assign(dom.initial(), "x", IntLit(2 ** 52))
+    assert edge.bounds == ((2 ** 52, 2 ** 52),)
+    assert dom.assume(dom.top(), cond(f"x <= {2 ** 52 + 1}", "x")).bounds == ((-INF, INF),)
+
+
+def test_interval_refinement_divides_exactly():
+    dom = IntervalDomain(("x",))
+    d = IntervalElem(((0, 2 ** 52),))
+    # the float quotient 2^52 - 0.2 rounds to 2^52; exactly, x <= 2^52 - 1
+    out = dom.assume(d, cond(f"5 * x <= {5 * 2 ** 52 - 1}", "x"))
+    assert out.bounds == ((0, 2 ** 52 - 1),)
+    # and 2^52 - 0.8 rounds to 2^52 - 1; exactly, x >= 2^52
+    out = dom.assume(d, cond(f"5 * x >= {5 * 2 ** 52 - 4}", "x"))
+    assert out.bounds == ((2 ** 52, 2 ** 52),)
 
 
 # ---------------------------------------------------------------------------

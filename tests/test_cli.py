@@ -163,3 +163,14 @@ def test_region_file_without_semicolons(tmp_path, capsys):
     rg.write_text("region rxy { x, y }\n")  # no trailing semicolon
     assert run_cli(["analyze", "--analysis", "regrel", "--regions", str(rg),
                     str(f)]) == 0
+
+
+def test_analyze_valset_literal_above_2_pow_53_not_proved(tmp_path, capsys):
+    # 9007199254740993 is 2^53 + 1: as a float it rounds to 2^53
+    f = tmp_path / "big.cp"
+    f.write_text("var x;\nthread t { x := 9007199254740993; "
+                 "assert(x == 9007199254740994); }\n")
+    code = run_cli(["analyze", "--analysis", "valset", str(f)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "UNPROVED" in out and "0/1 assertions proved" in out

@@ -113,6 +113,63 @@ def test_iteration_cap_names_location(capped_counter):
                                 for loc in t.locations}
 
 
+def _widen_points_recursive(p):
+    """Reference: the recursive DFS that the engine's iterative one replaced."""
+    points = set()
+    for t in p.threads:
+        succs = {}
+        for i in t.instructions:
+            succs.setdefault(i.source, []).append(i.target)
+        color = {}
+
+        def dfs(n):
+            color[n] = 1
+            for s in succs.get(n, ()):
+                if color.get(s, 0) == 1:
+                    points.add(s)
+                elif color.get(s, 0) == 0:
+                    dfs(s)
+            color[n] = 2
+
+        dfs(t.entry)
+    return points
+
+
+NESTED_LOOPS = """\
+var x, y;
+thread t {
+  while (x < 5) {
+    while (y < x) { y := y + 1; }
+    if (y > 2) { x := x + 2; } else { x := x + 1; }
+  }
+  while (y > 0) { y := y - 1; }
+}
+"""
+
+
+def test_widen_points_match_recursive_dfs():
+    from racefree import corpus
+    from racefree.engine import _Frame
+    from racefree.lang import Acquire
+
+    programs = [corpus.load(n) for n in corpus.names()]
+    programs.append(desugar(parse_program(NESTED_LOOPS)))
+    for p in programs:
+        frame = _Frame(p, build_syncfg(p), AnalysisConfig())
+        acquire_targets = {i.target for i in p.instructions if isinstance(i.command, Acquire)}
+        assert frame.widen_points == _widen_points_recursive(p) | acquire_targets
+    assert len(_widen_points_recursive(programs[-1])) == 3  # one head per loop
+
+
+def test_long_straight_line_thread_analyzes():
+    n = 3000
+    src = "var x;\nthread t {\n" + "  x := x + 1;\n" * n + f"  assert(x == {n});\n}}\n"
+    p = desugar(parse_program(src))
+    facts, cfg = run(p, analysis="rel", domain="octagon")
+    dom = make_domain(cfg, p.variables)
+    assert dom.entails(base(facts[p.assertions[0].location]), cond(p, f"x == {n}"))
+
+
 # ---------------------------------------------------------------------------
 # collecting fixpoints
 
