@@ -154,6 +154,83 @@ def _outward(lo, hi) -> tuple[float, float]:
             hi if -_EXACT <= hi <= _EXACT else INF)
 
 
+def _expr_range(bounds, var_index, coeffs: dict[str, int], const: int):
+    """Range of const + sum(coeffs[v] * v) over per-variable [lo, hi] bounds."""
+    lo = hi = const
+    for v, c in coeffs.items():
+        vl, vh = bounds[var_index[v]]
+        lo += c * vl if c > 0 else c * vh
+        hi += c * vh if c > 0 else c * vl
+    return lo, hi
+
+
+def _refine_bounds(bounds, atom: LinearAtom) -> Optional[list]:
+    """Per-variable bounds tightened by `atom`, each variable bounded by the
+    range of the other terms; None when no point satisfies it.  Finite sums
+    and quotients stay in exact integer arithmetic, and a new bound beyond
+    +-2^52 goes outward to +-inf."""
+    bounds = list(bounds)
+    lows = []
+    for i, c in enumerate(atom.coeffs):
+        if c == 0:
+            lows.append(0)
+            continue
+        lo, hi = bounds[i]
+        lows.append(c * lo if c > 0 else c * hi)
+    if sum(lows) > atom.bound:
+        return None
+    for i, c in enumerate(atom.coeffs):
+        if c == 0:
+            continue
+        rest_lo = sum(lows[j] for j in range(len(lows)) if j != i)
+        limit = atom.bound - rest_lo  # c * v_i <= limit
+        if not math.isfinite(limit):
+            continue
+        lo, hi = bounds[i]
+        if c > 0:
+            hi = min(hi, limit // c)
+        else:
+            lo = max(lo, -(-limit // c))  # ceil(limit / c)
+        if lo > hi:
+            return None
+        bounds[i] = _outward(lo, hi)
+    return bounds
+
+
+def _apply_guard(dom, d, g: Guard):
+    """Refine `d` by a guard tree: atoms through `dom._apply_atom`, a
+    disjunction as the join of its refined branches."""
+    if d is BOTTOM:
+        return BOTTOM
+    if isinstance(g, LinearAtom):
+        return dom._apply_atom(d, g)
+    tag = g[0]
+    if tag == "bool":
+        return d if g[1] else BOTTOM
+    if tag == "and":
+        for kid in g[1]:
+            d = _apply_guard(dom, d, kid)
+        return d
+    out = BOTTOM
+    for kid in g[1]:
+        out = dom.join(out, _apply_guard(dom, d, kid))
+    return out
+
+
+def _bound_constraints(variables, bounds) -> list[str]:
+    """Constraint strings of per-variable [lo, hi] bounds."""
+    out = []
+    for v, (lo, hi) in zip(variables, bounds):
+        if lo == hi:
+            out.append(f"{v} = {int(lo)}")
+            continue
+        if lo != -INF:
+            out.append(f"{v} >= {int(lo)}")
+        if hi != INF:
+            out.append(f"{v} <= {int(hi)}")
+    return out
+
+
 _NOT_CLOSED = object()  # OctElem.closure before the first closure
 
 
@@ -193,12 +270,10 @@ class OctElem:
         return f"OctElem(closed={self.closed})"
 
 
-EnvSetElem = frozenset  # of value tuples
-
-DomainElement = Union[IntervalElem, OctElem, EnvSetElem, _Bottom]
-
-
-def is_bottom(d: DomainElement) -> bool:
+def is_bottom(d) -> bool:
+    """Whether a domain element, or the element of a `RecencyFact`, is bottom."""
+    if isinstance(d, RecencyFact):
+        d = d.elem
     return d is BOTTOM or (isinstance(d, frozenset) and not d)
 
 
@@ -280,15 +355,6 @@ class IntervalDomain:
 
     # transfer
 
-    def _expr_range(self, d: IntervalElem, e: Expr) -> tuple[float, float]:
-        coeffs, const, _ = linear_terms(e)
-        lo = hi = const
-        for v, c in coeffs.items():
-            vl, vh = d.bounds[self.var_index[v]]
-            lo += c * vl if c > 0 else c * vh
-            hi += c * vh if c > 0 else c * vl
-        return lo, hi
-
     def assign(self, d, var: str, e: Expr):
         self._check(d)
         if d is BOTTOM:
@@ -297,7 +363,8 @@ class IntervalDomain:
         if havoc_slots(e):
             rng = (-INF, INF)
         else:
-            rng = _outward(*self._expr_range(d, e))
+            coeffs, const, _ = linear_terms(e)
+            rng = _outward(*_expr_range(d.bounds, self.var_index, coeffs, const))
         return IntervalElem(tuple(
             rng if k == vi else bd for k, bd in enumerate(d.bounds)))
 
@@ -309,56 +376,13 @@ class IntervalDomain:
         return IntervalElem(tuple(
             (-INF, INF) if k in drop else bd for k, bd in enumerate(d.bounds)))
 
-    def _refine_atom(self, d: IntervalElem, atom: LinearAtom):
-        # for each variable, bound it using the interval of the other terms;
-        # finite sums and quotients stay in exact integer arithmetic
-        bounds = list(d.bounds)
-        lows = []
-        for i, c in enumerate(atom.coeffs):
-            if c == 0:
-                lows.append(0)
-                continue
-            lo, hi = bounds[i]
-            lows.append(c * lo if c > 0 else c * hi)
-        if sum(lows) > atom.bound:
-            return BOTTOM
-        for i, c in enumerate(atom.coeffs):
-            if c == 0:
-                continue
-            rest_lo = sum(lows[j] for j in range(len(lows)) if j != i)
-            limit = atom.bound - rest_lo  # c * v_i <= limit
-            if not math.isfinite(limit):
-                continue
-            lo, hi = bounds[i]
-            if c > 0:
-                hi = min(hi, limit // c)
-            else:
-                lo = max(lo, -(-limit // c))  # ceil(limit / c)
-            if lo > hi:
-                return BOTTOM
-            bounds[i] = _outward(lo, hi)
-        return IntervalElem(tuple(bounds))
-
-    def _apply_guard(self, d, g: Guard):
-        if d is BOTTOM:
-            return BOTTOM
-        if isinstance(g, LinearAtom):
-            return self._refine_atom(d, g)
-        tag = g[0]
-        if tag == "bool":
-            return d if g[1] else BOTTOM
-        if tag == "and":
-            for kid in g[1]:
-                d = self._apply_guard(d, kid)
-            return d
-        out = BOTTOM
-        for kid in g[1]:
-            out = self.join(out, self._apply_guard(d, kid))
-        return out
+    def _apply_atom(self, d: IntervalElem, atom: LinearAtom):
+        bounds = _refine_bounds(d.bounds, atom)
+        return BOTTOM if bounds is None else IntervalElem(tuple(bounds))
 
     def assume(self, d, b: BoolExpr):
         self._check(d)
-        return self._apply_guard(d, guard_of(b, self.var_index))
+        return _apply_guard(self, d, guard_of(b, self.var_index))
 
     def mix(self, elems: Sequence, partition: Sequence[Sequence[int]]):
         if not elems:
@@ -376,16 +400,7 @@ class IntervalDomain:
     def constraints(self, d) -> list[str]:
         if d is BOTTOM:
             return ["false"]
-        out = []
-        for v, (lo, hi) in zip(self.variables, d.bounds):
-            if lo == hi:
-                out.append(f"{v} = {int(lo)}")
-                continue
-            if lo != -INF:
-                out.append(f"{v} >= {int(lo)}")
-            if hi != INF:
-                out.append(f"{v} <= {int(hi)}")
-        return out
+        return _bound_constraints(self.variables, d.bounds)
 
     def contains_points(self, d, pts: np.ndarray) -> np.ndarray:
         if d is BOTTOM:
@@ -411,6 +426,7 @@ class OctagonDomain:
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.n = len(self.variables)
         self.size = 2 * self.n
+        self._sum_limit = _EXACT / max(self.size, 1)
         # literal signs: row per literal over variables (+1 at 2k, -1 at 2k+1)
         signs = np.zeros((self.size, self.n))
         for k in range(self.n):
@@ -442,8 +458,12 @@ class OctagonDomain:
         return self._close_matrix(m) or self.top()
 
     def _close_matrix(self, m: np.ndarray) -> Optional[OctElem]:
-        """Tight closure for integer octagons; None when unsatisfiable."""
-        m = m.copy()
+        """Tight closure for integer octagons; None when unsatisfiable.
+
+        Bounds beyond `_sum_limit` are dropped first.  Closure adds entries
+        along paths of fewer than `size` edges, so every sum it forms then
+        stays below 2^53 in magnitude, where floats are exact integers."""
+        m = np.where(np.abs(m) <= self._sum_limit, m, INF)
         np.fill_diagonal(m, 0.0)
         size = self.size
         for k in range(size):
@@ -554,10 +574,11 @@ class OctagonDomain:
             raise DomainError("intervals of bottom")
         out = []
         for k in range(self.n):
-            hi = c.m[2 * k + 1, 2 * k] / 2.0
-            lo = -c.m[2 * k, 2 * k + 1] / 2.0
-            out.append((lo if math.isfinite(lo) else -INF,
-                        hi if math.isfinite(hi) else INF))
+            # closed unary entries are even: twice the bound
+            hi = c.m[2 * k + 1, 2 * k]
+            lo = c.m[2 * k, 2 * k + 1]
+            out.append((-(int(lo) // 2) if math.isfinite(lo) else -INF,
+                        int(hi) // 2 if math.isfinite(hi) else INF))
         return tuple(out)
 
     def _forget_matrix(self, m: np.ndarray, drop: set[int]) -> np.ndarray:
@@ -581,14 +602,6 @@ class OctagonDomain:
         return OctElem(self._forget_matrix(c.m, drop), closed=True)
 
     # transfer
-
-    def _expr_range(self, ivals, coeffs: dict[str, int], const: int):
-        lo = hi = float(const)
-        for v, c in coeffs.items():
-            vl, vh = ivals[self.var_index[v]]
-            lo += c * vl if c > 0 else c * vh
-            hi += c * vh if c > 0 else c * vl
-        return lo, hi
 
     def assign(self, d, var: str, e: Expr):
         self._check(d)
@@ -644,14 +657,14 @@ class OctagonDomain:
         # general linear fallback: interval bounds plus unit-coefficient
         # pairwise relations, all computed on the pre-state
         ivals = self.intervals_of(c)
-        rng = self._expr_range(ivals, coeffs, const)
+        rng = _outward(*_expr_range(ivals, self.var_index, coeffs, const))
         pair_entries = []
         for y, k in coeffs.items():
             if y == var or k not in (1, -1):
                 continue
             rest = dict(coeffs)
             del rest[y]
-            rlo, rhi = self._expr_range(ivals, rest, const)
+            rlo, rhi = _outward(*_expr_range(ivals, self.var_index, rest, const))
             yi = self.var_index[y]
             if k == 1:  # x - y in [rlo, rhi]
                 if rhi != INF:
@@ -673,7 +686,10 @@ class OctagonDomain:
         return self._close_matrix(m) or BOTTOM
 
     def _atom_entries(self, atom: LinearAtom):
-        """Octagon-exact entries for an atom, or None when not expressible."""
+        """Octagon-exact entries for an atom, or None when not expressible
+        (a bound beyond +-2^52 is not: floats might round it)."""
+        if abs(atom.bound) > _EXACT:
+            return None
         nz = [(i, c) for i, c in enumerate(atom.coeffs) if c != 0]
         if len(nz) == 1:
             (i, c), = nz
@@ -702,50 +718,14 @@ class OctagonDomain:
             m = d.m.copy()
             self._with_entries(m, entries)
             return self._close_matrix(m) or BOTTOM
-        # interval fallback for wider linear atoms
-        ivals = list(self.intervals_of(d))
-        lows = []
-        for i, cf in enumerate(atom.coeffs):
-            if cf == 0:
-                lows.append(0.0)
-                continue
-            lo, hi = ivals[i]
-            lows.append(cf * lo if cf > 0 else cf * hi)
-        if sum(lows) > atom.bound:
+        # interval fallback for other atoms
+        bounds = _refine_bounds(self.intervals_of(d), atom)
+        if bounds is None:
             return BOTTOM
-        entries = []
-        for i, cf in enumerate(atom.coeffs):
-            if cf == 0:
-                continue
-            limit = atom.bound - sum(lows[j] for j in range(len(lows)) if j != i)
-            if not math.isfinite(limit):
-                continue
-            lo, hi = ivals[i]
-            if cf > 0:
-                hi = min(hi, math.floor(limit / cf))
-            else:
-                lo = max(lo, math.ceil(limit / cf))
-            entries.extend(self._unary_entries(i, lo, hi))
         m = d.m.copy()
-        self._with_entries(m, entries)
+        for i, (lo, hi) in enumerate(bounds):
+            self._with_entries(m, self._unary_entries(i, lo, hi))
         return self._close_matrix(m) or BOTTOM
-
-    def _apply_guard(self, d, g: Guard):
-        if d is BOTTOM:
-            return BOTTOM
-        if isinstance(g, LinearAtom):
-            return self._apply_atom(d, g)
-        tag = g[0]
-        if tag == "bool":
-            return d if g[1] else BOTTOM
-        if tag == "and":
-            for kid in g[1]:
-                d = self._apply_guard(d, kid)
-            return d
-        out = BOTTOM
-        for kid in g[1]:
-            out = self.join(out, self._apply_guard(d, kid))
-        return out
 
     def assume(self, d, b: BoolExpr):
         self._check(d)
@@ -754,7 +734,7 @@ class OctagonDomain:
         c = self._closed(d)
         if c is None:
             return BOTTOM
-        return self._apply_guard(c, guard_of(b, self.var_index))
+        return _apply_guard(self, c, guard_of(b, self.var_index))
 
     def mix(self, elems: Sequence, partition: Sequence[Sequence[int]]):
         """Meet over regions of forgets of the join: keeps constraints within
@@ -787,16 +767,8 @@ class OctagonDomain:
         c = self._closed(d)
         if c is None:
             return ["false"]
-        out = []
         ivals = self.intervals_of(c)
-        for v, (lo, hi) in zip(self.variables, ivals):
-            if lo == hi:
-                out.append(f"{v} = {int(lo)}")
-            else:
-                if lo != -INF:
-                    out.append(f"{v} >= {int(lo)}")
-                if hi != INF:
-                    out.append(f"{v} <= {int(hi)}")
+        out = _bound_constraints(self.variables, ivals)
         for a in range(self.n):
             for b in range(a + 1, self.n):
                 va, vb = self.variables[a], self.variables[b]
@@ -854,14 +826,12 @@ class EnvSetDomain:
         variables: Sequence[str],
         value_box: tuple[int, int] = (-4, 4),
         havoc_values: tuple[int, ...] = (0, 1, 2),
-        strict_box: bool = False,
     ):
         self.variables = tuple(variables)
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.n = len(self.variables)
         self.box = value_box
         self.havoc_values = tuple(sorted(set(havoc_values)))
-        self.strict_box = strict_box
         self.clamped = False  # set when any environment left the box
 
     def _check(self, d):
@@ -909,8 +879,6 @@ class EnvSetDomain:
                 kept.add(env)
             else:
                 self.clamped = True
-                if self.strict_box:
-                    raise DomainError(f"environment {env} left the value box {self.box}")
         return frozenset(kept)
 
     def assign(self, d, var: str, e: Expr):
@@ -1013,24 +981,64 @@ class RecencyFact:
     tids: frozenset[int]
 
 
-def recency_write(fact: RecencyFact, tid: int) -> RecencyFact:
-    return RecencyFact(fact.elem, fact.tids | {tid})
+def split_fact(fact) -> tuple[object, frozenset[int]]:
+    """A fact's domain element and its writer tags (none when untagged)."""
+    if isinstance(fact, RecencyFact):
+        return fact.elem, fact.tids
+    return fact, frozenset()
 
 
-def recency_apply(tid: int, command, fact: RecencyFact) -> RecencyFact:
-    """Writes tag the writing thread; every other command leaves tags alone.
-    The base element is updated separately by the domain transfer."""
-    from .lang import Assign
+class RecencyDomain:
+    """The recency refinement of `inner`, as seen by thread `tid`.
 
-    if isinstance(command, Assign):
-        return recency_write(fact, tid)
-    return fact
+    Facts are `RecencyFact`s over the inner domain's elements.  A write by
+    this thread tags it; assume and release keep the tags.  At an acquire,
+    an incoming fact tagged only with this thread is stale, since it holds
+    nothing that this thread has not already seen, and is dropped.  Every
+    operation on elements goes to the inner domain.
+    """
 
+    def __init__(self, inner, tid: int):
+        self.inner = inner
+        self.tid = tid
 
-def recency_admit_sync(receiver: int, incoming: RecencyFact) -> bool:
-    """A sync-edge fact tagged only with the receiving thread is stale and may
-    be dropped; anything else must be admitted."""
-    return incoming.tids != frozenset({receiver})
+    def initial(self) -> RecencyFact:
+        return RecencyFact(self.inner.initial(), frozenset())
+
+    def bottom(self) -> RecencyFact:
+        return RecencyFact(self.inner.bottom(), frozenset())
+
+    def join(self, a: RecencyFact, b: RecencyFact) -> RecencyFact:
+        return RecencyFact(self.inner.join(a.elem, b.elem), a.tids | b.tids)
+
+    def widen(self, a: RecencyFact, b: RecencyFact) -> RecencyFact:
+        return RecencyFact(self.inner.widen(a.elem, b.elem), a.tids | b.tids)
+
+    def leq(self, a: RecencyFact, b: RecencyFact) -> bool:
+        return self.inner.leq(a.elem, b.elem) and a.tids <= b.tids
+
+    def equal(self, a: RecencyFact, b: RecencyFact) -> bool:
+        return self.inner.equal(a.elem, b.elem) and a.tids == b.tids
+
+    def assign(self, d: RecencyFact, var: str, e: Expr) -> RecencyFact:
+        return RecencyFact(self.inner.assign(d.elem, var, e), d.tids | {self.tid})
+
+    def assume(self, d: RecencyFact, b: BoolExpr) -> RecencyFact:
+        return RecencyFact(self.inner.assume(d.elem, b), d.tids)
+
+    def mix(self, elems: Sequence[RecencyFact], partition) -> RecencyFact:
+        """`elems` is this thread's own fact, then the facts arriving over
+        sync edges; stale and bottom arrivals carry no tags into the mix."""
+        own, *incoming = elems
+        kept = [own] + [f for f in incoming
+                        if not is_bottom(f.elem) and f.tids != {self.tid}]
+        mixed = self.inner.mix([f.elem for f in kept], partition)
+        if is_bottom(mixed):
+            return self.bottom()
+        return RecencyFact(mixed, frozenset().union(*(f.tids for f in kept)))
+
+    def product_closure(self, d: RecencyFact) -> RecencyFact:
+        return RecencyFact(self.inner.product_closure(d.elem), d.tids)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .absdom import RecencyFact
+from .absdom import split_fact
 from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, owned_vars_oracle
 from .engine import AnalysisConfig, LocationFacts, make_domain
 from .lang import (
@@ -166,8 +166,7 @@ def check_assertions(
         owned_mode=owned.mode,
     )
     for a in p.assertions:
-        fact = facts[a.location]
-        elem = fact.elem if isinstance(fact, RecencyFact) else fact
+        elem, _ = split_fact(facts[a.location])
         owned_here = owned.owned(a.thread, a.location)
         cond_vars = vars_of_bool(a.cond)
         fact_str = "; ".join(domain.constraints(elem)) or "true"

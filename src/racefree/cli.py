@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--widen-delay", type=int, default=2)
     an.add_argument("--value-box", default="-4,4", metavar="lo,hi",
                     help="value box for the envset domain")
-    an.add_argument("--seed", type=int, default=0)
 
     rc = sub.add_parser("races", help="bounded data/region race search")
     _add_common(rc)
@@ -165,7 +164,6 @@ def _cmd_analyze(args) -> int:
         recency=args.recency,
         regions=regions,
         widen_delay=args.widen_delay,
-        gamma=args.gamma,
         havoc_values=havoc,
         value_box=box,
     )

@@ -4,7 +4,10 @@ The analyses differ only in the domain and the granularity of the mix
 applied at lock acquires: value-set analysis uses intervals with a plain
 join, the relational analysis uses octagons with a variable-granular mix
 (all correlations forgotten across threads), and its region variant keeps
-correlations inside each declared region.
+correlations inside each declared region.  The recency refinement is one
+more domain, a per-thread wrapper (`RecencyDomain`).  One worklist loop
+(`_solve`) serves both the widening analyses and the exact collecting
+fixpoint over environment sets.
 
 Facts are sound only under owned-variable projection; the engine itself
 just computes a post-fixpoint of the transfer system and leaves the
@@ -14,18 +17,17 @@ projection to the assertion checker.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .absdom import (
-    BOTTOM,
     EnvSetDomain,
     IntervalDomain,
     OctagonDomain,
-    RecencyFact,
+    RecencyDomain,
     is_bottom,
-    recency_admit_sync,
     singleton_partition,
+    split_fact,
 )
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap, Release
 from .syncfg import SyncCFG, build_syncfg
@@ -51,7 +53,6 @@ class AnalysisConfig:
     recency: bool = False
     regions: Optional[RegionMap] = None  # defaults to the program's partition
     widen_delay: int = 2
-    gamma: str = "default"
     iteration_cap: int = 10_000
     havoc_values: tuple[int, ...] = (0, 1, 2)
     value_box: tuple[int, int] = (-4, 4)
@@ -65,7 +66,7 @@ class AnalysisConfig:
             raise ValueError("the value-set analysis pairs with the interval domain")
 
 
-LocationFacts = dict[int, Union[object, RecencyFact]]
+LocationFacts = dict[int, object]  # a domain element, or a RecencyFact under recency
 
 
 def make_domain(cfg: AnalysisConfig, variables: tuple[str, ...]):
@@ -84,7 +85,7 @@ def mix_partition(cfg: AnalysisConfig, p: Program) -> tuple[tuple[int, ...], ...
 
 
 class _Frame:
-    """One analysis run: domain, recency plumbing, and fact bookkeeping."""
+    """One analysis run: each thread's domain, and fact bookkeeping."""
 
     def __init__(self, p: Program, g: SyncCFG, cfg: AnalysisConfig):
         cfg.validate()
@@ -94,10 +95,12 @@ class _Frame:
         self.domain = make_domain(cfg, p.variables)
         self.partition = mix_partition(cfg, p)
         self.value_set = cfg.analysis == "valset" and cfg.domain == "envset"
-        self.tid_of_loc = {}
+        # the domain of the thread owning each location
+        self.domain_at = {}
         for tid, t in enumerate(p.threads):
+            dom = RecencyDomain(self.domain, tid) if cfg.recency else self.domain
             for loc in t.locations:
-                self.tid_of_loc[loc] = tid
+                self.domain_at[loc] = dom
         self.by_source: dict[int, list[Instruction]] = {}
         for i in p.instructions:
             self.by_source.setdefault(i.source, []).append(i)
@@ -107,83 +110,31 @@ class _Frame:
             self.dependents.setdefault(rel, []).append(acq)
         self.widen_points = self._widen_points()
 
-    # --- recency-transparent element operations
-
-    def wrap(self, elem, tids=frozenset()):
-        if self.cfg.recency:
-            return RecencyFact(elem, tids)
-        return elem
-
-    def base(self, fact):
-        return fact.elem if isinstance(fact, RecencyFact) else fact
-
-    def tids(self, fact):
-        return fact.tids if isinstance(fact, RecencyFact) else frozenset()
-
-    def fact_bottom(self, fact) -> bool:
-        return is_bottom(self.base(fact))
-
-    def join(self, a, b):
-        j = self.domain.join(self.base(a), self.base(b))
-        return self.wrap(j, self.tids(a) | self.tids(b))
-
-    def widen(self, a, b):
-        if self.cfg.domain == "envset":
-            return self.join(a, b)  # finite domain: plain join suffices
-        w = self.domain.widen(self.base(a), self.base(b))
-        return self.wrap(w, self.tids(a) | self.tids(b))
-
-    def equal(self, a, b) -> bool:
-        return self.domain.equal(self.base(a), self.base(b)) and self.tids(a) == self.tids(b)
-
-    def leq(self, a, b) -> bool:
-        return self.domain.leq(self.base(a), self.base(b)) and self.tids(a) <= self.tids(b)
-
-    def _postprocess(self, elem):
-        if self.value_set and not is_bottom(elem):
-            return self.domain.product_closure(elem)
-        return elem
-
     def transfer(self, instr: Instruction, fact, facts: LocationFacts):
         """Abstract effect of one instruction on the fact at its source."""
         c = instr.command
-        tid = self.tid_of_loc[instr.source]
+        dom = self.domain_at[instr.source]
         if isinstance(c, Acquire):
-            inputs = [fact]
-            for rel in self.g.release_points_feeding(instr.source, c.lock):
-                incoming = facts[rel]
-                if self.fact_bottom(incoming):
-                    continue
-                if self.cfg.recency and not recency_admit_sync(
-                    tid, RecencyFact(self.base(incoming), self.tids(incoming))
-                ):
-                    continue
-                inputs.append(incoming)
-            live = [self.base(f) for f in inputs if not self.fact_bottom(f)]
-            if not live:
-                return self.wrap(BOTTOM)
-            mixed = self.domain.mix(live, self.partition)
-            tids = frozenset().union(*(self.tids(f) for f in inputs))
-            return self.wrap(self._postprocess(mixed), tids)
-        if self.fact_bottom(fact):
-            return self.wrap(BOTTOM)
-        if isinstance(c, Assign):
-            out = self.domain.assign(self.base(fact), c.var, c.expr)
-            return self.wrap(self._postprocess(out), self.tids(fact) | {tid})
-        if isinstance(c, Assume):
-            out = self.domain.assume(self.base(fact), c.cond)
-            return self.wrap(self._postprocess(out), self.tids(fact))
-        if isinstance(c, Release):
+            feeding = self.g.release_points_feeding(instr.source, c.lock)
+            out = dom.mix([fact, *(facts[rel] for rel in feeding)], self.partition)
+        elif is_bottom(fact):
+            return dom.bottom()
+        elif isinstance(c, Assign):
+            out = dom.assign(fact, c.var, c.expr)
+        elif isinstance(c, Assume):
+            out = dom.assume(fact, c.cond)
+        elif isinstance(c, Release):
             return fact
-        raise TypeError(f"not a command: {c!r}")
+        else:
+            raise TypeError(f"not a command: {c!r}")
+        if self.value_set and not is_bottom(out):
+            return dom.product_closure(out)
+        return out
 
     def initial_facts(self) -> LocationFacts:
-        facts: LocationFacts = {}
+        facts = {loc: dom.bottom() for loc, dom in self.domain_at.items()}
         for t in self.p.threads:
-            for loc in t.locations:
-                facts[loc] = self.wrap(BOTTOM)
-        for t in self.p.threads:
-            facts[t.entry] = self.wrap(self.domain.initial())
+            facts[t.entry] = self.domain_at[t.entry].initial()
         return facts
 
     def _widen_points(self) -> frozenset[int]:
@@ -216,13 +167,16 @@ class _Frame:
         return frozenset(points)
 
 
-def analyze_fixpoint(p: Program, g: SyncCFG, cfg: AnalysisConfig) -> LocationFacts:
-    """Deterministic worklist fixpoint; returns a verified post-fixpoint."""
-    frame = _Frame(p, g, cfg)
-    facts = frame.initial_facts()
-    use_widening = cfg.domain != "envset"
+def _solve(frame: _Frame) -> LocationFacts:
+    """The worklist iteration, from the initial facts to a post-fixpoint.
 
-    worklist = deque(sorted(t.entry for t in p.threads))
+    Facts at widening points are widened once they have changed
+    `widen_delay` times, except over environment sets: that domain is finite
+    in the value box, so joins alone terminate and the result is exact."""
+    cfg = frame.cfg
+    use_widening = cfg.domain != "envset"
+    facts = frame.initial_facts()
+    worklist = deque(sorted(t.entry for t in frame.p.threads))
     queued = set(worklist)
     update_count: dict[int, int] = {}
     visits = 0
@@ -235,15 +189,16 @@ def analyze_fixpoint(p: Program, g: SyncCFG, cfg: AnalysisConfig) -> LocationFac
             raise AnalysisLimitError(loc, cfg.iteration_cap)
         for instr in frame.by_source.get(loc, ()):
             new = frame.transfer(instr, facts[loc], facts)
-            if frame.fact_bottom(new):
+            if is_bottom(new):
                 continue
             tgt = instr.target
+            dom = frame.domain_at[tgt]
             cur = facts[tgt]
-            joined = frame.join(cur, new)
+            joined = dom.join(cur, new)
             if use_widening and tgt in frame.widen_points:
                 if update_count.get(tgt, 0) >= cfg.widen_delay:
-                    joined = frame.widen(cur, joined)
-            if frame.equal(joined, cur):
+                    joined = dom.widen(cur, joined)
+            if dom.equal(joined, cur):
                 continue
             facts[tgt] = joined
             update_count[tgt] = update_count.get(tgt, 0) + 1
@@ -254,8 +209,14 @@ def analyze_fixpoint(p: Program, g: SyncCFG, cfg: AnalysisConfig) -> LocationFac
                 if acq_src not in queued:
                     worklist.append(acq_src)
                     queued.add(acq_src)
+    return facts
 
-    if use_widening:
+
+def analyze_fixpoint(p: Program, g: SyncCFG, cfg: AnalysisConfig) -> LocationFacts:
+    """Deterministic worklist fixpoint; returns a verified post-fixpoint."""
+    frame = _Frame(p, g, cfg)
+    facts = _solve(frame)
+    if cfg.domain != "envset":
         facts = _narrow(frame, facts)
     check_postfixpoint(p, g, cfg, facts, frame=frame)
     return facts
@@ -271,16 +232,17 @@ def _narrow(frame: _Frame, facts: LocationFacts) -> LocationFacts:
     post-fixpoint, so every round is sound; a single round would leave
     join-accumulation artifacts at nodes downstream of widening points.
     """
+    at = frame.domain_at
     for _ in range(_NARROW_CAP):
-        out: LocationFacts = dict(frame.initial_facts())
+        out = frame.initial_facts()
         for loc in sorted(facts):
             for instr in frame.by_source.get(loc, ()):
                 new = frame.transfer(instr, facts[loc], facts)
-                out[instr.target] = frame.join(out[instr.target], new)
+                out[instr.target] = at[loc].join(out[instr.target], new)
         # never go above the old facts (defensive; holds by construction)
-        if any(not frame.leq(out[loc], facts[loc]) for loc in out):
+        if any(not at[loc].leq(out[loc], facts[loc]) for loc in out):
             return facts
-        if all(frame.equal(out[loc], facts[loc]) for loc in out):
+        if all(at[loc].equal(out[loc], facts[loc]) for loc in out):
             return facts
         facts = out
     return facts
@@ -297,7 +259,7 @@ def check_postfixpoint(
     frame = frame or _Frame(p, g, cfg)
     for instr in p.instructions:
         new = frame.transfer(instr, facts[instr.source], facts)
-        if not frame.leq(new, facts[instr.target]):
+        if not frame.domain_at[instr.target].leq(new, facts[instr.target]):
             raise PostFixpointError(
                 f"transfer of {instr.source}->{instr.target} exceeds the stored fact"
             )
@@ -318,44 +280,10 @@ def collecting_fixpoint(
 ) -> CollectingResult:
     """Exact least fixpoint of the set-based transfer system over a finite
     value box (environments escaping the box are dropped and reported)."""
-    run = AnalysisConfig(
-        analysis=cfg.analysis,
-        domain="envset",
-        recency=cfg.recency,
-        regions=cfg.regions,
-        gamma=cfg.gamma,
-        iteration_cap=cfg.iteration_cap,
-        havoc_values=cfg.havoc_values,
-        value_box=value_box,
-    )
+    run = replace(cfg, domain="envset", value_box=value_box)
     graph = g or build_syncfg(p)
     frame = _Frame(p, graph, run)
-    facts = frame.initial_facts()
-    worklist = deque(sorted(t.entry for t in p.threads))
-    queued = set(worklist)
-    visits = 0
-    while worklist:
-        loc = worklist.popleft()
-        queued.discard(loc)
-        visits += 1
-        if visits > run.iteration_cap:
-            raise AnalysisLimitError(loc, run.iteration_cap)
-        for instr in frame.by_source.get(loc, ()):
-            new = frame.transfer(instr, facts[loc], facts)
-            if frame.fact_bottom(new):
-                continue
-            tgt = instr.target
-            joined = frame.join(facts[tgt], new)
-            if frame.equal(joined, facts[tgt]):
-                continue
-            facts[tgt] = joined
-            if tgt not in queued:
-                worklist.append(tgt)
-                queued.add(tgt)
-            for acq_src in frame.dependents.get(tgt, ()):
-                if acq_src not in queued:
-                    worklist.append(acq_src)
-                    queued.add(acq_src)
+    facts = _solve(frame)
     check_postfixpoint(p, graph, run, facts, frame=frame)
     return CollectingResult(facts=facts, clamped=frame.domain.clamped, value_box=value_box)
 
@@ -364,13 +292,11 @@ def facts_to_json(p: Program, cfg: AnalysisConfig, facts: LocationFacts) -> list
     domain = make_domain(cfg, p.variables)
     rows = []
     for loc in sorted(facts):
-        fact = facts[loc]
-        elem = fact.elem if isinstance(fact, RecencyFact) else fact
-        tids = sorted(fact.tids) if isinstance(fact, RecencyFact) else []
+        elem, tids = split_fact(facts[loc])
         rows.append({
             "location": loc,
             "thread": p.thread_of_location(loc),
             "constraints": domain.constraints(elem),
-            "recency_tids": [p.threads[t].name for t in tids],
+            "recency_tids": [p.threads[t].name for t in sorted(tids)],
         })
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, enumerate_executions, happens_before
-from .lang import Acquire, Instruction, Program, Release, print_command
+from .lang import Instruction, Program, print_command
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,3 @@ def to_dot(g: SyncCFG, p: Program) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def instruction_kinds(p: Program) -> dict[int, str]:
-    """Location roles for reports: entry / post-release / pre-acquire."""
-    roles: dict[int, str] = {}
-    for t in p.threads:
-        roles[t.entry] = "entry"
-    for i in p.instructions:
-        if isinstance(i.command, Release):
-            roles[i.target] = "post-release"
-        if isinstance(i.command, Acquire):
-            roles.setdefault(i.source, "pre-acquire")
-    return roles

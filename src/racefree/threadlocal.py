@@ -288,37 +288,6 @@ def enumerate_local_executions(
     yield from walk(init, [])
 
 
-def reachable_local_states(
-    p: Program,
-    depth: int,
-    havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    ctx: Optional[LocalContext] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> set[ThreadLocalState]:
-    ctx = ctx or LocalContext(p)
-    init = initial_local_state(p, ctx)
-    seen = {init}
-    frontier = [init]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for tid, t in enumerate(p.threads):
-                for instr in t.instructions:
-                    if instr.source != s.pc[tid]:
-                        continue
-                    for _, post in local_step(p, s, instr, havoc_values, ctx):
-                        if post not in seen:
-                            seen.add(post)
-                            nxt.append(post)
-                            if len(seen) > budget:
-                                raise ExplorationLimitError(
-                                    f"state budget {budget} exceeded")
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
-
-
 def format_versioned_env(p: Program, ve: VersionedEnv) -> str:
     parts = [f"{v}↦{ve.values[i]}^{ve.versions[i]}"
              for i, v in enumerate(p.variables)]

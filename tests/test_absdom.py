@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,9 @@ from racefree.absdom import (
     IntervalElem,
     OctagonDomain,
     OctElem,
+    RecencyDomain,
     RecencyFact,
     box_points,
-    recency_admit_sync,
-    recency_write,
     singleton_partition,
 )
 from racefree.lang import BinExpr, HavocExpr, IntLit, VarRef, parse_program
@@ -340,33 +340,101 @@ def test_interval_refinement_divides_exactly():
     assert out.bounds == ((2 ** 52, 2 ** 52),)
 
 
+def test_octagon_constant_above_2_pow_52_drops_the_bound():
+    dom = OctagonDomain(("x", "y"))
+    start = dom.initial()
+    for expr in (IntLit(9007199254740993),
+                 BinExpr("+", VarRef("y"), IntLit(2 ** 60)),
+                 BinExpr("+", VarRef("x"), IntLit(2 ** 53 + 1))):
+        big = dom.assign(start, "x", expr)
+        assert dom.intervals_of(big) == ((-INF, INF), (0, 0))
+        assert dom.constraints(big) == ["y = 0"]
+    kept = dom.assign(start, "x", IntLit(2 ** 40))
+    assert dom.intervals_of(kept)[0] == (2 ** 40, 2 ** 40)
+    # a guard bound beyond 2^52 is dropped, but still decides emptiness exactly
+    assert dom.intervals_of(dom.assume(dom.top(), cond(f"x <= {2 ** 52 + 1}", "x, y")))[0] \
+        == (-INF, INF)
+    assert dom.assume(start, cond(f"x >= {2 ** 53 + 1}", "x, y")) is BOTTOM
+    assert dom.assume(start, cond(f"x - y >= {2 ** 53 + 1}", "x, y")) is BOTTOM
+
+
+def test_octagon_closure_sums_never_round():
+    # y = 2^52 + 2^52 + 1 = 2^53 + 1: twice that, as a float, rounds to 2^54
+    dom = OctagonDomain(("x", "y"))
+    d = dom.assign(dom.initial(), "x", IntLit(2 ** 52))
+    d = dom.assign(d, "y", BinExpr("+", VarRef("x"), IntLit(2 ** 52)))
+    d = dom.assign(d, "y", BinExpr("+", VarRef("y"), IntLit(1)))
+    assert not dom.entails(d, cond(f"y == {2 ** 53}", "x, y"))
+    assert not dom.entails(d, cond(f"y <= {2 ** 53}", "x, y"))
+    # every stored bound is within the limit where closure sums are exact
+    finite = d.m[np.isfinite(d.m)]
+    assert np.all(np.abs(finite) * dom.size < 2 ** 53)
+
+
+def test_octagon_refinement_divides_exactly():
+    dom = OctagonDomain(("x",))
+    d = dom.assume(dom.top(), cond(f"x >= 0 && x <= {2 ** 50}", "x"))
+    # the float quotient 2^50 - 0.01 rounds to 2^50; exactly, x <= 2^50 - 1
+    out = dom.assume(d, cond(f"100 * x <= {100 * 2 ** 50 - 1}", "x"))
+    assert dom.intervals_of(out) == ((0, 2 ** 50 - 1),)
+    # and 2^50 - 0.99 rounds to 2^50 - 1; exactly, x >= 2^50
+    out = dom.assume(d, cond(f"100 * x >= {100 * 2 ** 50 - 99}", "x"))
+    assert dom.intervals_of(out) == ((2 ** 50, 2 ** 50),)
+
+
 # ---------------------------------------------------------------------------
 # recency wrapper
 
 
+def _recency(tid=1):
+    inner = IntervalDomain(("x",))
+    return inner, RecencyDomain(inner, tid)
+
+
+def _tagged(value, tids):
+    return RecencyFact(IntervalElem(((value, value),)), frozenset(tids))
+
+
 def test_recency_write_tags_thread():
-    f = RecencyFact(elem=None, tids=frozenset())
-    f = recency_write(f, 0)
+    _, dom = _recency(tid=0)
+    f = dom.assign(dom.initial(), "x", IntLit(1))
     assert f.tids == frozenset({0})
-    assert recency_write(f, 0).tids == frozenset({0})
+    assert f.elem == IntervalElem(((1, 1),))
+    assert dom.assign(f, "x", IntLit(2)).tids == frozenset({0})
+    assert dom.assign(_tagged(0, {2}), "x", IntLit(1)).tids == frozenset({0, 2})
 
 
 def test_recency_apply_per_command():
-    from racefree.absdom import recency_apply
-    from racefree.lang import Acquire, Assign, Assume, IntLit, Release
+    """Writes tag the writing thread; assume, acquire and release keep tags."""
+    from racefree.engine import AnalysisConfig, _Frame
+    from racefree.lang import Release, desugar
+    from racefree.syncfg import build_syncfg
 
-    f = RecencyFact(elem=None, tids=frozenset())
-    assert recency_apply(1, Assign("x", IntLit(1)), f).tids == frozenset({1})
-    for c in (Assume(parse_program("var x;\nthread t { assume(x == x); }")
-                     .threads[0].body[0].cond),
-              Acquire("m"), Release("m")):
-        assert recency_apply(1, c, f).tids == frozenset()
+    _, dom = _recency(tid=1)
+    f = _tagged(0, {2})
+    assert dom.assign(f, "x", IntLit(1)).tids == frozenset({1, 2})
+    assert dom.assume(f, cond("x == x", "x")).tids == frozenset({2})
+    assert dom.mix([f], singleton_partition(1)).tids == frozenset({2})
+    p = desugar(parse_program("var x;\nlock m;\nthread t { acquire(m); release(m); }"))
+    frame = _Frame(p, build_syncfg(p), AnalysisConfig(recency=True))
+    release = next(i for i in p.instructions if isinstance(i.command, Release))
+    own = RecencyFact(frame.domain.initial(), frozenset({0}))
+    assert frame.transfer(release, own, {}) is own
 
 
 def test_recency_admit_rules():
-    assert not recency_admit_sync(0, RecencyFact(None, frozenset({0})))
-    assert recency_admit_sync(0, RecencyFact(None, frozenset({0, 1})))
-    assert recency_admit_sync(0, RecencyFact(None, frozenset()))
+    """At an acquire, an incoming fact tagged only with the receiving thread
+    is stale and dropped; every other one is mixed in, and the thread's own
+    fact always is, whatever its tags."""
+    _, dom = _recency(tid=0)
+    part = singleton_partition(1)
+    own = _tagged(0, {0})
+    assert dom.mix([own, _tagged(3, {0})], part) == own
+    assert dom.mix([own, _tagged(3, {0, 1})], part) == RecencyFact(
+        IntervalElem(((0, 3),)), frozenset({0, 1}))
+    assert dom.mix([own, _tagged(3, ())], part) == RecencyFact(
+        IntervalElem(((0, 3),)), frozenset({0}))
+    assert dom.mix([_tagged(0, {1}), _tagged(3, {0})], part) == _tagged(0, {1})
 
 
 # ---------------------------------------------------------------------------

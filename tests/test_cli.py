@@ -165,6 +165,31 @@ def test_region_file_without_semicolons(tmp_path, capsys):
                     str(f)]) == 0
 
 
+def test_analyze_octagon_literal_above_2_pow_53_not_rounded(tmp_path, capsys):
+    # rel/octagon stores float bounds: 2^53 + 1 must be dropped, not rounded
+    f = tmp_path / "big.cp"
+    f.write_text("var x;\nthread t { x := 9007199254740993; "
+                 "assert(x == 9007199254740994); }\n")
+    code = run_cli(["analyze", "--analysis", "rel", "--domain", "octagon",
+                    "--format", "json", str(f)])
+    blob = json.loads(capsys.readouterr().out)
+    assert code == 1
+    fact = blob["assertions"][0]["fact"]
+    assert "9007199254740992" not in fact and fact == "true"
+
+
+def test_analyze_octagon_sum_above_2_pow_53_not_proved(tmp_path, capsys):
+    # y is 2^53 + 1, reached by sums of constants no larger than 2^52
+    f = tmp_path / "sum.cp"
+    f.write_text("var x, y;\nthread t { x := 4503599627370496; "
+                 "y := x + 4503599627370496; y := y + 1; "
+                 "assert(y == 9007199254740992); }\n")
+    code = run_cli(["analyze", "--analysis", "rel", "--domain", "octagon", str(f)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "0/1 assertions proved" in out
+
+
 def test_analyze_valset_literal_above_2_pow_53_not_proved(tmp_path, capsys):
     # 9007199254740993 is 2^53 + 1: as a float it rounds to 2^53
     f = tmp_path / "big.cp"

@@ -44,6 +44,10 @@ def test_postfixpoint_holds_on_all_configs(coupled_xy, coupled_xy_regions):
         dict(analysis="rel", domain="octagon"),
         dict(analysis="rel", domain="octagon", recency=True),
         dict(analysis="regrel", domain="octagon", regions=coupled_xy_regions),
+        dict(analysis="rel", domain="envset"),
+        dict(analysis="rel", domain="envset", recency=True),
+        dict(analysis="valset", domain="envset"),
+        dict(analysis="valset", domain="envset", recency=True),
     ):
         cfg = AnalysisConfig(**kw)
         facts = analyze_fixpoint(coupled_xy, g, cfg)
