@@ -3,6 +3,11 @@
 States are immutable tuples, so exploration can deduplicate and memoize
 freely.  Race verdicts are always bounded: an empty report means "no race
 found up to the given depth", never "race free".
+
+The exploration core serves both semantics and every checker: one edge
+table (`ProgramIndex.by_source`), one successor generator (`successors`)
+that takes the step function of a semantics, one depth-bounded tree search
+(`dfs`) and one breadth-first state search (`reachable`).
 """
 
 from __future__ import annotations
@@ -52,28 +57,36 @@ class StdState:
 
 @dataclass(frozen=True)
 class Transition:
+    """One step of either semantics; `pre` and `post` are states of it."""
+
     tid: int
     instr: Instruction
     choices: tuple[int, ...]
-    pre: StdState
-    post: StdState
+    pre: object
+    post: object
 
 
 @dataclass(frozen=True)
 class Execution:
-    initial: StdState
+    initial: object
     steps: tuple[Transition, ...]
 
     def __len__(self) -> int:
         return len(self.steps)
 
     @property
-    def final(self) -> StdState:
+    def final(self):
         return self.steps[-1].post if self.steps else self.initial
 
 
 class ProgramIndex:
-    """Derived lookup tables for one desugared program."""
+    """Lookup tables for one desugared program, built once.
+
+    `by_source` is the edge table: each location's outgoing instructions,
+    in thread instruction order.  It relies on every location belonging to
+    one thread, which `validate_program` checks and the constructor
+    enforces.
+    """
 
     def __init__(self, program: Program):
         if not program.is_desugared:
@@ -81,20 +94,20 @@ class ProgramIndex:
         self.program = program
         self.var_index = {v: i for i, v in enumerate(program.variables)}
         self.lock_index = {m: i for i, m in enumerate(program.locks)}
-        self.thread_names = tuple(t.name for t in program.threads)
-        self.by_source: dict[int, tuple[Instruction, ...]] = {}
         self.tid_of_instr: dict[Instruction, int] = {}
+        owner: dict[int, int] = {}
+        by_source: dict[int, list[Instruction]] = {}
         for tid, t in enumerate(program.threads):
+            for loc in t.locations:
+                if owner.setdefault(loc, tid) != tid:
+                    raise ValueError(f"location {loc} is in two threads")
             for i in t.instructions:
-                self.by_source.setdefault(i.source, ())
-                self.by_source[i.source] = self.by_source[i.source] + (i,)
+                by_source.setdefault(i.source, []).append(i)
                 self.tid_of_instr[i] = tid
-        self.accesses: dict[Instruction, tuple[frozenset[str], frozenset[str]]] = {
-            i: instr_accesses(i) for i in program.instructions
-        }
+        self.by_source = {loc: tuple(instrs) for loc, instrs in by_source.items()}
 
-    def env_of(self, s: StdState) -> dict[str, int]:
-        return {v: s.phi[i] for v, i in self.var_index.items()}
+    def env_of(self, values: tuple[int, ...]) -> dict[str, int]:
+        return {v: values[i] for v, i in self.var_index.items()}
 
 
 def initial_state(p: Program) -> StdState:
@@ -120,7 +133,7 @@ def std_step(
     pc2 = tuple(instr.target if k == tid else loc for k, loc in enumerate(s.pc))
     c = instr.command
     if isinstance(c, Assign):
-        env = idx.env_of(s)
+        env = idx.env_of(s.phi)
         vi = idx.var_index[c.var]
         out = []
         slots = havoc_slots(c.expr)
@@ -130,7 +143,7 @@ def std_step(
             out.append((choices, StdState(pc2, s.mu, phi2)))
         return tuple(out)
     if isinstance(c, Assume):
-        if eval_bool(c.cond, idx.env_of(s)):
+        if eval_bool(c.cond, idx.env_of(s.phi)):
             return (((), StdState(pc2, s.mu, s.phi)),)
         return ()
     if isinstance(c, Acquire):
@@ -148,13 +161,108 @@ def std_step(
     raise TypeError(f"not a command: {c!r}")
 
 
-def _successor_transitions(p, idx, s, havoc_values) -> Iterator[Transition]:
-    for tid, t in enumerate(p.threads):
-        for instr in t.instructions:
-            if instr.source != s.pc[tid]:
+# ---------------------------------------------------------------------------
+# Exploration core
+
+
+def successors(idx: ProgramIndex, state, step: Callable, havoc_values) -> Iterator[tuple]:
+    """Every step enabled in `state`, as (tid, instr, choices, post), in
+    canonical order: thread index, instruction order, havoc value.
+
+    `step` is the step function of a semantics (`std_step`, `local_step` or
+    a stand-in with their signature); it is called with `idx` as its index
+    or context and decides which instructions at the threads' pcs are
+    enabled.  Callers name it at call time, never at import time, so that a
+    wrapper installed over the module attribute sees every step.
+    """
+    p = idx.program
+    by_source = idx.by_source
+    for tid, loc in enumerate(state.pc):
+        for instr in by_source.get(loc, ()):
+            for choices, post in step(p, state, instr, havoc_values, idx):
+                yield tid, instr, choices, post
+
+
+_EXHAUSTED = object()
+
+
+def dfs(root, depth: int, budget: int, expand: Callable) -> Iterator[tuple[object, list]]:
+    """Depth-first search of the tree below `root`, at most `depth` edges deep.
+
+    Yields `(node, path)` for every node in pre-order, root first; `path`
+    is the list of edges from the root, one list updated in place.
+    `expand(node, path)` is a generator of the `(edge, child)` pairs to
+    descend into; it is resumed only after the subtree of its previous
+    child is done, and it ends the whole search by yielding None.  Raises
+    ExplorationLimitError when more than `budget` nodes would be visited.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    path: list = []
+    stack: list[Iterator] = []  # one generator per node on the path
+    node, visited = root, 0
+    while True:
+        visited += 1
+        if visited > budget:
+            raise ExplorationLimitError(
+                f"exploration budget {budget} exceeded after {visited} nodes "
+                f"at depth {len(path)}")
+        yield node, path
+        if len(path) < depth:
+            stack.append(expand(node, path))
+        elif path:
+            path.pop()  # a leaf: back to its parent
+        while stack:
+            step = next(stack[-1], _EXHAUSTED)
+            if step is _EXHAUSTED:
+                stack.pop()
+                if stack:
+                    path.pop()
                 continue
-            for choices, post in std_step(p, s, instr, havoc_values, idx):
-                yield Transition(tid, instr, choices, s, post)
+            if step is None:
+                return
+            edge, node = step
+            path.append(edge)
+            break
+        if not stack:
+            return
+
+
+def reachable(idx: ProgramIndex, init, step: Callable, depth: int,
+              havoc_values, budget: int) -> list:
+    """Distinct states within `depth` steps of `init` under `step`, in
+    breadth-first discovery order.  Raises ExplorationLimitError when more
+    than `budget` states are found."""
+    seen = {init: None}  # a dict keeps the discovery order
+    frontier = [init]
+    for level in range(1, depth + 1):
+        nxt = []
+        for s in frontier:
+            for _, _, _, post in successors(idx, s, step, havoc_values):
+                if post not in seen:
+                    seen[post] = None
+                    nxt.append(post)
+                    if len(seen) > budget:
+                        raise ExplorationLimitError(
+                            f"state budget {budget} exceeded after {len(seen)} states "
+                            f"at depth {level}")
+        if not nxt:
+            break
+        frontier = nxt
+    return list(seen)
+
+
+def executions(idx: ProgramIndex, init, step: Callable, depth: int,
+               havoc_values, budget: int) -> Iterator[Execution]:
+    """Every execution of length <= depth from `init` under `step`, each
+    exactly once, in pre-order (every prefix is itself yielded)."""
+
+    def expand(state, path):
+        for tid, instr, choices, post in successors(idx, state, step, havoc_values):
+            yield Transition(tid, instr, choices, state, post), post
+
+    for _, path in dfs(init, depth, budget, expand):
+        yield Execution(init, tuple(path))
 
 
 def successor_transitions(
@@ -165,7 +273,8 @@ def successor_transitions(
 ) -> tuple[Transition, ...]:
     """All enabled transitions out of `s`, in canonical order."""
     idx = index or ProgramIndex(p)
-    return tuple(_successor_transitions(p, idx, s, havoc_values))
+    return tuple(Transition(tid, instr, choices, s, post)
+                 for tid, instr, choices, post in successors(idx, s, std_step, havoc_values))
 
 
 def enumerate_executions(
@@ -180,26 +289,8 @@ def enumerate_executions(
     every prefix is itself yielded.  Raises ExplorationLimitError when more
     than `budget` executions would be produced.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    idx = ProgramIndex(p)
-    init = initial_state(p)
-    produced = 0
-
-    def walk(state: StdState, steps: list[Transition]) -> Iterator[Execution]:
-        nonlocal produced
-        produced += 1
-        if produced > budget:
-            raise ExplorationLimitError(f"exploration budget {budget} exceeded")
-        yield Execution(init, tuple(steps))
-        if len(steps) >= depth:
-            return
-        for tr in _successor_transitions(p, idx, state, havoc_values):
-            steps.append(tr)
-            yield from walk(tr.post, steps)
-            steps.pop()
-
-    yield from walk(init, [])
+    return executions(ProgramIndex(p), initial_state(p), std_step, depth,
+                      havoc_values, budget)
 
 
 def reachable_states(
@@ -209,23 +300,8 @@ def reachable_states(
     budget: int = DEFAULT_BUDGET,
 ) -> set[StdState]:
     """Distinct states reachable within `depth` steps (visited-set pruned)."""
-    idx = ProgramIndex(p)
-    init = initial_state(p)
-    seen = {init}
-    frontier = [init]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for tr in _successor_transitions(p, idx, s, havoc_values):
-                if tr.post not in seen:
-                    seen.add(tr.post)
-                    nxt.append(tr.post)
-                    if len(seen) > budget:
-                        raise ExplorationLimitError(f"state budget {budget} exceeded")
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
+    return set(reachable(ProgramIndex(p), initial_state(p), std_step, depth,
+                         havoc_values, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -327,82 +403,69 @@ def _find_races(
     """
     idx = ProgramIndex(p)
     init = initial_state(p)
-    n_threads = len(p.threads)
-    lock_names = list(p.locks)
+    zero = (0,) * len(p.threads)
     reported: dict[tuple, RaceReport] = {}
-    visits = 0
+    # keyed by identity: hashing an Instruction walks its whole command
+    subjects = {id(i): subjects_of(i) for i in p.instructions}
 
-    subj_cache: dict[Instruction, tuple[frozenset[str], frozenset[str]]] = {}
+    # vector clocks along the current path, updated by `expand` before it
+    # yields a child and restored when the child's subtree is done
+    thread_clock = [zero] * len(p.threads)
+    lock_clock = {m: zero for m in p.locks}
+    clocks: list[tuple[int, ...]] = []  # clocks[i]: clock of step i of the path
 
-    def subjects(instr):
-        if instr not in subj_cache:
-            subj_cache[instr] = subjects_of(instr)
-        return subj_cache[instr]
+    def witness(path) -> Execution:
+        steps, pre = [], init
+        for tid, instr, choices, post in path:
+            steps.append(Transition(tid, instr, choices, pre, post))
+            pre = post
+        return Execution(init, tuple(steps))
 
-    # stacks maintained incrementally along the DFS
-    steps: list[Transition] = []
-    clocks: list[tuple[int, ...]] = []
-    thread_clock = [[0] * n_threads for _ in range(n_threads)]
-    lock_clock = {m: [0] * n_threads for m in lock_names}
-
-    def walk(state: StdState) -> bool:
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise ExplorationLimitError(f"exploration budget {budget} exceeded")
-        if len(steps) >= depth:
-            return False
-        for tr in _successor_transitions(p, idx, state, havoc_values):
-            t = tr.tid
-            cmd = tr.instr.command
-            saved_thread = list(thread_clock[t])
-            saved_lock = None
+    def expand(state: StdState, path: list):
+        k = len(path)
+        for edge in successors(idx, state, std_step, havoc_values):
+            t, instr, _, post = edge
+            cmd = instr.command
+            saved_thread, saved_lock = thread_clock[t], None
+            vc = saved_thread
             if isinstance(cmd, Acquire):
-                lm = lock_clock[cmd.lock]
-                thread_clock[t] = [max(a, b) for a, b in zip(thread_clock[t], lm)]
-            thread_clock[t][t] += 1
+                vc = tuple(map(max, vc, lock_clock[cmd.lock]))
+            vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
+            thread_clock[t] = vc
             if isinstance(cmd, Release):
                 saved_lock = lock_clock[cmd.lock]
-                lock_clock[cmd.lock] = list(thread_clock[t])
-            k = len(steps)
-            vc_k = tuple(thread_clock[t])
-            clocks.append(vc_k)
-            steps.append(tr)
+                lock_clock[cmd.lock] = vc
 
-            k_reads, k_writes = subjects(tr.instr)
+            k_reads, k_writes = subjects[id(instr)]
             if k_reads or k_writes:
-                for i in range(k):
-                    prior = steps[i]
-                    if prior.tid == t:
+                for i, (prior_tid, prior_instr, _, _) in enumerate(path):
+                    if prior_tid == t:
                         continue
                     if involving is not None and (
-                        prior.instr is not involving and tr.instr is not involving
+                        prior_instr is not involving and instr is not involving
                     ):
                         continue
-                    i_reads, i_writes = subjects(prior.instr)
+                    i_reads, i_writes = subjects[id(prior_instr)]
                     conflict = _conflicts(i_reads, i_writes, k_reads, k_writes)
                     if not conflict:
                         continue
-                    if clocks[i][prior.tid] <= vc_k[prior.tid]:
+                    if clocks[i][prior_tid] <= vc[prior_tid]:
                         continue  # ordered by happens-before
                     for subject in sorted(conflict):
-                        key = (prior.instr, tr.instr, subject)
+                        key = (prior_instr, instr, subject)
                         if key not in reported:
-                            witness = Execution(init, tuple(steps))
-                            reported[key] = RaceReport(witness, i, k, subject)
+                            reported[key] = RaceReport(witness([*path, edge]), i, k, subject)
                             if stop_at_first:
-                                return True
-            done = walk(tr.post)
-            steps.pop()
+                                yield None  # ends the search
+            clocks.append(vc)
+            yield edge, post
             clocks.pop()
             thread_clock[t] = saved_thread
             if saved_lock is not None:
                 lock_clock[cmd.lock] = saved_lock
-            if done:
-                return True
-        return False
 
-    walk(init)
+    for _ in dfs(init, depth, budget, expand):
+        pass
     return sorted(
         reported.values(),
         key=lambda r: (r.subject, r.first, r.second, len(r.execution.steps)),
@@ -619,16 +682,18 @@ def racy_regions_via_translation(
 # Trace dump
 
 
+def format_step(tr: Transition, p: Program) -> str:
+    """One trace line: thread, source, command (with havoc choices), target."""
+    cmd = print_command(tr.instr.command)
+    if tr.choices:
+        cmd += " {" + ",".join(map(str, tr.choices)) + "}"
+    return f"{p.threads[tr.tid].name} {tr.instr.source} -[{cmd}]-> {tr.instr.target}"
+
+
 def format_execution(e: Execution, p: Program) -> str:
     """One line per transition, then po/sw edge lists."""
     hb = happens_before(e)
-    lines = []
-    for tr in e.steps:
-        name = p.threads[tr.tid].name
-        cmd = print_command(tr.instr.command)
-        if tr.choices:
-            cmd += " {" + ",".join(map(str, tr.choices)) + "}"
-        lines.append(f"{name} {tr.instr.source} -[{cmd}]-> {tr.instr.target}")
+    lines = [format_step(tr, p) for tr in e.steps]
     lines.append("po: " + " ".join(f"{i}->{j}" for i, j in hb.po_edges))
     lines.append("sw: " + " ".join(f"{i}->{j}" for i, j in hb.sw_edges))
     return "\n".join(lines)

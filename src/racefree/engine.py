@@ -29,6 +29,7 @@ from .absdom import (
     singleton_partition,
     split_fact,
 )
+from .concrete import ProgramIndex
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap, Release
 from .syncfg import SyncCFG, build_syncfg
 
@@ -101,9 +102,7 @@ class _Frame:
             dom = RecencyDomain(self.domain, tid) if cfg.recency else self.domain
             for loc in t.locations:
                 self.domain_at[loc] = dom
-        self.by_source: dict[int, list[Instruction]] = {}
-        for i in p.instructions:
-            self.by_source.setdefault(i.source, []).append(i)
+        self.by_source = ProgramIndex(p).by_source
         # acquire sources to re-enqueue when a release-point fact changes
         self.dependents: dict[int, list[int]] = {}
         for rel, acq, _m in g.sync_edges:

@@ -28,11 +28,12 @@ from typing import Callable, Iterable, Optional
 from .concrete import (
     DEFAULT_BUDGET,
     DEFAULT_HAVOC,
-    ProgramIndex,
-    StdState,
+    dfs,
     find_data_races,
     initial_state,
+    reachable,
     std_step,
+    successors,
 )
 from .lang import (
     Acquire,
@@ -46,14 +47,14 @@ from .lang import (
     eval_bool,
     eval_expr,
     havoc_slots,
+    instr_accesses,
     parse_program,
-    vars_of_bool,
-    vars_of_expr,
 )
 from .threadlocal import (
     InadmissibleStateError,
     LocalContext,
     ThreadLocalState,
+    components,
     extract_state,
     initial_local_state,
     is_admissible,
@@ -95,8 +96,24 @@ def _require_race_free(p: Program, depth: int, havoc_values, budget) -> None:
         )
 
 
-def _fmt_trace(steps) -> str:
-    return " ".join(f"{tr.instr.source}->{tr.instr.target}" for tr in steps)
+def _trace(path, *instrs) -> str:
+    """Witness text: source->target of each step of `path`, then of `instrs`."""
+    steps = [edge[1] for edge in path] + list(instrs)
+    return " ".join(f"{i.source}->{i.target}" for i in steps) or "<initial>"
+
+
+def _recording(step: Callable, result: CheckResult, path) -> Callable:
+    """`step`, except that an InadmissibleStateError disables the
+    instruction and is recorded in `result` as a violation after `path`."""
+
+    def guarded(p, s, instr, havoc_values, ctx):
+        try:
+            return step(p, s, instr, havoc_values, ctx)
+        except InadmissibleStateError as e:
+            result.fail(_trace(path, instr), f"admissibility broken: {e}")
+            return ()
+
+    return guarded
 
 
 # ---------------------------------------------------------------------------
@@ -112,84 +129,67 @@ def check_correspondence(
     skip_precondition: bool = False,
 ) -> CheckResult:
     """Replay every bounded interleaving execution in the thread-local
-    semantics and vice versa, demanding exact extraction-map agreement."""
+    semantics and vice versa, demanding exact extraction-map agreement.
+    Each direction explores at most `budget` nodes."""
     if not skip_precondition:
         _require_race_free(p, depth, havoc_values, budget)
     step_local = local_step_fn or local_step
     ctx = LocalContext(p)
-    idx = ProgramIndex(p)
     result = CheckResult("correspondence")
 
-    # completeness direction: standard execution -> thread-local replay
-    def fwd(s: StdState, sigma: ThreadLocalState, steps: list, length: int) -> None:
-        if length >= depth:
-            return
-        for tid, t in enumerate(p.threads):
-            for instr in t.instructions:
-                if instr.source != s.pc[tid]:
-                    continue
-                for choices, s2 in std_step(p, s, instr, havoc_values, idx):
-                    result.instances += 1
-                    steps.append((instr, choices))
-                    here = " ".join(f"{i.source}->{i.target}" for i, _ in steps)
-                    try:
-                        match = [
-                            post for ch, post
-                            in step_local(p, sigma, instr, havoc_values, ctx)
-                            if ch == choices
-                        ]
-                        if not match:
-                            result.fail(here, "standard step has no thread-local counterpart")
-                        elif extract_state(p, match[0], ctx) != s2:
-                            result.fail(here, "extraction differs from the standard state")
-                        else:
-                            fwd(s2, match[0], steps, length + 1)
-                    except InadmissibleStateError as e:
-                        result.fail(here, f"admissibility broken: {e}")
-                    steps.pop()
+    # completeness direction: standard execution -> thread-local replay;
+    # a node is a (standard state, thread-local state) pair
+    def fwd(node, path):
+        s, sigma = node
+        for edge in successors(ctx, s, std_step, havoc_values):
+            _, instr, choices, s2 = edge
+            result.instances += 1
+            try:
+                match = [post for ch, post in step_local(p, sigma, instr, havoc_values, ctx)
+                         if ch == choices]
+                if not match:
+                    problem = "standard step has no thread-local counterpart"
+                elif extract_state(p, match[0], ctx) != s2:
+                    problem = "extraction differs from the standard state"
+                else:
+                    problem = None
+            except InadmissibleStateError as e:
+                problem = f"admissibility broken: {e}"
+            if problem:
+                result.fail(_trace(path, instr), problem)
+            else:
+                yield edge, (s2, match[0])
 
     # soundness direction: thread-local execution -> standard validity
-    def bwd(sigma: ThreadLocalState, steps: list, length: int) -> None:
-        if length >= depth:
-            return
+    def bwd(sigma, path):
         try:
             s = extract_state(p, sigma, ctx)
         except InadmissibleStateError as e:
-            result.fail(" ".join(f"{i.source}->{i.target}" for i, _ in steps),
-                        f"admissibility broken: {e}")
+            result.fail(_trace(path), f"admissibility broken: {e}")
             return
-        for tid, t in enumerate(p.threads):
-            for instr in t.instructions:
-                if instr.source != sigma.pc[tid]:
-                    continue
-                try:
-                    successors = step_local(p, sigma, instr, havoc_values, ctx)
-                except InadmissibleStateError as e:
-                    result.fail(" ".join(f"{i.source}->{i.target}" for i, _ in steps),
-                                f"admissibility broken: {e}")
-                    continue
-                for choices, sigma2 in successors:
-                    result.instances += 1
-                    steps.append((instr, choices))
-                    here = " ".join(f"{i.source}->{i.target}" for i, _ in steps)
-                    match = [
-                        s2 for ch, s2 in std_step(p, s, instr, havoc_values, idx)
-                        if ch == choices
-                    ]
-                    try:
-                        if not match:
-                            result.fail(
-                                here, "thread-local step disabled in the standard semantics")
-                        elif match[0] != extract_state(p, sigma2, ctx):
-                            result.fail(here, "standard successor disagrees with extraction")
-                        else:
-                            bwd(sigma2, steps, length + 1)
-                    except InadmissibleStateError as e:
-                        result.fail(here, f"admissibility broken: {e}")
-                    steps.pop()
+        for edge in successors(ctx, sigma, _recording(step_local, result, path), havoc_values):
+            _, instr, choices, sigma2 = edge
+            result.instances += 1
+            match = [s2 for ch, s2 in std_step(p, s, instr, havoc_values, ctx) if ch == choices]
+            try:
+                if not match:
+                    problem = "thread-local step disabled in the standard semantics"
+                elif match[0] != extract_state(p, sigma2, ctx):
+                    problem = "standard successor disagrees with extraction"
+                else:
+                    problem = None
+            except InadmissibleStateError as e:
+                problem = f"admissibility broken: {e}"
+            if problem:
+                result.fail(_trace(path, instr), problem)
+            else:
+                yield edge, sigma2
 
-    fwd(initial_state(p), initial_local_state(p, ctx), [], 0)
-    bwd(initial_local_state(p, ctx), [], 0)
+    init = initial_local_state(p, ctx)
+    for _ in dfs((initial_state(p), init), depth, budget, fwd):
+        pass
+    for _ in dfs(init, depth, budget, bwd):
+        pass
     return result
 
 
@@ -207,8 +207,8 @@ def check_version_invariants(
     skip_precondition: bool = False,
     owned_fn: Optional[Callable[[str, int], frozenset]] = None,
 ) -> list[CheckResult]:
-    """Walk every bounded thread-local execution and assert the counter
-    invariants; returns one result per sub-check."""
+    """Walk every bounded thread-local execution (at most `budget` nodes)
+    and assert the counter invariants; returns one result per sub-check."""
     if not skip_precondition:
         _require_race_free(p, depth, havoc_values, budget)
     step_local = local_step_fn or local_step
@@ -237,22 +237,19 @@ def check_version_invariants(
                 )
         return owned_cache[key]
 
-    def components(sigma: ThreadLocalState):
-        return sigma.theta + sigma.buffers
-
-    def check_state(sigma: ThreadLocalState, writes: list[int], trace: str) -> None:
+    def check_state(sigma: ThreadLocalState, writes: tuple[int, ...], path) -> None:
         version_bound.instances += 1
         for ve in components(sigma):
             for x in range(var_count):
                 if ve.versions[x] > writes[x]:
                     version_bound.fail(
-                        trace,
+                        _trace(path),
                         f"version of {p.variables[x]} is {ve.versions[x]} after "
                         f"{writes[x]} writes",
                     )
         admissible.instances += 1
         if not is_admissible(sigma):
-            admissible.fail(trace, "inadmissible reachable state")
+            admissible.fail(_trace(path), "inadmissible reachable state")
         owned_projection.instances += 1
         for tid, t in enumerate(p.threads):
             owned = owned_at(t.name, sigma.pc[tid])
@@ -262,69 +259,48 @@ def check_version_invariants(
                 mine = sigma.theta[tid]
                 if mine.versions[x] != top:
                     owned_projection.fail(
-                        trace,
+                        _trace(path),
                         f"{t.name} owns {v} at {sigma.pc[tid]} but its version "
                         f"{mine.versions[x]} is not the maximum {top}",
                     )
 
-    def walk(sigma: ThreadLocalState, writes: list[int], steps: list, length: int) -> None:
-        if length >= depth:
-            return
-        for tid, t in enumerate(p.threads):
-            for instr in t.instructions:
-                if instr.source != sigma.pc[tid]:
-                    continue
-                cmd = instr.command
-                reads = set()
-                if isinstance(cmd, Assign):
-                    reads = set(vars_of_expr(cmd.expr))
-                elif isinstance(cmd, Assume):
-                    reads = set(vars_of_bool(cmd.cond)) | set(instr.assert_reads)
-                accessed = reads | ({cmd.var} if isinstance(cmd, Assign) else set())
-                try:
-                    successors = step_local(p, sigma, instr, havoc_values, ctx)
-                except InadmissibleStateError as e:
-                    admissible.fail(_fmt_trace_simple(steps + [instr]),
-                                    f"admissibility broken: {e}")
-                    continue
-                for choices, sigma2 in successors:
-                    steps.append(instr)
-                    trace = _fmt_trace_simple(steps)
-                    max_at_access.instances += 1
-                    for v in accessed:
-                        x = ctx.var_index[v]
-                        top = max(ve.versions[x] for ve in components(sigma))
-                        if sigma.theta[tid].versions[x] != top:
-                            max_at_access.fail(
-                                trace,
-                                f"access of {v} with version "
-                                f"{sigma.theta[tid].versions[x]} < max {top}",
-                            )
-                    if isinstance(cmd, Assign):
-                        writes[ctx.var_index[cmd.var]] += 1
-                        write_exact.instances += 1
-                        x = ctx.var_index[cmd.var]
-                        got = sigma2.theta[tid].versions[x]
-                        if got != writes[x]:
-                            write_exact.fail(
-                                trace,
-                                f"post-write version of {cmd.var} is {got}, "
-                                f"expected {writes[x]}",
-                            )
-                    check_state(sigma2, writes, trace)
-                    walk(sigma2, writes, steps, length + 1)
-                    if isinstance(cmd, Assign):
-                        writes[ctx.var_index[cmd.var]] -= 1
-                    steps.pop()
+    # a node is a thread-local state with the number of writes per variable
+    # on the path to it
+    def expand(node, path):
+        sigma, writes = node
+        for edge in successors(ctx, sigma, _recording(step_local, admissible, path),
+                               havoc_values):
+            tid, instr, _, sigma2 = edge
+            reads, written = instr_accesses(instr)
+            max_at_access.instances += 1
+            for v in sorted(reads | written):
+                x = ctx.var_index[v]
+                top = max(ve.versions[x] for ve in components(sigma))
+                if sigma.theta[tid].versions[x] != top:
+                    max_at_access.fail(
+                        _trace(path, instr),
+                        f"access of {v} with version "
+                        f"{sigma.theta[tid].versions[x]} < max {top}",
+                    )
+            cmd = instr.command
+            writes2 = writes
+            if isinstance(cmd, Assign):
+                x = ctx.var_index[cmd.var]
+                writes2 = writes[:x] + (writes[x] + 1,) + writes[x + 1:]
+                write_exact.instances += 1
+                got = sigma2.theta[tid].versions[x]
+                if got != writes2[x]:
+                    write_exact.fail(
+                        _trace(path, instr),
+                        f"post-write version of {cmd.var} is {got}, "
+                        f"expected {writes2[x]}",
+                    )
+            yield edge, (sigma2, writes2)
 
-    init = initial_local_state(p, ctx)
-    check_state(init, [0] * var_count, "<initial>")
-    walk(init, [0] * var_count, [], 0)
+    root = (initial_local_state(p, ctx), (0,) * var_count)
+    for (sigma, writes), path in dfs(root, depth, budget, expand):
+        check_state(sigma, writes, path)
     return results
-
-
-def _fmt_trace_simple(steps) -> str:
-    return " ".join(f"{i.source}->{i.target}" for i in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +323,9 @@ def _alpha(p: Program, ctx: LocalContext, states: Iterable[ThreadLocalState]) ->
 
 
 def _mix_envs(envs: frozenset, partition) -> frozenset:
+    """The cartesian mix.  It and `_cartesian_transfer` repeat what
+    `EnvSetDomain` computes on purpose: the harness must not reuse the code
+    it checks."""
     if not envs:
         return frozenset()
     projections = []
@@ -424,29 +403,8 @@ def check_local_abstraction(
     name = "local_abstraction" + ("_regions" if regions is not None else "")
     result = CheckResult(name)
 
-    # deterministic reachable-state pool
-    pool: list[ThreadLocalState] = []
-    seen = set()
-    frontier = [initial_local_state(p, ctx)]
-    seen.add(frontier[0])
-    pool.append(frontier[0])
-    for _ in range(depth):
-        nxt = []
-        for sigma in frontier:
-            for tid, t in enumerate(p.threads):
-                for instr in t.instructions:
-                    if instr.source != sigma.pc[tid]:
-                        continue
-                    for _, post in local_step(p, sigma, instr, havoc_values, ctx):
-                        if post not in seen:
-                            seen.add(post)
-                            nxt.append(post)
-                            pool.append(post)
-        frontier = nxt
-        if not frontier:
-            break
-        if len(pool) > budget:
-            raise RuntimeError("state pool exceeded budget")
+    pool = reachable(ctx, initial_local_state(p, ctx), local_step, depth,
+                     havoc_values, budget)
 
     rng = random.Random(seed)
     instructions = p.instructions

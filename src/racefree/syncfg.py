@@ -10,6 +10,7 @@ bounded depth and is therefore only sound as a test-harness device.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, enumerate_executions, happens_before
 from .lang import Instruction, Program, print_command
@@ -24,11 +25,28 @@ class SyncCFG:
 
     def gamma(self, release_point: int) -> tuple[int, ...]:
         """Pre-acquire points fed by the buffer at `release_point`."""
-        return tuple(sorted(n for (rel, n, _) in self.sync_edges if rel == release_point))
+        return self._fed_by.get(release_point, ())
 
     def release_points_feeding(self, acquire_point: int, lock: str) -> tuple[int, ...]:
-        return tuple(sorted(rel for (rel, n, m) in self.sync_edges
-                            if n == acquire_point and m == lock))
+        return self._feeding.get((acquire_point, lock), ())
+
+    # Both lookups are built on first use from `sync_edges`; a copy made with
+    # `dataclasses.replace` (as `refine_gamma` makes) builds its own.
+
+    @cached_property
+    def _fed_by(self) -> dict[int, tuple[int, ...]]:
+        return _sorted_groups((rel, acq) for rel, acq, _ in self.sync_edges)
+
+    @cached_property
+    def _feeding(self) -> dict[tuple[int, str], tuple[int, ...]]:
+        return _sorted_groups(((acq, m), rel) for rel, acq, m in self.sync_edges)
+
+
+def _sorted_groups(pairs) -> dict:
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: tuple(sorted(values)) for key, values in groups.items()}
 
 
 def build_syncfg(p: Program) -> SyncCFG:

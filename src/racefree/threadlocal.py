@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, ExplorationLimitError, StdState
+from .concrete import (
+    DEFAULT_BUDGET,
+    DEFAULT_HAVOC,
+    Execution,
+    ProgramIndex,
+    StdState,
+    executions,
+    format_step,
+)
 from .lang import (
     Acquire,
     Assign,
@@ -29,7 +37,6 @@ from .lang import (
     eval_bool,
     eval_expr,
     havoc_slots,
-    print_command,
 )
 
 
@@ -51,30 +58,9 @@ class ThreadLocalState:
     buffers: tuple[VersionedEnv, ...]  # aligned with LocalContext.buffer_points
 
 
-@dataclass(frozen=True)
-class LocalTransition:
-    tid: int
-    instr: Instruction
-    choices: tuple[int, ...]
-    pre: ThreadLocalState
-    post: ThreadLocalState
-
-
-@dataclass(frozen=True)
-class LocalExecution:
-    initial: ThreadLocalState
-    steps: tuple[LocalTransition, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def final(self) -> ThreadLocalState:
-        return self.steps[-1].post if self.steps else self.initial
-
-
-class LocalContext:
-    """Index tables shared by all operations over one program.
+class LocalContext(ProgramIndex):
+    """The program's index tables plus the release buffers and the version
+    bump groups of the thread-local semantics.
 
     `sync_gamma` optionally prunes which release buffers an acquire may
     observe (mapping release point -> allowed pre-acquire points); by
@@ -87,11 +73,7 @@ class LocalContext:
         regions: Optional[RegionMap] = None,
         sync_gamma: Optional[dict[int, tuple[int, ...]]] = None,
     ):
-        if not program.is_desugared:
-            raise ValueError("program must be desugared")
-        self.program = program
-        self.var_index = {v: i for i, v in enumerate(program.variables)}
-        self.lock_index = {m: i for i, m in enumerate(program.locks)}
+        super().__init__(program)
         self.buffer_points = program.post_release_points()
         self.buffer_index = {loc: i for i, loc in enumerate(self.buffer_points)}
         self.buffers_of_lock = {
@@ -99,10 +81,6 @@ class LocalContext:
             for m in program.locks
         }
         self.sync_gamma = sync_gamma
-        self.tid_of_instr = {}
-        for tid, t in enumerate(program.threads):
-            for i in t.instructions:
-                self.tid_of_instr[i] = tid
         # indices whose version is bumped when a variable is written
         self.bump_group: dict[int, tuple[int, ...]] = {}
         for v, vi in self.var_index.items():
@@ -111,9 +89,6 @@ class LocalContext:
             else:
                 members = regions.region_vars(regions.region_of(v))
                 self.bump_group[vi] = tuple(self.var_index[w] for w in members)
-
-    def env_of(self, ve: VersionedEnv) -> dict[str, int]:
-        return {v: ve.values[i] for v, i in self.var_index.items()}
 
 
 def initial_local_state(p: Program, ctx: Optional[LocalContext] = None) -> ThreadLocalState:
@@ -187,7 +162,7 @@ def local_step(
     c = instr.command
     mine = s.theta[tid]
     if isinstance(c, Assign):
-        env = ctx.env_of(mine)
+        env = ctx.env_of(mine.values)
         vi = ctx.var_index[c.var]
         group = ctx.bump_group[vi] if bump_versions else ()
         out = []
@@ -204,7 +179,7 @@ def local_step(
             out.append((choices, ThreadLocalState(pc2, s.mu, theta2, s.buffers)))
         return tuple(out)
     if isinstance(c, Assume):
-        if eval_bool(c.cond, ctx.env_of(mine)):
+        if eval_bool(c.cond, ctx.env_of(mine.values)):
             return (((), ThreadLocalState(pc2, s.mu, s.theta, s.buffers)),)
         return ()
     if isinstance(c, Acquire):
@@ -256,36 +231,11 @@ def enumerate_local_executions(
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     ctx: Optional[LocalContext] = None,
     budget: int = DEFAULT_BUDGET,
-) -> Iterator[LocalExecution]:
+) -> Iterator[Execution]:
     """Every thread-local execution of length <= depth, canonical order."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     ctx = ctx or LocalContext(p)
-    init = initial_local_state(p, ctx)
-    produced = 0
-
-    def successors(state: ThreadLocalState) -> Iterator[LocalTransition]:
-        for tid, t in enumerate(p.threads):
-            for instr in t.instructions:
-                if instr.source != state.pc[tid]:
-                    continue
-                for choices, post in local_step(p, state, instr, havoc_values, ctx):
-                    yield LocalTransition(tid, instr, choices, state, post)
-
-    def walk(state: ThreadLocalState, steps: list[LocalTransition]) -> Iterator[LocalExecution]:
-        nonlocal produced
-        produced += 1
-        if produced > budget:
-            raise ExplorationLimitError(f"exploration budget {budget} exceeded")
-        yield LocalExecution(init, tuple(steps))
-        if len(steps) >= depth:
-            return
-        for tr in successors(state):
-            steps.append(tr)
-            yield from walk(tr.post, steps)
-            steps.pop()
-
-    yield from walk(init, [])
+    return executions(ctx, initial_local_state(p, ctx), local_step, depth,
+                      havoc_values, budget)
 
 
 def format_versioned_env(p: Program, ve: VersionedEnv) -> str:
@@ -294,14 +244,11 @@ def format_versioned_env(p: Program, ve: VersionedEnv) -> str:
     return ", ".join(parts)
 
 
-def format_local_execution(e: LocalExecution, p: Program) -> str:
+def format_local_execution(e: Execution, p: Program) -> str:
     """Mirror of the interleaving trace dump, with version superscripts."""
     lines = []
     for tr in e.steps:
-        name = p.threads[tr.tid].name
-        cmd = print_command(tr.instr.command)
-        if tr.choices:
-            cmd += " {" + ",".join(map(str, tr.choices)) + "}"
-        lines.append(f"{name} {tr.instr.source} -[{cmd}]-> {tr.instr.target}")
-        lines.append(f"  {name}: {format_versioned_env(p, tr.post.theta[tr.tid])}")
+        lines.append(format_step(tr, p))
+        lines.append(f"  {p.threads[tr.tid].name}: "
+                     f"{format_versioned_env(p, tr.post.theta[tr.tid])}")
     return "\n".join(lines)

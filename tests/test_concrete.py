@@ -1,5 +1,7 @@
 """Interleaving semantics, bounded exploration, happens-before, races."""
 
+from dataclasses import replace
+
 import pytest
 
 from racefree import corpus
@@ -13,6 +15,7 @@ from racefree.concrete import (
     initial_state,
     owned_vars_oracle,
     racy_regions_via_translation,
+    reachable_states,
     std_step,
     translate_for_region_races,
 )
@@ -108,10 +111,41 @@ def test_enumeration_is_deterministic(coupled_xy):
 
 
 def test_exploration_budget_error(coupled_xy):
+    """The limit message says how far the search got when it tripped."""
     from racefree.concrete import ExplorationLimitError
 
-    with pytest.raises(ExplorationLimitError):
+    with pytest.raises(ExplorationLimitError,
+                       match="^exploration budget 5 exceeded after 6 nodes at depth 5$"):
         list(enumerate_executions(coupled_xy, 10, budget=5))
+    with pytest.raises(ExplorationLimitError,
+                       match="^state budget 5 exceeded after 6 states at depth 2$"):
+        reachable_states(coupled_xy, 10, budget=5)
+
+
+def test_dfs_preorder_depth_bound_and_stop():
+    from racefree.concrete import dfs
+
+    def expand(n, path):
+        for child in (2 * n, 2 * n + 1):
+            yield child, child
+
+    assert [(n, list(path)) for n, path in dfs(1, 2, 100, expand)] == [
+        (1, []), (2, [2]), (4, [2, 4]), (5, [2, 5]), (3, [3]), (6, [3, 6]), (7, [3, 7])]
+
+    def stop_at_5(n, path):
+        for edge, child in expand(n, path):
+            yield None if child == 5 else (edge, child)
+
+    assert [n for n, _ in dfs(1, 2, 100, stop_at_5)] == [1, 2, 4]
+
+
+def test_program_index_rejects_a_location_in_two_threads():
+    p = prog(TWO_STEPS)
+    a, b = p.threads
+    moved = replace(b, entry=a.entry,
+                    instructions=tuple(replace(i, source=a.entry) for i in b.instructions))
+    with pytest.raises(ValueError, match="in two threads"):
+        ProgramIndex(replace(p, threads=(a, moved)))
 
 
 def test_lock_safety_along_executions(coupled_xy):

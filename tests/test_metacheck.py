@@ -4,6 +4,7 @@ and the fault-injection self-tests that prove the harness can catch bugs."""
 import pytest
 
 from racefree import corpus
+from racefree.concrete import ExplorationLimitError, enumerate_executions
 from racefree.lang import desugar, parse_program
 from racefree.metacheck import (
     PreconditionError,
@@ -68,6 +69,27 @@ thread b { acquire(m); x := x + 1; release(m); }
     assert check_correspondence(handoff, 8).passed
     r = check_correspondence(handoff, 8, local_step_fn=no_import_step)
     assert not r.passed
+
+
+def test_walks_keep_the_budget_without_the_precondition(coupled_xy):
+    with pytest.raises(ExplorationLimitError, match="after 6 nodes"):
+        check_correspondence(coupled_xy, 10, budget=5, skip_precondition=True)
+    with pytest.raises(ExplorationLimitError, match="after 6 nodes"):
+        check_version_invariants(coupled_xy, 10, budget=5, skip_precondition=True)
+
+
+def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
+    """The walks search the tree the race-freedom precondition searches, at
+    the same depth, so they never trip where it passed."""
+    nodes = sum(1 for _ in enumerate_executions(coupled_xy, 10))
+    with pytest.raises(ExplorationLimitError):
+        check_correspondence(coupled_xy, 10, budget=nodes - 1)
+    assert check_correspondence(coupled_xy, 10, budget=nodes).passed
+    # the owned-set oracle searches a larger probed program, so leave it out
+    results = check_version_invariants(coupled_xy, 10, budget=nodes,
+                                       owned_fn=lambda thread, loc: frozenset())
+    for r in results:
+        assert r.passed, r.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +171,12 @@ def test_local_abstraction_catches_unsound_mix(coupled_xy):
 
     r = check_local_abstraction(coupled_xy, samples=40, seed=5, mix_fn=broken_mix)
     assert not r.passed
+
+
+def test_local_abstraction_pool_budget_is_an_exploration_limit(coupled_xy):
+    with pytest.raises(ExplorationLimitError,
+                       match="^state budget 3 exceeded after 4 states at depth 2$"):
+        check_local_abstraction(coupled_xy, samples=5, seed=1, budget=3)
 
 
 def test_deterministic_given_seed(coupled_xy):

@@ -1,5 +1,8 @@
 """Sync-CFG construction, gamma refinement, DOT export."""
 
+import pytest
+
+from racefree import corpus
 from racefree.concrete import enumerate_executions, happens_before
 from racefree.lang import desugar, parse_program
 from racefree.syncfg import build_syncfg, refine_gamma, to_dot
@@ -9,6 +12,18 @@ def test_coupled_xy_sync_edges(coupled_xy):
     g = build_syncfg(coupled_xy)
     assert set(g.sync_edges) == {(7, 1, "m"), (7, 10, "m"), (13, 1, "m"), (13, 10, "m")}
     assert g.gamma(7) == (1, 10)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_sync_lookups_match_a_scan_of_the_edges(name):
+    p = corpus.load(name)
+    default = build_syncfg(p)
+    for g in (default, refine_gamma(default, p, depth=8)):
+        for n in sorted(g.nodes):
+            assert g.gamma(n) == tuple(sorted(a for r, a, _ in g.sync_edges if r == n))
+            for m in p.locks:
+                assert g.release_points_feeding(n, m) == tuple(
+                    sorted(r for r, a, lock in g.sync_edges if a == n and lock == m))
 
 
 def test_lock_free_program_has_no_sync_edges():
