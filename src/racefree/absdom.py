@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .lang import (
+    CMP_FN,
     BoolExpr,
     BoolLit,
     BoolOp,
@@ -34,6 +35,7 @@ from .lang import (
     eval_expr,
     havoc_slots,
     linear_terms,
+    negate_bool,
 )
 
 INF = math.inf
@@ -87,7 +89,7 @@ def _atom_from_cmp(op: str, left: Expr, right: Expr, var_index) -> Guard:
 
     if all(c == 0 for c in coeffs_t):
         # constant comparison
-        return ("bool", _CONST_CMP[op](0, k))
+        return ("bool", CMP_FN[op](0, k))
     if op == "<=":
         return le(k)
     if op == "<":
@@ -103,33 +105,17 @@ def _atom_from_cmp(op: str, left: Expr, right: Expr, var_index) -> Guard:
     raise DomainError(f"unknown comparison {op!r}")
 
 
-_CONST_CMP = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-
-def guard_of(b: BoolExpr, var_index: dict[str, int], negate: bool = False) -> Guard:
+def guard_of(b: BoolExpr, var_index: dict[str, int]) -> Guard:
     """Negation-normal guard tree of atoms, conjunctions and disjunctions."""
     if isinstance(b, BoolLit):
-        return ("bool", b.value != negate)
+        return ("bool", b.value)
     if isinstance(b, NotExpr):
-        return guard_of(b.expr, var_index, not negate)
+        return guard_of(negate_bool(b.expr), var_index)
     if isinstance(b, BoolOp):
-        kids = [guard_of(b.left, var_index, negate), guard_of(b.right, var_index, negate)]
-        if (b.op == "&&") != negate:
-            return ("and", kids)
-        return ("or", kids)
+        kids = [guard_of(b.left, var_index), guard_of(b.right, var_index)]
+        return ("and" if b.op == "&&" else "or", kids)
     if isinstance(b, Cmp):
-        op = b.op
-        if negate:
-            op = {"==": "!=", "!=": "==", "<": ">=", "<=": ">",
-                  ">": "<=", ">=": "<"}[op]
-        return _atom_from_cmp(op, b.left, b.right, var_index)
+        return _atom_from_cmp(b.op, b.left, b.right, var_index)
     raise DomainError(f"not a condition: {b!r}")
 
 
@@ -324,18 +310,6 @@ class IntervalDomain:
             (min(al, bl), max(ah, bh))
             for (al, ah), (bl, bh) in zip(a.bounds, b.bounds)))
 
-    def meet(self, a, b):
-        self._check(a), self._check(b)
-        if a is BOTTOM or b is BOTTOM:
-            return BOTTOM
-        out = []
-        for (al, ah), (bl, bh) in zip(a.bounds, b.bounds):
-            lo, hi = max(al, bl), min(ah, bh)
-            if lo > hi:
-                return BOTTOM
-            out.append((lo, hi))
-        return IntervalElem(tuple(out))
-
     def widen(self, a, b):
         """Bounds unstable from a to b go to +-inf; applied as a widen (a join b)."""
         self._check(a), self._check(b)
@@ -412,10 +386,6 @@ class IntervalDomain:
 
 # ---------------------------------------------------------------------------
 # Octagon domain
-
-
-def _bar(i: int) -> int:
-    return i ^ 1
 
 
 class OctagonDomain:
@@ -518,13 +488,6 @@ class OctagonDomain:
         if cb is None:
             return ca
         return OctElem(np.maximum(ca.m, cb.m), closed=True)
-
-    def meet(self, a, b):
-        self._check(a), self._check(b)
-        if a is BOTTOM or b is BOTTOM:
-            return BOTTOM
-        out = self._close_matrix(np.minimum(a.m, b.m))
-        return out if out is not None else BOTTOM
 
     def widen(self, a, b):
         """Entrywise: keep stable bounds, drop unstable ones to +inf.
@@ -859,10 +822,6 @@ class EnvSetDomain:
         self._check(a), self._check(b)
         return self._norm(a) | self._norm(b)
 
-    def meet(self, a, b):
-        self._check(a), self._check(b)
-        return self._norm(a) & self._norm(b)
-
     def widen(self, a, b):
         raise DomainError("the environment-set reference domain has no widening")
 
@@ -1020,11 +979,18 @@ class RecencyDomain:
     def equal(self, a: RecencyFact, b: RecencyFact) -> bool:
         return self.inner.equal(a.elem, b.elem) and a.tids == b.tids
 
+    def _fact(self, elem, tids: frozenset[int]) -> RecencyFact:
+        """A bottom element carries no tags, so a tagged bottom never exists
+        and `leq` can compare tags without looking at the elements."""
+        if is_bottom(elem):
+            return self.bottom()
+        return RecencyFact(elem, tids)
+
     def assign(self, d: RecencyFact, var: str, e: Expr) -> RecencyFact:
-        return RecencyFact(self.inner.assign(d.elem, var, e), d.tids | {self.tid})
+        return self._fact(self.inner.assign(d.elem, var, e), d.tids | {self.tid})
 
     def assume(self, d: RecencyFact, b: BoolExpr) -> RecencyFact:
-        return RecencyFact(self.inner.assume(d.elem, b), d.tids)
+        return self._fact(self.inner.assume(d.elem, b), d.tids)
 
     def mix(self, elems: Sequence[RecencyFact], partition) -> RecencyFact:
         """`elems` is this thread's own fact, then the facts arriving over
@@ -1033,9 +999,7 @@ class RecencyDomain:
         kept = [own] + [f for f in incoming
                         if not is_bottom(f.elem) and f.tids != {self.tid}]
         mixed = self.inner.mix([f.elem for f in kept], partition)
-        if is_bottom(mixed):
-            return self.bottom()
-        return RecencyFact(mixed, frozenset().union(*(f.tids for f in kept)))
+        return self._fact(mixed, frozenset().union(*(f.tids for f in kept)))
 
     def product_closure(self, d: RecencyFact) -> RecencyFact:
         return RecencyFact(self.inner.product_closure(d.elem), d.tids)

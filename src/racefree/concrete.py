@@ -21,6 +21,7 @@ from .lang import (
     Assign,
     Assume,
     BinExpr,
+    BoolLit,
     BoolOp,
     Cmp,
     Instruction,
@@ -183,9 +184,6 @@ def successors(idx: ProgramIndex, state, step: Callable, havoc_values) -> Iterat
                 yield tid, instr, choices, post
 
 
-_EXHAUSTED = object()
-
-
 def dfs(root, depth: int, budget: int, expand: Callable) -> Iterator[tuple[object, list]]:
     """Depth-first search of the tree below `root`, at most `depth` edges deep.
 
@@ -193,8 +191,8 @@ def dfs(root, depth: int, budget: int, expand: Callable) -> Iterator[tuple[objec
     is the list of edges from the root, one list updated in place.
     `expand(node, path)` is a generator of the `(edge, child)` pairs to
     descend into; it is resumed only after the subtree of its previous
-    child is done, and it ends the whole search by yielding None.  Raises
-    ExplorationLimitError when more than `budget` nodes would be visited.
+    child is done.  Raises ExplorationLimitError when more than `budget`
+    nodes would be visited.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -213,14 +211,12 @@ def dfs(root, depth: int, budget: int, expand: Callable) -> Iterator[tuple[objec
         elif path:
             path.pop()  # a leaf: back to its parent
         while stack:
-            step = next(stack[-1], _EXHAUSTED)
-            if step is _EXHAUSTED:
+            step = next(stack[-1], None)
+            if step is None:
                 stack.pop()
                 if stack:
                     path.pop()
                 continue
-            if step is None:
-                return
             edge, node = step
             path.append(edge)
             break
@@ -393,7 +389,6 @@ def _find_races(
     budget: int,
     subjects_of: Callable[[Instruction], tuple[frozenset[str], frozenset[str]]],
     involving: Optional[Instruction] = None,
-    stop_at_first: bool = False,
 ) -> list[RaceReport]:
     """DFS over the execution tree, reporting hb-unordered conflicting pairs.
 
@@ -455,8 +450,6 @@ def _find_races(
                         key = (prior_instr, instr, subject)
                         if key not in reported:
                             reported[key] = RaceReport(witness([*path, edge]), i, k, subject)
-                            if stop_at_first:
-                                yield None  # ends the search
             clocks.append(vc)
             yield edge, post
             clocks.pop()
@@ -506,10 +499,12 @@ def find_region_races(
 # Owned variables (bounded semantic oracle)
 
 
-def _probe_program(p: Program, thread: str, location: int, var: str) -> tuple[Program, Instruction]:
-    """Insert a dead-end `assume(var == var)` branch at `location`."""
+def _probe_program(p: Program, thread: str, location: int) -> tuple[Program, Instruction]:
+    """Insert a dead-end `assume(true)` branch at `location` that reads every
+    variable, the way an assertion registers its reads for race checking."""
     fresh = max(max(t.locations) for t in p.threads) + 1
-    probe = Instruction(location, Assume(Cmp("==", VarRef(var), VarRef(var))), fresh)
+    probe = Instruction(location, Assume(BoolLit(True)), fresh,
+                        assert_reads=frozenset(p.variables))
     threads = []
     for t in p.threads:
         if t.name == thread:
@@ -532,20 +527,18 @@ def owned_vars_oracle(
 ) -> frozenset[str]:
     """Variables whose probe read at (thread, location) races in no execution
     explored up to the given depth.  Over-approximates the true owned set when
-    the depth is too small to expose a race."""
+    the depth is too small to expose a race.
+
+    One race search of the probed program decides every variable; `budget`
+    bounds that one search, which walks the whole probed tree even when
+    every variable races."""
     tindex = p.thread_index(thread)
     if location not in p.threads[tindex].locations:
         raise ValueError(f"location {location} is not in thread {thread!r}")
-    owned = set()
-    for var in p.variables:
-        probed, probe = _probe_program(p, thread, location, var)
-        races = _find_races(
-            probed, depth + 1, havoc_values, budget, instr_accesses,
-            involving=probe, stop_at_first=True,
-        )
-        if not races:
-            owned.add(var)
-    return frozenset(owned)
+    probed, probe = _probe_program(p, thread, location)
+    races = _find_races(probed, depth + 1, havoc_values, budget, instr_accesses,
+                        involving=probe)
+    return frozenset(p.variables) - {r.subject for r in races}
 
 
 # ---------------------------------------------------------------------------

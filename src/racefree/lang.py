@@ -137,7 +137,7 @@ def _eval_expr(e, env, choices, idx):
     raise TypeError(f"not an expression: {e!r}")
 
 
-_CMP_FN = {
+CMP_FN = {
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,
@@ -151,7 +151,7 @@ def eval_bool(b: BoolExpr, env: Mapping[str, int]) -> bool:
     if isinstance(b, BoolLit):
         return b.value
     if isinstance(b, Cmp):
-        return _CMP_FN[b.op](eval_expr(b.left, env), eval_expr(b.right, env))
+        return CMP_FN[b.op](eval_expr(b.left, env), eval_expr(b.right, env))
     if isinstance(b, BoolOp):
         if b.op == "&&":
             return eval_bool(b.left, env) and eval_bool(b.right, env)
@@ -187,70 +187,7 @@ def linear_terms(e: Expr) -> tuple[dict[str, int], int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Statements (structured, pre-desugar)
-
-
-@dataclass(frozen=True)
-class AssignStmt:
-    var: str
-    expr: Expr
-
-
-@dataclass(frozen=True)
-class AssumeStmt:
-    cond: BoolExpr
-
-
-@dataclass(frozen=True)
-class AcquireStmt:
-    lock: str
-
-
-@dataclass(frozen=True)
-class ReleaseStmt:
-    lock: str
-
-
-@dataclass(frozen=True)
-class AssertStmt:
-    cond: BoolExpr
-
-
-@dataclass(frozen=True)
-class WhileStmt:
-    cond: BoolExpr
-    body: tuple["Stmt", ...]
-
-
-@dataclass(frozen=True)
-class IfStmt:
-    cond: BoolExpr
-    then_body: tuple["Stmt", ...]
-    else_body: tuple["Stmt", ...]
-
-
-Stmt = Union[AssignStmt, AssumeStmt, AcquireStmt, ReleaseStmt, AssertStmt, WhileStmt, IfStmt]
-
-
-_CMP_NEG = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-
-
-def negate_bool(b: "BoolExpr") -> "BoolExpr":
-    """Negation with comparisons flipped in place of a Not wrapper."""
-    if isinstance(b, BoolLit):
-        return BoolLit(not b.value)
-    if isinstance(b, Cmp):
-        return Cmp(_CMP_NEG[b.op], b.left, b.right)
-    if isinstance(b, NotExpr):
-        return b.expr
-    if isinstance(b, BoolOp):
-        op = "||" if b.op == "&&" else "&&"
-        return BoolOp(op, negate_bool(b.left), negate_bool(b.right))
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
-# ---------------------------------------------------------------------------
-# Commands and the CFG program model (post-desugar)
+# Commands: the edge labels of the CFG, and statements of their own
 
 
 @dataclass(frozen=True)
@@ -275,6 +212,52 @@ class Release:
 
 
 Command = Union[Assign, Assume, Acquire, Release]
+
+
+# ---------------------------------------------------------------------------
+# Structured statements (pre-desugar)
+
+
+@dataclass(frozen=True)
+class AssertStmt:
+    cond: BoolExpr
+
+
+@dataclass(frozen=True)
+class WhileStmt:
+    cond: BoolExpr
+    body: tuple["Stmt", ...]
+
+
+@dataclass(frozen=True)
+class IfStmt:
+    cond: BoolExpr
+    then_body: tuple["Stmt", ...]
+    else_body: tuple["Stmt", ...]
+
+
+Stmt = Union[Command, AssertStmt, WhileStmt, IfStmt]
+
+
+_CMP_NEG = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def negate_bool(b: "BoolExpr") -> "BoolExpr":
+    """Negation with comparisons flipped in place of a Not wrapper."""
+    if isinstance(b, BoolLit):
+        return BoolLit(not b.value)
+    if isinstance(b, Cmp):
+        return Cmp(_CMP_NEG[b.op], b.left, b.right)
+    if isinstance(b, NotExpr):
+        return b.expr
+    if isinstance(b, BoolOp):
+        op = "||" if b.op == "&&" else "&&"
+        return BoolOp(op, negate_bool(b.left), negate_bool(b.right))
+    raise TypeError(f"not a boolean expression: {b!r}")
+
+
+# ---------------------------------------------------------------------------
+# The CFG program model (post-desugar)
 
 
 @dataclass(frozen=True)
@@ -607,14 +590,14 @@ class _Parser:
             self.expect(":=")
             e = self.parse_expr()
             self.expect(";")
-            return AssignStmt(name.text, e)
+            return Assign(name.text, e)
         if tok.kind == "assume":
             self.advance()
             self.expect("(")
             b = self.parse_bexpr()
             self.expect(")")
             self.expect(";")
-            return AssumeStmt(b)
+            return Assume(b)
         if tok.kind in ("acquire", "release"):
             self.advance()
             self.expect("(")
@@ -623,7 +606,7 @@ class _Parser:
                 raise ParseError(f"undeclared lock {lk.text!r}", lk.line, lk.col)
             self.expect(")")
             self.expect(";")
-            return AcquireStmt(lk.text) if tok.kind == "acquire" else ReleaseStmt(lk.text)
+            return Acquire(lk.text) if tok.kind == "acquire" else Release(lk.text)
         if tok.kind == "assert":
             self.advance()
             self.expect("(")
@@ -725,14 +708,14 @@ class _Parser:
                 self.advance()
                 inner = self.parse_bexpr()
                 self.expect(")")
-                if self.peek().kind in _CMP_FN:
+                if self.peek().kind in CMP_FN:
                     raise self.error("comparison of boolean value")
                 return inner
             except ParseError:
                 self.pos = saved
         left = self.parse_expr()
         op = self.peek()
-        if op.kind not in _CMP_FN:
+        if op.kind not in CMP_FN:
             raise self.error(f"expected a comparison operator, found {op.text!r}")
         self.advance()
         right = self.parse_expr()
@@ -792,21 +775,9 @@ class _Lowering:
         return cur
 
     def lower_stmt(self, tname, s, cur, out) -> int:
-        if isinstance(s, AssignStmt):
+        if isinstance(s, (Assign, Assume, Acquire, Release)):
             tgt = self.alloc()
-            out.append(Instruction(cur, Assign(s.var, s.expr), tgt))
-            return tgt
-        if isinstance(s, AssumeStmt):
-            tgt = self.alloc()
-            out.append(Instruction(cur, Assume(s.cond), tgt))
-            return tgt
-        if isinstance(s, AcquireStmt):
-            tgt = self.alloc()
-            out.append(Instruction(cur, Acquire(s.lock), tgt))
-            return tgt
-        if isinstance(s, ReleaseStmt):
-            tgt = self.alloc()
-            out.append(Instruction(cur, Release(s.lock), tgt))
+            out.append(Instruction(cur, s, tgt))
             return tgt
         if isinstance(s, AssertStmt):
             tgt = self.alloc()
@@ -903,15 +874,8 @@ def _print_bexpr(b: BoolExpr, parent_prec: int = 0) -> str:
 
 
 def _print_stmt(s: Stmt, indent: str) -> list[str]:
-    if isinstance(s, AssignStmt):
-        rhs = _print_expr(s.expr)
-        return [f"{indent}{s.var} := {rhs};"]
-    if isinstance(s, AssumeStmt):
-        return [f"{indent}assume({_print_bexpr(s.cond)});"]
-    if isinstance(s, AcquireStmt):
-        return [f"{indent}acquire({s.lock});"]
-    if isinstance(s, ReleaseStmt):
-        return [f"{indent}release({s.lock});"]
+    if isinstance(s, (Assign, Assume, Acquire, Release)):
+        return [f"{indent}{print_command(s)};"]
     if isinstance(s, AssertStmt):
         return [f"{indent}assert({_print_bexpr(s.cond)});"]
     if isinstance(s, WhileStmt):

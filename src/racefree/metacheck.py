@@ -31,6 +31,7 @@ from .concrete import (
     dfs,
     find_data_races,
     initial_state,
+    owned_vars_oracle,
     reachable,
     std_step,
     successors,
@@ -202,7 +203,6 @@ def check_version_invariants(
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     budget: int = DEFAULT_BUDGET,
-    owned_depth: Optional[int] = None,
     local_step_fn: Optional[Callable] = None,
     skip_precondition: bool = False,
     owned_fn: Optional[Callable[[str, int], frozenset]] = None,
@@ -230,11 +230,9 @@ def check_version_invariants(
             if owned_fn is not None:
                 owned_cache[key] = owned_fn(thread, loc)
             else:
-                from .concrete import owned_vars_oracle
-
-                owned_cache[key] = owned_vars_oracle(
-                    p, thread, loc, owned_depth or depth, havoc_values, budget
-                )
+                # the oracle searches a larger probed program one step
+                # deeper, so it keeps its own budget
+                owned_cache[key] = owned_vars_oracle(p, thread, loc, depth, havoc_values)
         return owned_cache[key]
 
     def check_state(sigma: ThreadLocalState, writes: tuple[int, ...], path) -> None:

@@ -199,3 +199,14 @@ def test_analyze_valset_literal_above_2_pow_53_not_proved(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "UNPROVED" in out and "0/1 assertions proved" in out
+
+
+def test_analyze_recency_dead_branch_passes_the_postfixpoint_check(tmp_path, capsys):
+    # assume(x == 2) is bottom after x := 1; that bottom must not keep the
+    # write tag of x := 1, or the post-fixpoint check rejects a sound result
+    f = tmp_path / "dead.cp"
+    f.write_text("var x;\nthread t { x := 1; if (x == 2) { x := 3; } assert(x == 1); }\n")
+    code = run_cli(["analyze", "--analysis", "rel", "--recency", str(f)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "PROVED" in captured.out and "1/1 assertions proved" in captured.out

@@ -122,7 +122,7 @@ def test_exploration_budget_error(coupled_xy):
         reachable_states(coupled_xy, 10, budget=5)
 
 
-def test_dfs_preorder_depth_bound_and_stop():
+def test_dfs_preorder_depth_bound():
     from racefree.concrete import dfs
 
     def expand(n, path):
@@ -131,12 +131,6 @@ def test_dfs_preorder_depth_bound_and_stop():
 
     assert [(n, list(path)) for n, path in dfs(1, 2, 100, expand)] == [
         (1, []), (2, [2]), (4, [2, 4]), (5, [2, 5]), (3, [3]), (6, [3, 6]), (7, [3, 7])]
-
-    def stop_at_5(n, path):
-        for edge, child in expand(n, path):
-            yield None if child == 5 else (edge, child)
-
-    assert [n for n, _ in dfs(1, 2, 100, stop_at_5)] == [1, 2, 4]
 
 
 def test_program_index_rejects_a_location_in_two_threads():
@@ -319,6 +313,25 @@ def test_owned_oracle_single_thread_owns_all():
     p = prog("var x, y;\nthread t { x := y; }")
     for loc in sorted(p.threads[0].locations):
         assert owned_vars_oracle(p, "t", loc, 6) == frozenset({"x", "y"})
+
+
+def test_owned_oracle_searches_once_per_location(monkeypatch):
+    """One probe reads every variable, so one race search decides them all."""
+    from racefree import concrete
+
+    p = prog("var x, y, z;\nthread a { x := 1; }\nthread b { y := 1; z := 1; }")
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args[0])
+        return find_races(*args, **kwargs)
+
+    find_races = concrete._find_races
+    monkeypatch.setattr(concrete, "_find_races", counting)
+    # each thread's probe at its entry races with the other thread's writes
+    assert owned_vars_oracle(p, "a", p.threads[0].entry, 4) == {"x"}
+    assert owned_vars_oracle(p, "b", p.threads[1].entry, 4) == {"y", "z"}
+    assert len(searches) == 2
 
 
 def test_enumeration_contains_canonical_handoff(coupled_xy):

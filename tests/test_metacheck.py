@@ -80,14 +80,14 @@ def test_walks_keep_the_budget_without_the_precondition(coupled_xy):
 
 def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
     """The walks search the tree the race-freedom precondition searches, at
-    the same depth, so they never trip where it passed."""
+    the same depth, so they never trip where it passed; the owned-set oracle
+    searches a larger probed program and keeps its own budget."""
     nodes = sum(1 for _ in enumerate_executions(coupled_xy, 10))
+    assert nodes == 183
     with pytest.raises(ExplorationLimitError):
         check_correspondence(coupled_xy, 10, budget=nodes - 1)
     assert check_correspondence(coupled_xy, 10, budget=nodes).passed
-    # the owned-set oracle searches a larger probed program, so leave it out
-    results = check_version_invariants(coupled_xy, 10, budget=nodes,
-                                       owned_fn=lambda thread, loc: frozenset())
+    results = check_version_invariants(coupled_xy, 10, budget=nodes)
     for r in results:
         assert r.passed, r.summary()
 
