@@ -225,7 +225,11 @@ class OctElem:
 
     Literal 2k is +v_k, literal 2k+1 is -v_k.  Stored matrices are tightly
     closed except directly after widening (closure there would break the
-    termination guarantee); operations close lazily.
+    termination guarantee); operations close lazily.  Transfers and mix
+    start from closed elements and close their results incrementally with
+    `OctagonDomain._close_at`, pivoting only on the literals whose entries
+    they lowered; a widened element takes the full closure, and so does any
+    matrix with a bound beyond `OctagonDomain._sum_limit`.
 
     An unclosed element caches its closure in `closure`: the closed element,
     or None when unsatisfiable, filled by `OctagonDomain._closed` on first
@@ -403,6 +407,8 @@ class OctagonDomain:
             signs[2 * k, k] = 1.0
             signs[2 * k + 1, k] = -1.0
         self._signs = signs
+        self._lits = np.arange(self.size)
+        self._bars = self._lits ^ 1  # literal 2k+1 is the negation of 2k
 
     def _check(self, d):
         if d is BOTTOM or isinstance(d, OctElem):
@@ -420,37 +426,56 @@ class OctagonDomain:
         return BOTTOM
 
     def initial(self) -> OctElem:
-        d = self.top()
-        m = d.m.copy()
-        for k in range(self.n):
-            m[2 * k + 1, 2 * k] = 0.0  # v_k <= 0
-            m[2 * k, 2 * k + 1] = 0.0  # -v_k <= 0
-        return self._close_matrix(m) or self.top()
+        # every variable is 0, so every difference or sum of literals is 0:
+        # the all-zero matrix is already tightly closed
+        return OctElem(np.zeros((self.size, self.size)), closed=True)
 
     def _close_matrix(self, m: np.ndarray) -> Optional[OctElem]:
         """Tight closure for integer octagons; None when unsatisfiable.
 
         Bounds beyond `_sum_limit` are dropped first.  Closure adds entries
         along paths of fewer than `size` edges, so every sum it forms then
-        stays below 2^53 in magnitude, where floats are exact integers."""
-        m = np.where(np.abs(m) <= self._sum_limit, m, INF)
+        stays below 2^53 in magnitude, where floats are exact integers.
+        The shortest-path step takes every literal as a pivot; see
+        `_close_at` for fewer."""
+        return self._close_at(m, range(self.size))
+
+    def _close_at(self, m: np.ndarray, pivots) -> Optional[OctElem]:
+        """`_close_matrix(m)` with the shortest-path step over `pivots` only.
+
+        Precondition: `m` is a shortest-path-closed matrix M without
+        negative cycles, lowered only at entries whose two endpoints are
+        both pivots.  A closed element is such an M, and so are its forget,
+        its shift by x := +-x + c, and the region mask of a join of closed
+        elements.  Then any walk in `m` is no shorter than one whose inner
+        literals are all pivots: a stretch of unlowered entries between two
+        lowered ones, or before or after them, is no shorter than the direct
+        entry of M, which `m` keeps or lowers, and a stretch that returns to
+        its start is a cycle of M, so no shorter than 0.  Floyd-Warshall
+        over the pivots finds the shortest such walks, hence the same
+        distances, or the same negative cycle, as over every literal, and
+        the tightening and strengthening that follow it are unchanged: the
+        result is byte-identical to the full closure.  Dropping the bounds
+        beyond `_sum_limit` raises entries, which the precondition does not
+        allow, so when it would change `m` the full closure runs instead."""
+        clamped = np.where(np.abs(m) <= self._sum_limit, m, INF)
+        if len(pivots) < self.size and (clamped != m).any():
+            return self._close_matrix(m)
+        m = clamped
         np.fill_diagonal(m, 0.0)
-        size = self.size
-        for k in range(size):
+        for k in sorted(pivots):
             np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :], out=m)
-        if np.any(np.diagonal(m) < 0):
+        if (m.diagonal() < 0).any():
             return None
-        # integer tightening of unary bounds, then one strengthening pass
-        idx = np.arange(size)
-        unary = m[idx, idx ^ 1]
-        finite = np.isfinite(unary)
-        unary[finite] = 2.0 * np.floor(unary[finite] / 2.0)
-        m[idx, idx ^ 1] = unary
-        half = (m[idx, idx ^ 1][:, None] + m[idx ^ 1, idx][None, :]) / 2.0
-        np.minimum(m, half, out=m)
+        # integer tightening of unary bounds (+inf stays +inf), then one
+        # strengthening pass, which leaves the unary bounds as they are
+        lits, bars = self._lits, self._bars
+        unary = 2.0 * np.floor(m[lits, bars] / 2.0)
+        if (unary + unary[bars] < 0).any():
+            return None
+        m[lits, bars] = unary
+        np.minimum(m, (unary[:, None] + unary[bars][None, :]) / 2.0, out=m)
         np.fill_diagonal(m, 0.0)
-        if np.any(m[idx, idx ^ 1] + m[idx ^ 1, idx] < 0):
-            return None
         return OctElem(m, closed=True)
 
     def _closed(self, d: OctElem) -> Optional[OctElem]:
@@ -517,11 +542,15 @@ class OctagonDomain:
 
     # constraint helpers
 
-    def _with_entries(self, m: np.ndarray, entries) -> np.ndarray:
+    def _with_entries(self, m: np.ndarray, entries) -> set[int]:
+        """Lower `m` in place to the given entries; returns the endpoints of
+        the entries it lowered, the pivots `_close_at` needs."""
+        pivots = set()
         for i, j, c in entries:
             if c < m[i, j]:
                 m[i, j] = c
-        return m
+                pivots.update((i, j))
+        return pivots
 
     def _unary_entries(self, vi: int, lo: float, hi: float):
         out = []
@@ -581,8 +610,8 @@ class OctagonDomain:
 
         if not coeffs:  # x := const
             m = self._forget_matrix(c.m, {vi})
-            self._with_entries(m, self._unary_entries(vi, const, const))
-            return self._close_matrix(m) or BOTTOM
+            pivots = self._with_entries(m, self._unary_entries(vi, const, const))
+            return self._close_at(m, pivots) or BOTTOM
 
         if set(coeffs) == {var} and coeffs[var] in (1, -1):
             # invertible self-update x := +-x + const
@@ -597,7 +626,7 @@ class OctagonDomain:
             m[neg, :] += const
             m[:, neg] -= const
             np.fill_diagonal(m, 0.0)
-            return self._close_matrix(m) or BOTTOM
+            return self._close_at(m, ()) or BOTTOM  # a shift keeps m closed
 
         if len(coeffs) == 1:
             (y, k), = coeffs.items()
@@ -606,16 +635,16 @@ class OctagonDomain:
                 m = self._forget_matrix(c.m, {vi})
                 yi = self.var_index[y]
                 if k == 1:  # x - y = const
-                    self._with_entries(m, [
+                    pivots = self._with_entries(m, [
                         (2 * yi, 2 * vi, const), (2 * vi, 2 * yi, -const),
                         (2 * vi + 1, 2 * yi + 1, const), (2 * yi + 1, 2 * vi + 1, -const),
                     ])
                 else:  # x + y = const
-                    self._with_entries(m, [
+                    pivots = self._with_entries(m, [
                         (2 * yi + 1, 2 * vi, const), (2 * vi, 2 * yi + 1, -const),
                         (2 * vi + 1, 2 * yi, const), (2 * yi, 2 * vi + 1, -const),
                     ])
-                return self._close_matrix(m) or BOTTOM
+                return self._close_at(m, pivots) or BOTTOM
 
         # general linear fallback: interval bounds plus unit-coefficient
         # pairwise relations, all computed on the pre-state
@@ -644,9 +673,8 @@ class OctagonDomain:
                     pair_entries.append((2 * vi, 2 * yi + 1, -rlo))
                     pair_entries.append((2 * yi, 2 * vi + 1, -rlo))
         m = self._forget_matrix(c.m, {vi})
-        self._with_entries(m, self._unary_entries(vi, rng[0], rng[1]))
-        self._with_entries(m, pair_entries)
-        return self._close_matrix(m) or BOTTOM
+        pivots = self._with_entries(m, self._unary_entries(vi, *rng) + pair_entries)
+        return self._close_at(m, pivots) or BOTTOM
 
     def _atom_entries(self, atom: LinearAtom):
         """Octagon-exact entries for an atom, or None when not expressible
@@ -677,18 +705,14 @@ class OctagonDomain:
         if d is BOTTOM:
             return BOTTOM
         entries = self._atom_entries(atom)
-        if entries is not None:
-            m = d.m.copy()
-            self._with_entries(m, entries)
-            return self._close_matrix(m) or BOTTOM
-        # interval fallback for other atoms
-        bounds = _refine_bounds(self.intervals_of(d), atom)
-        if bounds is None:
-            return BOTTOM
+        if entries is None:  # interval fallback for other atoms
+            bounds = _refine_bounds(self.intervals_of(d), atom)
+            if bounds is None:
+                return BOTTOM
+            entries = [e for i, (lo, hi) in enumerate(bounds)
+                       for e in self._unary_entries(i, lo, hi)]
         m = d.m.copy()
-        for i, (lo, hi) in enumerate(bounds):
-            self._with_entries(m, self._unary_entries(i, lo, hi))
-        return self._close_matrix(m) or BOTTOM
+        return self._close_at(m, self._with_entries(m, entries)) or BOTTOM
 
     def assume(self, d, b: BoolExpr):
         self._check(d)
@@ -717,7 +741,9 @@ class OctagonDomain:
         lit_region = np.repeat(region_of, 2)  # literals 2k, 2k+1 share v_k's region
         m = np.where(lit_region[:, None] == lit_region[None, :], j.m, INF)
         np.fill_diagonal(m, 0.0)
-        return self._close_matrix(m) or BOTTOM
+        # the mask of a closed join is shortest-path closed: only the
+        # strengthening of `_close_at` has work left
+        return self._close_at(m, ()) or BOTTOM
 
     # inspection
 

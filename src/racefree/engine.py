@@ -38,9 +38,14 @@ DOMAINS = ("interval", "octagon", "envset")
 
 
 class AnalysisLimitError(Exception):
-    def __init__(self, location: int, cap: int):
-        super().__init__(f"iteration cap {cap} exceeded while processing location {location}")
+    """The worklist iteration cap was exceeded; says how far it got."""
+
+    def __init__(self, location: int, cap: int, visits: int, updates: int):
+        super().__init__(f"iteration cap {cap} exceeded after {visits} visits, "
+                         f"at location {location} (update count {updates})")
         self.location = location
+        self.visits = visits
+        self.updates = updates
 
 
 class PostFixpointError(AssertionError):
@@ -185,7 +190,8 @@ def _solve(frame: _Frame) -> LocationFacts:
         queued.discard(loc)
         visits += 1
         if visits > cfg.iteration_cap:
-            raise AnalysisLimitError(loc, cfg.iteration_cap)
+            raise AnalysisLimitError(loc, cfg.iteration_cap, visits,
+                                     update_count.get(loc, 0))
         for instr in frame.by_source.get(loc, ()):
             new = frame.transfer(instr, facts[loc], facts)
             if is_bottom(new):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 
@@ -293,7 +294,7 @@ class Thread:
     entry: Optional[int] = None
     instructions: tuple[Instruction, ...] = ()
 
-    @property
+    @cached_property
     def locations(self) -> frozenset[int]:
         locs = set()
         if self.entry is not None:

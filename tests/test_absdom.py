@@ -22,7 +22,7 @@ from racefree.absdom import (
     box_points,
     singleton_partition,
 )
-from racefree.lang import BinExpr, HavocExpr, IntLit, VarRef, parse_program
+from racefree.lang import Assign, BinExpr, HavocExpr, IntLit, VarRef, parse_program
 
 INF = math.inf
 
@@ -313,6 +313,98 @@ def test_unsatisfiable_widened_element_caches_bottom(monkeypatch):
         assert dom.assign(w, "x", IntLit(1)) is BOTTOM
     assert len(calls) == 1
     assert w.closure is None
+
+
+# ---------------------------------------------------------------------------
+# pivot closure: `_close_at` against the full `_close_matrix` as reference
+
+
+def _assert_closes_like_full(dom, m, pivots):
+    # None when unsatisfiable; OctElem equality compares the matrix bytes
+    assert dom._close_at(m, pivots) == dom._close_matrix(m)
+
+
+def _closed_octagon(dom, rng):
+    while True:
+        d = domtools.rand_octagon(dom, rng)
+        if d is not BOTTOM:
+            return d
+
+
+def test_pivot_closure_after_lowering_matches_full_closure():
+    rng = random.Random(7)
+    unsatisfiable = 0
+    for n in range(1, 7):
+        dom = OctagonDomain(tuple(f"v{k}" for k in range(n)))
+        initial = dom.top().m.copy()
+        for k in range(n):
+            initial[2 * k + 1, 2 * k] = initial[2 * k, 2 * k + 1] = 0.0
+        assert dom.initial() == dom._close_matrix(initial)
+        for _ in range(80):
+            d = _closed_octagon(dom, rng)
+            chosen = rng.sample(range(n), min(n, rng.randint(1, 2)))
+            lits = [lit for v in chosen for lit in (2 * v, 2 * v + 1)]
+            m = d.m
+            if rng.random() < 0.5:  # forget, then set: an assignment
+                m = dom._forget_matrix(m, {chosen[0]})
+            m = m.copy()
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(lits, 2)
+                c = rng.randint(-10, 10)
+                m[i, j] = min(m[i, j], c)
+                m[j ^ 1, i ^ 1] = min(m[j ^ 1, i ^ 1], c)
+            unsatisfiable += dom._close_matrix(m) is None
+            _assert_closes_like_full(dom, m, lits)
+    assert unsatisfiable > 0
+
+
+def test_transfers_and_mix_close_like_the_full_closure(monkeypatch):
+    """Every pivot closure that assign, assume and mix make, among them the
+    shifts x := +-x + c and region masks, equals the full closure."""
+    pivot_close = OctagonDomain._close_at
+    pivot_counts = []
+
+    def checked(self, m, pivots):
+        out = pivot_close(self, m, pivots)
+        if len(pivots) < self.size:
+            assert out == self._close_matrix(m)
+            pivot_counts.append(len(pivots))
+        return out
+
+    monkeypatch.setattr(OctagonDomain, "_close_at", checked)
+    rng = random.Random(11)
+    for n in range(1, 7):
+        variables = tuple(f"v{k}" for k in range(n))
+        dom = OctagonDomain(variables)
+        for _ in range(40):
+            d = _closed_octagon(dom, rng)
+            x, y = rng.choice(variables), rng.choice(variables)
+            c = IntLit(rng.randint(-3, 3))
+            dom.assign(d, x, BinExpr("+", VarRef(x), c))
+            dom.assign(d, x, BinExpr("-", c, VarRef(x)))
+            dom.assign(d, x, BinExpr("-", VarRef(y), c))
+            cmd = domtools.rand_command(variables, rng)
+            if isinstance(cmd, Assign):
+                dom.assign(d, cmd.var, cmd.expr)
+            else:
+                dom.assume(d, cmd.cond)
+            dom.mix([d, _closed_octagon(dom, rng)], domtools.rand_partition(n, rng))
+    assert 0 in pivot_counts and max(pivot_counts) >= 4
+
+
+def test_pivot_closure_with_a_bound_beyond_the_sum_limit_closes_fully(monkeypatch):
+    dom = OctagonDomain(("x", "y", "z"))
+    d = octagon_from(dom, [f"y - x <= {2 ** 49}", f"x - z <= {2 ** 49}"])
+    assert 2 ** 49 <= dom._sum_limit < d.m[4, 2] == 2 ** 50  # y - z <= 2^50
+    # x := 0 forgets x, so no path re-derives y - z once the clamp drops it
+    m = dom._forget_matrix(d.m, {0})
+    pivots = dom._with_entries(m, dom._unary_entries(0, 0, 0))
+    calls = _count_closures(monkeypatch, OctElem(m, closed=False))
+    closed = dom._close_at(m, pivots)
+    assert len(calls) == 1
+    assert closed.m[4, 2] == INF
+    assert closed == dom.assign(d, "x", IntLit(0))
+    _assert_closes_like_full(dom, m, pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,10 @@ def test_iteration_cap_names_location(capped_counter):
         analyze_fixpoint(capped_counter, build_syncfg(capped_counter), cfg)
     assert e.value.location in {loc for t in capped_counter.threads
                                 for loc in t.locations}
+    # the progress made, as the CLI prints it on exit 3
+    assert (e.value.visits, e.value.updates) == (4, 1)
+    assert str(e.value) == ("iteration cap 3 exceeded after 4 visits, at location "
+                            f"{e.value.location} (update count 1)")
 
 
 def _widen_points_recursive(p):

@@ -1,5 +1,7 @@
 """Parser, desugarer, access sets, and program validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from racefree import corpus
@@ -39,6 +41,18 @@ def test_empty_thread_body():
     t = p.threads[0]
     assert t.instructions == ()
     assert t.locations == frozenset({t.entry})
+
+
+def test_thread_locations_are_computed_once():
+    """`validate_program` reads them twice per instruction: building them on
+    every read made validation quadratic in the length of a thread."""
+    p = desugar(parse_program("var x;\nthread t { " + "x := x + 1; " * 50 + "}"))
+    t = p.threads[0]
+    assert t.locations is t.locations
+    assert len(t.locations) == 51
+    assert validate_program(p) == []
+    copy = replace(t)  # equality and hashing still see only the fields
+    assert copy == t and hash(copy) == hash(t)
 
 
 def test_assert_recorded_at_source_location():
@@ -171,8 +185,6 @@ def test_validate_shared_release_target():
     # second instruction into the release's target location
     bad = Instruction(2, Assume(BoolLit(True)), rel.target)
     broken = Thread(t1.name, t1.body, t1.entry, t1.instructions + (bad,))
-    from dataclasses import replace
-
     diags = validate_program(replace(p, threads=(broken, p.threads[1])))
     assert any("target" in d.message for d in diags)
 
@@ -182,8 +194,6 @@ def test_validate_undeclared_lock():
     t1 = p.threads[0]
     bad = Instruction(t1.entry, Acquire("nope"), 2)
     broken = Thread(t1.name, t1.body, t1.entry, (bad,) + t1.instructions[1:])
-    from dataclasses import replace
-
     diags = validate_program(replace(p, threads=(broken, p.threads[1])))
     assert any("undeclared lock" in d.message for d in diags)
 
