@@ -223,7 +223,11 @@ _NOT_CLOSED = object()  # OctElem.closure before the first closure
 class OctElem:
     """Difference-bound matrix over {+v, -v}; m[i][j] bounds V_j - V_i.
 
-    Literal 2k is +v_k, literal 2k+1 is -v_k.  Stored matrices are tightly
+    Literal 2k is +v_k, literal 2k+1 is -v_k, so literal i ^ 1 negates
+    literal i, and a unit term k * v_i (k = +-1) is literal 2i + (k == -1).
+    The constraint literal_i + literal_j <= b is the pair of entries
+    m[j ^ 1][i] = m[i ^ 1][j] = b (`OctagonDomain._sum_entries`); a unary
+    bound literal_i <= b is that with j = i and 2b.  Stored matrices are tightly
     closed except directly after widening (closure there would break the
     termination guarantee); operations close lazily.  Transfers and mix
     start from closed elements and close their results incrementally with
@@ -232,7 +236,7 @@ class OctElem:
     matrix with a bound beyond `OctagonDomain._sum_limit`.
 
     An unclosed element caches its closure in `closure`: the closed element,
-    or None when unsatisfiable, filled by `OctagonDomain._closed` on first
+    or BOTTOM when unsatisfiable, filled by `OctagonDomain._closed` on first
     use (`_NOT_CLOSED` until then).  The element is immutable, so the cache
     never goes stale.  The unclosed matrix `m` itself is kept, and `closed`
     stays False: `widen` must read the widened bounds, not their closure, or
@@ -393,6 +397,14 @@ class IntervalDomain:
 
 
 class OctagonDomain:
+    """Octagons over `variables` as `OctElem` matrices, or BOTTOM.
+
+    BOTTOM is the one encoding of the empty octagon: `_closed` maps an
+    unsatisfiable element to it, so every operation closes its inputs and
+    tests `is BOTTOM` only.  `mix` reads a literal mask per region
+    partition from `_masks`, built on first use of the partition.
+    """
+
     kind = "octagon"
 
     def __init__(self, variables: Sequence[str]):
@@ -409,6 +421,7 @@ class OctagonDomain:
         self._signs = signs
         self._lits = np.arange(self.size)
         self._bars = self._lits ^ 1  # literal 2k+1 is the negation of 2k
+        self._masks: dict[tuple, np.ndarray] = {}  # partition -> region mask
 
     def _check(self, d):
         if d is BOTTOM or isinstance(d, OctElem):
@@ -478,39 +491,31 @@ class OctagonDomain:
         np.fill_diagonal(m, 0.0)
         return OctElem(m, closed=True)
 
-    def _closed(self, d: OctElem) -> Optional[OctElem]:
-        if d.closed:
+    def _closed(self, d):
+        """The closed element of `d`: BOTTOM for BOTTOM and for an
+        unsatisfiable element."""
+        if d is BOTTOM or d.closed:
             return d
         if d.closure is _NOT_CLOSED:
-            d.closure = self._close_matrix(d.m)
+            d.closure = self._close_matrix(d.m) or BOTTOM
         return d.closure
 
     # lattice
 
     def leq(self, a, b) -> bool:
         self._check(a), self._check(b)
+        a = self._closed(a)
         if a is BOTTOM:
             return True
-        a = self._closed(a)
-        if a is None:
-            return True
-        if b is BOTTOM:
-            return False
         b = self._closed(b)
-        if b is None:
-            return False
-        return bool(np.all(a.m <= b.m))
+        return b is not BOTTOM and bool(np.all(a.m <= b.m))
 
     def join(self, a, b):
         self._check(a), self._check(b)
-        if a is BOTTOM:
-            return b if b is BOTTOM else (self._closed(b) or BOTTOM)
-        if b is BOTTOM:
-            return self._closed(a) or BOTTOM
         ca, cb = self._closed(a), self._closed(b)
-        if ca is None:
-            return cb or BOTTOM
-        if cb is None:
+        if ca is BOTTOM:
+            return cb
+        if cb is BOTTOM:
             return ca
         return OctElem(np.maximum(ca.m, cb.m), closed=True)
 
@@ -533,12 +538,7 @@ class OctagonDomain:
         return OctElem(w, closed=False)
 
     def equal(self, a, b) -> bool:
-        if a is BOTTOM or b is BOTTOM:
-            return (a is BOTTOM) == (b is BOTTOM)
-        ca, cb = self._closed(a), self._closed(b)
-        if ca is None or cb is None:
-            return (ca is None) == (cb is None)
-        return ca == cb
+        return self._closed(a) == self._closed(b)
 
     # constraint helpers
 
@@ -552,26 +552,33 @@ class OctagonDomain:
                 pivots.update((i, j))
         return pivots
 
+    @staticmethod
+    def _sum_entries(i: int, j: int, bound) -> list[tuple]:
+        """The entries of literal_i + literal_j <= bound: V_j - V_{i^1} and
+        V_i - V_{j^1}, since literal i ^ 1 is -V_i."""
+        return [(j ^ 1, i, bound), (i ^ 1, j, bound)]
+
     def _unary_entries(self, vi: int, lo: float, hi: float):
         out = []
         if hi != INF:
-            out.append((2 * vi + 1, 2 * vi, 2 * hi))  # v <= hi
+            out += self._sum_entries(2 * vi, 2 * vi, 2 * hi)  # v <= hi
         if lo != -INF:
-            out.append((2 * vi, 2 * vi + 1, -2 * lo))  # -v <= -lo
+            out += self._sum_entries(2 * vi + 1, 2 * vi + 1, -2 * lo)  # -v <= -lo
         return out
+
+    def _interval(self, c: OctElem, k: int) -> tuple[float, float]:
+        """Bounds of variable k in the closed element `c`, whose unary
+        entries are even: twice the bound."""
+        hi = c.m[2 * k + 1, 2 * k]
+        lo = c.m[2 * k, 2 * k + 1]
+        return (-(int(lo) // 2) if math.isfinite(lo) else -INF,
+                int(hi) // 2 if math.isfinite(hi) else INF)
 
     def intervals_of(self, d: OctElem) -> tuple[tuple[float, float], ...]:
         c = self._closed(d)
-        if c is None:
+        if c is BOTTOM:
             raise DomainError("intervals of bottom")
-        out = []
-        for k in range(self.n):
-            # closed unary entries are even: twice the bound
-            hi = c.m[2 * k + 1, 2 * k]
-            lo = c.m[2 * k, 2 * k + 1]
-            out.append((-(int(lo) // 2) if math.isfinite(lo) else -INF,
-                        int(hi) // 2 if math.isfinite(hi) else INF))
-        return tuple(out)
+        return tuple(self._interval(c, k) for k in range(self.n))
 
     def _forget_matrix(self, m: np.ndarray, drop: set[int]) -> np.ndarray:
         m = m.copy()
@@ -583,10 +590,8 @@ class OctagonDomain:
 
     def forget(self, d, variables: Iterable[str]):
         self._check(d)
-        if d is BOTTOM:
-            return BOTTOM
         c = self._closed(d)
-        if c is None:
+        if c is BOTTOM:
             return BOTTOM
         drop = {self.var_index[v] for v in variables}
         if not drop:
@@ -597,10 +602,8 @@ class OctagonDomain:
 
     def assign(self, d, var: str, e: Expr):
         self._check(d)
-        if d is BOTTOM:
-            return BOTTOM
         c = self._closed(d)
-        if c is None:
+        if c is BOTTOM:
             return BOTTOM
         vi = self.var_index[var]
         if havoc_slots(e):
@@ -608,13 +611,8 @@ class OctagonDomain:
         coeffs, const, _ = linear_terms(e)
         coeffs = {v: k for v, k in coeffs.items() if k != 0}
 
-        if not coeffs:  # x := const
-            m = self._forget_matrix(c.m, {vi})
-            pivots = self._with_entries(m, self._unary_entries(vi, const, const))
-            return self._close_at(m, pivots) or BOTTOM
-
         if set(coeffs) == {var} and coeffs[var] in (1, -1):
-            # invertible self-update x := +-x + const
+            # invertible self-update x := +-x + const keeps x's relations
             m = c.m.copy()
             pos, neg = 2 * vi, 2 * vi + 1
             if coeffs[var] == -1:
@@ -628,82 +626,38 @@ class OctagonDomain:
             np.fill_diagonal(m, 0.0)
             return self._close_at(m, ()) or BOTTOM  # a shift keeps m closed
 
-        if len(coeffs) == 1:
-            (y, k), = coeffs.items()
-            if y != var and k in (1, -1):
-                # x := +-y + const, exact
-                m = self._forget_matrix(c.m, {vi})
-                yi = self.var_index[y]
-                if k == 1:  # x - y = const
-                    pivots = self._with_entries(m, [
-                        (2 * yi, 2 * vi, const), (2 * vi, 2 * yi, -const),
-                        (2 * vi + 1, 2 * yi + 1, const), (2 * yi + 1, 2 * vi + 1, -const),
-                    ])
-                else:  # x + y = const
-                    pivots = self._with_entries(m, [
-                        (2 * yi + 1, 2 * vi, const), (2 * vi, 2 * yi + 1, -const),
-                        (2 * vi + 1, 2 * yi, const), (2 * yi, 2 * vi + 1, -const),
-                    ])
-                return self._close_at(m, pivots) or BOTTOM
-
-        # general linear fallback: interval bounds plus unit-coefficient
-        # pairwise relations, all computed on the pre-state
-        ivals = self.intervals_of(c)
-        rng = _outward(*_expr_range(ivals, self.var_index, coeffs, const))
-        pair_entries = []
+        # forget x, then bound x by the range of e and x - k * y by the range
+        # of the rest of e for each unit term k * y (y not x), all on the
+        # pre-state: exact for x := c and x := +-y + c
+        ivals = {i: self._interval(c, i) for i in map(self.var_index.get, coeffs)}
+        entries = self._unary_entries(
+            vi, *_outward(*_expr_range(ivals, self.var_index, coeffs, const)))
         for y, k in coeffs.items():
             if y == var or k not in (1, -1):
                 continue
-            rest = dict(coeffs)
-            del rest[y]
+            rest = {v: kv for v, kv in coeffs.items() if v != y}
             rlo, rhi = _outward(*_expr_range(ivals, self.var_index, rest, const))
-            yi = self.var_index[y]
-            if k == 1:  # x - y in [rlo, rhi]
-                if rhi != INF:
-                    pair_entries.append((2 * yi, 2 * vi, rhi))
-                    pair_entries.append((2 * vi + 1, 2 * yi + 1, rhi))
-                if rlo != -INF:
-                    pair_entries.append((2 * vi, 2 * yi, -rlo))
-                    pair_entries.append((2 * yi + 1, 2 * vi + 1, -rlo))
-            else:  # x + y in [rlo, rhi]
-                if rhi != INF:
-                    pair_entries.append((2 * yi + 1, 2 * vi, rhi))
-                    pair_entries.append((2 * vi + 1, 2 * yi, rhi))
-                if rlo != -INF:
-                    pair_entries.append((2 * vi, 2 * yi + 1, -rlo))
-                    pair_entries.append((2 * yi, 2 * vi + 1, -rlo))
+            neg_y = 2 * self.var_index[y] + (k == 1)  # the literal of -k * y
+            if rhi != INF:  # x - k * y <= rhi
+                entries += self._sum_entries(2 * vi, neg_y, rhi)
+            if rlo != -INF:  # k * y - x <= -rlo
+                entries += self._sum_entries(2 * vi + 1, neg_y ^ 1, -rlo)
         m = self._forget_matrix(c.m, {vi})
-        pivots = self._with_entries(m, self._unary_entries(vi, *rng) + pair_entries)
-        return self._close_at(m, pivots) or BOTTOM
+        return self._close_at(m, self._with_entries(m, entries)) or BOTTOM
 
     def _atom_entries(self, atom: LinearAtom):
         """Octagon-exact entries for an atom, or None when not expressible
         (a bound beyond +-2^52 is not: floats might round it)."""
-        if abs(atom.bound) > _EXACT:
-            return None
         nz = [(i, c) for i, c in enumerate(atom.coeffs) if c != 0]
-        if len(nz) == 1:
-            (i, c), = nz
-            if c == 1:
-                return [(2 * i + 1, 2 * i, 2 * atom.bound)]
-            if c == -1:
-                return [(2 * i, 2 * i + 1, 2 * atom.bound)]
-        if len(nz) == 2:
-            (i, ci), (j, cj) = nz
-            b = atom.bound
-            if (ci, cj) == (1, -1):  # v_i - v_j <= b
-                return [(2 * j, 2 * i, b), (2 * i + 1, 2 * j + 1, b)]
-            if (ci, cj) == (-1, 1):
-                return [(2 * i, 2 * j, b), (2 * j + 1, 2 * i + 1, b)]
-            if (ci, cj) == (1, 1):
-                return [(2 * j + 1, 2 * i, b), (2 * i + 1, 2 * j, b)]
-            if (ci, cj) == (-1, -1):
-                return [(2 * i, 2 * j + 1, b), (2 * j, 2 * i + 1, b)]
-        return None
+        if (abs(atom.bound) > _EXACT or not 1 <= len(nz) <= 2
+                or any(c not in (1, -1) for _, c in nz)):
+            return None
+        lits = [2 * i + (c == -1) for i, c in nz]
+        if len(lits) == 1:  # +-v <= b, as +-v + +-v <= 2b
+            return self._sum_entries(lits[0], lits[0], 2 * atom.bound)
+        return self._sum_entries(lits[0], lits[1], atom.bound)
 
-    def _apply_atom(self, d, atom: LinearAtom):
-        if d is BOTTOM:
-            return BOTTOM
+    def _apply_atom(self, d: OctElem, atom: LinearAtom):
         entries = self._atom_entries(atom)
         if entries is None:  # interval fallback for other atoms
             bounds = _refine_bounds(self.intervals_of(d), atom)
@@ -716,31 +670,38 @@ class OctagonDomain:
 
     def assume(self, d, b: BoolExpr):
         self._check(d)
-        if d is BOTTOM:
-            return BOTTOM
         c = self._closed(d)
-        if c is None:
+        if c is BOTTOM:
             return BOTTOM
         return _apply_guard(self, c, guard_of(b, self.var_index))
 
+    def _region_mask(self, partition) -> np.ndarray:
+        """Whether two literals' variables share a region, cached per
+        partition."""
+        key = tuple(map(tuple, partition))
+        mask = self._masks.get(key)
+        if mask is None:
+            region_of = np.full(self.n, -1)
+            for r, vs in enumerate(key):
+                region_of[list(vs)] = r
+            if np.any(region_of < 0):
+                raise DomainError("the partition leaves a variable out")
+            lit_region = np.repeat(region_of, 2)  # literals 2k, 2k+1 share v_k's region
+            mask = self._masks[key] = lit_region[:, None] == lit_region[None, :]
+        return mask
+
     def mix(self, elems: Sequence, partition: Sequence[Sequence[int]]):
         """Meet over regions of forgets of the join: keeps constraints within
-        each region of the joined input, drops all cross-region relations."""
+        each region of the joined input, drops all cross-region relations.
+        The join is the entrywise max of the closed inputs."""
         if not elems:
             raise DomainError("mix of an empty list")
-        j = BOTTOM
         for e in elems:
-            j = self.join(j, e)
-        if j is BOTTOM:
+            self._check(e)
+        mats = [c.m for c in map(self._closed, elems) if c is not BOTTOM]
+        if not mats:
             return BOTTOM
-        region_of = np.full(self.n, -1)
-        for r, vs in enumerate(partition):
-            region_of[list(vs)] = r
-        if np.any(region_of < 0):
-            raise DomainError("the partition leaves a variable out")
-        lit_region = np.repeat(region_of, 2)  # literals 2k, 2k+1 share v_k's region
-        m = np.where(lit_region[:, None] == lit_region[None, :], j.m, INF)
-        np.fill_diagonal(m, 0.0)
+        m = np.where(self._region_mask(partition), np.maximum.reduce(mats), INF)
         # the mask of a closed join is shortest-path closed: only the
         # strengthening of `_close_at` has work left
         return self._close_at(m, ()) or BOTTOM
@@ -751,10 +712,8 @@ class OctagonDomain:
         return is_bottom(self.assume(d, NotExpr(b)))
 
     def constraints(self, d) -> list[str]:
-        if d is BOTTOM:
-            return ["false"]
         c = self._closed(d)
-        if c is None:
+        if c is BOTTOM:
             return ["false"]
         ivals = self.intervals_of(c)
         out = _bound_constraints(self.variables, ivals)
@@ -793,10 +752,8 @@ class OctagonDomain:
         return out
 
     def contains_points(self, d, pts: np.ndarray) -> np.ndarray:
-        if d is BOTTOM:
-            return np.zeros(len(pts), dtype=bool)
         c = self._closed(d)
-        if c is None:
+        if c is BOTTOM:
             return np.zeros(len(pts), dtype=bool)
         lits = pts @ self._signs.T  # (N, 2n)
         diffs = lits[:, None, :] - lits[:, :, None]  # D[p,i,j] = lit_j - lit_i

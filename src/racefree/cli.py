@@ -33,7 +33,7 @@ from .concrete import (
     format_execution,
     racy_regions_via_translation,
 )
-from .engine import AnalysisConfig, AnalysisLimitError, analyze_fixpoint, collecting_fixpoint
+from .engine import AnalysisConfig, AnalysisLimitError, analyze_fixpoint
 from .lang import ParseError, desugar, parse_program, parse_region_text, validate_program
 from .metacheck import (
     PreconditionError,
@@ -172,10 +172,7 @@ def _cmd_analyze(args) -> int:
     if args.gamma == "refined":
         g = refine_gamma(g, program, args.depth, havoc)
     t0 = time.monotonic()
-    if domain == "envset":
-        facts = collecting_fixpoint(program, cfg, box, g=g).facts
-    else:
-        facts = analyze_fixpoint(program, g, cfg)
+    facts = analyze_fixpoint(program, g, cfg)
     t_analysis = time.monotonic() - t0
     if args.owned == "oracle":
         locs = [(a.thread, a.location) for a in program.assertions]

@@ -222,8 +222,9 @@ def test_octagon_mix_matches_reference_loop(n, k, rng):
 
 def test_octagon_mix_rejects_partial_partition():
     dom = OctagonDomain(("x", "y"))
-    with pytest.raises(DomainError):
-        dom.mix([dom.initial()], ((0,),))
+    for _ in range(2):  # no mask is cached for the partial partition
+        with pytest.raises(DomainError):
+            dom.mix([dom.initial()], ((0,),))
 
 
 def test_mix_empty_list_rejected():
@@ -312,7 +313,15 @@ def test_unsatisfiable_widened_element_caches_bottom(monkeypatch):
         assert dom.assume(w, cond("x <= 3", "x")) is BOTTOM
         assert dom.assign(w, "x", IntLit(1)) is BOTTOM
     assert len(calls) == 1
-    assert w.closure is None
+    assert w.closure is BOTTOM
+
+
+def test_unsatisfiable_element_equals_bottom():
+    dom = OctagonDomain(("x",))
+    u = OctElem(np.array([[0.0, -2.0], [-2.0, 0.0]]), closed=False)  # x <= -1, x >= 1
+    assert dom.leq(BOTTOM, u) and dom.leq(u, BOTTOM)
+    assert dom.equal(BOTTOM, u) and dom.equal(u, BOTTOM)
+    assert dom.join(u, u) is BOTTOM
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +414,123 @@ def test_pivot_closure_with_a_bound_beyond_the_sum_limit_closes_fully(monkeypatc
     assert closed.m[4, 2] == INF
     assert closed == dom.assign(d, "x", IntLit(0))
     _assert_closes_like_full(dom, m, pivots)
+
+
+# ---------------------------------------------------------------------------
+# one path per operation: the general assign, the one constraint encoding and
+# the one-pass mix against the code they replaced
+
+
+def _widened_octagon(dom, rng):
+    while True:
+        a = _closed_octagon(dom, rng)
+        w = dom.widen(a, dom.join(a, _closed_octagon(dom, rng)))
+        if not w.closed:
+            return w
+
+
+def _unsatisfiable_octagon(dom, rng):
+    m = dom.top().m.copy()
+    k = rng.randrange(dom.n)
+    m[2 * k + 1, 2 * k] = m[2 * k, 2 * k + 1] = -2.0  # v_k <= -1 and v_k >= 1
+    return OctElem(m, closed=False)
+
+
+def _branch_assign(dom, d, x, y, k, c):
+    """x := c (y None) or x := k * y + c as the deleted special cases did
+    it: forget x, write these exact entries, close."""
+    closed = dom._closed(d)
+    if closed is BOTTOM:
+        return BOTTOM
+    xi = dom.var_index[x]
+    m = dom._forget_matrix(closed.m, {xi})
+    if y is None:
+        entries = [(2 * xi + 1, 2 * xi, 2 * c), (2 * xi, 2 * xi + 1, -2 * c)]
+    else:
+        yi = dom.var_index[y]
+        if k == 1:  # x - y = c
+            entries = [(2 * yi, 2 * xi, c), (2 * xi, 2 * yi, -c),
+                       (2 * xi + 1, 2 * yi + 1, c), (2 * yi + 1, 2 * xi + 1, -c)]
+        else:  # x + y = c
+            entries = [(2 * yi + 1, 2 * xi, c), (2 * xi, 2 * yi + 1, -c),
+                       (2 * xi + 1, 2 * yi, c), (2 * yi, 2 * xi + 1, -c)]
+    for i, j, b in entries:
+        m[i, j] = min(m[i, j], b)
+    return dom._close_matrix(m) or BOTTOM
+
+
+def test_constant_and_copy_assigns_match_the_exact_entries():
+    """Pre-states keep every bound within `_sum_limit`; see the next test
+    for one that does not."""
+    rng = random.Random(23)
+    constants = (0, 3, -3, 2 ** 50, 2 ** 52, 2 ** 52 + 1, 2 ** 53 + 1)
+    checked = 0
+    for n in range(1, 7):
+        variables = tuple(f"v{k}" for k in range(n))
+        dom = OctagonDomain(variables)
+        for _ in range(6):
+            for d in (_closed_octagon(dom, rng), _widened_octagon(dom, rng)):
+                x = rng.choice(variables)
+                others = [v for v in variables if v != x]
+                for c in constants:
+                    got = dom.assign(d, x, IntLit(c))
+                    assert got == _branch_assign(dom, d, x, None, 0, c)
+                    checked += 1
+                    if not others:
+                        continue
+                    y = rng.choice(others)
+                    got = dom.assign(d, x, BinExpr("+", VarRef(y), IntLit(c)))
+                    assert got == _branch_assign(dom, d, x, y, 1, c)
+                    got = dom.assign(d, x, BinExpr("-", IntLit(c), VarRef(y)))
+                    assert got == _branch_assign(dom, d, x, y, -1, c)
+                    checked += 2
+    assert checked == 6 * 2 * 7 * (1 + 3 * 5)  # n = 1 has no y: one assign, not three
+
+
+def test_copy_keeps_a_bound_the_sum_limit_fallback_drops():
+    """y <= 2^49 + 10 is beyond the sum limit of 2 variables (2^50 / 2);
+    x := y - 20 also bounds x by y's range, which survives the fallback to
+    full closure that drops y's own bound and re-derives it through x."""
+    dom = OctagonDomain(("x", "y"))
+    d = octagon_from(dom, [f"x <= {2 ** 49}", "y - x <= 10"])
+    assert d.m[3, 2] == 2 ** 50 + 20 > dom._sum_limit
+    out = dom.assign(d, "x", BinExpr("-", VarRef("y"), IntLit(20)))
+    assert dom.constraints(out) == [f"x <= {2 ** 49 - 10}", f"y <= {2 ** 49 + 10}",
+                                    "x = y - 20"]
+    # the exact entries alone lose both bounds to the clamp
+    assert dom.constraints(_branch_assign(dom, d, "x", "y", 1, -20)) == ["x = y - 20"]
+
+
+def test_mix_equals_the_masked_fold_of_joins():
+    rng = random.Random(29)
+    makers = (_closed_octagon, _widened_octagon, _unsatisfiable_octagon,
+              lambda dom, rng: BOTTOM)
+    bottoms = 0
+    for n in range(1, 7):
+        dom = OctagonDomain(tuple(f"v{k}" for k in range(n)))
+        partitions = set()
+        for _ in range(30):
+            elems = [rng.choice(makers)(dom, rng) for _ in range(rng.randint(1, 4))]
+            partition = domtools.rand_partition(n, rng)
+            want = domtools.octagon_mix_loop(dom, elems, partition)
+            assert dom.mix(elems, partition) == want
+            if want is BOTTOM:  # every input is bottom: no mask needed
+                bottoms += 1
+            else:
+                partitions.add(partition)
+        assert len(dom._masks) == len(partitions)  # one mask per partition
+    assert bottoms > 0
+
+
+def test_sum_entries_spell_the_unary_and_pair_encodings():
+    s = OctagonDomain._sum_entries
+    i, j, b = 1, 3, 5  # variable indices and a bound
+    assert set(s(2 * i, 2 * i, 2 * b)) == {(2 * i + 1, 2 * i, 2 * b)}  # v_i <= b
+    assert set(s(2 * i + 1, 2 * i + 1, 2 * b)) == {(2 * i, 2 * i + 1, 2 * b)}  # -v_i <= b
+    assert set(s(2 * i, 2 * j + 1, b)) == {(2 * j, 2 * i, b), (2 * i + 1, 2 * j + 1, b)}
+    assert set(s(2 * i + 1, 2 * j, b)) == {(2 * i, 2 * j, b), (2 * j + 1, 2 * i + 1, b)}
+    assert set(s(2 * i, 2 * j, b)) == {(2 * j + 1, 2 * i, b), (2 * i + 1, 2 * j, b)}
+    assert set(s(2 * i + 1, 2 * j + 1, b)) == {(2 * i, 2 * j + 1, b), (2 * j, 2 * i + 1, b)}
 
 
 # ---------------------------------------------------------------------------
