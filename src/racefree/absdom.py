@@ -125,19 +125,10 @@ def guard_of(b: BoolExpr, var_index: dict[str, int]) -> Guard:
 
 @dataclass(frozen=True)
 class IntervalElem:
-    """Per-variable [lo, hi] bounds: Python ints of magnitude at most 2^52,
-    or +-inf for missing bounds."""
+    """Per-variable [lo, hi] bounds: exact Python ints of any magnitude, or
+    +-inf for missing bounds."""
 
     bounds: tuple[tuple[float, float], ...]
-
-
-_EXACT = 2 ** 52  # bounds stay within this magnitude, where floats are exact too
-
-
-def _outward(lo, hi) -> tuple[float, float]:
-    """Send a bound beyond +-2^52 outward to +-inf; never round it."""
-    return (lo if -_EXACT <= lo <= _EXACT else -INF,
-            hi if -_EXACT <= hi <= _EXACT else INF)
 
 
 def _expr_range(bounds, var_index, coeffs: dict[str, int], const: int):
@@ -153,8 +144,7 @@ def _expr_range(bounds, var_index, coeffs: dict[str, int], const: int):
 def _refine_bounds(bounds, atom: LinearAtom) -> Optional[list]:
     """Per-variable bounds tightened by `atom`, each variable bounded by the
     range of the other terms; None when no point satisfies it.  Finite sums
-    and quotients stay in exact integer arithmetic, and a new bound beyond
-    +-2^52 goes outward to +-inf."""
+    and quotients stay in exact integer arithmetic."""
     bounds = list(bounds)
     lows = []
     for i, c in enumerate(atom.coeffs):
@@ -179,7 +169,7 @@ def _refine_bounds(bounds, atom: LinearAtom) -> Optional[list]:
             lo = max(lo, -(-limit // c))  # ceil(limit / c)
         if lo > hi:
             return None
-        bounds[i] = _outward(lo, hi)
+        bounds[i] = (lo, hi)
     return bounds
 
 
@@ -218,6 +208,7 @@ def _bound_constraints(variables, bounds) -> list[str]:
 
 
 _NOT_CLOSED = object()  # OctElem.closure before the first closure
+_NO_BOUND = 2 ** 61  # an octagon matrix entry that bounds nothing
 
 
 class OctElem:
@@ -232,8 +223,9 @@ class OctElem:
     termination guarantee); operations close lazily.  Transfers and mix
     start from closed elements and close their results incrementally with
     `OctagonDomain._close_at`, pivoting only on the literals whose entries
-    they lowered; a widened element takes the full closure, and so does any
-    matrix with a bound beyond `OctagonDomain._sum_limit`.
+    they lowered; a widened element takes the full closure.  Entries are
+    exact int64 integers: a bound of magnitude at most `OctagonDomain._limit`,
+    or `_NO_BOUND` for none.
 
     An unclosed element caches its closure in `closure`: the closed element,
     or BOTTOM when unsatisfiable, filled by `OctagonDomain._closed` on first
@@ -247,7 +239,7 @@ class OctElem:
     __slots__ = ("m", "closed", "closure", "_bytes")
 
     def __init__(self, m: np.ndarray, closed: bool):
-        m = np.asarray(m, dtype=float)
+        m = np.asarray(m, dtype=np.int64)
         m.setflags(write=False)
         self.m = m
         self.closed = closed
@@ -346,7 +338,7 @@ class IntervalDomain:
             rng = (-INF, INF)
         else:
             coeffs, const, _ = linear_terms(e)
-            rng = _outward(*_expr_range(d.bounds, self.var_index, coeffs, const))
+            rng = _expr_range(d.bounds, self.var_index, coeffs, const)
         return IntervalElem(tuple(
             rng if k == vi else bd for k, bd in enumerate(d.bounds)))
 
@@ -412,13 +404,9 @@ class OctagonDomain:
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.n = len(self.variables)
         self.size = 2 * self.n
-        self._sum_limit = _EXACT / max(self.size, 1)
+        self._limit = 2 ** 59 // max(self.size, 1)  # see `_close_at`
         # literal signs: row per literal over variables (+1 at 2k, -1 at 2k+1)
-        signs = np.zeros((self.size, self.n))
-        for k in range(self.n):
-            signs[2 * k, k] = 1.0
-            signs[2 * k + 1, k] = -1.0
-        self._signs = signs
+        self._signs = np.kron(np.eye(self.n, dtype=np.int64), [[1], [-1]])
         self._lits = np.arange(self.size)
         self._bars = self._lits ^ 1  # literal 2k+1 is the negation of 2k
         self._masks: dict[tuple, np.ndarray] = {}  # partition -> region mask
@@ -431,8 +419,8 @@ class OctagonDomain:
     # construction / closure
 
     def top(self) -> OctElem:
-        m = np.full((self.size, self.size), INF)
-        np.fill_diagonal(m, 0.0)
+        m = np.full((self.size, self.size), _NO_BOUND, dtype=np.int64)
+        np.fill_diagonal(m, 0)
         return OctElem(m, closed=True)
 
     def bottom(self):
@@ -441,16 +429,12 @@ class OctagonDomain:
     def initial(self) -> OctElem:
         # every variable is 0, so every difference or sum of literals is 0:
         # the all-zero matrix is already tightly closed
-        return OctElem(np.zeros((self.size, self.size)), closed=True)
+        return OctElem(np.zeros((self.size, self.size), dtype=np.int64), closed=True)
 
     def _close_matrix(self, m: np.ndarray) -> Optional[OctElem]:
-        """Tight closure for integer octagons; None when unsatisfiable.
-
-        Bounds beyond `_sum_limit` are dropped first.  Closure adds entries
-        along paths of fewer than `size` edges, so every sum it forms then
-        stays below 2^53 in magnitude, where floats are exact integers.
-        The shortest-path step takes every literal as a pivot; see
-        `_close_at` for fewer."""
+        """Tight closure for integer octagons; None when unsatisfiable.  The
+        shortest-path step takes every literal as a pivot; see `_close_at`
+        for fewer and for the bounds of every number it forms."""
         return self._close_at(m, range(self.size))
 
     def _close_at(self, m: np.ndarray, pivots) -> Optional[OctElem]:
@@ -467,28 +451,40 @@ class OctagonDomain:
         its start is a cycle of M, so no shorter than 0.  Floyd-Warshall
         over the pivots finds the shortest such walks, hence the same
         distances, or the same negative cycle, as over every literal, and
-        the tightening and strengthening that follow it are unchanged: the
-        result is byte-identical to the full closure.  Dropping the bounds
-        beyond `_sum_limit` raises entries, which the precondition does not
-        allow, so when it would change `m` the full closure runs instead."""
-        clamped = np.where(np.abs(m) <= self._sum_limit, m, INF)
-        if len(pivots) < self.size and (clamped != m).any():
-            return self._close_matrix(m)
-        m = clamped
-        np.fill_diagonal(m, 0.0)
+        the tightening and strengthening that follow it are unchanged.
+
+        The last step sets every entry beyond `_limit` to `_NO_BOUND`.  That
+        keeps every int64 sum exact: each input entry is `_NO_BOUND` = 2^61
+        or at most 2 * `_limit` = 2^60 / size in magnitude (closures end
+        saturated, `_with_entries` stores bounds within `_limit` only, and a
+        shift moves an entry by at most `_limit`).  Floyd-Warshall only
+        lowers entries, so none exceeds 2^61 + 2^59.  While no negative cycle
+        runs through the pivots taken so far, an entry is the length of a
+        shortest walk, which repeats no literal, so it has fewer than `size`
+        edges and is above -2^60.  A negative cycle is caught on the
+        diagonal after the pivot that closes it, and the step returns then:
+        iterated further, the entries along a negative cycle grow
+        exponentially.  Every sum thus stays within +-2^63.  The saturation
+        must end every closure, not only the first: entries that closure
+        derives grow across successive closures, as along a chain of shifts.
+        Since it raises entries, a saturated element breaks the precondition
+        of later pivot closures, whose result is then weaker than the full
+        closure, but still sound."""
+        m = np.array(m, dtype=np.int64)
+        np.fill_diagonal(m, 0)
         for k in sorted(pivots):
             np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :], out=m)
-        if (m.diagonal() < 0).any():
-            return None
-        # integer tightening of unary bounds (+inf stays +inf), then one
+            if m[k, k] < 0:
+                return None
+        # integer tightening of unary bounds (`_NO_BOUND` is even), then one
         # strengthening pass, which leaves the unary bounds as they are
         lits, bars = self._lits, self._bars
-        unary = 2.0 * np.floor(m[lits, bars] / 2.0)
+        unary = m[lits, bars] & -2
         if (unary + unary[bars] < 0).any():
             return None
         m[lits, bars] = unary
-        np.minimum(m, (unary[:, None] + unary[bars][None, :]) / 2.0, out=m)
-        np.fill_diagonal(m, 0.0)
+        np.minimum(m, (unary[:, None] + unary[bars][None, :]) >> 1, out=m)
+        m[np.abs(m) > self._limit] = _NO_BOUND
         return OctElem(m, closed=True)
 
     def _closed(self, d):
@@ -520,7 +516,7 @@ class OctagonDomain:
         return OctElem(np.maximum(ca.m, cb.m), closed=True)
 
     def widen(self, a, b):
-        """Entrywise: keep stable bounds, drop unstable ones to +inf.
+        """Entrywise: keep stable bounds, drop unstable ones to `_NO_BOUND`.
 
         The result is deliberately left unclosed; closing a widened matrix
         can reintroduce bounds and defeat termination.
@@ -533,8 +529,8 @@ class OctagonDomain:
         if self.leq(b, a):
             return a
         cb = self._closed(self.join(a, b))
-        w = np.where(cb.m <= a.m, a.m, INF)
-        np.fill_diagonal(w, 0.0)
+        w = np.where(cb.m <= a.m, a.m, _NO_BOUND)
+        np.fill_diagonal(w, 0)
         return OctElem(w, closed=False)
 
     def equal(self, a, b) -> bool:
@@ -543,11 +539,12 @@ class OctagonDomain:
     # constraint helpers
 
     def _with_entries(self, m: np.ndarray, entries) -> set[int]:
-        """Lower `m` in place to the given entries; returns the endpoints of
-        the entries it lowered, the pivots `_close_at` needs."""
+        """Lower `m` in place to the given entries, dropping any bound beyond
+        `_limit` (among them +-inf); returns the endpoints of the entries it
+        lowered, the pivots `_close_at` needs."""
         pivots = set()
         for i, j, c in entries:
-            if c < m[i, j]:
+            if abs(c) <= self._limit and c < m[i, j]:
                 m[i, j] = c
                 pivots.update((i, j))
         return pivots
@@ -559,20 +556,16 @@ class OctagonDomain:
         return [(j ^ 1, i, bound), (i ^ 1, j, bound)]
 
     def _unary_entries(self, vi: int, lo: float, hi: float):
-        out = []
-        if hi != INF:
-            out += self._sum_entries(2 * vi, 2 * vi, 2 * hi)  # v <= hi
-        if lo != -INF:
-            out += self._sum_entries(2 * vi + 1, 2 * vi + 1, -2 * lo)  # -v <= -lo
-        return out
+        return (self._sum_entries(2 * vi, 2 * vi, 2 * hi)  # v <= hi
+                + self._sum_entries(2 * vi + 1, 2 * vi + 1, -2 * lo))  # -v <= -lo
 
     def _interval(self, c: OctElem, k: int) -> tuple[float, float]:
         """Bounds of variable k in the closed element `c`, whose unary
         entries are even: twice the bound."""
         hi = c.m[2 * k + 1, 2 * k]
         lo = c.m[2 * k, 2 * k + 1]
-        return (-(int(lo) // 2) if math.isfinite(lo) else -INF,
-                int(hi) // 2 if math.isfinite(hi) else INF)
+        return (-(int(lo) // 2) if lo != _NO_BOUND else -INF,
+                int(hi) // 2 if hi != _NO_BOUND else INF)
 
     def intervals_of(self, d: OctElem) -> tuple[tuple[float, float], ...]:
         c = self._closed(d)
@@ -583,9 +576,9 @@ class OctagonDomain:
     def _forget_matrix(self, m: np.ndarray, drop: set[int]) -> np.ndarray:
         m = m.copy()
         lits = [l for v in drop for l in (2 * v, 2 * v + 1)]
-        m[lits, :] = INF
-        m[:, lits] = INF
-        np.fill_diagonal(m, 0.0)
+        m[lits, :] = _NO_BOUND
+        m[:, lits] = _NO_BOUND
+        np.fill_diagonal(m, 0)
         return m
 
     def forget(self, d, variables: Iterable[str]):
@@ -611,7 +604,7 @@ class OctagonDomain:
         coeffs, const, _ = linear_terms(e)
         coeffs = {v: k for v, k in coeffs.items() if k != 0}
 
-        if set(coeffs) == {var} and coeffs[var] in (1, -1):
+        if set(coeffs) == {var} and coeffs[var] in (1, -1) and abs(const) <= self._limit:
             # invertible self-update x := +-x + const keeps x's relations
             m = c.m.copy()
             pos, neg = 2 * vi, 2 * vi + 1
@@ -623,7 +616,7 @@ class OctagonDomain:
             m[:, pos] += const
             m[neg, :] += const
             m[:, neg] -= const
-            np.fill_diagonal(m, 0.0)
+            np.fill_diagonal(m, 0)
             return self._close_at(m, ()) or BOTTOM  # a shift keeps m closed
 
         # forget x, then bound x by the range of e and x - k * y by the range
@@ -631,25 +624,24 @@ class OctagonDomain:
         # pre-state: exact for x := c and x := +-y + c
         ivals = {i: self._interval(c, i) for i in map(self.var_index.get, coeffs)}
         entries = self._unary_entries(
-            vi, *_outward(*_expr_range(ivals, self.var_index, coeffs, const)))
+            vi, *_expr_range(ivals, self.var_index, coeffs, const))
         for y, k in coeffs.items():
             if y == var or k not in (1, -1):
                 continue
             rest = {v: kv for v, kv in coeffs.items() if v != y}
-            rlo, rhi = _outward(*_expr_range(ivals, self.var_index, rest, const))
+            rlo, rhi = _expr_range(ivals, self.var_index, rest, const)
             neg_y = 2 * self.var_index[y] + (k == 1)  # the literal of -k * y
-            if rhi != INF:  # x - k * y <= rhi
-                entries += self._sum_entries(2 * vi, neg_y, rhi)
-            if rlo != -INF:  # k * y - x <= -rlo
-                entries += self._sum_entries(2 * vi + 1, neg_y ^ 1, -rlo)
+            entries += self._sum_entries(2 * vi, neg_y, rhi)  # x - k * y <= rhi
+            entries += self._sum_entries(2 * vi + 1, neg_y ^ 1, -rlo)  # k * y - x <= -rlo
         m = self._forget_matrix(c.m, {vi})
         return self._close_at(m, self._with_entries(m, entries)) or BOTTOM
 
     def _atom_entries(self, atom: LinearAtom):
-        """Octagon-exact entries for an atom, or None when not expressible
-        (a bound beyond +-2^52 is not: floats might round it)."""
+        """Octagon-exact entries for an atom, or None when not expressible.
+        A bound beyond `_limit` is not: `_with_entries` would drop it, while
+        the interval fallback still decides, exactly, whether it is empty."""
         nz = [(i, c) for i, c in enumerate(atom.coeffs) if c != 0]
-        if (abs(atom.bound) > _EXACT or not 1 <= len(nz) <= 2
+        if (2 * abs(atom.bound) > self._limit or not 1 <= len(nz) <= 2
                 or any(c not in (1, -1) for _, c in nz)):
             return None
         lits = [2 * i + (c == -1) for i, c in nz]
@@ -701,7 +693,7 @@ class OctagonDomain:
         mats = [c.m for c in map(self._closed, elems) if c is not BOTTOM]
         if not mats:
             return BOTTOM
-        m = np.where(self._region_mask(partition), np.maximum.reduce(mats), INF)
+        m = np.where(self._region_mask(partition), np.maximum.reduce(mats), _NO_BOUND)
         # the mask of a closed join is shortest-path closed: only the
         # strengthening of `_close_at` has work left
         return self._close_at(m, ()) or BOTTOM
@@ -726,28 +718,26 @@ class OctagonDomain:
                 sba = c.m[2 * a, 2 * b + 1]  # -va - vb <= c
                 ia, ib = ivals[a], ivals[b]
                 point = ia[0] == ia[1] and ib[0] == ib[1]
-                if math.isfinite(dab) and dab == -dba:
+                if dab != _NO_BOUND and dab == -dba:
                     if not point:
                         if dab == 0:
                             out.append(f"{va} = {vb}")
                         else:
                             out.append(f"{va} = {vb} {'+' if dab > 0 else '-'} {int(abs(dab))}")
                 else:
-                    if math.isfinite(dab) and not (ia[1] != INF and ib[0] != -INF
-                                                   and ia[1] - ib[0] <= dab):
+                    # bounds the intervals imply are left out (an interval
+                    # difference or sum with an infinite bound is +inf)
+                    if dab != _NO_BOUND and not ia[1] - ib[0] <= dab:
                         out.append(f"{va} - {vb} <= {int(dab)}")
-                    if math.isfinite(dba) and not (ib[1] != INF and ia[0] != -INF
-                                                   and ib[1] - ia[0] <= dba):
+                    if dba != _NO_BOUND and not ib[1] - ia[0] <= dba:
                         out.append(f"{vb} - {va} <= {int(dba)}")
-                if math.isfinite(sab) and sab == -sba:
+                if sab != _NO_BOUND and sab == -sba:
                     if not point:
                         out.append(f"{va} + {vb} = {int(sab)}")
                 else:
-                    if math.isfinite(sab) and not (ia[1] != INF and ib[1] != INF
-                                                   and ia[1] + ib[1] <= sab):
+                    if sab != _NO_BOUND and not ia[1] + ib[1] <= sab:
                         out.append(f"{va} + {vb} <= {int(sab)}")
-                    if math.isfinite(sba) and not (ia[0] != -INF and ib[0] != -INF
-                                                   and -ia[0] - ib[0] <= sba):
+                    if sba != _NO_BOUND and not -ia[0] - ib[0] <= sba:
                         out.append(f"{va} + {vb} >= {int(-sba)}")
         return out
 

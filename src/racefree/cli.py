@@ -90,6 +90,13 @@ def _havoc_set(text: str) -> tuple[int, ...]:
     return values
 
 
+def _count(text: str) -> int:
+    """argparse type of a depth, budget or count: an int >= 0."""
+    if not text.isdecimal():  # no sign, so no negative number either
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp):
     sp.add_argument("program", help="program file (or a built-in corpus name)")
     sp.add_argument("--havoc-set", default="0,1,2", metavar="a,b,c",
@@ -111,16 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tag facts with writer thread ids and drop stale sync facts")
     an.add_argument("--regions", default="default", metavar="FILE|default")
     an.add_argument("--owned", choices=("static", "oracle"), default="static")
-    an.add_argument("--depth", type=int, default=12,
+    an.add_argument("--depth", type=_count, default=12,
                     help="exploration depth for oracle owned sets / refined gamma")
     an.add_argument("--gamma", choices=("default", "refined"), default="default")
-    an.add_argument("--widen-delay", type=int, default=2)
+    an.add_argument("--widen-delay", type=_count, default=2)
     an.add_argument("--value-box", default="-4,4", metavar="lo,hi",
                     help="value box for the envset domain")
 
     rc = sub.add_parser("races", help="bounded data/region race search")
     _add_common(rc)
-    rc.add_argument("--depth", type=int, default=12)
+    rc.add_argument("--depth", type=_count, default=12)
     rc.add_argument("--regions", default="default", metavar="FILE|default")
     rc.add_argument("--kind", choices=("data", "region", "both"), default="data")
     rc.add_argument("--cross-validate", action="store_true",
@@ -128,22 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("explore", help="dump bounded executions")
     _add_common(ex)
-    ex.add_argument("--depth", type=int, default=6)
-    ex.add_argument("--limit", type=int, default=20, help="max executions printed")
+    ex.add_argument("--depth", type=_count, default=6)
+    ex.add_argument("--limit", type=_count, default=20, help="max executions printed")
     ex.add_argument("--maximal-only", action="store_true",
                     help="print only executions that cannot be extended")
 
     mc = sub.add_parser("metacheck", help="machine-check the metatheory at depth")
     _add_common(mc)
-    mc.add_argument("--depth", type=int, default=12)
-    mc.add_argument("--samples", type=int, default=200)
+    mc.add_argument("--depth", type=_count, default=12)
+    mc.add_argument("--samples", type=_count, default=200)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--regions", default="default", metavar="FILE|default")
 
     dt = sub.add_parser("dot", help="export the sync-CFG in DOT format")
     _add_common(dt)
     dt.add_argument("--gamma", choices=("default", "refined"), default="default")
-    dt.add_argument("--depth", type=int, default=12)
+    dt.add_argument("--depth", type=_count, default=12)
 
     return ap
 
@@ -155,9 +162,10 @@ def _cmd_analyze(args) -> int:
     domain = args.domain or ("interval" if args.analysis == "valset" else "octagon")
     try:
         box = tuple(int(v) for v in args.value_box.split(","))
-        assert len(box) == 2 and box[0] <= box[1]
-    except (ValueError, AssertionError) as e:
-        raise UsageError(f"bad value box {args.value_box!r}") from e
+    except ValueError:
+        box = ()
+    if len(box) != 2 or box[0] > box[1]:
+        raise UsageError(f"bad value box {args.value_box!r}")
     cfg = AnalysisConfig(
         analysis=args.analysis,
         domain=domain,

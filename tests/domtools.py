@@ -225,8 +225,7 @@ def octagon_mix_loop(dom: OctagonDomain, elems, partition):
     if j is BOTTOM:
         return BOTTOM
     region_of = {v: r for r, vs in enumerate(partition) for v in vs}
-    m = np.full((dom.size, dom.size), INF)
-    np.fill_diagonal(m, 0.0)
+    m = dom.top().m.copy()
     for i in range(dom.size):
         for k in range(dom.size):
             if region_of[i // 2] == region_of[k // 2]:

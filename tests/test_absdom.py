@@ -19,10 +19,22 @@ from racefree.absdom import (
     OctElem,
     RecencyDomain,
     RecencyFact,
+    _NO_BOUND,
     box_points,
     singleton_partition,
 )
-from racefree.lang import Assign, BinExpr, HavocExpr, IntLit, VarRef, parse_program
+from racefree.lang import (
+    Assign,
+    BinExpr,
+    Cmp,
+    HavocExpr,
+    IntLit,
+    ScaledExpr,
+    VarRef,
+    eval_expr,
+    havoc_slots,
+    parse_program,
+)
 
 INF = math.inf
 
@@ -37,6 +49,20 @@ def octagon_from(dom, constraints):
     for c in constraints:
         d = dom.assume(d, cond(c, ", ".join(dom.variables)))
     return d
+
+
+def _octagon_holds(dom, d, point) -> bool:
+    """Whether the integer point lies in gamma(d), in exact Python ints."""
+    c = dom._closed(d)
+    if c is BOTTOM:
+        return False
+    lits = [s * v for v in point for s in (1, -1)]  # literals 2k, 2k+1
+    return all(c.m[i, j] == _NO_BOUND or lits[j] - lits[i] <= int(c.m[i, j])
+               for i in range(dom.size) for j in range(dom.size))
+
+
+def _every_entry_bounded_or_none(dom, d) -> bool:
+    return bool(np.all((d.m == _NO_BOUND) | (np.abs(d.m) <= dom._limit)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +427,20 @@ def test_transfers_and_mix_close_like_the_full_closure(monkeypatch):
     assert 0 in pivot_counts and max(pivot_counts) >= 4
 
 
-def test_pivot_closure_with_a_bound_beyond_the_sum_limit_closes_fully(monkeypatch):
+def test_closure_saturates_a_bound_beyond_the_limit():
     dom = OctagonDomain(("x", "y", "z"))
-    d = octagon_from(dom, [f"y - x <= {2 ** 49}", f"x - z <= {2 ** 49}"])
-    assert 2 ** 49 <= dom._sum_limit < d.m[4, 2] == 2 ** 50  # y - z <= 2^50
-    # x := 0 forgets x, so no path re-derives y - z once the clamp drops it
-    m = dom._forget_matrix(d.m, {0})
-    pivots = dom._with_entries(m, dom._unary_entries(0, 0, 0))
-    calls = _count_closures(monkeypatch, OctElem(m, closed=False))
-    closed = dom._close_at(m, pivots)
-    assert len(calls) == 1
-    assert closed.m[4, 2] == INF
-    assert closed == dom.assign(d, "x", IntLit(0))
-    _assert_closes_like_full(dom, m, pivots)
+    lim = dom._limit
+    x, y, z = 0, 2, 4  # the literals +x, +y, +z
+    m = dom.top().m.copy()
+    dom._with_entries(m, dom._sum_entries(y, x ^ 1, lim) + dom._sum_entries(x, z ^ 1, lim))
+    d = dom._close_matrix(m)
+    assert d.m[z, y] == _NO_BOUND  # y - z <= 2 * lim is beyond the limit
+    assert d.m[x, y] == d.m[z, x] == lim  # y - x <= lim and x - z <= lim stay
+    assert _every_entry_bounded_or_none(dom, d)
+    assert _octagon_holds(dom, d, (0, lim, -lim))  # y - z = 2 * lim is kept
+    # x := 0 forgets x, so no path re-derives y - z: it stays unbounded
+    out = dom.assign(d, "x", IntLit(0))
+    assert out.m[z, y] == _NO_BOUND and _octagon_holds(dom, out, (0, lim, -lim))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +487,7 @@ def _branch_assign(dom, d, x, y, k, c):
 
 
 def test_constant_and_copy_assigns_match_the_exact_entries():
-    """Pre-states keep every bound within `_sum_limit`; see the next test
-    for one that does not."""
+    """Pre-states with small bounds; see the next test for large ones."""
     rng = random.Random(23)
     constants = (0, 3, -3, 2 ** 50, 2 ** 52, 2 ** 52 + 1, 2 ** 53 + 1)
     checked = 0
@@ -487,18 +513,26 @@ def test_constant_and_copy_assigns_match_the_exact_entries():
     assert checked == 6 * 2 * 7 * (1 + 3 * 5)  # n = 1 has no y: one assign, not three
 
 
-def test_copy_keeps_a_bound_the_sum_limit_fallback_drops():
-    """y <= 2^49 + 10 is beyond the sum limit of 2 variables (2^50 / 2);
-    x := y - 20 also bounds x by y's range, which survives the fallback to
-    full closure that drops y's own bound and re-derives it through x."""
+def test_copy_and_the_exact_entries_agree_on_bounds_near_2_pow_50():
+    """y <= 2^49 + 10 is the entry 2^50 + 20, within the limit of 2
+    variables (2^57): the general path and the exact entries of x := y - 20
+    keep it, and both bound x by it."""
     dom = OctagonDomain(("x", "y"))
     d = octagon_from(dom, [f"x <= {2 ** 49}", "y - x <= 10"])
-    assert d.m[3, 2] == 2 ** 50 + 20 > dom._sum_limit
+    assert d.m[3, 2] == 2 ** 50 + 20 <= dom._limit
     out = dom.assign(d, "x", BinExpr("-", VarRef("y"), IntLit(20)))
     assert dom.constraints(out) == [f"x <= {2 ** 49 - 10}", f"y <= {2 ** 49 + 10}",
                                     "x = y - 20"]
-    # the exact entries alone lose both bounds to the clamp
-    assert dom.constraints(_branch_assign(dom, d, "x", "y", 1, -20)) == ["x = y - 20"]
+    assert _branch_assign(dom, d, "x", "y", 1, -20) == out
+
+
+def test_constant_assign_keeps_a_bound_closure_derived():
+    """x <= 2^49 and y - x <= 10 close to y <= 2^49 + 10; x := 0 forgets x,
+    and y keeps the bound that closure derived through it."""
+    dom = OctagonDomain(("x", "y"))
+    d = octagon_from(dom, [f"x <= {2 ** 49}", "y - x <= 10"])
+    out = dom.assign(d, "x", IntLit(0))
+    assert dom.constraints(out) == ["x = 0", f"y <= {2 ** 49 + 10}"]
 
 
 def test_mix_equals_the_masked_fold_of_joins():
@@ -534,17 +568,22 @@ def test_sum_entries_spell_the_unary_and_pair_encodings():
 
 
 # ---------------------------------------------------------------------------
-# bounds near 2^53 (floats stop being exact integers there)
+# bounds near and beyond 2^53, where floats stop being exact integers
 
 
-def test_interval_bound_above_2_pow_52_goes_to_infinity():
+def test_interval_bound_above_2_pow_52_stays_exact():
     dom = IntervalDomain(("x",))
     big = dom.assign(dom.initial(), "x", IntLit(9007199254740993))
-    assert big.bounds == ((-INF, INF),)
+    assert big.bounds == ((2 ** 53 + 1, 2 ** 53 + 1),)
     assert not dom.entails(big, cond("x == 9007199254740994", "x"))
+    assert dom.entails(big, cond("x == 9007199254740993", "x"))
     edge = dom.assign(dom.initial(), "x", IntLit(2 ** 52))
     assert edge.bounds == ((2 ** 52, 2 ** 52),)
-    assert dom.assume(dom.top(), cond(f"x <= {2 ** 52 + 1}", "x")).bounds == ((-INF, INF),)
+    assert dom.assume(dom.top(), cond(f"x <= {2 ** 52 + 1}", "x")).bounds \
+        == ((-INF, 2 ** 52 + 1),)
+    # beyond int64 too
+    huge = dom.assign(big, "x", BinExpr("+", VarRef("x"), IntLit(2 ** 70)))
+    assert huge.bounds == ((2 ** 70 + 2 ** 53 + 1, 2 ** 70 + 2 ** 53 + 1),)
 
 
 def test_interval_refinement_divides_exactly():
@@ -558,22 +597,27 @@ def test_interval_refinement_divides_exactly():
     assert out.bounds == ((2 ** 52, 2 ** 52),)
 
 
-def test_octagon_constant_above_2_pow_52_drops_the_bound():
+def test_octagon_bound_is_exact_within_the_limit_and_dropped_beyond():
     dom = OctagonDomain(("x", "y"))
+    assert dom._limit == 2 ** 57  # a unary bound b is the entry 2b
     start = dom.initial()
-    for expr in (IntLit(9007199254740993),
-                 BinExpr("+", VarRef("y"), IntLit(2 ** 60)),
-                 BinExpr("+", VarRef("x"), IntLit(2 ** 53 + 1))):
-        big = dom.assign(start, "x", expr)
-        assert dom.intervals_of(big) == ((-INF, INF), (0, 0))
-        assert dom.constraints(big) == ["y = 0"]
-    kept = dom.assign(start, "x", IntLit(2 ** 40))
-    assert dom.intervals_of(kept)[0] == (2 ** 40, 2 ** 40)
-    # a guard bound beyond 2^52 is dropped, but still decides emptiness exactly
-    assert dom.intervals_of(dom.assume(dom.top(), cond(f"x <= {2 ** 52 + 1}", "x, y")))[0] \
+    x, y = VarRef("x"), VarRef("y")
+    relation = 2 ** 56 + 1  # the unary entry 2c is beyond the limit, c is not
+    for c, want in ((2 ** 53 + 1, [f"x = {2 ** 53 + 1}", "y = 0"]),
+                    (2 ** 56, [f"x = {2 ** 56}", "y = 0"]),
+                    (relation, ["y = 0", f"x = y + {relation}", f"x + y = {relation}"]),
+                    (2 ** 60, ["y = 0"])):
+        for expr in (BinExpr("+", x, IntLit(c)), BinExpr("+", y, IntLit(c))):
+            assert dom.constraints(dom.assign(start, "x", expr)) == want
+        constant = dom.assign(start, "x", IntLit(c))
+        assert dom.intervals_of(constant)[0] == ((c, c) if c <= 2 ** 56 else (-INF, INF))
+    # a guard bound beyond the limit is dropped, but still decides emptiness
+    # exactly, through the interval fallback
+    assert dom.intervals_of(dom.assume(dom.top(), cond(f"x <= {2 ** 57}", "x, y")))[0] \
         == (-INF, INF)
-    assert dom.assume(start, cond(f"x >= {2 ** 53 + 1}", "x, y")) is BOTTOM
-    assert dom.assume(start, cond(f"x - y >= {2 ** 53 + 1}", "x, y")) is BOTTOM
+    for c in (2 ** 53 + 1, 2 ** 60 + 1):
+        assert dom.assume(start, cond(f"x >= {c}", "x, y")) is BOTTOM
+        assert dom.assume(start, cond(f"x - y >= {c}", "x, y")) is BOTTOM
 
 
 def test_octagon_closure_sums_never_round():
@@ -584,9 +628,8 @@ def test_octagon_closure_sums_never_round():
     d = dom.assign(d, "y", BinExpr("+", VarRef("y"), IntLit(1)))
     assert not dom.entails(d, cond(f"y == {2 ** 53}", "x, y"))
     assert not dom.entails(d, cond(f"y <= {2 ** 53}", "x, y"))
-    # every stored bound is within the limit where closure sums are exact
-    finite = d.m[np.isfinite(d.m)]
-    assert np.all(np.abs(finite) * dom.size < 2 ** 53)
+    assert dom.entails(d, cond(f"y == {2 ** 53 + 1}", "x, y"))
+    assert _every_entry_bounded_or_none(dom, d)
 
 
 def test_octagon_refinement_divides_exactly():
@@ -598,6 +641,133 @@ def test_octagon_refinement_divides_exactly():
     # and 2^50 - 0.99 rounds to 2^50 - 1; exactly, x >= 2^50
     out = dom.assume(d, cond(f"100 * x >= {100 * 2 ** 50 - 99}", "x"))
     assert dom.intervals_of(out) == ((2 ** 50, 2 ** 50),)
+
+
+def _big(rng) -> int:
+    """An integer of magnitude near 2^40 ... 2^62, of either sign."""
+    return rng.choice((1, -1)) * (2 ** rng.randint(40, 62) + rng.randint(-2 ** 20, 2 ** 20))
+
+
+def _holds(dom, d, point) -> bool:
+    if isinstance(dom, IntervalDomain):
+        return d is not BOTTOM and all(lo <= v <= hi for v, (lo, hi) in zip(point, d.bounds))
+    return _octagon_holds(dom, d, point)
+
+
+def _linear(variables, rng):
+    """A random linear expression: unit and scaled terms plus a constant."""
+    e = IntLit(rng.choice((0, rng.randint(-9, 9), _big(rng))))
+    for v in rng.sample(variables, rng.randint(1, min(2, len(variables)))):
+        term = VarRef(v) if rng.random() < 0.7 else ScaledExpr(rng.choice((-2, 3)), VarRef(v))
+        e = BinExpr(rng.choice("+-"), e, term)
+    return e
+
+
+def _true_at(variables, point, rng):
+    """A random linear condition that holds at `point`."""
+    env = dict(zip(variables, point))
+    e = _linear(variables, rng)
+    value = eval_expr(e, env)
+    slack = rng.choice((0, rng.randint(0, 9), abs(_big(rng))))
+    op, bound = rng.choice((("<=", value + slack), (">=", value - slack), ("==", value),
+                            ("!=", value + slack + 1)))
+    return Cmp(op, e, IntLit(bound))
+
+
+def _around(dom, point, rng):
+    """An element that contains `point`."""
+    d = dom.top()
+    for _ in range(rng.randint(1, 2 * dom.n)):
+        d = dom.assume(d, _true_at(dom.variables, point, rng))
+    return d
+
+
+def test_transfers_stay_sound_at_large_magnitudes():
+    """Bounded: 200 seeded random walks of 8 steps from a concrete point
+    near +-2^40 ... 2^62, each step checked in exact Python ints."""
+    rng = random.Random(41)
+    checks = 0
+    for walk in range(200):
+        variables = tuple(f"v{k}" for k in range(rng.randint(2, 4)))
+        point = [_big(rng) for _ in variables]
+        doms = (IntervalDomain(variables), OctagonDomain(variables))
+        elems = [_around(dom, point, rng) for dom in doms]
+        history = [list(elems)]
+        for _ in range(8):
+            step = rng.choice(("assign", "shift", "assume", "mix", "widen"))
+            x = rng.choice(variables)
+            if step in ("assign", "shift"):
+                if step == "shift":  # x := +-x + c keeps x's relations
+                    c = IntLit(rng.choice((rng.randint(-9, 9), _big(rng))))
+                    e = rng.choice((BinExpr("+", VarRef(x), c), BinExpr("-", c, VarRef(x))))
+                else:
+                    e = HavocExpr() if rng.random() < 0.1 else _linear(variables, rng)
+                choices = (rng.randint(-3, 3),) * havoc_slots(e)
+                value = eval_expr(e, dict(zip(variables, point)), choices)
+                point[variables.index(x)] = value
+                elems = [dom.assign(d, x, e) for dom, d in zip(doms, elems)]
+            elif step == "assume":
+                b = _true_at(variables, point, rng)
+                elems = [dom.assume(d, b) for dom, d in zip(doms, elems)]
+            elif step == "mix":
+                partition = domtools.rand_partition(len(variables), rng)
+                elems = [dom.mix([d, _around(dom, point, rng)], partition)
+                         for dom, d in zip(doms, elems)]
+            else:
+                earlier = rng.choice(history)
+                elems = [dom.widen(a, d) for dom, a, d in zip(doms, earlier, elems)]
+            history.append(list(elems))
+            for dom, d in zip(doms, elems):
+                assert _holds(dom, d, point), (walk, step, dom.kind, point)
+                checks += 1
+    assert checks == 200 * 8 * 2
+
+
+def _reference_close(dom, m, pivots):
+    """`_close_at` over Python ints: the same steps on an object matrix,
+    where no sum can wrap, and with the negative-cycle test at the end."""
+    m = np.array(m, dtype=object)
+    np.fill_diagonal(m, 0)
+    for k in sorted(pivots):
+        m = np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :])
+    if any(m[k, k] < 0 for k in pivots):
+        return None
+    lits, bars = dom._lits, dom._bars
+    unary = 2 * (m[lits, bars] // 2)
+    if any(unary + unary[bars] < 0):
+        return None
+    m[lits, bars] = unary
+    m = np.minimum(m, (unary[:, None] + unary[bars][None, :]) // 2)
+    return np.where(abs(m) > dom._limit, _NO_BOUND, m).astype(np.int64)
+
+
+def test_int64_closure_matches_the_python_int_closure():
+    """Entries anywhere in the range `_close_at` accepts (within twice the
+    limit, or `_NO_BOUND` give or take the limit, as after a shift),
+    negative cycles included: int64 closure never wraps."""
+    rng = random.Random(43)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        dom = OctagonDomain(tuple(f"v{k}" for k in range(rng.randint(1, 12))))
+        lim = dom._limit
+        m = dom.top().m.copy()
+        negative = rng.random()  # share of negative entries
+        for i in range(dom.size):
+            for j in range(dom.size):
+                r = rng.random()
+                if r < 0.3:
+                    m[i, j] = _NO_BOUND + rng.randint(-lim, lim)
+                elif r < 0.6:
+                    m[i, j] = rng.choice((-1, 1) if rng.random() < negative else (1,)) \
+                        * rng.randint(lim // 2, 2 * lim)
+        pivots = (range(dom.size) if rng.random() < 0.5
+                  else rng.sample(range(dom.size), rng.randint(0, dom.size)))
+        got, want = dom._close_at(m, pivots), _reference_close(dom, m, pivots)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.m, want)
+        outcomes[got is None] += 1
+    assert min(outcomes.values()) > 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,34 @@ def test_usage_errors(tmp_path, capsys):
                     str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["races", "--depth", "-1"],
+    ["explore", "--depth", "-1"],
+    ["explore", "--limit", "-1"],
+    ["analyze", "--owned", "oracle", "--depth", "-1"],
+    ["analyze", "--widen-delay", "-1"],
+    ["metacheck", "--samples", "-1"],
+    ["metacheck", "--depth", "-1"],
+    ["dot", "--depth", "-1"],
+])
+def test_negative_counts_are_usage_errors(fig_file, capsys, argv):
+    assert run_cli(argv + [fig_file]) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer >= 0" in err and "internal error" not in err
+
+
+def test_empty_value_box_is_a_usage_error_under_optimization(fig_file):
+    # `python -O` strips asserts, so the box check must not be one
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "racefree.cli", "analyze", "--domain", "envset",
+         "--value-box", "4,-4", fig_file],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "bad value box" in proc.stderr
+
+
 def test_bad_subcommand_exits_2(capsys):
     assert run_cli(["frobnicate"]) == 2
 
@@ -166,7 +198,7 @@ def test_region_file_without_semicolons(tmp_path, capsys):
 
 
 def test_analyze_octagon_literal_above_2_pow_53_not_rounded(tmp_path, capsys):
-    # rel/octagon stores float bounds: 2^53 + 1 must be dropped, not rounded
+    # 2^53 + 1 is stored exactly, not rounded to the float 2^53
     f = tmp_path / "big.cp"
     f.write_text("var x;\nthread t { x := 9007199254740993; "
                  "assert(x == 9007199254740994); }\n")
@@ -175,7 +207,7 @@ def test_analyze_octagon_literal_above_2_pow_53_not_rounded(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert code == 1
     fact = blob["assertions"][0]["fact"]
-    assert "9007199254740992" not in fact and fact == "true"
+    assert fact == "x = 9007199254740993"
 
 
 def test_analyze_octagon_sum_above_2_pow_53_not_proved(tmp_path, capsys):
@@ -188,6 +220,19 @@ def test_analyze_octagon_sum_above_2_pow_53_not_proved(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "0/1 assertions proved" in out
+
+
+@pytest.mark.parametrize("analysis", ["rel", "valset"])
+def test_analyze_sum_above_2_pow_53_proved_exactly(tmp_path, capsys, analysis):
+    # y is 2^53 + 1, reached by sums of constants no larger than 2^52
+    f = tmp_path / "sum.cp"
+    f.write_text("var x, y;\nthread t { x := 4503599627370496; "
+                 "y := x + 4503599627370496; y := y + 1; "
+                 "assert(y == 9007199254740993); }\n")
+    code = run_cli(["analyze", "--analysis", analysis, str(f)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "1/1 assertions proved" in out
 
 
 def test_analyze_valset_literal_above_2_pow_53_not_proved(tmp_path, capsys):
