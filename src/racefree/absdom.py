@@ -132,12 +132,16 @@ class IntervalElem:
 
 
 def _expr_range(bounds, var_index, coeffs: dict[str, int], const: int):
-    """Range of const + sum(coeffs[v] * v) over per-variable [lo, hi] bounds."""
+    """Range of const + sum(coeffs[v] * v) over per-variable [lo, hi] bounds.
+    An infinite bound makes its side infinite with no arithmetic: an int
+    past 2^1024 met with a float infinity converts to float and overflows."""
     lo = hi = const
     for v, c in coeffs.items():
         vl, vh = bounds[var_index[v]]
-        lo += c * vl if c > 0 else c * vh
-        hi += c * vh if c > 0 else c * vl
+        if c < 0:
+            vl, vh = vh, vl  # the bounds giving the least and greatest c * v
+        lo = -INF if lo == -INF or abs(vl) == INF else lo + c * vl
+        hi = INF if hi == INF or abs(vh) == INF else hi + c * vh
     return lo, hi
 
 
@@ -146,22 +150,20 @@ def _refine_bounds(bounds, atom: LinearAtom) -> Optional[list]:
     range of the other terms; None when no point satisfies it.  Finite sums
     and quotients stay in exact integer arithmetic."""
     bounds = list(bounds)
+    # the least value of each term c * v_i: an int, or -inf when unbounded
     lows = []
-    for i, c in enumerate(atom.coeffs):
-        if c == 0:
-            lows.append(0)
-            continue
-        lo, hi = bounds[i]
-        lows.append(c * lo if c > 0 else c * hi)
-    if sum(lows) > atom.bound:
+    for c, (lo, hi) in zip(atom.coeffs, bounds):
+        least = lo if c > 0 else hi
+        lows.append(0 if c == 0 else -INF if abs(least) == INF else c * least)
+    if -INF not in lows and sum(lows) > atom.bound:
         return None
     for i, c in enumerate(atom.coeffs):
         if c == 0:
             continue
-        rest_lo = sum(lows[j] for j in range(len(lows)) if j != i)
-        limit = atom.bound - rest_lo  # c * v_i <= limit
-        if not math.isfinite(limit):
-            continue
+        rest = lows[:i] + lows[i + 1:]
+        if -INF in rest:
+            continue  # the other terms are unbounded below: no limit on v_i
+        limit = atom.bound - sum(rest)  # c * v_i <= limit
         lo, hi = bounds[i]
         if c > 0:
             hi = min(hi, limit // c)

@@ -13,8 +13,9 @@ that takes the step function of a semantics, one depth-bounded tree search
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .lang import (
     Acquire,
@@ -23,8 +24,11 @@ from .lang import (
     BinExpr,
     BoolLit,
     BoolOp,
+    CMP_FN,
     Cmp,
+    HavocExpr,
     Instruction,
+    IntLit,
     NotExpr,
     Program,
     RegionMap,
@@ -32,9 +36,6 @@ from .lang import (
     ScaledExpr,
     Thread,
     VarRef,
-    eval_bool,
-    eval_expr,
-    havoc_slots,
     instr_accesses,
     print_command,
     vars_of_bool,
@@ -80,6 +81,88 @@ class Execution:
         return self.steps[-1].post if self.steps else self.initial
 
 
+class Step(NamedTuple):
+    """One instruction compiled for stepping.
+
+    `kind` is the command's class; `slot` is the written variable's index
+    (assign) or the lock's index (acquire, release).  `fn` evaluates the command straight on a value
+    tuple: `fn(values, choices)` is the assigned value, `fn(values)` the
+    assume guard.  `instr` keeps the instruction alive, so its `id` keys
+    this record and no other."""
+
+    tid: int
+    source: int
+    target: int
+    kind: type
+    slot: int
+    slots: int  # havoc occurrences of an assign, consumed left to right
+    fn: Optional[Callable]
+    instr: Instruction
+
+
+@lru_cache(maxsize=4096)
+def _function(src: str) -> Callable:
+    """The function of a lambda's source; each search indexes a program of
+    its own, and most of their instructions are shared."""
+    return eval(src, {})
+
+
+def _sum_source(e, var_index: dict[str, int]) -> tuple[str, int]:
+    """`e` as Python source of one flat sum over the value tuple `v` and the
+    havoc choices `c`, and its number of havoc occurrences.  Integer
+    arithmetic is exact, so collecting each variable's coefficient gives
+    the value of the tree; the walk is iterative, so depth costs no stack."""
+    const, slots = 0, 0
+    coef: dict[str, int] = {}
+    todo = [(e, 1)]
+    while todo:
+        e, k = todo.pop()
+        if isinstance(e, IntLit):
+            const += k * e.value
+        elif isinstance(e, VarRef):
+            term = f"v[{var_index[e.name]}]"
+            coef[term] = coef.get(term, 0) + k
+        elif isinstance(e, HavocExpr):
+            coef[f"c[{slots}]"] = k
+            slots += 1
+        elif isinstance(e, BinExpr):  # the left operand's havocs come first
+            todo.append((e.right, k if e.op == "+" else -k))
+            todo.append((e.left, k))
+        elif isinstance(e, ScaledExpr):
+            todo.append((e.expr, k * e.coef))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+    # hex: decimal str() of an int past 4300 digits raises ValueError
+    src = hex(const)
+    for term, k in coef.items():
+        if k:
+            src += (" + " if k > 0 else " - ") + (term if abs(k) == 1 else f"{hex(abs(k))} * {term}")
+    return src, slots
+
+
+def _guard_source(b, var_index: dict[str, int], outer: int = 0) -> str:
+    """`b` as Python source over the value tuple `v`, short-circuiting in
+    the same order as `eval_bool`; `outer` is the precedence of the
+    enclosing operator (0: none, 1: or, 2: and, 3: not)."""
+    if isinstance(b, BoolLit):
+        return repr(b.value)
+    if isinstance(b, Cmp):
+        if b.op not in CMP_FN:
+            raise KeyError(b.op)  # as in eval_bool
+        (left, lh), (right, rh) = (_sum_source(side, var_index) for side in (b.left, b.right))
+        if lh or rh:  # the parser rejects these
+            raise ValueError("havoc occurrence without a chosen value")
+        return f"({left} {b.op} {right})"
+    if isinstance(b, NotExpr):
+        return f"(not {_guard_source(b.expr, var_index, 3)})"
+    if isinstance(b, BoolOp):
+        prec, op = (2, "and") if b.op == "&&" else (1, "or")  # as in eval_bool
+        src = (f"{_guard_source(b.left, var_index, prec)} {op} "
+               f"{_guard_source(b.right, var_index, prec)}")
+        return f"({src})" if prec < outer else src
+    raise TypeError(f"not a boolean expression: {b!r}")
+
+
 class ProgramIndex:
     """Lookup tables for one desugared program, built once.
 
@@ -87,6 +170,10 @@ class ProgramIndex:
     in thread instruction order.  It relies on every location belonging to
     one thread, which `validate_program` checks and the constructor
     enforces.
+
+    `steps` is the step table both semantics read: `id(instr)` -> `Step`,
+    filled by `compile` on an instruction's first step, so an index built
+    only for `by_source` compiles nothing.
     """
 
     def __init__(self, program: Program):
@@ -106,9 +193,38 @@ class ProgramIndex:
                 by_source.setdefault(i.source, []).append(i)
                 self.tid_of_instr[i] = tid
         self.by_source = {loc: tuple(instrs) for loc, instrs in by_source.items()}
+        self.steps: dict[int, Step] = {}
+        self._choices: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
-    def env_of(self, values: tuple[int, ...]) -> dict[str, int]:
-        return {v: values[i] for v, i in self.var_index.items()}
+    def compile(self, instr: Instruction) -> Step:
+        """The step record of `instr`, entered in `steps`.  An instruction
+        equal to one of the program's (but not the same object) steps like
+        it; any other instruction raises KeyError."""
+        tid = self.tid_of_instr[instr]
+        c = instr.command
+        kind, slot, slots, fn = type(c), 0, 0, None
+        if kind is Assign:
+            slot = self.var_index[c.var]
+            src, slots = _sum_source(c.expr, self.var_index)
+            fn = _function(f"lambda v, c: {src}")
+        elif kind is Assume:
+            fn = _function(f"lambda v: {_guard_source(c.cond, self.var_index)}")
+        elif kind is Acquire or kind is Release:
+            slot = self.lock_index[c.lock]
+        else:
+            raise TypeError(f"not a command: {c!r}")
+        step = self.steps[id(instr)] = Step(
+            tid, instr.source, instr.target, kind, slot, slots, fn, instr)
+        return step
+
+    def havoc_choices(self, slots: int, havoc_values) -> tuple[tuple[int, ...], ...]:
+        """Every choice tuple for `slots` havoc occurrences, in canonical
+        order: each distinct value of `havoc_values`, ascending."""
+        key = (slots, havoc_values)
+        out = self._choices.get(key)
+        if out is None:
+            out = self._choices[key] = tuple(product(sorted(set(havoc_values)), repeat=slots))
+        return out
 
 
 def initial_state(p: Program) -> StdState:
@@ -128,38 +244,26 @@ def std_step(
 ) -> tuple[tuple[tuple[int, ...], StdState], ...]:
     """Successors of `s` under `instr`, one per havoc choice; empty = disabled."""
     idx = index or ProgramIndex(p)
-    tid = idx.tid_of_instr[instr]
-    if s.pc[tid] != instr.source:
+    tid, source, target, kind, slot, slots, fn, _ = (
+        idx.steps.get(id(instr)) or idx.compile(instr))
+    pc = s.pc
+    if pc[tid] != source:
         return ()
-    pc2 = tuple(instr.target if k == tid else loc for k, loc in enumerate(s.pc))
-    c = instr.command
-    if isinstance(c, Assign):
-        env = idx.env_of(s.phi)
-        vi = idx.var_index[c.var]
-        out = []
-        slots = havoc_slots(c.expr)
-        for choices in product(tuple(sorted(set(havoc_values))), repeat=slots):
-            value = eval_expr(c.expr, env, choices)
-            phi2 = tuple(value if k == vi else v for k, v in enumerate(s.phi))
-            out.append((choices, StdState(pc2, s.mu, phi2)))
-        return tuple(out)
-    if isinstance(c, Assume):
-        if eval_bool(c.cond, idx.env_of(s.phi)):
-            return (((), StdState(pc2, s.mu, s.phi)),)
+    pc2 = pc[:tid] + (target,) + pc[tid + 1:]
+    phi, mu = s.phi, s.mu
+    if kind is Assign:
+        head, tail = phi[:slot], phi[slot + 1:]
+        return tuple((choices, StdState(pc2, mu, head + (fn(phi, choices),) + tail))
+                     for choices in idx.havoc_choices(slots, havoc_values))
+    if kind is Assume:
+        return (((), StdState(pc2, mu, phi)),) if fn(phi) else ()
+    if kind is Acquire:
+        if mu[slot] is not None:
+            return ()
+        return (((), StdState(pc2, mu[:slot] + (tid,) + mu[slot + 1:], phi)),)
+    if mu[slot] != tid:
         return ()
-    if isinstance(c, Acquire):
-        mi = idx.lock_index[c.lock]
-        if s.mu[mi] is not None:
-            return ()
-        mu2 = tuple(tid if k == mi else h for k, h in enumerate(s.mu))
-        return (((), StdState(pc2, mu2, s.phi)),)
-    if isinstance(c, Release):
-        mi = idx.lock_index[c.lock]
-        if s.mu[mi] != tid:
-            return ()
-        mu2 = tuple(None if k == mi else h for k, h in enumerate(s.mu))
-        return (((), StdState(pc2, mu2, s.phi)),)
-    raise TypeError(f"not a command: {c!r}")
+    return (((), StdState(pc2, mu[:slot] + (None,) + mu[slot + 1:], phi)),)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +503,29 @@ def _find_races(
     idx = ProgramIndex(p)
     init = initial_state(p)
     zero = (0,) * len(p.threads)
-    reported: dict[tuple, RaceReport] = {}
     # keyed by identity: hashing an Instruction walks its whole command
-    subjects = {id(i): subjects_of(i) for i in p.instructions}
+    reported: dict[tuple[int, int, str], RaceReport] = {}
+
+    # table[id(b)] = (row, acquired lock, released lock), where row[id(a)]
+    # holds the sorted subjects on which an earlier step of `a` in another
+    # thread conflicts with a step of `b` (with `involving`, only pairs
+    # that include it)
+    instrs = p.instructions
+    accesses = {id(i): (idx.tid_of_instr[i], *subjects_of(i)) for i in instrs}
+    table: dict[int, tuple] = {}
+    for b in instrs:
+        tb, b_reads, b_writes = accesses[id(b)]
+        row = {}
+        for a in instrs if involving is None or b is involving else (involving,):
+            ta, a_reads, a_writes = accesses[id(a)]
+            if ta != tb:
+                both = _conflicts(a_reads, a_writes, b_reads, b_writes)
+                if both:
+                    row[id(a)] = tuple(sorted(both))
+        cmd = b.command
+        table[id(b)] = (row,
+                        cmd.lock if isinstance(cmd, Acquire) else None,
+                        cmd.lock if isinstance(cmd, Release) else None)
 
     # vector clocks along the current path, updated by `expand` before it
     # yields a child and restored when the child's subtree is done
@@ -420,42 +544,31 @@ def _find_races(
         k = len(path)
         for edge in successors(idx, state, std_step, havoc_values):
             t, instr, _, post = edge
-            cmd = instr.command
-            saved_thread, saved_lock = thread_clock[t], None
-            vc = saved_thread
-            if isinstance(cmd, Acquire):
-                vc = tuple(map(max, vc, lock_clock[cmd.lock]))
+            row, acquired, released = table[id(instr)]
+            saved_thread = vc = thread_clock[t]
+            if acquired is not None:
+                vc = tuple(map(max, vc, lock_clock[acquired]))
             vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
             thread_clock[t] = vc
-            if isinstance(cmd, Release):
-                saved_lock = lock_clock[cmd.lock]
-                lock_clock[cmd.lock] = vc
+            if released is not None:
+                saved_lock = lock_clock[released]
+                lock_clock[released] = vc
 
-            k_reads, k_writes = subjects[id(instr)]
-            if k_reads or k_writes:
-                for i, (prior_tid, prior_instr, _, _) in enumerate(path):
-                    if prior_tid == t:
-                        continue
-                    if involving is not None and (
-                        prior_instr is not involving and instr is not involving
-                    ):
-                        continue
-                    i_reads, i_writes = subjects[id(prior_instr)]
-                    conflict = _conflicts(i_reads, i_writes, k_reads, k_writes)
-                    if not conflict:
-                        continue
-                    if clocks[i][prior_tid] <= vc[prior_tid]:
-                        continue  # ordered by happens-before
-                    for subject in sorted(conflict):
-                        key = (prior_instr, instr, subject)
+            if row:
+                for i, (prior_tid, prior, _, _) in enumerate(path):
+                    both = row.get(id(prior))
+                    if both is None or clocks[i][prior_tid] <= vc[prior_tid]:
+                        continue  # no conflict, or ordered by happens-before
+                    for subject in both:
+                        key = (id(prior), id(instr), subject)
                         if key not in reported:
                             reported[key] = RaceReport(witness([*path, edge]), i, k, subject)
             clocks.append(vc)
             yield edge, post
             clocks.pop()
             thread_clock[t] = saved_thread
-            if saved_lock is not None:
-                lock_clock[cmd.lock] = saved_lock
+            if released is not None:
+                lock_clock[released] = saved_lock
 
     for _ in dfs(init, depth, budget, expand):
         pass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 from typing import Iterator, Optional
 
 from .concrete import (
@@ -26,18 +27,7 @@ from .concrete import (
     executions,
     format_step,
 )
-from .lang import (
-    Acquire,
-    Assign,
-    Assume,
-    Instruction,
-    Program,
-    RegionMap,
-    Release,
-    eval_bool,
-    eval_expr,
-    havoc_slots,
-)
+from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap
 
 
 class InadmissibleStateError(Exception):
@@ -59,8 +49,8 @@ class ThreadLocalState:
 
 
 class LocalContext(ProgramIndex):
-    """The program's index tables plus the release buffers and the version
-    bump groups of the thread-local semantics.
+    """The program's index tables, whose step table `steps` serves both
+    semantics, plus the release buffers and version bumps of this one.
 
     `sync_gamma` optionally prunes which release buffers an acquire may
     observe (mapping release point -> allowed pre-acquire points); by
@@ -81,14 +71,13 @@ class LocalContext(ProgramIndex):
             for m in program.locks
         }
         self.sync_gamma = sync_gamma
-        # indices whose version is bumped when a variable is written
-        self.bump_group: dict[int, tuple[int, ...]] = {}
+        # per written variable index, the version increments of a write:
+        # 1 at each index whose version it bumps, 0 elsewhere
+        self.bump: dict[int, tuple[int, ...]] = {}
         for v, vi in self.var_index.items():
-            if regions is None:
-                self.bump_group[vi] = (vi,)
-            else:
-                members = regions.region_vars(regions.region_of(v))
-                self.bump_group[vi] = tuple(self.var_index[w] for w in members)
+            group = {vi} if regions is None else {
+                self.var_index[w] for w in regions.region_vars(regions.region_of(v))}
+            self.bump[vi] = tuple(int(k in group) for k in range(len(self.var_index)))
 
 
 def initial_local_state(p: Program, ctx: Optional[LocalContext] = None) -> ThreadLocalState:
@@ -155,61 +144,48 @@ def local_step(
     only for fault-injection self-tests of the check harness.
     """
     ctx = ctx or LocalContext(p)
-    tid = ctx.tid_of_instr[instr]
-    if s.pc[tid] != instr.source:
+    tid, source, target, kind, slot, slots, fn, _ = (
+        ctx.steps.get(id(instr)) or ctx.compile(instr))
+    pc, mu, theta, buffers = s.pc, s.mu, s.theta, s.buffers
+    if pc[tid] != source:
         return ()
-    pc2 = tuple(instr.target if k == tid else loc for k, loc in enumerate(s.pc))
-    c = instr.command
-    mine = s.theta[tid]
-    if isinstance(c, Assign):
-        env = ctx.env_of(mine.values)
-        vi = ctx.var_index[c.var]
-        group = ctx.bump_group[vi] if bump_versions else ()
-        out = []
-        for choices in product(tuple(sorted(set(havoc_values))), repeat=havoc_slots(c.expr)):
-            value = eval_expr(c.expr, env, choices)
-            values = tuple(value if k == vi else v for k, v in enumerate(mine.values))
-            versions = tuple(
-                n + 1 if k in group else n for k, n in enumerate(mine.versions)
-            )
-            theta2 = tuple(
-                VersionedEnv(values, versions) if k == tid else ve
-                for k, ve in enumerate(s.theta)
-            )
-            out.append((choices, ThreadLocalState(pc2, s.mu, theta2, s.buffers)))
-        return tuple(out)
-    if isinstance(c, Assume):
-        if eval_bool(c.cond, ctx.env_of(mine.values)):
-            return (((), ThreadLocalState(pc2, s.mu, s.theta, s.buffers)),)
-        return ()
-    if isinstance(c, Acquire):
-        mi = ctx.lock_index[c.lock]
-        if s.mu[mi] is not None:
+    pc2 = pc[:tid] + (target,) + pc[tid + 1:]
+    mine = theta[tid]
+    if kind is Assign:
+        values = mine.values
+        versions = tuple(map(add, mine.versions, ctx.bump[slot])) if bump_versions else mine.versions
+        head, tail = values[:slot], values[slot + 1:]
+        before, after = theta[:tid], theta[tid + 1:]
+        return tuple(
+            (choices, ThreadLocalState(
+                pc2, mu,
+                before + (VersionedEnv(head + (fn(values, choices),) + tail, versions),) + after,
+                buffers))
+            for choices in ctx.havoc_choices(slots, havoc_values))
+    if kind is Assume:
+        return (((), ThreadLocalState(pc2, mu, theta, buffers)),) if fn(mine.values) else ()
+    if kind is Acquire:
+        if mu[slot] is not None:
             return ()
-        mu2 = tuple(tid if k == mi else h for k, h in enumerate(s.mu))
-        buffer_ids = ctx.buffers_of_lock[c.lock]
+        lock = instr.command.lock
+        buffer_ids = ctx.buffers_of_lock[lock]
         if ctx.sync_gamma is not None:
             buffer_ids = tuple(
                 b for b in buffer_ids
-                if instr.source in ctx.sync_gamma.get(ctx.buffer_points[b], ())
+                if source in ctx.sync_gamma.get(ctx.buffer_points[b], ())
             )
-        relevant = tuple(s.buffers[b] for b in buffer_ids)
-        merged = update_env(mine, relevant)
+        merged = update_env(mine, tuple(buffers[b] for b in buffer_ids))
         if len(merged) != 1:
             raise InadmissibleStateError(
-                f"acquire of {c.lock!r} saw conflicting buffered values"
+                f"acquire of {lock!r} saw conflicting buffered values"
             )
-        theta2 = tuple(merged[0] if k == tid else ve for k, ve in enumerate(s.theta))
-        return (((), ThreadLocalState(pc2, mu2, theta2, s.buffers)),)
-    if isinstance(c, Release):
-        mi = ctx.lock_index[c.lock]
-        if s.mu[mi] != tid:
-            return ()
-        mu2 = tuple(None if k == mi else h for k, h in enumerate(s.mu))
-        bi = ctx.buffer_index[instr.target]
-        buffers2 = tuple(mine if k == bi else ve for k, ve in enumerate(s.buffers))
-        return (((), ThreadLocalState(pc2, mu2, s.theta, buffers2)),)
-    raise TypeError(f"not a command: {c!r}")
+        theta2 = theta[:tid] + (merged[0],) + theta[tid + 1:]
+        return (((), ThreadLocalState(pc2, mu[:slot] + (tid,) + mu[slot + 1:], theta2, buffers)),)
+    if mu[slot] != tid:
+        return ()
+    bi = ctx.buffer_index[target]
+    buffers2 = buffers[:bi] + (mine,) + buffers[bi + 1:]
+    return (((), ThreadLocalState(pc2, mu[:slot] + (None,) + mu[slot + 1:], theta, buffers2)),)
 
 
 def extract_state(p: Program, s: ThreadLocalState, ctx: Optional[LocalContext] = None) -> StdState:

@@ -235,6 +235,28 @@ def test_analyze_sum_above_2_pow_53_proved_exactly(tmp_path, capsys, analysis):
     assert "1/1 assertions proved" in out
 
 
+HUGE = 10 ** 400  # beyond the float range
+
+
+@pytest.mark.parametrize("analysis", ["valset", "rel", "regrel"])
+@pytest.mark.parametrize("body,code,summary", [
+    # y is havoc, so x's range is infinite and x >= 0 unprovable
+    (f"y := havoc; x := y + {HUGE}; assert(x >= 0);", 1, "0/1"),
+    # x stays 0; the guard bounds x by HUGE minus y's infinite lower bound
+    (f"y := havoc; assume(x + y <= {HUGE}); assert(x >= 0);", 0, "1/1"),
+], ids=["assign", "guard"])
+def test_analyze_literal_beyond_the_float_range_is_sound(tmp_path, capsys, analysis,
+                                                         body, code, summary):
+    # a sum of an int past 2^1024 and an infinite bound converted the int
+    # to float: OverflowError, exit 3
+    f = tmp_path / "huge.cp"
+    f.write_text(f"var x, y;\nthread t {{ {body} }}\n")
+    got = run_cli(["analyze", "--analysis", analysis, "--deterministic", str(f)])
+    captured = capsys.readouterr()
+    assert got == code, captured.err
+    assert f"{summary} assertions proved" in captured.out
+
+
 def test_analyze_valset_literal_above_2_pow_53_not_proved(tmp_path, capsys):
     # 9007199254740993 is 2^53 + 1: as a float it rounds to 2^53
     f = tmp_path / "big.cp"

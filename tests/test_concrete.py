@@ -1,12 +1,17 @@
 """Interleaving semantics, bounded exploration, happens-before, races."""
 
+import copy
+import random
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from racefree import corpus
 from racefree.concrete import (
     ProgramIndex,
+    StdState,
     enumerate_executions,
     find_data_races,
     find_region_races,
@@ -22,12 +27,36 @@ from racefree.concrete import (
 from racefree.lang import (
     Acquire,
     Assign,
+    Assume,
+    BinExpr,
+    BoolLit,
+    BoolOp,
+    Cmp,
+    HavocExpr,
+    Instruction,
+    IntLit,
+    NotExpr,
+    Program,
     RegionMap,
     Release,
+    ScaledExpr,
+    Thread,
     VarRef,
     desugar,
+    eval_bool,
+    eval_expr,
+    havoc_slots,
     parse_program,
     parse_region_text,
+)
+from racefree.threadlocal import (
+    InadmissibleStateError,
+    LocalContext,
+    ThreadLocalState,
+    VersionedEnv,
+    initial_local_state,
+    local_step,
+    update_env,
 )
 
 TWO_STEPS = "var a, b;\nthread t1 { a := 1; }\nthread t2 { b := 1; }"
@@ -80,6 +109,240 @@ def test_step_havoc_enumerates_choices():
     succ = std_step(p, s0, find_instr(p, 1), havoc_values=(2, 0, 1))
     assert [c for c, _ in succ] == [(0,), (1,), (2,)]
     assert sorted(s.phi[0] for _, s in succ) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# compiled steps against a tree-walking reference
+#
+# The reference steps below are the step bodies from before the step table:
+# `lang.eval_expr`/`eval_bool` over env dicts, the owning thread found by a
+# scan, versions bumped by region lookups.  They share nothing with the
+# compiled table they check, so a fault there cannot hide in both.
+
+BIG = 2 ** 62
+VARS = ("a", "b", "c", "d")
+REGIONS = RegionMap.from_declared(VARS, {"ab": ("a", "b")})
+
+
+def random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return HavocExpr()
+        if kind == 1:
+            return IntLit(rng.choice([0, 1, -2, 7, BIG - 1, BIG + 3, -BIG]))
+        return VarRef(rng.choice(VARS))
+    kind = rng.randrange(4)
+    if kind == 0:  # k * (havoc - x)
+        return ScaledExpr(rng.choice([-3, 2, 5]),
+                          BinExpr("-", HavocExpr(), random_expr(rng, depth - 1)))
+    if kind == 1:
+        return ScaledExpr(rng.choice([-1, 0, 3, BIG]), random_expr(rng, depth - 1))
+    return BinExpr(rng.choice("+-"), random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+
+
+def random_guard(rng, depth):
+    def side():
+        e = random_expr(rng, 2)
+        return e if not havoc_slots(e) else VarRef(rng.choice(VARS))
+
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.1:
+            return BoolLit(rng.random() < 0.5)
+        return Cmp(rng.choice(["==", "!=", "<", "<=", ">", ">="]), side(), side())
+    if rng.random() < 0.25:
+        return NotExpr(random_guard(rng, depth - 1))
+    return BoolOp(rng.choice(["&&", "||"]), random_guard(rng, depth - 1),
+                  random_guard(rng, depth - 1))
+
+
+def random_program(rng):
+    """Two threads of random commands; thread k's locations are 100k + j."""
+    threads = []
+    for k in range(2):
+        instrs = []
+        for j in range(6):
+            kind = rng.randrange(6)
+            if kind < 2:
+                c = Assign(rng.choice(VARS), random_expr(rng, 3))
+            elif kind < 4:
+                c = Assume(random_guard(rng, 3))
+            else:
+                c = (Acquire if kind == 4 else Release)(rng.choice(["m", "n"]))
+            # each release has a target of its own: one buffer per release point
+            target = 50 + j if isinstance(c, Release) else rng.randrange(7)
+            instrs.append(Instruction(100 * k + j, c, 100 * k + target))
+        threads.append(Thread(f"t{k}", (), 100 * k, tuple(instrs)))
+    return Program(VARS, ("m", "n"), REGIONS, tuple(threads))
+
+
+def random_value(rng):
+    return rng.choice([0, 1, -1, 5, BIG, -BIG, BIG - 7, rng.randrange(-9, 9)])
+
+
+def outcome(step, *args):
+    try:
+        return step(*args)
+    except (InadmissibleStateError, ValueError) as e:
+        return type(e)
+
+
+def reference_std_step(p, s, instr, havoc_values):
+    tid = next(k for k, t in enumerate(p.threads) if instr in t.instructions)
+    if s.pc[tid] != instr.source:
+        return ()
+    pc2 = tuple(instr.target if k == tid else loc for k, loc in enumerate(s.pc))
+    env = dict(zip(p.variables, s.phi))
+    c = instr.command
+    if isinstance(c, Assign):
+        out = []
+        for choices in product(sorted(set(havoc_values)), repeat=havoc_slots(c.expr)):
+            phi2 = tuple(eval_expr(c.expr, env, choices) if v == c.var else x
+                         for v, x in zip(p.variables, s.phi))
+            out.append((choices, StdState(pc2, s.mu, phi2)))
+        return tuple(out)
+    if isinstance(c, Assume):
+        return (((), StdState(pc2, s.mu, s.phi)),) if eval_bool(c.cond, env) else ()
+    mi = p.locks.index(c.lock)
+    if isinstance(c, Acquire):
+        if s.mu[mi] is not None:
+            return ()
+        return (((), StdState(pc2, s.mu[:mi] + (tid,) + s.mu[mi + 1:], s.phi)),)
+    if s.mu[mi] != tid:
+        return ()
+    return (((), StdState(pc2, s.mu[:mi] + (None,) + s.mu[mi + 1:], s.phi)),)
+
+
+def reference_local_step(p, s, instr, havoc_values, regions):
+    tid = next(k for k, t in enumerate(p.threads) if instr in t.instructions)
+    if s.pc[tid] != instr.source:
+        return ()
+    pc2 = tuple(instr.target if k == tid else loc for k, loc in enumerate(s.pc))
+    mine = s.theta[tid]
+    env = dict(zip(p.variables, mine.values))
+
+    def with_mine(ve):
+        return tuple(ve if k == tid else other for k, other in enumerate(s.theta))
+
+    c = instr.command
+    if isinstance(c, Assign):
+        group = regions.region_vars(regions.region_of(c.var))
+        versions = tuple(n + (v in group) for v, n in zip(p.variables, mine.versions))
+        out = []
+        for choices in product(sorted(set(havoc_values)), repeat=havoc_slots(c.expr)):
+            values = tuple(eval_expr(c.expr, env, choices) if v == c.var else x
+                           for v, x in zip(p.variables, mine.values))
+            theta2 = with_mine(VersionedEnv(values, versions))
+            out.append((choices, ThreadLocalState(pc2, s.mu, theta2, s.buffers)))
+        return tuple(out)
+    if isinstance(c, Assume):
+        if eval_bool(c.cond, env):
+            return (((), ThreadLocalState(pc2, s.mu, s.theta, s.buffers)),)
+        return ()
+    mi = p.locks.index(c.lock)
+    points = p.post_release_points()
+    if isinstance(c, Acquire):
+        if s.mu[mi] is not None:
+            return ()
+        relevant = tuple(s.buffers[points.index(loc)] for loc in p.post_release_points(c.lock))
+        merged = update_env(mine, relevant)
+        if len(merged) != 1:
+            raise InadmissibleStateError("conflicting buffered values")
+        mu2 = s.mu[:mi] + (tid,) + s.mu[mi + 1:]
+        return (((), ThreadLocalState(pc2, mu2, with_mine(merged[0]), s.buffers)),)
+    if s.mu[mi] != tid:
+        return ()
+    bi = points.index(instr.target)
+    buffers2 = s.buffers[:bi] + (mine,) + s.buffers[bi + 1:]
+    return (((), ThreadLocalState(pc2, s.mu[:mi] + (None,) + s.mu[mi + 1:], s.theta, buffers2)),)
+
+
+def test_compiled_steps_match_the_tree_walking_reference():
+    """Seeded: 150 random programs, every instruction on 8 random states
+    of each semantics (mostly with its thread at the instruction's source),
+    under havoc pools that are unsorted, repeated or near 2^62."""
+    rng = random.Random(20261018)
+    pools = [(0, 1, 2), (2, 0, 2, 1), (-1, BIG), (7,)]
+    kinds = Counter()
+    for _ in range(150):
+        p = random_program(rng)
+        idx, ctx = ProgramIndex(p), LocalContext(p, regions=REGIONS)
+        locs = [sorted(t.locations) for t in p.threads]
+        n_buffers = len(p.post_release_points())
+
+        def env():
+            return VersionedEnv(tuple(random_value(rng) for _ in VARS),
+                                tuple(rng.randrange(3) for _ in VARS))
+
+        for _ in range(8):
+            pc = tuple(rng.choice(ls) for ls in locs)
+            mu = tuple(rng.choice([None, 0, 1]) for _ in p.locks)
+            phi = tuple(random_value(rng) for _ in VARS)
+            theta, buffers = (env(), env()), tuple(env() for _ in range(n_buffers))
+            pool = rng.choice(pools)
+            for tid, t in enumerate(p.threads):
+                for instr in t.instructions:
+                    at = pc if rng.random() < 0.2 else pc[:tid] + (instr.source,) + pc[tid + 1:]
+                    std = StdState(at, mu, phi)
+                    local = ThreadLocalState(at, mu, theta, buffers)
+                    want = outcome(reference_std_step, p, std, instr, pool)
+                    assert outcome(std_step, p, std, instr, pool, idx) == want, instr
+                    want_local = outcome(reference_local_step, p, local, instr, pool, REGIONS)
+                    assert outcome(local_step, p, local, instr, pool, ctx) == want_local, instr
+                    kinds[type(instr.command).__name__, len(want), want_local is InadmissibleStateError] += 1
+    # every kind of step is enabled many times, assigns with several choices,
+    # and some acquires see conflicting buffers
+    assert all(sum(n for (k, count, _), n in kinds.items() if k == kind and count) > 200
+               for kind in ("Assign", "Assume", "Acquire", "Release"))
+    assert sum(n for (k, count, _), n in kinds.items() if k == "Assign" and count > 1) > 500
+    assert sum(n for (_, _, raised), n in kinds.items() if raised) > 50
+
+
+def test_an_equal_instruction_steps_like_the_original(coupled_xy):
+    idx, ctx = ProgramIndex(coupled_xy), LocalContext(coupled_xy)
+    s, sigma = initial_state(coupled_xy), initial_local_state(coupled_xy, ctx)
+    for instr in coupled_xy.threads[0].instructions:
+        twin = copy.deepcopy(instr)
+        assert twin == instr and twin is not instr
+        assert std_step(coupled_xy, s, twin, index=idx) == std_step(
+            coupled_xy, s, instr, index=idx)
+        assert local_step(coupled_xy, sigma, twin, ctx=ctx) == local_step(
+            coupled_xy, sigma, instr, ctx=ctx)
+        (_, s), = std_step(coupled_xy, s, instr, index=idx)
+        (_, sigma), = local_step(coupled_xy, sigma, twin, ctx=ctx)
+
+
+def test_a_foreign_instruction_raises_key_error(coupled_xy):
+    foreign = Instruction(999, Assign("x", IntLit(1)), 1000)
+    with pytest.raises(KeyError):
+        std_step(coupled_xy, initial_state(coupled_xy), foreign)
+    with pytest.raises(KeyError):
+        local_step(coupled_xy, initial_local_state(coupled_xy), foreign)
+
+
+def test_race_searches_step_through_the_module_global(coupled_xy, monkeypatch):
+    """A wrapper over `concrete.std_step` sees every step of the searches;
+    the counts are those of the tree-walking step function before it."""
+    from racefree import concrete
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return step(*args, **kwargs)
+
+    step = concrete.std_step
+    monkeypatch.setattr(concrete, "std_step", counting)
+    searches = [
+        (lambda: find_data_races(coupled_xy, 13), 268),
+        (lambda: find_region_races(coupled_xy, 13), 268),
+        (lambda: owned_vars_oracle(coupled_xy, "t1", 3, 13), 294),
+        (lambda: owned_vars_oracle(coupled_xy, "t2", 9, 13), 352),
+    ]
+    for search, count in searches:
+        calls.clear()
+        search()
+        assert len(calls) == count
 
 
 # ---------------------------------------------------------------------------
