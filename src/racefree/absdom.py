@@ -33,8 +33,6 @@ from .lang import (
     NotExpr,
     eval_bool,
     eval_expr,
-    havoc_slots,
-    linear_terms,
     negate_bool,
 )
 
@@ -69,16 +67,15 @@ Guard = Union[tuple, LinearAtom]  # ('and'|'or', list[Guard]) | ('bool', bool) |
 
 
 def _atom_from_cmp(op: str, left: Expr, right: Expr, var_index) -> Guard:
-    lc, lk, lh = linear_terms(left)
-    rc, rk, rh = linear_terms(right)
-    if lh or rh:
+    left, right = left.linear, right.linear
+    if left.havocs or right.havocs:
         raise DomainError("havoc is not allowed in conditions")
     coeffs = [0] * len(var_index)
-    for v, c in lc.items():
+    for v, c in left.coeffs.items():
         coeffs[var_index[v]] += c
-    for v, c in rc.items():
+    for v, c in right.coeffs.items():
         coeffs[var_index[v]] -= c
-    k = rk - lk  # sum coeffs*v <= k  encodes  left <= right
+    k = right.const - left.const  # sum coeffs*v <= k  encodes  left <= right
     coeffs_t = tuple(coeffs)
 
     def le(bound):
@@ -112,8 +109,7 @@ def guard_of(b: BoolExpr, var_index: dict[str, int]) -> Guard:
     if isinstance(b, NotExpr):
         return guard_of(negate_bool(b.expr), var_index)
     if isinstance(b, BoolOp):
-        kids = [guard_of(b.left, var_index), guard_of(b.right, var_index)]
-        return ("and" if b.op == "&&" else "or", kids)
+        return ("and" if b.op == "&&" else "or", [guard_of(a, var_index) for a in b.args])
     if isinstance(b, Cmp):
         return _atom_from_cmp(b.op, b.left, b.right, var_index)
     raise DomainError(f"not a condition: {b!r}")
@@ -200,13 +196,21 @@ def _bound_constraints(variables, bounds) -> list[str]:
     out = []
     for v, (lo, hi) in zip(variables, bounds):
         if lo == hi:
-            out.append(f"{v} = {int(lo)}")
+            out.append(f"{v} = {_int_text(lo)}")
             continue
         if lo != -INF:
-            out.append(f"{v} >= {int(lo)}")
+            out.append(f"{v} >= {_int_text(lo)}")
         if hi != INF:
-            out.append(f"{v} <= {int(hi)}")
+            out.append(f"{v} <= {_int_text(hi)}")
     return out
+
+
+def _int_text(n) -> str:
+    """Decimal, or hex past the interpreter's limit on int/str digits."""
+    try:
+        return str(int(n))
+    except ValueError:
+        return hex(int(n))
 
 
 _NOT_CLOSED = object()  # OctElem.closure before the first closure
@@ -336,11 +340,11 @@ class IntervalDomain:
         if d is BOTTOM:
             return BOTTOM
         vi = self.var_index[var]
-        if havoc_slots(e):
+        lin = e.linear
+        if lin.havocs:
             rng = (-INF, INF)
         else:
-            coeffs, const, _ = linear_terms(e)
-            rng = _expr_range(d.bounds, self.var_index, coeffs, const)
+            rng = _expr_range(d.bounds, self.var_index, lin.coeffs, lin.const)
         return IntervalElem(tuple(
             rng if k == vi else bd for k, bd in enumerate(d.bounds)))
 
@@ -601,10 +605,9 @@ class OctagonDomain:
         if c is BOTTOM:
             return BOTTOM
         vi = self.var_index[var]
-        if havoc_slots(e):
+        const, coeffs, havocs, _ = e.linear
+        if havocs:
             return self.forget(c, [var])
-        coeffs, const, _ = linear_terms(e)
-        coeffs = {v: k for v, k in coeffs.items() if k != 0}
 
         if set(coeffs) == {var} and coeffs[var] in (1, -1) and abs(const) <= self._limit:
             # invertible self-update x := +-x + const keeps x's relations
@@ -820,7 +823,7 @@ class EnvSetDomain:
         d = self._norm(d)
         vi = self.var_index[var]
         out = set()
-        slots = havoc_slots(e)
+        slots = len(e.linear.havocs)
         for env in d:
             env_map = {v: env[i] for v, i in self.var_index.items()}
             for choices in product(self.havoc_values, repeat=slots):

@@ -21,25 +21,21 @@ from .lang import (
     Acquire,
     Assign,
     Assume,
-    BinExpr,
     BoolLit,
     BoolOp,
     CMP_FN,
     Cmp,
-    HavocExpr,
+    Expr,
     Instruction,
-    IntLit,
+    Linear,
     NotExpr,
     Program,
     RegionMap,
     Release,
-    ScaledExpr,
     Thread,
-    VarRef,
     instr_accesses,
     print_command,
     vars_of_bool,
-    vars_of_expr,
 )
 
 DEFAULT_HAVOC = (0, 1, 2)
@@ -107,58 +103,42 @@ def _function(src: str) -> Callable:
     return eval(src, {})
 
 
-def _sum_source(e, var_index: dict[str, int]) -> tuple[str, int]:
-    """`e` as Python source of one flat sum over the value tuple `v` and the
-    havoc choices `c`, and its number of havoc occurrences.  Integer
-    arithmetic is exact, so collecting each variable's coefficient gives
-    the value of the tree; the walk is iterative, so depth costs no stack."""
-    const, slots = 0, 0
-    coef: dict[str, int] = {}
-    todo = [(e, 1)]
-    while todo:
-        e, k = todo.pop()
-        if isinstance(e, IntLit):
-            const += k * e.value
-        elif isinstance(e, VarRef):
-            term = f"v[{var_index[e.name]}]"
-            coef[term] = coef.get(term, 0) + k
-        elif isinstance(e, HavocExpr):
-            coef[f"c[{slots}]"] = k
-            slots += 1
-        elif isinstance(e, BinExpr):  # the left operand's havocs come first
-            todo.append((e.right, k if e.op == "+" else -k))
-            todo.append((e.left, k))
-        elif isinstance(e, ScaledExpr):
-            todo.append((e.expr, k * e.coef))
-        else:
-            raise TypeError(f"not an expression: {e!r}")
+_FLAT_SUM = 64  # terms past which a sum compiles as one sum() call
+
+
+def _sum_source(lin: Linear, var_index: dict[str, int]) -> str:
+    """The linear view `lin` as Python source over the value tuple `v` and
+    the havoc choices `c`.  A long sum becomes one `sum((...))`: the Python
+    compiler recurses once per `+`."""
+    terms = [(f"v[{var_index[x]}]", k) for x, k in lin.coeffs.items()]
+    terms += [(f"c[{i}]", k) for i, k in enumerate(lin.havocs) if k]
     # hex: decimal str() of an int past 4300 digits raises ValueError
-    src = hex(const)
-    for term, k in coef.items():
-        if k:
-            src += (" + " if k > 0 else " - ") + (term if abs(k) == 1 else f"{hex(abs(k))} * {term}")
-    return src, slots
+    terms = [("-" if k < 0 else "+", t if abs(k) == 1 else f"{hex(abs(k))} * {t}")
+             for t, k in terms]
+    if len(terms) > _FLAT_SUM:
+        return f"{hex(lin.const)} + sum(({''.join(f'{s}{t}, ' for s, t in terms)}))"
+    return hex(lin.const) + "".join(f" {s} {t}" for s, t in terms)
 
 
 def _guard_source(b, var_index: dict[str, int], outer: int = 0) -> str:
     """`b` as Python source over the value tuple `v`, short-circuiting in
     the same order as `eval_bool`; `outer` is the precedence of the
-    enclosing operator (0: none, 1: or, 2: and, 3: not)."""
+    enclosing operator (0: none, 1: or, 2: and, 3: not).  Parentheses go
+    only where precedence needs them, one per source group at most."""
     if isinstance(b, BoolLit):
         return repr(b.value)
     if isinstance(b, Cmp):
         if b.op not in CMP_FN:
             raise KeyError(b.op)  # as in eval_bool
-        (left, lh), (right, rh) = (_sum_source(side, var_index) for side in (b.left, b.right))
-        if lh or rh:  # the parser rejects these
+        left, right = b.left.linear, b.right.linear
+        if left.havocs or right.havocs:  # the parser rejects these
             raise ValueError("havoc occurrence without a chosen value")
-        return f"({left} {b.op} {right})"
+        return f"{_sum_source(left, var_index)} {b.op} {_sum_source(right, var_index)}"
     if isinstance(b, NotExpr):
-        return f"(not {_guard_source(b.expr, var_index, 3)})"
+        return f"not {_guard_source(b.expr, var_index, 3)}"
     if isinstance(b, BoolOp):
-        prec, op = (2, "and") if b.op == "&&" else (1, "or")  # as in eval_bool
-        src = (f"{_guard_source(b.left, var_index, prec)} {op} "
-               f"{_guard_source(b.right, var_index, prec)}")
+        prec, op = (2, " and ") if b.op == "&&" else (1, " or ")  # as in eval_bool
+        src = op.join(_guard_source(a, var_index, prec) for a in b.args)
         return f"({src})" if prec < outer else src
     raise TypeError(f"not a boolean expression: {b!r}")
 
@@ -205,8 +185,8 @@ class ProgramIndex:
         kind, slot, slots, fn = type(c), 0, 0, None
         if kind is Assign:
             slot = self.var_index[c.var]
-            src, slots = _sum_source(c.expr, self.var_index)
-            fn = _function(f"lambda v, c: {src}")
+            slots = len(c.expr.linear.havocs)
+            fn = _function(f"lambda v, c: {_sum_source(c.expr.linear, self.var_index)}")
         elif kind is Assume:
             fn = _function(f"lambda v: {_guard_source(c.cond, self.var_index)}")
         elif kind is Acquire or kind is Release:
@@ -427,13 +407,6 @@ class HappensBefore:
 
     def unordered(self, i: int, j: int) -> bool:
         return not self.ordered(i, j) and not self.ordered(j, i)
-
-    def as_relation(self) -> frozenset[tuple[int, int]]:
-        n = len(self.tids)
-        return frozenset(
-            (i, j) for i in range(n) for j in range(n)
-            if (i <= j and self.ordered(i, j))
-        )
 
 
 def happens_before(e: Execution, index: Optional[ProgramIndex] = None) -> HappensBefore:
@@ -712,13 +685,13 @@ def translate_for_region_races(p: Program) -> Program:
             cur = entry
             for r in read_regions:
                 nxt = alloc_loc()
-                instrs.append(Instruction(cur, Assign(rw, VarRef(region_var[r])), nxt))
+                instrs.append(Instruction(cur, Assign(rw, Expr.of(region_var[r])), nxt))
                 cur = nxt
             return cur
 
         for i in t.instructions:
             if isinstance(i.command, Assign):
-                reads = sorted(vars_of_expr(i.command.expr))
+                reads = sorted(i.command.expr.linear.reads)
                 cur = emit_region_prefix(i.source, i.command.var, reads)
                 instrs.append(Instruction(cur, i.command, i.target))
             elif isinstance(i.command, Assume):
@@ -732,7 +705,7 @@ def translate_for_region_races(p: Program) -> Program:
                     lv = table[v]
                     mid = emit_region_prefix(cur, lv, [v])
                     nxt = alloc_loc()
-                    instrs.append(Instruction(mid, Assign(lv, VarRef(v)), nxt))
+                    instrs.append(Instruction(mid, Assign(lv, Expr.of(v)), nxt))
                     cur = nxt
                 cond = _substitute_bool(i.command.cond, table)
                 instrs.append(Instruction(cur, Assume(cond), i.target))
@@ -752,20 +725,17 @@ def _substitute_bool(b, mapping):
     if isinstance(b, Cmp):
         return Cmp(b.op, _substitute_expr(b.left, mapping), _substitute_expr(b.right, mapping))
     if isinstance(b, BoolOp):
-        return BoolOp(b.op, _substitute_bool(b.left, mapping), _substitute_bool(b.right, mapping))
+        return BoolOp(b.op, tuple(_substitute_bool(a, mapping) for a in b.args))
     if isinstance(b, NotExpr):
         return NotExpr(_substitute_bool(b.expr, mapping))
     return b
 
 
-def _substitute_expr(e, mapping):
-    if isinstance(e, VarRef):
-        return VarRef(mapping.get(e.name, e.name))
-    if isinstance(e, BinExpr):
-        return BinExpr(e.op, _substitute_expr(e.left, mapping), _substitute_expr(e.right, mapping))
-    if isinstance(e, ScaledExpr):
-        return ScaledExpr(e.coef, _substitute_expr(e.expr, mapping))
-    return e
+def _substitute_expr(e: Expr, mapping) -> Expr:
+    """`e` with variables renamed; literals and HAVOC are no keys of `mapping`."""
+    return Expr(tuple(
+        (sign, factors, _substitute_expr(a, mapping) if type(a) is Expr else mapping.get(a, a))
+        for sign, factors, a in e.terms))
 
 
 def racy_regions_via_translation(

@@ -27,7 +27,6 @@ from .absdom import (
     RecencyDomain,
     is_bottom,
     singleton_partition,
-    split_fact,
 )
 from .concrete import ProgramIndex
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap, Release
@@ -291,17 +290,3 @@ def collecting_fixpoint(
     facts = _solve(frame)
     check_postfixpoint(p, graph, run, facts, frame=frame)
     return CollectingResult(facts=facts, clamped=frame.domain.clamped, value_box=value_box)
-
-
-def facts_to_json(p: Program, cfg: AnalysisConfig, facts: LocationFacts) -> list[dict]:
-    domain = make_domain(cfg, p.variables)
-    rows = []
-    for loc in sorted(facts):
-        elem, tids = split_fact(facts[loc])
-        rows.append({
-            "location": loc,
-            "thread": p.thread_of_location(loc),
-            "constraints": domain.constraints(elem),
-            "recency_tids": [p.threads[t].name for t in sorted(tids)],
-        })
-    return rows

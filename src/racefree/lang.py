@@ -13,44 +13,71 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+HAVOC = None  # the atom of a havoc occurrence: a nondeterministic integer
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class Linear(NamedTuple):
+    """An expression as `const + sum(coeffs[v] * v) + sum(havocs[k] * c_k)`,
+    where `c_k` is the value chosen for the k-th havoc occurrence."""
 
-
-@dataclass(frozen=True)
-class HavocExpr:
-    """Nondeterministic integer; resolved from a finite choice set at runtime."""
+    const: int
+    coeffs: dict[str, int]  # the nonzero coefficients, in order of first mention
+    havocs: tuple[int, ...]  # one coefficient per havoc occurrence, left to right
+    reads: frozenset[str]  # every variable mentioned: `y - y` still reads y
 
 
 @dataclass(frozen=True)
-class BinExpr:
-    op: str  # '+' or '-'
-    left: "Expr"
-    right: "Expr"
+class Expr:
+    """An n-ary sum `t1 +- t2 +- ...`, the only integer expression.
+
+    Each term is `(sign, factors, atom)`: `sign` is +1 or -1 (+1 for the
+    first term), `factors` the constants of the term's `k *` prefixes, and
+    `atom` an int literal, a variable name, `HAVOC` or a parenthesised `Expr`
+    of at least two terms.  The parser splices a leading parenthesised sum
+    into its parent and unwraps a group of one term, so the canonical
+    printer's output parses back to an equal `Expr`."""
+
+    terms: tuple[tuple[int, tuple[int, ...], object], ...]
+
+    @staticmethod
+    def of(atom) -> "Expr":
+        """The expression of one atom: a literal, a variable name or HAVOC."""
+        return Expr(((1, (), atom),))
+
+    @cached_property
+    def linear(self) -> Linear:
+        """The linear view, computed in one pass over the terms, groups
+        included, left to right."""
+        coeffs: dict[str, int] = {}
+        havocs: list[int] = []
+        const = _collect(self, 1, coeffs, havocs)
+        return Linear(const, {v: k for v, k in coeffs.items() if k}, tuple(havocs),
+                      frozenset(coeffs))
 
 
-@dataclass(frozen=True)
-class ScaledExpr:
-    """Constant multiplication `k * e` (the only multiplication allowed)."""
-
-    coef: int
-    expr: "Expr"
-
-
-Expr = Union[IntLit, VarRef, HavocExpr, BinExpr, ScaledExpr]
+def _collect(e: Expr, k: int, coeffs: dict[str, int], havocs: list[int]) -> int:
+    """Add the variable and havoc coefficients of `k * e` to `coeffs` and
+    `havocs`; return its constant."""
+    const = 0
+    for sign, factors, atom in e.terms:
+        c = sign * k
+        for f in factors:
+            c *= f
+        if type(atom) is str:
+            coeffs[atom] = coeffs.get(atom, 0) + c
+        elif atom is HAVOC:
+            havocs.append(c)
+        elif type(atom) is Expr:
+            const += _collect(atom, c, coeffs, havocs)
+        else:
+            const += c * atom
+    return const
 
 
 @dataclass(frozen=True)
@@ -67,9 +94,11 @@ class Cmp:
 
 @dataclass(frozen=True)
 class BoolOp:
+    """`args[0] op args[1] op ...`; like sums, a leading parenthesised chain
+    of the same operator is spliced in."""
+
     op: str  # '&&' or '||'
-    left: "BoolExpr"
-    right: "BoolExpr"
+    args: tuple["BoolExpr", ...]
 
 
 @dataclass(frozen=True)
@@ -80,62 +109,48 @@ class NotExpr:
 BoolExpr = Union[BoolLit, Cmp, BoolOp, NotExpr]
 
 
-def vars_of_expr(e: Expr) -> frozenset[str]:
-    if isinstance(e, VarRef):
-        return frozenset({e.name})
-    if isinstance(e, BinExpr):
-        return vars_of_expr(e.left) | vars_of_expr(e.right)
-    if isinstance(e, ScaledExpr):
-        return vars_of_expr(e.expr)
-    return frozenset()
-
-
 def vars_of_bool(b: BoolExpr) -> frozenset[str]:
     if isinstance(b, Cmp):
-        return vars_of_expr(b.left) | vars_of_expr(b.right)
+        return b.left.linear.reads | b.right.linear.reads
     if isinstance(b, BoolOp):
-        return vars_of_bool(b.left) | vars_of_bool(b.right)
+        return frozenset().union(*map(vars_of_bool, b.args))
     if isinstance(b, NotExpr):
         return vars_of_bool(b.expr)
     return frozenset()
 
 
-def havoc_slots(e: Expr) -> int:
-    """Number of independent havoc occurrences in `e`."""
-    if isinstance(e, HavocExpr):
-        return 1
-    if isinstance(e, BinExpr):
-        return havoc_slots(e.left) + havoc_slots(e.right)
-    if isinstance(e, ScaledExpr):
-        return havoc_slots(e.expr)
-    return 0
+# The evaluators walk the terms themselves rather than `Expr.linear`: they are
+# the reference semantics (metacheck, the envset domain, the benchmark's
+# oracle and the tests' reference steps) that the compiled steps and the
+# numerical domains, which read the linear view, are checked against.
 
 
 def eval_expr(e: Expr, env: Mapping[str, int], choices: tuple[int, ...] = ()) -> int:
     """Evaluate `e` under `env`; havoc occurrences consume `choices` left to right."""
-    value, used = _eval_expr(e, env, choices, 0)
-    if used != len(choices):
+    pending = list(reversed(choices))
+    value = _sum_value(e, env, pending)
+    if pending:
         raise ValueError("unused havoc choices")
     return value
 
 
-def _eval_expr(e, env, choices, idx):
-    if isinstance(e, IntLit):
-        return e.value, idx
-    if isinstance(e, VarRef):
-        return env[e.name], idx
-    if isinstance(e, HavocExpr):
-        if idx >= len(choices):
-            raise ValueError("havoc occurrence without a chosen value")
-        return choices[idx], idx + 1
-    if isinstance(e, BinExpr):
-        l, idx = _eval_expr(e.left, env, choices, idx)
-        r, idx = _eval_expr(e.right, env, choices, idx)
-        return (l + r) if e.op == "+" else (l - r), idx
-    if isinstance(e, ScaledExpr):
-        v, idx = _eval_expr(e.expr, env, choices, idx)
-        return e.coef * v, idx
-    raise TypeError(f"not an expression: {e!r}")
+def _sum_value(e: Expr, env, pending: list) -> int:
+    total = 0
+    for sign, factors, atom in e.terms:
+        if type(atom) is Expr:
+            value = _sum_value(atom, env, pending)
+        elif atom is HAVOC:
+            if not pending:
+                raise ValueError("havoc occurrence without a chosen value")
+            value = pending.pop()
+        elif type(atom) is str:
+            value = env[atom]
+        else:
+            value = atom
+        for k in factors:
+            value *= k
+        total += sign * value
+    return total
 
 
 CMP_FN = {
@@ -154,37 +169,14 @@ def eval_bool(b: BoolExpr, env: Mapping[str, int]) -> bool:
     if isinstance(b, Cmp):
         return CMP_FN[b.op](eval_expr(b.left, env), eval_expr(b.right, env))
     if isinstance(b, BoolOp):
-        if b.op == "&&":
-            return eval_bool(b.left, env) and eval_bool(b.right, env)
-        return eval_bool(b.left, env) or eval_bool(b.right, env)
+        decides = b.op == "||"  # the value of an operand that decides the chain
+        for a in b.args:
+            if eval_bool(a, env) is decides:
+                return decides
+        return not decides
     if isinstance(b, NotExpr):
         return not eval_bool(b.expr, env)
     raise TypeError(f"not a boolean expression: {b!r}")
-
-
-def linear_terms(e: Expr) -> tuple[dict[str, int], int, int]:
-    """Decompose `e` into (coefficients, constant, havoc slot count)."""
-    if isinstance(e, IntLit):
-        return {}, e.value, 0
-    if isinstance(e, VarRef):
-        return {e.name: 1}, 0, 0
-    if isinstance(e, HavocExpr):
-        return {}, 0, 1
-    if isinstance(e, BinExpr):
-        lc, lk, lh = linear_terms(e.left)
-        rc, rk, rh = linear_terms(e.right)
-        sign = 1 if e.op == "+" else -1
-        out = dict(lc)
-        for v, c in rc.items():
-            out[v] = out.get(v, 0) + sign * c
-        out = {v: c for v, c in out.items() if c != 0}
-        return out, lk + sign * rk, lh + rh
-    if isinstance(e, ScaledExpr):
-        c, k, h = linear_terms(e.expr)
-        if h:
-            raise ValueError("havoc under constant multiplication is not supported")
-        return {v: e.coef * cv for v, cv in c.items()}, e.coef * k, 0
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +245,7 @@ def negate_bool(b: "BoolExpr") -> "BoolExpr":
         return b.expr
     if isinstance(b, BoolOp):
         op = "||" if b.op == "&&" else "&&"
-        return BoolOp(op, negate_bool(b.left), negate_bool(b.right))
+        return BoolOp(op, tuple(map(negate_bool, b.args)))
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
@@ -275,7 +267,7 @@ class Instruction:
 def access_sets(c: Command) -> tuple[frozenset[str], frozenset[str]]:
     """(reads, writes) of a single command."""
     if isinstance(c, Assign):
-        return vars_of_expr(c.expr), frozenset({c.var})
+        return c.expr.linear.reads, frozenset({c.var})
     if isinstance(c, Assume):
         return vars_of_bool(c.cond), frozenset()
     return frozenset(), frozenset()
@@ -311,10 +303,6 @@ class RegionMap:
 
     members: tuple[tuple[str, tuple[str, ...]], ...]
     declared: tuple[str, ...] = ()
-
-    @staticmethod
-    def singletons(variables: tuple[str, ...]) -> "RegionMap":
-        return RegionMap(tuple((v, (v,)) for v in variables))
 
     @staticmethod
     def from_declared(
@@ -378,12 +366,6 @@ class Program:
     def instructions(self) -> tuple[Instruction, ...]:
         return tuple(i for t in self.threads for i in t.instructions)
 
-    def thread_of_location(self, loc: int) -> str:
-        for t in self.threads:
-            if loc in t.locations:
-                return t.name
-        raise KeyError(loc)
-
     def thread_index(self, name: str) -> int:
         for i, t in enumerate(self.threads):
             if t.name == name:
@@ -420,6 +402,20 @@ class ParseError(Exception):
         self.message = message
         self.line = line
         self.col = col
+
+
+class _TooDeep(ParseError):
+    """Nesting past MAX_NESTING: final, never backtracked over."""
+
+
+# Levels of `(`, `{` and `!` around any token, the thread body's braces and
+# the parentheses of `assume(...)` included.  Sums and `&&`/`||` chains are
+# flat, so nesting is all the front end and the walkers of expressions and
+# statements recurse on.  An `&&` chain inside an `||` chain is one more tree
+# level that no parenthesis marks, so a condition nests up to twice as deep
+# as its parentheses; the compiled step hands it to Python's parser, which
+# fails (MemoryError) past 185 parentheses of alternating `and` and `or`.
+MAX_NESTING = 100
 
 
 _KEYWORDS = {
@@ -484,6 +480,7 @@ class _Parser:
         self.variables: list[str] = []
         self.locks: list[str] = []
         self.declared_regions: dict[str, tuple[str, ...]] = {}
+        self.depth = 0
 
     # token helpers
 
@@ -505,6 +502,25 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
+
+    def open(self, kind: str) -> None:
+        """Consume `(`, `{` or `!`, one nesting level deeper."""
+        tok = self.expect(kind)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+
+    def close(self, kind: str) -> None:
+        self.expect(kind)
+        self.depth -= 1
+
+    def literal(self) -> int:
+        tok = self.expect("num")
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's limit on int/str digits
+            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                             tok.line, tok.col) from None
 
     # declarations
 
@@ -569,17 +585,16 @@ class _Parser:
         name = self.expect("ident")
         if name.text in existing:
             raise ParseError(f"duplicate thread name {name.text!r}", name.line, name.col)
-        self.expect("{")
-        body = self.parse_stmts()
-        self.expect("}")
-        return Thread(name=name.text, body=body)
+        return Thread(name=name.text, body=self.parse_block())
 
     # statements
 
-    def parse_stmts(self) -> tuple[Stmt, ...]:
+    def parse_block(self) -> tuple[Stmt, ...]:
+        self.open("{")
         stmts: list[Stmt] = []
         while self.peek().kind not in ("}", "eof"):
             stmts.append(self.parse_stmt())
+        self.close("}")
         return tuple(stmts)
 
     def parse_stmt(self) -> Stmt:
@@ -592,110 +607,103 @@ class _Parser:
             e = self.parse_expr()
             self.expect(";")
             return Assign(name.text, e)
-        if tok.kind == "assume":
-            self.advance()
-            self.expect("(")
-            b = self.parse_bexpr()
-            self.expect(")")
-            self.expect(";")
-            return Assume(b)
         if tok.kind in ("acquire", "release"):
             self.advance()
-            self.expect("(")
+            self.open("(")
             lk = self.expect("ident")
             if lk.text not in self.locks:
                 raise ParseError(f"undeclared lock {lk.text!r}", lk.line, lk.col)
-            self.expect(")")
+            self.close(")")
             self.expect(";")
             return Acquire(lk.text) if tok.kind == "acquire" else Release(lk.text)
+        if tok.kind not in ("assume", "assert", "while", "if"):
+            raise self.error(f"expected a statement, found {tok.text or 'end of input'!r}")
+        self.advance()
+        self.open("(")
+        b = self.parse_bexpr()
+        self.close(")")
+        if tok.kind == "assume":
+            self.expect(";")
+            return Assume(b)
         if tok.kind == "assert":
-            self.advance()
-            self.expect("(")
-            b = self.parse_bexpr()
-            self.expect(")")
             self.expect(";")
             return AssertStmt(b)
+        body = self.parse_block()
         if tok.kind == "while":
-            self.advance()
-            self.expect("(")
-            b = self.parse_bexpr()
-            self.expect(")")
-            self.expect("{")
-            body = self.parse_stmts()
-            self.expect("}")
             return WhileStmt(b, body)
-        if tok.kind == "if":
+        else_body: tuple[Stmt, ...] = ()
+        if self.peek().kind == "else":
             self.advance()
-            self.expect("(")
-            b = self.parse_bexpr()
-            self.expect(")")
-            self.expect("{")
-            then_body = self.parse_stmts()
-            self.expect("}")
-            else_body: tuple[Stmt, ...] = ()
-            if self.peek().kind == "else":
-                self.advance()
-                self.expect("{")
-                else_body = self.parse_stmts()
-                self.expect("}")
-            return IfStmt(b, then_body, else_body)
-        raise self.error(f"expected a statement, found {tok.text or 'end of input'!r}")
+            else_body = self.parse_block()
+        return IfStmt(b, body, else_body)
 
     # expressions
 
     def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            e = BinExpr(op, e, self.parse_term())
-        return e
+        terms: list = []
+        sign = 1
+        while True:
+            self.parse_term(sign, terms)
+            if self.peek().kind not in ("+", "-"):
+                return Expr(tuple(terms))
+            sign = 1 if self.advance().kind == "+" else -1
 
-    def parse_term(self) -> Expr:
+    def parse_term(self, sign: int, terms: list) -> None:
+        """Append the term `k1 * ... * kn * atom` to `terms`.  A group of one
+        term adds its factors to the term's; a leading group with no factors
+        is spliced into `terms`."""
+        factors = []
+        while self.peek().kind == "num" and self.tokens[self.pos + 1].kind == "*":
+            factors.append(self.literal())
+            self.advance()
         tok = self.peek()
         if tok.kind == "num":
-            # lookahead for constant multiplication `int * expr`
-            if self.tokens[self.pos + 1].kind == "*":
-                self.advance()
-                self.advance()
-                return ScaledExpr(int(tok.text), self.parse_term())
-            self.advance()
-            return IntLit(int(tok.text))
-        if tok.kind == "ident":
+            atom = self.literal()
+        elif tok.kind == "ident":
             self.advance()
             if tok.text not in self.variables:
                 raise ParseError(f"undeclared variable {tok.text!r}", tok.line, tok.col)
-            return VarRef(tok.text)
-        if tok.kind == "havoc":
+            atom = tok.text
+        elif tok.kind == "havoc":
             self.advance()
-            return HavocExpr()
-        if tok.kind == "(":
-            self.advance()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
+            atom = HAVOC
+        elif tok.kind == "(":
+            self.open("(")
+            group = self.parse_expr()
+            self.close(")")
+            if len(group.terms) == 1:
+                _, inner, atom = group.terms[0]
+                factors.extend(inner)
+            elif not terms and not factors:
+                terms.extend(group.terms)
+                return
+            else:
+                atom = group
+        else:
+            raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
+        terms.append((sign, tuple(factors), atom))
 
     # boolean expressions; precedence: ! > cmp > && > ||
 
     def parse_bexpr(self) -> BoolExpr:
-        b = self.parse_bconj()
-        while self.peek().kind == "||":
+        disjuncts = []
+        while True:
+            conjuncts = [self.parse_batom()]
+            while self.peek().kind == "&&":
+                self.advance()
+                conjuncts.append(self.parse_batom())
+            disjuncts.append(_chain("&&", conjuncts))
+            if self.peek().kind != "||":
+                return _chain("||", disjuncts)
             self.advance()
-            b = BoolOp("||", b, self.parse_bconj())
-        return b
-
-    def parse_bconj(self) -> BoolExpr:
-        b = self.parse_batom()
-        while self.peek().kind == "&&":
-            self.advance()
-            b = BoolOp("&&", b, self.parse_batom())
-        return b
 
     def parse_batom(self) -> BoolExpr:
         tok = self.peek()
         if tok.kind == "!":
-            self.advance()
-            return NotExpr(self.parse_batom())
+            self.open("!")
+            b = NotExpr(self.parse_batom())
+            self.depth -= 1
+            return b
         if tok.kind == "true":
             self.advance()
             return BoolLit(True)
@@ -704,26 +712,37 @@ class _Parser:
             return BoolLit(False)
         if tok.kind == "(":
             # either a parenthesized bexpr or the left expr of a comparison
-            saved = self.pos
+            saved = self.pos, self.depth
             try:
-                self.advance()
+                self.open("(")
                 inner = self.parse_bexpr()
-                self.expect(")")
+                self.close(")")
                 if self.peek().kind in CMP_FN:
                     raise self.error("comparison of boolean value")
                 return inner
+            except _TooDeep:
+                raise
             except ParseError:
-                self.pos = saved
+                self.pos, self.depth = saved
         left = self.parse_expr()
         op = self.peek()
         if op.kind not in CMP_FN:
             raise self.error(f"expected a comparison operator, found {op.text!r}")
         self.advance()
         right = self.parse_expr()
-        b = Cmp(op.kind, left, right)
-        if havoc_slots(left) or havoc_slots(right):
+        if left.linear.havocs or right.linear.havocs:
             raise ParseError("havoc is not allowed in boolean conditions", op.line, op.col)
-        return b
+        return Cmp(op.kind, left, right)
+
+
+def _chain(op: str, args: list) -> BoolExpr:
+    """`args` joined by `op`; a leading parenthesised chain of `op` is
+    spliced in, the way the printer prints it."""
+    if len(args) == 1:
+        return args[0]
+    if isinstance(args[0], BoolOp) and args[0].op == op:
+        args[:1] = args[0].args
+    return BoolOp(op, tuple(args))
 
 
 def parse_program(text: str) -> Program:
@@ -835,26 +854,16 @@ def desugar(p: Program) -> Program:
 # Canonical printer (round-trips through parse_program)
 
 
-def _print_expr(e: Expr, parent: str = "") -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, VarRef):
-        return e.name
-    if isinstance(e, HavocExpr):
-        return "havoc"
-    if isinstance(e, ScaledExpr):
-        inner = _print_expr(e.expr, parent="*")
-        return f"{e.coef} * {inner}"
-    if isinstance(e, BinExpr):
-        left = _print_expr(e.left)
-        right = _print_expr(e.right)
-        if isinstance(e.right, BinExpr):
-            right = f"({right})"
-        text = f"{left} {e.op} {right}"
-        if parent == "*":
-            return f"({text})"
-        return text
-    raise TypeError(f"not an expression: {e!r}")
+def _print_expr(e: Expr) -> str:
+    parts = []
+    for sign, factors, atom in e.terms:
+        if type(atom) is Expr:
+            text = f"({_print_expr(atom)})"
+        else:
+            text = "havoc" if atom is HAVOC else str(atom)
+        text = "".join(f"{k} * " for k in factors) + text
+        parts.append(text if not parts else f"{'+' if sign > 0 else '-'} {text}")
+    return " ".join(parts)
 
 
 def _print_bexpr(b: BoolExpr, parent_prec: int = 0) -> str:
@@ -867,7 +876,9 @@ def _print_bexpr(b: BoolExpr, parent_prec: int = 0) -> str:
         return f"!{_print_bexpr(b.expr, 3)}"
     if isinstance(b, BoolOp):
         prec = 2 if b.op == "&&" else 1
-        text = f"{_print_bexpr(b.left, prec)} {b.op} {_print_bexpr(b.right, prec + 1)}"
+        first, *rest = b.args
+        text = f" {b.op} ".join([_print_bexpr(first, prec)]
+                                + [_print_bexpr(a, prec + 1) for a in rest])
         if prec < parent_prec:
             return f"({text})"
         return text

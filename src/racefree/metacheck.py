@@ -47,7 +47,6 @@ from .lang import (
     desugar,
     eval_bool,
     eval_expr,
-    havoc_slots,
     instr_accesses,
     parse_program,
 )
@@ -360,7 +359,7 @@ def _cartesian_transfer(
         for env in src:
             env_map = {v: env[i] for v, i in var_index.items()}
             for choices in product(tuple(sorted(set(havoc_values))),
-                                   repeat=havoc_slots(c.expr)):
+                                   repeat=len(c.expr.linear.havocs)):
                 value = eval_expr(c.expr, env_map, choices)
                 out[instr.target].add(
                     tuple(value if k == vi else x for k, x in enumerate(env)))

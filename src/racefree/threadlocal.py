@@ -25,7 +25,6 @@ from .concrete import (
     ProgramIndex,
     StdState,
     executions,
-    format_step,
 )
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap
 
@@ -212,19 +211,3 @@ def enumerate_local_executions(
     ctx = ctx or LocalContext(p)
     return executions(ctx, initial_local_state(p, ctx), local_step, depth,
                       havoc_values, budget)
-
-
-def format_versioned_env(p: Program, ve: VersionedEnv) -> str:
-    parts = [f"{v}↦{ve.values[i]}^{ve.versions[i]}"
-             for i, v in enumerate(p.variables)]
-    return ", ".join(parts)
-
-
-def format_local_execution(e: Execution, p: Program) -> str:
-    """Mirror of the interleaving trace dump, with version superscripts."""
-    lines = []
-    for tr in e.steps:
-        lines.append(format_step(tr, p))
-        lines.append(f"  {p.threads[tr.tid].name}: "
-                     f"{format_versioned_env(p, tr.post.theta[tr.tid])}")
-    return "\n".join(lines)

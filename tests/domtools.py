@@ -9,6 +9,7 @@ deterministic; the acceptance suite reruns these at high case counts.
 from __future__ import annotations
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -21,20 +22,17 @@ from racefree.absdom import (
     OctagonDomain,
 )
 from racefree.lang import (
+    HAVOC as HAVOC_ATOM,
     Assign,
     Assume,
-    BinExpr,
     BoolLit,
     BoolOp,
     Cmp,
-    HavocExpr,
-    IntLit,
+    Expr,
     NotExpr,
-    ScaledExpr,
-    VarRef,
     eval_bool,
     eval_expr,
-    havoc_slots,
+    parse_program,
 )
 
 BOX = (-4, 4)
@@ -44,6 +42,41 @@ INF = math.inf
 
 def box_tuples(n):
     return list(product(range(BOX[0], BOX[1] + 1), repeat=n))
+
+
+# ---------------------------------------------------------------------------
+# expressions
+
+
+def expr(text: str) -> Expr:
+    """The expression `text` as the parser reads it."""
+    names = sorted(set(re.findall(r"[A-Za-z_]\w*", text)) - {"havoc"}) or ["z"]
+    p = parse_program(f"var {', '.join(names)}; thread t {{ {names[0]} := {text}; }}")
+    return p.threads[0].body[0].expr
+
+
+def binop(op: str, left: Expr, right: Expr) -> Expr:
+    """`(left) op (right)` as the parser builds it: the leading group is
+    spliced in, a group of one term unwrapped."""
+    return Expr(left.terms + (_group(1 if op == "+" else -1, (), right),))
+
+
+def scaled(k: int, e: Expr) -> Expr:
+    """`k * (e)` as the parser builds it."""
+    return Expr((_group(1, (k,), e),))
+
+
+def _group(sign: int, factors: tuple, e: Expr) -> tuple:
+    if len(e.terms) == 1:
+        _, inner, atom = e.terms[0]
+        return sign, factors + inner, atom
+    return sign, factors, e
+
+
+def chain(op: str, left, right) -> BoolOp:
+    """`(left) op (right)` as the parser builds it."""
+    args = left.args if isinstance(left, BoolOp) and left.op == op else (left,)
+    return BoolOp(op, args + (right,))
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +136,24 @@ def rand_expr(variables, rng, allow_havoc=True, depth=0):
         choices.append("havoc")
     kind = rng.choice(choices if depth < 2 else ["const", "var"])
     if kind == "const":
-        return IntLit(rng.randint(-3, 3))
+        return Expr.of(rng.randint(-3, 3))
     if kind == "var":
-        return VarRef(rng.choice(variables))
+        return Expr.of(rng.choice(variables))
     if kind == "havoc":
-        return HavocExpr()
+        return Expr.of(HAVOC_ATOM)
     if kind == "scaled":
-        return ScaledExpr(rng.choice((-2, -1, 2, 3)),
-                          rand_expr(variables, rng, False, depth + 1))
+        return scaled(rng.choice((-2, -1, 2, 3)),
+                      rand_expr(variables, rng, False, depth + 1))
     op = "+" if kind == "sum" else "-"
-    return BinExpr(op, rand_expr(variables, rng, allow_havoc, depth + 1),
-                   rand_expr(variables, rng, allow_havoc, depth + 1))
+    return binop(op, rand_expr(variables, rng, allow_havoc, depth + 1),
+                 rand_expr(variables, rng, allow_havoc, depth + 1))
 
 
 def rand_cond(variables, rng, depth=0):
     if depth < 1 and rng.random() < 0.3:
         op = rng.choice(("&&", "||"))
-        return BoolOp(op, rand_cond(variables, rng, depth + 1),
-                      rand_cond(variables, rng, depth + 1))
+        return chain(op, rand_cond(variables, rng, depth + 1),
+                     rand_cond(variables, rng, depth + 1))
     if rng.random() < 0.1:
         return NotExpr(rand_cond(variables, rng, depth + 1))
     if rng.random() < 0.05:
@@ -149,7 +182,7 @@ def concrete_post(variables, cmd, env_tuples):
         env_map = dict(zip(variables, env))
         if isinstance(cmd, Assign):
             vi = index[cmd.var]
-            for choices in product(HAVOC, repeat=havoc_slots(cmd.expr)):
+            for choices in product(HAVOC, repeat=len(cmd.expr.linear.havocs)):
                 value = eval_expr(cmd.expr, env_map, choices)
                 out.add(tuple(value if k == vi else x for k, x in enumerate(env)))
         else:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domtools
+from domtools import binop, expr, scaled
 from racefree.absdom import (
     BOTTOM,
     DomainError,
@@ -24,15 +25,11 @@ from racefree.absdom import (
     singleton_partition,
 )
 from racefree.lang import (
+    HAVOC,
     Assign,
-    BinExpr,
     Cmp,
-    HavocExpr,
-    IntLit,
-    ScaledExpr,
-    VarRef,
+    Expr,
     eval_expr,
-    havoc_slots,
     parse_program,
 )
 
@@ -146,14 +143,14 @@ def test_envset_has_no_widening():
 def test_assign_copy_interval():
     dom = IntervalDomain(("x", "y"))
     d = IntervalElem((((-INF, INF)), (1, 2)))
-    out = dom.assign(d, "x", VarRef("y"))
+    out = dom.assign(d, "x", expr("y"))
     assert out.bounds[0] == (1, 2)
 
 
 def test_assign_offset_octagon():
     dom = OctagonDomain(("x", "y"))
     d = octagon_from(dom, ["y >= 0"])
-    out = dom.assign(d, "x", BinExpr("+", VarRef("y"), IntLit(1)))
+    out = dom.assign(d, "x", expr("y + 1"))
     assert dom.entails(out, cond("x == y + 1", "x, y"))
     assert dom.entails(out, cond("y >= 0", "x, y"))
 
@@ -161,7 +158,7 @@ def test_assign_offset_octagon():
 def test_assign_havoc_forgets():
     dom = OctagonDomain(("x", "y"))
     d = octagon_from(dom, ["x == y", "x >= 1", "x <= 2"])
-    out = dom.assign(d, "x", HavocExpr())
+    out = dom.assign(d, "x", expr("havoc"))
     ivals = dom.intervals_of(out)
     assert ivals[0] == (-INF, INF)
     assert ivals[1] == (1, 2)
@@ -309,7 +306,7 @@ def test_widened_element_is_closed_once(monkeypatch):
     assert not w.closed
     raw = w.m.tobytes()
     calls = _count_closures(monkeypatch, w)
-    x_plus_1 = BinExpr("+", VarRef("x"), IntLit(1))
+    x_plus_1 = expr("x + 1")
     for _ in range(2):
         assert dom.leq(a, w) and dom.leq(w, w)
         assert dom.equal(w, w)
@@ -337,7 +334,7 @@ def test_unsatisfiable_widened_element_caches_bottom(monkeypatch):
         assert dom.equal(w, w)
         assert dom.join(w, dom.initial()) == dom.initial()
         assert dom.assume(w, cond("x <= 3", "x")) is BOTTOM
-        assert dom.assign(w, "x", IntLit(1)) is BOTTOM
+        assert dom.assign(w, "x", expr("1")) is BOTTOM
     assert len(calls) == 1
     assert w.closure is BOTTOM
 
@@ -414,10 +411,10 @@ def test_transfers_and_mix_close_like_the_full_closure(monkeypatch):
         for _ in range(40):
             d = _closed_octagon(dom, rng)
             x, y = rng.choice(variables), rng.choice(variables)
-            c = IntLit(rng.randint(-3, 3))
-            dom.assign(d, x, BinExpr("+", VarRef(x), c))
-            dom.assign(d, x, BinExpr("-", c, VarRef(x)))
-            dom.assign(d, x, BinExpr("-", VarRef(y), c))
+            c = Expr.of(rng.randint(-3, 3))
+            dom.assign(d, x, binop("+", Expr.of(x), c))
+            dom.assign(d, x, binop("-", c, Expr.of(x)))
+            dom.assign(d, x, binop("-", Expr.of(y), c))
             cmd = domtools.rand_command(variables, rng)
             if isinstance(cmd, Assign):
                 dom.assign(d, cmd.var, cmd.expr)
@@ -439,7 +436,7 @@ def test_closure_saturates_a_bound_beyond_the_limit():
     assert _every_entry_bounded_or_none(dom, d)
     assert _octagon_holds(dom, d, (0, lim, -lim))  # y - z = 2 * lim is kept
     # x := 0 forgets x, so no path re-derives y - z: it stays unbounded
-    out = dom.assign(d, "x", IntLit(0))
+    out = dom.assign(d, "x", expr("0"))
     assert out.m[z, y] == _NO_BOUND and _octagon_holds(dom, out, (0, lim, -lim))
 
 
@@ -499,15 +496,15 @@ def test_constant_and_copy_assigns_match_the_exact_entries():
                 x = rng.choice(variables)
                 others = [v for v in variables if v != x]
                 for c in constants:
-                    got = dom.assign(d, x, IntLit(c))
+                    got = dom.assign(d, x, Expr.of(c))
                     assert got == _branch_assign(dom, d, x, None, 0, c)
                     checked += 1
                     if not others:
                         continue
                     y = rng.choice(others)
-                    got = dom.assign(d, x, BinExpr("+", VarRef(y), IntLit(c)))
+                    got = dom.assign(d, x, binop("+", Expr.of(y), Expr.of(c)))
                     assert got == _branch_assign(dom, d, x, y, 1, c)
-                    got = dom.assign(d, x, BinExpr("-", IntLit(c), VarRef(y)))
+                    got = dom.assign(d, x, binop("-", Expr.of(c), Expr.of(y)))
                     assert got == _branch_assign(dom, d, x, y, -1, c)
                     checked += 2
     assert checked == 6 * 2 * 7 * (1 + 3 * 5)  # n = 1 has no y: one assign, not three
@@ -520,7 +517,7 @@ def test_copy_and_the_exact_entries_agree_on_bounds_near_2_pow_50():
     dom = OctagonDomain(("x", "y"))
     d = octagon_from(dom, [f"x <= {2 ** 49}", "y - x <= 10"])
     assert d.m[3, 2] == 2 ** 50 + 20 <= dom._limit
-    out = dom.assign(d, "x", BinExpr("-", VarRef("y"), IntLit(20)))
+    out = dom.assign(d, "x", expr("y - 20"))
     assert dom.constraints(out) == [f"x <= {2 ** 49 - 10}", f"y <= {2 ** 49 + 10}",
                                     "x = y - 20"]
     assert _branch_assign(dom, d, "x", "y", 1, -20) == out
@@ -531,7 +528,7 @@ def test_constant_assign_keeps_a_bound_closure_derived():
     and y keeps the bound that closure derived through it."""
     dom = OctagonDomain(("x", "y"))
     d = octagon_from(dom, [f"x <= {2 ** 49}", "y - x <= 10"])
-    out = dom.assign(d, "x", IntLit(0))
+    out = dom.assign(d, "x", expr("0"))
     assert dom.constraints(out) == ["x = 0", f"y <= {2 ** 49 + 10}"]
 
 
@@ -573,16 +570,16 @@ def test_sum_entries_spell_the_unary_and_pair_encodings():
 
 def test_interval_bound_above_2_pow_52_stays_exact():
     dom = IntervalDomain(("x",))
-    big = dom.assign(dom.initial(), "x", IntLit(9007199254740993))
+    big = dom.assign(dom.initial(), "x", expr("9007199254740993"))
     assert big.bounds == ((2 ** 53 + 1, 2 ** 53 + 1),)
     assert not dom.entails(big, cond("x == 9007199254740994", "x"))
     assert dom.entails(big, cond("x == 9007199254740993", "x"))
-    edge = dom.assign(dom.initial(), "x", IntLit(2 ** 52))
+    edge = dom.assign(dom.initial(), "x", expr(f"{2 ** 52}"))
     assert edge.bounds == ((2 ** 52, 2 ** 52),)
     assert dom.assume(dom.top(), cond(f"x <= {2 ** 52 + 1}", "x")).bounds \
         == ((-INF, 2 ** 52 + 1),)
     # beyond int64 too
-    huge = dom.assign(big, "x", BinExpr("+", VarRef("x"), IntLit(2 ** 70)))
+    huge = dom.assign(big, "x", expr(f"x + {2 ** 70}"))
     assert huge.bounds == ((2 ** 70 + 2 ** 53 + 1, 2 ** 70 + 2 ** 53 + 1),)
 
 
@@ -601,15 +598,14 @@ def test_octagon_bound_is_exact_within_the_limit_and_dropped_beyond():
     dom = OctagonDomain(("x", "y"))
     assert dom._limit == 2 ** 57  # a unary bound b is the entry 2b
     start = dom.initial()
-    x, y = VarRef("x"), VarRef("y")
     relation = 2 ** 56 + 1  # the unary entry 2c is beyond the limit, c is not
     for c, want in ((2 ** 53 + 1, [f"x = {2 ** 53 + 1}", "y = 0"]),
                     (2 ** 56, [f"x = {2 ** 56}", "y = 0"]),
                     (relation, ["y = 0", f"x = y + {relation}", f"x + y = {relation}"]),
                     (2 ** 60, ["y = 0"])):
-        for expr in (BinExpr("+", x, IntLit(c)), BinExpr("+", y, IntLit(c))):
-            assert dom.constraints(dom.assign(start, "x", expr)) == want
-        constant = dom.assign(start, "x", IntLit(c))
+        for e in (expr(f"x + {c}"), expr(f"y + {c}")):
+            assert dom.constraints(dom.assign(start, "x", e)) == want
+        constant = dom.assign(start, "x", expr(f"{c}"))
         assert dom.intervals_of(constant)[0] == ((c, c) if c <= 2 ** 56 else (-INF, INF))
     # a guard bound beyond the limit is dropped, but still decides emptiness
     # exactly, through the interval fallback
@@ -623,9 +619,9 @@ def test_octagon_bound_is_exact_within_the_limit_and_dropped_beyond():
 def test_octagon_closure_sums_never_round():
     # y = 2^52 + 2^52 + 1 = 2^53 + 1: twice that, as a float, rounds to 2^54
     dom = OctagonDomain(("x", "y"))
-    d = dom.assign(dom.initial(), "x", IntLit(2 ** 52))
-    d = dom.assign(d, "y", BinExpr("+", VarRef("x"), IntLit(2 ** 52)))
-    d = dom.assign(d, "y", BinExpr("+", VarRef("y"), IntLit(1)))
+    d = dom.assign(dom.initial(), "x", expr(f"{2 ** 52}"))
+    d = dom.assign(d, "y", expr(f"x + {2 ** 52}"))
+    d = dom.assign(d, "y", expr("y + 1"))
     assert not dom.entails(d, cond(f"y == {2 ** 53}", "x, y"))
     assert not dom.entails(d, cond(f"y <= {2 ** 53}", "x, y"))
     assert dom.entails(d, cond(f"y == {2 ** 53 + 1}", "x, y"))
@@ -656,10 +652,10 @@ def _holds(dom, d, point) -> bool:
 
 def _linear(variables, rng):
     """A random linear expression: unit and scaled terms plus a constant."""
-    e = IntLit(rng.choice((0, rng.randint(-9, 9), _big(rng))))
+    e = Expr.of(rng.choice((0, rng.randint(-9, 9), _big(rng))))
     for v in rng.sample(variables, rng.randint(1, min(2, len(variables)))):
-        term = VarRef(v) if rng.random() < 0.7 else ScaledExpr(rng.choice((-2, 3)), VarRef(v))
-        e = BinExpr(rng.choice("+-"), e, term)
+        term = Expr.of(v) if rng.random() < 0.7 else scaled(rng.choice((-2, 3)), Expr.of(v))
+        e = binop(rng.choice("+-"), e, term)
     return e
 
 
@@ -671,7 +667,7 @@ def _true_at(variables, point, rng):
     slack = rng.choice((0, rng.randint(0, 9), abs(_big(rng))))
     op, bound = rng.choice((("<=", value + slack), (">=", value - slack), ("==", value),
                             ("!=", value + slack + 1)))
-    return Cmp(op, e, IntLit(bound))
+    return Cmp(op, e, Expr.of(bound))
 
 
 def _around(dom, point, rng):
@@ -698,11 +694,11 @@ def test_transfers_stay_sound_at_large_magnitudes():
             x = rng.choice(variables)
             if step in ("assign", "shift"):
                 if step == "shift":  # x := +-x + c keeps x's relations
-                    c = IntLit(rng.choice((rng.randint(-9, 9), _big(rng))))
-                    e = rng.choice((BinExpr("+", VarRef(x), c), BinExpr("-", c, VarRef(x))))
+                    c = Expr.of(rng.choice((rng.randint(-9, 9), _big(rng))))
+                    e = rng.choice((binop("+", Expr.of(x), c), binop("-", c, Expr.of(x))))
                 else:
-                    e = HavocExpr() if rng.random() < 0.1 else _linear(variables, rng)
-                choices = (rng.randint(-3, 3),) * havoc_slots(e)
+                    e = Expr.of(HAVOC) if rng.random() < 0.1 else _linear(variables, rng)
+                choices = (rng.randint(-3, 3),) * len(e.linear.havocs)
                 value = eval_expr(e, dict(zip(variables, point)), choices)
                 point[variables.index(x)] = value
                 elems = [dom.assign(d, x, e) for dom, d in zip(doms, elems)]
@@ -785,11 +781,11 @@ def _tagged(value, tids):
 
 def test_recency_write_tags_thread():
     _, dom = _recency(tid=0)
-    f = dom.assign(dom.initial(), "x", IntLit(1))
+    f = dom.assign(dom.initial(), "x", expr("1"))
     assert f.tids == frozenset({0})
     assert f.elem == IntervalElem(((1, 1),))
-    assert dom.assign(f, "x", IntLit(2)).tids == frozenset({0})
-    assert dom.assign(_tagged(0, {2}), "x", IntLit(1)).tids == frozenset({0, 2})
+    assert dom.assign(f, "x", expr("2")).tids == frozenset({0})
+    assert dom.assign(_tagged(0, {2}), "x", expr("1")).tids == frozenset({0, 2})
 
 
 def test_recency_apply_per_command():
@@ -800,7 +796,7 @@ def test_recency_apply_per_command():
 
     _, dom = _recency(tid=1)
     f = _tagged(0, {2})
-    assert dom.assign(f, "x", IntLit(1)).tids == frozenset({1, 2})
+    assert dom.assign(f, "x", expr("1")).tids == frozenset({1, 2})
     assert dom.assume(f, cond("x == x", "x")).tids == frozenset({2})
     assert dom.mix([f], singleton_partition(1)).tids == frozenset({2})
     p = desugar(parse_program("var x;\nlock m;\nthread t { acquire(m); release(m); }"))

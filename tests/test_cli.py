@@ -10,6 +10,7 @@ import pytest
 
 from racefree import corpus
 from racefree.cli import run_cli
+from racefree.lang import MAX_NESTING
 
 
 @pytest.fixture()
@@ -277,3 +278,125 @@ def test_analyze_recency_dead_branch_passes_the_postfixpoint_check(tmp_path, cap
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert "PROVED" in captured.out and "1/1 assertions proved" in captured.out
+
+
+# Long and deeply nested inputs.  Sums and &&/|| chains are flat, so their
+# length is unlimited; parentheses, `!` and blocks nest up to MAX_NESTING
+# levels, counted over every enclosing `(`, `{` and `!`.  Each of these
+# inputs ended in "internal error: RecursionError" (exit 3) before.
+
+LONG = 1500
+LOCKED = ("var x, y;\nlock m;\n"
+          "thread t {{ acquire(m); {body} release(m); assert(x >= 0); }}\n"
+          "thread u {{ acquire(m); y := x; release(m); }}\n")
+LONG_INPUTS = {
+    "sum": LOCKED.format(body="x := x" + " + 1" * (LONG - 1) + ";"),
+    "product": LOCKED.format(body="x := " + "2 * " * (LONG - 1) + "x;"),
+    "and-chain": LOCKED.format(
+        body="assume(" + " && ".join(f"x <= {k}" for k in range(LONG)) + ");"),
+    "or-chain": LOCKED.format(
+        body="assume(" + " || ".join(f"x == {k}" for k in range(LONG)) + ");"),
+}
+LONG_RUNS = {
+    "valset": ["analyze", "--analysis", "valset"],
+    "rel": ["analyze", "--analysis", "rel"],
+    "regrel": ["analyze", "--analysis", "regrel"],
+    "envset": ["analyze", "--domain", "envset"],
+    "races": ["races", "--kind", "both", "--depth", "6"],
+    "explore": ["explore", "--depth", "4"],
+    "metacheck": ["metacheck", "--depth", "6", "--samples", "10"],
+    "dot": ["dot"],
+}
+
+
+@pytest.mark.parametrize("run", LONG_RUNS)
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_long_sums_and_chains_run_every_subcommand(tmp_path, capsys, name, run):
+    f = tmp_path / f"{name}.cp"
+    f.write_text(LONG_INPUTS[name])
+    code = run_cli([*LONG_RUNS[run], str(f)])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["races", "--depth", "2"], ["explore", "--depth", "1"]])
+def test_a_sum_of_many_variables_compiles(tmp_path, capsys, argv):
+    # the compiled step sums 3000 distinct terms; as one chain of `+`, the
+    # Python compiler recursed past its limit
+    names = [f"v{k}" for k in range(3000)]
+    f = tmp_path / "wide.cp"
+    f.write_text(f"var x, {', '.join(names)};\nthread t {{ x := {' + '.join(names)}; }}\n")
+    code = run_cli([*argv, str(f)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+
+
+def _nested(kind: str, levels: int) -> tuple[str, str]:
+    """A program whose innermost opener is `levels` deep, on line 2, and the
+    text that starts with that opener."""
+    if kind == "parens":  # x - (1 - (1 - ... (1 - x)))
+        inner = levels - 1  # the thread's braces are the first level
+        return ("var x;\nthread t { x := x" + " - (1" * inner + " - x" + ")" * inner
+                + "; assert(x >= 0); }\n"), "(1 - x)"
+    if kind == "guard-parens":  # x >= 0 && (x >= 1 || x >= 2 && (...)), no parens dropped
+        inner = levels - 2  # the thread's braces and assume's parentheses
+        cond = "x >= 0" + " && (x >= 1 || x >= 2" * inner + ")" * inner
+        return (f"var x;\nthread t {{ x := havoc; assume({cond}); assert(x >= 0); }}\n",
+                "(x >= 1 || x >= 2)")
+    if kind == "not":
+        inner = levels - 2
+        return f"var x;\nthread t {{ assert({'!' * inner}x == 0); }}\n", "!x == 0"
+    assert kind == "blocks"  # each `if` adds a level of braces
+    inner = levels - 1
+    return ("var x;\nthread t { " + "if (x >= 0) { " * inner + "x := x + 1; "
+            + "} " * inner + "assert(x >= 0); }\n"), "(x >= 0) { x := "
+
+
+NESTED_KINDS = ("parens", "guard-parens", "not", "blocks")
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
+def test_nesting_at_the_cap_analyzes(tmp_path, capsys, kind):
+    f = tmp_path / f"{kind}.cp"
+    f.write_text(_nested(kind, MAX_NESTING)[0])
+    for argv in LONG_RUNS.values():
+        code = run_cli([*argv, str(f)])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("kind", NESTED_KINDS)
+def test_nesting_past_the_cap_is_a_parse_error_at_the_token(tmp_path, capsys, kind):
+    text, innermost = _nested(kind, MAX_NESTING + 1)
+    col = text.splitlines()[1].index(innermost) + 1
+    f = tmp_path / f"{kind}.cp"
+    f.write_text(text)
+    code = run_cli(["analyze", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f": 2:{col}: nesting deeper than {MAX_NESTING} levels" in err
+
+
+def test_literal_past_the_int_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # int() of more than 4300 digits raises ValueError: exit 3 before
+    digits = "7" * 4301
+    f = tmp_path / "long_literal.cp"
+    f.write_text(f"var x;\nthread t {{ x := {digits}; }}\n")
+    code = run_cli(["analyze", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert ": 2:17: integer literal of 4301 digits is too long" in err
+
+
+def test_analyze_prints_a_bound_past_the_digit_limit_in_hex(tmp_path, capsys):
+    # y's bound has 8000 digits; str() of it raised ValueError: exit 3 before
+    n = "9" * 4000
+    f = tmp_path / "big_bound.cp"
+    f.write_text(f"var x, y;\nthread t {{ x := {n}; y := {n} * x; assert(y >= 0); }}\n")
+    code = run_cli(["analyze", "--analysis", "valset", "--format", "json", str(f)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    fact = json.loads(captured.out)["assertions"][0]["fact"]
+    assert fact == f"x = {n}; y = {hex(int(n) ** 2)}"

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from domtools import binop, chain, scaled
 from racefree import corpus
 from racefree.concrete import (
     ProgramIndex,
@@ -25,27 +26,22 @@ from racefree.concrete import (
     translate_for_region_races,
 )
 from racefree.lang import (
+    HAVOC,
     Acquire,
     Assign,
     Assume,
-    BinExpr,
     BoolLit,
-    BoolOp,
     Cmp,
-    HavocExpr,
+    Expr,
     Instruction,
-    IntLit,
     NotExpr,
     Program,
     RegionMap,
     Release,
-    ScaledExpr,
     Thread,
-    VarRef,
     desugar,
     eval_bool,
     eval_expr,
-    havoc_slots,
     parse_program,
     parse_region_text,
 )
@@ -128,23 +124,23 @@ def random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         kind = rng.randrange(4)
         if kind == 0:
-            return HavocExpr()
+            return Expr.of(HAVOC)
         if kind == 1:
-            return IntLit(rng.choice([0, 1, -2, 7, BIG - 1, BIG + 3, -BIG]))
-        return VarRef(rng.choice(VARS))
+            return Expr.of(rng.choice([0, 1, -2, 7, BIG - 1, BIG + 3, -BIG]))
+        return Expr.of(rng.choice(VARS))
     kind = rng.randrange(4)
     if kind == 0:  # k * (havoc - x)
-        return ScaledExpr(rng.choice([-3, 2, 5]),
-                          BinExpr("-", HavocExpr(), random_expr(rng, depth - 1)))
+        return scaled(rng.choice([-3, 2, 5]),
+                      binop("-", Expr.of(HAVOC), random_expr(rng, depth - 1)))
     if kind == 1:
-        return ScaledExpr(rng.choice([-1, 0, 3, BIG]), random_expr(rng, depth - 1))
-    return BinExpr(rng.choice("+-"), random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+        return scaled(rng.choice([-1, 0, 3, BIG]), random_expr(rng, depth - 1))
+    return binop(rng.choice("+-"), random_expr(rng, depth - 1), random_expr(rng, depth - 1))
 
 
 def random_guard(rng, depth):
     def side():
         e = random_expr(rng, 2)
-        return e if not havoc_slots(e) else VarRef(rng.choice(VARS))
+        return e if not e.linear.havocs else Expr.of(rng.choice(VARS))
 
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.1:
@@ -152,8 +148,8 @@ def random_guard(rng, depth):
         return Cmp(rng.choice(["==", "!=", "<", "<=", ">", ">="]), side(), side())
     if rng.random() < 0.25:
         return NotExpr(random_guard(rng, depth - 1))
-    return BoolOp(rng.choice(["&&", "||"]), random_guard(rng, depth - 1),
-                  random_guard(rng, depth - 1))
+    return chain(rng.choice(["&&", "||"]), random_guard(rng, depth - 1),
+                 random_guard(rng, depth - 1))
 
 
 def random_program(rng):
@@ -196,7 +192,7 @@ def reference_std_step(p, s, instr, havoc_values):
     c = instr.command
     if isinstance(c, Assign):
         out = []
-        for choices in product(sorted(set(havoc_values)), repeat=havoc_slots(c.expr)):
+        for choices in product(sorted(set(havoc_values)), repeat=len(c.expr.linear.havocs)):
             phi2 = tuple(eval_expr(c.expr, env, choices) if v == c.var else x
                          for v, x in zip(p.variables, s.phi))
             out.append((choices, StdState(pc2, s.mu, phi2)))
@@ -229,7 +225,7 @@ def reference_local_step(p, s, instr, havoc_values, regions):
         group = regions.region_vars(regions.region_of(c.var))
         versions = tuple(n + (v in group) for v, n in zip(p.variables, mine.versions))
         out = []
-        for choices in product(sorted(set(havoc_values)), repeat=havoc_slots(c.expr)):
+        for choices in product(sorted(set(havoc_values)), repeat=len(c.expr.linear.havocs)):
             values = tuple(eval_expr(c.expr, env, choices) if v == c.var else x
                            for v, x in zip(p.variables, mine.values))
             theta2 = with_mine(VersionedEnv(values, versions))
@@ -313,7 +309,7 @@ def test_an_equal_instruction_steps_like_the_original(coupled_xy):
 
 
 def test_a_foreign_instruction_raises_key_error(coupled_xy):
-    foreign = Instruction(999, Assign("x", IntLit(1)), 1000)
+    foreign = Instruction(999, Assign("x", Expr.of(1)), 1000)
     with pytest.raises(KeyError):
         std_step(coupled_xy, initial_state(coupled_xy), foreign)
     with pytest.raises(KeyError):
@@ -466,8 +462,7 @@ def test_hb_release_acquire_ordering(coupled_xy):
     # t1's x := y and t2's z++ (step 6) are unordered
     assert hb.unordered(1, 6)
     assert hb.ordered(0, 1)  # program order
-    rel = hb.as_relation()
-    assert all((i, i) in rel for i in range(len(e.steps)))
+    assert all(hb.ordered(i, i) for i in range(len(e.steps)))
 
 
 def test_hb_contains_po_and_sw(coupled_xy):
@@ -612,7 +607,7 @@ def test_translation_crosses_regions():
     prefix, assign = t.instructions
     assert isinstance(prefix.command, Assign)
     assert prefix.command.var == "__rg_x"
-    assert prefix.command.expr == VarRef("__rg_y")
+    assert prefix.command.expr == Expr.of("__rg_y")
     assert assign.command.var == "x"
 
 
@@ -621,4 +616,4 @@ def test_translation_marks_pure_writes():
     out = translate_for_region_races(p)
     prefix = out.threads[0].instructions[0]
     assert prefix.command.var == "__rg_x"
-    assert prefix.command.expr == VarRef("__rg_x")
+    assert prefix.command.expr == Expr.of("__rg_x")

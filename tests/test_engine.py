@@ -9,7 +9,6 @@ from racefree.engine import (
     analyze_fixpoint,
     check_postfixpoint,
     collecting_fixpoint,
-    facts_to_json,
     make_domain,
 )
 from racefree.lang import desugar, parse_program
@@ -210,14 +209,3 @@ def test_collecting_regrel_keeps_equality(coupled_xy, coupled_xy_regions):
 def test_collecting_reports_clamping(double_increment):
     res = collecting_fixpoint(double_increment, AnalysisConfig(analysis="rel"), (-2, 2))
     assert res.clamped
-
-
-def test_facts_serialize_to_json(coupled_xy):
-    facts, cfg = run(coupled_xy, analysis="rel", domain="octagon", recency=True)
-    rows = facts_to_json(coupled_xy, cfg, facts)
-    assert {r["location"] for r in rows} == {loc for t in coupled_xy.threads
-                                             for loc in t.locations}
-    row11 = [r for r in rows if r["location"] == 11][0]
-    assert row11["thread"] == "t2"
-    assert isinstance(row11["constraints"], list)
-    assert isinstance(row11["recency_tids"], list)

@@ -6,11 +6,15 @@ import pytest
 
 from racefree import corpus
 from racefree.lang import (
+    HAVOC,
     Acquire,
     Assign,
     Assume,
     BoolLit,
+    BoolOp,
+    Expr,
     Instruction,
+    Linear,
     ParseError,
     Release,
     Thread,
@@ -19,6 +23,7 @@ from racefree.lang import (
     instr_accesses,
     parse_program,
     parse_region_text,
+    print_command,
     program_to_source,
     validate_program,
     vars_of_bool,
@@ -144,6 +149,27 @@ thread t {
     assert parse_program(program_to_source(ast)) == ast
 
 
+def test_sums_and_chains_parse_flat_as_printed():
+    p = parse_program("var x, y;\nthread t { x := ((x - y) - (2 * (3 * (y + havoc)))) - (x);"
+                      " assume((x > 0 || y < 1) || x == 2 && (y != 3 || x < y)); }")
+    assign, assume = p.threads[0].body
+    # the leading groups are spliced in, the groups of one term unwrapped
+    group = Expr(((1, (), "y"), (1, (), HAVOC)))
+    assert assign.expr.terms == (
+        (1, (), "x"), (-1, (), "y"), (-1, (2, 3), group), (-1, (), "x"))
+    assert print_command(assign) == "x := x - y - 2 * 3 * (y + havoc) - x"
+    cond = assume.cond
+    assert cond.op == "||" and len(cond.args) == 3
+    assert isinstance(cond.args[2], BoolOp) and cond.args[2].op == "&&"
+    assert print_command(assume) == "assume(x > 0 || y < 1 || x == 2 && (y != 3 || x < y))"
+
+
+def test_linear_view_keeps_zero_coefficient_reads_and_havoc_order():
+    p = parse_program("var x, y;\nthread t { x := y - y + 2 * (havoc - 3 * x) - 4 + havoc; }")
+    assert p.threads[0].body[0].expr.linear == Linear(
+        const=-4, coeffs={"x": -6}, havocs=(2, 1), reads=frozenset({"x", "y"}))
+
+
 @pytest.mark.parametrize(
     "src,reads,writes",
     [
@@ -152,6 +178,7 @@ thread t {
         ("acquire(m);", set(), set()),
         ("release(m);", set(), set()),
         ("x := 2 * y - z + 1;", {"y", "z"}, {"x"}),
+        ("x := y - y + 3 * (z - z);", {"y", "z"}, {"x"}),
     ],
 )
 def test_access_sets(src, reads, writes):

@@ -13,7 +13,6 @@ from racefree.threadlocal import (
     VersionedEnv,
     enumerate_local_executions,
     extract_state,
-    format_local_execution,
     initial_local_state,
     is_admissible,
     local_step,
@@ -185,11 +184,3 @@ def test_pruned_gamma_restricts_acquire_imports(coupled_xy):
     s = drive(coupled_xy, pruned, s, 0, 6)   # t1 start to finish
     s = drive(coupled_xy, pruned, s, 1, 3)   # t2 up to and through its acquire
     assert s.theta[1] == VersionedEnv((0, 0, 1), (0, 0, 1))  # nothing imported
-
-
-def test_trace_dump_has_version_superscripts(coupled_xy):
-    ctx = LocalContext(coupled_xy)
-    execs = [e for e in enumerate_local_executions(coupled_xy, 3, ctx=ctx)
-             if len(e.steps) == 3]
-    dump = format_local_execution(execs[0], coupled_xy)
-    assert "^" in dump and "↦" in dump
