@@ -103,21 +103,17 @@ def _function(src: str) -> Callable:
     return eval(src, {})
 
 
-_FLAT_SUM = 64  # terms past which a sum compiles as one sum() call
-
-
 def _sum_source(lin: Linear, var_index: dict[str, int]) -> str:
     """The linear view `lin` as Python source over the value tuple `v` and
-    the havoc choices `c`.  A long sum becomes one `sum((...))`: the Python
-    compiler recurses once per `+`."""
+    the havoc choices `c`: one `sum((...))` of the terms, which the Python
+    compiler takes at any length (a chain of `+` recursed once per term)."""
     terms = [(f"v[{var_index[x]}]", k) for x, k in lin.coeffs.items()]
     terms += [(f"c[{i}]", k) for i, k in enumerate(lin.havocs) if k]
-    # hex: decimal str() of an int past 4300 digits raises ValueError
-    terms = [("-" if k < 0 else "+", t if abs(k) == 1 else f"{hex(abs(k))} * {t}")
-             for t, k in terms]
-    if len(terms) > _FLAT_SUM:
-        return f"{hex(lin.const)} + sum(({''.join(f'{s}{t}, ' for s, t in terms)}))"
-    return hex(lin.const) + "".join(f" {s} {t}" for s, t in terms)
+    if not terms:
+        return hex(lin.const)  # hex: str() of an int past 4300 digits raises ValueError
+    return hex(lin.const) + " + sum((" + "".join(
+        ("-" if k < 0 else "+") + (t if abs(k) == 1 else f"{hex(abs(k))} * {t}") + ", "
+        for t, k in terms) + "))"
 
 
 def _guard_source(b, var_index: dict[str, int], outer: int = 0) -> str:

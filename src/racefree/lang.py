@@ -412,10 +412,10 @@ class _TooDeep(ParseError):
 # the parentheses of `assume(...)` included.  Sums and `&&`/`||` chains are
 # flat, so nesting is all the front end and the walkers of expressions and
 # statements recurse on.  An `&&` chain inside an `||` chain is one more tree
-# level that no parenthesis marks, so a condition nests up to twice as deep
-# as its parentheses; the compiled step hands it to Python's parser, which
-# fails (MemoryError) past 185 parentheses of alternating `and` and `or`.
-MAX_NESTING = 100
+# level that no parenthesis marks; it counts as a level too, which keeps the
+# compiled step's alternating `and`/`or` to about 100 parentheses (Python
+# 3.11's parser fails, with MemoryError, from 185 on).
+MAX_NESTING = 200
 
 
 _KEYWORDS = {
@@ -481,6 +481,7 @@ class _Parser:
         self.locks: list[str] = []
         self.declared_regions: dict[str, tuple[str, ...]] = {}
         self.depth = 0
+        self.peak = 0  # the deepest opener since parse_bexpr last reset it
 
     # token helpers
 
@@ -509,6 +510,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        self.peak = max(self.peak, self.depth)
 
     def close(self, kind: str) -> None:
         self.expect(kind)
@@ -686,16 +688,35 @@ class _Parser:
     # boolean expressions; precedence: ! > cmp > && > ||
 
     def parse_bexpr(self) -> BoolExpr:
-        disjuncts = []
+        """An `&&` chain inside an `||` chain is a tree level that no
+        parenthesis marks, so the openers inside it count one level deeper.
+        Both chains are known only once parsed: a chain whose openers reach
+        MAX_NESTING is parsed again one level deeper, to fail at the opener
+        past it."""
+        outer, parts = self.peak, []
         while True:
-            conjuncts = [self.parse_batom()]
-            while self.peek().kind == "&&":
-                self.advance()
-                conjuncts.append(self.parse_batom())
-            disjuncts.append(_chain("&&", conjuncts))
+            start, self.peak = self.pos, 0
+            parts.append((start, self.parse_conjuncts(), self.peak))
             if self.peek().kind != "||":
-                return _chain("||", disjuncts)
+                break
             self.advance()
+        peaks = [outer]
+        for start, conjuncts, peak in parts:
+            if len(conjuncts) > 1 and len(parts) > 1:
+                if peak == MAX_NESTING:
+                    self.pos, self.depth = start, self.depth + 1
+                    self.parse_conjuncts()  # raises _TooDeep
+                peak += 1
+            peaks.append(peak)
+        self.peak = max(peaks)
+        return _chain("||", [_chain("&&", conjuncts) for _, conjuncts, _ in parts])
+
+    def parse_conjuncts(self) -> list:
+        conjuncts = [self.parse_batom()]
+        while self.peek().kind == "&&":
+            self.advance()
+            conjuncts.append(self.parse_batom())
+        return conjuncts
 
     def parse_batom(self) -> BoolExpr:
         tok = self.peek()
@@ -712,7 +733,7 @@ class _Parser:
             return BoolLit(False)
         if tok.kind == "(":
             # either a parenthesized bexpr or the left expr of a comparison
-            saved = self.pos, self.depth
+            saved = self.pos, self.depth, self.peak
             try:
                 self.open("(")
                 inner = self.parse_bexpr()
@@ -723,7 +744,7 @@ class _Parser:
             except _TooDeep:
                 raise
             except ParseError:
-                self.pos, self.depth = saved
+                self.pos, self.depth, self.peak = saved
         left = self.parse_expr()
         op = self.peek()
         if op.kind not in CMP_FN:

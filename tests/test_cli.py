@@ -282,8 +282,9 @@ def test_analyze_recency_dead_branch_passes_the_postfixpoint_check(tmp_path, cap
 
 # Long and deeply nested inputs.  Sums and &&/|| chains are flat, so their
 # length is unlimited; parentheses, `!` and blocks nest up to MAX_NESTING
-# levels, counted over every enclosing `(`, `{` and `!`.  Each of these
-# inputs ended in "internal error: RecursionError" (exit 3) before.
+# levels, counted over every enclosing `(`, `{` and `!` and every && chain
+# inside an || chain.  Each of these inputs ended in "internal error:
+# RecursionError" (exit 3) before.
 
 LONG = 1500
 LOCKED = ("var x, y;\nlock m;\n"
@@ -339,11 +340,19 @@ def _nested(kind: str, levels: int) -> tuple[str, str]:
         inner = levels - 1  # the thread's braces are the first level
         return ("var x;\nthread t { x := x" + " - (1" * inner + " - x" + ")" * inner
                 + "; assert(x >= 0); }\n"), "(1 - x)"
-    if kind == "guard-parens":  # x >= 0 && (x >= 1 || x >= 2 && (...)), no parens dropped
-        inner = levels - 2  # the thread's braces and assume's parentheses
-        cond = "x >= 0" + " && (x >= 1 || x >= 2" * inner + ")" * inner
+    if kind in ("guard-parens", "leading-guard-parens"):
+        # in x >= 0 || x >= 1 && (...), the && chain inside the || chain is
+        # a level of its own: the k-th parenthesis is 2k + 2 deep
+        inner, odd = divmod(levels - 2, 2)
+        group = "!" * odd + "(x >= 2)"
+        if kind == "guard-parens":  # the groups close the chains
+            cond = "x >= 0 || x >= 1 && " + "(x >= 2 || x >= 1 && " * (inner - 1) + group
+            cond += ")" * (inner - 1)
+        else:  # the groups open them: (((x >= 2) && x >= 1 || x >= 0) && ...)
+            cond = "(" * (inner - 1) + group + " && x >= 1 || x >= 0)" * (inner - 1)
+            cond += " && x >= 1 || x >= 0"
         return (f"var x;\nthread t {{ x := havoc; assume({cond}); assert(x >= 0); }}\n",
-                "(x >= 1 || x >= 2)")
+                "(x >= 2)")
     if kind == "not":
         inner = levels - 2
         return f"var x;\nthread t {{ assert({'!' * inner}x == 0); }}\n", "!x == 0"
@@ -353,7 +362,7 @@ def _nested(kind: str, levels: int) -> tuple[str, str]:
             + "} " * inner + "assert(x >= 0); }\n"), "(x >= 0) { x := "
 
 
-NESTED_KINDS = ("parens", "guard-parens", "not", "blocks")
+NESTED_KINDS = ("parens", "guard-parens", "leading-guard-parens", "not", "blocks")
 
 
 @pytest.mark.parametrize("kind", NESTED_KINDS)
