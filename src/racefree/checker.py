@@ -9,7 +9,7 @@ never emit an unsound "proved".
 Two owned-set computations are provided: a static under-approximation
 (variable untouched by other threads, or protected by a lock the thread
 must hold here and the other threads always hold around their accesses) and
-the bounded semantic probe oracle from the concrete module.
+the bounded semantic oracle from the concrete module.
 """
 
 from __future__ import annotations
@@ -101,18 +101,12 @@ def compute_owned_static(p: Program) -> OwnedMap:
 def compute_owned_oracle(
     p: Program,
     depth: int,
-    locations: Optional[list[tuple[str, int]]] = None,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     budget: int = DEFAULT_BUDGET,
 ) -> OwnedMap:
-    """Bounded probe oracle; over-approximates when depth is insufficient."""
-    if locations is None:
-        locations = [(t.name, loc) for t in p.threads for loc in sorted(t.locations)]
-    table = {}
-    for thread, loc in locations:
-        table[(thread, loc)] = owned_vars_oracle(p, thread, loc, depth,
-                                                 havoc_values, budget)
-    return OwnedMap(mode=f"oracle@{depth}", table=table)
+    """Bounded semantic oracle; over-approximates when depth is insufficient."""
+    return OwnedMap(mode=f"oracle@{depth}",
+                    table=owned_vars_oracle(p, depth, havoc_values, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,7 @@ def _cmd_analyze(args) -> int:
     facts = analyze_fixpoint(program, g, cfg)
     t_analysis = time.monotonic() - t0
     if args.owned == "oracle":
-        locs = [(a.thread, a.location) for a in program.assertions]
-        owned = compute_owned_oracle(program, args.depth, locations=locs,
-                                     havoc_values=havoc)
+        owned = compute_owned_oracle(program, args.depth, havoc_values=havoc)
     else:
         owned = compute_owned_static(program)
     report = check_assertions(program, facts, owned, cfg, args.program)
@@ -277,7 +275,9 @@ def _cmd_metacheck(args) -> int:
     havoc = _havoc_set(args.havoc_set)
     results = []
     results.append(check_correspondence(program, args.depth, havoc))
-    results.extend(check_version_invariants(program, args.depth, havoc))
+    # check_correspondence has just searched the same tree for races
+    results.extend(check_version_invariants(program, args.depth, havoc,
+                                            skip_precondition=True))
     results.append(check_local_abstraction(program, args.samples, args.seed,
                                            havoc_values=havoc))
     if not regions.is_singleton():

@@ -7,7 +7,9 @@ found up to the given depth", never "race free".
 The exploration core serves both semantics and every checker: one edge
 table (`ProgramIndex.by_source`), one successor generator (`successors`)
 that takes the step function of a semantics, one depth-bounded tree search
-(`dfs`) and one breadth-first state search (`reachable`).
+(`dfs`) and one breadth-first state search (`reachable`).  The race search
+and the owned-variable oracle read one walk of the standard tree that keeps
+happens-before's vector clocks along the path (`clocked_walk`).
 """
 
 from __future__ import annotations
@@ -439,6 +441,46 @@ def happens_before(e: Execution, index: Optional[ProgramIndex] = None) -> Happen
     return HappensBefore(tuple(clocks), tuple(tids), tuple(po_edges), tuple(sw_edges))
 
 
+def clocked_walk(idx: ProgramIndex, depth: int, havoc_values,
+                 budget: int) -> Iterator[tuple]:
+    """`dfs` of the standard execution tree of `idx.program`, with the
+    vector clocks of happens-before kept along the path.
+
+    Yields `(state, path, clocks, thread_clock)` at every node: `clocks[i]`
+    is the clock of step i of `path`, `thread_clock[t]` that of thread t
+    after the path.  Like `path`, both lists are updated in place.  They
+    are the clocks `happens_before` computes per execution, updated once per
+    tree edge; `happens_before` stays the independent reference.
+    """
+    p = idx.program
+    zero = (0,) * len(p.threads)
+    thread_clock = [zero] * len(p.threads)
+    lock_clock = [zero] * len(p.locks)
+    clocks: list[tuple[int, ...]] = []
+
+    def expand(state: StdState, path: list):
+        for edge in successors(idx, state, std_step, havoc_values):
+            t, instr, _, post = edge
+            _, _, _, kind, slot, _, _, _ = idx.steps.get(id(instr)) or idx.compile(instr)
+            saved_thread = vc = thread_clock[t]
+            if kind is Acquire:
+                vc = tuple(map(max, vc, lock_clock[slot]))
+            vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
+            thread_clock[t] = vc
+            if kind is Release:
+                saved_lock = lock_clock[slot]
+                lock_clock[slot] = vc
+            clocks.append(vc)
+            yield edge, post
+            clocks.pop()
+            thread_clock[t] = saved_thread
+            if kind is Release:
+                lock_clock[slot] = saved_lock
+
+    for state, path in dfs(initial_state(p), depth, budget, expand):
+        yield state, path, clocks, thread_clock
+
+
 # ---------------------------------------------------------------------------
 # Race detection
 
@@ -461,46 +503,32 @@ def _find_races(
     havoc_values: tuple[int, ...],
     budget: int,
     subjects_of: Callable[[Instruction], tuple[frozenset[str], frozenset[str]]],
-    involving: Optional[Instruction] = None,
 ) -> list[RaceReport]:
     """DFS over the execution tree, reporting hb-unordered conflicting pairs.
 
-    A pair is reported at the tree node where its second access is appended,
-    so each distinct (instruction, instruction, subject) triple is witnessed
-    once, by its canonically first execution.
+    A pair is reported at the tree node whose last step is its second
+    access, so each distinct (instruction, instruction, subject) triple is
+    witnessed once, by its canonically first execution.
     """
     idx = ProgramIndex(p)
     init = initial_state(p)
-    zero = (0,) * len(p.threads)
     # keyed by identity: hashing an Instruction walks its whole command
     reported: dict[tuple[int, int, str], RaceReport] = {}
 
-    # table[id(b)] = (row, acquired lock, released lock), where row[id(a)]
-    # holds the sorted subjects on which an earlier step of `a` in another
-    # thread conflicts with a step of `b` (with `involving`, only pairs
-    # that include it)
+    # row[id(b)][id(a)] holds the sorted subjects on which an earlier step
+    # of `a` in another thread conflicts with a step of `b`
     instrs = p.instructions
     accesses = {id(i): (idx.tid_of_instr[i], *subjects_of(i)) for i in instrs}
-    table: dict[int, tuple] = {}
+    table: dict[int, dict[int, tuple[str, ...]]] = {}
     for b in instrs:
         tb, b_reads, b_writes = accesses[id(b)]
-        row = {}
-        for a in instrs if involving is None or b is involving else (involving,):
+        row = table[id(b)] = {}
+        for a in instrs:
             ta, a_reads, a_writes = accesses[id(a)]
             if ta != tb:
                 both = _conflicts(a_reads, a_writes, b_reads, b_writes)
                 if both:
                     row[id(a)] = tuple(sorted(both))
-        cmd = b.command
-        table[id(b)] = (row,
-                        cmd.lock if isinstance(cmd, Acquire) else None,
-                        cmd.lock if isinstance(cmd, Release) else None)
-
-    # vector clocks along the current path, updated by `expand` before it
-    # yields a child and restored when the child's subtree is done
-    thread_clock = [zero] * len(p.threads)
-    lock_clock = {m: zero for m in p.locks}
-    clocks: list[tuple[int, ...]] = []  # clocks[i]: clock of step i of the path
 
     def witness(path) -> Execution:
         steps, pre = [], init
@@ -509,38 +537,24 @@ def _find_races(
             pre = post
         return Execution(init, tuple(steps))
 
-    def expand(state: StdState, path: list):
-        k = len(path)
-        for edge in successors(idx, state, std_step, havoc_values):
-            t, instr, _, post = edge
-            row, acquired, released = table[id(instr)]
-            saved_thread = vc = thread_clock[t]
-            if acquired is not None:
-                vc = tuple(map(max, vc, lock_clock[acquired]))
-            vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
-            thread_clock[t] = vc
-            if released is not None:
-                saved_lock = lock_clock[released]
-                lock_clock[released] = vc
-
-            if row:
-                for i, (prior_tid, prior, _, _) in enumerate(path):
-                    both = row.get(id(prior))
-                    if both is None or clocks[i][prior_tid] <= vc[prior_tid]:
-                        continue  # no conflict, or ordered by happens-before
-                    for subject in both:
-                        key = (id(prior), id(instr), subject)
-                        if key not in reported:
-                            reported[key] = RaceReport(witness([*path, edge]), i, k, subject)
-            clocks.append(vc)
-            yield edge, post
-            clocks.pop()
-            thread_clock[t] = saved_thread
-            if released is not None:
-                lock_clock[released] = saved_lock
-
-    for _ in dfs(init, depth, budget, expand):
-        pass
+    for _, path, clocks, _ in clocked_walk(idx, depth, havoc_values, budget):
+        if not path:
+            continue
+        k = len(path) - 1
+        instr = path[k][1]
+        row = table[id(instr)]
+        if not row:
+            continue
+        vc = clocks[k]
+        for i in range(k):
+            prior_tid, prior = path[i][:2]
+            both = row.get(id(prior))
+            if both is None or clocks[i][prior_tid] <= vc[prior_tid]:
+                continue  # no conflict, or ordered by happens-before
+            for subject in both:
+                key = (id(prior), id(instr), subject)
+                if key not in reported:
+                    reported[key] = RaceReport(witness(path), i, k, subject)
     return sorted(
         reported.values(),
         key=lambda r: (r.subject, r.first, r.second, len(r.execution.steps)),
@@ -581,46 +595,36 @@ def find_region_races(
 # Owned variables (bounded semantic oracle)
 
 
-def _probe_program(p: Program, thread: str, location: int) -> tuple[Program, Instruction]:
-    """Insert a dead-end `assume(true)` branch at `location` that reads every
-    variable, the way an assertion registers its reads for race checking."""
-    fresh = max(max(t.locations) for t in p.threads) + 1
-    probe = Instruction(location, Assume(BoolLit(True)), fresh,
-                        assert_reads=frozenset(p.variables))
-    threads = []
-    for t in p.threads:
-        if t.name == thread:
-            threads.append(Thread(t.name, t.body, t.entry, t.instructions + (probe,)))
-        else:
-            threads.append(t)
-    return (
-        Program(p.variables, p.locks, p.regions, tuple(threads), p.assertions),
-        probe,
-    )
-
-
 def owned_vars_oracle(
     p: Program,
-    thread: str,
-    location: int,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     budget: int = DEFAULT_BUDGET,
-) -> frozenset[str]:
-    """Variables whose probe read at (thread, location) races in no execution
-    explored up to the given depth.  Over-approximates the true owned set when
-    the depth is too small to expose a race.
+) -> dict[tuple[str, int], frozenset[str]]:
+    """Per (thread, location): the variables that no other thread's write
+    races with a read there, in any execution explored up to the given
+    depth.  Over-approximates the true owned sets when the depth is too
+    small to expose a race.
 
-    One race search of the probed program decides every variable; `budget`
-    bounds that one search, which walks the whole probed tree even when
-    every variable races."""
-    tindex = p.thread_index(thread)
-    if location not in p.threads[tindex].locations:
-        raise ValueError(f"location {location} is not in thread {thread!r}")
-    probed, probe = _probe_program(p, thread, location)
-    races = _find_races(probed, depth + 1, havoc_values, budget, instr_accesses,
-                        involving=probe)
-    return frozenset(p.variables) - {r.subject for r in races}
+    Variable v is not owned by thread t at location l when some node of
+    the tree has t at l after a write of v by a thread u != t that t has
+    not synchronized with.  That is the race of a read of v appended there,
+    one step deeper.  A read placed earlier, with the write after it, is no
+    other case: t idles after the read, so the write alone, one step
+    earlier, ends a node of the first kind.  One walk of the tree, which
+    `budget` bounds, decides every location."""
+    idx = ProgramIndex(p)
+    written = {id(i): instr_accesses(i)[1] for i in p.instructions}
+    racy: dict[tuple[int, int], set[str]] = {
+        (t, loc): set() for t, th in enumerate(p.threads) for loc in th.locations}
+    for state, path, clocks, thread_clock in clocked_walk(idx, depth, havoc_values, budget):
+        for t, loc in enumerate(state.pc):
+            seen = thread_clock[t]
+            for i, (u, instr, _, _) in enumerate(path):
+                if u != t and clocks[i][u] > seen[u]:
+                    racy[t, loc] |= written[id(instr)]
+    return {(p.threads[t].name, loc): frozenset(p.variables) - vs
+            for (t, loc), vs in racy.items()}
 
 
 # ---------------------------------------------------------------------------

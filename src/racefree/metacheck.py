@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Optional
 from .concrete import (
     DEFAULT_BUDGET,
     DEFAULT_HAVOC,
+    ExplorationLimitError,
     dfs,
     find_data_races,
     initial_state,
@@ -204,12 +205,13 @@ def check_version_invariants(
     budget: int = DEFAULT_BUDGET,
     local_step_fn: Optional[Callable] = None,
     skip_precondition: bool = False,
-    owned_fn: Optional[Callable[[str, int], frozenset]] = None,
 ) -> list[CheckResult]:
     """Walk every bounded thread-local execution (at most `budget` nodes)
     and assert the counter invariants; returns one result per sub-check."""
     if not skip_precondition:
         _require_race_free(p, depth, havoc_values, budget)
+    # the oracle walks the tree the precondition walks, so it fits the budget
+    owned = owned_vars_oracle(p, depth, havoc_values, budget)
     step_local = local_step_fn or local_step
     ctx = LocalContext(p)
     var_count = len(p.variables)
@@ -220,19 +222,6 @@ def check_version_invariants(
     admissible = CheckResult("admissibility")
     owned_projection = CheckResult("owned_projection")
     results = [version_bound, write_exact, max_at_access, admissible, owned_projection]
-
-    owned_cache: dict[tuple[str, int], frozenset] = {}
-
-    def owned_at(thread: str, loc: int) -> frozenset:
-        key = (thread, loc)
-        if key not in owned_cache:
-            if owned_fn is not None:
-                owned_cache[key] = owned_fn(thread, loc)
-            else:
-                # the oracle searches a larger probed program one step
-                # deeper, so it keeps its own budget
-                owned_cache[key] = owned_vars_oracle(p, thread, loc, depth, havoc_values)
-        return owned_cache[key]
 
     def check_state(sigma: ThreadLocalState, writes: tuple[int, ...], path) -> None:
         version_bound.instances += 1
@@ -249,8 +238,7 @@ def check_version_invariants(
             admissible.fail(_trace(path), "inadmissible reachable state")
         owned_projection.instances += 1
         for tid, t in enumerate(p.threads):
-            owned = owned_at(t.name, sigma.pc[tid])
-            for v in owned:
+            for v in owned[t.name, sigma.pc[tid]]:
                 x = ctx.var_index[v]
                 top = max(ve.versions[x] for ve in components(sigma))
                 mine = sigma.theta[tid]
@@ -507,7 +495,7 @@ def random_race_free_programs(
         try:
             if find_data_races(program, depth, havoc_values, budget=200_000):
                 continue
-        except Exception:
+        except ExplorationLimitError:
             continue
         out.append((f"rand_{seed}_{attempt - 1}", program))
     return out

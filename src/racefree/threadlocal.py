@@ -50,18 +50,10 @@ class ThreadLocalState:
 class LocalContext(ProgramIndex):
     """The program's index tables, whose step table `steps` serves both
     semantics, plus the release buffers and version bumps of this one.
-
-    `sync_gamma` optionally prunes which release buffers an acquire may
-    observe (mapping release point -> allowed pre-acquire points); by
-    default every buffer of the lock is relevant to every acquire of it.
+    Every buffer of a lock is relevant to every acquire of it.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        regions: Optional[RegionMap] = None,
-        sync_gamma: Optional[dict[int, tuple[int, ...]]] = None,
-    ):
+    def __init__(self, program: Program, regions: Optional[RegionMap] = None):
         super().__init__(program)
         self.buffer_points = program.post_release_points()
         self.buffer_index = {loc: i for i, loc in enumerate(self.buffer_points)}
@@ -69,7 +61,6 @@ class LocalContext(ProgramIndex):
             m: tuple(self.buffer_index[loc] for loc in program.post_release_points(m))
             for m in program.locks
         }
-        self.sync_gamma = sync_gamma
         # per written variable index, the version increments of a write:
         # 1 at each index whose version it bumps, 0 elsewhere
         self.bump: dict[int, tuple[int, ...]] = {}
@@ -167,13 +158,7 @@ def local_step(
         if mu[slot] is not None:
             return ()
         lock = instr.command.lock
-        buffer_ids = ctx.buffers_of_lock[lock]
-        if ctx.sync_gamma is not None:
-            buffer_ids = tuple(
-                b for b in buffer_ids
-                if source in ctx.sync_gamma.get(ctx.buffer_points[b], ())
-            )
-        merged = update_env(mine, tuple(buffers[b] for b in buffer_ids))
+        merged = update_env(mine, tuple(buffers[b] for b in ctx.buffers_of_lock[lock]))
         if len(merged) != 1:
             raise InadmissibleStateError(
                 f"acquire of {lock!r} saw conflicting buffered values"

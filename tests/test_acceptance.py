@@ -131,8 +131,7 @@ def test_criterion_3_unprotected_read(flag_handoff):
     """The flag-handoff read of x is lock-free but race free; with the
     semantic owned oracle the final assertion is proved."""
     t0 = time.monotonic()
-    locs = [(a.thread, a.location) for a in flag_handoff.assertions]
-    owned = compute_owned_oracle(flag_handoff, 12, locations=locs)
+    owned = compute_owned_oracle(flag_handoff, 12)
     got, _, _ = verdicts(flag_handoff, None, "rel", "octagon", owned)
     elapsed = time.monotonic() - t0
     ok = got == {13: True} and elapsed < 5.0

@@ -121,6 +121,23 @@ def test_metacheck_passes(fig_file, capsys):
     assert "correspondence:" in out and "pass" in out
 
 
+def test_metacheck_searches_for_races_once(fig_file, monkeypatch):
+    """The correspondence and invariant checks share one race-freedom
+    precondition: the tree is searched for races once per run."""
+    from racefree import metacheck
+
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args[1])
+        return find(*args, **kwargs)
+
+    find = metacheck.find_data_races
+    monkeypatch.setattr(metacheck, "find_data_races", counting)
+    assert run_cli(["metacheck", "--depth", "6", "--samples", "5", fig_file]) == 0
+    assert searches == [6]
+
+
 def test_metacheck_refuses_racy_input(tmp_path, capsys):
     f = tmp_path / "racy.cp"
     f.write_text("var x;\nthread a { x := 1; }\nthread b { x := 2; }\n")

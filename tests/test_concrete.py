@@ -332,8 +332,7 @@ def test_race_searches_step_through_the_module_global(coupled_xy, monkeypatch):
     searches = [
         (lambda: find_data_races(coupled_xy, 13), 268),
         (lambda: find_region_races(coupled_xy, 13), 268),
-        (lambda: owned_vars_oracle(coupled_xy, "t1", 3, 13), 294),
-        (lambda: owned_vars_oracle(coupled_xy, "t2", 9, 13), 352),
+        (lambda: owned_vars_oracle(coupled_xy, 13), 268),
     ]
     for search, count in searches:
         calls.clear()
@@ -563,33 +562,93 @@ def test_translation_agrees_with_direct_detection(coupled_xy, region_text, expec
 
 
 def test_owned_oracle_coupled_xy(coupled_xy):
-    assert owned_vars_oracle(coupled_xy, "t1", 3, 13) == frozenset({"x", "y"})
-    assert owned_vars_oracle(coupled_xy, "t2", 9, 13) == frozenset({"z"})
+    owned = owned_vars_oracle(coupled_xy, 13)
+    assert set(owned) == {(t.name, loc) for t in coupled_xy.threads for loc in t.locations}
+    assert owned["t1", 3] == frozenset({"x", "y"})
+    assert owned["t2", 9] == frozenset({"z"})
 
 
 def test_owned_oracle_single_thread_owns_all():
     p = prog("var x, y;\nthread t { x := y; }")
-    for loc in sorted(p.threads[0].locations):
-        assert owned_vars_oracle(p, "t", loc, 6) == frozenset({"x", "y"})
+    assert owned_vars_oracle(p, 6) == {
+        ("t", loc): frozenset({"x", "y"}) for loc in p.threads[0].locations}
 
 
-def test_owned_oracle_searches_once_per_location(monkeypatch):
-    """One probe reads every variable, so one race search decides them all."""
+def test_owned_oracle_walks_the_tree_once(monkeypatch):
+    """One walk of the program's own execution tree decides every location."""
     from racefree import concrete
 
     p = prog("var x, y, z;\nthread a { x := 1; }\nthread b { y := 1; z := 1; }")
-    searches = []
+    walks = []
 
     def counting(*args, **kwargs):
-        searches.append(args[0])
-        return find_races(*args, **kwargs)
+        walks.append(args[0])
+        return walk(*args, **kwargs)
 
-    find_races = concrete._find_races
-    monkeypatch.setattr(concrete, "_find_races", counting)
-    # each thread's probe at its entry races with the other thread's writes
-    assert owned_vars_oracle(p, "a", p.threads[0].entry, 4) == {"x"}
-    assert owned_vars_oracle(p, "b", p.threads[1].entry, 4) == {"y", "z"}
-    assert len(searches) == 2
+    walk = concrete.dfs
+    monkeypatch.setattr(concrete, "dfs", counting)
+    owned = owned_vars_oracle(p, 4)
+    # each thread at its entry races with the other thread's writes
+    assert owned["a", p.threads[0].entry] == {"x"}
+    assert owned["b", p.threads[1].entry] == {"y", "z"}
+    assert walks == [initial_state(p)]
+
+
+def probe_race_depths(p, thread, location, depth):
+    """Per variable, the length of the shortest execution of at most
+    `depth` steps in which a read of every variable, added at (thread,
+    location) as a dead-end branch, races with a write of it: the owned-set
+    definition, checked one execution at a time with `happens_before`."""
+    fresh = max(max(t.locations) for t in p.threads) + 1
+    probe = Instruction(location, Assume(BoolLit(True)), fresh,
+                        assert_reads=frozenset(p.variables))
+    threads = tuple(Thread(t.name, t.body, t.entry, t.instructions + (probe,))
+                    if t.name == thread else t for t in p.threads)
+    probed = Program(p.variables, p.locks, p.regions, threads, p.assertions)
+    shortest = {}
+    for e in enumerate_executions(probed, depth):
+        if not e.steps:
+            continue  # every pair is checked in the execution ending in it
+        hb = happens_before(e)
+        last = len(e.steps) - 1
+        for i in range(last):
+            a, b = e.steps[i], e.steps[last]
+            if a.tid == b.tid or hb.ordered(i, last):
+                continue
+            write = b if a.instr is probe else a if b.instr is probe else None
+            if write is not None and isinstance(write.instr.command, Assign):
+                v = write.instr.command.var
+                shortest[v] = min(shortest.get(v, len(e.steps)), len(e.steps))
+    return shortest
+
+
+RACY = """\
+var x, y;
+lock m;
+thread a { x := 1; acquire(m); y := x; release(m); }
+thread b { acquire(m); x := y + 1; release(m); y := 2; }
+"""
+
+
+def test_owned_oracle_matches_the_probed_reference():
+    """At every location and depth, the one-walk oracle owns exactly the
+    variables a probed read does not race on one step deeper."""
+    from racefree.metacheck import random_race_free_programs
+
+    programs = [corpus.load(name) for name in corpus.names()]
+    programs += [p for _, p in random_race_free_programs(12, seed=3)]
+    programs.append(prog(RACY))
+    max_depth = 6
+    for p in programs:
+        oracles = [owned_vars_oracle(p, d) for d in range(max_depth + 1)]
+        for t in p.threads:
+            for loc in t.locations:
+                shortest = probe_race_depths(p, t.name, loc, max_depth + 1)
+                for d, owned in enumerate(oracles):
+                    want = {v for v in p.variables if shortest.get(v, d + 2) > d + 1}
+                    assert owned[t.name, loc] == want, (p.threads, t.name, loc, d)
+    racy = owned_vars_oracle(programs[-1], max_depth)
+    assert any(owned != {"x", "y"} for owned in racy.values())
 
 
 def test_enumeration_contains_canonical_handoff(coupled_xy):

@@ -79,9 +79,9 @@ def test_walks_keep_the_budget_without_the_precondition(coupled_xy):
 
 
 def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
-    """The walks search the tree the race-freedom precondition searches, at
-    the same depth, so they never trip where it passed; the owned-set oracle
-    searches a larger probed program and keeps its own budget."""
+    """The walks, the owned-set oracle among them, search the tree the
+    race-freedom precondition searches, at the same depth, so they never
+    trip where it passed."""
     nodes = sum(1 for _ in enumerate_executions(coupled_xy, 10))
     assert nodes == 183
     with pytest.raises(ExplorationLimitError):
@@ -194,6 +194,19 @@ def test_random_programs_are_deterministic():
     b = random_race_free_programs(5, seed=42)
     assert [n for n, _ in a] == [n for n, _ in b]
     assert [p for _, p in a] == [p for _, p in b]
+
+
+def test_random_programs_propagate_unexpected_errors(monkeypatch):
+    """Only an exhausted budget rejects a candidate; any other error of
+    the race check is a fault and reaches the caller."""
+    from racefree import metacheck
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken race check")
+
+    monkeypatch.setattr(metacheck, "find_data_races", broken)
+    with pytest.raises(TypeError, match="broken race check"):
+        random_race_free_programs(2, seed=42)
 
 
 def test_random_programs_pass_the_checks():

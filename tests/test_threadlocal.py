@@ -175,12 +175,3 @@ def test_reachable_states_admissible(coupled_xy):
     for e in enumerate_local_executions(coupled_xy, 9, ctx=ctx):
         if e.steps:
             assert is_admissible(e.steps[-1].post)
-
-
-def test_pruned_gamma_restricts_acquire_imports(coupled_xy):
-    """With an empty relevance map the acquire keeps its stale local copy."""
-    pruned = LocalContext(coupled_xy, sync_gamma={7: (), 13: ()})
-    s = initial_local_state(coupled_xy, pruned)
-    s = drive(coupled_xy, pruned, s, 0, 6)   # t1 start to finish
-    s = drive(coupled_xy, pruned, s, 1, 3)   # t2 up to and through its acquire
-    assert s.theta[1] == VersionedEnv((0, 0, 1), (0, 0, 1))  # nothing imported
