@@ -19,21 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .lang import (
-    CMP_FN,
     BoolExpr,
-    BoolLit,
-    BoolOp,
-    Cmp,
     Expr,
+    Guard,
+    LinearAtom,
     NotExpr,
     eval_bool,
     eval_expr,
-    negate_bool,
 )
 
 INF = math.inf
@@ -49,70 +46,6 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
-
-
-# ---------------------------------------------------------------------------
-# Linear guards (normalized assume conditions)
-
-
-@dataclass(frozen=True)
-class LinearAtom:
-    """sum(coeffs[i] * var_i) <= bound, over variable indices."""
-
-    coeffs: tuple[int, ...]
-    bound: int
-
-
-Guard = Union[tuple, LinearAtom]  # ('and'|'or', list[Guard]) | ('bool', bool) | atom
-
-
-def _atom_from_cmp(op: str, left: Expr, right: Expr, var_index) -> Guard:
-    left, right = left.linear, right.linear
-    if left.havocs or right.havocs:
-        raise DomainError("havoc is not allowed in conditions")
-    coeffs = [0] * len(var_index)
-    for v, c in left.coeffs.items():
-        coeffs[var_index[v]] += c
-    for v, c in right.coeffs.items():
-        coeffs[var_index[v]] -= c
-    k = right.const - left.const  # sum coeffs*v <= k  encodes  left <= right
-    coeffs_t = tuple(coeffs)
-
-    def le(bound):
-        return LinearAtom(coeffs_t, bound)
-
-    def ge(bound):  # sum >= bound  ->  -sum <= -bound
-        return LinearAtom(tuple(-c for c in coeffs_t), -bound)
-
-    if all(c == 0 for c in coeffs_t):
-        # constant comparison
-        return ("bool", CMP_FN[op](0, k))
-    if op == "<=":
-        return le(k)
-    if op == "<":
-        return le(k - 1)
-    if op == ">=":
-        return ge(k)
-    if op == ">":
-        return ge(k + 1)
-    if op == "==":
-        return ("and", [le(k), ge(k)])
-    if op == "!=":
-        return ("or", [le(k - 1), ge(k + 1)])
-    raise DomainError(f"unknown comparison {op!r}")
-
-
-def guard_of(b: BoolExpr, var_index: dict[str, int]) -> Guard:
-    """Negation-normal guard tree of atoms, conjunctions and disjunctions."""
-    if isinstance(b, BoolLit):
-        return ("bool", b.value)
-    if isinstance(b, NotExpr):
-        return guard_of(negate_bool(b.expr), var_index)
-    if isinstance(b, BoolOp):
-        return ("and" if b.op == "&&" else "or", [guard_of(a, var_index) for a in b.args])
-    if isinstance(b, Cmp):
-        return _atom_from_cmp(b.op, b.left, b.right, var_index)
-    raise DomainError(f"not a condition: {b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +74,22 @@ def _expr_range(bounds, var_index, coeffs: dict[str, int], const: int):
     return lo, hi
 
 
-def _refine_bounds(bounds, atom: LinearAtom) -> Optional[list]:
-    """Per-variable bounds tightened by `atom`, each variable bounded by the
-    range of the other terms; None when no point satisfies it.  Finite sums
-    and quotients stay in exact integer arithmetic."""
+def _refine_bounds(bounds, atom: LinearAtom, var_index) -> Optional[list]:
+    """Per-variable bounds tightened by `atom`, each of its variables bounded
+    by the range of its other terms; None when no point satisfies it.
+    Finite sums and quotients stay in exact integer arithmetic."""
     bounds = list(bounds)
-    # the least value of each term c * v_i: an int, or -inf when unbounded
+    terms = [(var_index[v], c) for v, c in atom.coeffs.items()]
+    # the least value of each term c * v: an int, or -inf when unbounded
     lows = []
-    for c, (lo, hi) in zip(atom.coeffs, bounds):
+    for i, c in terms:
+        lo, hi = bounds[i]
         least = lo if c > 0 else hi
-        lows.append(0 if c == 0 else -INF if abs(least) == INF else c * least)
+        lows.append(-INF if abs(least) == INF else c * least)
     if -INF not in lows and sum(lows) > atom.bound:
         return None
-    for i, c in enumerate(atom.coeffs):
-        if c == 0:
-            continue
-        rest = lows[:i] + lows[i + 1:]
+    for k, (i, c) in enumerate(terms):
+        rest = lows[:k] + lows[k + 1:]
         if -INF in rest:
             continue  # the other terms are unbounded below: no limit on v_i
         limit = atom.bound - sum(rest)  # c * v_i <= limit
@@ -172,21 +105,21 @@ def _refine_bounds(bounds, atom: LinearAtom) -> Optional[list]:
 
 
 def _apply_guard(dom, d, g: Guard):
-    """Refine `d` by a guard tree: atoms through `dom._apply_atom`, a
-    disjunction as the join of its refined branches."""
+    """Refine `d` by a condition's guard view: atoms through
+    `dom._apply_atom`, a disjunction as the join of its refined branches."""
     if d is BOTTOM:
         return BOTTOM
-    if isinstance(g, LinearAtom):
+    if type(g) is LinearAtom:
         return dom._apply_atom(d, g)
-    tag = g[0]
+    tag, arg = g
     if tag == "bool":
-        return d if g[1] else BOTTOM
+        return d if arg else BOTTOM
     if tag == "and":
-        for kid in g[1]:
+        for kid in arg:
             d = _apply_guard(dom, d, kid)
         return d
     out = BOTTOM
-    for kid in g[1]:
+    for kid in arg:
         out = dom.join(out, _apply_guard(dom, d, kid))
     return out
 
@@ -357,12 +290,12 @@ class IntervalDomain:
             (-INF, INF) if k in drop else bd for k, bd in enumerate(d.bounds)))
 
     def _apply_atom(self, d: IntervalElem, atom: LinearAtom):
-        bounds = _refine_bounds(d.bounds, atom)
+        bounds = _refine_bounds(d.bounds, atom, self.var_index)
         return BOTTOM if bounds is None else IntervalElem(tuple(bounds))
 
     def assume(self, d, b: BoolExpr):
         self._check(d)
-        return _apply_guard(self, d, guard_of(b, self.var_index))
+        return _apply_guard(self, d, b.guard)
 
     def mix(self, elems: Sequence, partition: Sequence[Sequence[int]]):
         if not elems:
@@ -645,11 +578,11 @@ class OctagonDomain:
         """Octagon-exact entries for an atom, or None when not expressible.
         A bound beyond `_limit` is not: `_with_entries` would drop it, while
         the interval fallback still decides, exactly, whether it is empty."""
-        nz = [(i, c) for i, c in enumerate(atom.coeffs) if c != 0]
-        if (2 * abs(atom.bound) > self._limit or not 1 <= len(nz) <= 2
-                or any(c not in (1, -1) for _, c in nz)):
+        coeffs = atom.coeffs
+        if (2 * abs(atom.bound) > self._limit or len(coeffs) > 2
+                or any(c not in (1, -1) for c in coeffs.values())):
             return None
-        lits = [2 * i + (c == -1) for i, c in nz]
+        lits = [2 * self.var_index[v] + (c == -1) for v, c in coeffs.items()]
         if len(lits) == 1:  # +-v <= b, as +-v + +-v <= 2b
             return self._sum_entries(lits[0], lits[0], 2 * atom.bound)
         return self._sum_entries(lits[0], lits[1], atom.bound)
@@ -657,7 +590,7 @@ class OctagonDomain:
     def _apply_atom(self, d: OctElem, atom: LinearAtom):
         entries = self._atom_entries(atom)
         if entries is None:  # interval fallback for other atoms
-            bounds = _refine_bounds(self.intervals_of(d), atom)
+            bounds = _refine_bounds(self.intervals_of(d), atom, self.var_index)
             if bounds is None:
                 return BOTTOM
             entries = [e for i, (lo, hi) in enumerate(bounds)
@@ -670,7 +603,7 @@ class OctagonDomain:
         c = self._closed(d)
         if c is BOTTOM:
             return BOTTOM
-        return _apply_guard(self, c, guard_of(b, self.var_index))
+        return _apply_guard(self, c, b.guard)
 
     def _region_mask(self, partition) -> np.ndarray:
         """Whether two literals' variables share a region, cached per

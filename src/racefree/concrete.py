@@ -23,13 +23,12 @@ from .lang import (
     Acquire,
     Assign,
     Assume,
-    BoolLit,
     BoolOp,
-    CMP_FN,
     Cmp,
     Expr,
+    Guard,
     Instruction,
-    Linear,
+    LinearAtom,
     NotExpr,
     Program,
     RegionMap,
@@ -105,40 +104,33 @@ def _function(src: str) -> Callable:
     return eval(src, {})
 
 
-def _sum_source(lin: Linear, var_index: dict[str, int]) -> str:
-    """The linear view `lin` as Python source over the value tuple `v` and
-    the havoc choices `c`: one `sum((...))` of the terms, which the Python
-    compiler takes at any length (a chain of `+` recursed once per term)."""
-    terms = [(f"v[{var_index[x]}]", k) for x, k in lin.coeffs.items()]
-    terms += [(f"c[{i}]", k) for i, k in enumerate(lin.havocs) if k]
+def _sum_source(const: int, coeffs: dict[str, int], var_index: dict[str, int],
+                havocs: tuple[int, ...] = ()) -> str:
+    """`const + sum(coeffs[x] * x) + sum(havocs[i] * c[i])` as Python source
+    over the value tuple `v` and the havoc choices `c`: one `sum((...))` of
+    the terms, which the Python compiler takes at any length (a chain of `+`
+    recursed once per term)."""
+    terms = [(f"v[{var_index[x]}]", k) for x, k in coeffs.items()]
+    terms += [(f"c[{i}]", k) for i, k in enumerate(havocs) if k]
     if not terms:
-        return hex(lin.const)  # hex: str() of an int past 4300 digits raises ValueError
-    return hex(lin.const) + " + sum((" + "".join(
+        return hex(const)  # hex: str() of an int past 4300 digits raises ValueError
+    return hex(const) + " + sum((" + "".join(
         ("-" if k < 0 else "+") + (t if abs(k) == 1 else f"{hex(abs(k))} * {t}") + ", "
         for t, k in terms) + "))"
 
 
-def _guard_source(b, var_index: dict[str, int], outer: int = 0) -> str:
-    """`b` as Python source over the value tuple `v`, short-circuiting in
-    the same order as `eval_bool`; `outer` is the precedence of the
-    enclosing operator (0: none, 1: or, 2: and, 3: not).  Parentheses go
-    only where precedence needs them, one per source group at most."""
-    if isinstance(b, BoolLit):
-        return repr(b.value)
-    if isinstance(b, Cmp):
-        if b.op not in CMP_FN:
-            raise KeyError(b.op)  # as in eval_bool
-        left, right = b.left.linear, b.right.linear
-        if left.havocs or right.havocs:  # the parser rejects these
-            raise ValueError("havoc occurrence without a chosen value")
-        return f"{_sum_source(left, var_index)} {b.op} {_sum_source(right, var_index)}"
-    if isinstance(b, NotExpr):
-        return f"not {_guard_source(b.expr, var_index, 3)}"
-    if isinstance(b, BoolOp):
-        prec, op = (2, " and ") if b.op == "&&" else (1, " or ")  # as in eval_bool
-        src = op.join(_guard_source(a, var_index, prec) for a in b.args)
-        return f"({src})" if prec < outer else src
-    raise TypeError(f"not a boolean expression: {b!r}")
+def _guard_source(g: Guard, var_index: dict[str, int], outer: int = 0) -> str:
+    """A condition's guard view as Python source over the value tuple `v`;
+    `outer` is the precedence of the enclosing operator (0: none, 1: or,
+    2: and).  Parentheses go only where precedence needs them."""
+    if type(g) is LinearAtom:
+        return f"{_sum_source(0, g.coeffs, var_index)} <= {hex(g.bound)}"
+    tag, arg = g
+    if tag == "bool":
+        return repr(arg)
+    prec, op = (2, " and ") if tag == "and" else (1, " or ")
+    src = op.join(_guard_source(kid, var_index, prec) for kid in arg)
+    return f"({src})" if prec < outer else src
 
 
 class ProgramIndex:
@@ -183,10 +175,11 @@ class ProgramIndex:
         kind, slot, slots, fn = type(c), 0, 0, None
         if kind is Assign:
             slot = self.var_index[c.var]
-            slots = len(c.expr.linear.havocs)
-            fn = _function(f"lambda v, c: {_sum_source(c.expr.linear, self.var_index)}")
+            const, coeffs, havocs, _ = c.expr.linear
+            slots = len(havocs)
+            fn = _function(f"lambda v, c: {_sum_source(const, coeffs, self.var_index, havocs)}")
         elif kind is Assume:
-            fn = _function(f"lambda v: {_guard_source(c.cond, self.var_index)}")
+            fn = _function(f"lambda v: {_guard_source(c.cond.guard, self.var_index)}")
         elif kind is Acquire or kind is Release:
             slot = self.lock_index[c.lock]
         else:

@@ -81,29 +81,94 @@ def _collect(e: Expr, k: int, coeffs: dict[str, int], havocs: list[int]) -> int:
 
 
 @dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class LinearAtom:
+    """`sum(coeffs[v] * v) <= bound`, with the nonzero coefficients only."""
+
+    coeffs: dict[str, int]
+    bound: int
+
+    def negated(self) -> "LinearAtom":
+        """`not (s <= b)`, which over the integers is `-s <= -b - 1`."""
+        return LinearAtom({v: -k for v, k in self.coeffs.items()}, -self.bound - 1)
+
+
+Guard = Union[LinearAtom, tuple]  # atom | ('and'|'or', tuple[Guard, ...]) | ('bool', bool)
+
+
+def _negate(g: Guard) -> Guard:
+    if type(g) is LinearAtom:
+        return g.negated()
+    tag, arg = g
+    if tag == "bool":
+        return ("bool", not arg)
+    return ("or" if tag == "and" else "and", tuple(map(_negate, arg)))
+
+
+class Cond:
+    """The base of the condition classes."""
+
+    @cached_property
+    def guard(self) -> Guard:
+        """The condition in negation-normal form over linear atoms, built
+        once per condition object: the view the numerical domains and the
+        step compiler read."""
+        return self._guard()
 
 
 @dataclass(frozen=True)
-class Cmp:
+class BoolLit(Cond):
+    value: bool
+
+    def _guard(self) -> Guard:
+        return ("bool", self.value)
+
+
+@dataclass(frozen=True)
+class Cmp(Cond):
     op: str  # ==, !=, <, <=, >, >=
     left: Expr
     right: Expr
 
+    def _guard(self) -> Guard:
+        left, right = self.left.linear, self.right.linear
+        if left.havocs or right.havocs:
+            raise ValueError("havoc is not allowed in conditions")
+        coeffs = dict(left.coeffs)
+        for v, k in right.coeffs.items():
+            coeffs[v] = coeffs.get(v, 0) - k
+        coeffs = {v: k for v, k in coeffs.items() if k}
+        bound = right.const - left.const  # sum(coeffs[v] * v) <= bound  is  left <= right
+        if not coeffs:
+            return ("bool", CMP_FN[self.op](0, bound))
+        le, lt = LinearAtom(coeffs, bound), LinearAtom(coeffs, bound - 1)
+        ge, gt = lt.negated(), le.negated()
+        # `!=` is the negation of `==`, atom by atom
+        return {"<=": le, "<": lt, ">=": ge, ">": gt,
+                "==": ("and", (le, ge)), "!=": ("or", (gt, lt))}[self.op]
+
 
 @dataclass(frozen=True)
-class BoolOp:
+class BoolOp(Cond):
     """`args[0] op args[1] op ...`; like sums, a leading parenthesised chain
     of the same operator is spliced in."""
 
     op: str  # '&&' or '||'
     args: tuple["BoolExpr", ...]
 
+    def _guard(self) -> Guard:
+        return ("and" if self.op == "&&" else "or", tuple(a.guard for a in self.args))
+
 
 @dataclass(frozen=True)
-class NotExpr:
+class NotExpr(Cond):
     expr: "BoolExpr"
+
+    def _guard(self) -> Guard:
+        # a run of `!`, up to MAX_NESTING long, is counted, not recursed through
+        inner, negate = self.expr, True
+        while type(inner) is NotExpr:
+            inner, negate = inner.expr, not negate
+        return _negate(inner.guard) if negate else inner.guard
 
 
 BoolExpr = Union[BoolLit, Cmp, BoolOp, NotExpr]
@@ -119,10 +184,11 @@ def vars_of_bool(b: BoolExpr) -> frozenset[str]:
     return frozenset()
 
 
-# The evaluators walk the terms themselves rather than `Expr.linear`: they are
-# the reference semantics (metacheck, the envset domain, the benchmark's
-# oracle and the tests' reference steps) that the compiled steps and the
-# numerical domains, which read the linear view, are checked against.
+# The evaluators walk the terms and conditions themselves rather than
+# `Expr.linear` and `Cond.guard`: they are the reference semantics (metacheck,
+# the envset domain, the benchmark's oracle and the tests' reference steps)
+# that the compiled steps and the numerical domains, which read the two
+# views, are checked against.
 
 
 def eval_expr(e: Expr, env: Mapping[str, int], choices: tuple[int, ...] = ()) -> int:
@@ -552,6 +618,8 @@ class _Parser:
                 if name.text in self.variables or name.text in self.locks:
                     raise ParseError(f"duplicate declaration of {name.text!r}",
                                      name.line, name.col)
+                if kw.kind == "var" and name.text in self.declared_regions:
+                    raise _outside_region(name)
                 target.append(name.text)
                 if self.peek().kind == ",":
                     self.advance()
@@ -580,6 +648,8 @@ class _Parser:
                 break
             self.expect("}")
             self.expect(";")
+            if name.text in self.variables and name.text not in members:
+                raise _outside_region(name)
             self.declared_regions[name.text] = tuple(members)
 
     def parse_thread(self, existing: list[str]) -> Thread:
@@ -754,6 +824,12 @@ class _Parser:
         if left.linear.havocs or right.linear.havocs:
             raise ParseError("havoc is not allowed in boolean conditions", op.line, op.col)
         return Cmp(op.kind, left, right)
+
+
+def _outside_region(name: Token) -> ParseError:
+    # the variable's own region, when undeclared, would take the same name
+    return ParseError(f"region {name.text!r} is named after a variable outside it",
+                      name.line, name.col)
 
 
 def _chain(op: str, args: list) -> BoolExpr:

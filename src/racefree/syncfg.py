@@ -13,30 +13,18 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, enumerate_executions, happens_before
-from .lang import Instruction, Program, print_command
+from .lang import Program, print_command
 
 
 @dataclass(frozen=True)
 class SyncCFG:
-    nodes: frozenset[int]
-    intra_edges: tuple[Instruction, ...]
     sync_edges: tuple[tuple[int, int, str], ...]
-    refined: bool = False
-
-    def gamma(self, release_point: int) -> tuple[int, ...]:
-        """Pre-acquire points fed by the buffer at `release_point`."""
-        return self._fed_by.get(release_point, ())
 
     def release_points_feeding(self, acquire_point: int, lock: str) -> tuple[int, ...]:
         return self._feeding.get((acquire_point, lock), ())
 
-    # Both lookups are built on first use from `sync_edges`; a copy made with
+    # Built on first use from `sync_edges`; a copy made with
     # `dataclasses.replace` (as `refine_gamma` makes) builds its own.
-
-    @cached_property
-    def _fed_by(self) -> dict[int, tuple[int, ...]]:
-        return _sorted_groups((rel, acq) for rel, acq, _ in self.sync_edges)
-
     @cached_property
     def _feeding(self) -> dict[tuple[int, str], tuple[int, ...]]:
         return _sorted_groups(((acq, m), rel) for rel, acq, m in self.sync_edges)
@@ -52,13 +40,12 @@ def _sorted_groups(pairs) -> dict:
 def build_syncfg(p: Program) -> SyncCFG:
     if not p.is_desugared:
         raise ValueError("program must be desugared")
-    nodes = frozenset(loc for t in p.threads for loc in t.locations)
     edges = []
     for m in p.locks:
         for rel in p.post_release_points(m):
             for acq in p.pre_acquire_points(m):
                 edges.append((rel, acq, m))
-    return SyncCFG(nodes=nodes, intra_edges=p.instructions, sync_edges=tuple(sorted(edges)))
+    return SyncCFG(sync_edges=tuple(sorted(edges)))
 
 
 def refine_gamma(
@@ -84,7 +71,7 @@ def refine_gamma(
             acq = e.steps[j].instr
             observed.add((rel.target, acq.source, rel.command.lock))
     kept = tuple(sorted(edge for edge in g.sync_edges if edge in observed))
-    return replace(g, sync_edges=kept, refined=True)
+    return replace(g, sync_edges=kept)
 
 
 def to_dot(g: SyncCFG, p: Program) -> str:
@@ -96,7 +83,7 @@ def to_dot(g: SyncCFG, p: Program) -> str:
         for loc in sorted(t.locations):
             lines.append(f'    n{loc} [label="{loc}"];')
         lines.append("  }")
-    for i in g.intra_edges:
+    for i in p.instructions:
         label = print_command(i.command).replace('"', "'")
         lines.append(f'  n{i.source} -> n{i.target} [label="{label}"];')
     for rel, acq, m in g.sync_edges:

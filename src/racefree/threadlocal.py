@@ -125,13 +125,11 @@ def local_step(
     instr: Instruction,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     ctx: Optional[LocalContext] = None,
-    bump_versions: bool = True,
 ) -> tuple[tuple[tuple[int, ...], ThreadLocalState], ...]:
     """Successors of `s` under `instr`; empty when the guard is disabled.
 
     Region granularity comes from the LocalContext (a context built with a
-    RegionMap bumps whole regions on writes).  `bump_versions=False` exists
-    only for fault-injection self-tests of the check harness.
+    RegionMap bumps whole regions on writes).
     """
     ctx = ctx or LocalContext(p)
     tid, source, target, kind, slot, slots, fn, _ = (
@@ -143,7 +141,7 @@ def local_step(
     mine = theta[tid]
     if kind is Assign:
         values = mine.values
-        versions = tuple(map(add, mine.versions, ctx.bump[slot])) if bump_versions else mine.versions
+        versions = tuple(map(add, mine.versions, ctx.bump[slot]))
         head, tail = values[:slot], values[slot + 1:]
         before, after = theta[:tid], theta[tid + 1:]
         return tuple(

@@ -22,6 +22,7 @@ from racefree.absdom import (
     RecencyFact,
     _NO_BOUND,
     box_points,
+    is_bottom,
     singleton_partition,
 )
 from racefree.lang import (
@@ -29,8 +30,11 @@ from racefree.lang import (
     Assign,
     Cmp,
     Expr,
+    NotExpr,
+    eval_bool,
     eval_expr,
     parse_program,
+    print_bexpr,
 )
 
 INF = math.inf
@@ -187,6 +191,27 @@ def test_forget_drops_relation_keeps_bounds():
     assert got == want
     assert dom.forget(d, []) == d
     assert dom.forget(BOTTOM, ["y"]) is BOTTOM
+
+
+@pytest.mark.parametrize("make", [IntervalDomain, OctagonDomain])
+def test_assume_on_a_point_is_bottom_exactly_when_the_condition_is_false(make):
+    """Both domains refine by the condition's guard view, and on one point
+    that refinement is exact: `assume` must agree with `eval_bool` about
+    the condition and about its negation.  The soundness suites would not
+    notice a guard that drops an atom; this test does."""
+    variables = ("x", "y", "z")
+    dom = make(variables)
+    rng = random.Random(13)
+    for _ in range(400):
+        b = domtools.rand_cond(variables, rng)
+        point = [rng.randint(-3, 3) for _ in variables]
+        d = dom.initial()
+        for v, k in zip(variables, point):
+            d = dom.assign(d, v, Expr.of(k))
+        env = dict(zip(variables, point))
+        for c in (b, NotExpr(b)):
+            assert is_bottom(dom.assume(d, c)) is not eval_bool(c, env), (
+                print_bexpr(c), point)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,45 @@ def test_region_file_without_semicolons(tmp_path, capsys):
                     str(f)]) == 0
 
 
+TWO_WRITERS = "var x, y;\n{regions}thread a {{ x := 1; }}\nthread b {{ y := 2; }}\n"
+
+
+@pytest.mark.parametrize("where", ["program", "region file"])
+def test_region_named_after_a_variable_outside_it_is_a_parse_error(tmp_path, capsys, where):
+    # x's own singleton region would be named x too: a write of y then
+    # raced with a write of x, as a region race on x (exit 1)
+    f = tmp_path / "p.cp"
+    argv = ["races", "--kind", "region"]
+    if where == "program":
+        f.write_text(TWO_WRITERS.format(regions="region x { y };\n"))
+        at = "p.cp: 2:8:"
+    else:
+        f.write_text(TWO_WRITERS.format(regions=""))
+        rg = tmp_path / "bad.rg"
+        rg.write_text("region x { y }\n")
+        argv += ["--regions", str(rg)]
+        at = "bad.rg: 1:8:"
+    code = run_cli([*argv, str(f)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    assert f"{at} region 'x' is named after a variable outside it" in captured.err
+    assert "region_race" not in captured.out
+
+
+def test_a_variable_declared_after_a_region_of_its_name_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "p.cp"
+    f.write_text("var y;\nregion x { y };\nvar x;\nthread a { x := 1; }\n")
+    assert run_cli(["races", "--kind", "region", str(f)]) == 2
+    assert "3:5: region 'x' is named after a variable outside it" in capsys.readouterr().err
+
+
+def test_a_region_named_after_a_variable_inside_it_stays_legal(tmp_path, capsys):
+    f = tmp_path / "p.cp"
+    f.write_text(TWO_WRITERS.format(regions="region x { x, y };\n"))
+    assert run_cli(["races", "--kind", "region", str(f)]) == 1  # x and y share region x
+    assert "region_race on x" in capsys.readouterr().out
+
+
 def test_analyze_octagon_literal_above_2_pow_53_not_rounded(tmp_path, capsys):
     # 2^53 + 1 is stored exactly, not rounded to the float 2^53
     f = tmp_path / "big.cp"

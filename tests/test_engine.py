@@ -2,7 +2,9 @@
 
 import pytest
 
+from racefree import lang
 from racefree.absdom import RecencyFact
+from racefree.checker import check_assertions, compute_owned_static
 from racefree.concrete import reachable_states
 from racefree.engine import (
     AnalysisConfig,
@@ -175,6 +177,48 @@ def test_long_straight_line_thread_analyzes():
     facts, cfg = run(p, analysis="rel", domain="octagon")
     dom = make_domain(cfg, p.variables)
     assert dom.entails(base(facts[p.assertions[0].location]), cond(p, f"x == {n}"))
+
+
+GUARDED = """var x, y;
+lock m;
+thread t {
+  while (x != 6 && !(y == 3 || x < 0)) {
+    acquire(m); x := x + 1; release(m);
+  }
+  if (x == y) { y := y - 1; } else { y := x; }
+  assert(x <= 6 && y != 7);
+}
+thread u { acquire(m); x := 2; release(m); assert(!(y > 9)); }
+"""
+
+
+def _conditions(b) -> list:
+    """`b` and every condition inside it."""
+    kids = b.args if isinstance(b, lang.BoolOp) else (
+        (b.expr,) if isinstance(b, lang.NotExpr) else ())
+    return [b, *(c for kid in kids for c in _conditions(kid))]
+
+
+def test_one_fixpoint_run_builds_each_guard_once(monkeypatch):
+    """Every `assume` of a condition reads its cached guard view: a run
+    builds each condition object's guard at most once, and the assertion
+    check one more per assertion, for the negation it refutes."""
+    built = []  # the objects themselves, so no id is reused
+    for cls in (lang.BoolLit, lang.Cmp, lang.BoolOp, lang.NotExpr):
+        def counting(self, _build=cls._guard):
+            built.append(self)
+            return _build(self)
+        monkeypatch.setattr(cls, "_guard", counting)
+    p = desugar(parse_program(GUARDED))  # parsed here: no guard is cached yet
+    cfg = AnalysisConfig(analysis="rel")
+    facts = analyze_fixpoint(p, build_syncfg(p), cfg)
+    check_assertions(p, facts, compute_owned_static(p), cfg)
+    conditions = [c for i in p.instructions if isinstance(i.command, lang.Assume)
+                  for c in _conditions(i.command.cond)]
+    conditions += [c for a in p.assertions for c in _conditions(a.cond)]
+    assert built
+    assert len({id(b) for b in built}) == len(built)
+    assert len(built) <= len({id(c) for c in conditions}) + len(p.assertions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Metatheory harness: correspondence, version invariants, abstraction checks,
 and the fault-injection self-tests that prove the harness can catch bugs."""
 
+from dataclasses import replace
+
 import pytest
 
 from racefree import corpus
 from racefree.concrete import ExplorationLimitError, enumerate_executions
-from racefree.lang import desugar, parse_program
+from racefree.lang import Assign, desugar, parse_program
 from racefree.metacheck import (
     PreconditionError,
     check_correspondence,
@@ -13,7 +15,7 @@ from racefree.metacheck import (
     check_version_invariants,
     random_race_free_programs,
 )
-from racefree.threadlocal import local_step
+from racefree.threadlocal import VersionedEnv, local_step
 
 
 def prog(src):
@@ -116,8 +118,16 @@ def test_version_invariants_single_thread():
 def test_version_invariants_catch_missing_bump(coupled_xy):
     """Fault injection: removing the write bump must trip the exactness check."""
 
-    def no_bump(p, s, instr, havoc_values, ctx, **kw):
-        return local_step(p, s, instr, havoc_values, ctx, bump_versions=False)
+    def no_bump(p, s, instr, havoc_values, ctx):
+        out = local_step(p, s, instr, havoc_values, ctx)
+        if not isinstance(instr.command, Assign):
+            return out
+        tid = ctx.tid_of_instr[instr]
+        versions = s.theta[tid].versions  # the writer's versions before the step
+        return tuple(
+            (choices, replace(post, theta=post.theta[:tid] + (
+                VersionedEnv(post.theta[tid].values, versions),) + post.theta[tid + 1:]))
+            for choices, post in out)
 
     results = check_version_invariants(coupled_xy, 6, local_step_fn=no_bump)
     by_name = {r.name: r for r in results}

