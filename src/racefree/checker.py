@@ -70,31 +70,37 @@ def must_hold_locksets(p: Program) -> dict[tuple[str, int], frozenset[str]]:
 
 
 def compute_owned_static(p: Program) -> OwnedMap:
-    """Sound under-approximation of the semantic owned sets."""
+    """Sound under-approximation of the semantic owned sets.
+
+    v is owned at (t, loc) if no other thread touches v, or t must hold
+    there a lock that every other thread must hold at each of its accesses
+    to v.  One pass: per variable and thread, the locks held at all of the
+    thread's accesses, then per thread their intersection over the others."""
     must = must_hold_locksets(p)
-    # per variable: accesses by each thread
-    accesses: dict[str, dict[str, list]] = {v: {} for v in p.variables}
+    # guards[v][u]: the locks thread u must hold at every access to v
+    guards: dict[str, dict[str, frozenset[str]]] = {v: {} for v in p.variables}
     for t in p.threads:
         for i in t.instructions:
             reads, writes = instr_accesses(i)
+            held = must[(t.name, i.source)]
             for v in reads | writes:
-                accesses[v].setdefault(t.name, []).append(i)
+                by_thread = guards[v]
+                by_thread[t.name] = by_thread.get(t.name, held) & held
     table: dict[tuple[str, int], frozenset[str]] = {}
     for t in p.threads:
+        # protect[v]: the locks every other thread touching v holds at its accesses
+        protect: dict[str, frozenset[str]] = {}
+        for v, by_thread in guards.items():
+            others = [locks for u, locks in by_thread.items() if u != t.name]
+            if others:
+                protect[v] = frozenset.intersection(*others)
+        owned_under: dict[frozenset[str], frozenset[str]] = {}  # by lockset held
         for loc in t.locations:
-            owned = set()
-            for v in p.variables:
-                others = {tn: instrs for tn, instrs in accesses[v].items()
-                          if tn != t.name}
-                if not others:
-                    owned.add(v)  # nobody else ever touches v
-                    continue
-                for m in must[(t.name, loc)]:
-                    if all(m in must[(tn, i.source)]
-                           for tn, instrs in others.items() for i in instrs):
-                        owned.add(v)
-                        break
-            table[(t.name, loc)] = frozenset(owned)
+            held = must[(t.name, loc)]
+            if held not in owned_under:
+                owned_under[held] = frozenset(
+                    v for v in p.variables if v not in protect or held & protect[v])
+            table[(t.name, loc)] = owned_under[held]
     return OwnedMap(mode="static", table=table)
 
 

@@ -9,6 +9,16 @@ more domain, a per-thread wrapper (`RecencyDomain`).  One worklist loop
 (`_solve`) serves both the widening analyses and the exact collecting
 fixpoint over environment sets.
 
+A frame stores each instruction's last transfer with its inputs (the
+source fact, then for an acquire the facts at the release points feeding
+it) and returns the stored result while every input is the same object.
+Elements are immutable (and `EnvSetDomain.clamped` only ever turns on), so
+the stored result is what recomputing would give, and narrowing's first
+round and the post-fixpoint check make no domain call for inputs the solver
+left unchanged.
+`check_postfixpoint(..., frame=None)` builds a fresh frame instead and
+recomputes every transfer: that is the independent form of the check.
+
 Facts are sound only under owned-variable projection; the engine itself
 just computes a post-fixpoint of the transfer system and leaves the
 projection to the assertion checker.
@@ -16,6 +26,7 @@ projection to the assertion checker.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -112,14 +123,31 @@ class _Frame:
         for rel, acq, _m in g.sync_edges:
             self.dependents.setdefault(rel, []).append(acq)
         self.widen_points = self._widen_points()
+        # id(instruction) -> (inputs, result) of its last transfer
+        self._last: dict[int, tuple[tuple, object]] = {}
 
     def transfer(self, instr: Instruction, fact, facts: LocationFacts):
-        """Abstract effect of one instruction on the fact at its source."""
+        """Abstract effect of one instruction on the fact at its source;
+        the stored result while its inputs are the same objects."""
         c = instr.command
-        dom = self.domain_at[instr.source]
         if isinstance(c, Acquire):
             feeding = self.g.release_points_feeding(instr.source, c.lock)
-            out = dom.mix([fact, *(facts[rel] for rel in feeding)], self.partition)
+            inputs = (fact, *(facts[rel] for rel in feeding))
+        else:
+            inputs = (fact,)
+        last = self._last.get(id(instr))
+        if last is not None and all(map(operator.is_, last[0], inputs)):
+            return last[1]
+        out = self._apply(instr, inputs)
+        self._last[id(instr)] = (inputs, out)
+        return out
+
+    def _apply(self, instr: Instruction, inputs: tuple):
+        c = instr.command
+        dom = self.domain_at[instr.source]
+        fact = inputs[0]
+        if isinstance(c, Acquire):
+            out = dom.mix(inputs, self.partition)
         elif is_bottom(fact):
             return dom.bottom()
         elif isinstance(c, Assign):
@@ -259,7 +287,10 @@ def check_postfixpoint(
     facts: LocationFacts,
     frame: Optional[_Frame] = None,
 ) -> None:
-    """Assert the per-instruction transfer inequality exhaustively."""
+    """Assert the per-instruction transfer inequality exhaustively.
+
+    `frame` reuses the transfers that frame stored for unchanged inputs;
+    without one, every transfer is recomputed on a fresh frame."""
     frame = frame or _Frame(p, g, cfg)
     for instr in p.instructions:
         new = frame.transfer(instr, facts[instr.source], facts)

@@ -193,6 +193,8 @@ def vars_of_bool(b: BoolExpr) -> frozenset[str]:
 
 def eval_expr(e: Expr, env: Mapping[str, int], choices: tuple[int, ...] = ()) -> int:
     """Evaluate `e` under `env`; havoc occurrences consume `choices` left to right."""
+    if not choices:
+        return _sum_value(e, env, None)
     pending = list(reversed(choices))
     value = _sum_value(e, env, pending)
     if pending:
@@ -200,9 +202,16 @@ def eval_expr(e: Expr, env: Mapping[str, int], choices: tuple[int, ...] = ()) ->
     return value
 
 
-def _sum_value(e: Expr, env, pending: list) -> int:
+def _sum_value(e: Expr, env, pending: Optional[list]) -> int:
+    """The value of `e`; `pending` holds the unused choices, last first
+    (None for none)."""
+    terms = e.terms
+    if len(terms) == 1:
+        sign, factors, atom = terms[0]
+        if not factors and type(atom) is not Expr and atom is not HAVOC:
+            return sign * (env[atom] if type(atom) is str else atom)
     total = 0
-    for sign, factors, atom in e.terms:
+    for sign, factors, atom in terms:
         if type(atom) is Expr:
             value = _sum_value(atom, env, pending)
         elif atom is HAVOC:

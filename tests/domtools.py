@@ -21,6 +21,7 @@ from racefree.absdom import (
     IntervalElem,
     OctagonDomain,
 )
+from racefree.checker import must_hold_locksets
 from racefree.lang import (
     HAVOC as HAVOC_ATOM,
     Assign,
@@ -32,6 +33,7 @@ from racefree.lang import (
     NotExpr,
     eval_bool,
     eval_expr,
+    instr_accesses,
     parse_program,
 )
 
@@ -264,3 +266,34 @@ def octagon_mix_loop(dom: OctagonDomain, elems, partition):
             if region_of[i // 2] == region_of[k // 2]:
                 m[i, k] = j.m[i, k]
     return dom._close_matrix(m) or BOTTOM
+
+
+def owned_static_reference(p) -> dict:
+    """Reference static owned sets: for every (thread, location) and variable,
+    a scan of every other thread's accesses, the per-location loop that the
+    one-pass `checker.compute_owned_static` replaced.  Kept as the test
+    oracle."""
+    must = must_hold_locksets(p)
+    accesses = {v: {} for v in p.variables}
+    for t in p.threads:
+        for i in t.instructions:
+            reads, writes = instr_accesses(i)
+            for v in reads | writes:
+                accesses[v].setdefault(t.name, []).append(i)
+    table = {}
+    for t in p.threads:
+        for loc in t.locations:
+            owned = set()
+            for v in p.variables:
+                others = {tn: instrs for tn, instrs in accesses[v].items()
+                          if tn != t.name}
+                if not others:
+                    owned.add(v)  # nobody else ever touches v
+                    continue
+                for m in must[(t.name, loc)]:
+                    if all(m in must[(tn, i.source)]
+                           for tn, instrs in others.items() for i in instrs):
+                        owned.add(v)
+                        break
+            table[(t.name, loc)] = frozenset(owned)
+    return table

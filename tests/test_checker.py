@@ -2,6 +2,7 @@
 
 import json
 
+from domtools import owned_static_reference
 from racefree import corpus
 from racefree.checker import (
     check_assertions,
@@ -14,6 +15,7 @@ from racefree.checker import (
 from racefree.concrete import enumerate_executions
 from racefree.engine import AnalysisConfig, analyze_fixpoint
 from racefree.lang import desugar, eval_bool, parse_program
+from racefree.metacheck import random_race_free_programs
 from racefree.syncfg import build_syncfg
 
 
@@ -65,6 +67,31 @@ def test_static_is_subset_of_oracle_on_corpus():
         assert set(oracle.table) == set(static.table), name
         for key in static.table:
             assert static.table[key] <= oracle.table[key], (name, key)
+
+
+UNLOCKED_WRITER = """var x, y, z;
+lock m, n;
+thread a { acquire(m); x := y + 1; release(m); acquire(n); z := x; release(n); }
+thread b { acquire(m); acquire(n); y := x; z := z + 1; release(n); release(m); }
+thread c { x := 3; }
+"""
+
+
+def test_static_owned_matches_the_reference_scan():
+    programs = [corpus.load(n) for n in corpus.names()]
+    programs += [p for _, p in random_race_free_programs(50, seed=7)]
+    unlocked = desugar(parse_program(UNLOCKED_WRITER))
+    programs.append(unlocked)
+    assert len(programs) == 55
+    for p in programs:
+        assert compute_owned_static(p).table == owned_static_reference(p)
+    # c writes x with no lock held: x is owned nowhere in a or b; y is
+    # protected by m, z by n, and c, holding no lock, owns nothing
+    owned = compute_owned_static(unlocked)
+    assert all("x" not in owned.owned(t, loc) for t in ("a", "b")
+               for loc in unlocked.threads[unlocked.thread_index(t)].locations)
+    assert owned.owned("b", unlocked.threads[1].instructions[2].source) == {"y", "z"}
+    assert owned.owned("c", unlocked.threads[2].entry) == frozenset()
 
 
 # ---------------------------------------------------------------------------

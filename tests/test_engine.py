@@ -13,7 +13,7 @@ from racefree.engine import (
     collecting_fixpoint,
     make_domain,
 )
-from racefree.lang import desugar, parse_program
+from racefree.lang import desugar, parse_program, parse_region_text
 from racefree.syncfg import build_syncfg
 
 
@@ -38,21 +38,27 @@ def test_config_validation():
         AnalysisConfig(analysis="nope").validate()
 
 
-def test_postfixpoint_holds_on_all_configs(coupled_xy, coupled_xy_regions):
-    g = build_syncfg(coupled_xy)
-    for kw in (
-        dict(analysis="valset", domain="interval"),
-        dict(analysis="rel", domain="octagon"),
-        dict(analysis="rel", domain="octagon", recency=True),
-        dict(analysis="regrel", domain="octagon", regions=coupled_xy_regions),
-        dict(analysis="rel", domain="envset"),
-        dict(analysis="rel", domain="envset", recency=True),
-        dict(analysis="valset", domain="envset"),
-        dict(analysis="valset", domain="envset", recency=True),
-    ):
-        cfg = AnalysisConfig(**kw)
-        facts = analyze_fixpoint(coupled_xy, g, cfg)
-        check_postfixpoint(coupled_xy, g, cfg, facts)  # must not raise
+CHECK_CONFIGS = [
+    dict(analysis=a, domain="interval" if a == "valset" else "octagon", recency=r)
+    for a in ("valset", "rel", "regrel") for r in (False, True)
+] + [dict(analysis=a, domain="envset", recency=r)
+     for a in ("rel", "valset") for r in (False, True)]
+
+
+def test_postfixpoint_holds_on_all_configs():
+    """The facts that the cached narrowing and check accept also pass the
+    check on a fresh frame, which recomputes every transfer."""
+    from racefree import corpus
+
+    for name in corpus.names():
+        p = corpus.load(name)
+        g = build_syncfg(p)
+        text = corpus.REGION_TEXTS.get(name)
+        regions = parse_region_text(text, p.variables) if text else None
+        for kw in CHECK_CONFIGS:
+            cfg = AnalysisConfig(**kw, regions=regions)
+            facts = analyze_fixpoint(p, g, cfg)
+            check_postfixpoint(p, g, cfg, facts)  # frame=None: must not raise
 
 
 def test_regrel_equality_at_acquire_target(coupled_xy, coupled_xy_regions):
@@ -219,6 +225,79 @@ def test_one_fixpoint_run_builds_each_guard_once(monkeypatch):
     assert built
     assert len({id(b) for b in built}) == len(built)
     assert len(built) <= len({id(c) for c in conditions}) + len(p.assertions)
+
+
+# ---------------------------------------------------------------------------
+# the transfer cache
+
+
+HANDOFF = """var x;
+lock m;
+thread a { acquire(m); x := 1; release(m); }
+thread b { acquire(m); assume(x <= 1); release(m); }
+"""
+
+
+def _solved(src):
+    from racefree.engine import _Frame, _solve
+
+    p = desugar(parse_program(src))
+    cfg = AnalysisConfig(analysis="rel", domain="octagon")
+    g = build_syncfg(p)
+    frame = _Frame(p, g, cfg)
+    return p, g, cfg, frame, _solve(frame)
+
+
+def test_cached_check_recomputes_a_changed_input():
+    """A fact replaced by a new object is a changed input: the cached frame
+    recomputes the transfers that read it and still finds the violation."""
+    from racefree.engine import PostFixpointError
+
+    p, g, cfg, frame, facts = _solved(HANDOFF)
+    check_postfixpoint(p, g, cfg, facts, frame=frame)
+    b_acquire = p.threads[1].instructions[0]
+    dom = frame.domain
+    # strictly smaller at b's acquire target: the mix into it exceeds it
+    smaller = dict(facts)
+    target = b_acquire.target
+    smaller[target] = dom.assume(facts[target], cond(p, "x >= 1"))
+    assert dom.leq(smaller[target], facts[target])
+    assert not dom.leq(facts[target], smaller[target])
+    with pytest.raises(PostFixpointError):
+        check_postfixpoint(p, g, cfg, smaller, frame=frame)
+    # top at a's last location, which feeds b's acquire and has no outgoing
+    # edge: only a recomputed mix sees it
+    a_exit = p.threads[0].instructions[-1].target
+    assert a_exit in g.release_points_feeding(b_acquire.source, "m")
+    assert not any(i.source == a_exit for i in p.instructions)
+    wider = dict(facts)
+    wider[a_exit] = dom.top()
+    with pytest.raises(PostFixpointError):
+        check_postfixpoint(p, g, cfg, wider, frame=frame)
+
+
+def test_narrowing_and_check_reuse_the_solver_transfers(monkeypatch):
+    """Where narrowing stops after one round, the whole analysis assigns no
+    more often than the worklist solver alone: the narrowing round and the
+    check find every input unchanged."""
+    from racefree import absdom, engine
+
+    assigns, rounds = [], []
+    monkeypatch.setattr(absdom.OctagonDomain, "assign",
+                        lambda self, *a, _f=absdom.OctagonDomain.assign:
+                        assigns.append(a) or _f(self, *a))
+    monkeypatch.setattr(engine._Frame, "initial_facts",
+                        lambda self, _f=engine._Frame.initial_facts:
+                        rounds.append(1) or _f(self))
+    _solved(HANDOFF)
+    solve_only = len(assigns)
+    assigns.clear()
+    rounds.clear()
+    p = desugar(parse_program(HANDOFF))
+    analyze_fixpoint(p, build_syncfg(p), AnalysisConfig(analysis="rel", domain="octagon"))
+    assert len(rounds) == 2  # the solver's initial facts, one narrowing round
+    assert solve_only > 0
+    assert len(assigns) <= solve_only
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from racefree.lang import (
     Thread,
     access_sets,
     desugar,
+    eval_bool,
+    eval_expr,
     instr_accesses,
     parse_program,
     parse_region_text,
@@ -168,6 +170,30 @@ def test_linear_view_keeps_zero_coefficient_reads_and_havoc_order():
     p = parse_program("var x, y;\nthread t { x := y - y + 2 * (havoc - 3 * x) - 4 + havoc; }")
     assert p.threads[0].body[0].expr.linear == Linear(
         const=-4, coeffs={"x": -6}, havocs=(2, 1), reads=frozenset({"x", "y"}))
+
+
+def test_eval_expr_consumes_havoc_choices_in_order():
+    p = parse_program("var x, y;\nthread t { x := havoc; y := 3 * (x - havoc) + havoc;"
+                      " x := y; x := 4; x := 0 - y; }")
+    single, nested, *plain = (s.expr for s in p.threads[0].body)
+    env = {"x": 5, "y": 2}
+    assert eval_expr(single, env, (7,)) == 7
+    assert eval_expr(nested, env, (1, 2)) == 3 * (5 - 1) + 2
+    assert [eval_expr(e, env) for e in plain] == [2, 4, -2]
+    assert eval_bool(parse_program("var x, y;\nthread t { assume(x < 3 && y >= 0); }")
+                     .threads[0].body[0].cond, {"x": 2, "y": 0})
+
+
+def test_eval_expr_rejects_unused_and_missing_havoc_choices():
+    p = parse_program("var x;\nthread t { x := x + 1; x := havoc; x := 2 * (x + havoc); }")
+    plain, single, nested = (s.expr for s in p.threads[0].body)
+    with pytest.raises(ValueError, match="unused havoc choices"):
+        eval_expr(plain, {"x": 0}, (1,))
+    with pytest.raises(ValueError, match="unused havoc choices"):
+        eval_expr(single, {"x": 0}, (1, 2))
+    for e in (single, nested):
+        with pytest.raises(ValueError, match="havoc occurrence without a chosen value"):
+            eval_expr(e, {"x": 0})
 
 
 @pytest.mark.parametrize(
