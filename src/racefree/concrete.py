@@ -400,7 +400,7 @@ class HappensBefore:
         return not self.ordered(i, j) and not self.ordered(j, i)
 
 
-def happens_before(e: Execution, index: Optional[ProgramIndex] = None) -> HappensBefore:
+def happens_before(e: Execution) -> HappensBefore:
     if not e.steps:
         return HappensBefore((), (), (), ())
     n_threads = len(e.initial.pc)

@@ -19,9 +19,9 @@ left unchanged.
 `check_postfixpoint(..., frame=None)` builds a fresh frame instead and
 recomputes every transfer: that is the independent form of the check.
 
-Facts are sound only under owned-variable projection; the engine itself
-just computes a post-fixpoint of the transfer system and leaves the
-projection to the assertion checker.
+Facts are sound only on the variables a thread owns at a location; the
+engine itself just computes a post-fixpoint of the transfer system and
+leaves the owned-set gate to the assertion checker.
 """
 
 from __future__ import annotations

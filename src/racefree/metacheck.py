@@ -150,7 +150,7 @@ def check_correspondence(
                          if ch == choices]
                 if not match:
                     problem = "standard step has no thread-local counterpart"
-                elif extract_state(p, match[0], ctx) != s2:
+                elif extract_state(p, match[0]) != s2:
                     problem = "extraction differs from the standard state"
                 else:
                     problem = None
@@ -164,7 +164,7 @@ def check_correspondence(
     # soundness direction: thread-local execution -> standard validity
     def bwd(sigma, path):
         try:
-            s = extract_state(p, sigma, ctx)
+            s = extract_state(p, sigma)
         except InadmissibleStateError as e:
             result.fail(_trace(path), f"admissibility broken: {e}")
             return
@@ -175,7 +175,7 @@ def check_correspondence(
             try:
                 if not match:
                     problem = "thread-local step disabled in the standard semantics"
-                elif match[0] != extract_state(p, sigma2, ctx):
+                elif match[0] != extract_state(p, sigma2):
                     problem = "standard successor disagrees with extraction"
                 else:
                     problem = None
@@ -328,7 +328,6 @@ def _mix_envs(envs: frozenset, partition) -> frozenset:
 
 
 def _cartesian_transfer(
-    p: Program,
     ctx: LocalContext,
     instr: Instruction,
     state: LocEnvs,
@@ -404,7 +403,7 @@ def check_local_abstraction(
                     post.append(s2)
             result.instances += 1
             lhs = _alpha(p, ctx, post) if post else {}
-            rhs = _cartesian_transfer(p, ctx, instr, alpha_x, partition,
+            rhs = _cartesian_transfer(ctx, instr, alpha_x, partition,
                                       havoc_values, mix_fn=mix_fn)
             for loc, envs in lhs.items():
                 if post and not envs <= rhs.get(loc, frozenset()):

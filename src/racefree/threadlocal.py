@@ -170,10 +170,9 @@ def local_step(
     return (((), ThreadLocalState(pc2, mu[:slot] + (None,) + mu[slot + 1:], theta, buffers2)),)
 
 
-def extract_state(p: Program, s: ThreadLocalState, ctx: Optional[LocalContext] = None) -> StdState:
+def extract_state(p: Program, s: ThreadLocalState) -> StdState:
     """Collapse to an interleaving-semantics state: per variable, the value at
     the highest version across the thread-local environments."""
-    ctx = ctx or LocalContext(p)
     if not is_admissible(s):
         raise InadmissibleStateError("cannot extract from an inadmissible state")
     phi = []

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -20,22 +22,38 @@ from racefree.absdom import (
     IntervalDomain,
     IntervalElem,
     OctagonDomain,
+    OctElem,
+    is_bottom,
+    split_fact,
 )
 from racefree.checker import must_hold_locksets
+from racefree.concrete import reachable_states
+from racefree.engine import make_domain
 from racefree.lang import (
     HAVOC as HAVOC_ATOM,
+    Acquire,
+    AssertStmt,
+    Assertion,
     Assign,
     Assume,
+    BoolExpr,
     BoolLit,
     BoolOp,
     Cmp,
     Expr,
     NotExpr,
+    Program,
+    Release,
+    Thread,
+    access_sets,
+    desugar,
     eval_bool,
     eval_expr,
     instr_accesses,
     parse_program,
+    vars_of_bool,
 )
+from racefree.metacheck import random_race_free_programs
 
 BOX = (-4, 4)
 HAVOC = (0, 1, 2)
@@ -297,3 +315,124 @@ def owned_static_reference(p) -> dict:
                         break
             table[(t.name, loc)] = frozenset(owned)
     return table
+
+
+def forget_projected(dom, d, drop: set[str]):
+    """Existential projection of `d` away from the variables `drop`: the
+    per-domain `forget` that the assertion checker used to apply before
+    discharging.  Kept as the test oracle."""
+    if is_bottom(d):
+        return d
+    idx = {dom.var_index[v] for v in drop}
+    if not idx:
+        return d
+    if isinstance(dom, IntervalDomain):
+        return IntervalElem(tuple(
+            (-INF, INF) if k in idx else bd for k, bd in enumerate(d.bounds)))
+    if isinstance(dom, OctagonDomain):
+        c = dom._closed(d)
+        return c if is_bottom(c) else OctElem(dom._forget_matrix(c.m, idx), closed=True)
+    # environment sets: every dropped variable re-materialized over the box
+    values = range(dom.box[0], dom.box[1] + 1)
+    order = sorted(idx)
+    out = set()
+    for env in d:
+        for combo in product(values, repeat=len(order)):
+            e = list(env)
+            for k, vi in enumerate(order):
+                e[vi] = combo[k]
+            out.add(tuple(e))
+    return frozenset(out)
+
+
+def discharge_projected(p, facts, owned, cfg) -> list[tuple[bool, str]]:
+    """Reference assertion discharge: (proved, reason) per assertion, with
+    each fact projected onto the owned variables before `entails`, as the
+    checker did before it read the fact as it is.  Kept as the test
+    oracle."""
+    dom = make_domain(cfg, p.variables)
+    out = []
+    for a in p.assertions:
+        elem, _ = split_fact(facts[a.location])
+        owned_here = owned.owned(a.thread, a.location)
+        if not vars_of_bool(a.cond) <= owned_here:
+            out.append((False, "unowned variable in condition"))
+            continue
+        projected = forget_projected(dom, elem, set(p.variables) - owned_here)
+        proved = dom.entails(projected, a.cond)
+        out.append((proved, "" if proved else "fact does not entail the condition"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# programs with bounds asserted at every release and thread end
+
+
+def _bound(v: str, k: int) -> Cmp:
+    return Cmp("<=", Expr.of(v), Expr.of(k))
+
+
+def _reading(variables) -> BoolExpr:
+    """A condition that reads exactly `variables`."""
+    atoms = tuple(_bound(v, 0) for v in sorted(variables))
+    if not atoms:
+        return BoolLit(True)
+    return atoms[0] if len(atoms) == 1 else BoolOp("&&", atoms)
+
+
+def _asserted_body(body, readable_anywhere, readable_locked) -> tuple:
+    """`body` with an assert before each release and at the end, each
+    reading what the thread may read there without racing."""
+    out, locked = [], False
+    for s in body:
+        if isinstance(s, Release):
+            out.append(AssertStmt(_reading(readable_locked)))
+            locked = False
+        elif isinstance(s, Acquire):
+            locked = True
+        out.append(s)
+    out.append(AssertStmt(_reading(readable_locked if locked else readable_anywhere)))
+    return tuple(out)
+
+
+@cache
+def asserted_programs(count: int = 40, seed: int = 1) -> tuple[tuple[str, Program], ...]:
+    """`count` loop-free race-free programs of `random_race_free_programs`,
+    rebuilt with a true bound `v <= max` and a false bound `v <= max - 1`
+    asserted, at every reachable assert point, on each variable the thread
+    may read there without racing: anywhere, one no other thread writes;
+    inside a lock section, one no other thread writes outside of one.
+    `max` is taken over `reachable_states(q, len(q.instructions))`, which
+    is exhaustive on a loop-free program: no execution takes more steps
+    than there are instructions."""
+    out = []
+    for name, p in random_race_free_programs(count, seed):
+        writes, free_writes = {}, {}  # thread -> variables written (outside a lock)
+        for t in p.threads:
+            writes[t.name], free_writes[t.name], locked = set(), set(), False
+            for s in t.body:
+                locked = isinstance(s, Acquire) or (locked and not isinstance(s, Release))
+                _, written = access_sets(s)
+                writes[t.name] |= written
+                if not locked:
+                    free_writes[t.name] |= written
+        threads = []
+        for t in p.threads:
+            others = [u.name for u in p.threads if u is not t]
+            anywhere = set(p.variables).difference(*(writes[u] for u in others))
+            locked = set(p.variables).difference(*(free_writes[u] for u in others))
+            threads.append(Thread(t.name, _asserted_body(t.body, anywhere, locked)))
+        q = desugar(Program(p.variables, p.locks, p.regions, tuple(threads)))
+        states = reachable_states(q, len(q.instructions))
+        assertions = []
+        for a in q.assertions:
+            tid = q.thread_index(a.thread)
+            here = [s.phi for s in states if s.pc[tid] == a.location]
+            if not here:
+                continue  # no execution reaches this point
+            for v in sorted(vars_of_bool(a.cond)):
+                top = max(phi[q.variables.index(v)] for phi in here)
+                assertions += [Assertion(a.location, _bound(v, top), a.thread),
+                               Assertion(a.location, _bound(v, top - 1), a.thread)]
+        out.append((name, replace(q, assertions=tuple(assertions))))
+    return tuple(out)

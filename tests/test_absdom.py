@@ -182,15 +182,15 @@ def test_assume_octagon_equality_atom():
 
 
 def test_forget_drops_relation_keeps_bounds():
+    """Forgetting is y := havoc: y's relation to x goes, x's bounds stay, exactly."""
     dom = OctagonDomain(("x", "y"))
     d = octagon_from(dom, ["x == y", "x >= 1", "x <= 2"])
-    out = dom.forget(d, ["y"])
+    out = dom.assign(d, "y", expr("havoc"))
     pts = box_points(2, domtools.BOX)
     got = domtools.gamma_box(dom, out, pts)
     want = {(x, y) for x in (1, 2) for y in range(domtools.BOX[0], domtools.BOX[1] + 1)}
     assert got == want
-    assert dom.forget(d, []) == d
-    assert dom.forget(BOTTOM, ["y"]) is BOTTOM
+    assert dom.assign(BOTTOM, "y", expr("havoc")) is BOTTOM
 
 
 @pytest.mark.parametrize("make", [IntervalDomain, OctagonDomain])

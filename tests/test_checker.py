@@ -1,8 +1,12 @@
 """Owned-variable computation and assertion discharge."""
 
 import json
+from itertools import product
 
-from domtools import owned_static_reference
+import pytest
+
+import domtools
+from domtools import discharge_projected, owned_static_reference
 from racefree import corpus
 from racefree.checker import (
     check_assertions,
@@ -14,7 +18,7 @@ from racefree.checker import (
 )
 from racefree.concrete import enumerate_executions
 from racefree.engine import AnalysisConfig, analyze_fixpoint
-from racefree.lang import desugar, eval_bool, parse_program
+from racefree.lang import desugar, eval_bool, parse_program, parse_region_text
 from racefree.metacheck import random_race_free_programs
 from racefree.syncfg import build_syncfg
 
@@ -160,6 +164,49 @@ def test_proved_assertions_hold_in_bounded_executions(coupled_xy, coupled_xy_reg
             if (t.name, loc) in proved:
                 env = dict(zip(var_order, state.phi))
                 assert eval_bool(by_loc[loc].cond, env), (t.name, loc, env)
+
+
+# ---------------------------------------------------------------------------
+# discharge on the fact as it is
+
+
+REFERENCE_CONFIGS = list(product(
+    (("valset", "interval"), ("rel", "octagon"), ("regrel", "octagon"),
+     ("rel", "envset"), ("valset", "envset")),
+    (False, True)))
+
+
+def assert_discharge_matches_projection(p, owned_maps, regions=None) -> int:
+    """`check_assertions` gives the verdicts and reasons of the projecting
+    reference discharge; returns how many assertions passed the owned gate."""
+    gated = 0
+    for (analysis, domain), recency in REFERENCE_CONFIGS:
+        cfg = AnalysisConfig(analysis=analysis, domain=domain, recency=recency,
+                             regions=regions)
+        facts = analyze_fixpoint(p, build_syncfg(p), cfg)
+        for owned in owned_maps:
+            got = [(a.proved, a.reason) for a in
+                   check_assertions(p, facts, owned, cfg).assertions]
+            assert got == discharge_projected(p, facts, owned, cfg), (cfg, owned.mode)
+            gated += sum(reason != "unowned variable in condition" for _, reason in got)
+    return gated
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_discharge_matches_projection_on_corpus(name):
+    p = corpus.load(name)
+    text = corpus.REGION_TEXTS.get(name)
+    regions = parse_region_text(text, p.variables) if text else None
+    owned_maps = (compute_owned_static(p), compute_owned_oracle(p, 12))
+    gated = assert_discharge_matches_projection(p, owned_maps, regions)
+    assert gated or not p.assertions
+
+
+def test_discharge_matches_projection_on_random_programs():
+    gated = 0
+    for _, q in domtools.asserted_programs():
+        gated += assert_discharge_matches_projection(q, (compute_owned_static(q),))
+    assert gated
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,7 @@ def test_local_abstraction_initial_state_acquire(capped_counter):
     acquire = capped_counter.threads[0].instructions[0]
     post = [s for _, s in local_step(capped_counter, init, acquire, (0, 1, 2), ctx)]
     lhs = _alpha(capped_counter, ctx, post)
-    rhs = _cartesian_transfer(capped_counter, ctx, acquire,
-                              _alpha(capped_counter, ctx, [init]),
+    rhs = _cartesian_transfer(ctx, acquire, _alpha(capped_counter, ctx, [init]),
                               ((0,),), (0, 1, 2))
     for loc, envs in lhs.items():
         assert envs <= rhs.get(loc, frozenset())

@@ -144,30 +144,27 @@ def test_region_variant_with_singletons_is_identical(capped_counter):
 
 
 def test_extract_initial_state(coupled_xy):
-    ctx = LocalContext(coupled_xy)
-    assert extract_state(coupled_xy, initial_local_state(coupled_xy, ctx), ctx) \
+    assert extract_state(coupled_xy, initial_local_state(coupled_xy)) \
         == initial_state(coupled_xy)
 
 
 def test_extract_takes_maximal_versions(coupled_xy):
-    ctx = LocalContext(coupled_xy)
     zero = VersionedEnv((0, 0, 0), (0, 0, 0))
     strong = VersionedEnv((4, 5, 6), (3, 3, 3))
-    s = initial_local_state(coupled_xy, ctx)
+    s = initial_local_state(coupled_xy)
     s = ThreadLocalState(s.pc, s.mu, (strong, zero), s.buffers)
-    assert extract_state(coupled_xy, s, ctx).phi == (4, 5, 6)
+    assert extract_state(coupled_xy, s).phi == (4, 5, 6)
 
 
 def test_admissibility_detects_conflicts(coupled_xy):
-    ctx = LocalContext(coupled_xy)
-    s = initial_local_state(coupled_xy, ctx)
+    s = initial_local_state(coupled_xy)
     assert is_admissible(s)
     a = VersionedEnv((3, 0, 0), (1, 0, 0))
     b = VersionedEnv((4, 0, 0), (1, 0, 0))
     bad = ThreadLocalState(s.pc, s.mu, (a, b), s.buffers)
     assert not is_admissible(bad)
     with pytest.raises(InadmissibleStateError):
-        extract_state(coupled_xy, bad, ctx)
+        extract_state(coupled_xy, bad)
 
 
 def test_reachable_states_admissible(coupled_xy):
