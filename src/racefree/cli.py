@@ -119,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--regions", default="default", metavar="FILE|default")
     an.add_argument("--owned", choices=("static", "oracle"), default="static")
     an.add_argument("--depth", type=_count, default=12,
-                    help="exploration depth for oracle owned sets / refined gamma")
-    an.add_argument("--gamma", choices=("default", "refined"), default="default")
+                    help="exploration depth for oracle owned sets")
     an.add_argument("--widen-delay", type=_count, default=2)
     an.add_argument("--value-box", default="-4,4", metavar="lo,hi",
                     help="value box for the envset domain")
@@ -177,8 +176,6 @@ def _cmd_analyze(args) -> int:
     )
     cfg.validate()
     g = build_syncfg(program)
-    if args.gamma == "refined":
-        g = refine_gamma(g, program, args.depth, havoc)
     t0 = time.monotonic()
     facts = analyze_fixpoint(program, g, cfg)
     t_analysis = time.monotonic() - t0

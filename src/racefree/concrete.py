@@ -10,6 +10,14 @@ that takes the step function of a semantics, one depth-bounded tree search
 (`dfs`) and one breadth-first state search (`reachable`).  The race search
 and the owned-variable oracle read one walk of the standard tree that keeps
 happens-before's vector clocks along the path (`clocked_walk`).
+
+That walk is reduced by sleep sets: it enters one execution of each
+Mazurkiewicz trace, the executions equal up to reordering adjacent
+independent steps.  This keeps every verdict at depth k.  Equivalent
+executions have the same final state, the same po U sw clocks and the same
+length, so every trace of length <= k has an explored representative.  A
+race pair stays ordered because its two steps conflict.  The budget counts
+nodes of the reduced tree.
 """
 
 from __future__ import annotations
@@ -434,26 +442,85 @@ def happens_before(e: Execution) -> HappensBefore:
     return HappensBefore(tuple(clocks), tuple(tids), tuple(po_edges), tuple(sw_edges))
 
 
-def clocked_walk(idx: ProgramIndex, depth: int, havoc_values,
-                 budget: int) -> Iterator[tuple]:
-    """`dfs` of the standard execution tree of `idx.program`, with the
-    vector clocks of happens-before kept along the path.
+def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
+                 subjects_of: Callable[[Instruction], tuple[frozenset[str], frozenset[str]]],
+                 ) -> Iterator[tuple]:
+    """`dfs` of the standard execution tree of `idx.program`, reduced by
+    sleep sets (Godefroid 1996), with the vector clocks of happens-before
+    kept along the path.
 
     Yields `(state, path, clocks, thread_clock)` at every node: `clocks[i]`
     is the clock of step i of `path`, `thread_clock[t]` that of thread t
     after the path.  Like `path`, both lists are updated in place.  They
     are the clocks `happens_before` computes per execution, updated once per
     tree edge; `happens_before` stays the independent reference.
+
+    Two steps are dependent when they belong to one thread, both acquire or
+    release one lock, or conflict on the `subjects_of` sets of the search
+    that reads the walk; independent steps commute.  A sleep-set entry is
+    the instruction (which fixes the thread) and the havoc choices of a
+    step.  A node skips the steps in its sleep set; a child's sleep set is
+    its parent's plus the siblings explored before it, less every entry
+    dependent on the step taken.  So a branch that only reorders
+    independent steps of an earlier branch is never entered, and `budget`
+    counts the nodes of the reduced tree.
+
+    What the readers see is kept.  Executions that differ only in the order
+    of independent steps (one Mazurkiewicz trace) have the same final state,
+    the same po U sw clocks on each step and the same length.  Every trace
+    of length <= `depth` has an explored representative, so every state is
+    yielded.  A pruned branch reorders an earlier one, so the representative
+    is the first execution of its trace in the canonical order of the
+    unreduced tree.  A race pair conflicts, so its two steps keep their
+    order in every representative; under region-lifted `subjects_of` so do
+    two accesses to one region.  The race search therefore reports the same
+    triples, each with the same first witness, and the owned oracle sees
+    the same (state, clocks) pairs.
+
+    The walks that must see every execution or every transition stay
+    unreduced: `executions` and `enumerate_executions` promise each
+    execution once (`explore` prints them, and the tests' references
+    enumerate them), `syncfg.refine_gamma` reads those, `reachable` already
+    merges reorders in its visited set, and metacheck's correspondence and
+    local-abstraction walks check each transition step for step, which a
+    representative skips.
     """
     p = idx.program
     zero = (0,) * len(p.threads)
     thread_clock = [zero] * len(p.threads)
     lock_clock = [zero] * len(p.locks)
     clocks: list[tuple[int, ...]] = []
+    sleeps: list[tuple] = [()]  # the sleep set of each node on the path
+
+    # dependent[id(a)]: the ids of the instructions whose steps do not
+    # commute with a step of `a`
+    instrs = p.instructions
+    footprint = {
+        id(i): (idx.tid_of_instr[i],
+                i.command.lock if isinstance(i.command, (Acquire, Release)) else None,
+                *subjects_of(i))
+        for i in instrs}
+    dependent: dict[int, set[int]] = {}
+    for a in instrs:
+        ta, la, a_reads, a_writes = footprint[id(a)]
+        deps = dependent[id(a)] = set()
+        for b in instrs:
+            tb, lb, b_reads, b_writes = footprint[id(b)]
+            if (ta == tb or (la is not None and la == lb)
+                    or _conflicts(a_reads, a_writes, b_reads, b_writes)):
+                deps.add(id(b))
 
     def expand(state: StdState, path: list):
+        sleep = sleeps[-1]
+        explored: list[tuple] = []
         for edge in successors(idx, state, std_step, havoc_values):
-            t, instr, _, post = edge
+            t, instr, choices, post = edge
+            entry = (id(instr), choices)
+            if entry in sleep:
+                continue
+            deps = dependent[id(instr)]
+            child_sleep = tuple(e for e in (*sleep, *explored) if e[0] not in deps)
+            explored.append(entry)
             _, _, _, kind, slot, _, _, _ = idx.steps.get(id(instr)) or idx.compile(instr)
             saved_thread = vc = thread_clock[t]
             if kind is Acquire:
@@ -464,7 +531,9 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values,
                 saved_lock = lock_clock[slot]
                 lock_clock[slot] = vc
             clocks.append(vc)
+            sleeps.append(child_sleep)
             yield edge, post
+            sleeps.pop()
             clocks.pop()
             thread_clock[t] = saved_thread
             if kind is Release:
@@ -497,7 +566,8 @@ def _find_races(
     budget: int,
     subjects_of: Callable[[Instruction], tuple[frozenset[str], frozenset[str]]],
 ) -> list[RaceReport]:
-    """DFS over the execution tree, reporting hb-unordered conflicting pairs.
+    """DFS over the reduced execution tree of `clocked_walk`, reporting
+    hb-unordered conflicting pairs.
 
     A pair is reported at the tree node whose last step is its second
     access, so each distinct (instruction, instruction, subject) triple is
@@ -530,7 +600,7 @@ def _find_races(
             pre = post
         return Execution(init, tuple(steps))
 
-    for _, path, clocks, _ in clocked_walk(idx, depth, havoc_values, budget):
+    for _, path, clocks, _ in clocked_walk(idx, depth, havoc_values, budget, subjects_of):
         if not path:
             continue
         k = len(path) - 1
@@ -604,13 +674,14 @@ def owned_vars_oracle(
     not synchronized with.  That is the race of a read of v appended there,
     one step deeper.  A read placed earlier, with the write after it, is no
     other case: t idles after the read, so the write alone, one step
-    earlier, ends a node of the first kind.  One walk of the tree, which
-    `budget` bounds, decides every location."""
+    earlier, ends a node of the first kind.  One walk of the tree, reduced
+    by sleep sets and bounded by `budget`, decides every location."""
     idx = ProgramIndex(p)
     written = {id(i): instr_accesses(i)[1] for i in p.instructions}
     racy: dict[tuple[int, int], set[str]] = {
         (t, loc): set() for t, th in enumerate(p.threads) for loc in th.locations}
-    for state, path, clocks, thread_clock in clocked_walk(idx, depth, havoc_values, budget):
+    for state, path, clocks, thread_clock in clocked_walk(
+            idx, depth, havoc_values, budget, instr_accesses):
         for t, loc in enumerate(state.pc):
             seen = thread_clock[t]
             for i, (u, instr, _, _) in enumerate(path):

@@ -26,6 +26,7 @@ from racefree.absdom import (
     is_bottom,
     split_fact,
 )
+from racefree import concrete
 from racefree.checker import must_hold_locksets
 from racefree.concrete import reachable_states
 from racefree.engine import make_domain
@@ -436,3 +437,69 @@ def asserted_programs(count: int = 40, seed: int = 1) -> tuple[tuple[str, Progra
                                Assertion(a.location, _bound(v, top - 1), a.thread)]
         out.append((name, replace(q, assertions=tuple(assertions))))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the unreduced clocked walk
+
+
+def unreduced_clocked_walk(idx, depth, havoc_values, budget, subjects_of):
+    """`concrete.clocked_walk` without its sleep sets: every node of the
+    standard execution tree up to `depth`, with happens-before's vector
+    clocks kept along the path; `subjects_of` is taken for the signature
+    and not read.  Kept for oracle independence, as `metacheck._mix_envs`
+    is kept beside `EnvSetDomain.mix`: the race searches and the owned
+    oracle, run over it by `unreduced`, are the reference of the reduced
+    ones."""
+    p = idx.program
+    zero = (0,) * len(p.threads)
+    thread_clock = [zero] * len(p.threads)
+    lock_clock = [zero] * len(p.locks)
+    clocks = []
+
+    def expand(state, path):
+        for edge in concrete.successors(idx, state, concrete.std_step, havoc_values):
+            t, instr, _, post = edge
+            cmd = instr.command
+            lock = idx.lock_index[cmd.lock] if isinstance(cmd, (Acquire, Release)) else None
+            saved_thread = vc = thread_clock[t]
+            if isinstance(cmd, Acquire):
+                vc = tuple(map(max, vc, lock_clock[lock]))
+            vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
+            thread_clock[t] = vc
+            if isinstance(cmd, Release):
+                saved_lock = lock_clock[lock]
+                lock_clock[lock] = vc
+            clocks.append(vc)
+            yield edge, post
+            clocks.pop()
+            thread_clock[t] = saved_thread
+            if isinstance(cmd, Release):
+                lock_clock[lock] = saved_lock
+
+    for state, path in concrete.dfs(concrete.initial_state(p), depth, budget, expand):
+        yield state, path, clocks, thread_clock
+
+
+def unreduced(search, *args, **kwargs):
+    """`search(*args, **kwargs)` with `concrete.clocked_walk` replaced by
+    `unreduced_clocked_walk`: the search, or the owned oracle, over every
+    execution of the tree."""
+    walk = concrete.clocked_walk
+    concrete.clocked_walk = unreduced_clocked_walk
+    try:
+        return search(*args, **kwargs)
+    finally:
+        concrete.clocked_walk = walk
+
+
+def strip_locks(p: Program) -> Program:
+    """`p` with every acquire and release turned into a no-op step (a true
+    assume), so that the accesses they guarded race."""
+    noop = Assume(BoolLit(True))
+    threads = tuple(
+        replace(t, instructions=tuple(
+            replace(i, command=noop) if isinstance(i.command, (Acquire, Release)) else i
+            for i in t.instructions))
+        for t in p.threads)
+    return replace(p, threads=threads)

@@ -199,11 +199,34 @@ def test_builtin_corpus_names_resolve(capsys):
                     "capped_counter"]) == 0
 
 
-def test_analyze_with_refined_gamma(fig_file, region_file, capsys):
-    code = run_cli(["analyze", "--analysis", "regrel", "--regions", region_file,
-                    "--gamma", "refined", "--depth", "11", fig_file])
-    assert code == 0
-    assert "3/3 assertions proved" in capsys.readouterr().out
+def test_dot_with_refined_gamma(fig_file, capsys):
+    """The refined gamma keeps the sync edges seen within the depth."""
+    assert run_cli(["dot", fig_file]) == 0
+    default = capsys.readouterr().out
+    assert run_cli(["dot", "--gamma", "refined", "--depth", "11", fig_file]) == 0
+    refined = capsys.readouterr().out
+    assert refined.startswith("digraph syncfg {")
+    assert 0 < refined.count("style=dashed") <= default.count("style=dashed")
+
+
+LATE_WRITE = """\
+var x;
+lock m;
+thread t { acquire(m); x := 1; release(m); acquire(m); x := 2; release(m); }
+thread u { acquire(m); assert(x <= 1); release(m); }
+"""
+
+
+def test_analyze_has_no_refined_gamma(tmp_path, capsys):
+    """A gamma refined at a depth that misses the second release proved
+    `x <= 1` although x = 2 is reachable there; analyze rejects the option
+    (usage error) and leaves the assertion unproved."""
+    f = tmp_path / "late.rf"
+    f.write_text(LATE_WRITE)
+    for depth in ("3", "6"):
+        assert run_cli(["analyze", "--gamma", "refined", "--depth", depth, str(f)]) == 2
+        assert run_cli(["analyze", "--depth", depth, str(f)]) == 1
+    assert "UNPROVED" in capsys.readouterr().out
 
 
 def test_region_file_without_semicolons(tmp_path, capsys):

@@ -8,11 +8,14 @@ from itertools import product
 
 import pytest
 
-from domtools import binop, chain, scaled
+from domtools import binop, chain, scaled, strip_locks, unreduced
 from racefree import corpus
 from racefree.concrete import (
+    DEFAULT_BUDGET,
+    DEFAULT_HAVOC,
     ProgramIndex,
     StdState,
+    clocked_walk,
     enumerate_executions,
     find_data_races,
     find_region_races,
@@ -42,6 +45,7 @@ from racefree.lang import (
     desugar,
     eval_bool,
     eval_expr,
+    instr_accesses,
     parse_program,
     parse_region_text,
 )
@@ -317,8 +321,9 @@ def test_a_foreign_instruction_raises_key_error(coupled_xy):
 
 
 def test_race_searches_step_through_the_module_global(coupled_xy, monkeypatch):
-    """A wrapper over `concrete.std_step` sees every step of the searches;
-    the counts are those of the tree-walking step function before it."""
+    """A wrapper over `concrete.std_step` sees every step of the searches.
+    The counts are those of the sleep-set reduced walk: the unreduced tree
+    of coupled_xy at depth 13 took 268 steps for each search."""
     from racefree import concrete
 
     calls = []
@@ -330,9 +335,9 @@ def test_race_searches_step_through_the_module_global(coupled_xy, monkeypatch):
     step = concrete.std_step
     monkeypatch.setattr(concrete, "std_step", counting)
     searches = [
-        (lambda: find_data_races(coupled_xy, 13), 268),
-        (lambda: find_region_races(coupled_xy, 13), 268),
-        (lambda: owned_vars_oracle(coupled_xy, 13), 268),
+        (lambda: find_data_races(coupled_xy, 13), 51),
+        (lambda: find_region_races(coupled_xy, 13), 51),
+        (lambda: owned_vars_oracle(coupled_xy, 13), 51),
     ]
     for search, count in searches:
         calls.clear()
@@ -649,6 +654,71 @@ def test_owned_oracle_matches_the_probed_reference():
                     assert owned[t.name, loc] == want, (p.threads, t.name, loc, d)
     racy = owned_vars_oracle(programs[-1], max_depth)
     assert any(owned != {"x", "y"} for owned in racy.values())
+
+
+# ---------------------------------------------------------------------------
+# sleep-set reduction of the clocked walk
+
+# loop programs: every depth of the net cuts their trees; two_locks races
+# on z, which v reads outside the lock
+LOOPS = {
+    "locked_counters": """\
+var c, d;
+lock m;
+thread t { while (c < 3) { acquire(m); c := c + 1; release(m); } }
+thread u { while (d < 2) { acquire(m); d := d + c; release(m); } }
+""",
+    "two_locks": """\
+var x, y, z;
+lock m, n;
+thread t { while (x < 2) { acquire(m); x := x + 1; release(m); acquire(n); y := x; release(n); } }
+thread u { acquire(n); z := y + havoc; release(n); }
+thread v { while (z < 1) { acquire(n); z := z + 1; release(n); } }
+""",
+}
+
+
+def reduction_net():
+    """The corpus, random race-free programs and loop programs, each also
+    with its locks stripped."""
+    from racefree.metacheck import random_race_free_programs
+
+    named = [(name, corpus.load(name)) for name in corpus.names()]
+    named += random_race_free_programs(12, seed=5)
+    named += [(name, prog(src)) for name, src in LOOPS.items()]
+    return named + [(f"{name}/stripped", strip_locks(p)) for name, p in named]
+
+
+def test_reduced_searches_match_the_unreduced_walk():
+    """The race searches (data races, and region races under the program's
+    regions and under one region of every variable) report the same
+    triples with the same witness executions, and the owned oracle gives
+    the same map, over the sleep-set reduced walk as over every execution,
+    at each depth up to 8."""
+    racy = 0
+    for name, p in reduction_net():
+        one_region = RegionMap.from_declared(p.variables, {"__all": p.variables})
+        for depth in range(9):
+            races = find_data_races(p, depth)
+            assert races == unreduced(find_data_races, p, depth), (name, depth)
+            for regions in (p.regions, one_region):
+                assert (find_region_races(p, depth, regions=regions)
+                        == unreduced(find_region_races, p, depth, regions=regions)), (name, depth)
+            assert owned_vars_oracle(p, depth) == unreduced(owned_vars_oracle, p, depth), (
+                name, depth)
+        racy += bool(races)
+    assert racy > 12  # most of the 18 stripped variants race
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_reduced_walk_yields_every_reachable_state(name):
+    """Sleep sets prune transitions, never states."""
+    p = corpus.load(name)
+    idx = ProgramIndex(p)
+    for depth in (0, 3, 6, 9, 13):
+        walked = {s for s, *_ in clocked_walk(idx, depth, DEFAULT_HAVOC, DEFAULT_BUDGET,
+                                              instr_accesses)}
+        assert walked == reachable_states(p, depth), depth
 
 
 def test_enumeration_contains_canonical_handoff(coupled_xy):
