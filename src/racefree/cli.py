@@ -141,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser("metacheck", help="machine-check the metatheory at depth")
     _add_common(mc)
-    mc.add_argument("--depth", type=_count, default=12)
+    mc.add_argument("--depth", type=_count, default=12,
+                    help="exploration depth of the race precondition, the "
+                         "correspondence and the version invariants; the "
+                         "local-abstraction pool is always drawn within 8 steps")
     mc.add_argument("--samples", type=_count, default=200)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--regions", default="default", metavar="FILE|default")
@@ -175,9 +178,8 @@ def _cmd_analyze(args) -> int:
         value_box=box,
     )
     cfg.validate()
-    g = build_syncfg(program)
     t0 = time.monotonic()
-    facts = analyze_fixpoint(program, g, cfg)
+    facts = analyze_fixpoint(program, cfg)
     t_analysis = time.monotonic() - t0
     if args.owned == "oracle":
         owned = compute_owned_oracle(program, args.depth, havoc_values=havoc)

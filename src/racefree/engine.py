@@ -7,7 +7,9 @@ join, the relational analysis uses octagons with a variable-granular mix
 correlations inside each declared region.  The recency refinement is one
 more domain, a per-thread wrapper (`RecencyDomain`).  One worklist loop
 (`_solve`) serves both the widening analyses and the exact collecting
-fixpoint over environment sets.
+fixpoint over environment sets.  Each run builds the program's full
+sync-CFG itself (`build_syncfg`), so a gamma pruned by a bounded exploration
+(`syncfg.refine_gamma`) never reaches an analysis.
 
 A frame stores each instruction's last transfer with its inputs (the
 source fact, then for an acquire the facts at the release points feeding
@@ -41,7 +43,7 @@ from .absdom import (
 )
 from .concrete import ProgramIndex
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap, Release
-from .syncfg import SyncCFG, build_syncfg
+from .syncfg import build_syncfg
 
 ANALYSES = ("valset", "rel", "regrel")
 DOMAINS = ("interval", "octagon", "envset")
@@ -103,10 +105,10 @@ def mix_partition(cfg: AnalysisConfig, p: Program) -> tuple[tuple[int, ...], ...
 class _Frame:
     """One analysis run: each thread's domain, and fact bookkeeping."""
 
-    def __init__(self, p: Program, g: SyncCFG, cfg: AnalysisConfig):
+    def __init__(self, p: Program, cfg: AnalysisConfig):
         cfg.validate()
         self.p = p
-        self.g = g
+        self.g = g = build_syncfg(p)
         self.cfg = cfg
         self.domain = make_domain(cfg, p.variables)
         self.partition = mix_partition(cfg, p)
@@ -244,13 +246,13 @@ def _solve(frame: _Frame) -> LocationFacts:
     return facts
 
 
-def analyze_fixpoint(p: Program, g: SyncCFG, cfg: AnalysisConfig) -> LocationFacts:
+def analyze_fixpoint(p: Program, cfg: AnalysisConfig) -> LocationFacts:
     """Deterministic worklist fixpoint; returns a verified post-fixpoint."""
-    frame = _Frame(p, g, cfg)
+    frame = _Frame(p, cfg)
     facts = _solve(frame)
     if cfg.domain != "envset":
         facts = _narrow(frame, facts)
-    check_postfixpoint(p, g, cfg, facts, frame=frame)
+    check_postfixpoint(p, cfg, facts, frame=frame)
     return facts
 
 
@@ -282,7 +284,6 @@ def _narrow(frame: _Frame, facts: LocationFacts) -> LocationFacts:
 
 def check_postfixpoint(
     p: Program,
-    g: SyncCFG,
     cfg: AnalysisConfig,
     facts: LocationFacts,
     frame: Optional[_Frame] = None,
@@ -291,7 +292,7 @@ def check_postfixpoint(
 
     `frame` reuses the transfers that frame stored for unchanged inputs;
     without one, every transfer is recomputed on a fresh frame."""
-    frame = frame or _Frame(p, g, cfg)
+    frame = frame or _Frame(p, cfg)
     for instr in p.instructions:
         new = frame.transfer(instr, facts[instr.source], facts)
         if not frame.domain_at[instr.target].leq(new, facts[instr.target]):
@@ -311,13 +312,11 @@ def collecting_fixpoint(
     p: Program,
     cfg: AnalysisConfig,
     value_box: tuple[int, int],
-    g: Optional[SyncCFG] = None,
 ) -> CollectingResult:
     """Exact least fixpoint of the set-based transfer system over a finite
     value box (environments escaping the box are dropped and reported)."""
     run = replace(cfg, domain="envset", value_box=value_box)
-    graph = g or build_syncfg(p)
-    frame = _Frame(p, graph, run)
+    frame = _Frame(p, run)
     facts = _solve(frame)
-    check_postfixpoint(p, graph, run, facts, frame=frame)
+    check_postfixpoint(p, run, facts, frame=frame)
     return CollectingResult(facts=facts, clamped=frame.domain.clamped, value_box=value_box)

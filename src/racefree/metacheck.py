@@ -4,7 +4,11 @@ Every check here explores executions exhaustively up to a depth, so a pass
 is evidence at that depth, not a proof.  The checks:
 
 - correspondence: the interleaving and thread-local semantics simulate each
-  other step-for-step on race-free programs, related by the extraction map;
+  other step-for-step on race-free programs, related by the extraction map.
+  One walk over (standard state, thread-local state) pairs checks both
+  directions: a replay of either semantics in the other descends exactly
+  the steps both take with agreeing extraction, so both replays visit the
+  pairs this walk visits;
 - version invariants: write counters are bounded by the number of prior
   writes, exact immediately after a write, maximal at every access, all
   reachable states are admissible, and owned projections agree between the
@@ -129,28 +133,40 @@ def check_correspondence(
     local_step_fn: Optional[Callable] = None,
     skip_precondition: bool = False,
 ) -> CheckResult:
-    """Replay every bounded interleaving execution in the thread-local
-    semantics and vice versa, demanding exact extraction-map agreement.
-    Each direction explores at most `budget` nodes."""
+    """Walk the bounded interleaving and thread-local executions together,
+    demanding that both semantics enable the same steps, keyed by
+    (instruction, havoc choices), and that the extraction map takes each
+    thread-local post to the standard post.  Explores at most `budget`
+    (standard state, thread-local state) pairs.
+
+    One walk checks both directions of the simulation.  Replaying the
+    standard steps in the thread-local semantics and replaying the
+    thread-local steps in the standard semantics each descend exactly the
+    edges that both semantics take with agreeing extraction, from the same
+    root; so the two replays visit the same pairs, and the paired walk
+    visits them once.  Each of its nodes is reached through an edge whose
+    extraction matched, so a node's standard state is the extraction of its
+    thread-local state and needs no extraction of its own."""
     if not skip_precondition:
         _require_race_free(p, depth, havoc_values, budget)
     step_local = local_step_fn or local_step
     ctx = LocalContext(p)
     result = CheckResult("correspondence")
 
-    # completeness direction: standard execution -> thread-local replay;
     # a node is a (standard state, thread-local state) pair
-    def fwd(node, path):
+    def expand(node, path):
         s, sigma = node
+        local = {(instr, choices): sigma2 for _, instr, choices, sigma2 in
+                 successors(ctx, sigma, _recording(step_local, result, path), havoc_values)}
+        result.instances += len(local)
         for edge in successors(ctx, s, std_step, havoc_values):
             _, instr, choices, s2 = edge
             result.instances += 1
+            sigma2 = local.pop((instr, choices), None)
             try:
-                match = [post for ch, post in step_local(p, sigma, instr, havoc_values, ctx)
-                         if ch == choices]
-                if not match:
+                if sigma2 is None:
                     problem = "standard step has no thread-local counterpart"
-                elif extract_state(p, match[0]) != s2:
+                elif extract_state(p, sigma2) != s2:
                     problem = "extraction differs from the standard state"
                 else:
                     problem = None
@@ -159,37 +175,12 @@ def check_correspondence(
             if problem:
                 result.fail(_trace(path, instr), problem)
             else:
-                yield edge, (s2, match[0])
+                yield edge, (s2, sigma2)
+        for instr, _ in local:  # the steps left are thread-local only
+            result.fail(_trace(path, instr),
+                        "thread-local step disabled in the standard semantics")
 
-    # soundness direction: thread-local execution -> standard validity
-    def bwd(sigma, path):
-        try:
-            s = extract_state(p, sigma)
-        except InadmissibleStateError as e:
-            result.fail(_trace(path), f"admissibility broken: {e}")
-            return
-        for edge in successors(ctx, sigma, _recording(step_local, result, path), havoc_values):
-            _, instr, choices, sigma2 = edge
-            result.instances += 1
-            match = [s2 for ch, s2 in std_step(p, s, instr, havoc_values, ctx) if ch == choices]
-            try:
-                if not match:
-                    problem = "thread-local step disabled in the standard semantics"
-                elif match[0] != extract_state(p, sigma2):
-                    problem = "standard successor disagrees with extraction"
-                else:
-                    problem = None
-            except InadmissibleStateError as e:
-                problem = f"admissibility broken: {e}"
-            if problem:
-                result.fail(_trace(path, instr), problem)
-            else:
-                yield edge, sigma2
-
-    init = initial_local_state(p, ctx)
-    for _ in dfs((initial_state(p), init), depth, budget, fwd):
-        pass
-    for _ in dfs(init, depth, budget, bwd):
+    for _ in dfs((initial_state(p), initial_local_state(p, ctx)), depth, budget, expand):
         pass
     return result
 

@@ -54,7 +54,14 @@ from racefree.lang import (
     parse_program,
     vars_of_bool,
 )
-from racefree.metacheck import random_race_free_programs
+from racefree.metacheck import CheckResult, _recording, _trace, random_race_free_programs
+from racefree.threadlocal import (
+    InadmissibleStateError,
+    LocalContext,
+    extract_state,
+    initial_local_state,
+    local_step,
+)
 
 BOX = (-4, 4)
 HAVOC = (0, 1, 2)
@@ -491,6 +498,80 @@ def unreduced(search, *args, **kwargs):
         return search(*args, **kwargs)
     finally:
         concrete.clocked_walk = walk
+
+
+# ---------------------------------------------------------------------------
+# the two-walk correspondence check
+
+
+def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
+                           budget=concrete.DEFAULT_BUDGET, local_step_fn=None) -> CheckResult:
+    """`metacheck.check_correspondence` as two walks, without its race
+    precondition: standard executions replayed in the thread-local
+    semantics, then thread-local executions replayed in the standard
+    semantics, each within `budget` nodes.  Kept for oracle independence,
+    as `unreduced_clocked_walk` is kept beside `concrete.clocked_walk`: it
+    is the reference of the one paired walk."""
+    step_local = local_step_fn or local_step
+    ctx = LocalContext(p)
+    result = CheckResult("correspondence")
+
+    # completeness: standard execution -> thread-local replay; a node is a
+    # (standard state, thread-local state) pair
+    def fwd(node, path):
+        s, sigma = node
+        for edge in concrete.successors(ctx, s, concrete.std_step, havoc_values):
+            _, instr, choices, s2 = edge
+            result.instances += 1
+            try:
+                match = [post for ch, post in step_local(p, sigma, instr, havoc_values, ctx)
+                         if ch == choices]
+                if not match:
+                    problem = "standard step has no thread-local counterpart"
+                elif extract_state(p, match[0]) != s2:
+                    problem = "extraction differs from the standard state"
+                else:
+                    problem = None
+            except InadmissibleStateError as e:
+                problem = f"admissibility broken: {e}"
+            if problem:
+                result.fail(_trace(path, instr), problem)
+            else:
+                yield edge, (s2, match[0])
+
+    # soundness: thread-local execution -> standard validity
+    def bwd(sigma, path):
+        try:
+            s = extract_state(p, sigma)
+        except InadmissibleStateError as e:
+            result.fail(_trace(path), f"admissibility broken: {e}")
+            return
+        for edge in concrete.successors(ctx, sigma, _recording(step_local, result, path),
+                                        havoc_values):
+            _, instr, choices, sigma2 = edge
+            result.instances += 1
+            match = [s2 for ch, s2 in concrete.std_step(p, s, instr, havoc_values, ctx)
+                     if ch == choices]
+            try:
+                if not match:
+                    problem = "thread-local step disabled in the standard semantics"
+                elif match[0] != extract_state(p, sigma2):
+                    problem = "standard successor disagrees with extraction"
+                else:
+                    problem = None
+            except InadmissibleStateError as e:
+                problem = f"admissibility broken: {e}"
+            if problem:
+                result.fail(_trace(path, instr), problem)
+            else:
+                yield edge, sigma2
+
+    init = initial_local_state(p, ctx)
+    for _ in concrete.dfs((concrete.initial_state(p), init), depth, budget, fwd):
+        pass
+    for _ in concrete.dfs(init, depth, budget, bwd):
+        pass
+    return result
 
 
 def strip_locks(p: Program) -> Program:

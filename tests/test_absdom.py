@@ -817,7 +817,6 @@ def test_recency_apply_per_command():
     """Writes tag the writing thread; assume, acquire and release keep tags."""
     from racefree.engine import AnalysisConfig, _Frame
     from racefree.lang import Release, desugar
-    from racefree.syncfg import build_syncfg
 
     _, dom = _recency(tid=1)
     f = _tagged(0, {2})
@@ -825,7 +824,7 @@ def test_recency_apply_per_command():
     assert dom.assume(f, cond("x == x", "x")).tids == frozenset({2})
     assert dom.mix([f], singleton_partition(1)).tids == frozenset({2})
     p = desugar(parse_program("var x;\nlock m;\nthread t { acquire(m); release(m); }"))
-    frame = _Frame(p, build_syncfg(p), AnalysisConfig(recency=True))
+    frame = _Frame(p, AnalysisConfig(recency=True))
     release = next(i for i in p.instructions if isinstance(i.command, Release))
     own = RecencyFact(frame.domain.initial(), frozenset({0}))
     assert frame.transfer(release, own, {}) is own

@@ -47,7 +47,6 @@ from racefree.metacheck import (
     check_version_invariants,
     random_race_free_programs,
 )
-from racefree.syncfg import build_syncfg
 
 BOX = (-4, 4)
 RANDOM_SEED = 20240811
@@ -66,7 +65,7 @@ def base(fact):
 def verdicts(p, regions, analysis, domain, owned, recency=False):
     cfg = AnalysisConfig(analysis=analysis, domain=domain, regions=regions,
                          recency=recency)
-    facts = analyze_fixpoint(p, build_syncfg(p), cfg)
+    facts = analyze_fixpoint(p, cfg)
     report = check_assertions(p, facts, owned, cfg)
     return {a.location: a.proved for a in report.assertions}, facts, cfg
 
@@ -422,10 +421,9 @@ def test_criterion_9_precision_partial_order(full_corpus, coupled_xy_regions,
             "RegT": AnalysisConfig(analysis="regrel", domain="octagon",
                                    regions=regions, recency=True),
         }
-        g = build_syncfg(p)
         masks = {}
         for key, cfg in configs.items():
-            facts = analyze_fixpoint(p, g, cfg)
+            facts = analyze_fixpoint(p, cfg)
             dom = make_domain(cfg, p.variables)
             masks[key] = {loc: dom.contains_points(base(f), pts)
                           for loc, f in facts.items()}

@@ -20,12 +20,11 @@ from racefree.concrete import enumerate_executions
 from racefree.engine import AnalysisConfig, analyze_fixpoint
 from racefree.lang import desugar, eval_bool, parse_program, parse_region_text
 from racefree.metacheck import random_race_free_programs
-from racefree.syncfg import build_syncfg
 
 
 def analyze(p, **kw):
     cfg = AnalysisConfig(**kw)
-    return analyze_fixpoint(p, build_syncfg(p), cfg), cfg
+    return analyze_fixpoint(p, cfg), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def assert_discharge_matches_projection(p, owned_maps, regions=None) -> int:
     for (analysis, domain), recency in REFERENCE_CONFIGS:
         cfg = AnalysisConfig(analysis=analysis, domain=domain, recency=recency,
                              regions=regions)
-        facts = analyze_fixpoint(p, build_syncfg(p), cfg)
+        facts = analyze_fixpoint(p, cfg)
         for owned in owned_maps:
             got = [(a.proved, a.reason) for a in
                    check_assertions(p, facts, owned, cfg).assertions]

@@ -15,7 +15,6 @@ from racefree.checker import check_assertions, compute_owned_static
 from racefree.concrete import find_data_races, reachable_states
 from racefree.engine import AnalysisConfig, analyze_fixpoint
 from racefree.lang import eval_bool
-from racefree.syncfg import build_syncfg
 
 CONFIGS = [
     *((analysis, domain, recency)
@@ -37,7 +36,7 @@ def wrong_proofs(name, q, config):
     number of PROVED assertions."""
     analysis, domain, recency = config
     cfg = AnalysisConfig(analysis=analysis, domain=domain, recency=recency)
-    facts = analyze_fixpoint(q, build_syncfg(q), cfg)
+    facts = analyze_fixpoint(q, cfg)
     report = check_assertions(q, facts, compute_owned_static(q), cfg, name)
     states = reachable_states(q, len(q.instructions))  # exhaustive: loop free
     wrong, proved = [], 0

@@ -14,7 +14,6 @@ from racefree.engine import (
     make_domain,
 )
 from racefree.lang import desugar, parse_program, parse_region_text
-from racefree.syncfg import build_syncfg
 
 
 def base(fact):
@@ -28,7 +27,7 @@ def cond(p, src):
 
 def run(p, **kw):
     cfg = AnalysisConfig(**kw)
-    return analyze_fixpoint(p, build_syncfg(p), cfg), cfg
+    return analyze_fixpoint(p, cfg), cfg
 
 
 def test_config_validation():
@@ -52,13 +51,12 @@ def test_postfixpoint_holds_on_all_configs():
 
     for name in corpus.names():
         p = corpus.load(name)
-        g = build_syncfg(p)
         text = corpus.REGION_TEXTS.get(name)
         regions = parse_region_text(text, p.variables) if text else None
         for kw in CHECK_CONFIGS:
             cfg = AnalysisConfig(**kw, regions=regions)
-            facts = analyze_fixpoint(p, g, cfg)
-            check_postfixpoint(p, g, cfg, facts)  # frame=None: must not raise
+            facts = analyze_fixpoint(p, cfg)
+            check_postfixpoint(p, cfg, facts)  # frame=None: must not raise
 
 
 def test_regrel_equality_at_acquire_target(coupled_xy, coupled_xy_regions):
@@ -119,7 +117,7 @@ def test_iteration_cap_names_location(capped_counter):
 
     cfg = AnalysisConfig(analysis="rel", domain="octagon", iteration_cap=3)
     with pytest.raises(AnalysisLimitError) as e:
-        analyze_fixpoint(capped_counter, build_syncfg(capped_counter), cfg)
+        analyze_fixpoint(capped_counter, cfg)
     assert e.value.location in {loc for t in capped_counter.threads
                                 for loc in t.locations}
     # the progress made, as the CLI prints it on exit 3
@@ -170,7 +168,7 @@ def test_widen_points_match_recursive_dfs():
     programs = [corpus.load(n) for n in corpus.names()]
     programs.append(desugar(parse_program(NESTED_LOOPS)))
     for p in programs:
-        frame = _Frame(p, build_syncfg(p), AnalysisConfig())
+        frame = _Frame(p, AnalysisConfig())
         acquire_targets = {i.target for i in p.instructions if isinstance(i.command, Acquire)}
         assert frame.widen_points == _widen_points_recursive(p) | acquire_targets
     assert len(_widen_points_recursive(programs[-1])) == 3  # one head per loop
@@ -217,7 +215,7 @@ def test_one_fixpoint_run_builds_each_guard_once(monkeypatch):
         monkeypatch.setattr(cls, "_guard", counting)
     p = desugar(parse_program(GUARDED))  # parsed here: no guard is cached yet
     cfg = AnalysisConfig(analysis="rel")
-    facts = analyze_fixpoint(p, build_syncfg(p), cfg)
+    facts = analyze_fixpoint(p, cfg)
     check_assertions(p, facts, compute_owned_static(p), cfg)
     conditions = [c for i in p.instructions if isinstance(i.command, lang.Assume)
                   for c in _conditions(i.command.cond)]
@@ -243,9 +241,8 @@ def _solved(src):
 
     p = desugar(parse_program(src))
     cfg = AnalysisConfig(analysis="rel", domain="octagon")
-    g = build_syncfg(p)
-    frame = _Frame(p, g, cfg)
-    return p, g, cfg, frame, _solve(frame)
+    frame = _Frame(p, cfg)
+    return p, cfg, frame, _solve(frame)
 
 
 def test_cached_check_recomputes_a_changed_input():
@@ -253,8 +250,8 @@ def test_cached_check_recomputes_a_changed_input():
     recomputes the transfers that read it and still finds the violation."""
     from racefree.engine import PostFixpointError
 
-    p, g, cfg, frame, facts = _solved(HANDOFF)
-    check_postfixpoint(p, g, cfg, facts, frame=frame)
+    p, cfg, frame, facts = _solved(HANDOFF)
+    check_postfixpoint(p, cfg, facts, frame=frame)
     b_acquire = p.threads[1].instructions[0]
     dom = frame.domain
     # strictly smaller at b's acquire target: the mix into it exceeds it
@@ -264,16 +261,16 @@ def test_cached_check_recomputes_a_changed_input():
     assert dom.leq(smaller[target], facts[target])
     assert not dom.leq(facts[target], smaller[target])
     with pytest.raises(PostFixpointError):
-        check_postfixpoint(p, g, cfg, smaller, frame=frame)
+        check_postfixpoint(p, cfg, smaller, frame=frame)
     # top at a's last location, which feeds b's acquire and has no outgoing
     # edge: only a recomputed mix sees it
     a_exit = p.threads[0].instructions[-1].target
-    assert a_exit in g.release_points_feeding(b_acquire.source, "m")
+    assert a_exit in frame.g.release_points_feeding(b_acquire.source, "m")
     assert not any(i.source == a_exit for i in p.instructions)
     wider = dict(facts)
     wider[a_exit] = dom.top()
     with pytest.raises(PostFixpointError):
-        check_postfixpoint(p, g, cfg, wider, frame=frame)
+        check_postfixpoint(p, cfg, wider, frame=frame)
 
 
 def test_narrowing_and_check_reuse_the_solver_transfers(monkeypatch):
@@ -294,7 +291,7 @@ def test_narrowing_and_check_reuse_the_solver_transfers(monkeypatch):
     assigns.clear()
     rounds.clear()
     p = desugar(parse_program(HANDOFF))
-    analyze_fixpoint(p, build_syncfg(p), AnalysisConfig(analysis="rel", domain="octagon"))
+    analyze_fixpoint(p, AnalysisConfig(analysis="rel", domain="octagon"))
     assert len(rounds) == 2  # the solver's initial facts, one narrowing round
     assert solve_only > 0
     assert len(assigns) <= solve_only

@@ -4,10 +4,11 @@ and the fault-injection self-tests that prove the harness can catch bugs."""
 from dataclasses import replace
 
 import pytest
+from domtools import two_way_correspondence
 
-from racefree import corpus
+from racefree import corpus, metacheck
 from racefree.concrete import ExplorationLimitError, enumerate_executions
-from racefree.lang import Assign, desugar, parse_program
+from racefree.lang import Acquire, Assign, desugar, parse_program
 from racefree.metacheck import (
     PreconditionError,
     check_correspondence,
@@ -15,7 +16,7 @@ from racefree.metacheck import (
     check_version_invariants,
     random_race_free_programs,
 )
-from racefree.threadlocal import VersionedEnv, local_step
+from racefree.threadlocal import ThreadLocalState, VersionedEnv, local_step
 
 
 def prog(src):
@@ -23,6 +24,59 @@ def prog(src):
 
 
 RACY = "var x;\nthread a { x := 1; }\nthread b { x := 2; }"
+
+HANDOFF = """var x;
+lock m;
+thread a { acquire(m); x := 3; release(m); }
+thread b { acquire(m); x := x + 1; release(m); }
+"""
+
+
+# ---------------------------------------------------------------------------
+# broken thread-local step functions (fault injection)
+
+
+def no_import_step(p, s, instr, havoc_values, ctx):
+    """An acquire that ignores the release buffers."""
+    if isinstance(instr.command, Acquire):
+        tid = ctx.tid_of_instr[instr]
+        if s.pc[tid] != instr.source:
+            return ()
+        mi = ctx.lock_index[instr.command.lock]
+        if s.mu[mi] is not None:
+            return ()
+        pc2 = tuple(instr.target if k == tid else l for k, l in enumerate(s.pc))
+        mu2 = tuple(tid if k == mi else h for k, h in enumerate(s.mu))
+        return (((), ThreadLocalState(pc2, mu2, s.theta, s.buffers)),)
+    return local_step(p, s, instr, havoc_values, ctx)
+
+
+def no_bump(p, s, instr, havoc_values, ctx):
+    """A write that leaves the writer's versions as they were."""
+    out = local_step(p, s, instr, havoc_values, ctx)
+    if not isinstance(instr.command, Assign):
+        return out
+    tid = ctx.tid_of_instr[instr]
+    versions = s.theta[tid].versions  # the writer's versions before the step
+    return tuple(
+        (choices, replace(post, theta=post.theta[:tid] + (
+            VersionedEnv(post.theta[tid].values, versions),) + post.theta[tid + 1:]))
+        for choices, post in out)
+
+
+def acquire_held_step(p, s, instr, havoc_values, ctx):
+    """An acquire enabled while another thread holds the lock."""
+    if isinstance(instr.command, Acquire):
+        mi = ctx.lock_index[instr.command.lock]
+        s = replace(s, mu=s.mu[:mi] + (None,) + s.mu[mi + 1:])
+    return local_step(p, s, instr, havoc_values, ctx)
+
+
+def no_assign_step(p, s, instr, havoc_values, ctx):
+    """Every assign disabled."""
+    if isinstance(instr.command, Assign):
+        return ()
+    return local_step(p, s, instr, havoc_values, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -46,31 +100,54 @@ def test_correspondence_requires_race_freedom():
 
 def test_correspondence_catches_broken_acquire():
     """Fault injection: an acquire that ignores the buffers must be caught."""
-    handoff = prog("""var x;
-lock m;
-thread a { acquire(m); x := 3; release(m); }
-thread b { acquire(m); x := x + 1; release(m); }
-""")
-
-    def no_import_step(p, s, instr, havoc_values, ctx, **kw):
-        from racefree.lang import Acquire
-        from racefree.threadlocal import ThreadLocalState
-
-        if isinstance(instr.command, Acquire):
-            tid = ctx.tid_of_instr[instr]
-            if s.pc[tid] != instr.source:
-                return ()
-            mi = ctx.lock_index[instr.command.lock]
-            if s.mu[mi] is not None:
-                return ()
-            pc2 = tuple(instr.target if k == tid else l for k, l in enumerate(s.pc))
-            mu2 = tuple(tid if k == mi else h for k, h in enumerate(s.mu))
-            return (((), ThreadLocalState(pc2, mu2, s.theta, s.buffers)),)
-        return local_step(p, s, instr, havoc_values, ctx, **kw)
-
+    handoff = prog(HANDOFF)
     assert check_correspondence(handoff, 8).passed
     r = check_correspondence(handoff, 8, local_step_fn=no_import_step)
     assert not r.passed
+
+
+def explanations(r):
+    return {explanation for _, explanation in r.violations}
+
+
+def test_correspondence_catches_a_step_only_the_thread_local_semantics_takes():
+    """Fault injection: an acquire of a lock another thread holds is a
+    thread-local step that the standard semantics disables."""
+    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=acquire_held_step)
+    assert explanations(r) == {"thread-local step disabled in the standard semantics"}
+
+
+def test_correspondence_catches_a_step_only_the_standard_semantics_takes():
+    """Fault injection: a thread-local semantics without assigns leaves
+    every standard assign without a counterpart."""
+    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=no_assign_step)
+    assert explanations(r) == {"standard step has no thread-local counterpart"}
+
+
+def test_correspondence_walks_once(coupled_xy, monkeypatch):
+    """Both directions are checked by one walk of the paired tree."""
+    walks = []
+    monkeypatch.setattr(metacheck, "dfs",
+                        lambda *a, _dfs=metacheck.dfs: walks.append(1) or _dfs(*a))
+    assert check_correspondence(coupled_xy, 8, skip_precondition=True).passed
+    assert len(walks) == 1
+
+
+def test_one_walk_matches_the_two_walk_reference():
+    """The paired walk counts the instances the two replays count, with
+    the same verdict: a pass on race-free programs, a failure under each
+    broken semantics."""
+    cases = [(p, depth, None) for p in map(corpus.load, corpus.names())
+             for depth in range(11)]
+    cases += [(p, depth, None) for _, p in random_race_free_programs(12, seed=5)
+              for depth in (4, 8, 10)]
+    cases += [(prog(HANDOFF), 8, no_import_step),
+              (corpus.load("coupled_xy"), 6, no_bump)]
+    for p, depth, step in cases:
+        one = check_correspondence(p, depth, local_step_fn=step, skip_precondition=True)
+        two = two_way_correspondence(p, depth, local_step_fn=step)
+        assert (one.instances, one.passed) == (two.instances, two.passed), (p, depth)
+        assert one.passed == (step is None), (p, depth)
 
 
 def test_walks_keep_the_budget_without_the_precondition(coupled_xy):
@@ -117,18 +194,6 @@ def test_version_invariants_single_thread():
 
 def test_version_invariants_catch_missing_bump(coupled_xy):
     """Fault injection: removing the write bump must trip the exactness check."""
-
-    def no_bump(p, s, instr, havoc_values, ctx):
-        out = local_step(p, s, instr, havoc_values, ctx)
-        if not isinstance(instr.command, Assign):
-            return out
-        tid = ctx.tid_of_instr[instr]
-        versions = s.theta[tid].versions  # the writer's versions before the step
-        return tuple(
-            (choices, replace(post, theta=post.theta[:tid] + (
-                VersionedEnv(post.theta[tid].values, versions),) + post.theta[tid + 1:]))
-            for choices, post in out)
-
     results = check_version_invariants(coupled_xy, 6, local_step_fn=no_bump)
     by_name = {r.name: r for r in results}
     assert not by_name["write_version_exact"].passed
