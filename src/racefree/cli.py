@@ -297,9 +297,10 @@ def _cmd_metacheck(args) -> int:
 def _cmd_dot(args) -> int:
     program = _load_program(args.program)
     g = build_syncfg(program)
+    edges = g.sync_edges
     if args.gamma == "refined":
-        g = refine_gamma(g, program, args.depth, _havoc_set(args.havoc_set))
-    print(to_dot(g, program))
+        edges = refine_gamma(g, program, args.depth, _havoc_set(args.havoc_set))
+    print(to_dot(program, edges))
     return 0
 
 

@@ -121,9 +121,8 @@ class _Frame:
                 self.domain_at[loc] = dom
         self.by_source = ProgramIndex(p).by_source
         # acquire sources to re-enqueue when a release-point fact changes
-        self.dependents: dict[int, list[int]] = {}
-        for rel, acq, _m in g.sync_edges:
-            self.dependents.setdefault(rel, []).append(acq)
+        self.dependents: dict[int, tuple[int, ...]] = {
+            rel: g.acquire_points[m] for m, rels in g.release_points.items() for rel in rels}
         self.widen_points = self._widen_points()
         # id(instruction) -> (inputs, result) of its last transfer
         self._last: dict[int, tuple[tuple, object]] = {}
@@ -133,7 +132,7 @@ class _Frame:
         the stored result while its inputs are the same objects."""
         c = instr.command
         if isinstance(c, Acquire):
-            feeding = self.g.release_points_feeding(instr.source, c.lock)
+            feeding = self.g.release_points_feeding(c.lock)
             inputs = (fact, *(facts[rel] for rel in feeding))
         else:
             inputs = (fact,)

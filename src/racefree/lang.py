@@ -447,21 +447,24 @@ class Program:
                 return i
         raise KeyError(name)
 
-    def post_release_points(self, lock: Optional[str] = None) -> tuple[int, ...]:
-        locs = []
-        for t in self.threads:
-            for i in t.instructions:
-                if isinstance(i.command, Release) and (lock is None or i.command.lock == lock):
-                    locs.append(i.target)
-        return tuple(sorted(locs))
+    # Every release of a lock feeds every acquire of it.  The sync-CFG, the
+    # thread-local buffers and metacheck read these tables, built on first use.
+    @cached_property
+    def release_points(self) -> dict[str, tuple[int, ...]]:
+        """Per lock, its post-release points (release targets), ascending."""
+        return self._lock_points(Release, "target")
 
-    def pre_acquire_points(self, lock: Optional[str] = None) -> tuple[int, ...]:
-        locs = []
-        for t in self.threads:
-            for i in t.instructions:
-                if isinstance(i.command, Acquire) and (lock is None or i.command.lock == lock):
-                    locs.append(i.source)
-        return tuple(sorted(locs))
+    @cached_property
+    def acquire_points(self) -> dict[str, tuple[int, ...]]:
+        """Per lock, its pre-acquire points (acquire sources), ascending."""
+        return self._lock_points(Acquire, "source")
+
+    def _lock_points(self, kind: type, end: str) -> dict[str, tuple[int, ...]]:
+        points: dict[str, list[int]] = {m: [] for m in self.locks}
+        for i in self.instructions:
+            if isinstance(i.command, kind):
+                points[i.command.lock].append(getattr(i, end))
+        return {m: tuple(sorted(locs)) for m, locs in points.items()}
 
     def with_regions(self, regions: RegionMap) -> "Program":
         return replace(self, regions=regions)

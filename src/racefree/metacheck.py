@@ -350,7 +350,7 @@ def _cartesian_transfer(
         out[instr.target] |= src
     elif isinstance(c, Acquire):
         pool = set(src)
-        for loc in ctx.program.post_release_points(c.lock):
+        for loc in ctx.program.release_points[c.lock]:
             pool |= state.get(loc, frozenset())
         out[instr.target] |= mix(frozenset(pool), partition)
     return {loc: frozenset(envs) for loc, envs in out.items()}

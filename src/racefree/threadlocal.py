@@ -55,11 +55,12 @@ class LocalContext(ProgramIndex):
 
     def __init__(self, program: Program, regions: Optional[RegionMap] = None):
         super().__init__(program)
-        self.buffer_points = program.post_release_points()
+        self.buffer_points = tuple(sorted(
+            loc for locs in program.release_points.values() for loc in locs))
         self.buffer_index = {loc: i for i, loc in enumerate(self.buffer_points)}
         self.buffers_of_lock = {
-            m: tuple(self.buffer_index[loc] for loc in program.post_release_points(m))
-            for m in program.locks
+            m: tuple(self.buffer_index[loc] for loc in locs)
+            for m, locs in program.release_points.items()
         }
         # per written variable index, the version increments of a write:
         # 1 at each index whose version it bumps, 0 elsewhere

@@ -325,6 +325,43 @@ def owned_static_reference(p) -> dict:
     return table
 
 
+def post_release_points_reference(p, lock=None) -> tuple[int, ...]:
+    """Release targets of `lock` (of every lock when None), ascending: the
+    per-lock scan of every instruction that the one-pass table
+    `Program.release_points` replaced.  Kept apart from that table so the
+    test oracle does not reuse the code it checks."""
+    locs = []
+    for t in p.threads:
+        for i in t.instructions:
+            if isinstance(i.command, Release) and (lock is None or i.command.lock == lock):
+                locs.append(i.target)
+    return tuple(sorted(locs))
+
+
+def pre_acquire_points_reference(p, lock=None) -> tuple[int, ...]:
+    """Acquire sources of `lock` (of every lock when None), ascending; the
+    oracle of `Program.acquire_points`, kept apart for the same reason."""
+    locs = []
+    for t in p.threads:
+        for i in t.instructions:
+            if isinstance(i.command, Acquire) and (lock is None or i.command.lock == lock):
+                locs.append(i.source)
+    return tuple(sorted(locs))
+
+
+def dependents_reference(p) -> dict[int, list[int]]:
+    """Per post-release point, the acquire sources it feeds, grouped from
+    the full sorted list of (release, acquire, lock) pairs as the engine
+    grouped them before it read the per-lock tables."""
+    edges = sorted((rel, acq, m) for m in p.locks
+                   for rel in post_release_points_reference(p, m)
+                   for acq in pre_acquire_points_reference(p, m))
+    dependents: dict[int, list[int]] = {}
+    for rel, acq, _m in edges:
+        dependents.setdefault(rel, []).append(acq)
+    return dependents
+
+
 def forget_projected(dom, d, drop: set[str]):
     """Existential projection of `d` away from the variables `drop`: the
     per-domain `forget` that the assertion checker used to apply before

@@ -8,7 +8,14 @@ from itertools import product
 
 import pytest
 
-from domtools import binop, chain, scaled, strip_locks, unreduced
+from domtools import (
+    binop,
+    chain,
+    post_release_points_reference,
+    scaled,
+    strip_locks,
+    unreduced,
+)
 from racefree import corpus
 from racefree.concrete import (
     DEFAULT_BUDGET,
@@ -240,11 +247,12 @@ def reference_local_step(p, s, instr, havoc_values, regions):
             return (((), ThreadLocalState(pc2, s.mu, s.theta, s.buffers)),)
         return ()
     mi = p.locks.index(c.lock)
-    points = p.post_release_points()
+    points = post_release_points_reference(p)
     if isinstance(c, Acquire):
         if s.mu[mi] is not None:
             return ()
-        relevant = tuple(s.buffers[points.index(loc)] for loc in p.post_release_points(c.lock))
+        relevant = tuple(s.buffers[points.index(loc)]
+                         for loc in post_release_points_reference(p, c.lock))
         merged = update_env(mine, relevant)
         if len(merged) != 1:
             raise InadmissibleStateError("conflicting buffered values")
@@ -268,7 +276,7 @@ def test_compiled_steps_match_the_tree_walking_reference():
         p = random_program(rng)
         idx, ctx = ProgramIndex(p), LocalContext(p, regions=REGIONS)
         locs = [sorted(t.locations) for t in p.threads]
-        n_buffers = len(p.post_release_points())
+        n_buffers = len(post_release_points_reference(p))
 
         def env():
             return VersionedEnv(tuple(random_value(rng) for _ in VARS),

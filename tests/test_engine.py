@@ -265,7 +265,8 @@ def test_cached_check_recomputes_a_changed_input():
     # top at a's last location, which feeds b's acquire and has no outgoing
     # edge: only a recomputed mix sees it
     a_exit = p.threads[0].instructions[-1].target
-    assert a_exit in frame.g.release_points_feeding(b_acquire.source, "m")
+    assert b_acquire.source in frame.g.acquire_points["m"]
+    assert a_exit in frame.g.release_points_feeding("m")
     assert not any(i.source == a_exit for i in p.instructions)
     wider = dict(facts)
     wider[a_exit] = dom.top()

@@ -39,8 +39,8 @@ def test_parse_coupled_xy_shape():
     assert p.locks == ("m",)
     assert len(p.threads) == 2
     assert len(p.assertions) == 3
-    assert p.post_release_points() == (7, 13)
-    assert p.pre_acquire_points() == (1, 10)
+    assert p.release_points == {"m": (7, 13)}
+    assert p.acquire_points == {"m": (1, 10)}
 
 
 def test_empty_thread_body():
