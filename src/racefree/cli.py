@@ -13,6 +13,7 @@ Exit codes: 0 clean (all assertions proved / nothing found), 1 findings
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -101,17 +102,19 @@ def _add_common(sp):
     sp.add_argument("program", help="program file (or a built-in corpus name)")
     sp.add_argument("--havoc-set", default="0,1,2", metavar="a,b,c",
                     help="finite havoc value pool (default 0,1,2)")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--deterministic", action="store_true",
-                    help="zero all timings in the output")
 
 
+# Built once, on first use: `parse_args` leaves the parser as it was.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="racefree", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     an = sub.add_parser("analyze", help="run an analysis and discharge assertions")
     _add_common(an)
+    an.add_argument("--format", choices=("text", "json"), default="text")
+    an.add_argument("--deterministic", action="store_true",
+                    help="zero all timings in the output")
     an.add_argument("--analysis", choices=("valset", "rel", "regrel"), default="rel")
     an.add_argument("--domain", choices=("interval", "octagon", "envset"))
     an.add_argument("--recency", action="store_true",
@@ -126,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rc = sub.add_parser("races", help="bounded data/region race search")
     _add_common(rc)
+    rc.add_argument("--format", choices=("text", "json"), default="text")
     rc.add_argument("--depth", type=_count, default=12)
     rc.add_argument("--regions", default="default", metavar="FILE|default")
     rc.add_argument("--kind", choices=("data", "region", "both"), default="data")
@@ -141,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser("metacheck", help="machine-check the metatheory at depth")
     _add_common(mc)
+    mc.add_argument("--format", choices=("text", "json"), default="text")
     mc.add_argument("--depth", type=_count, default=12,
                     help="exploration depth of the race precondition, the "
                          "correspondence and the version invariants; the "

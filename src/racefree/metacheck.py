@@ -326,12 +326,13 @@ def _cartesian_transfer(
     havoc_values,
     mix_fn=None,
 ) -> LocEnvs:
-    """One application of the location-indexed environment-set transfer."""
+    """One application of the location-indexed environment-set transfer:
+    only the target's set grows."""
     mix = mix_fn or _mix_envs
-    out = {loc: set(envs) for loc, envs in state.items()}
     c = instr.command
     src = state.get(instr.source, frozenset())
     var_index = ctx.var_index
+    added = set()
     if isinstance(c, Assign):
         vi = var_index[c.var]
         for env in src:
@@ -339,21 +340,20 @@ def _cartesian_transfer(
             for choices in product(tuple(sorted(set(havoc_values))),
                                    repeat=len(c.expr.linear.havocs)):
                 value = eval_expr(c.expr, env_map, choices)
-                out[instr.target].add(
-                    tuple(value if k == vi else x for k, x in enumerate(env)))
+                added.add(tuple(value if k == vi else x for k, x in enumerate(env)))
     elif isinstance(c, Assume):
         for env in src:
             env_map = {v: env[i] for v, i in var_index.items()}
             if eval_bool(c.cond, env_map):
-                out[instr.target].add(env)
+                added.add(env)
     elif isinstance(c, Release):
-        out[instr.target] |= src
+        added = src
     elif isinstance(c, Acquire):
         pool = set(src)
         for loc in ctx.program.release_points[c.lock]:
             pool |= state.get(loc, frozenset())
-        out[instr.target] |= mix(frozenset(pool), partition)
-    return {loc: frozenset(envs) for loc, envs in out.items()}
+        added = mix(frozenset(pool), partition)
+    return {**state, instr.target: state[instr.target] | added}
 
 
 def check_local_abstraction(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from racefree import corpus
-from racefree.cli import run_cli
+from racefree.cli import build_parser, run_cli
 from racefree.lang import MAX_NESTING
 
 
@@ -192,6 +192,25 @@ def test_empty_value_box_is_a_usage_error_under_optimization(fig_file):
 
 def test_bad_subcommand_exits_2(capsys):
     assert run_cli(["frobnicate"]) == 2
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--format", "json"],
+    ["races", "--deterministic"],
+    ["metacheck", "--deterministic"],
+    ["dot", "--format", "json"],
+    ["dot", "--deterministic"],
+    ["explore", "--deterministic"],
+])
+def test_subcommands_take_only_the_options_they_read(fig_file, capsys, argv):
+    """--format belongs to analyze, races and metacheck, --deterministic to
+    analyze; anywhere else either is a usage error."""
+    assert run_cli(argv + [fig_file]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_builtin_corpus_names_resolve(capsys):
