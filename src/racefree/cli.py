@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--owned", choices=("static", "oracle"), default="static")
     an.add_argument("--depth", type=_count, default=12,
                     help="exploration depth for oracle owned sets")
-    an.add_argument("--widen-delay", type=_count, default=2)
     an.add_argument("--value-box", default="-4,4", metavar="lo,hi",
                     help="value box for the envset domain")
 
@@ -178,7 +177,6 @@ def _cmd_analyze(args) -> int:
         domain=domain,
         recency=args.recency,
         regions=regions,
-        widen_delay=args.widen_delay,
         havoc_values=havoc,
         value_box=box,
     )

@@ -8,16 +8,17 @@ The exploration core serves both semantics and every checker: one edge
 table (`ProgramIndex.by_source`), one successor generator (`successors`)
 that takes the step function of a semantics, one depth-bounded tree search
 (`dfs`) and one breadth-first state search (`reachable`).  The race search
-and the owned-variable oracle read one walk of the standard tree that keeps
-happens-before's vector clocks along the path (`clocked_walk`).
+and the owned-variable oracle read one walk of the standard tree whose
+nodes keep happens-before's vector clocks (`clocked_walk`), and the walk
+and the race test read one table of conflicting pairs (`conflict_table`).
 
 That walk is reduced by sleep sets: it enters one execution of each
 Mazurkiewicz trace, the executions equal up to reordering adjacent
 independent steps.  This keeps every verdict at depth k.  Equivalent
 executions have the same final state, the same po U sw clocks and the same
 length, so every trace of length <= k has an explored representative.  A
-race pair stays ordered because its two steps conflict.  The budget counts
-nodes of the reduced tree.
+race pair stays ordered because its two steps conflict.  A sleeping
+instruction is never stepped.  The budget counts nodes of the reduced tree.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .lang import (
 
 DEFAULT_HAVOC = (0, 1, 2)
 DEFAULT_BUDGET = 500_000
+Subjects = Callable[[Instruction], tuple[frozenset[str], frozenset[str]]]  # (reads, writes)
 
 
 class ExplorationLimitError(Exception):
@@ -152,6 +154,9 @@ class ProgramIndex:
     `steps` is the step table both semantics read: `id(instr)` -> `Step`,
     filled by `compile` on an instruction's first step, so an index built
     only for `by_source` compiles nothing.
+
+    `conflicts` keeps the `conflict_table` of each `subjects_of` read
+    through this index.
     """
 
     def __init__(self, program: Program):
@@ -173,6 +178,7 @@ class ProgramIndex:
         self.by_source = {loc: tuple(instrs) for loc, instrs in by_source.items()}
         self.steps: dict[int, Step] = {}
         self._choices: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+        self.conflicts: dict[Callable, dict[int, dict[int, tuple[str, ...]]]] = {}
 
     def compile(self, instr: Instruction) -> Step:
         """The step record of `instr`, entered in `steps`.  An instruction
@@ -442,28 +448,50 @@ def happens_before(e: Execution) -> HappensBefore:
     return HappensBefore(tuple(clocks), tuple(tids), tuple(po_edges), tuple(sw_edges))
 
 
-def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
-                 subjects_of: Callable[[Instruction], tuple[frozenset[str], frozenset[str]]],
-                 ) -> Iterator[tuple]:
-    """`dfs` of the standard execution tree of `idx.program`, reduced by
-    sleep sets (Godefroid 1996), with the vector clocks of happens-before
-    kept along the path.
+def conflict_table(idx: ProgramIndex, subjects_of: Subjects,
+                   ) -> dict[int, dict[int, tuple[str, ...]]]:
+    """`table[id(a)][id(b)]`: the sorted subjects on which steps of `a` and
+    `b` conflict (one writes what the other reads or writes), for every
+    conflicting pair, of one thread or two; symmetric.  Built once per index
+    and `subjects_of` (`idx.conflicts`), so the walk's dependence and the
+    race test of one search read one table."""
+    table = idx.conflicts.get(subjects_of)
+    if table is None:
+        accesses = [(id(i), *subjects_of(i)) for i in idx.program.instructions]
+        table = idx.conflicts[subjects_of] = {a: {} for a, _, _ in accesses}
+        for n, (a, a_reads, a_writes) in enumerate(accesses):
+            for b, b_reads, b_writes in accesses[n:]:
+                both = (a_writes & (b_reads | b_writes)) | (b_writes & a_reads)
+                if both:
+                    table[a][b] = table[b][a] = tuple(sorted(both))
+    return table
 
-    Yields `(state, path, clocks, thread_clock)` at every node: `clocks[i]`
-    is the clock of step i of `path`, `thread_clock[t]` that of thread t
-    after the path.  Like `path`, both lists are updated in place.  They
-    are the clocks `happens_before` computes per execution, updated once per
-    tree edge; `happens_before` stays the independent reference.
+
+def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
+                 subjects_of: Subjects) -> Iterator[tuple]:
+    """`dfs` of the standard execution tree of `idx.program`, reduced by
+    sleep sets (Godefroid 1996), with the vector clocks of happens-before.
+
+    A node is `(state, thread clocks, lock clocks, sleep set)` and a path
+    edge `(tid, instr, choices, post, clock)`, `clock` being the step's;
+    `happens_before` computes the same clocks per execution and stays the
+    independent reference.  Yields `(state, path, thread clocks)` at every
+    node; `path` is updated in place, as in `dfs`.
 
     Two steps are dependent when they belong to one thread, both acquire or
-    release one lock, or conflict on the `subjects_of` sets of the search
-    that reads the walk; independent steps commute.  A sleep-set entry is
-    the instruction (which fixes the thread) and the havoc choices of a
-    step.  A node skips the steps in its sleep set; a child's sleep set is
-    its parent's plus the siblings explored before it, less every entry
-    dependent on the step taken.  So a branch that only reorders
-    independent steps of an earlier branch is never entered, and `budget`
-    counts the nodes of the reduced tree.
+    release one lock, or conflict in the `conflict_table` of `subjects_of`;
+    independent steps commute.  A sleep set holds instructions, and a node
+    never steps one: its step function gives no successor for a sleeping
+    instruction and calls `std_step` (the module attribute, at call time)
+    for the others.  A child's sleep set is its parent's plus the
+    instructions stepped before it, less every one dependent on the step
+    taken.  So a branch that only reorders independent steps of an earlier
+    branch is never entered, and `budget` counts the nodes of the reduced
+    tree.  Keying the sleep set by instruction, not by (instruction, havoc
+    choices), prunes the same tree: the choices of one instruction are
+    consecutive siblings of one thread, and dependence is decided per
+    instruction, so a sleep set holds all of an instruction's choices or
+    none of them.
 
     What the readers see is kept.  Executions that differ only in the order
     of independent steps (one Mazurkiewicz trace) have the same final state,
@@ -486,61 +514,42 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
     representative skips.
     """
     p = idx.program
-    zero = (0,) * len(p.threads)
-    thread_clock = [zero] * len(p.threads)
-    lock_clock = [zero] * len(p.locks)
-    clocks: list[tuple[int, ...]] = []
-    sleeps: list[tuple] = [()]  # the sleep set of each node on the path
-
+    table = conflict_table(idx, subjects_of)
     # dependent[id(a)]: the ids of the instructions whose steps do not
-    # commute with a step of `a`
-    instrs = p.instructions
-    footprint = {
-        id(i): (idx.tid_of_instr[i],
-                i.command.lock if isinstance(i.command, (Acquire, Release)) else None,
-                *subjects_of(i))
-        for i in instrs}
-    dependent: dict[int, set[int]] = {}
-    for a in instrs:
-        ta, la, a_reads, a_writes = footprint[id(a)]
-        deps = dependent[id(a)] = set()
-        for b in instrs:
-            tb, lb, b_reads, b_writes = footprint[id(b)]
-            if (ta == tb or (la is not None and la == lb)
-                    or _conflicts(a_reads, a_writes, b_reads, b_writes)):
-                deps.add(id(b))
+    # commute with a step of `a`: its conflicts, its thread's (an int key)
+    # and its lock's (a name key)
+    keys = {id(i): (idx.tid_of_instr[i], getattr(i.command, "lock", None))
+            for i in p.instructions}
+    groups: dict[object, set[int]] = {}
+    for a, (t, lock) in keys.items():
+        groups.setdefault(t, set()).add(a)
+        groups.setdefault(lock, set()).add(a)
+    groups[None] = set()  # an assign or assume has no lock to share
+    dependent = {a: frozenset(table[a]).union(*(groups[k] for k in ks)) for a, ks in keys.items()}
 
-    def expand(state: StdState, path: list):
-        sleep = sleeps[-1]
-        explored: list[tuple] = []
-        for edge in successors(idx, state, std_step, havoc_values):
-            t, instr, choices, post = edge
-            entry = (id(instr), choices)
-            if entry in sleep:
-                continue
-            deps = dependent[id(instr)]
-            child_sleep = tuple(e for e in (*sleep, *explored) if e[0] not in deps)
-            explored.append(entry)
+    def expand(node, path):
+        state, clocks, locks, sleep = node
+
+        def step(prog, s, instr, values, index):
+            return () if id(instr) in sleep else std_step(prog, s, instr, values, index)
+
+        explored: set[int] = set()
+        for t, instr, choices, post in successors(idx, state, step, havoc_values):
             _, _, _, kind, slot, _, _, _ = idx.steps.get(id(instr)) or idx.compile(instr)
-            saved_thread = vc = thread_clock[t]
+            vc = clocks[t]
             if kind is Acquire:
-                vc = tuple(map(max, vc, lock_clock[slot]))
+                vc = tuple(map(max, vc, locks[slot]))
             vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
-            thread_clock[t] = vc
-            if kind is Release:
-                saved_lock = lock_clock[slot]
-                lock_clock[slot] = vc
-            clocks.append(vc)
-            sleeps.append(child_sleep)
-            yield edge, post
-            sleeps.pop()
-            clocks.pop()
-            thread_clock[t] = saved_thread
-            if kind is Release:
-                lock_clock[slot] = saved_lock
+            child = (post, clocks[:t] + (vc,) + clocks[t + 1:],
+                     locks[:slot] + (vc,) + locks[slot + 1:] if kind is Release else locks,
+                     (sleep | explored) - dependent[id(instr)])
+            explored.add(id(instr))
+            yield (t, instr, choices, post, vc), child
 
-    for state, path in dfs(initial_state(p), depth, budget, expand):
-        yield state, path, clocks, thread_clock
+    zero = (0,) * len(p.threads)
+    root = (initial_state(p), (zero,) * len(p.threads), (zero,) * len(p.locks), frozenset())
+    for (state, clocks, _, _), path in dfs(root, depth, budget, expand):
+        yield state, path, clocks
 
 
 # ---------------------------------------------------------------------------
@@ -555,64 +564,46 @@ class RaceReport:
     subject: str  # variable or region name
 
 
-def _conflicts(a_reads, a_writes, b_reads, b_writes) -> frozenset[str]:
-    return (a_writes & (b_reads | b_writes)) | (b_writes & a_reads)
-
-
 def _find_races(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...],
     budget: int,
-    subjects_of: Callable[[Instruction], tuple[frozenset[str], frozenset[str]]],
+    subjects_of: Subjects,
 ) -> list[RaceReport]:
     """DFS over the reduced execution tree of `clocked_walk`, reporting
     hb-unordered conflicting pairs.
 
     A pair is reported at the tree node whose last step is its second
     access, so each distinct (instruction, instruction, subject) triple is
-    witnessed once, by its canonically first execution.
+    witnessed once, by its canonically first execution.  The pairs come
+    from the walk's own `conflict_table`; a pair of one thread is ordered
+    by po, so the clock test skips it.
     """
     idx = ProgramIndex(p)
     init = initial_state(p)
+    table = conflict_table(idx, subjects_of)
     # keyed by identity: hashing an Instruction walks its whole command
     reported: dict[tuple[int, int, str], RaceReport] = {}
 
-    # row[id(b)][id(a)] holds the sorted subjects on which an earlier step
-    # of `a` in another thread conflicts with a step of `b`
-    instrs = p.instructions
-    accesses = {id(i): (idx.tid_of_instr[i], *subjects_of(i)) for i in instrs}
-    table: dict[int, dict[int, tuple[str, ...]]] = {}
-    for b in instrs:
-        tb, b_reads, b_writes = accesses[id(b)]
-        row = table[id(b)] = {}
-        for a in instrs:
-            ta, a_reads, a_writes = accesses[id(a)]
-            if ta != tb:
-                both = _conflicts(a_reads, a_writes, b_reads, b_writes)
-                if both:
-                    row[id(a)] = tuple(sorted(both))
-
     def witness(path) -> Execution:
         steps, pre = [], init
-        for tid, instr, choices, post in path:
+        for tid, instr, choices, post, _ in path:
             steps.append(Transition(tid, instr, choices, pre, post))
             pre = post
         return Execution(init, tuple(steps))
 
-    for _, path, clocks, _ in clocked_walk(idx, depth, havoc_values, budget, subjects_of):
+    for _, path, _ in clocked_walk(idx, depth, havoc_values, budget, subjects_of):
         if not path:
             continue
         k = len(path) - 1
-        instr = path[k][1]
+        _, instr, _, _, vc = path[k]
         row = table[id(instr)]
         if not row:
             continue
-        vc = clocks[k]
-        for i in range(k):
-            prior_tid, prior = path[i][:2]
+        for i, (prior_tid, prior, _, _, prior_vc) in enumerate(path[:k]):
             both = row.get(id(prior))
-            if both is None or clocks[i][prior_tid] <= vc[prior_tid]:
+            if both is None or prior_vc[prior_tid] <= vc[prior_tid]:
                 continue  # no conflict, or ordered by happens-before
             for subject in both:
                 key = (id(prior), id(instr), subject)
@@ -680,12 +671,11 @@ def owned_vars_oracle(
     written = {id(i): instr_accesses(i)[1] for i in p.instructions}
     racy: dict[tuple[int, int], set[str]] = {
         (t, loc): set() for t, th in enumerate(p.threads) for loc in th.locations}
-    for state, path, clocks, thread_clock in clocked_walk(
-            idx, depth, havoc_values, budget, instr_accesses):
+    for state, path, clocks in clocked_walk(idx, depth, havoc_values, budget, instr_accesses):
         for t, loc in enumerate(state.pc):
-            seen = thread_clock[t]
-            for i, (u, instr, _, _) in enumerate(path):
-                if u != t and clocks[i][u] > seen[u]:
+            seen = clocks[t]
+            for u, instr, _, _, vc in path:
+                if u != t and vc[u] > seen[u]:
                     racy[t, loc] |= written[id(instr)]
     return {(p.threads[t].name, loc): frozenset(p.variables) - vs
             for (t, loc), vs in racy.items()}

@@ -47,6 +47,7 @@ from .syncfg import build_syncfg
 
 ANALYSES = ("valset", "rel", "regrel")
 DOMAINS = ("interval", "octagon", "envset")
+WIDEN_DELAY = 2  # changes of a widening point's fact before widening starts
 
 
 class AnalysisLimitError(Exception):
@@ -70,7 +71,6 @@ class AnalysisConfig:
     domain: str = "octagon"
     recency: bool = False
     regions: Optional[RegionMap] = None  # defaults to the program's partition
-    widen_delay: int = 2
     iteration_cap: int = 10_000
     havoc_values: tuple[int, ...] = (0, 1, 2)
     value_box: tuple[int, int] = (-4, 4)
@@ -203,7 +203,7 @@ def _solve(frame: _Frame) -> LocationFacts:
     """The worklist iteration, from the initial facts to a post-fixpoint.
 
     Facts at widening points are widened once they have changed
-    `widen_delay` times, except over environment sets: that domain is finite
+    `WIDEN_DELAY` times, except over environment sets: that domain is finite
     in the value box, so joins alone terminate and the result is exact."""
     cfg = frame.cfg
     use_widening = cfg.domain != "envset"
@@ -229,7 +229,7 @@ def _solve(frame: _Frame) -> LocationFacts:
             cur = facts[tgt]
             joined = dom.join(cur, new)
             if use_widening and tgt in frame.widen_points:
-                if update_count.get(tgt, 0) >= cfg.widen_delay:
+                if update_count.get(tgt, 0) >= WIDEN_DELAY:
                     joined = dom.widen(cur, joined)
             if dom.equal(joined, cur):
                 continue

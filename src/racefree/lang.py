@@ -897,6 +897,15 @@ class _Lowering:
         self.lower_block(t.name, t.body, entry, instrs)
         return Thread(name=t.name, body=t.body, entry=entry, instructions=tuple(instrs))
 
+    def settled(self, loc, out) -> int:
+        """`loc`, or one `assume(true)` past it when an acquire or release
+        just entered it: the caller adds a second edge into the result."""
+        if out and out[-1].target == loc and isinstance(out[-1].command, (Acquire, Release)):
+            fresh = self.alloc()
+            out.append(Instruction(loc, Assume(BoolLit(True)), fresh))
+            return fresh
+        return loc
+
     def lower_block(self, tname, stmts, entry, out) -> int:
         cur = entry
         for s in stmts:
@@ -915,7 +924,7 @@ class _Lowering:
             self.assertions.append(Assertion(cur, s.cond, tname))
             return tgt
         if isinstance(s, WhileStmt):
-            head = cur
+            head = self.settled(cur, out)
             body_entry = self.alloc()
             enter = Instruction(head, Assume(s.cond), body_entry)
             out.append(enter)
@@ -928,7 +937,8 @@ class _Lowering:
             if not s.else_body:
                 then_entry = self.alloc()
                 out.append(Instruction(cur, Assume(s.cond), then_entry))
-                then_exit = self.lower_block(tname, s.then_body, then_entry, out)
+                body_exit = self.lower_block(tname, s.then_body, then_entry, out)
+                then_exit = self.settled(body_exit, out)
                 out.append(Instruction(cur, Assume(negate_bool(s.cond)), then_exit))
                 return then_exit
             then_entry = self.alloc()

@@ -490,20 +490,21 @@ def asserted_programs(count: int = 40, seed: int = 1) -> tuple[tuple[str, Progra
 def unreduced_clocked_walk(idx, depth, havoc_values, budget, subjects_of):
     """`concrete.clocked_walk` without its sleep sets: every node of the
     standard execution tree up to `depth`, with happens-before's vector
-    clocks kept along the path; `subjects_of` is taken for the signature
-    and not read.  Kept for oracle independence, as `metacheck._mix_envs`
-    is kept beside `EnvSetDomain.mix`: the race searches and the owned
-    oracle, run over it by `unreduced`, are the reference of the reduced
-    ones."""
+    clocks kept in lists along the path and undone after each child; the
+    same `(state, path, thread clocks)` at each node, each path edge
+    `(tid, instr, choices, post, clock)`.  `subjects_of` is taken for the
+    signature and not read.  Kept for oracle independence, as
+    `metacheck._mix_envs` is kept beside `EnvSetDomain.mix`: the race
+    searches and the owned oracle, run over it by `unreduced`, are the
+    reference of the reduced ones."""
     p = idx.program
     zero = (0,) * len(p.threads)
     thread_clock = [zero] * len(p.threads)
     lock_clock = [zero] * len(p.locks)
-    clocks = []
 
     def expand(state, path):
-        for edge in concrete.successors(idx, state, concrete.std_step, havoc_values):
-            t, instr, _, post = edge
+        for t, instr, choices, post in concrete.successors(idx, state, concrete.std_step,
+                                                           havoc_values):
             cmd = instr.command
             lock = idx.lock_index[cmd.lock] if isinstance(cmd, (Acquire, Release)) else None
             saved_thread = vc = thread_clock[t]
@@ -514,15 +515,30 @@ def unreduced_clocked_walk(idx, depth, havoc_values, budget, subjects_of):
             if isinstance(cmd, Release):
                 saved_lock = lock_clock[lock]
                 lock_clock[lock] = vc
-            clocks.append(vc)
-            yield edge, post
-            clocks.pop()
+            yield (t, instr, choices, post, vc), post
             thread_clock[t] = saved_thread
             if isinstance(cmd, Release):
                 lock_clock[lock] = saved_lock
 
     for state, path in concrete.dfs(concrete.initial_state(p), depth, budget, expand):
-        yield state, path, clocks, thread_clock
+        yield state, path, tuple(thread_clock)
+
+
+def conflicts(a_reads, a_writes, b_reads, b_writes) -> frozenset[str]:
+    """The subjects on which two accesses conflict: one writes what the
+    other reads or writes."""
+    return (a_writes & (b_reads | b_writes)) | (b_writes & a_reads)
+
+
+def conflict_table_reference(p, subjects_of) -> dict:
+    """`concrete.conflict_table` as one `conflicts` call per ordered pair of
+    instructions.  Kept for oracle independence, as `unreduced_clocked_walk`
+    is kept beside `concrete.clocked_walk`: the one-pass symmetric table is
+    checked against it."""
+    accesses = {id(i): subjects_of(i) for i in p.instructions}
+    return {a: {b: tuple(sorted(both)) for b, (b_reads, b_writes) in accesses.items()
+                if (both := conflicts(a_reads, a_writes, b_reads, b_writes))}
+            for a, (a_reads, a_writes) in accesses.items()}
 
 
 def unreduced(search, *args, **kwargs):

@@ -162,12 +162,25 @@ def test_usage_errors(tmp_path, capsys):
                     str(bad)]) == 2
 
 
+@pytest.mark.parametrize("src", [
+    "thread t { acquire(m); while (c < 2) { c := c + 1; } assert(c >= 2); release(m); }",
+    "thread t { acquire(m); c := 0; release(m); while (x < 2) { x := x + 1; } }",
+    "thread t { if (c == 0) { acquire(m); x := 1; release(m); } }",
+], ids=["acquire_then_while", "release_then_while", "one_armed_if_ends_in_release"])
+def test_analyze_takes_sync_before_a_join(tmp_path, capsys, src):
+    """An acquire or release just before a while head or at the end of a
+    one-armed if's body desugars to a valid program (no exit 2)."""
+    f = tmp_path / "p.cp"
+    f.write_text(f"var c, x;\nlock m;\n{src}\nthread u {{ acquire(m); release(m); }}")
+    assert run_cli(["analyze", str(f)]) in (0, 1)
+    assert "invalid program" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["races", "--depth", "-1"],
     ["explore", "--depth", "-1"],
     ["explore", "--limit", "-1"],
     ["analyze", "--owned", "oracle", "--depth", "-1"],
-    ["analyze", "--widen-delay", "-1"],
     ["metacheck", "--samples", "-1"],
     ["metacheck", "--depth", "-1"],
     ["dot", "--depth", "-1"],

@@ -11,6 +11,7 @@ import pytest
 from domtools import (
     binop,
     chain,
+    conflict_table_reference,
     post_release_points_reference,
     scaled,
     strip_locks,
@@ -23,6 +24,7 @@ from racefree.concrete import (
     ProgramIndex,
     StdState,
     clocked_walk,
+    conflict_table,
     enumerate_executions,
     find_data_races,
     find_region_races,
@@ -331,7 +333,10 @@ def test_a_foreign_instruction_raises_key_error(coupled_xy):
 def test_race_searches_step_through_the_module_global(coupled_xy, monkeypatch):
     """A wrapper over `concrete.std_step` sees every step of the searches.
     The counts are those of the sleep-set reduced walk: the unreduced tree
-    of coupled_xy at depth 13 took 268 steps for each search."""
+    of coupled_xy at depth 13 took 268 steps for each search.  A node never
+    steps an instruction in its sleep set, so each search takes 39 steps,
+    not the 51 of a walk that stepped sleeping instructions and then
+    dropped their edges."""
     from racefree import concrete
 
     calls = []
@@ -343,9 +348,9 @@ def test_race_searches_step_through_the_module_global(coupled_xy, monkeypatch):
     step = concrete.std_step
     monkeypatch.setattr(concrete, "std_step", counting)
     searches = [
-        (lambda: find_data_races(coupled_xy, 13), 51),
-        (lambda: find_region_races(coupled_xy, 13), 51),
-        (lambda: owned_vars_oracle(coupled_xy, 13), 51),
+        (lambda: find_data_races(coupled_xy, 13), 39),
+        (lambda: find_region_races(coupled_xy, 13), 39),
+        (lambda: owned_vars_oracle(coupled_xy, 13), 39),
     ]
     for search, count in searches:
         calls.clear()
@@ -588,7 +593,8 @@ def test_owned_oracle_single_thread_owns_all():
 
 
 def test_owned_oracle_walks_the_tree_once(monkeypatch):
-    """One walk of the program's own execution tree decides every location."""
+    """One walk of the program's own execution tree decides every location;
+    the walk's root node holds the initial state."""
     from racefree import concrete
 
     p = prog("var x, y, z;\nthread a { x := 1; }\nthread b { y := 1; z := 1; }")
@@ -604,7 +610,8 @@ def test_owned_oracle_walks_the_tree_once(monkeypatch):
     # each thread at its entry races with the other thread's writes
     assert owned["a", p.threads[0].entry] == {"x"}
     assert owned["b", p.threads[1].entry] == {"y", "z"}
-    assert walks == [initial_state(p)]
+    assert len(walks) == 1
+    assert walks[0][0] == initial_state(p)
 
 
 def probe_race_depths(p, thread, location, depth):
@@ -727,6 +734,54 @@ def test_reduced_walk_yields_every_reachable_state(name):
         walked = {s for s, *_ in clocked_walk(idx, depth, DEFAULT_HAVOC, DEFAULT_BUDGET,
                                               instr_accesses)}
         assert walked == reachable_states(p, depth), depth
+
+
+def test_conflict_table_matches_the_per_pair_reference():
+    """One symmetric pass gives the table of the per-pair rule, on the
+    corpus and on random race-free programs, for variables and for the
+    region-lifted subjects of the program's regions and of one region of
+    every variable."""
+    from racefree.metacheck import random_race_free_programs
+
+    named = [(name, corpus.load(name)) for name in corpus.names()]
+    named += random_race_free_programs(12, 5)
+    lifted = 0
+    for name, p in named:
+        one_region = RegionMap.from_declared(p.variables, {"__all": p.variables})
+        for rg in (None, p.regions, one_region):
+            def subjects_of(instr, rg=rg):
+                reads, writes = instr_accesses(instr)
+                if rg is None:
+                    return reads, writes
+                return (frozenset(map(rg.region_of, reads)),
+                        frozenset(map(rg.region_of, writes)))
+
+            table = conflict_table(ProgramIndex(p), subjects_of)
+            assert table == conflict_table_reference(p, subjects_of), (name, rg)
+            assert all(table[b][a] == both for a, row in table.items()
+                       for b, both in row.items()), (name, rg)
+            lifted += rg is one_region and any(
+                "__all" in both for row in table.values() for both in row.values())
+    assert lifted == len(named)  # every program has a conflict on its one region
+
+
+def test_one_conflict_table_per_search(coupled_xy, monkeypatch):
+    """The walk's dependence and the race test read one table: a race
+    search reads each instruction's accesses once."""
+    from racefree import concrete
+
+    calls = []
+
+    def counting(instr):
+        calls.append(instr)
+        return accesses(instr)
+
+    accesses = concrete.instr_accesses
+    monkeypatch.setattr(concrete, "instr_accesses", counting)
+    for search in (find_data_races, find_region_races):
+        calls.clear()
+        search(coupled_xy, 6)
+        assert len(calls) == len(coupled_xy.instructions)
 
 
 def test_enumeration_contains_canonical_handoff(coupled_xy):

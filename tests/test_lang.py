@@ -231,6 +231,35 @@ def test_validate_clean_corpus():
         assert validate_program(desugar(parse_program(src))) == []
 
 
+# an acquire or release entering the location that a while head or a
+# one-armed if's exit reuses
+SYNC_THEN_JOIN = {
+    "acquire_then_while": "thread t { acquire(m); while (c < 2) { c := c + 1; } release(m); }",
+    "release_then_while": "thread t { acquire(m); c := 0; release(m); while (c < 2) { c := c + 1; } }",
+    "one_armed_if_ends_in_release":
+        "thread t { if (c == 0) { acquire(m); x := 1; release(m); } }",
+    "one_armed_if_ends_in_acquire":
+        "thread t { if (c == 0) { release(m); acquire(m); } x := 1; release(m); }",
+}
+
+
+@pytest.mark.parametrize("name", SYNC_THEN_JOIN)
+def test_desugared_sync_never_shares_its_target(name):
+    """The second edge into such a location leaves from one `assume(true)`
+    past it, so the desugared program is valid."""
+    p = desugar(parse_program("var c, x;\nlock m;\n" + SYNC_THEN_JOIN[name]))
+    assert validate_program(p) == []
+
+
+def test_desugar_settles_only_after_sync():
+    """A while head or one-armed if after any other command keeps its
+    location: the same numbering as without the settling edge."""
+    p = desugar(parse_program(
+        "var c;\nthread t { c := 1; while (c < 2) { c := c + 1; } if (c == 0) { c := 1; } }"))
+    assert [(i.source, i.target) for i in p.threads[0].instructions] == [
+        (1, 2), (2, 3), (3, 4), (4, 2), (2, 5), (5, 6), (6, 7), (5, 7)]
+
+
 def test_validate_shared_release_target():
     p = corpus.load("coupled_xy")
     t1 = p.threads[0]

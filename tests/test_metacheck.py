@@ -247,6 +247,25 @@ def test_local_abstraction_catches_unsound_mix(coupled_xy):
     assert not r.passed
 
 
+def test_cartesian_transfer_joins_into_the_target():
+    """The collecting transfer adds the image of an instruction to its
+    target's set and keeps what the target held: the join that the
+    per-instruction comparison of `check_local_abstraction` cannot see."""
+    from racefree.threadlocal import LocalContext
+
+    p = prog(HANDOFF)
+    ctx = LocalContext(p)
+    partition = ((0,),)
+    for instr in p.instructions:
+        state = {loc: frozenset() for t in p.threads for loc in t.locations}
+        state[instr.source] = frozenset({(3,)})
+        state[instr.target] = frozenset({(9,)})
+        out = metacheck._cartesian_transfer(ctx, instr, state, partition, (0, 1, 2))
+        assert out[instr.target] > {(9,)}, instr
+        assert {loc: envs for loc, envs in out.items() if loc != instr.target} == {
+            loc: envs for loc, envs in state.items() if loc != instr.target}
+
+
 def test_local_abstraction_pool_budget_is_an_exploration_limit(coupled_xy):
     with pytest.raises(ExplorationLimitError,
                        match="^state budget 3 exceeded after 4 states at depth 2$"):
