@@ -41,6 +41,7 @@ from .metacheck import (
     check_correspondence,
     check_local_abstraction,
     check_version_invariants,
+    race_free_owned,
 )
 from .syncfg import build_syncfg, refine_gamma, to_dot
 
@@ -275,11 +276,11 @@ def _cmd_metacheck(args) -> int:
     program = _load_program(args.program)
     regions = _load_regions(args.regions, program)
     havoc = _havoc_set(args.havoc_set)
-    results = []
-    results.append(check_correspondence(program, args.depth, havoc))
-    # check_correspondence has just searched the same tree for races
-    results.extend(check_version_invariants(program, args.depth, havoc,
-                                            skip_precondition=True))
+    # one walk of the standard tree checks the race precondition of the two
+    # walks below and gives the owned sets the version invariants read
+    owned = race_free_owned(program, args.depth, havoc)
+    results = [check_correspondence(program, args.depth, havoc, skip_precondition=True)]
+    results.extend(check_version_invariants(program, args.depth, havoc, owned=owned))
     results.append(check_local_abstraction(program, args.samples, args.seed,
                                            havoc_values=havoc))
     if not regions.is_singleton():

@@ -570,6 +570,7 @@ def _find_races(
     havoc_values: tuple[int, ...],
     budget: int,
     subjects_of: Subjects,
+    on_node: Optional[Callable] = None,
 ) -> list[RaceReport]:
     """DFS over the reduced execution tree of `clocked_walk`, reporting
     hb-unordered conflicting pairs.
@@ -578,7 +579,8 @@ def _find_races(
     access, so each distinct (instruction, instruction, subject) triple is
     witnessed once, by its canonically first execution.  The pairs come
     from the walk's own `conflict_table`; a pair of one thread is ordered
-    by po, so the clock test skips it.
+    by po, so the clock test skips it.  `on_node(state, path, clocks)`, if
+    given, reads every node of the walk as well.
     """
     idx = ProgramIndex(p)
     init = initial_state(p)
@@ -593,7 +595,9 @@ def _find_races(
             pre = post
         return Execution(init, tuple(steps))
 
-    for _, path, _ in clocked_walk(idx, depth, havoc_values, budget, subjects_of):
+    for state, path, clocks in clocked_walk(idx, depth, havoc_values, budget, subjects_of):
+        if on_node is not None:
+            on_node(state, path, clocks)
         if not path:
             continue
         k = len(path) - 1
@@ -620,9 +624,12 @@ def find_data_races(
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     budget: int = DEFAULT_BUDGET,
+    on_node: Optional[Callable] = None,
 ) -> list[RaceReport]:
-    """All hb-unordered conflicting same-variable access pairs up to depth."""
-    return _find_races(p, depth, havoc_values, budget, instr_accesses)
+    """All hb-unordered conflicting same-variable access pairs up to depth.
+    `on_node(state, path, clocks)`, if given, reads every node of the walk,
+    as the `visit` of `owned_probe` does."""
+    return _find_races(p, depth, havoc_values, budget, instr_accesses, on_node)
 
 
 def find_region_races(
@@ -667,18 +674,33 @@ def owned_vars_oracle(
     other case: t idles after the read, so the write alone, one step
     earlier, ends a node of the first kind.  One walk of the tree, reduced
     by sleep sets and bounded by `budget`, decides every location."""
-    idx = ProgramIndex(p)
+    visit, owned = owned_probe(p)
+    for node in clocked_walk(ProgramIndex(p), depth, havoc_values, budget, instr_accesses):
+        visit(*node)
+    return owned()
+
+
+def owned_probe(p: Program) -> tuple[Callable, Callable]:
+    """The owned oracle as a reader of the nodes of `clocked_walk` under
+    `instr_accesses`: `visit(state, path, clocks)` at every node, then
+    `owned()` for the map.  `find_data_races` walks that tree, so its walk
+    can feed `visit` too."""
     written = {id(i): instr_accesses(i)[1] for i in p.instructions}
     racy: dict[tuple[int, int], set[str]] = {
         (t, loc): set() for t, th in enumerate(p.threads) for loc in th.locations}
-    for state, path, clocks in clocked_walk(idx, depth, havoc_values, budget, instr_accesses):
+
+    def visit(state, path, clocks) -> None:
         for t, loc in enumerate(state.pc):
             seen = clocks[t]
             for u, instr, _, _, vc in path:
                 if u != t and vc[u] > seen[u]:
                     racy[t, loc] |= written[id(instr)]
-    return {(p.threads[t].name, loc): frozenset(p.variables) - vs
-            for (t, loc), vs in racy.items()}
+
+    def owned() -> dict[tuple[str, int], frozenset[str]]:
+        return {(p.threads[t].name, loc): frozenset(p.variables) - vs
+                for (t, loc), vs in racy.items()}
+
+    return visit, owned
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import gt
 from typing import Callable, Iterable, Optional
 
 from .concrete import (
@@ -36,7 +37,7 @@ from .concrete import (
     dfs,
     find_data_races,
     initial_state,
-    owned_vars_oracle,
+    owned_probe,
     reachable,
     std_step,
     successors,
@@ -91,14 +92,31 @@ class CheckResult:
         return f"{self.name}: {self.instances} instances, {status}"
 
 
-def _require_race_free(p: Program, depth: int, havoc_values, budget) -> None:
-    races = find_data_races(p, depth, havoc_values, budget)
+def _require_race_free(p: Program, depth: int, havoc_values, budget, on_node=None) -> None:
+    races = find_data_races(p, depth, havoc_values, budget, on_node=on_node)
     if races:
         r = races[0]
         raise PreconditionError(
             f"data race on {r.subject!r} within depth {depth}; "
             f"the correspondence checks assume race freedom"
         )
+
+
+def race_free_owned(
+    p: Program,
+    depth: int,
+    havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
+    budget: int = DEFAULT_BUDGET,
+) -> dict[tuple[str, int], frozenset[str]]:
+    """The race-freedom precondition of the correspondence and version
+    checks, and the owned-set oracle the version invariants read, from one
+    walk of the standard tree: raises PreconditionError when `p` races
+    within `depth`, and returns `owned_vars_oracle(p, depth, ...)`.  The
+    race search and the oracle walk the same tree under the same budget,
+    so the shared walk trips where either would."""
+    visit, owned = owned_probe(p)
+    _require_race_free(p, depth, havoc_values, budget, on_node=visit)
+    return owned()
 
 
 def _trace(path, *instrs) -> str:
@@ -195,17 +213,23 @@ def check_version_invariants(
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     budget: int = DEFAULT_BUDGET,
     local_step_fn: Optional[Callable] = None,
-    skip_precondition: bool = False,
+    owned: Optional[dict[tuple[str, int], frozenset[str]]] = None,
 ) -> list[CheckResult]:
     """Walk every bounded thread-local execution (at most `budget` nodes)
-    and assert the counter invariants; returns one result per sub-check."""
-    if not skip_precondition:
-        _require_race_free(p, depth, havoc_values, budget)
-    # the oracle walks the tree the precondition walks, so it fits the budget
-    owned = owned_vars_oracle(p, depth, havoc_values, budget)
+    and assert the counter invariants; returns one result per sub-check.
+
+    `owned` is the owned-set oracle at the same depth and havoc values,
+    given by `race_free_owned`, whose walk has checked the race-freedom
+    precondition; without it this check makes that walk itself."""
+    if owned is None:
+        owned = race_free_owned(p, depth, havoc_values, budget)
     step_local = local_step_fn or local_step
     ctx = LocalContext(p)
     var_count = len(p.variables)
+    var_index = ctx.var_index
+    # per instruction, the (name, index) of each variable it accesses, sorted
+    accessed = {id(i): tuple((v, var_index[v]) for v in sorted(set().union(*instr_accesses(i))))
+                for i in p.instructions}
 
     version_bound = CheckResult("version_bound")
     write_exact = CheckResult("write_version_exact")
@@ -214,54 +238,57 @@ def check_version_invariants(
     owned_projection = CheckResult("owned_projection")
     results = [version_bound, write_exact, max_at_access, admissible, owned_projection]
 
-    def check_state(sigma: ThreadLocalState, writes: tuple[int, ...], path) -> None:
+    def newest(sigma: ThreadLocalState) -> tuple[int, ...]:
+        """Per variable, the highest version among the components."""
+        return tuple(map(max, zip(*[ve.versions for ve in components(sigma)])))
+
+    # `top` is `newest(sigma)`, computed once per node for the checks of the
+    # node and of the edges out of it
+    def check_state(sigma: ThreadLocalState, writes: tuple[int, ...], top, path) -> None:
         version_bound.instances += 1
-        for ve in components(sigma):
-            for x in range(var_count):
-                if ve.versions[x] > writes[x]:
-                    version_bound.fail(
-                        _trace(path),
-                        f"version of {p.variables[x]} is {ve.versions[x]} after "
-                        f"{writes[x]} writes",
-                    )
+        if any(map(gt, top, writes)):
+            for ve in components(sigma):
+                for x in range(var_count):
+                    if ve.versions[x] > writes[x]:
+                        version_bound.fail(
+                            _trace(path),
+                            f"version of {p.variables[x]} is {ve.versions[x]} after "
+                            f"{writes[x]} writes",
+                        )
         admissible.instances += 1
         if not is_admissible(sigma):
             admissible.fail(_trace(path), "inadmissible reachable state")
         owned_projection.instances += 1
         for tid, t in enumerate(p.threads):
+            mine = sigma.theta[tid].versions
             for v in owned[t.name, sigma.pc[tid]]:
-                x = ctx.var_index[v]
-                top = max(ve.versions[x] for ve in components(sigma))
-                mine = sigma.theta[tid]
-                if mine.versions[x] != top:
+                x = var_index[v]
+                if mine[x] != top[x]:
                     owned_projection.fail(
                         _trace(path),
                         f"{t.name} owns {v} at {sigma.pc[tid]} but its version "
-                        f"{mine.versions[x]} is not the maximum {top}",
+                        f"{mine[x]} is not the maximum {top[x]}",
                     )
 
     # a node is a thread-local state with the number of writes per variable
-    # on the path to it
+    # on the path to it and its `newest` versions
     def expand(node, path):
-        sigma, writes = node
+        sigma, writes, top = node
         for edge in successors(ctx, sigma, _recording(step_local, admissible, path),
                                havoc_values):
             tid, instr, _, sigma2 = edge
-            reads, written = instr_accesses(instr)
+            mine = sigma.theta[tid].versions
             max_at_access.instances += 1
-            for v in sorted(reads | written):
-                x = ctx.var_index[v]
-                top = max(ve.versions[x] for ve in components(sigma))
-                if sigma.theta[tid].versions[x] != top:
+            for v, x in accessed[id(instr)]:
+                if mine[x] != top[x]:
                     max_at_access.fail(
                         _trace(path, instr),
-                        f"access of {v} with version "
-                        f"{sigma.theta[tid].versions[x]} < max {top}",
+                        f"access of {v} with version {mine[x]} < max {top[x]}",
                     )
             cmd = instr.command
             writes2 = writes
             if isinstance(cmd, Assign):
-                x = ctx.var_index[cmd.var]
+                x = var_index[cmd.var]
                 writes2 = writes[:x] + (writes[x] + 1,) + writes[x + 1:]
                 write_exact.instances += 1
                 got = sigma2.theta[tid].versions[x]
@@ -271,11 +298,12 @@ def check_version_invariants(
                         f"post-write version of {cmd.var} is {got}, "
                         f"expected {writes2[x]}",
                     )
-            yield edge, (sigma2, writes2)
+            yield edge, (sigma2, writes2, newest(sigma2))
 
-    root = (initial_local_state(p, ctx), (0,) * var_count)
-    for (sigma, writes), path in dfs(root, depth, budget, expand):
-        check_state(sigma, writes, path)
+    sigma0 = initial_local_state(p, ctx)
+    for (sigma, writes, top), path in dfs((sigma0, (0,) * var_count, newest(sigma0)),
+                                          depth, budget, expand):
+        check_state(sigma, writes, top, path)
     return results
 
 
@@ -286,15 +314,17 @@ def check_version_invariants(
 LocEnvs = dict[int, frozenset]
 
 
-def _alpha(p: Program, ctx: LocalContext, states: Iterable[ThreadLocalState]) -> LocEnvs:
+def _alpha(ctx: LocalContext, states: Iterable[ThreadLocalState]) -> LocEnvs:
     """Gather, per location, the thread environments of threads standing
-    there and the buffer contents at post-release points."""
-    out: dict[int, set] = {loc: set() for t in p.threads for loc in t.locations}
+    there and the buffer contents at post-release points.  A location
+    where nothing stands is absent: its set is empty."""
+    out: dict[int, set] = {}
+    points = ctx.buffer_points
     for sigma in states:
-        for tid in range(len(p.threads)):
-            out[sigma.pc[tid]].add(sigma.theta[tid].values)
-        for bi, loc in enumerate(ctx.buffer_points):
-            out[loc].add(sigma.buffers[bi].values)
+        for loc, ve in zip(sigma.pc, sigma.theta):
+            out.setdefault(loc, set()).add(ve.values)
+        for loc, ve in zip(points, sigma.buffers):
+            out.setdefault(loc, set()).add(ve.values)
     return {loc: frozenset(envs) for loc, envs in out.items()}
 
 
@@ -353,7 +383,7 @@ def _cartesian_transfer(
         for loc in ctx.program.release_points[c.lock]:
             pool |= state.get(loc, frozenset())
         added = mix(frozenset(pool), partition)
-    return {**state, instr.target: state[instr.target] | added}
+    return {**state, instr.target: state.get(instr.target, frozenset()) | added}
 
 
 def check_local_abstraction(
@@ -369,7 +399,12 @@ def check_local_abstraction(
     """For sampled sets X of reachable thread-local states and every
     instruction: abstracting the post-set is below the abstract transfer of
     the abstracted pre-set.  With a RegionMap the region-granular semantics
-    and mix are used; otherwise variable granularity."""
+    and mix are used; otherwise variable granularity.
+
+    Only the instructions enabled in some state of X are stepped and
+    compared: an instruction steps only from its thread's pc, and one with
+    an empty post-set has nothing to dominate.  Every (sample,
+    instruction) pair still counts as an instance."""
     ctx = LocalContext(p, regions=regions)
     if regions is None:
         partition = tuple((i,) for i in range(len(p.variables)))
@@ -377,6 +412,8 @@ def check_local_abstraction(
         partition = regions.index_partition(p.variables)
     name = "local_abstraction" + ("_regions" if regions is not None else "")
     result = CheckResult(name)
+    # a failure names the first undominated location in this order
+    rank = {loc: n for n, loc in enumerate(loc for t in p.threads for loc in t.locations)}
 
     pool = reachable(ctx, initial_local_state(p, ctx), local_step, depth,
                      havoc_values, budget)
@@ -386,24 +423,30 @@ def check_local_abstraction(
     for case in range(samples):
         k = rng.randint(1, min(6, len(pool)))
         X = rng.sample(pool, k)
-        alpha_x = _alpha(p, ctx, X)
+        result.instances += len(instructions)
+        alpha_x = _alpha(ctx, X)
+        # the states of X by the locations their threads stand at: an
+        # instruction steps only from its thread's pc
+        standing: dict[int, list[ThreadLocalState]] = {}
+        for sigma in X:
+            for loc in sigma.pc:
+                standing.setdefault(loc, []).append(sigma)
         for instr in instructions:
-            post = []
-            for sigma in X:
-                for _, s2 in local_step(p, sigma, instr, havoc_values, ctx):
-                    post.append(s2)
-            result.instances += 1
-            lhs = _alpha(p, ctx, post) if post else {}
+            post = [s2 for sigma in standing.get(instr.source, ())
+                    for _, s2 in local_step(p, sigma, instr, havoc_values, ctx)]
+            if not post:
+                continue
             rhs = _cartesian_transfer(ctx, instr, alpha_x, partition,
                                       havoc_values, mix_fn=mix_fn)
-            for loc, envs in lhs.items():
-                if post and not envs <= rhs.get(loc, frozenset()):
-                    missing = sorted(envs - rhs.get(loc, frozenset()))[:3]
-                    result.fail(
-                        f"case {case} instr {instr.source}->{instr.target}",
-                        f"abstraction not dominated at {loc}: missing {missing}",
-                    )
-                    break
+            lhs = _alpha(ctx, post)
+            bad = [loc for loc, envs in lhs.items() if not envs <= rhs.get(loc, frozenset())]
+            if bad:
+                loc = min(bad, key=rank.__getitem__)
+                missing = sorted(lhs[loc] - rhs.get(loc, frozenset()))[:3]
+                result.fail(
+                    f"case {case} instr {instr.source}->{instr.target}",
+                    f"abstraction not dominated at {loc}: missing {missing}",
+                )
     return result
 
 

@@ -108,16 +108,16 @@ def components(s: ThreadLocalState) -> tuple[VersionedEnv, ...]:
 
 
 def is_admissible(s: ThreadLocalState) -> bool:
-    comps = components(s)
-    n_vars = len(comps[0].values) if comps else 0
-    for x in range(n_vars):
-        seen: dict[int, int] = {}
-        for ve in comps:
-            ver, val = ve.versions[x], ve.values[x]
-            if ver in seen and seen[ver] != val:
-                return False
-            seen[ver] = val
-    return True
+    """No two components agree on a variable's version but not its value.
+    One pass over the distinct components collects each (variable,
+    version) with its values; a conflict leaves more pairs than keys."""
+    envs = {(ve.versions, ve.values) for ve in components(s)}
+    if len(envs) == 1:
+        return True
+    pairs: set[tuple[tuple[int, int], int]] = set()
+    for versions, values in envs:
+        pairs.update(zip(enumerate(versions), values))
+    return len(pairs) == len({key for key, _ in pairs})
 
 
 def local_step(
@@ -173,14 +173,13 @@ def local_step(
 
 def extract_state(p: Program, s: ThreadLocalState) -> StdState:
     """Collapse to an interleaving-semantics state: per variable, the value at
-    the highest version across the thread-local environments."""
+    the highest version across the thread-local environments.  In an
+    admissible state the pairs at the top version carry one value, so the
+    largest (version, value) pair of each variable has it."""
     if not is_admissible(s):
         raise InadmissibleStateError("cannot extract from an inadmissible state")
-    phi = []
-    for x in range(len(p.variables)):
-        pairs = take_newest(x, s.theta)
-        phi.append(next(iter(pairs))[0])
-    return StdState(pc=s.pc, mu=s.mu, phi=tuple(phi))
+    columns = zip(*[zip(ve.versions, ve.values) for ve in s.theta])
+    return StdState(pc=s.pc, mu=s.mu, phi=tuple(max(column)[1] for column in columns))
 
 
 def enumerate_local_executions(

@@ -9,6 +9,7 @@ deterministic; the acceptance suite reruns these at high case counts.
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import replace
 from functools import cache
@@ -26,7 +27,7 @@ from racefree.absdom import (
     is_bottom,
     split_fact,
 )
-from racefree import concrete
+from racefree import concrete, metacheck
 from racefree.checker import must_hold_locksets
 from racefree.concrete import reachable_states
 from racefree.engine import make_domain
@@ -58,9 +59,11 @@ from racefree.metacheck import CheckResult, _recording, _trace, random_race_free
 from racefree.threadlocal import (
     InadmissibleStateError,
     LocalContext,
+    ThreadLocalState,
     extract_state,
     initial_local_state,
     local_step,
+    take_newest,
 )
 
 BOX = (-4, 4)
@@ -625,6 +628,87 @@ def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
     for _ in concrete.dfs(init, depth, budget, bwd):
         pass
     return result
+
+
+# ---------------------------------------------------------------------------
+# the dense local-abstraction check and the two-pass extraction
+
+
+def _dense_alpha(p, ctx, states) -> dict[int, frozenset]:
+    """`metacheck._alpha` with a set, empty or not, at every location."""
+    out: dict[int, set] = {loc: set() for t in p.threads for loc in t.locations}
+    for sigma in states:
+        for tid in range(len(p.threads)):
+            out[sigma.pc[tid]].add(sigma.theta[tid].values)
+        for bi, loc in enumerate(ctx.buffer_points):
+            out[loc].add(sigma.buffers[bi].values)
+    return {loc: frozenset(envs) for loc, envs in out.items()}
+
+
+def local_abstraction_reference(p, samples, seed, depth=8, havoc_values=HAVOC,
+                                regions=None, budget=concrete.DEFAULT_BUDGET,
+                                mix_fn=None) -> CheckResult:
+    """`metacheck.check_local_abstraction` as every instruction stepped
+    from every sampled state, with dense abstractions and the abstract
+    transfer built for every pair.  Kept for oracle independence, as
+    `two_way_correspondence` is kept beside the paired walk: it is the
+    reference of the check that steps only enabled instructions.  The
+    transfer is `metacheck._cartesian_transfer`, looked up at call time, so
+    a stand-in installed there serves both."""
+    ctx = LocalContext(p, regions=regions)
+    if regions is None:
+        partition = tuple((i,) for i in range(len(p.variables)))
+    else:
+        partition = regions.index_partition(p.variables)
+    result = CheckResult("local_abstraction" + ("_regions" if regions is not None else ""))
+    pool = concrete.reachable(ctx, initial_local_state(p, ctx), local_step, depth,
+                              havoc_values, budget)
+    rng = random.Random(seed)
+    for case in range(samples):
+        k = rng.randint(1, min(6, len(pool)))
+        X = rng.sample(pool, k)
+        alpha_x = _dense_alpha(p, ctx, X)
+        for instr in p.instructions:
+            post = [s2 for sigma in X
+                    for _, s2 in local_step(p, sigma, instr, havoc_values, ctx)]
+            result.instances += 1
+            lhs = _dense_alpha(p, ctx, post) if post else {}
+            rhs = metacheck._cartesian_transfer(ctx, instr, alpha_x, partition,
+                                                havoc_values, mix_fn=mix_fn)
+            for loc, envs in lhs.items():
+                if not envs <= rhs.get(loc, frozenset()):
+                    missing = sorted(envs - rhs.get(loc, frozenset()))[:3]
+                    result.fail(
+                        f"case {case} instr {instr.source}->{instr.target}",
+                        f"abstraction not dominated at {loc}: missing {missing}",
+                    )
+                    break
+    return result
+
+
+def is_admissible_reference(s: ThreadLocalState) -> bool:
+    """`threadlocal.is_admissible` as one version-to-value map per variable."""
+    comps = s.theta + s.buffers
+    n_vars = len(comps[0].values) if comps else 0
+    for x in range(n_vars):
+        seen: dict[int, int] = {}
+        for ve in comps:
+            ver, val = ve.versions[x], ve.values[x]
+            if ver in seen and seen[ver] != val:
+                return False
+            seen[ver] = val
+    return True
+
+
+def extract_state_reference(p, s: ThreadLocalState) -> concrete.StdState:
+    """`threadlocal.extract_state` as an admissibility pass and then one
+    `take_newest` per variable.  Kept for oracle independence, as
+    `two_way_correspondence` is kept beside the paired walk: it is the
+    reference of the one-pass extraction."""
+    if not is_admissible_reference(s):
+        raise InadmissibleStateError("cannot extract from an inadmissible state")
+    phi = [next(iter(take_newest(x, s.theta)))[0] for x in range(len(p.variables))]
+    return concrete.StdState(pc=s.pc, mu=s.mu, phi=tuple(phi))
 
 
 def strip_locks(p: Program) -> Program:

@@ -138,6 +138,29 @@ def test_metacheck_searches_for_races_once(fig_file, monkeypatch):
     assert searches == [6]
 
 
+def test_metacheck_walks_the_standard_tree_once(fig_file, monkeypatch):
+    """The race precondition and the owned sets of the version invariants
+    come from one walk of the standard tree, through the module attributes
+    the benchmark's tracer wraps."""
+    from racefree import concrete
+
+    calls = []
+
+    def counting(name):
+        original = getattr(concrete, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(concrete, name, wrapper)
+
+    counting("clocked_walk")
+    counting("_find_races")
+    assert run_cli(["metacheck", "--depth", "6", "--samples", "5", fig_file]) == 0
+    assert calls == ["_find_races", "clocked_walk"]
+
+
 def test_metacheck_refuses_racy_input(tmp_path, capsys):
     f = tmp_path / "racy.cp"
     f.write_text("var x;\nthread a { x := 1; }\nthread b { x := 2; }\n")

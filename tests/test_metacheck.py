@@ -4,16 +4,22 @@ and the fault-injection self-tests that prove the harness can catch bugs."""
 from dataclasses import replace
 
 import pytest
-from domtools import two_way_correspondence
+from domtools import local_abstraction_reference, two_way_correspondence
 
-from racefree import corpus, metacheck
-from racefree.concrete import ExplorationLimitError, enumerate_executions
-from racefree.lang import Acquire, Assign, desugar, parse_program
+from racefree import concrete, corpus, metacheck
+from racefree.concrete import (
+    ExplorationLimitError,
+    enumerate_executions,
+    find_data_races,
+    owned_vars_oracle,
+)
+from racefree.lang import Acquire, Assign, desugar, parse_program, parse_region_text
 from racefree.metacheck import (
     PreconditionError,
     check_correspondence,
     check_local_abstraction,
     check_version_invariants,
+    race_free_owned,
     random_race_free_programs,
 )
 from racefree.threadlocal import ThreadLocalState, VersionedEnv, local_step
@@ -154,7 +160,8 @@ def test_walks_keep_the_budget_without_the_precondition(coupled_xy):
     with pytest.raises(ExplorationLimitError, match="after 6 nodes"):
         check_correspondence(coupled_xy, 10, budget=5, skip_precondition=True)
     with pytest.raises(ExplorationLimitError, match="after 6 nodes"):
-        check_version_invariants(coupled_xy, 10, budget=5, skip_precondition=True)
+        check_version_invariants(coupled_xy, 10, budget=5,
+                                 owned=owned_vars_oracle(coupled_xy, 10))
 
 
 def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
@@ -169,6 +176,24 @@ def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
     results = check_version_invariants(coupled_xy, 10, budget=nodes)
     for r in results:
         assert r.passed, r.summary()
+
+
+def test_race_free_owned_is_the_race_search_and_the_oracle(coupled_xy):
+    """One walk gives the precondition and the owned sets; an exhausted
+    budget trips at the node where the race search trips."""
+    cases = [(p, depth) for p in map(corpus.load, corpus.names()) for depth in (0, 4, 9)]
+    cases += [(p, 8) for _, p in random_race_free_programs(6, seed=3)]
+    for p, depth in cases:
+        assert not find_data_races(p, depth)
+        assert race_free_owned(p, depth) == owned_vars_oracle(p, depth), (p, depth)
+    with pytest.raises(PreconditionError, match="data race on 'x' within depth 4"):
+        race_free_owned(prog(RACY), 4)
+    for budget in (1, 5, 20):
+        with pytest.raises(ExplorationLimitError) as search:
+            find_data_races(coupled_xy, 10, budget=budget)
+        with pytest.raises(ExplorationLimitError) as shared:
+            race_free_owned(coupled_xy, 10, budget=budget)
+        assert str(shared.value) == str(search.value)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +229,20 @@ def test_version_invariants_precondition():
         check_version_invariants(prog(RACY), 4)
 
 
+def test_version_invariants_walk_the_standard_tree_once(coupled_xy, monkeypatch):
+    """The precondition and the owned sets come from one walk; owned sets
+    passed in take its place."""
+    walks = []
+    monkeypatch.setattr(concrete, "clocked_walk",
+                        lambda *a, _walk=concrete.clocked_walk: walks.append(1) or _walk(*a))
+    alone = check_version_invariants(coupled_xy, 8)
+    assert len(walks) == 1
+    given = check_version_invariants(coupled_xy, 8, owned=race_free_owned(coupled_xy, 8))
+    assert len(walks) == 2
+    assert [(r.name, r.instances, r.violations) for r in given] == [
+        (r.name, r.instances, r.violations) for r in alone]
+
+
 # ---------------------------------------------------------------------------
 # local abstraction
 
@@ -229,8 +268,8 @@ def test_local_abstraction_initial_state_acquire(capped_counter):
     init = initial_local_state(capped_counter, ctx)
     acquire = capped_counter.threads[0].instructions[0]
     post = [s for _, s in local_step(capped_counter, init, acquire, (0, 1, 2), ctx)]
-    lhs = _alpha(capped_counter, ctx, post)
-    rhs = _cartesian_transfer(ctx, acquire, _alpha(capped_counter, ctx, [init]),
+    lhs = _alpha(ctx, post)
+    rhs = _cartesian_transfer(ctx, acquire, _alpha(ctx, [init]),
                               ((0,),), (0, 1, 2))
     for loc, envs in lhs.items():
         assert envs <= rhs.get(loc, frozenset())
@@ -270,6 +309,68 @@ def test_local_abstraction_pool_budget_is_an_exploration_limit(coupled_xy):
     with pytest.raises(ExplorationLimitError,
                        match="^state budget 3 exceeded after 4 states at depth 2$"):
         check_local_abstraction(coupled_xy, samples=5, seed=1, budget=3)
+
+
+def test_local_abstraction_steps_only_instructions_at_a_pc(coupled_xy, monkeypatch):
+    """An instruction is stepped from a sampled state only when its thread
+    stands at its source; every (sample, instruction) pair still counts."""
+    off_pc = []
+
+    def spy(p, s, instr, havoc_values, ctx):
+        if s.pc[ctx.tid_of_instr[instr]] != instr.source:
+            off_pc.append(instr)
+        return local_step(p, s, instr, havoc_values, ctx)
+
+    monkeypatch.setattr(metacheck, "local_step", spy)
+    r = check_local_abstraction(coupled_xy, samples=20, seed=5)
+    assert r.passed and r.instances == 20 * len(coupled_xy.instructions)
+    assert off_pc == []
+
+
+def replacing_transfer(ctx, instr, state, partition, havoc_values, mix_fn=None,
+                       _transfer=metacheck._cartesian_transfer):
+    """`{**state, instr.target: added}`: a transfer that replaces the
+    target's set by the image of the instruction instead of joining the
+    image into it."""
+    added = _transfer(ctx, instr, {**state, instr.target: frozenset()}, partition,
+                      havoc_values, mix_fn)[instr.target]
+    return {**state, instr.target: added}
+
+
+def test_local_abstraction_matches_the_dense_reference(coupled_xy, monkeypatch):
+    """Stepping only the enabled instructions, with sparse abstractions,
+    gives the instances and violations of stepping every instruction from
+    every sampled state."""
+
+    def broken_mix(envs, partition):
+        return frozenset(envs)
+
+    cases = [(p, None, None) for p in map(corpus.load, corpus.names())]
+    cases += [(p, None, None) for _, p in random_race_free_programs(12, seed=5)]
+    for name, text in (("coupled_xy", corpus.COUPLED_XY_REGIONS),
+                       ("double_increment", corpus.DOUBLE_INCREMENT_REGIONS)):
+        p = corpus.load(name)
+        cases.append((p, parse_region_text(text, p.variables), None))
+    cases += [(coupled_xy, None, broken_mix)]
+
+    def compare(cases):
+        failed = 0
+        for p, regions, mix in cases:
+            for seed in (0, 5):
+                kwargs = dict(samples=25, seed=seed, regions=regions, mix_fn=mix)
+                new = check_local_abstraction(p, **kwargs)
+                ref = local_abstraction_reference(p, **kwargs)
+                assert (new.name, new.instances, new.violations) == (
+                    ref.name, ref.instances, ref.violations), (p, regions, mix, seed)
+                failed += not new.passed
+        return failed
+
+    assert compare(cases) == 2  # the broken mix, at both seeds
+    # the check compares one image at a time, so it cannot see the lost
+    # join (test_cartesian_transfer_joins_into_the_target pins that): both
+    # forms pass under the replacing transfer
+    monkeypatch.setattr(metacheck, "_cartesian_transfer", replacing_transfer)
+    assert compare(cases) == 2
 
 
 def test_deterministic_given_seed(coupled_xy):

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from domtools import extract_state_reference, is_admissible_reference
 
-from racefree.concrete import initial_state
+from racefree import corpus
+from racefree.concrete import initial_state, reachable
 from racefree.lang import desugar, parse_program
 from racefree.threadlocal import (
     InadmissibleStateError,
@@ -172,3 +174,40 @@ def test_reachable_states_admissible(coupled_xy):
     for e in enumerate_local_executions(coupled_xy, 9, ctx=ctx):
         if e.steps:
             assert is_admissible(e.steps[-1].post)
+
+
+def test_one_pass_extraction_matches_the_two_pass_reference():
+    """On every thread-local state reachable in the corpus within 8 steps,
+    and on inadmissible states made from them, the one-pass admissibility
+    test and extraction agree with the reference, error message included."""
+
+    def outcome(extract, p, s):
+        try:
+            return extract(p, s)
+        except InadmissibleStateError as e:
+            return str(e)
+
+    checked = inadmissible = 0
+    for name in corpus.names():
+        p = corpus.load(name)
+        ctx = LocalContext(p)
+        states = reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2), 10_000)
+        made = []
+        for s in states[::7]:
+            # one component's value at x moved off the value another
+            # component holds at the same version (a thread's, a buffer's)
+            comps = s.theta + s.buffers
+            for k, ve in enumerate(comps):
+                for x in range(len(p.variables)):
+                    if any(o.versions[x] == ve.versions[x] for j, o in enumerate(comps) if j != k):
+                        values = ve.values[:x] + (ve.values[x] + 1,) + ve.values[x + 1:]
+                        comps2 = comps[:k] + (VersionedEnv(values, ve.versions),) + comps[k + 1:]
+                        n = len(s.theta)
+                        made.append(ThreadLocalState(s.pc, s.mu, comps2[:n], comps2[n:]))
+        for s in states + made:
+            admissible = is_admissible(s)
+            assert admissible == is_admissible_reference(s), (name, s)
+            assert outcome(extract_state, p, s) == outcome(extract_state_reference, p, s)
+            checked += 1
+            inadmissible += not admissible
+    assert inadmissible > 100 and checked > inadmissible
