@@ -43,7 +43,7 @@ from .metacheck import (
     check_version_invariants,
     race_free_owned,
 )
-from .syncfg import build_syncfg, refine_gamma, to_dot
+from .syncfg import build_syncfg, to_dot
 
 
 class UsageError(Exception):
@@ -155,9 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--regions", default="default", metavar="FILE|default")
 
     dt = sub.add_parser("dot", help="export the sync-CFG in DOT format")
-    _add_common(dt)
-    dt.add_argument("--gamma", choices=("default", "refined"), default="default")
-    dt.add_argument("--depth", type=_count, default=12)
+    dt.add_argument("program", help="program file (or a built-in corpus name)")
 
     return ap
 
@@ -260,15 +258,16 @@ def _cmd_explore(args) -> int:
     idx = ProgramIndex(program)
     shown = 0
     for e in enumerate_executions(program, args.depth, havoc):
-        if args.maximal_only and len(e.steps) < args.depth:
-            if successor_transitions(program, e.final, havoc, idx):
-                continue  # extendable, not maximal
+        if args.maximal_only and successor_transitions(program, e.final, havoc, idx):
+            continue  # extendable, not maximal
         if shown >= args.limit:
             print(f"... (limit {args.limit} reached)")
             break
         print(f"# execution {shown} ({len(e.steps)} steps)")
         print(format_execution(e, program))
         shown += 1
+    if args.maximal_only and not shown:
+        print(f"no maximal execution up to depth {args.depth}")
     return 0
 
 
@@ -300,11 +299,7 @@ def _cmd_metacheck(args) -> int:
 
 def _cmd_dot(args) -> int:
     program = _load_program(args.program)
-    g = build_syncfg(program)
-    edges = g.sync_edges
-    if args.gamma == "refined":
-        edges = refine_gamma(g, program, args.depth, _havoc_set(args.havoc_set))
-    print(to_dot(program, edges))
+    print(to_dot(program, build_syncfg(program).sync_edges))
     return 0
 
 

@@ -389,65 +389,6 @@ def reachable_states(
                          havoc_values, budget))
 
 
-# ---------------------------------------------------------------------------
-# Happens-before
-
-
-@dataclass(frozen=True)
-class HappensBefore:
-    """hb = (po U sw)* over the step indices of one execution."""
-
-    clocks: tuple[tuple[int, ...], ...]
-    tids: tuple[int, ...]
-    po_edges: tuple[tuple[int, int], ...]
-    sw_edges: tuple[tuple[int, int], ...]
-
-    def ordered(self, i: int, j: int) -> bool:
-        """True iff step i happens-before step j (reflexive)."""
-        if i == j:
-            return True
-        if i > j:
-            return False
-        return self.clocks[i][self.tids[i]] <= self.clocks[j][self.tids[i]]
-
-    def unordered(self, i: int, j: int) -> bool:
-        return not self.ordered(i, j) and not self.ordered(j, i)
-
-
-def happens_before(e: Execution) -> HappensBefore:
-    if not e.steps:
-        return HappensBefore((), (), (), ())
-    n_threads = len(e.initial.pc)
-    lock_names = sorted({tr.instr.command.lock for tr in e.steps
-                         if isinstance(tr.instr.command, (Acquire, Release))})
-    thread_clock = [[0] * n_threads for _ in range(n_threads)]
-    lock_clock = {m: [0] * n_threads for m in lock_names}
-    clocks: list[tuple[int, ...]] = []
-    tids: list[int] = []
-    po_edges: list[tuple[int, int]] = []
-    sw_edges: list[tuple[int, int]] = []
-    last_of_thread: dict[int, int] = {}
-    last_release: dict[str, int] = {}
-    for k, tr in enumerate(e.steps):
-        t = tr.tid
-        cmd = tr.instr.command
-        if isinstance(cmd, Acquire):
-            lm = lock_clock[cmd.lock]
-            thread_clock[t] = [max(a, b) for a, b in zip(thread_clock[t], lm)]
-            if cmd.lock in last_release:
-                sw_edges.append((last_release.pop(cmd.lock), k))
-        thread_clock[t][t] += 1
-        clocks.append(tuple(thread_clock[t]))
-        tids.append(t)
-        if isinstance(cmd, Release):
-            lock_clock[cmd.lock] = list(thread_clock[t])
-            last_release[cmd.lock] = k
-        if t in last_of_thread:
-            po_edges.append((last_of_thread[t], k))
-        last_of_thread[t] = k
-    return HappensBefore(tuple(clocks), tuple(tids), tuple(po_edges), tuple(sw_edges))
-
-
 def conflict_table(idx: ProgramIndex, subjects_of: Subjects,
                    ) -> dict[int, dict[int, tuple[str, ...]]]:
     """`table[id(a)][id(b)]`: the sorted subjects on which steps of `a` and
@@ -473,10 +414,9 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
     sleep sets (Godefroid 1996), with the vector clocks of happens-before.
 
     A node is `(state, thread clocks, lock clocks, sleep set)` and a path
-    edge `(tid, instr, choices, post, clock)`, `clock` being the step's;
-    `happens_before` computes the same clocks per execution and stays the
-    independent reference.  Yields `(state, path, thread clocks)` at every
-    node; `path` is updated in place, as in `dfs`.
+    edge `(tid, instr, choices, post, clock)`, `clock` being the step's.
+    Yields `(state, path, thread clocks)` at every node; `path` is updated
+    in place, as in `dfs`.
 
     Two steps are dependent when they belong to one thread, both acquire or
     release one lock, or conflict in the `conflict_table` of `subjects_of`;
@@ -507,11 +447,11 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
 
     The walks that must see every execution or every transition stay
     unreduced: `executions` and `enumerate_executions` promise each
-    execution once (`explore` prints them, and the tests' references
-    enumerate them), `syncfg.refine_gamma` reads those, `reachable` already
-    merges reorders in its visited set, and metacheck's correspondence and
-    local-abstraction walks check each transition step for step, which a
-    representative skips.
+    execution once (`explore` prints them, and the tests' references,
+    among them a per-execution happens-before that checks these clocks,
+    enumerate them), `reachable` already merges reorders in its visited
+    set, and metacheck's correspondence and local-abstraction walks check
+    each transition step for step, which a representative skips.
     """
     p = idx.program
     table = conflict_table(idx, subjects_of)
@@ -843,9 +783,23 @@ def format_step(tr: Transition, p: Program) -> str:
 
 
 def format_execution(e: Execution, p: Program) -> str:
-    """One line per transition, then po/sw edge lists."""
-    hb = happens_before(e)
+    """One line per transition, then the po and sw edges between step
+    indices: po links each step to its thread's next step, sw a lock's last
+    unmatched release to the lock's next acquire."""
+    po: list[tuple[int, int]] = []
+    sw: list[tuple[int, int]] = []
+    last_of_thread: dict[int, int] = {}
+    last_release: dict[str, int] = {}
+    for k, tr in enumerate(e.steps):
+        cmd = tr.instr.command
+        if isinstance(cmd, Acquire) and cmd.lock in last_release:
+            sw.append((last_release.pop(cmd.lock), k))
+        elif isinstance(cmd, Release):
+            last_release[cmd.lock] = k
+        if tr.tid in last_of_thread:
+            po.append((last_of_thread[tr.tid], k))
+        last_of_thread[tr.tid] = k
     lines = [format_step(tr, p) for tr in e.steps]
-    lines.append("po: " + " ".join(f"{i}->{j}" for i, j in hb.po_edges))
-    lines.append("sw: " + " ".join(f"{i}->{j}" for i, j in hb.sw_edges))
+    lines.append("po: " + " ".join(f"{i}->{j}" for i, j in po))
+    lines.append("sw: " + " ".join(f"{i}->{j}" for i, j in sw))
     return "\n".join(lines)

@@ -8,8 +8,8 @@ correlations inside each declared region.  The recency refinement is one
 more domain, a per-thread wrapper (`RecencyDomain`).  One worklist loop
 (`_solve`) serves both the widening analyses and the exact collecting
 fixpoint over environment sets.  Each run builds the program's full
-sync-CFG itself (`build_syncfg`), so a gamma pruned by a bounded exploration
-(`syncfg.refine_gamma`) never reaches an analysis.
+sync-CFG itself (`build_syncfg`): every release of a lock feeds every
+acquire of it.
 
 A frame stores each instruction's last transfer with its inputs (the
 source fact, then for an acquire the facts at the release points feeding

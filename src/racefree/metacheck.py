@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Optional
 from .concrete import (
     DEFAULT_BUDGET,
     DEFAULT_HAVOC,
-    ExplorationLimitError,
     dfs,
     find_data_races,
     initial_state,
@@ -50,11 +49,9 @@ from .lang import (
     Program,
     RegionMap,
     Release,
-    desugar,
     eval_bool,
     eval_expr,
     instr_accesses,
-    parse_program,
 )
 from .threadlocal import (
     InadmissibleStateError,
@@ -449,86 +446,3 @@ def check_local_abstraction(
                 )
     return result
 
-
-# ---------------------------------------------------------------------------
-# Random race-free corpus
-
-
-_TEMPLATE_EXPRS = (
-    "{v} + 1",
-    "{v} - 1",
-    "{v} + {w}",
-    "2 * {v}",
-    "{w} - {v}",
-    "havoc",
-    "1",
-)
-
-
-def random_race_free_programs(
-    count: int,
-    seed: int,
-    depth: int = 12,
-    havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-) -> list[tuple[str, Program]]:
-    """Deterministically generate small 2-3 thread programs that are race
-    free by construction (each variable is either private to one thread or
-    only ever accessed inside critical sections of one lock), then double-
-    check with the bounded race detector."""
-    out = []
-    attempt = 0
-    while len(out) < count and attempt < count * 10:
-        rng = random.Random(seed * 100_003 + attempt)
-        attempt += 1
-        n_threads = rng.choice((2, 2, 3))
-        variables = ["a", "b", "c"][: rng.choice((2, 3))]
-        discipline = {
-            v: rng.choice(["private", "locked"]) for v in variables
-        }
-        if all(d == "private" for d in discipline.values()):
-            discipline[variables[0]] = "locked"
-        owner = {v: rng.randrange(n_threads) for v in variables}
-        lines = ["var " + ", ".join(variables) + ";", "lock m;", ""]
-
-        def expr_for(readable, rng):
-            template = rng.choice(_TEMPLATE_EXPRS)
-            v = rng.choice(readable) if readable else "1"
-            w = rng.choice(readable) if readable else "1"
-            return template.format(v=v, w=w)
-
-        for tid in range(n_threads):
-            body = []
-            private = [v for v in variables
-                       if discipline[v] == "private" and owner[v] == tid]
-            locked = [v for v in variables if discipline[v] == "locked"]
-            for _ in range(rng.randint(1, 2)):
-                kind = rng.choice(["private", "locked", "locked"])
-                if kind == "private" and private:
-                    v = rng.choice(private)
-                    body.append(f"  {v} := {expr_for(private, rng)};")
-                elif locked:
-                    stmts = [
-                        f"  {rng.choice(locked)} := "
-                        f"{expr_for(locked + private, rng)};"
-                        for _ in range(rng.randint(1, 2))
-                    ]
-                    body.append("  acquire(m);")
-                    body.extend(stmts)
-                    body.append("  release(m);")
-            if not body:
-                body = ["  acquire(m);", "  release(m);"]
-            lines.append(f"thread t{tid} {{")
-            lines.extend(body)
-            lines.append("}")
-            lines.append("")
-        source = "\n".join(lines)
-        program = desugar(parse_program(source))
-        if len(program.instructions) > 14:
-            continue
-        try:
-            if find_data_races(program, depth, havoc_values, budget=200_000):
-                continue
-        except ExplorationLimitError:
-            continue
-        out.append((f"rand_{seed}_{attempt - 1}", program))
-    return out

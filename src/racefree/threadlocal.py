@@ -16,16 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import add
-from typing import Iterator, Optional
+from typing import Optional
 
-from .concrete import (
-    DEFAULT_BUDGET,
-    DEFAULT_HAVOC,
-    Execution,
-    ProgramIndex,
-    StdState,
-    executions,
-)
+from .concrete import DEFAULT_HAVOC, ProgramIndex, StdState
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap
 
 
@@ -181,15 +174,3 @@ def extract_state(p: Program, s: ThreadLocalState) -> StdState:
     columns = zip(*[zip(ve.versions, ve.values) for ve in s.theta])
     return StdState(pc=s.pc, mu=s.mu, phi=tuple(max(column)[1] for column in columns))
 
-
-def enumerate_local_executions(
-    p: Program,
-    depth: int,
-    havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    ctx: Optional[LocalContext] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[Execution]:
-    """Every thread-local execution of length <= depth, canonical order."""
-    ctx = ctx or LocalContext(p)
-    return executions(ctx, initial_local_state(p, ctx), local_step, depth,
-                      havoc_values, budget)

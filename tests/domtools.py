@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
 
@@ -55,7 +55,7 @@ from racefree.lang import (
     parse_program,
     vars_of_bool,
 )
-from racefree.metacheck import CheckResult, _recording, _trace, random_race_free_programs
+from racefree.metacheck import CheckResult, _recording, _trace
 from racefree.threadlocal import (
     InadmissibleStateError,
     LocalContext,
@@ -413,6 +413,91 @@ def discharge_projected(p, facts, owned, cfg) -> list[tuple[bool, str]]:
 
 
 # ---------------------------------------------------------------------------
+# random race-free programs
+
+
+_TEMPLATE_EXPRS = (
+    "{v} + 1",
+    "{v} - 1",
+    "{v} + {w}",
+    "2 * {v}",
+    "{w} - {v}",
+    "havoc",
+    "1",
+)
+
+
+def random_race_free_programs(
+    count: int,
+    seed: int,
+    depth: int = 12,
+    havoc_values: tuple[int, ...] = concrete.DEFAULT_HAVOC,
+) -> list[tuple[str, Program]]:
+    """Deterministically generate small 2-3 thread programs that are race
+    free by construction (each variable is either private to one thread or
+    only ever accessed inside critical sections of one lock), then double-
+    check with the bounded race detector (`concrete.find_data_races`, read
+    at call time)."""
+    out = []
+    attempt = 0
+    while len(out) < count and attempt < count * 10:
+        rng = random.Random(seed * 100_003 + attempt)
+        attempt += 1
+        n_threads = rng.choice((2, 2, 3))
+        variables = ["a", "b", "c"][: rng.choice((2, 3))]
+        discipline = {
+            v: rng.choice(["private", "locked"]) for v in variables
+        }
+        if all(d == "private" for d in discipline.values()):
+            discipline[variables[0]] = "locked"
+        owner = {v: rng.randrange(n_threads) for v in variables}
+        lines = ["var " + ", ".join(variables) + ";", "lock m;", ""]
+
+        def expr_for(readable, rng):
+            template = rng.choice(_TEMPLATE_EXPRS)
+            v = rng.choice(readable) if readable else "1"
+            w = rng.choice(readable) if readable else "1"
+            return template.format(v=v, w=w)
+
+        for tid in range(n_threads):
+            body = []
+            private = [v for v in variables
+                       if discipline[v] == "private" and owner[v] == tid]
+            locked = [v for v in variables if discipline[v] == "locked"]
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.choice(["private", "locked", "locked"])
+                if kind == "private" and private:
+                    v = rng.choice(private)
+                    body.append(f"  {v} := {expr_for(private, rng)};")
+                elif locked:
+                    stmts = [
+                        f"  {rng.choice(locked)} := "
+                        f"{expr_for(locked + private, rng)};"
+                        for _ in range(rng.randint(1, 2))
+                    ]
+                    body.append("  acquire(m);")
+                    body.extend(stmts)
+                    body.append("  release(m);")
+            if not body:
+                body = ["  acquire(m);", "  release(m);"]
+            lines.append(f"thread t{tid} {{")
+            lines.extend(body)
+            lines.append("}")
+            lines.append("")
+        source = "\n".join(lines)
+        program = desugar(parse_program(source))
+        if len(program.instructions) > 14:
+            continue
+        try:
+            if concrete.find_data_races(program, depth, havoc_values, budget=200_000):
+                continue
+        except concrete.ExplorationLimitError:
+            continue
+        out.append((f"rand_{seed}_{attempt - 1}", program))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # programs with bounds asserted at every release and thread end
 
 
@@ -484,6 +569,69 @@ def asserted_programs(count: int = 40, seed: int = 1) -> tuple[tuple[str, Progra
                                Assertion(a.location, _bound(v, top - 1), a.thread)]
         out.append((name, replace(q, assertions=tuple(assertions))))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# happens-before of one execution
+
+
+@dataclass(frozen=True)
+class HappensBefore:
+    """hb = (po U sw)* over the step indices of one execution."""
+
+    clocks: tuple[tuple[int, ...], ...]
+    tids: tuple[int, ...]
+    po_edges: tuple[tuple[int, int], ...]
+    sw_edges: tuple[tuple[int, int], ...]
+
+    def ordered(self, i: int, j: int) -> bool:
+        """True iff step i happens-before step j (reflexive)."""
+        if i == j:
+            return True
+        if i > j:
+            return False
+        return self.clocks[i][self.tids[i]] <= self.clocks[j][self.tids[i]]
+
+    def unordered(self, i: int, j: int) -> bool:
+        return not self.ordered(i, j) and not self.ordered(j, i)
+
+
+def happens_before(e: concrete.Execution) -> HappensBefore:
+    """The vector clocks and the po and sw edges of one execution.  Kept for
+    oracle independence, as `unreduced_clocked_walk` is kept beside
+    `concrete.clocked_walk`: it is the reference of the walk's clocks and
+    of the edges `concrete.format_execution` prints."""
+    if not e.steps:
+        return HappensBefore((), (), (), ())
+    n_threads = len(e.initial.pc)
+    lock_names = sorted({tr.instr.command.lock for tr in e.steps
+                         if isinstance(tr.instr.command, (Acquire, Release))})
+    thread_clock = [[0] * n_threads for _ in range(n_threads)]
+    lock_clock = {m: [0] * n_threads for m in lock_names}
+    clocks: list[tuple[int, ...]] = []
+    tids: list[int] = []
+    po_edges: list[tuple[int, int]] = []
+    sw_edges: list[tuple[int, int]] = []
+    last_of_thread: dict[int, int] = {}
+    last_release: dict[str, int] = {}
+    for k, tr in enumerate(e.steps):
+        t = tr.tid
+        cmd = tr.instr.command
+        if isinstance(cmd, Acquire):
+            lm = lock_clock[cmd.lock]
+            thread_clock[t] = [max(a, b) for a, b in zip(thread_clock[t], lm)]
+            if cmd.lock in last_release:
+                sw_edges.append((last_release.pop(cmd.lock), k))
+        thread_clock[t][t] += 1
+        clocks.append(tuple(thread_clock[t]))
+        tids.append(t)
+        if isinstance(cmd, Release):
+            lock_clock[cmd.lock] = list(thread_clock[t])
+            last_release[cmd.lock] = k
+        if t in last_of_thread:
+            po_edges.append((last_of_thread[t], k))
+        last_of_thread[t] = k
+    return HappensBefore(tuple(clocks), tuple(tids), tuple(po_edges), tuple(sw_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +857,14 @@ def extract_state_reference(p, s: ThreadLocalState) -> concrete.StdState:
         raise InadmissibleStateError("cannot extract from an inadmissible state")
     phi = [next(iter(take_newest(x, s.theta)))[0] for x in range(len(p.variables))]
     return concrete.StdState(pc=s.pc, mu=s.mu, phi=tuple(phi))
+
+
+def enumerate_local_executions(p: Program, depth: int, havoc_values=HAVOC, ctx=None,
+                               budget: int = concrete.DEFAULT_BUDGET):
+    """Every thread-local execution of length <= depth, canonical order."""
+    ctx = ctx or LocalContext(p)
+    return concrete.executions(ctx, initial_local_state(p, ctx), local_step, depth,
+                               havoc_values, budget)
 
 
 def strip_locks(p: Program) -> Program:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import domtools
+from domtools import random_race_free_programs
 from racefree import corpus
 from racefree.absdom import (
     EnvSetDomain,
@@ -45,7 +46,6 @@ from racefree.metacheck import (
     check_correspondence,
     check_local_abstraction,
     check_version_invariants,
-    random_race_free_programs,
 )
 
 BOX = (-4, 4)

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import domtools
-from domtools import discharge_projected, owned_static_reference
+from domtools import discharge_projected, owned_static_reference, random_race_free_programs
 from racefree import corpus
 from racefree.checker import (
     check_assertions,
@@ -19,7 +19,6 @@ from racefree.checker import (
 from racefree.concrete import enumerate_executions
 from racefree.engine import AnalysisConfig, analyze_fixpoint
 from racefree.lang import desugar, eval_bool, parse_program, parse_region_text
-from racefree.metacheck import random_race_free_programs
 
 
 def analyze(p, **kw):

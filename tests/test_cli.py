@@ -10,6 +10,7 @@ import pytest
 
 from racefree import corpus
 from racefree.cli import build_parser, run_cli
+from racefree.concrete import format_step, initial_state, successor_transitions
 from racefree.lang import MAX_NESTING
 
 
@@ -114,6 +115,30 @@ def test_explore_dumps_traces(fig_file, capsys):
     assert "t1 1 -[acquire(m)]-> 2" in out
 
 
+def test_explore_maximal_only_prints_no_extendable_execution(capsys):
+    """An execution cut at the depth bound is not maximal when a step is
+    still enabled: coupled_xy has none within 2 steps, and each execution
+    printed for flag_handoff, replayed step by step, ends in a state with
+    no successor."""
+    assert run_cli(["explore", "--depth", "2", "--maximal-only", "coupled_xy"]) == 0
+    out = capsys.readouterr().out
+    assert "# execution" not in out
+    assert "no maximal execution up to depth 2" in out
+
+    assert run_cli(["explore", "--depth", "20", "--maximal-only", "flag_handoff"]) == 0
+    blocks = capsys.readouterr().out.split("# execution ")[1:]
+    assert blocks
+    p = corpus.load("flag_handoff")
+    for block in blocks:
+        steps = [line for line in block.splitlines()[1:] if " -[" in line]
+        state = initial_state(p)
+        for line in steps:
+            (fired,) = [tr for tr in successor_transitions(p, state)
+                        if format_step(tr, p) == line]
+            state = fired.post
+        assert successor_transitions(p, state) == (), block
+
+
 def test_metacheck_passes(fig_file, capsys):
     code = run_cli(["metacheck", "--depth", "8", "--samples", "20", fig_file])
     out = capsys.readouterr().out
@@ -206,7 +231,6 @@ def test_analyze_takes_sync_before_a_join(tmp_path, capsys, src):
     ["analyze", "--owned", "oracle", "--depth", "-1"],
     ["metacheck", "--samples", "-1"],
     ["metacheck", "--depth", "-1"],
-    ["dot", "--depth", "-1"],
 ])
 def test_negative_counts_are_usage_errors(fig_file, capsys, argv):
     assert run_cli(argv + [fig_file]) == 2
@@ -241,10 +265,14 @@ def test_parser_is_built_once():
     ["dot", "--format", "json"],
     ["dot", "--deterministic"],
     ["explore", "--deterministic"],
+    ["dot", "--gamma", "refined"],
+    ["dot", "--depth", "3"],
+    ["dot", "--havoc-set", "0"],
 ])
 def test_subcommands_take_only_the_options_they_read(fig_file, capsys, argv):
     """--format belongs to analyze, races and metacheck, --deterministic to
-    analyze; anywhere else either is a usage error."""
+    analyze; anywhere else either is a usage error.  dot takes no option:
+    it exports the full sync-CFG, which no depth or havoc pool changes."""
     assert run_cli(argv + [fig_file]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -252,16 +280,6 @@ def test_subcommands_take_only_the_options_they_read(fig_file, capsys, argv):
 def test_builtin_corpus_names_resolve(capsys):
     assert run_cli(["analyze", "--analysis", "rel", "--recency",
                     "capped_counter"]) == 0
-
-
-def test_dot_with_refined_gamma(fig_file, capsys):
-    """The refined gamma keeps the sync edges seen within the depth."""
-    assert run_cli(["dot", fig_file]) == 0
-    default = capsys.readouterr().out
-    assert run_cli(["dot", "--gamma", "refined", "--depth", "11", fig_file]) == 0
-    refined = capsys.readouterr().out
-    assert refined.startswith("digraph syncfg {")
-    assert 0 < refined.count("style=dashed") <= default.count("style=dashed")
 
 
 LATE_WRITE = """\

@@ -12,7 +12,9 @@ from domtools import (
     binop,
     chain,
     conflict_table_reference,
+    happens_before,
     post_release_points_reference,
+    random_race_free_programs,
     scaled,
     strip_locks,
     unreduced,
@@ -29,7 +31,6 @@ from racefree.concrete import (
     find_data_races,
     find_region_races,
     format_execution,
-    happens_before,
     initial_state,
     owned_vars_oracle,
     racy_regions_via_translation,
@@ -498,6 +499,22 @@ def test_format_execution_mentions_edges(coupled_xy):
     assert "po:" in dump and "sw:" in dump
 
 
+@pytest.mark.parametrize("name", corpus.names())
+def test_format_execution_prints_the_reference_edges(name):
+    """The po and sw lines `explore` prints are the edges of the
+    per-execution happens-before, on every execution up to depth 8 (some
+    of which synchronize)."""
+    p = corpus.load(name)
+    synced = 0
+    for e in enumerate_executions(p, 8):
+        hb = happens_before(e)
+        *_, po, sw = format_execution(e, p).split("\n")
+        assert po == "po: " + " ".join(f"{i}->{j}" for i, j in hb.po_edges)
+        assert sw == "sw: " + " ".join(f"{i}->{j}" for i, j in hb.sw_edges)
+        synced += bool(hb.sw_edges)
+    assert synced
+
+
 # ---------------------------------------------------------------------------
 # data races
 
@@ -653,8 +670,6 @@ thread b { acquire(m); x := y + 1; release(m); y := 2; }
 def test_owned_oracle_matches_the_probed_reference():
     """At every location and depth, the one-walk oracle owns exactly the
     variables a probed read does not race on one step deeper."""
-    from racefree.metacheck import random_race_free_programs
-
     programs = [corpus.load(name) for name in corpus.names()]
     programs += [p for _, p in random_race_free_programs(12, seed=3)]
     programs.append(prog(RACY))
@@ -696,8 +711,6 @@ thread v { while (z < 1) { acquire(n); z := z + 1; release(n); } }
 def reduction_net():
     """The corpus, random race-free programs and loop programs, each also
     with its locks stripped."""
-    from racefree.metacheck import random_race_free_programs
-
     named = [(name, corpus.load(name)) for name in corpus.names()]
     named += random_race_free_programs(12, seed=5)
     named += [(name, prog(src)) for name, src in LOOPS.items()]
@@ -741,8 +754,6 @@ def test_conflict_table_matches_the_per_pair_reference():
     corpus and on random race-free programs, for variables and for the
     region-lifted subjects of the program's regions and of one region of
     every variable."""
-    from racefree.metacheck import random_race_free_programs
-
     named = [(name, corpus.load(name)) for name in corpus.names()]
     named += random_race_free_programs(12, 5)
     lifted = 0

@@ -4,11 +4,11 @@
 domain and with envset, with and without recency: 48 JSON reports (timings
 zeroed), compared byte for byte with `golden/analyze_corpus.json`.
 
-`races`, `metacheck` and `explore`: every corpus program plus a program with
-a data race and one with a region race but no data race (the corpus has no
-races, so these two pin the witness traces): 18 outputs in
+`races`, `metacheck`, `explore` and `dot`: every corpus program plus a
+program with a data race and one with a region race but no data race (the
+corpus has no races, so these two pin the witness traces): 24 outputs in
 `golden/explore_cases.json`.  They pin witness traces, the canonical
-exploration order and the metacheck instance counts.
+exploration order, the metacheck instance counts and the sync-CFG export.
 
 Each case records the exit code, stdout and stderr.  Regenerate the files
 only for an intended output change:
@@ -59,6 +59,7 @@ COMMANDS = {
     "races": ["races", "--kind", "both", "--cross-validate", "--format", "json"],
     "metacheck": ["metacheck", "--depth", "8", "--samples", "20", "--format", "json"],
     "explore": ["explore", "--depth", "4", "--limit", "5"],
+    "dot": ["dot"],
 }
 
 EXPLORE_CASES = [
@@ -123,7 +124,7 @@ def test_golden_covers_every_case(golden, golden_explore):
     assert sorted(golden) == sorted(case_id(c) for c in CASES)
     assert len(CASES) == 48
     assert sorted(golden_explore) == sorted(explore_case_id(c) for c in EXPLORE_CASES)
-    assert len(EXPLORE_CASES) == 18
+    assert len(EXPLORE_CASES) == 24
 
 
 def test_racy_programs_race_as_intended(golden_explore):

@@ -4,7 +4,11 @@ and the fault-injection self-tests that prove the harness can catch bugs."""
 from dataclasses import replace
 
 import pytest
-from domtools import local_abstraction_reference, two_way_correspondence
+from domtools import (
+    local_abstraction_reference,
+    random_race_free_programs,
+    two_way_correspondence,
+)
 
 from racefree import concrete, corpus, metacheck
 from racefree.concrete import (
@@ -20,7 +24,6 @@ from racefree.metacheck import (
     check_local_abstraction,
     check_version_invariants,
     race_free_owned,
-    random_race_free_programs,
 )
 from racefree.threadlocal import ThreadLocalState, VersionedEnv, local_step
 
@@ -393,12 +396,11 @@ def test_random_programs_are_deterministic():
 def test_random_programs_propagate_unexpected_errors(monkeypatch):
     """Only an exhausted budget rejects a candidate; any other error of
     the race check is a fault and reaches the caller."""
-    from racefree import metacheck
 
     def broken(*args, **kwargs):
         raise TypeError("broken race check")
 
-    monkeypatch.setattr(metacheck, "find_data_races", broken)
+    monkeypatch.setattr(concrete, "find_data_races", broken)
     with pytest.raises(TypeError, match="broken race check"):
         random_race_free_programs(2, seed=42)
 

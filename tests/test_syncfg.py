@@ -1,20 +1,20 @@
-"""Sync-CFG construction, the per-lock tables it reads, gamma refinement,
-DOT export."""
+"""Sync-CFG construction, the per-lock tables it reads, DOT export."""
 
 import pytest
 
 from domtools import (
     asserted_programs,
     dependents_reference,
+    happens_before,
     post_release_points_reference,
     pre_acquire_points_reference,
+    random_race_free_programs,
 )
 from racefree import corpus
-from racefree.concrete import enumerate_executions, happens_before
+from racefree.concrete import enumerate_executions
 from racefree.engine import AnalysisConfig, _Frame
 from racefree.lang import desugar, parse_program
-from racefree.metacheck import random_race_free_programs
-from racefree.syncfg import build_syncfg, refine_gamma, to_dot
+from racefree.syncfg import build_syncfg, to_dot
 from racefree.threadlocal import LocalContext
 
 TWO_LOCKS = """var x;
@@ -67,9 +67,6 @@ def test_sync_lookups_match_a_scan_of_the_edges(name):
                 assert g.release_points_feeding(m) == scanned
             else:
                 assert scanned == ()
-    refined = refine_gamma(g, p, depth=8)
-    assert set(refined) <= set(g.sync_edges)
-    assert refined == tuple(sorted(set(refined)))
 
 
 def test_lock_free_program_has_no_sync_edges():
@@ -94,34 +91,6 @@ def test_every_sw_pair_is_a_sync_edge(coupled_xy):
         for i, j in hb.sw_edges:
             rel, acq = e.steps[i].instr, e.steps[j].instr
             assert (rel.target, acq.source, rel.command.lock) in edges
-
-
-def test_refine_gamma_keeps_observed_edges(coupled_xy):
-    g = build_syncfg(coupled_xy)
-    refined = refine_gamma(g, coupled_xy, depth=11)
-    assert set(refined) <= set(g.sync_edges)
-    assert (7, 10, "m") in refined  # t1's release feeds t2's acquire
-
-
-def test_refine_gamma_depth_zero_empties():
-    p = desugar(parse_program(
-        "var x;\nlock m;\nthread a { acquire(m); release(m); }"))
-    refined = refine_gamma(build_syncfg(p), p, depth=0)
-    assert refined == ()
-
-
-def test_refine_gamma_drops_never_acquiring_thread():
-    src = """var x;
-lock m;
-thread a { acquire(m); x := 1; release(m); }
-thread b { assume(false); acquire(m); release(m); }
-"""
-    p = desugar(parse_program(src))
-    g = build_syncfg(p)
-    refined = refine_gamma(g, p, depth=10)
-    acq_b = p.threads[1].instructions[1].source
-    assert all(n != acq_b for (_, n, _) in refined)
-    assert any(n != acq_b for (_, n, _) in g.sync_edges)
 
 
 def test_dot_export_shape(coupled_xy):

@@ -3,7 +3,11 @@
 import random
 
 import pytest
-from domtools import extract_state_reference, is_admissible_reference
+from domtools import (
+    enumerate_local_executions,
+    extract_state_reference,
+    is_admissible_reference,
+)
 
 from racefree import corpus
 from racefree.concrete import initial_state, reachable
@@ -13,7 +17,6 @@ from racefree.threadlocal import (
     LocalContext,
     ThreadLocalState,
     VersionedEnv,
-    enumerate_local_executions,
     extract_state,
     initial_local_state,
     is_admissible,
