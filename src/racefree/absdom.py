@@ -236,18 +236,20 @@ class IntervalDomain:
             return True
         if b is BOTTOM:
             return False
-        return all(bl <= al and ah <= bh
-                   for (al, ah), (bl, bh) in zip(a.bounds, b.bounds))
+        for (al, ah), (bl, bh) in zip(a.bounds, b.bounds):
+            if al < bl or ah > bh:
+                return False
+        return True
 
     def join(self, a, b):
         self._check(a), self._check(b)
         if a is BOTTOM:
             return b
-        if b is BOTTOM:
+        if b is BOTTOM or a is b:
             return a
-        return IntervalElem(tuple(
-            (min(al, bl), max(ah, bh))
-            for (al, ah), (bl, bh) in zip(a.bounds, b.bounds)))
+        return IntervalElem(tuple([
+            (bl if bl < al else al, bh if bh > ah else ah)
+            for (al, ah), (bl, bh) in zip(a.bounds, b.bounds)]))
 
     def widen(self, a, b):
         """Bounds unstable from a to b go to +-inf; applied as a widen (a join b)."""
@@ -259,9 +261,9 @@ class IntervalDomain:
         if self.leq(b, a):
             return a
         b = self.join(a, b)
-        return IntervalElem(tuple(
+        return IntervalElem(tuple([
             (al if al <= bl else -INF, ah if bh <= ah else INF)
-            for (al, ah), (bl, bh) in zip(a.bounds, b.bounds)))
+            for (al, ah), (bl, bh) in zip(a.bounds, b.bounds)]))
 
     def equal(self, a, b) -> bool:
         return a == b
@@ -278,8 +280,9 @@ class IntervalDomain:
             rng = (-INF, INF)
         else:
             rng = _expr_range(d.bounds, self.var_index, lin.coeffs, lin.const)
-        return IntervalElem(tuple(
-            rng if k == vi else bd for k, bd in enumerate(d.bounds)))
+        bounds = list(d.bounds)
+        bounds[vi] = rng
+        return IntervalElem(tuple(bounds))
 
     def _apply_atom(self, d: IntervalElem, atom: LinearAtom):
         bounds = _refine_bounds(d.bounds, atom, self.var_index)
@@ -340,6 +343,10 @@ class OctagonDomain:
         self._signs = np.kron(np.eye(self.n, dtype=np.int64), [[1], [-1]])
         self._lits = np.arange(self.size)
         self._bars = self._lits ^ 1  # literal 2k+1 is the negation of 2k
+        # flat indices into a matrix: the diagonal as a slice, and the unary
+        # entries m[i, i ^ 1], twice the bound on -literal_i
+        self._diag = slice(None, None, self.size + 1)
+        self._unary = self._lits * self.size + self._bars
         self._masks: dict[tuple, np.ndarray] = {}  # partition -> region mask
 
     def _check(self, d):
@@ -402,20 +409,24 @@ class OctagonDomain:
         of later pivot closures, whose result is then weaker than the full
         closure, but still sound."""
         m = np.array(m, dtype=np.int64)
-        np.fill_diagonal(m, 0)
-        for k in sorted(pivots):
-            np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :], out=m)
-            if m[k, k] < 0:
-                return None
+        flat = m.ravel()  # a view: m is a fresh C-ordered copy
+        flat[self._diag] = 0
+        if pivots:
+            for k in sorted(pivots):
+                np.minimum(m, m[:, k, None] + m[k], out=m)
+                if m[k, k] < 0:
+                    return None
         # integer tightening of unary bounds (`_NO_BOUND` is even), then one
-        # strengthening pass, which leaves the unary bounds as they are
-        lits, bars = self._lits, self._bars
-        unary = m[lits, bars] & -2
-        if (unary + unary[bars] < 0).any():
+        # strengthening pass m[i, j] <= (unary[i] + unary[j ^ 1]) / 2, which
+        # also writes the tightened unary bounds (j = i ^ 1) and leaves the
+        # diagonal at 0 (no unary pair sums below 0); halving first is exact,
+        # since the tightened bounds are even
+        half = (flat[self._unary] & -2) >> 1
+        half_bar = half[self._bars]
+        if (half + half_bar < 0).any():
             return None
-        m[lits, bars] = unary
-        np.minimum(m, (unary[:, None] + unary[bars][None, :]) >> 1, out=m)
-        m[np.abs(m) > self._limit] = _NO_BOUND
+        np.minimum(m, half[:, None] + half_bar, out=m)
+        np.putmask(m, np.abs(m) > self._limit, _NO_BOUND)
         return OctElem(m, closed=True)
 
     def _closed(self, d):
@@ -431,18 +442,20 @@ class OctagonDomain:
 
     def leq(self, a, b) -> bool:
         self._check(a), self._check(b)
+        if a is b:
+            return True
         a = self._closed(a)
         if a is BOTTOM:
             return True
         b = self._closed(b)
-        return b is not BOTTOM and bool(np.all(a.m <= b.m))
+        return b is not BOTTOM and bool((a.m <= b.m).all())
 
     def join(self, a, b):
         self._check(a), self._check(b)
         ca, cb = self._closed(a), self._closed(b)
         if ca is BOTTOM:
             return cb
-        if cb is BOTTOM:
+        if cb is BOTTOM or ca is cb:  # join(a, a) is a, or a's closure
             return ca
         return OctElem(np.maximum(ca.m, cb.m), closed=True)
 
@@ -461,7 +474,7 @@ class OctagonDomain:
             return a
         cb = self._closed(self.join(a, b))
         w = np.where(cb.m <= a.m, a.m, _NO_BOUND)
-        np.fill_diagonal(w, 0)
+        w.ravel()[self._diag] = 0
         return OctElem(w, closed=False)
 
     def equal(self, a, b) -> bool:
@@ -506,10 +519,10 @@ class OctagonDomain:
 
     def _forget_matrix(self, m: np.ndarray, drop: set[int]) -> np.ndarray:
         m = m.copy()
-        lits = [l for v in drop for l in (2 * v, 2 * v + 1)]
-        m[lits, :] = _NO_BOUND
-        m[:, lits] = _NO_BOUND
-        np.fill_diagonal(m, 0)
+        for v in drop:  # the rows and columns of literals 2v and 2v + 1
+            m[2 * v:2 * v + 2] = _NO_BOUND
+            m[:, 2 * v:2 * v + 2] = _NO_BOUND
+        m.ravel()[self._diag] = 0
         return m
 
     # transfer
@@ -536,7 +549,6 @@ class OctagonDomain:
             m[:, pos] += const
             m[neg, :] += const
             m[:, neg] -= const
-            np.fill_diagonal(m, 0)
             return self._close_at(m, ()) or BOTTOM  # a shift keeps m closed
 
         # forget x, then bound x by the range of e and x - k * y by the range
@@ -629,36 +641,39 @@ class OctagonDomain:
             return ["false"]
         ivals = self.intervals_of(c)
         out = _bound_constraints(self.variables, ivals)
+        m = c.m.tolist()  # Python ints: no NumPy scalar per entry read
         for a in range(self.n):
+            va, ia = self.variables[a], ivals[a]
+            row_pa = m[2 * a]
             for b in range(a + 1, self.n):
-                va, vb = self.variables[a], self.variables[b]
-                dab = c.m[2 * b, 2 * a]      # va - vb <= c
-                dba = c.m[2 * a, 2 * b]      # vb - va <= c
-                sab = c.m[2 * b + 1, 2 * a]  # va + vb <= c
-                sba = c.m[2 * a, 2 * b + 1]  # -va - vb <= c
-                ia, ib = ivals[a], ivals[b]
+                vb, ib = self.variables[b], ivals[b]
+                row_pb, row_nb = m[2 * b], m[2 * b + 1]
+                dab = row_pb[2 * a]      # va - vb <= c
+                dba = row_pa[2 * b]      # vb - va <= c
+                sab = row_nb[2 * a]      # va + vb <= c
+                sba = row_pa[2 * b + 1]  # -va - vb <= c
                 point = ia[0] == ia[1] and ib[0] == ib[1]
                 if dab != _NO_BOUND and dab == -dba:
                     if not point:
                         if dab == 0:
                             out.append(f"{va} = {vb}")
                         else:
-                            out.append(f"{va} = {vb} {'+' if dab > 0 else '-'} {int(abs(dab))}")
+                            out.append(f"{va} = {vb} {'+' if dab > 0 else '-'} {abs(dab)}")
                 else:
                     # bounds the intervals imply are left out (an interval
                     # difference or sum with an infinite bound is +inf)
                     if dab != _NO_BOUND and not ia[1] - ib[0] <= dab:
-                        out.append(f"{va} - {vb} <= {int(dab)}")
+                        out.append(f"{va} - {vb} <= {dab}")
                     if dba != _NO_BOUND and not ib[1] - ia[0] <= dba:
-                        out.append(f"{vb} - {va} <= {int(dba)}")
+                        out.append(f"{vb} - {va} <= {dba}")
                 if sab != _NO_BOUND and sab == -sba:
                     if not point:
-                        out.append(f"{va} + {vb} = {int(sab)}")
+                        out.append(f"{va} + {vb} = {sab}")
                 else:
                     if sab != _NO_BOUND and not ia[1] + ib[1] <= sab:
-                        out.append(f"{va} + {vb} <= {int(sab)}")
+                        out.append(f"{va} + {vb} <= {sab}")
                     if sba != _NO_BOUND and not -ia[0] - ib[0] <= sba:
-                        out.append(f"{va} + {vb} >= {int(-sba)}")
+                        out.append(f"{va} + {vb} >= {-sba}")
         return out
 
     def contains_points(self, d, pts: np.ndarray) -> np.ndarray:

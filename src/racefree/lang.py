@@ -513,8 +513,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num' | 'ident' | keyword | operator | 'eof'
     text: str
     line: int
@@ -522,28 +521,35 @@ class Token:
 
 
 def _tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based line and column; a column counts characters from
+    the last newline, so a tab or a carriage return is one column."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    append = tokens.append
+    match = _TOKEN_RE.match
+    make = tuple.__new__  # `Token(...)` without the generated `__new__`'s call
+    line, line_start, pos, end = 1, 0, 0, len(text)
+    while pos < end:
+        m = match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "num":
-            tokens.append(Token("num", lexeme, line, col))
-        elif m.lastgroup == "ident":
-            kind = lexeme if lexeme in _KEYWORDS else "ident"
-            tokens.append(Token(kind, lexeme, line, col))
-        elif m.lastgroup == "op":
-            tokens.append(Token(lexeme, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        group = m.lastgroup
+        nxt = m.end()
+        if group == "ws":  # the one group that can span lines
+            newlines = text.count("\n", pos, nxt)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, nxt) + 1
+        elif group != "comment":
+            lexeme = m.group()
+            if group == "num":
+                kind = "num"
+            elif group == "ident":
+                kind = lexeme if lexeme in _KEYWORDS else "ident"
+            else:
+                kind = lexeme
+            append(make(Token, (kind, lexeme, line, pos - line_start + 1)))
+        pos = nxt
+    append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 

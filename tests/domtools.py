@@ -18,6 +18,7 @@ from itertools import product
 import numpy as np
 
 from racefree.absdom import (
+    _NO_BOUND,
     BOTTOM,
     EnvSetDomain,
     IntervalDomain,
@@ -25,6 +26,7 @@ from racefree.absdom import (
     OctagonDomain,
     OctElem,
     is_bottom,
+    _bound_constraints,
     split_fact,
 )
 from racefree import concrete, metacheck
@@ -32,6 +34,8 @@ from racefree.checker import must_hold_locksets
 from racefree.concrete import reachable_states
 from racefree.engine import make_domain
 from racefree.lang import (
+    _KEYWORDS,
+    _TOKEN_RE,
     HAVOC as HAVOC_ATOM,
     Acquire,
     AssertStmt,
@@ -44,9 +48,11 @@ from racefree.lang import (
     Cmp,
     Expr,
     NotExpr,
+    ParseError,
     Program,
     Release,
     Thread,
+    Token,
     access_sets,
     desugar,
     eval_bool,
@@ -877,3 +883,74 @@ def strip_locks(p: Program) -> Program:
             for i in t.instructions))
         for t in p.threads)
     return replace(p, threads=threads)
+
+
+# ---------------------------------------------------------------------------
+# the lexer and the fact printer before their per-call costs were cut
+
+
+def tokenize_reference(text: str) -> list:
+    """The lexer that counted each token's column by advancing over every
+    lexeme, the reference for `lang._tokenize`."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup == "num":
+            tokens.append(Token("num", lexeme, line, col))
+        elif m.lastgroup == "ident":
+            kind = lexeme if lexeme in _KEYWORDS else "ident"
+            tokens.append(Token(kind, lexeme, line, col))
+        elif m.lastgroup == "op":
+            tokens.append(Token(lexeme, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def octagon_constraints_reference(dom: OctagonDomain, d) -> list[str]:
+    """The fact printer that read each matrix entry as a NumPy scalar, the
+    reference for `OctagonDomain.constraints`."""
+    c = dom._closed(d)
+    if c is BOTTOM:
+        return ["false"]
+    ivals = dom.intervals_of(c)
+    out = _bound_constraints(dom.variables, ivals)
+    for a in range(dom.n):
+        for b in range(a + 1, dom.n):
+            va, vb = dom.variables[a], dom.variables[b]
+            dab = c.m[2 * b, 2 * a]      # va - vb <= c
+            dba = c.m[2 * a, 2 * b]      # vb - va <= c
+            sab = c.m[2 * b + 1, 2 * a]  # va + vb <= c
+            sba = c.m[2 * a, 2 * b + 1]  # -va - vb <= c
+            ia, ib = ivals[a], ivals[b]
+            point = ia[0] == ia[1] and ib[0] == ib[1]
+            if dab != _NO_BOUND and dab == -dba:
+                if not point:
+                    if dab == 0:
+                        out.append(f"{va} = {vb}")
+                    else:
+                        out.append(f"{va} = {vb} {'+' if dab > 0 else '-'} {int(abs(dab))}")
+            else:
+                if dab != _NO_BOUND and not ia[1] - ib[0] <= dab:
+                    out.append(f"{va} - {vb} <= {int(dab)}")
+                if dba != _NO_BOUND and not ib[1] - ia[0] <= dba:
+                    out.append(f"{vb} - {va} <= {int(dba)}")
+            if sab != _NO_BOUND and sab == -sba:
+                if not point:
+                    out.append(f"{va} + {vb} = {int(sab)}")
+            else:
+                if sab != _NO_BOUND and not ia[1] + ib[1] <= sab:
+                    out.append(f"{va} + {vb} <= {int(sab)}")
+                if sba != _NO_BOUND and not -ia[0] - ib[0] <= sba:
+                    out.append(f"{va} + {vb} >= {int(-sba)}")
+    return out

@@ -791,6 +791,63 @@ def test_int64_closure_matches_the_python_int_closure():
     assert min(outcomes.values()) > 50
 
 
+def _near_limit_octagon(dom, rng, closed):
+    """Entries from small bounds, `_NO_BOUND`, and bounds within 2 of
+    +-`_limit` (and of +-2 * `_limit`, as unary entries are twice a bound):
+    closed, or left unclosed as a widened element is."""
+    lim = dom._limit
+    pool = [*range(-4, 5), *(s * (k * lim + e) for s in (1, -1)
+                              for k in (1, 2) for e in range(-2, 3))]
+    m = dom.top().m.copy()
+    for _ in range(rng.randint(0, 3 * dom.size)):
+        i, j = rng.randrange(dom.size), rng.randrange(dom.size)
+        if i != j:
+            c = rng.choice(pool)
+            m[i, j] = min(m[i, j], c)
+            m[j ^ 1, i ^ 1] = min(m[j ^ 1, i ^ 1], c)
+    if closed:
+        return dom._close_matrix(m) or BOTTOM
+    return OctElem(m, closed=False)
+
+
+def test_constraints_match_the_scalar_reference_near_the_limit():
+    """The fact printer reading Python ints prints what the printer reading
+    NumPy scalars printed, on closed and widened elements whose entries
+    include `_NO_BOUND` and bounds within 2 of +-`_limit`."""
+    rng = random.Random(47)
+    checked = near = 0
+    while checked < 500:
+        dom = OctagonDomain(tuple(f"v{k}" for k in range(rng.randint(1, 8))))
+        lim = dom._limit
+        for d in (_near_limit_octagon(dom, rng, True), _near_limit_octagon(dom, rng, False),
+                  domtools.rand_octagon(dom, rng)):
+            if d is not BOTTOM and not d.closed and rng.random() < 0.5:
+                d = dom.widen(_closed_octagon(dom, rng), d)
+            assert dom.constraints(d) == domtools.octagon_constraints_reference(dom, d)
+            c = dom._closed(d)
+            near += c is not BOTTOM and bool((np.abs(np.abs(c.m) - lim) <= 2).any())
+            checked += 1
+    assert near > 50
+
+
+def test_join_of_an_element_with_itself_is_that_element():
+    """join(a, a) returns a when a is closed, else a's cached closure (or
+    BOTTOM when it is unsatisfiable), so no new matrix is made; leq(a, a)."""
+    rng = random.Random(53)
+    dom = OctagonDomain(("x", "y", "z"))
+    for _ in range(100):
+        a = _closed_octagon(dom, rng)
+        w = _widened_octagon(dom, rng)
+        u = _unsatisfiable_octagon(dom, rng)
+        assert dom.join(a, a) is a and dom.leq(a, a)
+        assert dom.join(w, w) is dom._closed(w) and dom.leq(w, w)
+        assert dom.join(u, u) is BOTTOM and dom.leq(u, u)
+        assert dom.join(BOTTOM, BOTTOM) is BOTTOM and dom.leq(BOTTOM, BOTTOM)
+    intervals = IntervalDomain(("x", "y"))
+    i = domtools.rand_interval(intervals, rng)
+    assert intervals.join(i, i) is i and intervals.leq(i, i)
+
+
 # ---------------------------------------------------------------------------
 # recency wrapper
 

@@ -10,8 +10,15 @@ corpus has no races, so these two pin the witness traces): 24 outputs in
 `golden/explore_cases.json`.  They pin witness traces, the canonical
 exploration order, the metacheck instance counts and the sync-CFG export.
 
+`analyze` at workload size: six programs of the benchmark's generator (two
+loop-nest and two loop-free lock-section shapes; the file name gives the
+shape and the generator's seed), embedded as source text in
+`golden/analyze_scaled.json`, each under the four analysis configurations
+the benchmark runs: 24 JSON reports.  They pin facts over 8-48 octagon
+literals, sizes the corpus never reaches.
+
 Each case records the exit code, stdout and stderr.  Regenerate the files
-only for an intended output change:
+only for an intended output change (the scaled sources are kept as they are):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -30,6 +37,7 @@ from racefree.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden" / "analyze_corpus.json"
 GOLDEN_EXPLORE = Path(__file__).parent / "golden" / "explore_cases.json"
+GOLDEN_SCALED = Path(__file__).parent / "golden" / "analyze_scaled.json"
 
 CASES = [
     (name, analysis, domain, recency)
@@ -69,6 +77,21 @@ EXPLORE_CASES = [
 ]
 
 
+SCALED_PROGRAMS = (
+    "loops_t8_v16_n1_r2_seed1.rf", "loops_t3_v8_n3_r4_seed1.rf", "loops_t8_v16_n1_r2_seed2.rf",
+    "sync_t10_v16_r4_s1_seed1.rf", "sync_t16_v4_r4_s1_seed1.rf", "sync_t10_v16_r4_s1_seed2.rf",
+)
+
+SCALED_CONFIGS = {
+    "valset": ["--analysis", "valset"],
+    "rel": ["--analysis", "rel"],
+    "regrel": ["--analysis", "regrel"],
+    "regrel-recency": ["--analysis", "regrel", "--recency"],
+}
+
+SCALED_CASES = [(name, config) for name in SCALED_PROGRAMS for config in SCALED_CONFIGS]
+
+
 def case_id(case) -> str:
     name, analysis, domain, recency = case
     return f"{name}/{analysis}/{domain}/{'recency' if recency else 'plain'}"
@@ -85,6 +108,20 @@ def _run(argv) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def _run_in(sources: dict, argv) -> dict:
+    """`argv` run in a temporary working directory holding `sources`, so
+    the reports name the programs by their bare file names."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, source in sources.items():
+            Path(tmp, file_name).write_text(source)
+        os.chdir(tmp)
+        try:
+            return _run(argv)
+        finally:
+            os.chdir(old)
+
+
 def run_case(case) -> dict:
     name, analysis, domain, recency = case
     argv = ["analyze", "--analysis", analysis, "--format", "json", "--deterministic"]
@@ -96,18 +133,16 @@ def run_case(case) -> dict:
 
 
 def run_explore_case(case) -> dict:
-    """Racy programs are read from files in a temporary working directory,
-    so the reports name them by their bare file names."""
     command, name = case
-    old = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        for file_name, source in RACY_SOURCES.items():
-            Path(tmp, file_name).write_text(source)
-        os.chdir(tmp)
-        try:
-            return _run(COMMANDS[command] + [name])
-        finally:
-            os.chdir(old)
+    return _run_in(RACY_SOURCES, COMMANDS[command] + [name])
+
+
+def run_scaled_case(case, sources: dict) -> dict:
+    """As the benchmark runs its analyze jobs: static owned sets, JSON."""
+    name, config = case
+    return _run_in({name: sources[name]},
+                   ["analyze", *SCALED_CONFIGS[config], "--owned", "static",
+                    "--deterministic", "--format", "json", name])
 
 
 @pytest.fixture(scope="module")
@@ -120,11 +155,25 @@ def golden_explore():
     return json.loads(GOLDEN_EXPLORE.read_text())
 
 
+@pytest.fixture(scope="module")
+def golden_scaled():
+    return json.loads(GOLDEN_SCALED.read_text())
+
+
 def test_golden_covers_every_case(golden, golden_explore):
     assert sorted(golden) == sorted(case_id(c) for c in CASES)
     assert len(CASES) == 48
     assert sorted(golden_explore) == sorted(explore_case_id(c) for c in EXPLORE_CASES)
     assert len(EXPLORE_CASES) == 24
+
+
+def test_scaled_golden_covers_every_case(golden_scaled):
+    assert sorted(golden_scaled["sources"]) == sorted(SCALED_PROGRAMS)
+    assert sorted(golden_scaled["reports"]) == sorted(map("/".join, SCALED_CASES))
+    assert len(SCALED_CASES) == 24
+    # the reports pin relational facts and proofs, not only failures
+    stdout = "".join(r["stdout"] for r in golden_scaled["reports"].values())
+    assert '"proved": true' in stdout and " - " in stdout
 
 
 def test_racy_programs_race_as_intended(golden_explore):
@@ -144,6 +193,12 @@ def test_explore_output_matches_golden(case, golden_explore):
     assert run_explore_case(case) == golden_explore[explore_case_id(case)]
 
 
+@pytest.mark.parametrize("case", SCALED_CASES, ids="/".join)
+def test_scaled_analyze_report_matches_golden(case, golden_scaled):
+    assert (run_scaled_case(case, golden_scaled["sources"])
+            == golden_scaled["reports"]["/".join(case)])
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({case_id(c): run_case(c) for c in CASES},
@@ -151,5 +206,10 @@ if __name__ == "__main__":
     GOLDEN_EXPLORE.write_text(json.dumps(
         {explore_case_id(c): run_explore_case(c) for c in EXPLORE_CASES},
         indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(CASES)} reports to {GOLDEN} and "
-          f"{len(EXPLORE_CASES)} to {GOLDEN_EXPLORE}")
+    scaled = json.loads(GOLDEN_SCALED.read_text())
+    scaled["reports"] = {"/".join(c): run_scaled_case(c, scaled["sources"])
+                         for c in SCALED_CASES}
+    GOLDEN_SCALED.write_text(json.dumps(scaled, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(CASES)} reports to {GOLDEN}, "
+          f"{len(EXPLORE_CASES)} to {GOLDEN_EXPLORE} and "
+          f"{len(SCALED_CASES)} to {GOLDEN_SCALED}")

@@ -1,9 +1,11 @@
 """Parser, desugarer, access sets, and program validation."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
+import domtools
 from racefree import corpus
 from racefree.lang import (
     HAVOC,
@@ -17,6 +19,7 @@ from racefree.lang import (
     Linear,
     ParseError,
     Release,
+    _tokenize,
     Thread,
     access_sets,
     desugar,
@@ -30,6 +33,7 @@ from racefree.lang import (
     validate_program,
     vars_of_bool,
 )
+from test_golden import GOLDEN_SCALED, RACY_SOURCES
 
 
 def test_parse_coupled_xy_shape():
@@ -84,6 +88,50 @@ def test_parse_errors_have_positions():
 
     with pytest.raises(ParseError, match="duplicate thread"):
         parse_program("var x;\nthread t { }\nthread t { }")
+
+
+LEXER_ERROR_INPUTS = {
+    "tab": "var x;\n\tthread t {\tx := 1 ; }\n\t\t$",
+    "crlf": "var x;\r\nthread t {\r\n  x := 1;\r\n} @",
+    "comment": "var x; // a comment: #\nthread t { // x := 1;\n x := 2; } #",
+    "line 3": "var x;\nthread t {\n  x := 1; } ?",
+    "lone cr": "var x;\rthread t {\r\x0b x := 1; } ~",
+}
+
+
+def _lex(lexer, text):
+    """The tokens, or the position and message of the error raised."""
+    try:
+        return lexer(text)
+    except ParseError as e:
+        return (e.line, e.col, e.message)
+
+
+def test_tokenize_matches_the_reference_lexer():
+    """Same tokens, lines and columns as the lexer that advanced its column
+    over every lexeme, on every program the goldens pin and on inputs whose
+    errors sit after tabs, CRLF line ends and comments."""
+    texts = [*corpus.SOURCES.values(), *corpus.REGION_TEXTS.values(),
+             *RACY_SOURCES.values(),
+             *json.loads(GOLDEN_SCALED.read_text())["sources"].values()]
+    for text in texts:
+        assert _tokenize(text) == domtools.tokenize_reference(text)
+    errors = {name: _lex(_tokenize, text) for name, text in LEXER_ERROR_INPUTS.items()}
+    for name, text in LEXER_ERROR_INPUTS.items():
+        assert errors[name] == _lex(domtools.tokenize_reference, text), name
+        ok = text[:-1]  # without the bad last character, the input lexes
+        assert _tokenize(ok) == domtools.tokenize_reference(ok), name
+    assert errors["tab"] == (3, 3, "unexpected character '$'")
+    assert errors["crlf"] == (4, 3, "unexpected character '@'")
+    assert errors["comment"] == (3, 12, "unexpected character '#'")
+    assert errors["line 3"] == (3, 13, "unexpected character '?'")
+    assert errors["lone cr"] == (1, 31, "unexpected character '~'")
+
+
+def test_parse_error_positions_after_tabs_and_crlf():
+    with pytest.raises(ParseError) as e:
+        parse_program("var x;\r\nthread t {\r\n\ty := 1; }")
+    assert (e.value.line, e.value.col) == (3, 2)
 
 
 def test_havoc_banned_in_conditions():
