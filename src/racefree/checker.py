@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .absdom import split_fact
 from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, owned_vars_oracle
@@ -150,8 +149,6 @@ class Report:
     regions: list[dict]
     owned_mode: str
     assertions: list[AssertionResult] = field(default_factory=list)
-    races: Optional[dict] = None
-    metatheory: Optional[dict] = None
     timing_ms: dict = field(default_factory=dict)
 
     @property
@@ -220,8 +217,7 @@ def report_to_dict(r: Report) -> dict:
             }
             for a in r.assertions
         ],
-        "races": r.races,
-        **({"metatheory": r.metatheory} if r.metatheory is not None else {}),
+        "races": None,  # analyze searches no race; the key stays in the schema
         "timing_ms": r.timing_ms,
     }
 
@@ -240,6 +236,4 @@ def emit_report(r: Report, fmt: str = "text") -> str:
     lines.append(f"{proved}/{len(r.assertions)} assertions proved "
                  f"[{r.analysis}/{r.domain}{'/recency' if r.recency else ''}, "
                  f"owned={r.owned_mode}]")
-    if r.races is not None:
-        lines.append(f"races: {json.dumps(r.races)}")
     return "\n".join(lines)

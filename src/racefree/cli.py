@@ -232,7 +232,7 @@ def _cmd_races(args) -> int:
         found = found or bool(races)
         if args.cross_validate:
             direct = sorted({r.subject for r in races})
-            translated = sorted(racy_regions_via_translation(program, args.depth * 3, havoc))
+            translated = sorted(racy_regions_via_translation(program, args.depth * 2, havoc))
             out["translation_agrees"] = direct == translated
             out["translated_racy_regions"] = translated
     if args.format == "json":

@@ -23,7 +23,7 @@ instruction is never stepped.  The budget counts nodes of the reduced tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -32,25 +32,22 @@ from .lang import (
     Acquire,
     Assign,
     Assume,
-    BoolOp,
     Cmp,
     Expr,
     Guard,
     Instruction,
     LinearAtom,
-    NotExpr,
     Program,
     RegionMap,
     Release,
-    Thread,
     instr_accesses,
     print_command,
-    vars_of_bool,
 )
 
 DEFAULT_HAVOC = (0, 1, 2)
 DEFAULT_BUDGET = 500_000
 Subjects = Callable[[Instruction], tuple[frozenset[str], frozenset[str]]]  # (reads, writes)
+ConflictTable = dict[int, dict[int, tuple[str, ...]]]  # see conflict_table
 
 
 class ExplorationLimitError(Exception):
@@ -154,9 +151,6 @@ class ProgramIndex:
     `steps` is the step table both semantics read: `id(instr)` -> `Step`,
     filled by `compile` on an instruction's first step, so an index built
     only for `by_source` compiles nothing.
-
-    `conflicts` keeps the `conflict_table` of each `subjects_of` read
-    through this index.
     """
 
     def __init__(self, program: Program):
@@ -178,7 +172,6 @@ class ProgramIndex:
         self.by_source = {loc: tuple(instrs) for loc, instrs in by_source.items()}
         self.steps: dict[int, Step] = {}
         self._choices: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-        self.conflicts: dict[Callable, dict[int, dict[int, tuple[str, ...]]]] = {}
 
     def compile(self, instr: Instruction) -> Step:
         """The step record of `instr`, entered in `steps`.  An instruction
@@ -389,27 +382,24 @@ def reachable_states(
                          havoc_values, budget))
 
 
-def conflict_table(idx: ProgramIndex, subjects_of: Subjects,
-                   ) -> dict[int, dict[int, tuple[str, ...]]]:
+def conflict_table(idx: ProgramIndex, subjects_of: Subjects) -> ConflictTable:
     """`table[id(a)][id(b)]`: the sorted subjects on which steps of `a` and
     `b` conflict (one writes what the other reads or writes), for every
-    conflicting pair, of one thread or two; symmetric.  Built once per index
-    and `subjects_of` (`idx.conflicts`), so the walk's dependence and the
-    race test of one search read one table."""
-    table = idx.conflicts.get(subjects_of)
-    if table is None:
-        accesses = [(id(i), *subjects_of(i)) for i in idx.program.instructions]
-        table = idx.conflicts[subjects_of] = {a: {} for a, _, _ in accesses}
-        for n, (a, a_reads, a_writes) in enumerate(accesses):
-            for b, b_reads, b_writes in accesses[n:]:
-                both = (a_writes & (b_reads | b_writes)) | (b_writes & a_reads)
-                if both:
-                    table[a][b] = table[b][a] = tuple(sorted(both))
+    conflicting pair, of one thread or two; symmetric.  A search builds one
+    and hands it to `clocked_walk`, so the walk's dependence and the race
+    test read one table."""
+    accesses = [(id(i), *subjects_of(i)) for i in idx.program.instructions]
+    table: ConflictTable = {a: {} for a, _, _ in accesses}
+    for n, (a, a_reads, a_writes) in enumerate(accesses):
+        for b, b_reads, b_writes in accesses[n:]:
+            both = (a_writes & (b_reads | b_writes)) | (b_writes & a_reads)
+            if both:
+                table[a][b] = table[b][a] = tuple(sorted(both))
     return table
 
 
 def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
-                 subjects_of: Subjects) -> Iterator[tuple]:
+                 table: ConflictTable) -> Iterator[tuple]:
     """`dfs` of the standard execution tree of `idx.program`, reduced by
     sleep sets (Godefroid 1996), with the vector clocks of happens-before.
 
@@ -419,7 +409,7 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
     in place, as in `dfs`.
 
     Two steps are dependent when they belong to one thread, both acquire or
-    release one lock, or conflict in the `conflict_table` of `subjects_of`;
+    release one lock, or conflict in `table` (a `conflict_table`);
     independent steps commute.  A sleep set holds instructions, and a node
     never steps one: its step function gives no successor for a sleeping
     instruction and calls `std_step` (the module attribute, at call time)
@@ -440,8 +430,8 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
     yielded.  A pruned branch reorders an earlier one, so the representative
     is the first execution of its trace in the canonical order of the
     unreduced tree.  A race pair conflicts, so its two steps keep their
-    order in every representative; under region-lifted `subjects_of` so do
-    two accesses to one region.  The race search therefore reports the same
+    order in every representative; in a table of region-lifted subjects so
+    do two accesses to one region.  The race search therefore reports the same
     triples, each with the same first witness, and the owned oracle sees
     the same (state, clocks) pairs.
 
@@ -454,7 +444,6 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
     each transition step for step, which a representative skips.
     """
     p = idx.program
-    table = conflict_table(idx, subjects_of)
     # dependent[id(a)]: the ids of the instructions whose steps do not
     # commute with a step of `a`: its conflicts, its thread's (an int key)
     # and its lock's (a name key)
@@ -535,7 +524,7 @@ def _find_races(
             pre = post
         return Execution(init, tuple(steps))
 
-    for state, path, clocks in clocked_walk(idx, depth, havoc_values, budget, subjects_of):
+    for state, path, clocks in clocked_walk(idx, depth, havoc_values, budget, table):
         if on_node is not None:
             on_node(state, path, clocks)
         if not path:
@@ -577,10 +566,9 @@ def find_region_races(
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     budget: int = DEFAULT_BUDGET,
-    regions: Optional[RegionMap] = None,
 ) -> list[RaceReport]:
-    """Like find_data_races, with accesses lifted to the region partition."""
-    rg = regions or p.regions
+    """Like find_data_races, with accesses lifted to the partition `p.regions`."""
+    rg = p.regions
 
     def region_subjects(instr: Instruction):
         reads, writes = instr_accesses(instr)
@@ -615,7 +603,9 @@ def owned_vars_oracle(
     earlier, ends a node of the first kind.  One walk of the tree, reduced
     by sleep sets and bounded by `budget`, decides every location."""
     visit, owned = owned_probe(p)
-    for node in clocked_walk(ProgramIndex(p), depth, havoc_values, budget, instr_accesses):
+    idx = ProgramIndex(p)
+    for node in clocked_walk(idx, depth, havoc_values, budget,
+                             conflict_table(idx, instr_accesses)):
         visit(*node)
     return owned()
 
@@ -647,111 +637,64 @@ def owned_probe(p: Program) -> tuple[Callable, Callable]:
 # Region-race reduction to data races
 
 
-def translate_for_region_races(p: Program) -> Program:
-    """Rewrite `p` so data races on per-region witness variables correspond to
-    region races of `p`.
+def _region_witnesses(p: Program) -> dict[str, str]:
+    """Each region's witness variable: a prefix no variable or region name
+    of `p` starts with (`__rg_`, with `_` prepended until none does), then
+    the region's name.  So no witness is a variable or region name of `p`,
+    and each region has its own."""
+    prefix = "__rg_"
+    while any(name.startswith(prefix) for name in p.variables + p.regions.names):
+        prefix = "_" + prefix
+    return {r: prefix + r for r in p.regions.names}
 
-    Assume conditions (and registered assertion reads) are first localized
-    through fresh per-thread copies, then every assignment writing region r_w
-    and reading regions r_1..r_n is preceded by X_{r_w} := X_{r_1}; ...;
-    X_{r_w} := X_{r_n} (X_{r_w} := X_{r_w} when nothing is read, so pure
-    writes still mark their region).
+
+def translate_for_region_races(p: Program) -> Program:
+    """`p` with one witness step right after each instruction that
+    accesses a region, so that the data races on the witness variables
+    (`_region_witnesses`) are the region races of `p`.
+
+    An instruction writing region w and reading regions R is followed by
+    `X_w := X_w + 0 * X_r + ...` over the r in R other than w; one that
+    only reads by `assume(0 * X_r + ... == 0 * X_r + ...)` over R.  An
+    expression reads every variable it mentions, so a witness step accesses
+    X_r as its instruction accesses r (the read of X_w adds no conflict: the
+    step writes X_w too), and it changes no variable of `p`.
+
+    Covering: run each witness step just after its instruction, and an
+    execution of `p` of length K is one of the translation of length at
+    most 2K.  Neither an instruction nor its witness step is a lock step,
+    so happens-before orders two witness steps as it orders their
+    instructions: every region race of `p` within K steps is a data race on
+    a witness within 2K steps.  Conversely, a witness step runs only after
+    its instruction (an assume that blocks reads no witness), so every
+    witness race is a region race of `p`, though maybe only past K steps:
+    the comparison is bounded.
     """
     if not p.is_desugared:
         raise ValueError("program must be desugared")
-    rg = p.regions
-
-    # fresh per-thread locals for variables read inside assume conditions;
-    # each local forms a singleton region of its own
-    locals_of: dict[str, dict[str, str]] = {}
-    local_names: list[str] = []
-    for t in p.threads:
-        table: dict[str, str] = {}
-        for i in t.instructions:
-            if isinstance(i.command, Assume):
-                for v in sorted(vars_of_bool(i.command.cond) | i.assert_reads):
-                    if v not in table:
-                        table[v] = f"__{t.name}_{v}"
-                        local_names.append(table[v])
-        locals_of[t.name] = table
-
-    def region_of(v: str) -> str:
-        return v if v in set(local_names) else rg.region_of(v)
-
-    region_names = list(rg.names) + local_names
-    region_var = {name: f"__rg_{name}" for name in region_names}
-    fresh_loc = max(max(t.locations) for t in p.threads) + 1
-
-    def alloc_loc() -> int:
-        nonlocal fresh_loc
-        loc = fresh_loc
-        fresh_loc += 1
-        return loc
-
+    rg, witness = p.regions, _region_witnesses(p)
+    fresh = max(max(t.locations) for t in p.threads) + 1
     threads = []
     for t in p.threads:
         instrs: list[Instruction] = []
-        table = locals_of[t.name]
-
-        def emit_region_prefix(entry: int, write_var: str, read_vars) -> int:
-            rw = region_var[region_of(write_var)]
-            read_regions = sorted({region_of(v) for v in read_vars}) or [
-                region_of(write_var)
-            ]
-            cur = entry
-            for r in read_regions:
-                nxt = alloc_loc()
-                instrs.append(Instruction(cur, Assign(rw, Expr.of(region_var[r])), nxt))
-                cur = nxt
-            return cur
-
         for i in t.instructions:
-            if isinstance(i.command, Assign):
-                reads = sorted(i.command.expr.linear.reads)
-                cur = emit_region_prefix(i.source, i.command.var, reads)
-                instrs.append(Instruction(cur, i.command, i.target))
-            elif isinstance(i.command, Assume):
-                shared_reads = sorted(vars_of_bool(i.command.cond) | i.assert_reads)
-                if not shared_reads:
-                    instrs.append(Instruction(i.source, i.command, i.target))
-                    continue
-                # localize: l_v := v for each read, then assume on the copies
-                cur = i.source
-                for v in shared_reads:
-                    lv = table[v]
-                    mid = emit_region_prefix(cur, lv, [v])
-                    nxt = alloc_loc()
-                    instrs.append(Instruction(mid, Assign(lv, Expr.of(v)), nxt))
-                    cur = nxt
-                cond = _substitute_bool(i.command.cond, table)
-                instrs.append(Instruction(cur, Assume(cond), i.target))
+            reads, writes = ({rg.region_of(v) for v in vs} for vs in instr_accesses(i))
+            if not reads | writes:
+                instrs.append(i)
+                continue
+            zeros = tuple((1, (0,), witness[r]) for r in sorted(reads - writes))
+            if writes:
+                (w,) = writes
+                mark = Assign(witness[w], Expr(((1, (), witness[w]),) + zeros))
             else:
-                instrs.append(Instruction(i.source, i.command, i.target))
-        threads.append(Thread(t.name, t.body, t.entry, tuple(instrs)))
-
-    all_vars = tuple(
-        list(p.variables) + local_names + [region_var[n] for n in region_names]
-    )
+                mark = Assume(Cmp("==", Expr(zeros), Expr(zeros)))
+            instrs += [replace(i, target=fresh), Instruction(fresh, mark, i.target)]
+            fresh += 1
+        threads.append(replace(t, instructions=tuple(instrs)))
+    variables = p.variables + tuple(witness.values())
     declared = {name: vs for name, vs in rg.members if len(vs) > 1}
-    regions = RegionMap.from_declared(all_vars, declared)
-    return Program(all_vars, p.locks, regions, tuple(threads), p.assertions)
-
-
-def _substitute_bool(b, mapping):
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _substitute_expr(b.left, mapping), _substitute_expr(b.right, mapping))
-    if isinstance(b, BoolOp):
-        return BoolOp(b.op, tuple(_substitute_bool(a, mapping) for a in b.args))
-    if isinstance(b, NotExpr):
-        return NotExpr(_substitute_bool(b.expr, mapping))
-    return b
-
-
-def _substitute_expr(e: Expr, mapping) -> Expr:
-    """`e` with variables renamed; literals and HAVOC are no keys of `mapping`."""
-    return Expr(tuple(
-        (sign, factors, _substitute_expr(a, mapping) if type(a) is Expr else mapping.get(a, a))
-        for sign, factors, a in e.terms))
+    return Program(variables, p.locks, RegionMap.from_declared(variables, declared),
+                   tuple(threads), p.assertions)
 
 
 def racy_regions_via_translation(
@@ -761,13 +704,9 @@ def racy_regions_via_translation(
     budget: int = DEFAULT_BUDGET,
 ) -> frozenset[str]:
     """Regions of `p` whose witness variable races in the translated program."""
-    translated = translate_for_region_races(p)
-    races = find_data_races(translated, depth, havoc_values, budget)
-    out = set()
-    for r in races:
-        if r.subject.startswith("__rg_"):
-            out.add(r.subject[len("__rg_"):])
-    return frozenset(out)
+    region_of = {x: r for r, x in _region_witnesses(p).items()}
+    races = find_data_races(translate_for_region_races(p), depth, havoc_values, budget)
+    return frozenset(region_of[r.subject] for r in races if r.subject in region_of)
 
 
 # ---------------------------------------------------------------------------

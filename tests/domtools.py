@@ -644,13 +644,13 @@ def happens_before(e: concrete.Execution) -> HappensBefore:
 # the unreduced clocked walk
 
 
-def unreduced_clocked_walk(idx, depth, havoc_values, budget, subjects_of):
+def unreduced_clocked_walk(idx, depth, havoc_values, budget, table):
     """`concrete.clocked_walk` without its sleep sets: every node of the
     standard execution tree up to `depth`, with happens-before's vector
     clocks kept in lists along the path and undone after each child; the
     same `(state, path, thread clocks)` at each node, each path edge
-    `(tid, instr, choices, post, clock)`.  `subjects_of` is taken for the
-    signature and not read.  Kept for oracle independence, as
+    `(tid, instr, choices, post, clock)`.  The conflict `table` is taken
+    for the signature and not read.  Kept for oracle independence, as
     `metacheck._mix_envs` is kept beside `EnvSetDomain.mix`: the race
     searches and the owned oracle, run over it by `unreduced`, are the
     reference of the reduced ones."""

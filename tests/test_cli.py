@@ -97,6 +97,18 @@ def test_races_region_kind(tmp_path, capsys):
     assert "translation cross-check agrees: True" in out
 
 
+def test_races_cross_validate_with_a_witness_named_variable(tmp_path, capsys):
+    """A variable named like a region's witness neither races with it nor
+    hides a region: no region race, and the translation agrees."""
+    f = tmp_path / "p.cp"
+    f.write_text("var x, __rg_x; thread t { x := 1; } thread u { __rg_x := 1; }")
+    code = run_cli(["races", "--kind", "region", "--cross-validate", str(f)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "no race found" in out
+    assert "translation cross-check agrees: True" in out
+
+
 def test_races_json_schema(tmp_path, capsys):
     f = tmp_path / "p.cp"
     f.write_text(corpus.COUPLED_XY)

@@ -58,6 +58,7 @@ from racefree.lang import (
     instr_accesses,
     parse_program,
     parse_region_text,
+    print_command,
 )
 from racefree.threadlocal import (
     InadmissibleStateError,
@@ -549,7 +550,7 @@ def test_race_reports_normalized(coupled_xy):
 
 def test_region_race_with_coarse_partition(coupled_xy):
     rall = RegionMap.from_declared(coupled_xy.variables, {"r": ("x", "y", "z")})
-    races = find_region_races(coupled_xy, 13, regions=rall)
+    races = find_region_races(coupled_xy.with_regions(rall), 13)
     assert races, "single-region partition must race"
     pairs = {(race.execution.steps[race.first].instr.source,
               race.execution.steps[race.second].instr.source)
@@ -559,7 +560,7 @@ def test_region_race_with_coarse_partition(coupled_xy):
 
 
 def test_region_race_free_with_xy_partition(coupled_xy, coupled_xy_regions):
-    assert find_region_races(coupled_xy, 13, regions=coupled_xy_regions) == []
+    assert find_region_races(coupled_xy.with_regions(coupled_xy_regions), 13) == []
 
 
 def test_singleton_regions_coincide_with_data_races():
@@ -729,9 +730,9 @@ def test_reduced_searches_match_the_unreduced_walk():
         for depth in range(9):
             races = find_data_races(p, depth)
             assert races == unreduced(find_data_races, p, depth), (name, depth)
-            for regions in (p.regions, one_region):
-                assert (find_region_races(p, depth, regions=regions)
-                        == unreduced(find_region_races, p, depth, regions=regions)), (name, depth)
+            for q in (p, p.with_regions(one_region)):
+                assert (find_region_races(q, depth)
+                        == unreduced(find_region_races, q, depth)), (name, depth)
             assert owned_vars_oracle(p, depth) == unreduced(owned_vars_oracle, p, depth), (
                 name, depth)
         racy += bool(races)
@@ -745,7 +746,7 @@ def test_reduced_walk_yields_every_reachable_state(name):
     idx = ProgramIndex(p)
     for depth in (0, 3, 6, 9, 13):
         walked = {s for s, *_ in clocked_walk(idx, depth, DEFAULT_HAVOC, DEFAULT_BUDGET,
-                                              instr_accesses)}
+                                              conflict_table(idx, instr_accesses))}
         assert walked == reachable_states(p, depth), depth
 
 
@@ -804,19 +805,76 @@ def test_enumeration_contains_canonical_handoff(coupled_xy):
 
 
 def test_translation_crosses_regions():
-    p = prog("var x, y;\nthread t { x := y; }")  # singleton regions
+    """One witness step per access, right after it: the written region's
+    witness, plus zero times each other region read; a pure read is an
+    assume."""
+    p = prog("var x, y, z;\nthread t { x := y + z; assume(y > z); }")  # singleton regions
     out = translate_for_region_races(p)
-    t = out.threads[0]
-    prefix, assign = t.instructions
-    assert isinstance(prefix.command, Assign)
-    assert prefix.command.var == "__rg_x"
-    assert prefix.command.expr == Expr.of("__rg_y")
-    assert assign.command.var == "x"
+    assign, mark, assume, check = out.threads[0].instructions
+    assert print_command(mark.command) == "__rg_x := __rg_x + 0 * __rg_y + 0 * __rg_z"
+    assert print_command(check.command) == (
+        "assume(0 * __rg_y + 0 * __rg_z == 0 * __rg_y + 0 * __rg_z)")
+    # each original instruction keeps its command and source; its mark
+    # leads on to its target
+    assert [(i.source, i.target) for i in out.threads[0].instructions] == [
+        (1, 4), (4, 2), (2, 5), (5, 3)]
+    assert (assign.command, assume.command) == tuple(
+        i.command for i in p.threads[0].instructions)
+    assert instr_accesses(mark) == (frozenset({"__rg_x", "__rg_y", "__rg_z"}), frozenset({"__rg_x"}))
+    assert instr_accesses(check) == (frozenset({"__rg_y", "__rg_z"}), frozenset())
+
+
+def test_translation_finds_no_race_through_a_blocked_assume():
+    """An assume that never passes reads nothing, in `p` and in its
+    translation: no region race either way (a witness read in front of
+    the assume would race with u's write)."""
+    p = prog("var x;\nthread t { assume(x > 5); }\nthread u { x := 1; }")
+    assert find_region_races(p, 6) == []
+    assert racy_regions_via_translation(p, 12) == frozenset()
+
+
+def test_witnesses_never_collide_with_program_variables():
+    """A program variable named like a witness moves the witness prefix:
+    the two threads below write different regions, so no region races,
+    and the translation agrees (a witness `__rg_x` of region x would be
+    the program's own `__rg_x`, and race with it)."""
+    p = prog("var x, __rg_x;\nthread t { x := 1; }\nthread u { __rg_x := 1; }")
+    out = translate_for_region_races(p)
+    assert out.variables == ("x", "__rg_x", "___rg_x", "___rg___rg_x")
+    assert find_region_races(p, 6) == []
+    assert racy_regions_via_translation(p, 12) == frozenset()
+    racy = prog("var x, __rg_x;\nthread t { x := 1; }\nthread u { x := 2; __rg_x := 1; }")
+    assert racy_regions_via_translation(racy, 12) == {"x"}
+    # nor with a region's name: the translation's regions stay distinct
+    named = prog("var a, b;\nregion __rg_b { a };\nthread t { a := 1; }\nthread u { b := a; }")
+    out = translate_for_region_races(named)
+    assert len(set(out.regions.names)) == len(out.regions.names) == 4
+    assert racy_regions_via_translation(named, 12) == {"__rg_b"}
+
+
+def test_translation_covers_the_direct_region_races():
+    """Every region the direct search reports within d steps races in the
+    translation within 2d steps (`translate_for_region_races`' covering
+    argument), and every region racing there races in `p` within 2d steps
+    (its converse), on the corpus, random race-free programs and loop
+    programs, each also lock-stripped, under their own regions and under
+    one region of every variable."""
+    depth, racy, checked = 6, 0, 0
+    for name, p in reduction_net():
+        one_region = RegionMap.from_declared(p.variables, {"__all": p.variables})
+        for q in (p, p.with_regions(one_region)):
+            direct = {r.subject for r in find_region_races(q, depth)}
+            translated = racy_regions_via_translation(q, 2 * depth)
+            assert direct <= translated <= {
+                r.subject for r in find_region_races(q, 2 * depth)}, name
+            racy += bool(direct)
+            checked += 1
+    assert racy > checked // 3, (racy, checked)
 
 
 def test_translation_marks_pure_writes():
     p = prog("var x;\nthread t { x := 5; }")
     out = translate_for_region_races(p)
-    prefix = out.threads[0].instructions[0]
-    assert prefix.command.var == "__rg_x"
-    assert prefix.command.expr == Expr.of("__rg_x")
+    mark = out.threads[0].instructions[1]
+    assert mark.command.var == "__rg_x"
+    assert mark.command.expr == Expr.of("__rg_x")
