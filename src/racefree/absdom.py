@@ -372,11 +372,17 @@ class OctagonDomain:
     def _close_matrix(self, m: np.ndarray) -> Optional[OctElem]:
         """Tight closure for integer octagons; None when unsatisfiable.  The
         shortest-path step takes every literal as a pivot; see `_close_at`
-        for fewer and for the bounds of every number it forms."""
-        return self._close_at(m, range(self.size))
+        for fewer and for the bounds of every number it forms.  `m` is left
+        as it is (it may be a stored, read-only matrix): this closes a copy."""
+        return self._close_at(np.array(m, dtype=np.int64), range(self.size))
 
     def _close_at(self, m: np.ndarray, pivots) -> Optional[OctElem]:
         """`_close_matrix(m)` with the shortest-path step over `pivots` only.
+
+        Takes ownership of `m`, a writable C-ordered int64 matrix that the
+        caller made for this call (a copy, a forget or a mask): it is closed
+        in place and becomes the result's read-only matrix, or is left
+        half-closed when the result is None.
 
         Precondition: `m` is a shortest-path-closed matrix M without
         negative cycles, lowered only at entries whose two endpoints are
@@ -408,8 +414,7 @@ class OctagonDomain:
         Since it raises entries, a saturated element breaks the precondition
         of later pivot closures, whose result is then weaker than the full
         closure, but still sound."""
-        m = np.array(m, dtype=np.int64)
-        flat = m.ravel()  # a view: m is a fresh C-ordered copy
+        flat = m.ravel()  # a view: m is C-ordered
         flat[self._diag] = 0
         if pivots:
             for k in sorted(pivots):

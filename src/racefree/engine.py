@@ -11,6 +11,17 @@ fixpoint over environment sets.  Each run builds the program's full
 sync-CFG itself (`build_syncfg`): every release of a lock feeds every
 acquire of it.
 
+The loop follows the thread-local semantics: a race-free program's threads
+interact only through sync edges, so `_solve` solves one thread at a time,
+sequentially in the thread's reverse postorder, with the other threads'
+release facts held fixed, and passes facts across sync edges between these
+thread rounds.  Within a round every cycle passes through a back-edge
+target of the thread's DFS, which widens after `WIDEN_DELAY` changes in the
+round; across rounds every cycle passes through an acquire target, which
+counts at most one change per round and widens after `WIDEN_DELAY` such
+rounds.  The order decides only which post-fixpoint the widening analyses
+reach, never soundness: `check_postfixpoint` checks every result.
+
 A frame stores each instruction's last transfer with its inputs (the
 source fact, then for an acquire the facts at the release points feeding
 it) and returns the stored result while every input is the same object.
@@ -30,6 +41,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -47,11 +59,12 @@ from .syncfg import build_syncfg
 
 ANALYSES = ("valset", "rel", "regrel")
 DOMAINS = ("interval", "octagon", "envset")
-WIDEN_DELAY = 2  # changes of a widening point's fact before widening starts
+WIDEN_DELAY = 2  # changes of a widening point's fact before widening starts (see `_solve`)
 
 
 class AnalysisLimitError(Exception):
-    """The worklist iteration cap was exceeded; says how far it got."""
+    """The worklist iteration cap was exceeded; says how far it got: the
+    visits made, and the rounds in which the location's fact changed."""
 
     def __init__(self, location: int, cap: int, visits: int, updates: int):
         super().__init__(f"iteration cap {cap} exceeded after {visits} visits, "
@@ -103,7 +116,8 @@ def mix_partition(cfg: AnalysisConfig, p: Program) -> tuple[tuple[int, ...], ...
 
 
 class _Frame:
-    """One analysis run: each thread's domain, and fact bookkeeping."""
+    """One analysis run: each thread's domain, its iteration order, and
+    fact bookkeeping."""
 
     def __init__(self, p: Program, cfg: AnalysisConfig):
         cfg.validate()
@@ -113,17 +127,23 @@ class _Frame:
         self.domain = make_domain(cfg, p.variables)
         self.partition = mix_partition(cfg, p)
         self.value_set = cfg.analysis == "valset" and cfg.domain == "envset"
-        # the domain of the thread owning each location
+        # the thread owning each location, and that thread's domain
+        self.thread_of: dict[int, int] = {}
         self.domain_at = {}
         for tid, t in enumerate(p.threads):
             dom = RecencyDomain(self.domain, tid) if cfg.recency else self.domain
             for loc in t.locations:
+                self.thread_of[loc] = tid
                 self.domain_at[loc] = dom
         self.by_source = ProgramIndex(p).by_source
         # acquire sources to re-enqueue when a release-point fact changes
         self.dependents: dict[int, tuple[int, ...]] = {
             rel: g.acquire_points[m] for m, rels in g.release_points.items() for rel in rels}
-        self.widen_points = self._widen_points()
+        self.rank, self.order, self.heads = self._thread_orders()
+        # widening points: back-edge targets, and acquire targets (every
+        # cycle through a sync edge closes at an acquire target)
+        self.widen_points = self.heads | {
+            i.target for i in p.instructions if isinstance(i.command, Acquire)}
         # id(instruction) -> (inputs, result) of its last transfer
         self._last: dict[int, tuple[tuple, object]] = {}
 
@@ -169,10 +189,14 @@ class _Frame:
             facts[t.entry] = self.domain_at[t.entry].initial()
         return facts
 
-    def _widen_points(self) -> frozenset[int]:
-        """Back-edge targets under per-thread DFS, plus acquire targets
-        (inter-thread cycles through sync edges close at acquire targets)."""
-        points: set[int] = set()
+    def _thread_orders(self) -> tuple[dict[int, int], list[int], frozenset[int]]:
+        """One DFS per thread from its entry: each location's rank in the
+        thread's reverse postorder (threads one after another; locations the
+        DFS never reaches come last), the locations by rank, and the
+        back-edge targets.  Every cycle of a thread's CFG has a DFS back edge,
+        so it passes through a back-edge target."""
+        order: list[int] = []
+        heads: set[int] = set()
         for t in self.p.threads:
             succs: dict[int, list[int]] = {}
             for i in t.instructions:
@@ -181,67 +205,120 @@ class _Frame:
             # color 1 = on the stack, 2 = finished
             color: dict[int, int] = {t.entry: 1}
             stack = [(t.entry, iter(succs.get(t.entry, ())))]
+            postorder: list[int] = []
             while stack:
                 n, pending = stack[-1]
                 for s in pending:
                     if color.get(s, 0) == 1:
-                        points.add(s)
+                        heads.add(s)
                     elif color.get(s, 0) == 0:
                         color[s] = 1
                         stack.append((s, iter(succs.get(s, ()))))
                         break
                 else:
                     color[n] = 2
+                    postorder.append(n)
                     stack.pop()
-        for i in self.p.instructions:
-            if isinstance(i.command, Acquire):
-                points.add(i.target)
-        return frozenset(points)
+            order += reversed(postorder)
+            order += sorted(t.locations - color.keys())
+        rank = {loc: r for r, loc in enumerate(order)}
+        return rank, order, frozenset(heads)
 
 
 def _solve(frame: _Frame) -> LocationFacts:
     """The worklist iteration, from the initial facts to a post-fixpoint.
 
-    Facts at widening points are widened once they have changed
-    `WIDEN_DELAY` times, except over environment sets: that domain is finite
-    in the value box, so joins alone terminate and the result is exact."""
+    It runs in thread rounds, the thread-modular order of interference
+    analyses.  An outer FIFO of threads picks the next thread, and that
+    thread is solved to local stability, with every other thread's facts
+    held fixed, by a worklist that pops the location of least rank in the
+    thread's reverse postorder (`_Frame._thread_orders`).  A changed release
+    point re-queues the acquire sources of other threads at once (their
+    thread joins the outer FIFO), and its own thread's acquire sources only
+    for that thread's next round.
+
+    Widening (not over environment sets) applies at back-edge targets and
+    acquire targets, once a count reaches `WIDEN_DELAY`: at a back-edge
+    target the changes of its fact in the current round, at an acquire
+    target the rounds in which its fact changed (its update count).  So a
+    loop that a round re-enters with facts imported from other threads
+    gets `WIDEN_DELAY` fresh steps before they are widened away, and an
+    acquire target inside a loop is not widened by the loop's own
+    iterations.
+
+    Termination: within a round only the thread's own CFG edges re-queue
+    work, and every cycle of a thread's CFG passes through a back-edge
+    target, whose facts form a widening sequence after `WIDEN_DELAY`
+    changes in the round; so every round ends.  Every sync edge leads to an
+    acquire target, whose facts form a widening sequence after
+    `WIDEN_DELAY` rounds that changed them, so they change finitely often
+    (the desugarer puts a step between an acquire and a loop head, so no
+    location is both).  After each thread's first round, a round starts
+    only from queued acquire sources, and once no acquire target changes,
+    such a round changes nothing and queues nothing more.
+    Environment sets are finite in the value box, so there joins alone
+    terminate, at the least fixpoint, whatever the order.  Soundness does
+    not depend on the order either: `check_postfixpoint` checks every
+    result."""
     cfg = frame.cfg
     use_widening = cfg.domain != "envset"
     facts = frame.initial_facts()
-    worklist = deque(sorted(t.entry for t in frame.p.threads))
-    queued = set(worklist)
-    update_count: dict[int, int] = {}
+    rank, order, owner, heads = frame.rank, frame.order, frame.thread_of, frame.heads
+    pending = [[rank[t.entry]] for t in frame.p.threads]  # one rank heap per thread
+    queued = {t.entry for t in frame.p.threads}
+    deferred: list[set[int]] = [set() for _ in frame.p.threads]  # for the next round
+    rounds = deque(range(len(frame.p.threads)))
+    update_count: dict[int, int] = {}  # rounds in which a location's fact changed
     visits = 0
 
-    while worklist:
-        loc = worklist.popleft()
-        queued.discard(loc)
-        visits += 1
-        if visits > cfg.iteration_cap:
-            raise AnalysisLimitError(loc, cfg.iteration_cap, visits,
-                                     update_count.get(loc, 0))
-        for instr in frame.by_source.get(loc, ()):
-            new = frame.transfer(instr, facts[loc], facts)
-            if is_bottom(new):
-                continue
-            tgt = instr.target
-            dom = frame.domain_at[tgt]
-            cur = facts[tgt]
-            joined = dom.join(cur, new)
-            if use_widening and tgt in frame.widen_points:
-                if update_count.get(tgt, 0) >= WIDEN_DELAY:
-                    joined = dom.widen(cur, joined)
-            if dom.equal(joined, cur):
-                continue
-            facts[tgt] = joined
-            update_count[tgt] = update_count.get(tgt, 0) + 1
-            if tgt not in queued:
-                worklist.append(tgt)
-                queued.add(tgt)
-            for acq_src in frame.dependents.get(tgt, ()):
-                if acq_src not in queued:
-                    worklist.append(acq_src)
-                    queued.add(acq_src)
+    while rounds:
+        tid = rounds.popleft()
+        heap = pending[tid]
+        for loc in deferred[tid]:
+            if loc not in queued:
+                heappush(heap, rank[loc])
+                queued.add(loc)
+        deferred[tid] = set()
+        changes: dict[int, int] = {}  # changes of a location's fact this round
+        while heap:
+            loc = order[heappop(heap)]
+            queued.discard(loc)
+            visits += 1
+            if visits > cfg.iteration_cap:
+                raise AnalysisLimitError(loc, cfg.iteration_cap, visits,
+                                         update_count.get(loc, 0))
+            for instr in frame.by_source.get(loc, ()):
+                new = frame.transfer(instr, facts[loc], facts)
+                if is_bottom(new):
+                    continue
+                tgt = instr.target
+                dom = frame.domain_at[tgt]
+                cur = facts[tgt]
+                joined = dom.join(cur, new)
+                if use_widening and tgt in frame.widen_points:
+                    count = changes.get(tgt, 0) if tgt in heads else update_count.get(tgt, 0)
+                    if count >= WIDEN_DELAY:
+                        joined = dom.widen(cur, joined)
+                if dom.equal(joined, cur):
+                    continue
+                facts[tgt] = joined
+                changes[tgt] = changes.get(tgt, 0) + 1
+                if changes[tgt] == 1:
+                    update_count[tgt] = update_count.get(tgt, 0) + 1
+                if tgt not in queued:
+                    heappush(heap, rank[tgt])
+                    queued.add(tgt)
+                for acq_src in frame.dependents.get(tgt, ()):
+                    other = owner[acq_src]
+                    if other == tid:
+                        deferred[tid].add(acq_src)
+                    elif acq_src not in queued:
+                        heappush(pending[other], rank[acq_src])
+                        queued.add(acq_src)
+                        if other not in rounds:
+                            rounds.append(other)
+        if deferred[tid]:
+            rounds.append(tid)
     return facts
 
 

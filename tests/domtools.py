@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
@@ -32,7 +33,7 @@ from racefree.absdom import (
 from racefree import concrete, metacheck
 from racefree.checker import must_hold_locksets
 from racefree.concrete import reachable_states
-from racefree.engine import make_domain
+from racefree.engine import WIDEN_DELAY, make_domain
 from racefree.lang import (
     _KEYWORDS,
     _TOKEN_RE,
@@ -954,3 +955,44 @@ def octagon_constraints_reference(dom: OctagonDomain, d) -> list[str]:
                 if sba != _NO_BOUND and not -ia[0] - ib[0] <= sba:
                     out.append(f"{va} + {vb} >= {int(-sba)}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the worklist solver before thread rounds
+
+
+def fifo_solve_reference(frame) -> dict:
+    """The engine's worklist loop before thread rounds: one FIFO over every
+    thread's locations, a changed release point re-queuing every acquire of
+    its lock at once, and every change of a widening point counted.  Kept
+    here, not in the engine, for oracle independence: it is the order the
+    thread-round solver (`engine._solve`) replaced, and without widening
+    (environment sets) both must reach the same least fixpoint."""
+    use_widening = frame.cfg.domain != "envset"
+    facts = frame.initial_facts()
+    worklist = deque(sorted(t.entry for t in frame.p.threads))
+    queued = set(worklist)
+    update_count: dict[int, int] = {}
+    while worklist:
+        loc = worklist.popleft()
+        queued.discard(loc)
+        for instr in frame.by_source.get(loc, ()):
+            new = frame.transfer(instr, facts[loc], facts)
+            if is_bottom(new):
+                continue
+            tgt = instr.target
+            dom = frame.domain_at[tgt]
+            cur = facts[tgt]
+            joined = dom.join(cur, new)
+            if use_widening and tgt in frame.widen_points:
+                if update_count.get(tgt, 0) >= WIDEN_DELAY:
+                    joined = dom.widen(cur, joined)
+            if dom.equal(joined, cur):
+                continue
+            facts[tgt] = joined
+            update_count[tgt] = update_count.get(tgt, 0) + 1
+            for nxt in (tgt, *frame.dependents.get(tgt, ())):
+                if nxt not in queued:
+                    worklist.append(nxt)
+                    queued.add(nxt)
+    return facts

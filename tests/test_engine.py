@@ -1,5 +1,9 @@
 """Fixpoint engine: post-fixpoint property, golden facts, determinism."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from racefree import lang
@@ -14,6 +18,8 @@ from racefree.engine import (
     make_domain,
 )
 from racefree.lang import desugar, parse_program, parse_region_text
+
+from domtools import fifo_solve_reference, random_race_free_programs
 
 
 def base(fact):
@@ -161,16 +167,26 @@ thread t {
 
 
 def test_widen_points_match_recursive_dfs():
+    """Also: no acquire target is a loop head, which the termination
+    argument of the thread rounds reads, even where an acquire or a release
+    comes right before a while head."""
     from racefree import corpus
     from racefree.engine import _Frame
     from racefree.lang import Acquire
 
     programs = [corpus.load(n) for n in corpus.names()]
+    programs.append(desugar(parse_program(GUARDED)))
+    programs.append(desugar(parse_program(
+        "var c;\nlock m;\nthread t { acquire(m); while (c < 2) { release(m); acquire(m);"
+        " while (c < 1) { c := c + 1; } } release(m); }")))
     programs.append(desugar(parse_program(NESTED_LOOPS)))
     for p in programs:
         frame = _Frame(p, AnalysisConfig())
         acquire_targets = {i.target for i in p.instructions if isinstance(i.command, Acquire)}
-        assert frame.widen_points == _widen_points_recursive(p) | acquire_targets
+        assert frame.heads == _widen_points_recursive(p)
+        assert frame.widen_points == frame.heads | acquire_targets
+        assert not frame.heads & acquire_targets
+    assert len(_widen_points_recursive(programs[-2])) == 2
     assert len(_widen_points_recursive(programs[-1])) == 3  # one head per loop
 
 
@@ -330,3 +346,78 @@ def test_collecting_regrel_keeps_equality(coupled_xy, coupled_xy_regions):
 def test_collecting_reports_clamping(double_increment):
     res = collecting_fixpoint(double_increment, AnalysisConfig(analysis="rel"), (-2, 2))
     assert res.clamped
+
+
+# ---------------------------------------------------------------------------
+# thread rounds
+
+# a sync cycle inside one thread: each release feeds the thread's own acquire
+INCREMENT_LOOP = """var x, c;
+lock m;
+thread t {
+  while (c < 5) { acquire(m); x := x + 1; release(m); c := c + 1; }
+  assert(x >= 0);
+}
+"""
+
+# a sync cycle through two threads: each release feeds the other's acquire
+PING_PONG = """var x;
+lock m;
+thread ping { acquire(m); x := x + 1; assert(x >= 1); release(m); }
+thread pong { acquire(m); x := x + 1; assert(x >= 1); release(m); }
+"""
+
+ROUND_CONFIGS = {
+    "valset": dict(analysis="valset", domain="interval"),
+    "rel": dict(analysis="rel", domain="octagon"),
+    "regrel": dict(analysis="regrel", domain="octagon"),
+    "regrel-recency": dict(analysis="regrel", domain="octagon", recency=True),
+}
+
+
+@pytest.mark.parametrize("src", [INCREMENT_LOOP, PING_PONG], ids=["loop", "ping-pong"])
+@pytest.mark.parametrize("config", ROUND_CONFIGS)
+def test_sync_cycles_reach_a_fixpoint_far_below_the_cap(src, config):
+    """x grows without bound around each sync cycle: the rounds must cut
+    the cycle and widen, well within 100 of the 10,000 visits allowed."""
+    p = desugar(parse_program(src))
+    cfg = AnalysisConfig(**ROUND_CONFIGS[config], iteration_cap=100)
+    facts = analyze_fixpoint(p, cfg)
+    dom = make_domain(cfg, p.variables)
+    for a in p.assertions:
+        fact = base(facts[a.location])
+        assert dom.entails(fact, a.cond)
+        assert not dom.entails(fact, cond(p, "x <= 1000"))
+
+
+def test_collecting_facts_do_not_depend_on_the_order():
+    """Without widening the rounds reach the least fixpoint, as the FIFO
+    order of the reference solver does, with the same clamping."""
+    from racefree import corpus
+    from racefree.engine import _Frame
+
+    programs = [corpus.load(n) for n in corpus.names()]
+    programs += [p for _, p in random_race_free_programs(12, seed=5)]
+    programs += [desugar(parse_program(src)) for src in (INCREMENT_LOOP, PING_PONG)]
+    box = (-3, 3)
+    for p in programs:
+        for analysis in ("valset", "rel", "regrel"):
+            cfg = AnalysisConfig(analysis=analysis)
+            res = collecting_fixpoint(p, cfg, box)
+            frame = _Frame(p, replace(cfg, domain="envset", value_box=box))
+            assert res.facts == fifo_solve_reference(frame)
+            assert res.clamped == frame.domain.clamped
+
+
+def test_round_facts_pass_the_independent_check_at_workload_size():
+    """The solver's facts (before narrowing) on the scaled golden programs,
+    8-48 octagon literals, pass the check that recomputes every transfer."""
+    from racefree.engine import _Frame, _solve
+
+    golden = Path(__file__).parent / "golden" / "analyze_scaled.json"
+    for name, src in sorted(json.loads(golden.read_text())["sources"].items()):
+        p = desugar(parse_program(src))
+        for config in ("rel", "regrel"):
+            cfg = AnalysisConfig(**ROUND_CONFIGS[config])
+            facts = _solve(_Frame(p, cfg))
+            check_postfixpoint(p, cfg, facts)  # frame=None: must not raise
