@@ -799,14 +799,6 @@ class EnvSetDomain:
             out.add(tuple(env))
         return frozenset(out)
 
-    def product_closure(self, d):
-        """Value-set collapse: the full product of per-variable value sets."""
-        self._check(d)
-        d = self._norm(d)
-        if not d:
-            return d
-        return self.mix([d], [(i,) for i in range(self.n)])
-
     def entails(self, d, b: BoolExpr) -> bool:
         return self.equal(self.assume(d, NotExpr(b)), frozenset())
 
@@ -896,9 +888,6 @@ class RecencyDomain:
                         if not is_bottom(f.elem) and f.tids != {self.tid}]
         mixed = self.inner.mix([f.elem for f in kept], partition)
         return self._fact(mixed, frozenset().union(*(f.tids for f in kept)))
-
-    def product_closure(self, d: RecencyFact) -> RecencyFact:
-        return RecencyFact(self.inner.product_closure(d.elem), d.tids)
 
 
 # ---------------------------------------------------------------------------

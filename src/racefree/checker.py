@@ -164,13 +164,12 @@ def check_assertions(
     program_name: str = "<program>",
 ) -> Report:
     domain = make_domain(cfg, p.variables)
-    regions = cfg.regions or p.regions
     report = Report(
         program=program_name,
         analysis=cfg.analysis,
         domain=cfg.domain,
         recency=cfg.recency,
-        regions=[{"name": name, "vars": list(vs)} for name, vs in regions.members],
+        regions=[{"name": name, "vars": list(vs)} for name, vs in p.regions.members],
         owned_mode=owned.mode,
     )
     for a in p.assertions:

@@ -40,8 +40,6 @@ from .metacheck import (
     PreconditionError,
     check_correspondence,
     check_local_abstraction,
-    check_version_invariants,
-    race_free_owned,
 )
 from .syncfg import build_syncfg, to_dot
 
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     program = _load_program(args.program)
-    regions = _load_regions(args.regions, program)
+    program = program.with_regions(_load_regions(args.regions, program))
     havoc = _havoc_set(args.havoc_set)
     domain = args.domain or ("interval" if args.analysis == "valset" else "octagon")
     try:
@@ -175,7 +173,6 @@ def _cmd_analyze(args) -> int:
         analysis=args.analysis,
         domain=domain,
         recency=args.recency,
-        regions=regions,
         havoc_values=havoc,
         value_box=box,
     )
@@ -275,11 +272,9 @@ def _cmd_metacheck(args) -> int:
     program = _load_program(args.program)
     regions = _load_regions(args.regions, program)
     havoc = _havoc_set(args.havoc_set)
-    # one walk of the standard tree checks the race precondition of the two
-    # walks below and gives the owned sets the version invariants read
-    owned = race_free_owned(program, args.depth, havoc)
-    results = [check_correspondence(program, args.depth, havoc, skip_precondition=True)]
-    results.extend(check_version_invariants(program, args.depth, havoc, owned=owned))
+    # one walk of the standard tree checks the race precondition and gives
+    # the owned sets; one walk of the thread-local tree checks the rest
+    results = check_correspondence(program, args.depth, havoc)
     results.append(check_local_abstraction(program, args.samples, args.seed,
                                            havoc_values=havoc))
     if not regions.is_singleton():

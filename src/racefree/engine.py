@@ -54,7 +54,7 @@ from .absdom import (
     singleton_partition,
 )
 from .concrete import ProgramIndex
-from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap, Release
+from .lang import Acquire, Assign, Assume, Instruction, Program, Release
 from .syncfg import build_syncfg
 
 ANALYSES = ("valset", "rel", "regrel")
@@ -83,7 +83,6 @@ class AnalysisConfig:
     analysis: str = "rel"
     domain: str = "octagon"
     recency: bool = False
-    regions: Optional[RegionMap] = None  # defaults to the program's partition
     iteration_cap: int = 10_000
     havoc_values: tuple[int, ...] = (0, 1, 2)
     value_box: tuple[int, int] = (-4, 4)
@@ -110,8 +109,7 @@ def make_domain(cfg: AnalysisConfig, variables: tuple[str, ...]):
 
 def mix_partition(cfg: AnalysisConfig, p: Program) -> tuple[tuple[int, ...], ...]:
     if cfg.analysis == "regrel":
-        regions = cfg.regions or p.regions
-        return regions.index_partition(p.variables)
+        return p.regions.index_partition(p.variables)
     return singleton_partition(len(p.variables))
 
 
@@ -180,7 +178,9 @@ class _Frame:
         else:
             raise TypeError(f"not a command: {c!r}")
         if self.value_set and not is_bottom(out):
-            return dom.product_closure(out)
+            # value sets keep the product of per-variable values: the mix of
+            # the fact alone over the valset's singleton partition
+            return dom.mix((out,), self.partition)
         return out
 
     def initial_facts(self) -> LocationFacts:

@@ -4,15 +4,16 @@ Every check here explores executions exhaustively up to a depth, so a pass
 is evidence at that depth, not a proof.  The checks:
 
 - correspondence: the interleaving and thread-local semantics simulate each
-  other step-for-step on race-free programs, related by the extraction map.
-  One walk over (standard state, thread-local state) pairs checks both
-  directions: a replay of either semantics in the other descends exactly
-  the steps both take with agreeing extraction, so both replays visit the
-  pairs this walk visits;
+  other step-for-step on race-free programs, related by the extraction map;
 - version invariants: write counters are bounded by the number of prior
   writes, exact immediately after a write, maximal at every access, all
   reachable states are admissible, and owned projections agree between the
-  two semantics;
+  two semantics.
+  One walk of the thread-local tree checks both: a node paired with a
+  standard state checks that both semantics take the same steps, and
+  every node checks the invariants.  A replay of either semantics in the
+  other descends exactly the steps both take with agreeing extraction, so
+  both replays visit the paired nodes of this walk;
 - local abstraction: the per-instruction transfer of the location-indexed
   environment-set analysis dominates the thread-local collecting transfer
   through the abstraction that gathers thread environments per location
@@ -89,16 +90,6 @@ class CheckResult:
         return f"{self.name}: {self.instances} instances, {status}"
 
 
-def _require_race_free(p: Program, depth: int, havoc_values, budget, on_node=None) -> None:
-    races = find_data_races(p, depth, havoc_values, budget, on_node=on_node)
-    if races:
-        r = races[0]
-        raise PreconditionError(
-            f"data race on {r.subject!r} within depth {depth}; "
-            f"the correspondence checks assume race freedom"
-        )
-
-
 def race_free_owned(
     p: Program,
     depth: int,
@@ -112,7 +103,12 @@ def race_free_owned(
     race search and the oracle walk the same tree under the same budget,
     so the shared walk trips where either would."""
     visit, owned = owned_probe(p)
-    _require_race_free(p, depth, havoc_values, budget, on_node=visit)
+    races = find_data_races(p, depth, havoc_values, budget, on_node=visit)
+    if races:
+        raise PreconditionError(
+            f"data race on {races[0].subject!r} within depth {depth}; "
+            f"the correspondence checks assume race freedom"
+        )
     return owned()
 
 
@@ -122,22 +118,24 @@ def _trace(path, *instrs) -> str:
     return " ".join(f"{i.source}->{i.target}" for i in steps) or "<initial>"
 
 
-def _recording(step: Callable, result: CheckResult, path) -> Callable:
+def _recording(step: Callable, path, *results: CheckResult) -> Callable:
     """`step`, except that an InadmissibleStateError disables the
-    instruction and is recorded in `result` as a violation after `path`."""
+    instruction and is recorded in each of `results` as a violation after
+    `path`."""
 
     def guarded(p, s, instr, havoc_values, ctx):
         try:
             return step(p, s, instr, havoc_values, ctx)
         except InadmissibleStateError as e:
-            result.fail(_trace(path, instr), f"admissibility broken: {e}")
+            for result in results:
+                result.fail(_trace(path, instr), f"admissibility broken: {e}")
             return ()
 
     return guarded
 
 
 # ---------------------------------------------------------------------------
-# Correspondence (mutual step simulation through the extraction map)
+# Correspondence and version invariants: one walk of the thread-local tree
 
 
 def check_correspondence(
@@ -146,74 +144,26 @@ def check_correspondence(
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     budget: int = DEFAULT_BUDGET,
     local_step_fn: Optional[Callable] = None,
-    skip_precondition: bool = False,
-) -> CheckResult:
-    """Walk the bounded interleaving and thread-local executions together,
-    demanding that both semantics enable the same steps, keyed by
-    (instruction, havoc choices), and that the extraction map takes each
-    thread-local post to the standard post.  Explores at most `budget`
-    (standard state, thread-local state) pairs.
-
-    One walk checks both directions of the simulation.  Replaying the
-    standard steps in the thread-local semantics and replaying the
-    thread-local steps in the standard semantics each descend exactly the
-    edges that both semantics take with agreeing extraction, from the same
-    root; so the two replays visit the same pairs, and the paired walk
-    visits them once.  Each of its nodes is reached through an edge whose
-    extraction matched, so a node's standard state is the extraction of its
-    thread-local state and needs no extraction of its own."""
-    if not skip_precondition:
-        _require_race_free(p, depth, havoc_values, budget)
-    step_local = local_step_fn or local_step
-    ctx = LocalContext(p)
-    result = CheckResult("correspondence")
-
-    # a node is a (standard state, thread-local state) pair
-    def expand(node, path):
-        s, sigma = node
-        local = {(instr, choices): sigma2 for _, instr, choices, sigma2 in
-                 successors(ctx, sigma, _recording(step_local, result, path), havoc_values)}
-        result.instances += len(local)
-        for edge in successors(ctx, s, std_step, havoc_values):
-            _, instr, choices, s2 = edge
-            result.instances += 1
-            sigma2 = local.pop((instr, choices), None)
-            try:
-                if sigma2 is None:
-                    problem = "standard step has no thread-local counterpart"
-                elif extract_state(p, sigma2) != s2:
-                    problem = "extraction differs from the standard state"
-                else:
-                    problem = None
-            except InadmissibleStateError as e:
-                problem = f"admissibility broken: {e}"
-            if problem:
-                result.fail(_trace(path, instr), problem)
-            else:
-                yield edge, (s2, sigma2)
-        for instr, _ in local:  # the steps left are thread-local only
-            result.fail(_trace(path, instr),
-                        "thread-local step disabled in the standard semantics")
-
-    for _ in dfs((initial_state(p), initial_local_state(p, ctx)), depth, budget, expand):
-        pass
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Version invariants
-
-
-def check_version_invariants(
-    p: Program,
-    depth: int,
-    havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
-    local_step_fn: Optional[Callable] = None,
     owned: Optional[dict[tuple[str, int], frozenset[str]]] = None,
 ) -> list[CheckResult]:
     """Walk every bounded thread-local execution (at most `budget` nodes)
-    and assert the counter invariants; returns one result per sub-check.
+    once, checking the correspondence with the interleaving semantics and
+    the counter invariants; returns one result per check: correspondence,
+    version_bound, write_version_exact, max_version_at_access,
+    admissibility, owned_projection.
+
+    A node carries its standard partner, if it has one.  At such a node
+    both semantics must enable the same steps, keyed by (instruction, havoc
+    choices), and the extraction map must take each thread-local post to
+    the standard post.  A child whose step agrees gets the standard post as
+    its partner; any other child gets none, and its subtree is checked for
+    the invariants only.  This one walk checks both directions of the
+    simulation: replaying the standard steps in the thread-local semantics
+    and replaying the thread-local steps in the standard semantics each
+    descend exactly the edges that both take with agreeing extraction, from
+    the same root, so both replays visit the partnered nodes.  A partner is
+    the extraction of its node's thread-local state, so it needs no
+    extraction of its own.
 
     `owned` is the owned-set oracle at the same depth and havoc values,
     given by `race_free_owned`, whose walk has checked the race-freedom
@@ -228,12 +178,14 @@ def check_version_invariants(
     accessed = {id(i): tuple((v, var_index[v]) for v in sorted(set().union(*instr_accesses(i))))
                 for i in p.instructions}
 
+    correspondence = CheckResult("correspondence")
     version_bound = CheckResult("version_bound")
     write_exact = CheckResult("write_version_exact")
     max_at_access = CheckResult("max_version_at_access")
     admissible = CheckResult("admissibility")
     owned_projection = CheckResult("owned_projection")
-    results = [version_bound, write_exact, max_at_access, admissible, owned_projection]
+    results = [correspondence, version_bound, write_exact, max_at_access, admissible,
+               owned_projection]
 
     def newest(sigma: ThreadLocalState) -> tuple[int, ...]:
         """Per variable, the highest version among the components."""
@@ -267,13 +219,20 @@ def check_version_invariants(
                         f"{mine[x]} is not the maximum {top[x]}",
                     )
 
-    # a node is a thread-local state with the number of writes per variable
-    # on the path to it and its `newest` versions
+    # a node is (standard partner or None, thread-local state, the number
+    # of writes per variable on the path to it, its `newest` versions)
     def expand(node, path):
-        sigma, writes, top = node
-        for edge in successors(ctx, sigma, _recording(step_local, admissible, path),
+        s, sigma, writes, top = node
+        if s is None:
+            standard, recorders = {}, (admissible,)
+        else:
+            standard = {(instr, choices): s2 for _, instr, choices, s2 in
+                        successors(ctx, s, std_step, havoc_values)}
+            correspondence.instances += len(standard)
+            recorders = (admissible, correspondence)
+        for edge in successors(ctx, sigma, _recording(step_local, path, *recorders),
                                havoc_values):
-            tid, instr, _, sigma2 = edge
+            tid, instr, choices, sigma2 = edge
             mine = sigma.theta[tid].versions
             max_at_access.instances += 1
             for v, x in accessed[id(instr)]:
@@ -295,13 +254,39 @@ def check_version_invariants(
                         f"post-write version of {cmd.var} is {got}, "
                         f"expected {writes2[x]}",
                     )
-            yield edge, (sigma2, writes2, newest(sigma2))
+            s2 = None
+            if s is not None:
+                correspondence.instances += 1
+                s2 = standard.pop((instr, choices), None)
+                try:
+                    if s2 is None:
+                        problem = "thread-local step disabled in the standard semantics"
+                    elif extract_state(p, sigma2) != s2:
+                        problem = "extraction differs from the standard state"
+                    else:
+                        problem = None
+                except InadmissibleStateError as e:
+                    problem = f"admissibility broken: {e}"
+                if problem:
+                    correspondence.fail(_trace(path, instr), problem)
+                    s2 = None
+            yield edge, (s2, sigma2, writes2, newest(sigma2))
+        for instr, _ in standard:  # the steps left are standard only
+            correspondence.fail(_trace(path, instr),
+                                "standard step has no thread-local counterpart")
 
     sigma0 = initial_local_state(p, ctx)
-    for (sigma, writes, top), path in dfs((sigma0, (0,) * var_count, newest(sigma0)),
-                                          depth, budget, expand):
+    root = (initial_state(p), sigma0, (0,) * var_count, newest(sigma0))
+    for (_, sigma, writes, top), path in dfs(root, depth, budget, expand):
         check_state(sigma, writes, top, path)
     return results
+
+
+def check_version_invariants(*args, **kwargs) -> list[CheckResult]:
+    """The version-invariant results of `check_correspondence`.  The CLI
+    never calls it; it stays because perfbench's tracer looks it up by name
+    and reads a missing name as an absent metric."""
+    return check_correspondence(*args, **kwargs)[1:]
 
 
 # ---------------------------------------------------------------------------

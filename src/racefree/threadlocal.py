@@ -14,7 +14,6 @@ This module is a reference semantics and oracle, not the shipped analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import add
 from typing import Optional
 
@@ -75,25 +74,17 @@ def initial_local_state(p: Program, ctx: Optional[LocalContext] = None) -> Threa
     )
 
 
-def take_newest(var_idx: int, envs: tuple[VersionedEnv, ...]) -> frozenset[tuple[int, int]]:
-    """All (value, version) pairs carrying the highest version of the variable."""
-    if not envs:
-        raise ValueError("take over an empty set of versioned environments")
-    top = max(ve.versions[var_idx] for ve in envs)
-    return frozenset(
-        (ve.values[var_idx], top) for ve in envs if ve.versions[var_idx] == top
-    )
-
-
-def update_env(ve: VersionedEnv, others: tuple[VersionedEnv, ...]) -> tuple[VersionedEnv, ...]:
-    """All recombinations taking each variable at its highest version from
-    {ve} u others; a single environment when the inputs are admissible."""
-    pool = (ve,) + tuple(others)
-    per_var = [sorted(take_newest(i, pool)) for i in range(len(ve.values))]
-    out = []
-    for combo in product(*per_var):
-        out.append(VersionedEnv(tuple(v for v, _ in combo), tuple(n for _, n in combo)))
-    return tuple(out)
+def merge_newest(pool: tuple[VersionedEnv, ...]) -> Optional[VersionedEnv]:
+    """Per variable, the (version, value) pair with the highest version in
+    `pool`; None when two entries carry that version with different values,
+    so that no one environment is the newest."""
+    columns = [max(column) for column in zip(*[zip(ve.versions, ve.values) for ve in pool])]
+    for ve in pool:
+        for version, value, (top, newest) in zip(ve.versions, ve.values, columns):
+            if version == top and value != newest:
+                return None
+    return VersionedEnv(tuple(value for _, value in columns),
+                        tuple(version for version, _ in columns))
 
 
 def components(s: ThreadLocalState) -> tuple[VersionedEnv, ...]:
@@ -150,12 +141,11 @@ def local_step(
         if mu[slot] is not None:
             return ()
         lock = instr.command.lock
-        merged = update_env(mine, tuple(buffers[b] for b in ctx.buffers_of_lock[lock]))
-        if len(merged) != 1:
+        merged = merge_newest((mine, *(buffers[b] for b in ctx.buffers_of_lock[lock])))
+        if merged is None:
             raise InadmissibleStateError(
-                f"acquire of {lock!r} saw conflicting buffered values"
-            )
-        theta2 = theta[:tid] + (merged[0],) + theta[tid + 1:]
+                f"acquire of {lock!r} saw conflicting buffered values")
+        theta2 = theta[:tid] + (merged,) + theta[tid + 1:]
         return (((), ThreadLocalState(pc2, mu[:slot] + (tid,) + mu[slot + 1:], theta2, buffers)),)
     if mu[slot] != tid:
         return ()

@@ -67,10 +67,12 @@ from racefree.threadlocal import (
     InadmissibleStateError,
     LocalContext,
     ThreadLocalState,
+    VersionedEnv,
+    components,
     extract_state,
     initial_local_state,
+    is_admissible,
     local_step,
-    take_newest,
 )
 
 BOX = (-4, 4)
@@ -757,7 +759,7 @@ def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
         except InadmissibleStateError as e:
             result.fail(_trace(path), f"admissibility broken: {e}")
             return
-        for edge in concrete.successors(ctx, sigma, _recording(step_local, result, path),
+        for edge in concrete.successors(ctx, sigma, _recording(step_local, path, result),
                                         havoc_values):
             _, instr, choices, sigma2 = edge
             result.instances += 1
@@ -767,7 +769,7 @@ def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
                 if not match:
                     problem = "thread-local step disabled in the standard semantics"
                 elif match[0] != extract_state(p, sigma2):
-                    problem = "standard successor disagrees with extraction"
+                    problem = "extraction differs from the standard state"
                 else:
                     problem = None
             except InadmissibleStateError as e:
@@ -783,6 +785,107 @@ def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
     for _ in concrete.dfs(init, depth, budget, bwd):
         pass
     return result
+
+
+def version_invariants_reference(p, depth, owned, havoc_values=concrete.DEFAULT_HAVOC,
+                                 budget=concrete.DEFAULT_BUDGET,
+                                 local_step_fn=None) -> list[CheckResult]:
+    """The version-invariant results of `metacheck.check_correspondence` as
+    a walk of the thread-local tree of their own, without the race
+    precondition, reading the owned-set oracle `owned`.  Kept for oracle
+    independence, as `two_way_correspondence` is kept beside the paired
+    walk: it is the reference of the one walk's invariant checks."""
+    step_local = local_step_fn or local_step
+    ctx = LocalContext(p)
+    var_count = len(p.variables)
+    var_index = ctx.var_index
+    version_bound = CheckResult("version_bound")
+    write_exact = CheckResult("write_version_exact")
+    max_at_access = CheckResult("max_version_at_access")
+    admissible = CheckResult("admissibility")
+    owned_projection = CheckResult("owned_projection")
+
+    def newest(sigma):
+        return tuple(max(ve.versions[x] for ve in components(sigma))
+                     for x in range(var_count))
+
+    def check_state(sigma, writes, path):
+        top = newest(sigma)
+        version_bound.instances += 1
+        for ve in components(sigma):
+            for x in range(var_count):
+                if ve.versions[x] > writes[x]:
+                    version_bound.fail(_trace(path), f"version of {p.variables[x]} is "
+                                       f"{ve.versions[x]} after {writes[x]} writes")
+        admissible.instances += 1
+        if not is_admissible(sigma):
+            admissible.fail(_trace(path), "inadmissible reachable state")
+        owned_projection.instances += 1
+        for tid, t in enumerate(p.threads):
+            for v in owned[t.name, sigma.pc[tid]]:
+                x = var_index[v]
+                if sigma.theta[tid].versions[x] != top[x]:
+                    owned_projection.fail(
+                        _trace(path), f"{t.name} owns {v} at {sigma.pc[tid]} but its "
+                        f"version {sigma.theta[tid].versions[x]} is not the maximum {top[x]}")
+
+    def expand(node, path):
+        sigma, writes = node
+        top = newest(sigma)
+        for edge in concrete.successors(ctx, sigma, _recording(step_local, path, admissible),
+                                        havoc_values):
+            tid, instr, _, sigma2 = edge
+            mine = sigma.theta[tid].versions
+            max_at_access.instances += 1
+            for v in sorted(set().union(*instr_accesses(instr))):
+                x = var_index[v]
+                if mine[x] != top[x]:
+                    max_at_access.fail(_trace(path, instr),
+                                       f"access of {v} with version {mine[x]} < max {top[x]}")
+            writes2 = writes
+            if isinstance(instr.command, Assign):
+                var = instr.command.var
+                x = var_index[var]
+                writes2 = tuple(n + (k == x) for k, n in enumerate(writes))
+                write_exact.instances += 1
+                got = sigma2.theta[tid].versions[x]
+                if got != writes2[x]:
+                    write_exact.fail(_trace(path, instr), f"post-write version of {var} "
+                                     f"is {got}, expected {writes2[x]}")
+            yield edge, (sigma2, writes2)
+
+    for (sigma, writes), path in concrete.dfs((initial_local_state(p, ctx), (0,) * var_count),
+                                              depth, budget, expand):
+        check_state(sigma, writes, path)
+    return [version_bound, write_exact, max_at_access, admissible, owned_projection]
+
+
+# ---------------------------------------------------------------------------
+# the newest-version merge of an acquire, by recombination
+
+
+def take_newest(var_idx: int, envs: tuple[VersionedEnv, ...]) -> frozenset[tuple[int, int]]:
+    """All (value, version) pairs carrying the highest version of the variable."""
+    if not envs:
+        raise ValueError("take over an empty set of versioned environments")
+    top = max(ve.versions[var_idx] for ve in envs)
+    return frozenset(
+        (ve.values[var_idx], top) for ve in envs if ve.versions[var_idx] == top
+    )
+
+
+def update_env(ve: VersionedEnv, others: tuple[VersionedEnv, ...]) -> tuple[VersionedEnv, ...]:
+    """All recombinations taking each variable at its highest version from
+    {ve} u others; a single environment when the inputs are admissible.
+    Kept for oracle independence, as `two_way_correspondence` is kept
+    beside the paired walk: it is the reference of `threadlocal.merge_newest`,
+    the one merge of `local_step`'s acquire."""
+    pool = (ve,) + tuple(others)
+    per_var = [sorted(take_newest(i, pool)) for i in range(len(ve.values))]
+    out = []
+    for combo in product(*per_var):
+        out.append(VersionedEnv(tuple(v for v, _ in combo), tuple(n for _, n in combo)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from racefree.lang import RegionMap, desugar, eval_bool, parse_program
 from racefree.metacheck import (
     check_correspondence,
     check_local_abstraction,
-    check_version_invariants,
 )
 
 BOX = (-4, 4)
@@ -62,9 +61,8 @@ def base(fact):
     return fact.elem if isinstance(fact, RecencyFact) else fact
 
 
-def verdicts(p, regions, analysis, domain, owned, recency=False):
-    cfg = AnalysisConfig(analysis=analysis, domain=domain, regions=regions,
-                         recency=recency)
+def verdicts(p, analysis, domain, owned, recency=False):
+    cfg = AnalysisConfig(analysis=analysis, domain=domain, recency=recency)
     facts = analyze_fixpoint(p, cfg)
     report = check_assertions(p, facts, owned, cfg)
     return {a.location: a.proved for a in report.assertions}, facts, cfg
@@ -89,9 +87,10 @@ def test_criterion_1_precision_triple(coupled_xy, coupled_xy_regions):
     counter.  Exact verdicts, under one second."""
     t0 = time.monotonic()
     owned = compute_owned_static(coupled_xy)
-    regrel, _, _ = verdicts(coupled_xy, coupled_xy_regions, "regrel", "octagon", owned)
-    rel, _, _ = verdicts(coupled_xy, None, "rel", "octagon", owned)
-    valset, _, _ = verdicts(coupled_xy, None, "valset", "interval", owned)
+    regrel, _, _ = verdicts(coupled_xy.with_regions(coupled_xy_regions), "regrel",
+                            "octagon", owned)
+    rel, _, _ = verdicts(coupled_xy, "rel", "octagon", owned)
+    valset, _, _ = verdicts(coupled_xy, "valset", "interval", owned)
     elapsed = time.monotonic() - t0
     ok = (
         regrel == {5: True, 9: True, 11: True}
@@ -108,9 +107,9 @@ def test_criterion_2_recency_bound(capped_counter):
     fails; with recency the bound is finite and the assertion is proved."""
     t0 = time.monotonic()
     owned = compute_owned_static(capped_counter)
-    plain, plain_facts, cfg = verdicts(capped_counter, None, "rel", "octagon", owned)
-    tagged, tagged_facts, _ = verdicts(capped_counter, None, "rel", "octagon",
-                                       owned, recency=True)
+    plain, plain_facts, cfg = verdicts(capped_counter, "rel", "octagon", owned)
+    tagged, tagged_facts, _ = verdicts(capped_counter, "rel", "octagon", owned,
+                                       recency=True)
     dom = make_domain(cfg, capped_counter.variables)
     hi_plain = dom.intervals_of(base(plain_facts[3]))[0][1]
     hi_tagged = dom.intervals_of(base(tagged_facts[3]))[0][1]
@@ -131,7 +130,7 @@ def test_criterion_3_unprotected_read(flag_handoff):
     semantic owned oracle the final assertion is proved."""
     t0 = time.monotonic()
     owned = compute_owned_oracle(flag_handoff, 12)
-    got, _, _ = verdicts(flag_handoff, None, "rel", "octagon", owned)
+    got, _, _ = verdicts(flag_handoff, "rel", "octagon", owned)
     elapsed = time.monotonic() - t0
     ok = got == {13: True} and elapsed < 5.0
     _report_line(3, ok, elapsed, f"verdicts={got}")
@@ -200,9 +199,9 @@ def test_criterion_4_collecting_golden_rows(double_increment, double_increment_r
     parsed with the artifact grammar and must denote exactly the computed
     set inside the value box."""
     t0 = time.monotonic()
-    p = double_increment
+    p = double_increment.with_regions(double_increment_regions)
     styles = {
-        "vrel_style": AnalysisConfig(analysis="regrel", regions=double_increment_regions),
+        "vrel_style": AnalysisConfig(analysis="regrel"),
         "rel": AnalysisConfig(analysis="rel"),
         "valset": AnalysisConfig(analysis="valset", domain="envset"),
     }
@@ -228,14 +227,10 @@ def test_criterion_5_metatheory_at_depth(full_corpus):
     failures = []
     total = 0
     for name, p in full_corpus:
-        r = check_correspondence(p, 12, havoc_values=(0, 1, 2))
-        total += r.instances
-        if not r.passed:
-            failures.append((name, r.name, r.violations[:1]))
-        for sub in check_version_invariants(p, 12, havoc_values=(0, 1, 2)):
-            total += sub.instances
-            if not sub.passed:
-                failures.append((name, sub.name, sub.violations[:1]))
+        for r in check_correspondence(p, 12, havoc_values=(0, 1, 2)):
+            total += r.instances
+            if not r.passed:
+                failures.append((name, r.name, r.violations[:1]))
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 300.0
     _report_line(5, ok, elapsed,
@@ -411,15 +406,14 @@ def test_criterion_9_precision_partial_order(full_corpus, coupled_xy_regions,
                 "double_increment": double_increment_regions}
     violations = []
     for name, p in full_corpus:
-        regions = declared.get(name, p.regions)
+        p = p.with_regions(declared.get(name, p.regions))
         pts = box_points(len(p.variables), BOX)
         configs = {
             "VS": AnalysisConfig(analysis="valset", domain="interval"),
             "Rel": AnalysisConfig(analysis="rel", domain="octagon"),
             "RelT": AnalysisConfig(analysis="rel", domain="octagon", recency=True),
-            "Reg": AnalysisConfig(analysis="regrel", domain="octagon", regions=regions),
-            "RegT": AnalysisConfig(analysis="regrel", domain="octagon",
-                                   regions=regions, recency=True),
+            "Reg": AnalysisConfig(analysis="regrel", domain="octagon"),
+            "RegT": AnalysisConfig(analysis="regrel", domain="octagon", recency=True),
         }
         masks = {}
         for key, cfg in configs.items():

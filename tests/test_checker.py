@@ -101,16 +101,16 @@ def test_static_owned_matches_the_reference_scan():
 
 
 def test_report_verdicts_per_analysis(coupled_xy, coupled_xy_regions):
-    owned = compute_owned_static(coupled_xy)
+    p = coupled_xy.with_regions(coupled_xy_regions)
+    owned = compute_owned_static(p)
     expectations = {
         ("regrel", "octagon"): {5: True, 9: True, 11: True},
         ("rel", "octagon"): {5: True, 9: True, 11: False},
         ("valset", "interval"): {5: False, 9: True, 11: False},
     }
     for (analysis, domain), want in expectations.items():
-        facts, cfg = analyze(coupled_xy, analysis=analysis, domain=domain,
-                             regions=coupled_xy_regions)
-        report = check_assertions(coupled_xy, facts, owned, cfg, "coupled_xy")
+        facts, cfg = analyze(p, analysis=analysis, domain=domain)
+        report = check_assertions(p, facts, owned, cfg, "coupled_xy")
         got = {a.location: a.proved for a in report.assertions}
         assert got == want, analysis
 
@@ -148,9 +148,9 @@ def test_proved_monotone_in_owned_set(flag_handoff):
 def test_proved_assertions_hold_in_bounded_executions(coupled_xy, coupled_xy_regions):
     """Desk-scale soundness: Proved conditions hold whenever the thread sits
     at the assert location in any execution up to the test depth."""
-    facts, cfg = analyze(coupled_xy, analysis="regrel", domain="octagon",
-                         regions=coupled_xy_regions)
-    report = check_assertions(coupled_xy, facts, compute_owned_static(coupled_xy), cfg)
+    p = coupled_xy.with_regions(coupled_xy_regions)
+    facts, cfg = analyze(p, analysis="regrel", domain="octagon")
+    report = check_assertions(p, facts, compute_owned_static(p), cfg)
     proved = {(a.thread, a.location) for a in report.assertions if a.proved}
     assert proved
     by_loc = {a.location: a for a in coupled_xy.assertions}
@@ -174,13 +174,12 @@ REFERENCE_CONFIGS = list(product(
     (False, True)))
 
 
-def assert_discharge_matches_projection(p, owned_maps, regions=None) -> int:
+def assert_discharge_matches_projection(p, owned_maps) -> int:
     """`check_assertions` gives the verdicts and reasons of the projecting
     reference discharge; returns how many assertions passed the owned gate."""
     gated = 0
     for (analysis, domain), recency in REFERENCE_CONFIGS:
-        cfg = AnalysisConfig(analysis=analysis, domain=domain, recency=recency,
-                             regions=regions)
+        cfg = AnalysisConfig(analysis=analysis, domain=domain, recency=recency)
         facts = analyze_fixpoint(p, cfg)
         for owned in owned_maps:
             got = [(a.proved, a.reason) for a in
@@ -194,9 +193,10 @@ def assert_discharge_matches_projection(p, owned_maps, regions=None) -> int:
 def test_discharge_matches_projection_on_corpus(name):
     p = corpus.load(name)
     text = corpus.REGION_TEXTS.get(name)
-    regions = parse_region_text(text, p.variables) if text else None
+    if text:
+        p = p.with_regions(parse_region_text(text, p.variables))
     owned_maps = (compute_owned_static(p), compute_owned_oracle(p, 12))
-    gated = assert_discharge_matches_projection(p, owned_maps, regions)
+    gated = assert_discharge_matches_projection(p, owned_maps)
     assert gated or not p.assertions
 
 
@@ -212,10 +212,9 @@ def test_discharge_matches_projection_on_random_programs():
 
 
 def test_json_schema_shape(coupled_xy, coupled_xy_regions):
-    facts, cfg = analyze(coupled_xy, analysis="regrel", domain="octagon",
-                         regions=coupled_xy_regions)
-    report = check_assertions(coupled_xy, facts, compute_owned_static(coupled_xy),
-                              cfg, "coupled_xy")
+    p = coupled_xy.with_regions(coupled_xy_regions)
+    facts, cfg = analyze(p, analysis="regrel", domain="octagon")
+    report = check_assertions(p, facts, compute_owned_static(p), cfg, "coupled_xy")
     report.timing_ms = {"analysis": 0, "total": 0}
     blob = json.loads(emit_report(report, "json"))
     assert blob["program"] == "coupled_xy"
@@ -228,9 +227,9 @@ def test_json_schema_shape(coupled_xy, coupled_xy_regions):
 
 
 def test_text_format_lines(coupled_xy, coupled_xy_regions):
-    facts, cfg = analyze(coupled_xy, analysis="regrel", domain="octagon",
-                         regions=coupled_xy_regions)
-    report = check_assertions(coupled_xy, facts, compute_owned_static(coupled_xy), cfg)
+    p = coupled_xy.with_regions(coupled_xy_regions)
+    facts, cfg = analyze(p, analysis="regrel", domain="octagon")
+    report = check_assertions(p, facts, compute_owned_static(p), cfg)
     text = emit_report(report, "text")
     assert "loc 11 [t2] assert(x == y): PROVED" in text
 

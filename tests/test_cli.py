@@ -198,6 +198,18 @@ def test_metacheck_walks_the_standard_tree_once(fig_file, monkeypatch):
     assert calls == ["_find_races", "clocked_walk"]
 
 
+def test_metacheck_walks_the_thread_local_tree_once(fig_file, monkeypatch):
+    """The correspondence and the version invariants come from one walk
+    of the thread-local tree."""
+    from racefree import metacheck
+
+    walks = []
+    monkeypatch.setattr(metacheck, "dfs",
+                        lambda *a, _dfs=metacheck.dfs: walks.append(a[1]) or _dfs(*a))
+    assert run_cli(["metacheck", "--depth", "6", "--samples", "5", fig_file]) == 0
+    assert walks == [6]
+
+
 def test_metacheck_refuses_racy_input(tmp_path, capsys):
     f = tmp_path / "racy.cp"
     f.write_text("var x;\nthread a { x := 1; }\nthread b { x := 2; }\n")

@@ -18,6 +18,7 @@ from domtools import (
     scaled,
     strip_locks,
     unreduced,
+    update_env,
 )
 from racefree import corpus
 from racefree.concrete import (
@@ -67,7 +68,6 @@ from racefree.threadlocal import (
     VersionedEnv,
     initial_local_state,
     local_step,
-    update_env,
 )
 
 TWO_STEPS = "var a, b;\nthread t1 { a := 1; }\nthread t2 { b := 1; }"

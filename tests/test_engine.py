@@ -58,16 +58,17 @@ def test_postfixpoint_holds_on_all_configs():
     for name in corpus.names():
         p = corpus.load(name)
         text = corpus.REGION_TEXTS.get(name)
-        regions = parse_region_text(text, p.variables) if text else None
+        if text:
+            p = p.with_regions(parse_region_text(text, p.variables))
         for kw in CHECK_CONFIGS:
-            cfg = AnalysisConfig(**kw, regions=regions)
+            cfg = AnalysisConfig(**kw)
             facts = analyze_fixpoint(p, cfg)
             check_postfixpoint(p, cfg, facts)  # frame=None: must not raise
 
 
 def test_regrel_equality_at_acquire_target(coupled_xy, coupled_xy_regions):
-    facts, cfg = run(coupled_xy, analysis="regrel", domain="octagon",
-                     regions=coupled_xy_regions)
+    facts, cfg = run(coupled_xy.with_regions(coupled_xy_regions), analysis="regrel",
+                     domain="octagon")
     dom = make_domain(cfg, coupled_xy.variables)
     assert dom.entails(base(facts[11]), cond(coupled_xy, "x == y"))
 
@@ -109,10 +110,9 @@ def test_recency_tags_track_writes_only(capped_counter):
 
 
 def test_determinism(coupled_xy, coupled_xy_regions):
-    a, _ = run(coupled_xy, analysis="regrel", domain="octagon",
-               regions=coupled_xy_regions)
-    b, _ = run(coupled_xy, analysis="regrel", domain="octagon",
-               regions=coupled_xy_regions)
+    p = coupled_xy.with_regions(coupled_xy_regions)
+    a, _ = run(p, analysis="regrel", domain="octagon")
+    b, _ = run(p, analysis="regrel", domain="octagon")
     assert set(a) == set(b)
     for loc in a:
         assert base(a[loc]) == base(b[loc])
@@ -337,8 +337,8 @@ def test_collecting_empty_body_thread():
 
 
 def test_collecting_regrel_keeps_equality(coupled_xy, coupled_xy_regions):
-    cfg = AnalysisConfig(analysis="regrel", regions=coupled_xy_regions)
-    res = collecting_fixpoint(coupled_xy, cfg, (0, 3))
+    cfg = AnalysisConfig(analysis="regrel")
+    res = collecting_fixpoint(coupled_xy.with_regions(coupled_xy_regions), cfg, (0, 3))
     assert res.facts[11]
     assert all(env[0] == env[1] for env in res.facts[11])  # x == y throughout
 

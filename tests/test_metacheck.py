@@ -8,6 +8,7 @@ from domtools import (
     local_abstraction_reference,
     random_race_free_programs,
     two_way_correspondence,
+    version_invariants_reference,
 )
 
 from racefree import concrete, corpus, metacheck
@@ -88,17 +89,24 @@ def no_assign_step(p, s, instr, havoc_values, ctx):
     return local_step(p, s, instr, havoc_values, ctx)
 
 
+BROKEN_STEPS = (no_import_step, no_bump, acquire_held_step, no_assign_step)
+
+
 # ---------------------------------------------------------------------------
 # correspondence
 
 
 def test_correspondence_coupled_xy(coupled_xy):
-    r = check_correspondence(coupled_xy, 13)
-    assert r.passed and r.instances > 0
+    results = check_correspondence(coupled_xy, 13)
+    assert [r.name for r in results] == [
+        "correspondence", "version_bound", "write_version_exact", "max_version_at_access",
+        "admissibility", "owned_projection"]
+    for r in results:
+        assert r.passed and r.instances > 0, r.summary()
 
 
 def test_correspondence_depth_zero(coupled_xy):
-    r = check_correspondence(coupled_xy, 0)
+    r = check_correspondence(coupled_xy, 0)[0]
     assert r.passed and r.instances == 0
 
 
@@ -110,8 +118,8 @@ def test_correspondence_requires_race_freedom():
 def test_correspondence_catches_broken_acquire():
     """Fault injection: an acquire that ignores the buffers must be caught."""
     handoff = prog(HANDOFF)
-    assert check_correspondence(handoff, 8).passed
-    r = check_correspondence(handoff, 8, local_step_fn=no_import_step)
+    assert check_correspondence(handoff, 8)[0].passed
+    r = check_correspondence(handoff, 8, local_step_fn=no_import_step)[0]
     assert not r.passed
 
 
@@ -122,49 +130,56 @@ def explanations(r):
 def test_correspondence_catches_a_step_only_the_thread_local_semantics_takes():
     """Fault injection: an acquire of a lock another thread holds is a
     thread-local step that the standard semantics disables."""
-    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=acquire_held_step)
+    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=acquire_held_step)[0]
     assert explanations(r) == {"thread-local step disabled in the standard semantics"}
 
 
 def test_correspondence_catches_a_step_only_the_standard_semantics_takes():
     """Fault injection: a thread-local semantics without assigns leaves
     every standard assign without a counterpart."""
-    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=no_assign_step)
+    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=no_assign_step)[0]
     assert explanations(r) == {"standard step has no thread-local counterpart"}
 
 
 def test_correspondence_walks_once(coupled_xy, monkeypatch):
-    """Both directions are checked by one walk of the paired tree."""
+    """Both directions of the correspondence and the version invariants
+    are checked by one walk of the thread-local tree."""
     walks = []
     monkeypatch.setattr(metacheck, "dfs",
                         lambda *a, _dfs=metacheck.dfs: walks.append(1) or _dfs(*a))
-    assert check_correspondence(coupled_xy, 8, skip_precondition=True).passed
+    results = check_correspondence(coupled_xy, 8, owned=owned_vars_oracle(coupled_xy, 8))
+    assert all(r.passed for r in results)
     assert len(walks) == 1
 
 
+def summaries(results):
+    return [(r.name, r.instances, r.passed, explanations(r)) for r in results]
+
+
 def test_one_walk_matches_the_two_walk_reference():
-    """The paired walk counts the instances the two replays count, with
-    the same verdict: a pass on race-free programs, a failure under each
-    broken semantics."""
+    """The one walk gives, per check, the instances, verdict and
+    explanations of the two replays of the correspondence and of the
+    version invariants' own walk: a pass on race-free programs, a failure
+    under each broken semantics."""
     cases = [(p, depth, None) for p in map(corpus.load, corpus.names())
              for depth in range(11)]
     cases += [(p, depth, None) for _, p in random_race_free_programs(12, seed=5)
               for depth in (4, 8, 10)]
-    cases += [(prog(HANDOFF), 8, no_import_step),
-              (corpus.load("coupled_xy"), 6, no_bump)]
+    cases += [(p, depth, step) for step in BROKEN_STEPS
+              for p, depth in ((prog(HANDOFF), 8), (corpus.load("coupled_xy"), 10))]
     for p, depth, step in cases:
-        one = check_correspondence(p, depth, local_step_fn=step, skip_precondition=True)
-        two = two_way_correspondence(p, depth, local_step_fn=step)
-        assert (one.instances, one.passed) == (two.instances, two.passed), (p, depth)
-        assert one.passed == (step is None), (p, depth)
+        owned = owned_vars_oracle(p, depth)
+        one = check_correspondence(p, depth, local_step_fn=step, owned=owned)
+        two = [two_way_correspondence(p, depth, local_step_fn=step),
+               *version_invariants_reference(p, depth, owned, local_step_fn=step)]
+        assert summaries(one) == summaries(two), (p, depth, step)
+        assert all(r.passed for r in one) == (step is None), (p, depth, step)
 
 
 def test_walks_keep_the_budget_without_the_precondition(coupled_xy):
     with pytest.raises(ExplorationLimitError, match="after 6 nodes"):
-        check_correspondence(coupled_xy, 10, budget=5, skip_precondition=True)
-    with pytest.raises(ExplorationLimitError, match="after 6 nodes"):
-        check_version_invariants(coupled_xy, 10, budget=5,
-                                 owned=owned_vars_oracle(coupled_xy, 10))
+        check_correspondence(coupled_xy, 10, budget=5,
+                             owned=owned_vars_oracle(coupled_xy, 10))
 
 
 def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
@@ -175,9 +190,7 @@ def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
     assert nodes == 183
     with pytest.raises(ExplorationLimitError):
         check_correspondence(coupled_xy, 10, budget=nodes - 1)
-    assert check_correspondence(coupled_xy, 10, budget=nodes).passed
-    results = check_version_invariants(coupled_xy, 10, budget=nodes)
-    for r in results:
+    for r in check_correspondence(coupled_xy, 10, budget=nodes):
         assert r.passed, r.summary()
 
 
@@ -407,6 +420,5 @@ def test_random_programs_propagate_unexpected_errors(monkeypatch):
 
 def test_random_programs_pass_the_checks():
     for name, p in random_race_free_programs(4, seed=9):
-        assert check_correspondence(p, 10).passed, name
-        for r in check_version_invariants(p, 8):
+        for r in check_correspondence(p, 10) + check_version_invariants(p, 8):
             assert r.passed, (name, r.summary())

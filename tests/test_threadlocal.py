@@ -7,11 +7,13 @@ from domtools import (
     enumerate_local_executions,
     extract_state_reference,
     is_admissible_reference,
+    take_newest,
+    update_env,
 )
 
 from racefree import corpus
 from racefree.concrete import initial_state, reachable
-from racefree.lang import desugar, parse_program
+from racefree.lang import Acquire, desugar, parse_program
 from racefree.threadlocal import (
     InadmissibleStateError,
     LocalContext,
@@ -21,8 +23,7 @@ from racefree.threadlocal import (
     initial_local_state,
     is_admissible,
     local_step,
-    take_newest,
-    update_env,
+    merge_newest,
 )
 
 
@@ -83,17 +84,55 @@ def test_update_env_imports_newer_values():
     buffered = VersionedEnv((1, 1, 0), (2, 1, 0))
     (merged,) = update_env(mine, (buffered,))
     assert merged == VersionedEnv((1, 1, 1), (2, 1, 1))
+    assert merge_newest((mine, buffered)) == merged
 
 
 def test_update_env_empty_buffer_set_is_identity():
     ve = VersionedEnv((3, 4), (1, 2))
     assert update_env(ve, ()) == (ve,)
+    assert merge_newest((ve,)) == ve
 
 
 def test_update_env_dominated_by_buffer():
     ve = VersionedEnv((1, 2), (1, 1))
     dominating = VersionedEnv((7, 8), (2, 3))
     assert update_env(ve, (dominating,)) == (dominating,)
+    assert merge_newest((ve, dominating)) == dominating
+
+
+def test_merge_newest_matches_the_recombining_reference():
+    """On every acquire enabled in a thread-local state reachable in the
+    corpus within 8 steps, the one merge gives the one recombination of
+    the reference; on a pool whose entries disagree at the newest version
+    it gives none, and the acquire raises."""
+    merged = 0
+    for name in corpus.names():
+        p = corpus.load(name)
+        ctx = LocalContext(p)
+        for s in reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2), 10_000):
+            for tid, loc in enumerate(s.pc):
+                for instr in ctx.by_source.get(loc, ()):
+                    if not isinstance(instr.command, Acquire):
+                        continue
+                    lock = instr.command.lock
+                    if s.mu[ctx.lock_index[lock]] is not None:
+                        continue
+                    pool = (s.theta[tid], *(s.buffers[b] for b in ctx.buffers_of_lock[lock]))
+                    assert (merge_newest(pool),) == update_env(pool[0], pool[1:]), (name, s)
+                    merged += 1
+    assert merged == 22
+
+    mine = VersionedEnv((0, 5), (0, 1))
+    buffered = VersionedEnv((2, 6), (1, 1))
+    assert len(update_env(mine, (buffered,))) == 2
+    assert merge_newest((mine, buffered)) is None
+    p = prog("var x;\nlock m;\nthread a { acquire(m); x := 3; release(m); }")
+    ctx = LocalContext(p)
+    s = initial_local_state(p, ctx)
+    conflicting = ThreadLocalState(s.pc, s.mu, (VersionedEnv((3,), (1,)),) * 2,
+                                   (VersionedEnv((4,), (1,)),) * len(s.buffers))
+    with pytest.raises(InadmissibleStateError, match="conflicting buffered values"):
+        local_step(p, conflicting, p.threads[0].instructions[0], ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
