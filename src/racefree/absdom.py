@@ -896,10 +896,3 @@ class RecencyDomain:
 
 def singleton_partition(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple((i,) for i in range(n))
-
-
-def box_points(n_vars: int, box: tuple[int, int]) -> np.ndarray:
-    """All integer points of box^n_vars as an (N, n_vars) array."""
-    axis = np.arange(box[0], box[1] + 1)
-    grids = np.meshgrid(*([axis] * n_vars), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)

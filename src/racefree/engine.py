@@ -19,16 +19,17 @@ thread rounds.  Within a round every cycle passes through a back-edge
 target of the thread's DFS, which widens after `WIDEN_DELAY` changes in the
 round; across rounds every cycle passes through an acquire target, which
 counts at most one change per round and widens after `WIDEN_DELAY` such
-rounds.  The order decides only which post-fixpoint the widening analyses
-reach, never soundness: `check_postfixpoint` checks every result.
+rounds, and then the widening analyses descend from there without widening.
+The order decides only which post-fixpoint they reach, never soundness:
+`check_postfixpoint` checks every result.
 
 A frame stores each instruction's last transfer with its inputs (the
 source fact, then for an acquire the facts at the release points feeding
 it) and returns the stored result while every input is the same object.
 Elements are immutable (and `EnvSetDomain.clamped` only ever turns on), so
-the stored result is what recomputing would give, and narrowing's first
-round and the post-fixpoint check make no domain call for inputs the solver
-left unchanged.
+the stored result is what recomputing would give: the descent recomputes
+only the transfers whose inputs changed, and the post-fixpoint check after
+`_solve` makes no domain call for a transfer.
 `check_postfixpoint(..., frame=None)` builds a fresh frame instead and
 recomputes every transfer: that is the independent form of the check.
 
@@ -60,6 +61,7 @@ from .syncfg import build_syncfg
 ANALYSES = ("valset", "rel", "regrel")
 DOMAINS = ("interval", "octagon", "envset")
 WIDEN_DELAY = 2  # changes of a widening point's fact before widening starts (see `_solve`)
+_NARROW_CAP = 8  # changes of a location's fact in the descent (see `_solve`)
 
 
 class AnalysisLimitError(Exception):
@@ -134,6 +136,9 @@ class _Frame:
                 self.thread_of[loc] = tid
                 self.domain_at[loc] = dom
         self.by_source = ProgramIndex(p).by_source
+        self.by_target: dict[int, list[Instruction]] = {}
+        for i in p.instructions:
+            self.by_target.setdefault(i.target, []).append(i)
         # acquire sources to re-enqueue when a release-point fact changes
         self.dependents: dict[int, tuple[int, ...]] = {
             rel: g.acquire_points[m] for m, rels in g.release_points.items() for rel in rels}
@@ -246,6 +251,10 @@ def _solve(frame: _Frame) -> LocationFacts:
     acquire target inside a loop is not widened by the loop's own
     iterations.
 
+    After the ascent, the widening analyses descend without widening: every
+    location is queued again, and a popped location's target gets its initial
+    fact joined with all its in-edges' transfers, if that is below its fact.
+
     Termination: within a round only the thread's own CFG edges re-queue
     work, and every cycle of a thread's CFG passes through a back-edge
     target, whose facts form a widening sequence after `WIDEN_DELAY`
@@ -255,13 +264,14 @@ def _solve(frame: _Frame) -> LocationFacts:
     (the desugarer puts a step between an acquire and a loop head, so no
     location is both).  After each thread's first round, a round starts
     only from queued acquire sources, and once no acquire target changes,
-    such a round changes nothing and queues nothing more.
-    Environment sets are finite in the value box, so there joins alone
-    terminate, at the least fixpoint, whatever the order.  Soundness does
-    not depend on the order either: `check_postfixpoint` checks every
-    result."""
+    such a round changes nothing and queues nothing more.  In the descent
+    each location's fact changes at most `_NARROW_CAP` times, and each
+    change queues finitely many locations.  Environment sets are finite in
+    the value box, so there joins alone terminate, at the least fixpoint.
+    Soundness does not depend on the order: `check_postfixpoint` checks
+    every result.  The descent starts from a post-fixpoint, and with
+    monotone transfers each recomputed fact leaves one."""
     cfg = frame.cfg
-    use_widening = cfg.domain != "envset"
     facts = frame.initial_facts()
     rank, order, owner, heads = frame.rank, frame.order, frame.thread_of, frame.heads
     pending = [[rank[t.entry]] for t in frame.p.threads]  # one rank heap per thread
@@ -269,6 +279,7 @@ def _solve(frame: _Frame) -> LocationFacts:
     deferred: list[set[int]] = [set() for _ in frame.p.threads]  # for the next round
     rounds = deque(range(len(frame.p.threads)))
     update_count: dict[int, int] = {}  # rounds in which a location's fact changed
+    descent: Optional[dict[int, int]] = None  # changes of a location's fact in the descent
     visits = 0
 
     while rounds:
@@ -288,20 +299,31 @@ def _solve(frame: _Frame) -> LocationFacts:
                 raise AnalysisLimitError(loc, cfg.iteration_cap, visits,
                                          update_count.get(loc, 0))
             for instr in frame.by_source.get(loc, ()):
-                new = frame.transfer(instr, facts[loc], facts)
-                if is_bottom(new):
-                    continue
                 tgt = instr.target
                 dom = frame.domain_at[tgt]
                 cur = facts[tgt]
-                joined = dom.join(cur, new)
-                if use_widening and tgt in frame.widen_points:
-                    count = changes.get(tgt, 0) if tgt in heads else update_count.get(tgt, 0)
-                    if count >= WIDEN_DELAY:
-                        joined = dom.widen(cur, joined)
+                if descent is None:
+                    new = frame.transfer(instr, facts[loc], facts)
+                    if is_bottom(new):
+                        continue
+                    joined = dom.join(cur, new)
+                    if cfg.domain != "envset" and tgt in frame.widen_points:
+                        count = changes.get(tgt, 0) if tgt in heads else update_count.get(tgt, 0)
+                        if count >= WIDEN_DELAY:
+                            joined = dom.widen(cur, joined)
+                elif descent.get(tgt, 0) >= _NARROW_CAP:
+                    continue
+                else:
+                    joined = initial[tgt]
+                    for edge in frame.by_target[tgt]:
+                        joined = dom.join(joined, frame.transfer(edge, facts[edge.source], facts))
+                    if not dom.leq(joined, cur):
+                        continue
                 if dom.equal(joined, cur):
                     continue
                 facts[tgt] = joined
+                if descent is not None:
+                    descent[tgt] = descent.get(tgt, 0) + 1
                 changes[tgt] = changes.get(tgt, 0) + 1
                 if changes[tgt] == 1:
                     update_count[tgt] = update_count.get(tgt, 0) + 1
@@ -319,6 +341,11 @@ def _solve(frame: _Frame) -> LocationFacts:
                             rounds.append(other)
         if deferred[tid]:
             rounds.append(tid)
+        if not rounds and descent is None and cfg.domain != "envset":
+            # the ascent is at a post-fixpoint: queue every location again
+            descent, initial, queued = {}, frame.initial_facts(), set(order)
+            pending = [sorted(rank[loc] for loc in t.locations) for t in frame.p.threads]
+            rounds.extend(range(len(pending)))
     return facts
 
 
@@ -326,35 +353,7 @@ def analyze_fixpoint(p: Program, cfg: AnalysisConfig) -> LocationFacts:
     """Deterministic worklist fixpoint; returns a verified post-fixpoint."""
     frame = _Frame(p, cfg)
     facts = _solve(frame)
-    if cfg.domain != "envset":
-        facts = _narrow(frame, facts)
     check_postfixpoint(p, cfg, facts, frame=frame)
-    return facts
-
-
-_NARROW_CAP = 8
-
-
-def _narrow(frame: _Frame, facts: LocationFacts) -> LocationFacts:
-    """Descending Jacobi rounds without widening, to stabilization (capped).
-
-    Applying the global transfer to a post-fixpoint descends and stays a
-    post-fixpoint, so every round is sound; a single round would leave
-    join-accumulation artifacts at nodes downstream of widening points.
-    """
-    at = frame.domain_at
-    for _ in range(_NARROW_CAP):
-        out = frame.initial_facts()
-        for loc in sorted(facts):
-            for instr in frame.by_source.get(loc, ()):
-                new = frame.transfer(instr, facts[loc], facts)
-                out[instr.target] = at[loc].join(out[instr.target], new)
-        # never go above the old facts (defensive; holds by construction)
-        if any(not at[loc].leq(out[loc], facts[loc]) for loc in out):
-            return facts
-        if all(at[loc].equal(out[loc], facts[loc]) for loc in out):
-            return facts
-        facts = out
     return facts
 
 

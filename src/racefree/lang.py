@@ -1010,30 +1010,6 @@ def _print_bexpr(b: BoolExpr, parent_prec: int = 0) -> str:
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-def _print_stmt(s: Stmt, indent: str) -> list[str]:
-    if isinstance(s, (Assign, Assume, Acquire, Release)):
-        return [f"{indent}{print_command(s)};"]
-    if isinstance(s, AssertStmt):
-        return [f"{indent}assert({_print_bexpr(s.cond)});"]
-    if isinstance(s, WhileStmt):
-        lines = [f"{indent}while ({_print_bexpr(s.cond)}) {{"]
-        for inner in s.body:
-            lines.extend(_print_stmt(inner, indent + "  "))
-        lines.append(f"{indent}}}")
-        return lines
-    if isinstance(s, IfStmt):
-        lines = [f"{indent}if ({_print_bexpr(s.cond)}) {{"]
-        for inner in s.then_body:
-            lines.extend(_print_stmt(inner, indent + "  "))
-        if s.else_body:
-            lines.append(f"{indent}}} else {{")
-            for inner in s.else_body:
-                lines.extend(_print_stmt(inner, indent + "  "))
-        lines.append(f"{indent}}}")
-        return lines
-    raise TypeError(f"not a statement: {s!r}")
-
-
 def print_bexpr(b: BoolExpr) -> str:
     return _print_bexpr(b)
 
@@ -1046,25 +1022,6 @@ def print_command(c: Command) -> str:
     if isinstance(c, Acquire):
         return f"acquire({c.lock})"
     return f"release({c.lock})"
-
-
-def program_to_source(p: Program) -> str:
-    """Render a (structured) program back to canonical source text."""
-    lines = []
-    if p.variables:
-        lines.append("var " + ", ".join(p.variables) + ";")
-    if p.locks:
-        lines.append("lock " + ", ".join(p.locks) + ";")
-    for name in p.regions.declared:
-        members = p.regions.region_vars(name)
-        lines.append(f"region {name} {{ " + ", ".join(members) + " };")
-    for t in p.threads:
-        lines.append("")
-        lines.append(f"thread {t.name} {{")
-        for s in t.body:
-            lines.extend(_print_stmt(s, "  "))
-        lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

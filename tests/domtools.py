@@ -48,18 +48,23 @@ from racefree.lang import (
     BoolOp,
     Cmp,
     Expr,
+    IfStmt,
     NotExpr,
     ParseError,
     Program,
     Release,
+    Stmt,
     Thread,
     Token,
+    WhileStmt,
     access_sets,
     desugar,
     eval_bool,
     eval_expr,
     instr_accesses,
     parse_program,
+    print_bexpr,
+    print_command,
     vars_of_bool,
 )
 from racefree.metacheck import CheckResult, _recording, _trace
@@ -82,6 +87,13 @@ INF = math.inf
 
 def box_tuples(n):
     return list(product(range(BOX[0], BOX[1] + 1), repeat=n))
+
+
+def box_points(n_vars: int, box: tuple[int, int]) -> np.ndarray:
+    """All integer points of box^n_vars as an (N, n_vars) array."""
+    axis = np.arange(box[0], box[1] + 1)
+    grids = np.meshgrid(*([axis] * n_vars), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +1002,53 @@ def strip_locks(p: Program) -> Program:
 
 
 # ---------------------------------------------------------------------------
+# printing a structured program back to source
+
+
+def _print_stmt(s: Stmt, indent: str) -> list[str]:
+    if isinstance(s, (Assign, Assume, Acquire, Release)):
+        return [f"{indent}{print_command(s)};"]
+    if isinstance(s, AssertStmt):
+        return [f"{indent}assert({print_bexpr(s.cond)});"]
+    if isinstance(s, WhileStmt):
+        lines = [f"{indent}while ({print_bexpr(s.cond)}) {{"]
+        for inner in s.body:
+            lines.extend(_print_stmt(inner, indent + "  "))
+        lines.append(f"{indent}}}")
+        return lines
+    if isinstance(s, IfStmt):
+        lines = [f"{indent}if ({print_bexpr(s.cond)}) {{"]
+        for inner in s.then_body:
+            lines.extend(_print_stmt(inner, indent + "  "))
+        if s.else_body:
+            lines.append(f"{indent}}} else {{")
+            for inner in s.else_body:
+                lines.extend(_print_stmt(inner, indent + "  "))
+        lines.append(f"{indent}}}")
+        return lines
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def program_to_source(p: Program) -> str:
+    """Render a (structured) program back to canonical source text."""
+    lines = []
+    if p.variables:
+        lines.append("var " + ", ".join(p.variables) + ";")
+    if p.locks:
+        lines.append("lock " + ", ".join(p.locks) + ";")
+    for name in p.regions.declared:
+        members = p.regions.region_vars(name)
+        lines.append(f"region {name} {{ " + ", ".join(members) + " };")
+    for t in p.threads:
+        lines.append("")
+        lines.append(f"thread {t.name} {{")
+        for s in t.body:
+            lines.extend(_print_stmt(s, "  "))
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # the lexer and the fact printer before their per-call costs were cut
 
 
@@ -1099,3 +1158,17 @@ def fifo_solve_reference(frame) -> dict:
                     worklist.append(nxt)
                     queued.add(nxt)
     return facts
+
+
+def jacobi_round_reference(frame, facts) -> dict:
+    """One round of the descent before it became a phase of `engine._solve`:
+    every location's fact recomputed at once from `facts` (Jacobi), as its
+    initial fact joined with the transfers of all its in-edges.  Kept here,
+    not in the engine, for oracle independence: the descent recomputes one
+    location at a time (Gauss-Seidel), and where it ends this round must
+    change nothing."""
+    out = frame.initial_facts()
+    for instr in frame.p.instructions:
+        new = frame.transfer(instr, facts[instr.source], facts)
+        out[instr.target] = frame.domain_at[instr.target].join(out[instr.target], new)
+    return out

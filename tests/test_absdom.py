@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domtools
-from domtools import binop, expr, scaled
+from domtools import binop, box_points, expr, scaled
 from racefree.absdom import (
     BOTTOM,
     DomainError,
@@ -21,7 +21,6 @@ from racefree.absdom import (
     RecencyDomain,
     RecencyFact,
     _NO_BOUND,
-    box_points,
     is_bottom,
     singleton_partition,
 )

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 import domtools
-from domtools import random_race_free_programs
+from domtools import box_points, random_race_free_programs
 from racefree import corpus
 from racefree.absdom import (
     EnvSetDomain,
     IntervalDomain,
     OctagonDomain,
     RecencyFact,
-    box_points,
 )
 from racefree.checker import (
     check_assertions,

@@ -19,7 +19,7 @@ from racefree.engine import (
 )
 from racefree.lang import desugar, parse_program, parse_region_text
 
-from domtools import fifo_solve_reference, random_race_free_programs
+from domtools import fifo_solve_reference, jacobi_round_reference, random_race_free_programs
 
 
 def base(fact):
@@ -50,16 +50,20 @@ CHECK_CONFIGS = [
      for a in ("rel", "valset") for r in (False, True)]
 
 
-def test_postfixpoint_holds_on_all_configs():
-    """The facts that the cached narrowing and check accept also pass the
-    check on a fresh frame, which recomputes every transfer."""
+def corpus_programs():
+    """The corpus programs, each with its region file where it has one."""
     from racefree import corpus
 
     for name in corpus.names():
         p = corpus.load(name)
         text = corpus.REGION_TEXTS.get(name)
-        if text:
-            p = p.with_regions(parse_region_text(text, p.variables))
+        yield name, p.with_regions(parse_region_text(text, p.variables)) if text else p
+
+
+def test_postfixpoint_holds_on_all_configs():
+    """The facts that the solver and the cached check accept also pass the
+    check on a fresh frame, which recomputes every transfer."""
+    for _, p in corpus_programs():
         for kw in CHECK_CONFIGS:
             cfg = AnalysisConfig(**kw)
             facts = analyze_fixpoint(p, cfg)
@@ -290,28 +294,24 @@ def test_cached_check_recomputes_a_changed_input():
         check_postfixpoint(p, cfg, wider, frame=frame)
 
 
-def test_narrowing_and_check_reuse_the_solver_transfers(monkeypatch):
-    """Where narrowing stops after one round, the whole analysis assigns no
-    more often than the worklist solver alone: the narrowing round and the
-    check find every input unchanged."""
-    from racefree import absdom, engine
+def test_check_reuses_every_solver_transfer(monkeypatch):
+    """The solver, ascent and descent, leaves each instruction's transfer
+    stored for the facts it returns: the check on its frame recomputes none."""
+    from racefree import engine
 
-    assigns, rounds = [], []
-    monkeypatch.setattr(absdom.OctagonDomain, "assign",
-                        lambda self, *a, _f=absdom.OctagonDomain.assign:
-                        assigns.append(a) or _f(self, *a))
-    monkeypatch.setattr(engine._Frame, "initial_facts",
-                        lambda self, _f=engine._Frame.initial_facts:
-                        rounds.append(1) or _f(self))
-    _solved(HANDOFF)
-    solve_only = len(assigns)
-    assigns.clear()
-    rounds.clear()
-    p = desugar(parse_program(HANDOFF))
-    analyze_fixpoint(p, AnalysisConfig(analysis="rel", domain="octagon"))
-    assert len(rounds) == 2  # the solver's initial facts, one narrowing round
-    assert solve_only > 0
-    assert len(assigns) <= solve_only
+    applied = []
+    monkeypatch.setattr(engine._Frame, "_apply",
+                        lambda self, *a, _f=engine._Frame._apply:
+                        applied.append(a) or _f(self, *a))
+    for name, p in corpus_programs():
+        for kw in CHECK_CONFIGS:
+            cfg = AnalysisConfig(**kw)
+            frame = engine._Frame(p, cfg)
+            facts = engine._solve(frame)
+            assert applied  # the count sees the solver's transfers
+            applied.clear()
+            check_postfixpoint(p, cfg, facts, frame=frame)
+            assert not applied, (name, kw)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +409,58 @@ def test_collecting_facts_do_not_depend_on_the_order():
             assert res.clamped == frame.domain.clamped
 
 
-def test_round_facts_pass_the_independent_check_at_workload_size():
-    """The solver's facts (before narrowing) on the scaled golden programs,
-    8-48 octagon literals, pass the check that recomputes every transfer."""
-    from racefree.engine import _Frame, _solve
-
+def _golden_programs():
+    """The scaled golden programs, 8-48 octagon literals."""
     golden = Path(__file__).parent / "golden" / "analyze_scaled.json"
     for name, src in sorted(json.loads(golden.read_text())["sources"].items()):
-        p = desugar(parse_program(src))
+        yield name, desugar(parse_program(src))
+
+
+def test_round_facts_pass_the_independent_check_at_workload_size():
+    """The solver's facts (after its descent) on the scaled golden programs
+    pass the check that recomputes every transfer."""
+    from racefree.engine import _Frame, _solve
+
+    for _, p in _golden_programs():
         for config in ("rel", "regrel"):
             cfg = AnalysisConfig(**ROUND_CONFIGS[config])
             facts = _solve(_Frame(p, cfg))
             check_postfixpoint(p, cfg, facts)  # frame=None: must not raise
+
+
+# ---------------------------------------------------------------------------
+# the descent
+
+# widening takes i to [10, +oo) at the loop exit; only the descent brings the
+# loop head back to [0, 10], and so the exit to i = 10
+LOOP_EXIT = """var x, i;
+lock m;
+thread t { while (i < 10) { i := i + 1; } assert(i <= 10); acquire(m); x := i; release(m); }
+thread u { acquire(m); x := 0; release(m); }
+"""
+
+
+@pytest.mark.parametrize("config", ROUND_CONFIGS)
+def test_descent_proves_the_loop_exit_bound(config):
+    p = desugar(parse_program(LOOP_EXIT))
+    cfg = AnalysisConfig(**ROUND_CONFIGS[config])
+    report = check_assertions(p, analyze_fixpoint(p, cfg), compute_owned_static(p), cfg)
+    assert [r.proved for r in report.assertions] == [True], report.assertions
+
+
+def test_descent_ends_where_a_jacobi_round_changes_nothing():
+    """One round of the Jacobi descent that `_solve`'s own descent replaced,
+    on a fresh frame, changes no fact of the analysis result."""
+    from racefree.engine import _Frame
+
+    programs = [*corpus_programs(), *_golden_programs(), *random_race_free_programs(40, seed=7)]
+    for name, p in programs:
+        for kw in CHECK_CONFIGS:
+            cfg = AnalysisConfig(**kw)
+            if cfg.domain == "envset":
+                continue
+            facts = analyze_fixpoint(p, cfg)
+            frame = _Frame(p, cfg)
+            after = jacobi_round_reference(frame, facts)
+            assert all(frame.domain_at[loc].equal(after[loc], facts[loc]) for loc in facts), \
+                (name, kw)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import domtools
+from domtools import program_to_source
 from racefree import corpus
 from racefree.lang import (
     HAVOC,
@@ -29,7 +30,6 @@ from racefree.lang import (
     parse_program,
     parse_region_text,
     print_command,
-    program_to_source,
     validate_program,
     vars_of_bool,
 )
