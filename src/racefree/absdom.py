@@ -44,6 +44,11 @@ class _Bottom:
     def __repr__(self):
         return "BOTTOM"
 
+    def __reduce__(self):
+        # pickled by name, so a round trip gives BOTTOM itself, which
+        # `is_bottom` and every domain test by identity
+        return "BOTTOM"
+
 
 BOTTOM = _Bottom()
 
@@ -146,7 +151,6 @@ def _int_text(n) -> str:
         return hex(int(n))
 
 
-_NOT_CLOSED = object()  # OctElem.closure before the first closure
 _NO_BOUND = 2 ** 61  # an octagon matrix entry that bounds nothing
 
 
@@ -162,13 +166,16 @@ class OctElem:
     termination guarantee); operations close lazily.  Transfers and mix
     start from closed elements and close their results incrementally with
     `OctagonDomain._close_at`, pivoting only on the literals whose entries
-    they lowered; a widened element takes the full closure.  Entries are
+    they lowered; a widened element takes the full closure.  Two kinds of
+    transfer need no closure: the assigns x := +-y + c (y may be x) and
+    x := c write their closed result directly (`OctagonDomain.assign`), and
+    a guard atom that lowers no entry returns its input.  Entries are
     exact int64 integers: a bound of magnitude at most `OctagonDomain._limit`,
     or `_NO_BOUND` for none.
 
     An unclosed element caches its closure in `closure`: the closed element,
     or BOTTOM when unsatisfiable, filled by `OctagonDomain._closed` on first
-    use (`_NOT_CLOSED` until then).  The element is immutable, so the cache
+    use (None until then).  The element is immutable, so the cache
     never goes stale.  The unclosed matrix `m` itself is kept, and `closed`
     stays False: `widen` must read the widened bounds, not their closure, or
     widening may not terminate.  A closed element leaves `closure` unset
@@ -182,7 +189,7 @@ class OctElem:
         m.setflags(write=False)
         self.m = m
         self.closed = closed
-        self.closure = _NOT_CLOSED
+        self.closure = None
         self._bytes = m.tobytes()
 
     def __eq__(self, other):
@@ -386,34 +393,35 @@ class OctagonDomain:
 
         Precondition: `m` is a shortest-path-closed matrix M without
         negative cycles, lowered only at entries whose two endpoints are
-        both pivots.  A closed element is such an M, and so are its forget,
-        its shift by x := +-x + c, and the region mask of a join of closed
-        elements.  Then any walk in `m` is no shorter than one whose inner
-        literals are all pivots: a stretch of unlowered entries between two
-        lowered ones, or before or after them, is no shorter than the direct
-        entry of M, which `m` keeps or lowers, and a stretch that returns to
-        its start is a cycle of M, so no shorter than 0.  Floyd-Warshall
-        over the pivots finds the shortest such walks, hence the same
-        distances, or the same negative cycle, as over every literal, and
-        the tightening and strengthening that follow it are unchanged.
+        both pivots.  A closed element is such an M, and so are its forget
+        and the region mask of a join of closed elements.  Then any walk in
+        `m` is no shorter than one whose inner literals are all pivots: a
+        stretch of unlowered entries between two lowered ones, or before or
+        after them, is no shorter than the direct entry of M, which `m`
+        keeps or lowers, and a stretch that returns to its start is a cycle
+        of M, so no shorter than 0.  Floyd-Warshall over the pivots finds
+        the shortest such walks, hence the same distances, or the same
+        negative cycle, as over every literal, and the tightening and
+        strengthening that follow it are unchanged.
 
         The last step sets every entry beyond `_limit` to `_NO_BOUND`.  That
         keeps every int64 sum exact: each input entry is `_NO_BOUND` = 2^61
-        or at most 2 * `_limit` = 2^60 / size in magnitude (closures end
-        saturated, `_with_entries` stores bounds within `_limit` only, and a
-        shift moves an entry by at most `_limit`).  Floyd-Warshall only
-        lowers entries, so none exceeds 2^61 + 2^59.  While no negative cycle
-        runs through the pivots taken so far, an entry is the length of a
-        shortest walk, which repeats no literal, so it has fewer than `size`
-        edges and is above -2^60.  A negative cycle is caught on the
-        diagonal after the pivot that closes it, and the step returns then:
-        iterated further, the entries along a negative cycle grow
-        exponentially.  Every sum thus stays within +-2^63.  The saturation
-        must end every closure, not only the first: entries that closure
-        derives grow across successive closures, as along a chain of shifts.
-        Since it raises entries, a saturated element breaks the precondition
-        of later pivot closures, whose result is then weaker than the full
-        closure, but still sound."""
+        or at most `_limit` = 2^59 / size in magnitude (closures and the
+        closed-form assigns end saturated, and `_with_entries` stores bounds
+        within `_limit` only).  Floyd-Warshall only lowers entries, so none
+        exceeds 2^61.  While no negative cycle runs through the pivots taken
+        so far, an entry is the length of a shortest walk, which repeats no
+        literal, so it has fewer than `size` edges and is above -2^59.  A
+        negative cycle is caught on the diagonal after the pivot that closes
+        it, and the step returns then: iterated further, the entries along a
+        negative cycle grow exponentially.  Every sum thus stays within
+        +-2^63.  The saturation must end every closure, not only the first:
+        entries that closure derives grow across successive closures, as
+        along a chain of assigns x := y + c.  Since it raises entries, a
+        saturated element breaks the precondition of later pivot closures,
+        whose result is then weaker than the full closure, but still sound.
+        The closed-form assigns, which read such an element as closed, may
+        then keep fewer bounds than a pivot closure would re-derive."""
         flat = m.ravel()  # a view: m is C-ordered
         flat[self._diag] = 0
         if pivots:
@@ -439,7 +447,7 @@ class OctagonDomain:
         unsatisfiable element."""
         if d is BOTTOM or d.closed:
             return d
-        if d.closure is _NOT_CLOSED:
+        if d.closure is None:
             d.closure = self._close_matrix(d.m) or BOTTOM
         return d.closure
 
@@ -533,6 +541,22 @@ class OctagonDomain:
     # transfer
 
     def assign(self, d, var: str, e: Expr):
+        """x := e.  Two forms write their closed result directly, with no
+        closure: x := k * y + c (|k| = 1, y may be x) when |c| <= `_limit`,
+        and x := c when 2|c| <= `_limit`, the bounds `_with_entries` keeps.
+        Every other form takes `_assign_general`.
+
+        Exactness: on a closed pre-state the post-state satisfies
+        x = k * y + c exactly and no other variable moves, so every bound
+        through x is a bound through y's literal for k * y, shifted by c
+        (for x := c, the strengthening of x = c with the other literals'
+        unary bounds), and no other entry changes.  Shortest-path closure
+        holds, since x is a translate of that literal, and so do tightening
+        and strengthening, which are invariant under translation.  Both
+        forms end with the saturation step of `_close_at`.  An element whose
+        saturation dropped a bound that its other entries imply is not
+        closed (see `_close_at`): there the pivots of `_assign_general` may
+        re-derive part of that bound, and the closed forms do not."""
         self._check(d)
         c = self._closed(d)
         if c is BOTTOM:
@@ -541,24 +565,55 @@ class OctagonDomain:
         const, coeffs, havocs, _ = e.linear
         if havocs:
             return OctElem(self._forget_matrix(c.m, {vi}), closed=True)
+        if not coeffs:
+            if 2 * abs(const) <= self._limit:
+                return self._assign_closed(c, vi, const, None)
+        elif len(coeffs) == 1 and abs(const) <= self._limit:
+            (y, k), = coeffs.items()
+            if k in (1, -1):
+                return self._assign_closed(c, vi, const, 2 * self.var_index[y] + (k == -1))
+        return self._assign_general(c, vi, const, coeffs)
 
-        if set(coeffs) == {var} and coeffs[var] in (1, -1) and abs(const) <= self._limit:
-            # invertible self-update x := +-x + const keeps x's relations
-            m = c.m.copy()
-            pos, neg = 2 * vi, 2 * vi + 1
-            if coeffs[var] == -1:
-                m[[pos, neg], :] = m[[neg, pos], :]
-                m[:, [pos, neg]] = m[:, [neg, pos]]
-            # shift x by const: bounds on (V_j - x) shrink, on (x - V_j) grow
-            m[pos, :] -= const
-            m[:, pos] += const
-            m[neg, :] += const
-            m[:, neg] -= const
-            return self._close_at(m, ()) or BOTTOM  # a shift keeps m closed
+    def _assign_closed(self, c: OctElem, vi: int, const: int, lit) -> OctElem:
+        """x := k * y + const on the closed `c`, where `lit` is the literal
+        of k * y, or x := const when `lit` is None: x's rows and columns
+        become those of `lit` and its negation (for a constant, the other
+        literals' halved unary entries) shifted by const, x's own block the
+        bounds on -2x and 2x, and only these are saturated: the other
+        entries of `c` already are."""
+        m = c.m
+        buf = np.empty((4, self.size), dtype=np.int64)  # rows +x, -x; columns +x, -x
+        if lit is None:
+            half = m.ravel()[self._unary] >> 1  # even in a closed element
+            buf[:2] = half[self._bars]
+            buf[2:] = half
+            neg2x, pos2x = -2 * const, 2 * const
+        else:
+            ys = slice(lit & -2, (lit & -2) + 2)
+            order = slice(None, None, -1 if lit & 1 else 1)  # lit, then lit ^ 1
+            buf[:2] = m[ys][order]
+            buf[2:] = m[:, ys][:, order].T
+            neg2x, pos2x = m[lit, lit ^ 1] - 2 * const, m[lit ^ 1, lit] + 2 * const
+        # bounds on V_j - x shrink by const, bounds on x - V_j grow
+        buf[::3] -= const
+        buf[1:3] += const
+        px = 2 * vi
+        buf[0, px] = buf[1, px + 1] = buf[2, px] = buf[3, px + 1] = 0
+        buf[0, px + 1] = buf[3, px] = neg2x
+        buf[1, px] = buf[2, px + 1] = pos2x
+        np.putmask(buf, np.abs(buf) > self._limit, _NO_BOUND)
+        m = m.copy()
+        m[px:px + 2] = buf[:2]
+        m[:, px:px + 2] = buf[2:].T
+        return OctElem(m, closed=True)
 
+    def _assign_general(self, c: OctElem, vi: int, const: int, coeffs) -> OctElem:
+        """x := const + sum(coeffs[v] * v) on the closed `c`, for any linear
+        expression without havoc."""
         # forget x, then bound x by the range of e and x - k * y by the range
         # of the rest of e for each unit term k * y (y not x), all on the
         # pre-state: exact for x := c and x := +-y + c
+        var = self.variables[vi]
         ivals = {i: self._interval(c, i) for i in map(self.var_index.get, coeffs)}
         entries = self._unary_entries(
             vi, *_expr_range(ivals, self.var_index, coeffs, const))
@@ -594,7 +649,10 @@ class OctagonDomain:
                 return BOTTOM
             entries = [e for i, (lo, hi) in enumerate(bounds)
                        for e in self._unary_entries(i, lo, hi)]
-        m = d.m.copy()
+        m, limit = d.m, self._limit
+        if not any(abs(b) <= limit and b < m[i, j] for i, j, b in entries):
+            return d  # lowers no entry of the closed `d`: the meet is `d`
+        m = m.copy()
         return self._close_at(m, self._with_entries(m, entries)) or BOTTOM
 
     def assume(self, d, b: BoolExpr):

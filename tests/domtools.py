@@ -8,6 +8,7 @@ deterministic; the acceptance suite reruns these at high case counts.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -15,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from racefree.absdom import (
     _bound_constraints,
     split_fact,
 )
-from racefree import concrete, metacheck
+from racefree import concrete, corpus, metacheck
 from racefree.checker import must_hold_locksets
 from racefree.concrete import reachable_states
 from racefree.engine import WIDEN_DELAY, make_domain
@@ -63,6 +65,7 @@ from racefree.lang import (
     eval_expr,
     instr_accesses,
     parse_program,
+    parse_region_text,
     print_bexpr,
     print_command,
     vars_of_bool,
@@ -1172,3 +1175,87 @@ def jacobi_round_reference(frame, facts) -> dict:
         new = frame.transfer(instr, facts[instr.source], facts)
         out[instr.target] = frame.domain_at[instr.target].join(out[instr.target], new)
     return out
+
+
+# ---------------------------------------------------------------------------
+# shared program families
+
+
+def corpus_programs():
+    """The corpus programs, each with its region file where it has one."""
+    for name in corpus.names():
+        p = corpus.load(name)
+        text = corpus.REGION_TEXTS.get(name)
+        yield name, p.with_regions(parse_region_text(text, p.variables)) if text else p
+
+
+def golden_programs():
+    """The scaled golden programs, 8-48 octagon literals."""
+    golden = Path(__file__).parent / "golden" / "analyze_scaled.json"
+    for name, src in sorted(json.loads(golden.read_text())["sources"].items()):
+        yield name, desugar(parse_program(src))
+
+
+def _lit(c: int) -> str:
+    """An integer literal; the language has no unary minus."""
+    return str(c) if c >= 0 else f"(0 - {-c})"
+
+
+def _near_limit_statement(rng, names, consts) -> str:
+    v, w, u = (rng.choice(names) for _ in range(3))
+    c = _lit(rng.choice(consts) * rng.choice((1, -1)))
+    return rng.choice((
+        f"{v} := {c};",
+        f"{v} := {w} + {w};",  # a sum past the limit
+        f"{v} := {v} + {c};",  # a shift of v, relations kept
+        f"{v} := {c} - {v};",
+        f"{v} := {w} + {c};",
+        f"{v} := {w} - {u};",
+        f"{v} := havoc + {c};",
+        f"if ({v} <= {c}) {{ {w} := {w} + 1; }} else {{ {w} := {u} + {c}; }}",
+        f"assume({v} - {w} <= {c});",
+        f"assume({v} + {w} >= {c});",
+    ))
+
+
+def near_limit_programs(count: int = 120, seed: int = 5):
+    """Loop-free two-thread programs over 2 or 3 variables in one locked
+    region whose constants lie within 2 of the octagon limit L, of L / 2 and
+    of 2 L, with true and false bounds asserted in a lock section of t on
+    every variable, difference and sum: the greatest and least reachable
+    value, and one past it, taken over every reachable state there."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        names = ("x", "y", "z")[:rng.choice((2, 3))]
+        lim = 2 ** 59 // (2 * len(names))
+        consts = [a + d for a in (lim // 2, lim, 2 * lim) for d in range(-2, 3)] + [0, 1]
+        body = [" ".join(_near_limit_statement(rng, names, consts)
+                         for _ in range(rng.randint(1, 3))) for _ in range(3)]
+        source = (f"var {', '.join(names)}; lock m; region r {{ {', '.join(names)} }};\n"
+                  f"thread t {{ acquire(m); {body[0]} release(m); "
+                  f"acquire(m); {body[1]} assert(true); release(m); }}\n"
+                  f"thread u {{ acquire(m); {body[2]} release(m); }}")
+        q = desugar(parse_program(source))
+        (here,) = q.assertions
+        tid = q.thread_index(here.thread)
+        states = [s.phi for s in reachable_states(q, len(q.instructions))
+                  if s.pc[tid] == here.location]
+        if not states:
+            continue  # an assume cut every path to the assertion
+        terms = {v: [phi[i] for phi in states] for i, v in enumerate(names)}
+        for i, a in enumerate(names):
+            for j in range(i + 1, len(names)):
+                b = names[j]
+                terms[f"{a} - {b}"] = [phi[i] - phi[j] for phi in states]
+                terms[f"{a} + {b}"] = [phi[i] + phi[j] for phi in states]
+        assertions = []
+        for term, values in terms.items():
+            hi, lo = max(values), min(values)
+            for text in (f"{term} <= {_lit(hi)}", f"{term} <= {_lit(hi - 1)}",
+                         f"{term} >= {_lit(lo)}", f"{term} >= {_lit(lo + 1)}"):
+                cond = parse_program(f"var {', '.join(names)}; thread t {{ assume({text}); }}"
+                                     ).threads[0].body[0].cond
+                assertions.append(Assertion(here.location, cond, here.thread))
+        out.append((f"near_limit_{len(out)}", replace(q, assertions=tuple(assertions))))
+    return tuple(out)

@@ -23,6 +23,7 @@ from racefree.absdom import (
     _NO_BOUND,
     is_bottom,
     singleton_partition,
+    split_fact,
 )
 from racefree.lang import (
     HAVOC,
@@ -416,8 +417,9 @@ def test_pivot_closure_after_lowering_matches_full_closure():
 
 
 def test_transfers_and_mix_close_like_the_full_closure(monkeypatch):
-    """Every pivot closure that assign, assume and mix make, among them the
-    shifts x := +-x + c and region masks, equals the full closure."""
+    """Every pivot closure that assign, assume and mix make, among them
+    region masks, equals the full closure.  The assigns x := +-y + c and
+    x := c make none (see the closed-form test)."""
     pivot_close = OctagonDomain._close_at
     pivot_counts = []
 
@@ -437,11 +439,6 @@ def test_transfers_and_mix_close_like_the_full_closure(monkeypatch):
         dom = OctagonDomain(variables)
         for _ in range(40):
             d = _closed_octagon(dom, rng)
-            x, y = rng.choice(variables), rng.choice(variables)
-            c = Expr.of(rng.randint(-3, 3))
-            dom.assign(d, x, binop("+", Expr.of(x), c))
-            dom.assign(d, x, binop("-", c, Expr.of(x)))
-            dom.assign(d, x, binop("-", Expr.of(y), c))
             cmd = domtools.rand_command(variables, rng)
             if isinstance(cmd, Assign):
                 dom.assign(d, cmd.var, cmd.expr)
@@ -557,6 +554,199 @@ def test_constant_assign_keeps_a_bound_closure_derived():
     d = octagon_from(dom, [f"x <= {2 ** 49}", "y - x <= 10"])
     out = dom.assign(d, "x", expr("0"))
     assert dom.constraints(out) == ["x = 0", f"y <= {2 ** 49 + 10}"]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form assigns x := +-y + c, x := +-x + c and x := c against the
+# general path
+
+
+def _general_assign(dom, c, x, k, y, const, wide):
+    """x := k * y + const (x := const when y is None) on the closed `c` by
+    the general path, `_assign_general`: forget x, write the entries, close
+    at their pivots.  That path forgets x's old value, so for y = x it runs
+    in `wide`, `dom` with one more variable t and the same `_limit`: t := x,
+    then x := k * t + const, then t is dropped."""
+    xi = dom.var_index[x]
+    if y != x:
+        return dom._assign_general(c, xi, const, {y: k} if y else {})
+    m = wide.top().m.copy()
+    m[:dom.size, :dom.size] = c.m
+    e = wide._assign_general(OctElem(m, closed=True), dom.n, 0, {x: 1})
+    e = wide._assign_general(e, xi, const, {wide.variables[-1]: k})
+    return OctElem(e.m[:dom.size, :dom.size].copy(), closed=True)
+
+
+def _wide_domain(dom):
+    """`dom` with one more variable and `dom`'s `_limit`, under which int64
+    sums stay exact: walks of two more literals at 2^59 / size each."""
+    wide = OctagonDomain(dom.variables + ("t'",))
+    wide._limit = dom._limit
+    return wide
+
+
+def _exact_domain(dom):
+    """`dom` with saturation only of what derives from `_NO_BOUND`: finite
+    sums stay within 2^59 = size * `_limit`, and a sum or a half with
+    `_NO_BOUND` in it is above 2^60 - 2^58."""
+    exact = OctagonDomain(dom.variables)
+    exact._limit = 2 ** 59
+    return exact
+
+
+def _loses_no_bound(dom, c) -> bool:
+    """Whether the entries of the closed `c` are exact: closing it again
+    without saturation changes nothing, so no bound that saturation
+    dropped is implied by the others."""
+    return _exact_domain(dom)._close_matrix(c.m) == c
+
+
+def _points_in(dom, c, rng, count):
+    """`count` integer points of gamma(c): fix one variable at a time to a
+    bound of its range in the exact tight closure, which keeps the rest
+    satisfiable, and close again."""
+    exact = _exact_domain(dom)
+    points = []
+    for _ in range(count):
+        e, point = exact._close_matrix(c.m), []
+        for k in range(dom.n):
+            value = rng.choice([b for b in exact._interval(e, k) if abs(b) != INF] or [0])
+            m = e.m.copy()
+            exact._with_entries(m, exact._unary_entries(k, value, value))
+            e = exact._close_at(m, (2 * k, 2 * k + 1))
+            point.append(value)
+        assert e is not None
+        points.append(tuple(point))
+    return points
+
+
+def _hull(dom, points):
+    """The closed octagon of a finite point set, saturated as every closure
+    ends: each entry is the greatest lit_j - lit_i over the points."""
+    lits = [[s * v for v in p for s in (1, -1)] for p in points]
+    m = [[max(lit[j] - lit[i] for lit in lits) for j in range(dom.size)]
+         for i in range(dom.size)]
+    return OctElem([[b if abs(b) <= dom._limit else _NO_BOUND for b in row] for row in m],
+                   closed=True)
+
+
+def _fact_inputs(programs, per_program, rng):
+    """Distinct closed octagon facts of `programs` under rel and regrel, at
+    most `per_program` from each."""
+    from racefree.engine import AnalysisConfig, PostFixpointError, analyze_fixpoint
+
+    for _, p in programs:
+        dom = OctagonDomain(p.variables)
+        seen = set()
+        for analysis in ("rel", "regrel"):
+            try:
+                facts = analyze_fixpoint(p, AnalysisConfig(analysis=analysis, domain="octagon"))
+            except PostFixpointError:  # near the limit regrel may fail its check
+                continue
+            seen.update(c for c in map(dom._closed, facts.values()) if c is not BOTTOM)
+        for c in rng.sample(sorted(seen, key=lambda c: c._bytes), min(per_program, len(seen))):
+            yield dom, c
+
+
+def _random_inputs(rng):
+    """Small random octagons, many entries unbounded, and hulls of points
+    near the limit, some entries saturated, some variables forgotten."""
+    for n in range(1, 5):
+        dom = OctagonDomain(tuple(f"v{k}" for k in range(n)))
+        lim = dom._limit
+        coords = [0, 1, 5] + [a + d for a in (lim // 4, lim // 2, lim) for d in range(-2, 3)]
+        for _ in range(12):
+            yield dom, _closed_octagon(dom, rng)
+            h = _hull(dom, [tuple(rng.choice(coords) * rng.choice((1, -1)) for _ in range(n))
+                            for _ in range(rng.randint(1, 3))])
+            if rng.random() < 0.3:
+                h = OctElem(dom._forget_matrix(h.m, {rng.randrange(n)}), closed=True)
+            yield dom, h
+
+
+def test_closed_form_assigns_equal_the_general_path():
+    """On every closed input whose entries are exact, the three closed forms
+    equal the general path entry for entry, for constants 0, +-1 and within
+    2 of +-`_limit` / 2 and +-`_limit`, where the closed forms stop.  An
+    input whose saturation dropped an implied bound is not closed: there the
+    general path's pivots may re-derive part of it and the closed forms do
+    not, so on those both are checked for soundness only, at points of the
+    input."""
+    rng = random.Random(37)
+    inputs = [*_fact_inputs(domtools.corpus_programs(), 6, rng),
+              *_fact_inputs(domtools.golden_programs(), 4, rng),
+              *_fact_inputs(domtools.near_limit_programs(), 1, rng),
+              *_random_inputs(rng)]
+    compared = sound = 0
+    for dom, c in inputs:
+        points = () if _loses_no_bound(dom, c) else _points_in(dom, c, rng, 3)
+        wide = _wide_domain(dom)
+        lim = dom._limit
+        constants = (0, 1, -1, *(s * (a + d) for a in (lim // 2, lim)
+                                 for d in range(-2, 3) for s in (1, -1)))
+        x = rng.choice(dom.variables)
+        others = [v for v in dom.variables if v != x]
+        forms = [(1, None), (1, x), (-1, x)]
+        if others:
+            y = rng.choice(others)
+            forms += [(1, y), (-1, y)]
+        for k, y in forms:
+            for const in constants:
+                e = Expr.of(const) if y is None else binop(
+                    "+", scaled(k, Expr.of(y)), Expr.of(const))
+                got = dom.assign(c, x, e)
+                want = _general_assign(dom, c, x, k, y, const, wide)
+                if not points:
+                    assert got == want, (dom.variables, x, k, y, const)
+                    compared += 1
+                for p in points:
+                    env = dict(zip(dom.variables, p))
+                    image = tuple(const + (k * env[y] if y else 0) if v == x else env[v]
+                                  for v in dom.variables)
+                    assert _octagon_holds(dom, got, image) and _octagon_holds(dom, want, image)
+                    sound += 1
+    assert compared > 20_000 and sound > 0
+
+
+def test_a_guard_that_lowers_nothing_returns_its_input():
+    dom = OctagonDomain(("x", "y", "z"))
+    c = octagon_from(dom, ["x <= 3", "y - x <= 2", "z >= 0 - 1"])
+    implied = ["x <= 5", "y - x <= 2", "x + y <= 8", "z + 1 >= 0",
+               "x + y + z <= 100", "2 * x <= 6", "x <= 3 && y <= 5"]
+    for src in implied:
+        assert dom.assume(c, cond(src)) is c, src
+    lowered = dom.assume(c, cond("x <= 2"))
+    assert lowered is not c and lowered == octagon_from(
+        dom, ["x <= 2", "y - x <= 2", "z >= 0 - 1"])
+    # without the guard the same atoms closed a copy at no pivot: the same
+    # matrix, as on any closed element whose entries are exact
+    assert _loses_no_bound(dom, c) and dom._close_at(c.m.copy(), ()) == c
+
+
+def test_bottom_and_facts_survive_pickling():
+    """A round trip keeps BOTTOM itself, so `is_bottom` still holds at an
+    unreachable location, and a widened fact not yet closed still closes."""
+    import pickle
+
+    from racefree.engine import AnalysisConfig, analyze_fixpoint
+    from racefree.lang import desugar
+
+    assert pickle.loads(pickle.dumps(BOTTOM)) is BOTTOM
+    p = desugar(parse_program(
+        "var x, i;\nthread t { while (i < 10) { i := i + 1; } assume(x >= 1); x := 2; }"))
+    dom = OctagonDomain(p.variables)
+    for analysis, domain, recency in (("rel", "octagon", False), ("regrel", "octagon", True),
+                                      ("valset", "interval", False)):
+        facts = analyze_fixpoint(p, AnalysisConfig(analysis=analysis, domain=domain,
+                                                   recency=recency))
+        back = pickle.loads(pickle.dumps(facts))
+        unreachable = [loc for loc, f in facts.items() if is_bottom(f)]
+        assert unreachable and all(is_bottom(back[loc]) for loc in unreachable)
+        assert back == facts
+        if domain == "octagon":
+            for loc, f in facts.items():
+                a, b = (split_fact(g)[0] for g in (f, back[loc]))
+                assert dom.equal(a, b) and dom.equal(b, a)
 
 
 def test_mix_equals_the_masked_fold_of_joins():
@@ -765,9 +955,10 @@ def _reference_close(dom, m, pivots):
 
 
 def test_int64_closure_matches_the_python_int_closure():
-    """Entries anywhere in the range `_close_at` accepts (within twice the
-    limit, or `_NO_BOUND` give or take the limit, as after a shift),
-    negative cycles included: int64 closure never wraps."""
+    """Entries in a wider range than `_close_at` gets (within twice the
+    limit, or `_NO_BOUND` give or take the limit; its inputs are within the
+    limit or `_NO_BOUND`), negative cycles included: int64 closure never
+    wraps."""
     rng = random.Random(43)
     outcomes = {True: 0, False: 0}
     for _ in range(400):

@@ -7,7 +7,7 @@ each release and at each thread's end.  Their reachable states are
 explored exhaustively, so a PROVED false bound is a soundness defect, not
 an artefact of a depth bound.
 
-`near_limit_programs` do the same at octagon scale: constants, sums and
+`domtools.near_limit_programs` do the same at octagon scale: constants, sums and
 shifts straddling the octagon domain's limit of 2^59 / (2 * variables), past
 which an octagon drops a bound, under rel and regrel.
 
@@ -17,8 +17,6 @@ change that fixes a defect turns its test into an unexpected pass, which
 fails until the mark is removed.
 """
 
-import random
-from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -27,7 +25,7 @@ import domtools
 from racefree.checker import check_assertions, compute_owned_static
 from racefree.concrete import DEFAULT_HAVOC, find_data_races, reachable_states
 from racefree.engine import AnalysisConfig, PostFixpointError, analyze_fixpoint
-from racefree.lang import Assertion, desugar, eval_bool, parse_program
+from racefree.lang import desugar, eval_bool, parse_program
 
 CONFIGS = [
     *((analysis, domain, recency)
@@ -85,81 +83,16 @@ def test_proved_assertions_hold_in_every_reachable_state(config):
         assert proved > 0
 
 
-def _lit(c: int) -> str:
-    """An integer literal; the language has no unary minus."""
-    return str(c) if c >= 0 else f"(0 - {-c})"
-
-
-def _near_limit_statement(rng, names, consts) -> str:
-    v, w, u = (rng.choice(names) for _ in range(3))
-    c = _lit(rng.choice(consts) * rng.choice((1, -1)))
-    return rng.choice((
-        f"{v} := {c};",
-        f"{v} := {w} + {w};",  # a sum past the limit
-        f"{v} := {v} + {c};",  # a shift of v, relations kept
-        f"{v} := {c} - {v};",
-        f"{v} := {w} + {c};",
-        f"{v} := {w} - {u};",
-        f"{v} := havoc + {c};",
-        f"if ({v} <= {c}) {{ {w} := {w} + 1; }} else {{ {w} := {u} + {c}; }}",
-        f"assume({v} - {w} <= {c});",
-        f"assume({v} + {w} >= {c});",
-    ))
-
-
-def near_limit_programs(count: int = 120, seed: int = 5):
-    """Loop-free two-thread programs over 2 or 3 variables in one locked
-    region whose constants lie within 2 of the octagon limit L, of L / 2 and
-    of 2 L, with true and false bounds asserted in a lock section of t on
-    every variable, difference and sum: the greatest and least reachable
-    value, and one past it, taken over every reachable state there."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        names = ("x", "y", "z")[:rng.choice((2, 3))]
-        lim = 2 ** 59 // (2 * len(names))
-        consts = [a + d for a in (lim // 2, lim, 2 * lim) for d in range(-2, 3)] + [0, 1]
-        body = [" ".join(_near_limit_statement(rng, names, consts)
-                         for _ in range(rng.randint(1, 3))) for _ in range(3)]
-        source = (f"var {', '.join(names)}; lock m; region r {{ {', '.join(names)} }};\n"
-                  f"thread t {{ acquire(m); {body[0]} release(m); "
-                  f"acquire(m); {body[1]} assert(true); release(m); }}\n"
-                  f"thread u {{ acquire(m); {body[2]} release(m); }}")
-        q = desugar(parse_program(source))
-        (here,) = q.assertions
-        tid = q.thread_index(here.thread)
-        states = [s.phi for s in reachable_states(q, len(q.instructions))
-                  if s.pc[tid] == here.location]
-        if not states:
-            continue  # an assume cut every path to the assertion
-        terms = {v: [phi[i] for phi in states] for i, v in enumerate(names)}
-        for i, a in enumerate(names):
-            for j in range(i + 1, len(names)):
-                b = names[j]
-                terms[f"{a} - {b}"] = [phi[i] - phi[j] for phi in states]
-                terms[f"{a} + {b}"] = [phi[i] + phi[j] for phi in states]
-        assertions = []
-        for term, values in terms.items():
-            hi, lo = max(values), min(values)
-            for text in (f"{term} <= {_lit(hi)}", f"{term} <= {_lit(hi - 1)}",
-                         f"{term} >= {_lit(lo)}", f"{term} >= {_lit(lo + 1)}"):
-                cond = parse_program(f"var {', '.join(names)}; thread t {{ assume({text}); }}"
-                                     ).threads[0].body[0].cond
-                assertions.append(Assertion(here.location, cond, here.thread))
-        out.append((f"near_limit_{len(out)}", replace(q, assertions=tuple(assertions))))
-    return tuple(out)
-
-
 NEAR_LIMIT_CONFIGS = [("rel", "octagon", False), ("regrel", "octagon", False)]
 
 
 @cache
 def near_limit_outcomes(config):
     """The wrong PROVED assertions and the PROVED count over
-    `near_limit_programs` under `config`, and the programs whose analysis
+    `domtools.near_limit_programs` under `config`, and the programs whose analysis
     fails its own post-fixpoint check, which give no verdicts."""
     wrong, proved, failed = [], 0, []
-    for name, q in near_limit_programs():
+    for name, q in domtools.near_limit_programs():
         try:
             w, k = wrong_proofs(name, q, config)
         except PostFixpointError:

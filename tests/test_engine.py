@@ -1,8 +1,6 @@
 """Fixpoint engine: post-fixpoint property, golden facts, determinism."""
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -17,9 +15,15 @@ from racefree.engine import (
     collecting_fixpoint,
     make_domain,
 )
-from racefree.lang import desugar, parse_program, parse_region_text
+from racefree.lang import desugar, parse_program
 
-from domtools import fifo_solve_reference, jacobi_round_reference, random_race_free_programs
+from domtools import (
+    corpus_programs,
+    fifo_solve_reference,
+    golden_programs,
+    jacobi_round_reference,
+    random_race_free_programs,
+)
 
 
 def base(fact):
@@ -48,16 +52,6 @@ CHECK_CONFIGS = [
     for a in ("valset", "rel", "regrel") for r in (False, True)
 ] + [dict(analysis=a, domain="envset", recency=r)
      for a in ("rel", "valset") for r in (False, True)]
-
-
-def corpus_programs():
-    """The corpus programs, each with its region file where it has one."""
-    from racefree import corpus
-
-    for name in corpus.names():
-        p = corpus.load(name)
-        text = corpus.REGION_TEXTS.get(name)
-        yield name, p.with_regions(parse_region_text(text, p.variables)) if text else p
 
 
 def test_postfixpoint_holds_on_all_configs():
@@ -409,19 +403,12 @@ def test_collecting_facts_do_not_depend_on_the_order():
             assert res.clamped == frame.domain.clamped
 
 
-def _golden_programs():
-    """The scaled golden programs, 8-48 octagon literals."""
-    golden = Path(__file__).parent / "golden" / "analyze_scaled.json"
-    for name, src in sorted(json.loads(golden.read_text())["sources"].items()):
-        yield name, desugar(parse_program(src))
-
-
 def test_round_facts_pass_the_independent_check_at_workload_size():
     """The solver's facts (after its descent) on the scaled golden programs
     pass the check that recomputes every transfer."""
     from racefree.engine import _Frame, _solve
 
-    for _, p in _golden_programs():
+    for _, p in golden_programs():
         for config in ("rel", "regrel"):
             cfg = AnalysisConfig(**ROUND_CONFIGS[config])
             facts = _solve(_Frame(p, cfg))
@@ -453,7 +440,7 @@ def test_descent_ends_where_a_jacobi_round_changes_nothing():
     on a fresh frame, changes no fact of the analysis result."""
     from racefree.engine import _Frame
 
-    programs = [*corpus_programs(), *_golden_programs(), *random_race_free_programs(40, seed=7)]
+    programs = [*corpus_programs(), *golden_programs(), *random_race_free_programs(40, seed=7)]
     for name, p in programs:
         for kw in CHECK_CONFIGS:
             cfg = AnalysisConfig(**kw)
