@@ -201,6 +201,11 @@ class OctElem:
     def __repr__(self):
         return f"OctElem(closed={self.closed})"
 
+    def __reduce__(self):
+        # rebuilt through __init__, so the unpickled matrix is read-only too
+        # and `_bytes` describes it; the closure cache is refilled on use
+        return OctElem, (self.m, self.closed)
+
 
 def is_bottom(d) -> bool:
     """Whether a domain element, or the element of a `RecencyFact`, is bottom."""

@@ -23,13 +23,30 @@ rounds, and then the widening analyses descend from there without widening.
 The order decides only which post-fixpoint they reach, never soundness:
 `check_postfixpoint` checks every result.
 
+Like a sequential solver, the loop joins only where paths merge (`_solve`
+has the details).  A chain location (`_Frame.chain`: one in-edge, no thread
+entry) takes its in-edge's transfer, or at a widening point the old fact
+widened by it; merge points and thread entries join.  The descent starts
+only from the sources of the in-edges of merge points and widening points.
+- Exactness: `widen(cur, new)` equals `widen(cur, join(cur, new))`, since
+  the interval, octagon and recency `widen` join first; and where transfers
+  are monotone and the ascent's facts grow, each transfer into a chain
+  location lies above the fact it replaces, so storing it equals the join,
+  and the descent changes exactly the facts it changed when it started from
+  every location.
+- Soundness holds everywhere, monotone or not (octagon saturation near the
+  limit is not): `check_postfixpoint` checks each result.
+- Termination: every cycle of the sync-CFG still passes through a widening
+  point, which widens the old fact as before.
+
 A frame stores each instruction's last transfer with its inputs (the
 source fact, then for an acquire the facts at the release points feeding
 it) and returns the stored result while every input is the same object.
 Elements are immutable (and `EnvSetDomain.clamped` only ever turns on), so
 the stored result is what recomputing would give: the descent recomputes
 only the transfers whose inputs changed, and the post-fixpoint check after
-`_solve` makes no domain call for a transfer.
+`_solve` recomputes only the transfers out of locations the solver never
+popped, whose facts stayed bottom.
 `check_postfixpoint(..., frame=None)` builds a fresh frame instead and
 recomputes every transfer: that is the independent form of the check.
 
@@ -147,6 +164,11 @@ class _Frame:
         # cycle through a sync edge closes at an acquire target)
         self.widen_points = self.heads | {
             i.target for i in p.instructions if isinstance(i.command, Acquire)}
+        # chain locations: one in-edge and not a thread entry, so their fact
+        # is that edge's transfer and `_solve` stores it without a join
+        entries = {t.entry for t in p.threads}
+        self.chain = frozenset(loc for loc, edges in self.by_target.items()
+                               if len(edges) == 1 and loc not in entries)
         # id(instruction) -> (inputs, result) of its last transfer
         self._last: dict[int, tuple[tuple, object]] = {}
 
@@ -251,9 +273,24 @@ def _solve(frame: _Frame) -> LocationFacts:
     acquire target inside a loop is not widened by the loop's own
     iterations.
 
-    After the ascent, the widening analyses descend without widening: every
-    location is queued again, and a popped location's target gets its initial
-    fact joined with all its in-edges' transfers, if that is below its fact.
+    A location with two or more in-edges, or a thread entry, gets its old
+    fact joined with the transfer (a merge point); a chain location gets the
+    transfer itself, and a chain widening point the old fact widened by it.
+    `widen(cur, new)` equals `widen(cur, join(cur, new))`, since the
+    interval, octagon and recency `widen` first join their arguments; and
+    where transfers are monotone and the ascent's facts grow, the transfer
+    into a chain location lies above the stored fact, so the stored facts
+    are those of joining at every location.
+
+    After the ascent, the widening analyses descend without widening: the
+    sources of the in-edges of merge points and of widening points are
+    queued again, and a popped location's target gets its in-edge's
+    transfer if it is a chain location, and otherwise its initial fact
+    joined with all its in-edges' transfers; a recomputation is kept if it
+    is below the stored fact.  Any other location is a chain location that
+    does not widen, whose fact is its in-edge's transfer of its source's
+    fact, so recomputing it would change nothing until its source changes,
+    which queues the source again.
 
     Termination: within a round only the thread's own CFG edges re-queue
     work, and every cycle of a thread's CFG passes through a back-edge
@@ -262,18 +299,22 @@ def _solve(frame: _Frame) -> LocationFacts:
     acquire target, whose facts form a widening sequence after
     `WIDEN_DELAY` rounds that changed them, so they change finitely often
     (the desugarer puts a step between an acquire and a loop head, so no
-    location is both).  After each thread's first round, a round starts
-    only from queued acquire sources, and once no acquire target changes,
-    such a round changes nothing and queues nothing more.  In the descent
-    each location's fact changes at most `_NARROW_CAP` times, and each
-    change queues finitely many locations.  Environment sets are finite in
-    the value box, so there joins alone terminate, at the least fixpoint.
-    Soundness does not depend on the order: `check_postfixpoint` checks
-    every result.  The descent starts from a post-fixpoint, and with
-    monotone transfers each recomputed fact leaves one."""
+    location is both).  A chain location that does not widen changes only
+    when its source does, and no cycle avoids the widening points.  After
+    each thread's first round, a round starts only from queued acquire
+    sources, and once no acquire target changes, such a round changes
+    nothing and queues nothing more.  In the descent each location's fact
+    changes at most `_NARROW_CAP` times, and each change queues finitely
+    many locations.  Environment-set transfers are monotone and the sets
+    finite in the value box, so there the facts only grow and the loop
+    ends without widening, at the least fixpoint.  Soundness does not
+    depend on the order: `check_postfixpoint` checks every result.  The
+    descent starts from a post-fixpoint, and with monotone transfers each
+    recomputed fact leaves one."""
     cfg = frame.cfg
     facts = frame.initial_facts()
-    rank, order, owner, heads = frame.rank, frame.order, frame.thread_of, frame.heads
+    rank, order, owner, heads, chain = (frame.rank, frame.order, frame.thread_of,
+                                        frame.heads, frame.chain)
     pending = [[rank[t.entry]] for t in frame.p.threads]  # one rank heap per thread
     queued = {t.entry for t in frame.p.threads}
     deferred: list[set[int]] = [set() for _ in frame.p.threads]  # for the next round
@@ -306,7 +347,7 @@ def _solve(frame: _Frame) -> LocationFacts:
                     new = frame.transfer(instr, facts[loc], facts)
                     if is_bottom(new):
                         continue
-                    joined = dom.join(cur, new)
+                    joined = new if tgt in chain else dom.join(cur, new)
                     if cfg.domain != "envset" and tgt in frame.widen_points:
                         count = changes.get(tgt, 0) if tgt in heads else update_count.get(tgt, 0)
                         if count >= WIDEN_DELAY:
@@ -316,7 +357,8 @@ def _solve(frame: _Frame) -> LocationFacts:
                 else:
                     joined = initial[tgt]
                     for edge in frame.by_target[tgt]:
-                        joined = dom.join(joined, frame.transfer(edge, facts[edge.source], facts))
+                        new = frame.transfer(edge, facts[edge.source], facts)
+                        joined = new if tgt in chain else dom.join(joined, new)
                     if not dom.leq(joined, cur):
                         continue
                 if dom.equal(joined, cur):
@@ -342,9 +384,13 @@ def _solve(frame: _Frame) -> LocationFacts:
         if deferred[tid]:
             rounds.append(tid)
         if not rounds and descent is None and cfg.domain != "envset":
-            # the ascent is at a post-fixpoint: queue every location again
-            descent, initial, queued = {}, frame.initial_facts(), set(order)
-            pending = [sorted(rank[loc] for loc in t.locations) for t in frame.p.threads]
+            # the ascent is at a post-fixpoint: queue the sources of the
+            # in-edges of merge points and widening points
+            descent, initial = {}, frame.initial_facts()
+            queued = {i.source for i in frame.p.instructions
+                      if i.target not in chain or i.target in frame.widen_points}
+            pending = [sorted(rank[loc] for loc in t.locations & queued)
+                       for t in frame.p.threads]
             rounds.extend(range(len(pending)))
     return facts
 

@@ -15,6 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache
+from heapq import heappop, heappush
 from itertools import product
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from racefree.absdom import (
 from racefree import concrete, corpus, metacheck
 from racefree.checker import must_hold_locksets
 from racefree.concrete import reachable_states
-from racefree.engine import WIDEN_DELAY, make_domain
+from racefree.engine import _NARROW_CAP, WIDEN_DELAY, make_domain
 from racefree.lang import (
     _KEYWORDS,
     _TOKEN_RE,
@@ -1175,6 +1176,87 @@ def jacobi_round_reference(frame, facts) -> dict:
         new = frame.transfer(instr, facts[instr.source], facts)
         out[instr.target] = frame.domain_at[instr.target].join(out[instr.target], new)
     return out
+
+
+def join_everywhere_solve_reference(frame) -> dict:
+    """The engine's thread-round loop before it joined only where paths
+    merge: every location's new fact is its old fact joined with the
+    transfer (widened at widening points), and the descent starts from every
+    location, recomputing each target of a popped location from all its
+    in-edges.  Kept here, not in the engine, for oracle independence: where
+    transfers are monotone and the ascent's facts grow, `engine._solve`, which
+    stores a one-in-edge location's transfer without a join and descends
+    only from the sources of merge and widening points, must reach the same
+    facts."""
+    cfg = frame.cfg
+    facts = frame.initial_facts()
+    rank, order, owner, heads = frame.rank, frame.order, frame.thread_of, frame.heads
+    pending = [[rank[t.entry]] for t in frame.p.threads]
+    queued = {t.entry for t in frame.p.threads}
+    deferred: list[set[int]] = [set() for _ in frame.p.threads]
+    rounds = deque(range(len(frame.p.threads)))
+    update_count: dict[int, int] = {}
+    descent = None
+    while rounds:
+        tid = rounds.popleft()
+        heap = pending[tid]
+        for loc in deferred[tid]:
+            if loc not in queued:
+                heappush(heap, rank[loc])
+                queued.add(loc)
+        deferred[tid] = set()
+        changes: dict[int, int] = {}
+        while heap:
+            loc = order[heappop(heap)]
+            queued.discard(loc)
+            for instr in frame.by_source.get(loc, ()):
+                tgt = instr.target
+                dom = frame.domain_at[tgt]
+                cur = facts[tgt]
+                if descent is None:
+                    new = frame.transfer(instr, facts[loc], facts)
+                    if is_bottom(new):
+                        continue
+                    joined = dom.join(cur, new)
+                    if cfg.domain != "envset" and tgt in frame.widen_points:
+                        count = changes.get(tgt, 0) if tgt in heads else update_count.get(tgt, 0)
+                        if count >= WIDEN_DELAY:
+                            joined = dom.widen(cur, joined)
+                elif descent.get(tgt, 0) >= _NARROW_CAP:
+                    continue
+                else:
+                    joined = initial[tgt]
+                    for edge in frame.by_target[tgt]:
+                        joined = dom.join(joined, frame.transfer(edge, facts[edge.source], facts))
+                    if not dom.leq(joined, cur):
+                        continue
+                if dom.equal(joined, cur):
+                    continue
+                facts[tgt] = joined
+                if descent is not None:
+                    descent[tgt] = descent.get(tgt, 0) + 1
+                changes[tgt] = changes.get(tgt, 0) + 1
+                if changes[tgt] == 1:
+                    update_count[tgt] = update_count.get(tgt, 0) + 1
+                if tgt not in queued:
+                    heappush(heap, rank[tgt])
+                    queued.add(tgt)
+                for acq_src in frame.dependents.get(tgt, ()):
+                    other = owner[acq_src]
+                    if other == tid:
+                        deferred[tid].add(acq_src)
+                    elif acq_src not in queued:
+                        heappush(pending[other], rank[acq_src])
+                        queued.add(acq_src)
+                        if other not in rounds:
+                            rounds.append(other)
+        if deferred[tid]:
+            rounds.append(tid)
+        if not rounds and descent is None and cfg.domain != "envset":
+            descent, initial, queued = {}, frame.initial_facts(), set(order)
+            pending = [sorted(rank[loc] for loc in t.locations) for t in frame.p.threads]
+            rounds.extend(range(len(pending)))
+    return facts
 
 
 # ---------------------------------------------------------------------------

@@ -749,6 +749,23 @@ def test_bottom_and_facts_survive_pickling():
                 assert dom.equal(a, b) and dom.equal(b, a)
 
 
+def test_a_pickled_octagon_keeps_its_matrix_read_only():
+    """`OctElem` hashes the bytes of its matrix once, so a round trip must
+    give back a read-only matrix, equal and with the same hash."""
+    import pickle
+
+    rng = random.Random(41)
+    dom = OctagonDomain(("x", "y", "z"))
+    elems = [OctagonDomain(("x",)).initial(), dom.initial()]
+    elems += [make(dom, rng) for make in (_closed_octagon, _widened_octagon) for _ in range(5)]
+    for e in elems:
+        back = pickle.loads(pickle.dumps(e))
+        assert not back.m.flags.writeable
+        assert back == e and hash(back) == hash(e) and back.closed == e.closed
+        with pytest.raises(ValueError):
+            back.m[0, 0] = 1
+
+
 def test_mix_equals_the_masked_fold_of_joins():
     rng = random.Random(29)
     makers = (_closed_octagon, _widened_octagon, _unsatisfiable_octagon,

@@ -22,6 +22,7 @@ from domtools import (
     fifo_solve_reference,
     golden_programs,
     jacobi_round_reference,
+    join_everywhere_solve_reference,
     random_race_free_programs,
 )
 
@@ -451,3 +452,70 @@ def test_descent_ends_where_a_jacobi_round_changes_nothing():
             after = jacobi_round_reference(frame, facts)
             assert all(frame.domain_at[loc].equal(after[loc], facts[loc]) for loc in facts), \
                 (name, kw)
+
+
+# ---------------------------------------------------------------------------
+# joins only where paths merge
+
+
+def test_facts_equal_the_join_everywhere_reference():
+    """Storing a one-in-edge location's transfer without a join, and
+    descending only from the sources of merge and widening points, reaches
+    the facts of the solver that joined and descended everywhere: under
+    valset, rel and regrel, with and without recency, and in the collecting
+    fixpoint over environment sets (on the programs small enough for it).
+    Near the octagon limit saturation is not monotone, so there the
+    differential net checks soundness instead."""
+    from racefree.engine import _Frame
+
+    def same(cfg, p, facts):
+        frame = _Frame(p, cfg)
+        ref = join_everywhere_solve_reference(frame)
+        return all(frame.domain_at[loc].equal(facts[loc], ref[loc]) for loc in facts)
+
+    small = [*corpus_programs(), *random_race_free_programs(40, seed=7)]
+    widening = [kw for kw in CHECK_CONFIGS if kw["domain"] != "envset"]
+    for name, p in [*small, *golden_programs()]:
+        for kw in widening:
+            cfg = AnalysisConfig(**kw)
+            assert same(cfg, p, analyze_fixpoint(p, cfg)), (name, kw)
+    box = (-3, 3)
+    for name, p in small:
+        for analysis in ("valset", "rel", "regrel"):
+            cfg = AnalysisConfig(analysis=analysis)
+            res = collecting_fixpoint(p, cfg, box)
+            run = replace(cfg, domain="envset", value_box=box)
+            assert same(run, p, res.facts), (name, analysis)
+
+
+def test_every_cycle_passes_through_a_widening_point():
+    """The termination premise of `_solve`: with the widening points removed
+    the graph of what each fact reads (an instruction's source to its
+    target, and each release point of a lock to the target of each acquire
+    of it, along the sync edge) has no cycle, and a chain location, whose
+    fact the ascent overwrites rather than joins, has exactly one in-edge
+    and is no thread entry.  Every acquire target is a chain location."""
+    from collections import Counter
+    from graphlib import TopologicalSorter
+
+    from racefree.engine import _Frame
+    from racefree.lang import Acquire
+
+    programs = [*corpus_programs(), *golden_programs(), *random_race_free_programs(40, seed=7),
+                ("loop", desugar(parse_program(INCREMENT_LOOP))),
+                ("ping-pong", desugar(parse_program(PING_PONG))),
+                ("nested", desugar(parse_program(NESTED_LOOPS)))]
+    for name, p in programs:
+        frame = _Frame(p, AnalysisConfig())
+        preds: dict[int, set[int]] = {}
+        edges = [(i.source, i.target) for i in p.instructions] + [
+            (rel, i.target) for i in p.instructions if isinstance(i.command, Acquire)
+            for rel in frame.g.release_points_feeding(i.command.lock)]
+        for src, tgt in edges:
+            if src not in frame.widen_points and tgt not in frame.widen_points:
+                preds.setdefault(tgt, set()).add(src)
+        TopologicalSorter(preds).prepare()  # raises CycleError, naming the cycle
+        entries = {t.entry for t in p.threads}
+        in_edges = Counter(i.target for i in p.instructions)
+        assert all(in_edges[loc] == 1 and loc not in entries for loc in frame.chain), name
+        assert {i.target for i in p.instructions if isinstance(i.command, Acquire)} <= frame.chain
