@@ -350,7 +350,8 @@ class OctagonDomain:
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.n = len(self.variables)
         self.size = 2 * self.n
-        self._limit = 2 ** 59 // max(self.size, 1)  # see `_close_at`
+        # an int64, so that array comparisons convert no Python int
+        self._limit = np.int64(2 ** 59 // max(self.size, 1))  # see `_close_at`
         # literal signs: row per literal over variables (+1 at 2k, -1 at 2k+1)
         self._signs = np.kron(np.eye(self.n, dtype=np.int64), [[1], [-1]])
         self._lits = np.arange(self.size)
@@ -360,6 +361,7 @@ class OctagonDomain:
         self._diag = slice(None, None, self.size + 1)
         self._unary = self._lits * self.size + self._bars
         self._masks: dict[tuple, np.ndarray] = {}  # partition -> region mask
+        self._gathers: dict[tuple, tuple] = {}  # (x, source) -> `_assign_closed` maps
 
     def _check(self, d):
         if d is BOTTOM or isinstance(d, OctElem):
@@ -434,16 +436,17 @@ class OctagonDomain:
                 np.minimum(m, m[:, k, None] + m[k], out=m)
                 if m[k, k] < 0:
                     return None
-        # integer tightening of unary bounds (`_NO_BOUND` is even), then one
-        # strengthening pass m[i, j] <= (unary[i] + unary[j ^ 1]) / 2, which
-        # also writes the tightened unary bounds (j = i ^ 1) and leaves the
-        # diagonal at 0 (no unary pair sums below 0); halving first is exact,
-        # since the tightened bounds are even
-        half = (flat[self._unary] & -2) >> 1
-        half_bar = half[self._bars]
-        if (half + half_bar < 0).any():
+        # integer tightening of unary bounds (`_NO_BOUND` is even) and
+        # halving in one floor shift, then one strengthening pass
+        # m[i, j] <= half[i] + half[j ^ 1], which also writes the tightened
+        # unary bounds (j = i ^ 1); its diagonal holds the unary pair sums,
+        # so it is empty exactly when one is below 0, and otherwise leaves
+        # the diagonal at 0
+        half = flat[self._unary] >> 1
+        strong = half[:, None] + half[self._bars]
+        if strong.ravel()[self._diag].min() < 0:
             return None
-        np.minimum(m, half[:, None] + half_bar, out=m)
+        np.minimum(m, strong, out=m)
         np.putmask(m, np.abs(m) > self._limit, _NO_BOUND)
         return OctElem(m, closed=True)
 
@@ -558,10 +561,11 @@ class OctagonDomain:
         unary bounds), and no other entry changes.  Shortest-path closure
         holds, since x is a translate of that literal, and so do tightening
         and strengthening, which are invariant under translation.  Both
-        forms end with the saturation step of `_close_at`.  An element whose
-        saturation dropped a bound that its other entries imply is not
-        closed (see `_close_at`): there the pivots of `_assign_general` may
-        re-derive part of that bound, and the closed forms do not."""
+        forms end with the saturation step of `_close_at`, which a copy
+        x := +-y leaves nothing to do.  An element whose saturation dropped
+        a bound that its other entries imply is not closed (see
+        `_close_at`): there the pivots of `_assign_general` may re-derive
+        part of that bound, and the closed forms do not."""
         self._check(d)
         c = self._closed(d)
         if c is BOTTOM:
@@ -581,36 +585,53 @@ class OctagonDomain:
 
     def _assign_closed(self, c: OctElem, vi: int, const: int, lit) -> OctElem:
         """x := k * y + const on the closed `c`, where `lit` is the literal
-        of k * y, or x := const when `lit` is None: x's rows and columns
-        become those of `lit` and its negation (for a constant, the other
-        literals' halved unary entries) shifted by const, x's own block the
-        bounds on -2x and 2x, and only these are saturated: the other
-        entries of `c` already are."""
-        m = c.m
-        buf = np.empty((4, self.size), dtype=np.int64)  # rows +x, -x; columns +x, -x
+        of k * y, or x := const when `lit` is None: one gather by the cached
+        maps of `_gather`, then the translation by const, then saturation.
+        The gather copies every other entry from `c`, which is saturated
+        already, so only a copy (const 0 from a literal) skips saturation;
+        x := 0 does not, since half of `_NO_BOUND` is not `_NO_BOUND`."""
+        idx, shift = self._gathers.get((vi, lit)) or self._gather(vi, lit)
+        flat = c.m.ravel()
         if lit is None:
-            half = m.ravel()[self._unary] >> 1  # even in a closed element
-            buf[:2] = half[self._bars]
-            buf[2:] = half
-            neg2x, pos2x = -2 * const, 2 * const
-        else:
-            ys = slice(lit & -2, (lit & -2) + 2)
-            order = slice(None, None, -1 if lit & 1 else 1)  # lit, then lit ^ 1
-            buf[:2] = m[ys][order]
-            buf[2:] = m[:, ys][:, order].T
-            neg2x, pos2x = m[lit, lit ^ 1] - 2 * const, m[lit ^ 1, lit] + 2 * const
-        # bounds on V_j - x shrink by const, bounds on x - V_j grow
-        buf[::3] -= const
-        buf[1:3] += const
-        px = 2 * vi
-        buf[0, px] = buf[1, px + 1] = buf[2, px] = buf[3, px + 1] = 0
-        buf[0, px + 1] = buf[3, px] = neg2x
-        buf[1, px] = buf[2, px + 1] = pos2x
-        np.putmask(buf, np.abs(buf) > self._limit, _NO_BOUND)
-        m = m.copy()
-        m[px:px + 2] = buf[:2]
-        m[:, px:px + 2] = buf[2:].T
+            flat = np.concatenate((flat, flat[self._unary] >> 1))
+        m = flat.take(idx)
+        if const:
+            m += shift * const
+        if const or lit is None:
+            np.putmask(m, np.abs(m) > self._limit, _NO_BOUND)
         return OctElem(m, closed=True)
+
+    def _gather(self, vi: int, lit) -> tuple[np.ndarray, np.ndarray]:
+        """The maps of `_assign_closed` for x = variable `vi` and the source
+        literal `lit` (None for a constant), cached in `_gathers`: flat
+        indices of the result's entries into the closed matrix, and the
+        signs s_j - s_i of const in entry (i, j), with s 1 on +x, -1 on -x
+        and 0 elsewhere.  Entry (i, j) bounds V_j - V_i, and x moves by
+        const.
+        - From a literal, x's literals read those of k * y: +x reads `lit`
+          and -x reads `lit ^ 1`, in rows and columns, x's own block too.
+        - From a constant, the matrix is followed by its halved unary
+          entries (half[i] bounds -V_i): row +-x reads the bound on V_j,
+          half[j ^ 1], column +-x the bound on -V_i, half[i], and x's own
+          block entry (0, 0), on the diagonal, 0 in a closed matrix, which
+          the signs turn into the bounds on -2x and 2x."""
+        size, px = self.size, 2 * vi
+        lits = self._lits
+        if lit is None:
+            idx = lits[:, None] * size + lits
+            end = size * size
+            idx[px:px + 2] = end + self._bars
+            idx[:, px:px + 2] = end + lits[:, None]
+            idx[px:px + 2, px:px + 2] = 0
+        else:
+            src = lits.copy()
+            src[px:px + 2] = lit, lit ^ 1
+            idx = src[:, None] * size + src
+        s = np.zeros(size, dtype=np.int64)
+        s[px:px + 2] = 1, -1
+        shift = s - s[:, None]
+        self._gathers[vi, lit] = idx, shift
+        return idx, shift
 
     def _assign_general(self, c: OctElem, vi: int, const: int, coeffs) -> OctElem:
         """x := const + sum(coeffs[v] * v) on the closed `c`, for any linear

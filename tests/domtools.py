@@ -322,6 +322,63 @@ def octagon_mix_loop(dom: OctagonDomain, elems, partition):
     return dom._close_matrix(m) or BOTTOM
 
 
+# The two octagon kernels below are the code that `OctagonDomain`'s cached
+# gather (`_assign_closed`) and its leaner closure tail (`_close_at`)
+# replaced, kept as test oracles: a check of those kernels must not reuse
+# their code.
+
+
+def close_at_reference(dom: OctagonDomain, m: np.ndarray, pivots):
+    """`OctagonDomain._close_at` with the closure tail it replaced: the
+    tightened unary bounds as (u & -2) >> 1, the emptiness test as a sum,
+    a compare and `any` before the strengthening.  Closes `m` in place."""
+    flat = m.ravel()
+    flat[dom._diag] = 0
+    for k in sorted(pivots):
+        np.minimum(m, m[:, k, None] + m[k], out=m)
+        if m[k, k] < 0:
+            return None
+    half = (flat[dom._unary] & -2) >> 1
+    half_bar = half[dom._bars]
+    if (half + half_bar < 0).any():
+        return None
+    np.minimum(m, half[:, None] + half_bar, out=m)
+    np.putmask(m, np.abs(m) > int(dom._limit), _NO_BOUND)
+    return OctElem(m, closed=True)
+
+
+def assign_closed_reference(dom: OctagonDomain, c: OctElem, vi: int, const: int, lit):
+    """`OctagonDomain._assign_closed` as it was before the gather: x's two
+    rows and two columns built in a buffer from `lit`'s (for x := const,
+    `lit` None, from the halved unary entries), shifted by const, x's own
+    block written entry by entry, the buffer saturated and copied in."""
+    m = c.m
+    buf = np.empty((4, dom.size), dtype=np.int64)  # rows +x, -x; columns +x, -x
+    if lit is None:
+        half = m.ravel()[dom._unary] >> 1
+        buf[:2] = half[dom._bars]
+        buf[2:] = half
+        neg2x, pos2x = -2 * const, 2 * const
+    else:
+        ys = slice(lit & -2, (lit & -2) + 2)
+        order = slice(None, None, -1 if lit & 1 else 1)  # lit, then lit ^ 1
+        buf[:2] = m[ys][order]
+        buf[2:] = m[:, ys][:, order].T
+        neg2x, pos2x = m[lit, lit ^ 1] - 2 * const, m[lit ^ 1, lit] + 2 * const
+    # bounds on V_j - x shrink by const, bounds on x - V_j grow
+    buf[::3] -= const
+    buf[1:3] += const
+    px = 2 * vi
+    buf[0, px] = buf[1, px + 1] = buf[2, px] = buf[3, px + 1] = 0
+    buf[0, px + 1] = buf[3, px] = neg2x
+    buf[1, px] = buf[2, px + 1] = pos2x
+    np.putmask(buf, np.abs(buf) > int(dom._limit), _NO_BOUND)
+    m = m.copy()
+    m[px:px + 2] = buf[:2]
+    m[:, px:px + 2] = buf[2:].T
+    return OctElem(m, closed=True)
+
+
 def owned_static_reference(p) -> dict:
     """Reference static owned sets: for every (thread, location) and variable,
     a scan of every other thread's accesses, the per-location loop that the

@@ -633,16 +633,13 @@ def _hull(dom, points):
 def _fact_inputs(programs, per_program, rng):
     """Distinct closed octagon facts of `programs` under rel and regrel, at
     most `per_program` from each."""
-    from racefree.engine import AnalysisConfig, PostFixpointError, analyze_fixpoint
+    from racefree.engine import AnalysisConfig, analyze_fixpoint
 
     for _, p in programs:
         dom = OctagonDomain(p.variables)
         seen = set()
         for analysis in ("rel", "regrel"):
-            try:
-                facts = analyze_fixpoint(p, AnalysisConfig(analysis=analysis, domain="octagon"))
-            except PostFixpointError:  # near the limit regrel may fail its check
-                continue
+            facts = analyze_fixpoint(p, AnalysisConfig(analysis=analysis, domain="octagon"))
             seen.update(c for c in map(dom._closed, facts.values()) if c is not BOTTOM)
         for c in rng.sample(sorted(seen, key=lambda c: c._bytes), min(per_program, len(seen))):
             yield dom, c
@@ -706,6 +703,89 @@ def test_closed_form_assigns_equal_the_general_path():
                     assert _octagon_holds(dom, got, image) and _octagon_holds(dom, want, image)
                     sound += 1
     assert compared > 20_000 and sound > 0
+
+
+# ---------------------------------------------------------------------------
+# the gather of `_assign_closed` and the closure tail of `_close_at` against
+# the kernels they replaced, kept in domtools
+
+
+def _kernel_inputs(rng):
+    """Closed octagons on 1-24 variables: facts of the corpus, the scaled
+    goldens (up to 48 literals) and the near-limit programs, random
+    octagons, and hulls of points near the limit, some with a variable
+    forgotten, whose saturation may have dropped a bound that the other
+    entries imply."""
+    yield from _fact_inputs(domtools.corpus_programs(), 6, rng)
+    yield from _fact_inputs(domtools.golden_programs(), 4, rng)
+    yield from _fact_inputs(domtools.near_limit_programs(), 2, rng)
+    yield from _random_inputs(rng)
+    for n in (5, 8, 12, 16, 24):
+        dom = OctagonDomain(tuple(f"v{k}" for k in range(n)))
+        lim = int(dom._limit)
+        coords = [0, 1, 5] + [a + d for a in (lim // 4, lim // 2, lim) for d in range(-2, 3)]
+        for _ in range(3):
+            yield dom, _closed_octagon(dom, rng)
+            h = _hull(dom, [tuple(rng.choice(coords) * rng.choice((1, -1)) for _ in range(n))
+                            for _ in range(rng.randint(1, 3))])
+            yield dom, OctElem(dom._forget_matrix(h.m, {rng.randrange(n)}), closed=True)
+
+
+def test_gathered_assigns_equal_the_buffered_kernel():
+    """x := c, x := +-x + c and x := +-y + c through the cached gather give
+    the matrix of `domtools.assign_closed_reference`, bit for bit, for
+    constants 0, +-1 and within 2 of +-`_limit` / 2 and +-`_limit` (past
+    the closed forms' range for a constant, so saturation is compared
+    there too), and the maps are cached once per (x, source)."""
+    rng = random.Random(59)
+    compared, sizes = 0, set()
+    for dom, c in _kernel_inputs(rng):
+        lim = int(dom._limit)
+        constants = (0, 1, -1, *(s * (a + d) for a in (lim // 2, lim)
+                                 for d in range(-2, 3) for s in (1, -1)))
+        for vi in rng.sample(range(dom.n), min(dom.n, 2)):
+            y = rng.randrange(dom.n)
+            sources = {None, 2 * vi, 2 * vi + 1, 2 * y, 2 * y + 1}
+            for lit in sources:
+                for const in constants:
+                    got = dom._assign_closed(c, vi, const, lit)
+                    want = domtools.assign_closed_reference(dom, c, vi, const, lit)
+                    assert got.closed and got == want, (dom.n, vi, lit, const)
+                    compared += 1
+            assert sources <= {lit for x, lit in dom._gathers if x == vi}
+        assert len(dom._gathers) <= dom.n * (dom.size + 1)
+        sizes.add(dom.n)
+    assert compared > 50_000 and {1, 24} <= sizes
+
+
+def test_closure_tail_equals_the_replaced_tail():
+    """`_close_at` gives the matrix, or the None, of
+    `domtools.close_at_reference` on the inputs of the gather test: closed
+    as they are (the tail alone, as in `mix`), fully closed after x := c,
+    and lowered at random literals and closed at those pivots.  The
+    arbitrary matrices of the int64 test below are compared too."""
+    rng = random.Random(61)
+    outcomes = {True: 0, False: 0}
+
+    def check(dom, m, pivots):
+        got = dom._close_at(m.copy(), pivots)
+        assert got == domtools.close_at_reference(dom, m.copy(), pivots)
+        outcomes[got is None] += 1
+
+    for dom, c in _kernel_inputs(rng):
+        lim = int(dom._limit)
+        check(dom, c.m, ())
+        check(dom, dom._assign_closed(c, rng.randrange(dom.n), rng.choice((0, 1, lim // 2)),
+                                      None).m, range(dom.size))
+        m = c.m.copy()
+        lits = rng.sample(range(dom.size), min(dom.size, 4))
+        for _ in range(3):
+            i, j = rng.choice(lits), rng.choice(lits)
+            b = rng.choice((-3, -1, 0, 2, lim // 2, -lim // 2, lim))
+            m[i, j] = min(m[i, j], b)
+            m[j ^ 1, i ^ 1] = min(m[j ^ 1, i ^ 1], b)
+        check(dom, m, lits)
+    assert min(outcomes.values()) > 20
 
 
 def test_a_guard_that_lowers_nothing_returns_its_input():
@@ -975,7 +1055,8 @@ def test_int64_closure_matches_the_python_int_closure():
     """Entries in a wider range than `_close_at` gets (within twice the
     limit, or `_NO_BOUND` give or take the limit; its inputs are within the
     limit or `_NO_BOUND`), negative cycles included: int64 closure never
-    wraps."""
+    wraps, and its tail gives the matrix, or the None, of the tail it
+    replaced (`domtools.close_at_reference`)."""
     rng = random.Random(43)
     outcomes = {True: 0, False: 0}
     for _ in range(400):
@@ -994,6 +1075,7 @@ def test_int64_closure_matches_the_python_int_closure():
         pivots = (range(dom.size) if rng.random() < 0.5
                   else rng.sample(range(dom.size), rng.randint(0, dom.size)))
         got, want = dom._close_at(m.copy(), pivots), _reference_close(dom, m, pivots)
+        assert got == domtools.close_at_reference(dom, m.copy(), pivots)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got.m, want)

@@ -456,6 +456,27 @@ def test_analyze_recency_dead_branch_passes_the_postfixpoint_check(tmp_path, cap
     assert "PROVED" in captured.out and "1/1 assertions proved" in captured.out
 
 
+NEAR_LIMIT = (
+    "var x, y, z; lock m; region r { x, y, z };\n"
+    "thread t { acquire(m); z := y - x; release(m); acquire(m);\n"
+    "  assume(y + y >= 0 - 96076792050570583); z := z + (0 - 48038396025285288); release(m); }\n"
+    "thread u { acquire(m); y := 96076792050570581 - y; release(m); }\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--recency"]], ids=["plain", "recency"])
+def test_regrel_near_the_octagon_limit_passes_the_postfixpoint_check(tmp_path, capsys, extra):
+    # the release-point facts feeding t's first acquire were saturated, so
+    # they are not closed and neither is their mix: it lacks y >= 0,
+    # implied by x = 0 and x - y <= 0, and the entrywise leq rejected it
+    # against the stored fact, which is semantically above it (exit 3)
+    f = tmp_path / "near_limit.rf"
+    f.write_text(NEAR_LIMIT)
+    code = run_cli(["analyze", "--analysis", "regrel", "--deterministic", *extra, str(f)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "0/0 assertions proved" in captured.out
+
+
 # Long and deeply nested inputs.  Sums and &&/|| chains are flat, so their
 # length is unlimited; parentheses, `!` and blocks nest up to MAX_NESTING
 # levels, counted over every enclosing `(`, `{` and `!` and every && chain

@@ -110,13 +110,7 @@ def test_proved_near_the_octagon_limit_hold_in_every_reachable_state(config):
     assert proved > 100
 
 
-@pytest.mark.parametrize("config", [
-    NEAR_LIMIT_CONFIGS[0],
-    pytest.param(NEAR_LIMIT_CONFIGS[1], marks=pytest.mark.xfail(
-        strict=True, reason="elements closed after saturation are not closed, so "
-                            "the entrywise leq rejects a transfer below the stored "
-                            "fact; see the FOUND in CHANGES.md"))],
-    ids=config_id)
+@pytest.mark.parametrize("config", NEAR_LIMIT_CONFIGS, ids=config_id)
 def test_near_limit_facts_pass_the_postfixpoint_check(config):
     assert near_limit_outcomes(config)[2] == []
 
