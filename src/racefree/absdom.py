@@ -253,6 +253,8 @@ class IntervalDomain:
                 return False
         return True
 
+    check_leq = leq  # complete already; see `OctagonDomain.check_leq`
+
     def join(self, a, b):
         self._check(a), self._check(b)
         if a is BOTTOM:
@@ -362,6 +364,7 @@ class OctagonDomain:
         self._unary = self._lits * self.size + self._bars
         self._masks: dict[tuple, np.ndarray] = {}  # partition -> region mask
         self._gathers: dict[tuple, tuple] = {}  # (x, source) -> `_assign_closed` maps
+        self._crosses: dict[int, tuple] = {}  # x -> flat indices of its rows and columns, signs of c
 
     def _check(self, d):
         if d is BOTTOM or isinstance(d, OctElem):
@@ -444,7 +447,7 @@ class OctagonDomain:
         # the diagonal at 0
         half = flat[self._unary] >> 1
         strong = half[:, None] + half[self._bars]
-        if strong.ravel()[self._diag].min() < 0:
+        if strong.ravel()[self._diag].min(initial=0) < 0:  # size 0 has none
             return None
         np.minimum(m, strong, out=m)
         np.putmask(m, np.abs(m) > self._limit, _NO_BOUND)
@@ -470,6 +473,18 @@ class OctagonDomain:
             return True
         b = self._closed(b)
         return b is not BOTTOM and bool((a.m <= b.m).all())
+
+    def check_leq(self, a, b) -> bool:
+        """`leq` for the post-fixpoint check: an `a` that the entrywise test
+        rejects passes if its full closure is below `b`.  Saturation near
+        the limit leaves elements marked closed that a full closure still
+        tightens (see `_close_at`), so `leq` may reject an `a` that is
+        semantically below `b`; since gamma(a) is within gamma(closure(a)),
+        this test is sound too."""
+        if self.leq(a, b):
+            return True
+        full = self._close_matrix(self._closed(a).m)  # a is not BOTTOM
+        return full is None or self.leq(full, b)
 
     def join(self, a, b):
         self._check(a), self._check(b)
@@ -585,53 +600,58 @@ class OctagonDomain:
 
     def _assign_closed(self, c: OctElem, vi: int, const: int, lit) -> OctElem:
         """x := k * y + const on the closed `c`, where `lit` is the literal
-        of k * y, or x := const when `lit` is None: one gather by the cached
-        maps of `_gather`, then the translation by const, then saturation.
-        The gather copies every other entry from `c`, which is saturated
-        already, so only a copy (const 0 from a literal) skips saturation;
-        x := 0 does not, since half of `_NO_BOUND` is not `_NO_BOUND`."""
-        idx, shift = self._gathers.get((vi, lit)) or self._gather(vi, lit)
-        flat = c.m.ravel()
+        of k * y, or x := const when `lit` is None: x's rows and columns are
+        one gather by the cached maps of `_gather`, then the translation by
+        const and saturation, and are put into a copy of `c`.  Every other
+        entry is saturated already, and so is a copy (const 0 from a
+        literal), which skips both steps; x := 0 does not, since half of
+        `_NO_BOUND` is not `_NO_BOUND`."""
+        cross, idx, shift = self._gathers.get((vi, lit)) or self._gather(vi, lit)
+        v = c.m.ravel().take(idx)
         if lit is None:
-            flat = np.concatenate((flat, flat[self._unary] >> 1))
-        m = flat.take(idx)
+            v >>= 1
         if const:
-            m += shift * const
+            v += shift * const
         if const or lit is None:
-            np.putmask(m, np.abs(m) > self._limit, _NO_BOUND)
+            np.putmask(v, np.abs(v) > self._limit, _NO_BOUND)
+        m = c.m.copy()
+        m.put(cross, v)
         return OctElem(m, closed=True)
 
-    def _gather(self, vi: int, lit) -> tuple[np.ndarray, np.ndarray]:
+    def _gather(self, vi: int, lit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The maps of `_assign_closed` for x = variable `vi` and the source
-        literal `lit` (None for a constant), cached in `_gathers`: flat
-        indices of the result's entries into the closed matrix, and the
-        signs s_j - s_i of const in entry (i, j), with s 1 on +x, -1 on -x
-        and 0 elsewhere.  Entry (i, j) bounds V_j - V_i, and x moves by
-        const.
+        literal `lit` (None for a constant), cached in `_gathers`: the flat
+        indices of x's rows and columns, which `_crosses` holds per x, the
+        flat indices that they read in the closed matrix, and the signs
+        s_j - s_i of const in entry (i, j), with s 1 on +x, -1 on -x and 0
+        elsewhere.  Entry (i, j) bounds V_j - V_i, and x moves by const.
         - From a literal, x's literals read those of k * y: +x reads `lit`
           and -x reads `lit ^ 1`, in rows and columns, x's own block too.
-        - From a constant, the matrix is followed by its halved unary
-          entries (half[i] bounds -V_i): row +-x reads the bound on V_j,
-          half[j ^ 1], column +-x the bound on -V_i, half[i], and x's own
-          block entry (0, 0), on the diagonal, 0 in a closed matrix, which
-          the signs turn into the bounds on -2x and 2x."""
-        size, px = self.size, 2 * vi
-        lits = self._lits
+        - From a constant, the entries read are halved: row +-x reads the
+          unary entry m[j ^ 1, j], twice the bound on V_j, column +-x the
+          unary entry m[i, i ^ 1], twice the bound on -V_i, and x's own
+          block entry (0, 0), on the diagonal, 0 in a closed matrix,
+          which the signs turn into the bounds on -2x and 2x."""
+        if vi not in self._crosses:
+            size, px = self.size, 2 * vi
+            xs = [px, px + 1]
+            rest = np.delete(self._lits, xs)
+            cross = np.concatenate((np.arange(px * size, (px + 2) * size),
+                                    (rest[:, None] * size + xs).ravel()))
+            s = np.zeros(size, dtype=np.int64)
+            s[xs] = 1, -1
+            self._crosses[vi] = cross, s[cross % size] - s[cross // size]
+        cross, shift = self._crosses[vi]
+        i, j = np.divmod(cross, self.size)
         if lit is None:
-            idx = lits[:, None] * size + lits
-            end = size * size
-            idx[px:px + 2] = end + self._bars
-            idx[:, px:px + 2] = end + lits[:, None]
-            idx[px:px + 2, px:px + 2] = 0
+            idx = np.where(i >> 1 == vi, np.where(j >> 1 == vi, 0, self._unary[j ^ 1]),
+                           self._unary[i])
         else:
-            src = lits.copy()
-            src[px:px + 2] = lit, lit ^ 1
-            idx = src[:, None] * size + src
-        s = np.zeros(size, dtype=np.int64)
-        s[px:px + 2] = 1, -1
-        shift = s - s[:, None]
-        self._gathers[vi, lit] = idx, shift
-        return idx, shift
+            src = self._lits.copy()
+            src[2 * vi:2 * vi + 2] = lit, lit ^ 1
+            idx = src[i] * self.size + src[j]
+        self._gathers[vi, lit] = maps = cross, idx, shift
+        return maps
 
     def _assign_general(self, c: OctElem, vi: int, const: int, coeffs) -> OctElem:
         """x := const + sum(coeffs[v] * v) on the closed `c`, for any linear
@@ -815,6 +835,8 @@ class EnvSetDomain:
         self._check(a), self._check(b)
         return self._norm(a) <= self._norm(b)
 
+    check_leq = leq  # complete already; see `OctagonDomain.check_leq`
+
     def join(self, a, b):
         self._check(a), self._check(b)
         return self._norm(a) | self._norm(b)
@@ -947,6 +969,9 @@ class RecencyDomain:
 
     def leq(self, a: RecencyFact, b: RecencyFact) -> bool:
         return self.inner.leq(a.elem, b.elem) and a.tids <= b.tids
+
+    def check_leq(self, a: RecencyFact, b: RecencyFact) -> bool:
+        return self.inner.check_leq(a.elem, b.elem) and a.tids <= b.tids
 
     def equal(self, a: RecencyFact, b: RecencyFact) -> bool:
         return self.inner.equal(a.elem, b.elem) and a.tids == b.tids

@@ -68,10 +68,8 @@ from .absdom import (
     IntervalDomain,
     OctagonDomain,
     RecencyDomain,
-    RecencyFact,
     is_bottom,
     singleton_partition,
-    split_fact,
 )
 from .concrete import ProgramIndex
 from .lang import Acquire, Assign, Assume, Instruction, Program, Release
@@ -414,35 +412,17 @@ def check_postfixpoint(
     """Assert the per-instruction transfer inequality exhaustively.
 
     `frame` reuses the transfers that frame stored for unchanged inputs;
-    without one, every transfer is recomputed on a fresh frame.  An octagon
-    transfer that the entrywise `leq` rejects is tried again in its full
-    closure (`_closure_leq`)."""
+    without one, every transfer is recomputed on a fresh frame.  It
+    compares by the domains' `check_leq`, which also passes an octagon
+    transfer that the entrywise `leq` rejects but whose full closure is
+    below the stored fact."""
     frame = frame or _Frame(p, cfg)
     for instr in p.instructions:
         new = frame.transfer(instr, facts[instr.source], facts)
-        dom, stored = frame.domain_at[instr.target], facts[instr.target]
-        if not dom.leq(new, stored) and not _closure_leq(dom, new, stored):
+        if not frame.domain_at[instr.target].check_leq(new, facts[instr.target]):
             raise PostFixpointError(
                 f"transfer of {instr.source}->{instr.target} exceeds the stored fact"
             )
-
-
-def _closure_leq(dom, new, stored) -> bool:
-    """Whether the full closure of the octagon `new`, bare or in a
-    `RecencyFact`, is below `stored`.  Saturation near the octagon limit
-    leaves elements marked closed that a full closure still tightens (see
-    `OctagonDomain._close_at`), so the entrywise `leq` may reject a `new`
-    that is semantically below `stored`; since gamma(new) is within
-    gamma(closure(new)), this test is sound too."""
-    inner = dom.inner if isinstance(dom, RecencyDomain) else dom
-    elem, tids = split_fact(new)
-    if not isinstance(inner, OctagonDomain) or is_bottom(elem):
-        return False
-    closed = inner._close_matrix(elem.m)
-    if closed is None:  # gamma(new) is empty
-        return True
-    return dom.leq(RecencyFact(closed, tids) if isinstance(new, RecencyFact) else closed,
-                   stored)
 
 
 @dataclass

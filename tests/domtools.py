@@ -322,29 +322,9 @@ def octagon_mix_loop(dom: OctagonDomain, elems, partition):
     return dom._close_matrix(m) or BOTTOM
 
 
-# The two octagon kernels below are the code that `OctagonDomain`'s cached
-# gather (`_assign_closed`) and its leaner closure tail (`_close_at`)
-# replaced, kept as test oracles: a check of those kernels must not reuse
-# their code.
-
-
-def close_at_reference(dom: OctagonDomain, m: np.ndarray, pivots):
-    """`OctagonDomain._close_at` with the closure tail it replaced: the
-    tightened unary bounds as (u & -2) >> 1, the emptiness test as a sum,
-    a compare and `any` before the strengthening.  Closes `m` in place."""
-    flat = m.ravel()
-    flat[dom._diag] = 0
-    for k in sorted(pivots):
-        np.minimum(m, m[:, k, None] + m[k], out=m)
-        if m[k, k] < 0:
-            return None
-    half = (flat[dom._unary] & -2) >> 1
-    half_bar = half[dom._bars]
-    if (half + half_bar < 0).any():
-        return None
-    np.minimum(m, half[:, None] + half_bar, out=m)
-    np.putmask(m, np.abs(m) > int(dom._limit), _NO_BOUND)
-    return OctElem(m, closed=True)
+# The octagon kernel below is the code that `OctagonDomain`'s cached gather
+# (`_assign_closed`) replaced, kept as a test oracle: a check of that kernel
+# must not reuse its code.
 
 
 def assign_closed_reference(dom: OctagonDomain, c: OctElem, vi: int, const: int, lit):
@@ -372,7 +352,7 @@ def assign_closed_reference(dom: OctagonDomain, c: OctElem, vi: int, const: int,
     buf[0, px] = buf[1, px + 1] = buf[2, px] = buf[3, px + 1] = 0
     buf[0, px + 1] = buf[3, px] = neg2x
     buf[1, px] = buf[2, px + 1] = pos2x
-    np.putmask(buf, np.abs(buf) > int(dom._limit), _NO_BOUND)
+    np.putmask(buf, np.abs(buf) > dom._limit, _NO_BOUND)
     m = m.copy()
     m[px:px + 2] = buf[:2]
     m[:, px:px + 2] = buf[2:].T

@@ -706,8 +706,8 @@ def test_closed_form_assigns_equal_the_general_path():
 
 
 # ---------------------------------------------------------------------------
-# the gather of `_assign_closed` and the closure tail of `_close_at` against
-# the kernels they replaced, kept in domtools
+# the gather of `_assign_closed` against the kernel it replaced, kept in
+# domtools, and the closure tail of `_close_at` against `_reference_close`
 
 
 def _kernel_inputs(rng):
@@ -753,25 +753,32 @@ def test_gathered_assigns_equal_the_buffered_kernel():
                     assert got.closed and got == want, (dom.n, vi, lit, const)
                     compared += 1
             assert sources <= {lit for x, lit in dom._gathers if x == vi}
+            # x's entries and signs are held once per x, not per source
+            assert all(dom._gathers[vi, lit][2] is dom._crosses[vi][1] for lit in sources)
         assert len(dom._gathers) <= dom.n * (dom.size + 1)
         sizes.add(dom.n)
     assert compared > 50_000 and {1, 24} <= sizes
 
 
-def test_closure_tail_equals_the_replaced_tail():
-    """`_close_at` gives the matrix, or the None, of
-    `domtools.close_at_reference` on the inputs of the gather test: closed
-    as they are (the tail alone, as in `mix`), fully closed after x := c,
-    and lowered at random literals and closed at those pivots.  The
-    arbitrary matrices of the int64 test below are compared too."""
+def test_closure_tail_equals_the_python_int_closure():
+    """`_close_at` gives the matrix, or the None, of `_reference_close`
+    (below) on the inputs of the gather test: closed as they are (the tail
+    alone, as in `mix`), fully closed after x := c, and lowered at random
+    literals and closed at those pivots; and on the octagon over no
+    variable, whose diagonal is empty."""
     rng = random.Random(61)
     outcomes = {True: 0, False: 0}
 
     def check(dom, m, pivots):
-        got = dom._close_at(m.copy(), pivots)
-        assert got == domtools.close_at_reference(dom, m.copy(), pivots)
+        got, want = dom._close_at(m.copy(), pivots), _reference_close(dom, m, pivots)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.closed and np.array_equal(got.m, want)
         outcomes[got is None] += 1
 
+    empty = OctagonDomain(())
+    check(empty, empty.top().m, ())
+    check(empty, empty.top().m, range(0))
     for dom, c in _kernel_inputs(rng):
         lim = int(dom._limit)
         check(dom, c.m, ())
@@ -1055,8 +1062,7 @@ def test_int64_closure_matches_the_python_int_closure():
     """Entries in a wider range than `_close_at` gets (within twice the
     limit, or `_NO_BOUND` give or take the limit; its inputs are within the
     limit or `_NO_BOUND`), negative cycles included: int64 closure never
-    wraps, and its tail gives the matrix, or the None, of the tail it
-    replaced (`domtools.close_at_reference`)."""
+    wraps."""
     rng = random.Random(43)
     outcomes = {True: 0, False: 0}
     for _ in range(400):
@@ -1075,7 +1081,6 @@ def test_int64_closure_matches_the_python_int_closure():
         pivots = (range(dom.size) if rng.random() < 0.5
                   else rng.sample(range(dom.size), rng.randint(0, dom.size)))
         got, want = dom._close_at(m.copy(), pivots), _reference_close(dom, m, pivots)
-        assert got == domtools.close_at_reference(dom, m.copy(), pivots)
         assert (got is None) == (want is None)
         if got is not None:
             assert np.array_equal(got.m, want)

@@ -456,6 +456,19 @@ def test_analyze_recency_dead_branch_passes_the_postfixpoint_check(tmp_path, cap
     assert "PROVED" in captured.out and "1/1 assertions proved" in captured.out
 
 
+@pytest.mark.parametrize("analysis", ["rel", "regrel"])
+@pytest.mark.parametrize("extra", [[], ["--recency"]], ids=["plain", "recency"])
+def test_analyze_a_program_without_variables(tmp_path, capsys, analysis, extra):
+    # the acquire mixes octagons over no variable: the closure's emptiness
+    # test then reduces an empty diagonal
+    f = tmp_path / "varless.rf"
+    f.write_text("lock m; thread t { acquire(m); release(m); }\n")
+    code = run_cli(["analyze", "--analysis", analysis, "--deterministic", *extra, str(f)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "0/0 assertions proved" in captured.out
+
+
 NEAR_LIMIT = (
     "var x, y, z; lock m; region r { x, y, z };\n"
     "thread t { acquire(m); z := y - x; release(m); acquire(m);\n"
