@@ -143,14 +143,13 @@ def _guard_source(g: Guard, var_index: dict[str, int], outer: int = 0) -> str:
 class ProgramIndex:
     """Lookup tables for one desugared program, built once.
 
-    `by_source` is the edge table: each location's outgoing instructions,
-    in thread instruction order.  It relies on every location belonging to
-    one thread, which `validate_program` checks and the constructor
-    enforces.
+    `by_source` is the program's edge table (`Program.by_source`): each
+    location's outgoing instructions, in thread instruction order.  It
+    relies on every location belonging to one thread, which
+    `validate_program` checks and the constructor enforces.
 
     `steps` is the step table both semantics read: `id(instr)` -> `Step`,
-    filled by `compile` on an instruction's first step, so an index built
-    only for `by_source` compiles nothing.
+    filled by `compile` on an instruction's first step.
     """
 
     def __init__(self, program: Program):
@@ -161,15 +160,13 @@ class ProgramIndex:
         self.lock_index = {m: i for i, m in enumerate(program.locks)}
         self.tid_of_instr: dict[Instruction, int] = {}
         owner: dict[int, int] = {}
-        by_source: dict[int, list[Instruction]] = {}
         for tid, t in enumerate(program.threads):
             for loc in t.locations:
                 if owner.setdefault(loc, tid) != tid:
                     raise ValueError(f"location {loc} is in two threads")
             for i in t.instructions:
-                by_source.setdefault(i.source, []).append(i)
                 self.tid_of_instr[i] = tid
-        self.by_source = {loc: tuple(instrs) for loc, instrs in by_source.items()}
+        self.by_source = program.by_source
         self.steps: dict[int, Step] = {}
         self._choices: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 

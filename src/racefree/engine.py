@@ -71,7 +71,6 @@ from .absdom import (
     is_bottom,
     singleton_partition,
 )
-from .concrete import ProgramIndex
 from .lang import Acquire, Assign, Assume, Instruction, Program, Release
 from .syncfg import build_syncfg
 
@@ -144,18 +143,17 @@ class _Frame:
         self.domain = make_domain(cfg, p.variables)
         self.partition = mix_partition(cfg, p)
         self.value_set = cfg.analysis == "valset" and cfg.domain == "envset"
-        # the thread owning each location, and that thread's domain
+        # the thread owning each location, and that thread's domain; the
+        # edge tables rely on every location belonging to one thread
         self.thread_of: dict[int, int] = {}
         self.domain_at = {}
         for tid, t in enumerate(p.threads):
             dom = RecencyDomain(self.domain, tid) if cfg.recency else self.domain
             for loc in t.locations:
-                self.thread_of[loc] = tid
+                if self.thread_of.setdefault(loc, tid) != tid:
+                    raise ValueError(f"location {loc} is in two threads")
                 self.domain_at[loc] = dom
-        self.by_source = ProgramIndex(p).by_source
-        self.by_target: dict[int, list[Instruction]] = {}
-        for i in p.instructions:
-            self.by_target.setdefault(i.target, []).append(i)
+        self.by_source, self.by_target = p.by_source, p.by_target
         # acquire sources to re-enqueue when a release-point fact changes
         self.dependents: dict[int, tuple[int, ...]] = {
             rel: g.acquire_points[m] for m, rels in g.release_points.items() for rel in rels}

@@ -437,9 +437,28 @@ class Program:
     def is_desugared(self) -> bool:
         return all(t.entry is not None for t in self.threads)
 
-    @property
+    # The instruction and edge tables, built on first use: the validator,
+    # the concrete index and the fixpoint engine read the same ones.
+    @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
+        """Every instruction, thread by thread in instruction order."""
         return tuple(i for t in self.threads for i in t.instructions)
+
+    @cached_property
+    def by_source(self) -> dict[int, tuple[Instruction, ...]]:
+        """Each location's outgoing instructions, in `instructions` order."""
+        return self._edges("source")
+
+    @cached_property
+    def by_target(self) -> dict[int, tuple[Instruction, ...]]:
+        """Each location's incoming instructions, in `instructions` order."""
+        return self._edges("target")
+
+    def _edges(self, end: str) -> dict[int, tuple[Instruction, ...]]:
+        edges: dict[int, list[Instruction]] = {}
+        for i in self.instructions:
+            edges.setdefault(getattr(i, end), []).append(i)
+        return {loc: tuple(instrs) for loc, instrs in edges.items()}
 
     def thread_index(self, name: str) -> int:
         for i, t in enumerate(self.threads):
@@ -482,7 +501,17 @@ class ParseError(Exception):
         self.col = col
 
 
-class _TooDeep(ParseError):
+class _Fail(Exception):
+    """A parse error at token `at`.  The parser raises it and may backtrack
+    over it; only one that escapes is located, as a ParseError."""
+
+    def __init__(self, message: str, at: int):
+        super().__init__(message)
+        self.message = message
+        self.at = at
+
+
+class _TooDeep(_Fail):
     """Nesting past MAX_NESTING: final, never backtracked over."""
 
 
@@ -501,56 +530,59 @@ _KEYWORDS = {
     "assert", "while", "if", "else", "havoc", "true", "false",
 }
 
+_OPERATORS = (":=", "==", "!=", "<=", ">=", "&&", "||", *"-+*<>!(){};,")
+
+# One match per token: the blanks and comments before it, then the token
+# itself (group 1), which is a literal, a name, an operator, one unexpected
+# character or, at the end of the input, the empty string.  After the longest
+# run of blanks and comments one of these always matches, so a scan skips no
+# text and never backtracks into a comment to read tokens from it.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>:=|==|!=|<=|>=|&&|\|\||[-+*<>!(){};,])
+    (?:\s|//[^\n]*)*
+    ( [0-9]+
+    | [A-Za-z_][A-Za-z_0-9]*
+    | :=|==|!=|<=|>=|&&|\|\||[-+*<>!(){};,]
+    | \S
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
 
+# A keyword or an operator is its own kind, the end of input is 'eof', and
+# any other token is told by its first character; one that is none of these
+# is an unexpected character.
+_KINDS = {**{k: k for k in (*_KEYWORDS, *_OPERATORS)}, "": "eof"}
+_KIND_BY_FIRST = {**dict.fromkeys("0123456789", "num"),
+                  **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", "ident")}
 
-class Token(NamedTuple):
-    kind: str  # 'num' | 'ident' | keyword | operator | 'eof'
-    text: str
-    line: int
-    col: int
+
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kind and the text of each token, the last one the end of input
+    (kind 'eof', text '').  Positions are not computed: an error finds its
+    token's offset with `_token_offsets`."""
+    texts = _TOKEN_RE.findall(text)
+    if len(texts) > 1 and not texts[-2]:  # blanks at the end: the end matched twice
+        texts.pop()
+    kind, kind_by_first = _KINDS.get, _KIND_BY_FIRST.get
+    kinds = [kind(t) or kind_by_first(t[0]) for t in texts]
+    if None in kinds:
+        at = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[at]!r}",
+                         *_position(text, _token_offsets(text)[at]))
+    return kinds, texts
 
 
-def _tokenize(text: str) -> list[Token]:
-    """Tokens with 1-based line and column; a column counts characters from
-    the last newline, so a tab or a carriage return is one column."""
-    tokens = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    make = tuple.__new__  # `Token(...)` without the generated `__new__`'s call
-    line, line_start, pos, end = 1, 0, 0, len(text)
-    while pos < end:
-        m = match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        group = m.lastgroup
-        nxt = m.end()
-        if group == "ws":  # the one group that can span lines
-            newlines = text.count("\n", pos, nxt)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, nxt) + 1
-        elif group != "comment":
-            lexeme = m.group()
-            if group == "num":
-                kind = "num"
-            elif group == "ident":
-                kind = lexeme if lexeme in _KEYWORDS else "ident"
-            else:
-                kind = lexeme
-            append(make(Token, (kind, lexeme, line, pos - line_start + 1)))
-        pos = nxt
-    append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+def _token_offsets(text: str) -> list[int]:
+    """The offset of each token of `_tokenize(text)`, from the same scan."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)]
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of `offset`.  A column counts characters
+    from the last newline, so a tab or a carriage return is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -558,206 +590,246 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
+    """A recursive-descent parser over the parallel lists `kinds` and
+    `texts`, at token `pos`.  The hot paths read the kinds in place."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _tokenize(text)
         self.pos = 0
-        self.variables: list[str] = []
-        self.locks: list[str] = []
+        # declared names, in order; dicts for membership tests in O(1)
+        self.variables: dict[str, None] = {}
+        self.locks: dict[str, None] = {}
         self.declared_regions: dict[str, tuple[str, ...]] = {}
+        self.in_regions: set[str] = set()
         self.depth = 0
         self.peak = 0  # the deepest opener since parse_bexpr last reset it
 
+    def located(self, e: _Fail) -> ParseError:
+        """`e` as a ParseError, at its token's line and column."""
+        offset = _token_offsets(self.text)[e.at]
+        return ParseError(e.message, *_position(self.text, offset))
+
     # token helpers
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def found(self, at: int) -> str:
+        return repr(self.texts[at] or "end of input")
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expected(self, kind: str, at: int) -> _Fail:
+        return _Fail(f"expected {kind!r}, found {self.found(at)}", at)
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.advance()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def expect(self, kind: str) -> str:
+        """Consume a token of `kind`; return its text."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.expected(kind, pos)
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def open(self, kind: str) -> None:
         """Consume `(`, `{` or `!`, one nesting level deeper."""
-        tok = self.expect(kind)
+        at = self.pos
+        self.expect(kind)
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
-        self.peak = max(self.peak, self.depth)
+            raise _TooDeep(f"nesting deeper than {MAX_NESTING} levels", at)
+        if self.depth > self.peak:
+            self.peak = self.depth
 
     def close(self, kind: str) -> None:
         self.expect(kind)
         self.depth -= 1
 
-    def literal(self) -> int:
-        tok = self.expect("num")
+    def literal(self, at: int) -> int:
+        """The value of the literal at token `at`."""
+        text = self.texts[at]
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # past the interpreter's limit on int/str digits
-            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
-                             tok.line, tok.col) from None
+            raise _Fail(f"integer literal of {len(text)} digits is too long", at) from None
 
     # declarations
 
     def parse_program(self) -> Program:
-        while self.peek().kind in ("var", "lock", "region"):
+        kinds = self.kinds
+        while kinds[self.pos] in ("var", "lock", "region"):
             self.parse_decl()
-        threads: list[Thread] = []
-        if self.peek().kind != "thread":
-            raise self.error("expected at least one thread definition")
-        while self.peek().kind == "thread":
-            threads.append(self.parse_thread([t.name for t in threads]))
+        if kinds[self.pos] != "thread":
+            raise _Fail("expected at least one thread definition", self.pos)
+        threads: dict[str, Thread] = {}
+        while kinds[self.pos] == "thread":
+            thread = self.parse_thread(threads)
+            threads[thread.name] = thread
         self.expect("eof")
-        regions = RegionMap.from_declared(tuple(self.variables), self.declared_regions)
+        variables = tuple(self.variables)
         return Program(
-            variables=tuple(self.variables),
+            variables=variables,
             locks=tuple(self.locks),
-            regions=regions,
-            threads=tuple(threads),
+            regions=RegionMap.from_declared(variables, self.declared_regions),
+            threads=tuple(threads.values()),
         )
 
     def parse_decl(self) -> None:
-        kw = self.advance()
-        if kw.kind in ("var", "lock"):
-            target = self.variables if kw.kind == "var" else self.locks
+        keyword = self.kinds[self.pos]
+        self.pos += 1
+        if keyword in ("var", "lock"):
+            target = self.variables if keyword == "var" else self.locks
             while True:
+                at = self.pos
                 name = self.expect("ident")
-                if name.text in self.variables or name.text in self.locks:
-                    raise ParseError(f"duplicate declaration of {name.text!r}",
-                                     name.line, name.col)
-                if kw.kind == "var" and name.text in self.declared_regions:
-                    raise _outside_region(name)
-                target.append(name.text)
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
-                break
+                if name in self.variables or name in self.locks:
+                    raise _Fail(f"duplicate declaration of {name!r}", at)
+                if keyword == "var" and name in self.declared_regions:
+                    raise _outside_region(name, at)
+                target[name] = None
+                if self.kinds[self.pos] != ",":
+                    break
+                self.pos += 1
             self.expect(";")
         else:  # region
+            at = self.pos
             name = self.expect("ident")
-            if name.text in self.declared_regions:
-                raise ParseError(f"duplicate region {name.text!r}", name.line, name.col)
+            if name in self.declared_regions:
+                raise _Fail(f"duplicate region {name!r}", at)
             self.expect("{")
-            members = []
+            members: dict[str, None] = {}
             while True:
+                member_at = self.pos
                 member = self.expect("ident")
-                if member.text not in self.variables:
-                    raise ParseError(f"undeclared variable {member.text!r} in region",
-                                     member.line, member.col)
-                already = {v for vs in self.declared_regions.values() for v in vs}
-                if member.text in already or member.text in members:
-                    raise ParseError(f"variable {member.text!r} in two regions",
-                                     member.line, member.col)
-                members.append(member.text)
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
-                break
+                if member not in self.variables:
+                    raise _Fail(f"undeclared variable {member!r} in region", member_at)
+                if member in self.in_regions or member in members:
+                    raise _Fail(f"variable {member!r} in two regions", member_at)
+                members[member] = None
+                if self.kinds[self.pos] != ",":
+                    break
+                self.pos += 1
             self.expect("}")
             self.expect(";")
-            if name.text in self.variables and name.text not in members:
-                raise _outside_region(name)
-            self.declared_regions[name.text] = tuple(members)
+            if name in self.variables and name not in members:
+                raise _outside_region(name, at)
+            self.declared_regions[name] = tuple(members)
+            self.in_regions.update(members)
 
-    def parse_thread(self, existing: list[str]) -> Thread:
+    def parse_regions(self) -> dict[str, tuple[str, ...]]:
+        """A region file: region declarations up to the end of input."""
+        while self.kinds[self.pos] == "region":
+            self.parse_decl()
+        self.expect("eof")
+        return self.declared_regions
+
+    def parse_thread(self, existing) -> Thread:
         self.expect("thread")
+        at = self.pos
         name = self.expect("ident")
-        if name.text in existing:
-            raise ParseError(f"duplicate thread name {name.text!r}", name.line, name.col)
-        return Thread(name=name.text, body=self.parse_block())
+        if name in existing:
+            raise _Fail(f"duplicate thread name {name!r}", at)
+        return Thread(name=name, body=self.parse_block())
 
     # statements
 
     def parse_block(self) -> tuple[Stmt, ...]:
         self.open("{")
+        kinds = self.kinds
         stmts: list[Stmt] = []
-        while self.peek().kind not in ("}", "eof"):
+        while kinds[self.pos] != "}" and kinds[self.pos] != "eof":
             stmts.append(self.parse_stmt())
         self.close("}")
         return tuple(stmts)
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "ident":
-            name = self.advance()
-            if name.text not in self.variables:
-                raise ParseError(f"undeclared variable {name.text!r}", name.line, name.col)
-            self.expect(":=")
+        # a token past one that is not 'eof' exists, since 'eof' is the last
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        kind = kinds[pos]
+        if kind == "ident":
+            var = texts[pos]
+            if var not in self.variables:
+                raise _Fail(f"undeclared variable {var!r}", pos)
+            if kinds[pos + 1] != ":=":
+                raise self.expected(":=", pos + 1)
+            self.pos = pos + 2
             e = self.parse_expr()
-            self.expect(";")
-            return Assign(name.text, e)
-        if tok.kind in ("acquire", "release"):
-            self.advance()
+            pos = self.pos
+            if kinds[pos] != ";":
+                raise self.expected(";", pos)
+            self.pos = pos + 1
+            return Assign(var, e)
+        if kind == "acquire" or kind == "release":
+            self.pos = pos + 1
             self.open("(")
-            lk = self.expect("ident")
-            if lk.text not in self.locks:
-                raise ParseError(f"undeclared lock {lk.text!r}", lk.line, lk.col)
-            self.close(")")
-            self.expect(";")
-            return Acquire(lk.text) if tok.kind == "acquire" else Release(lk.text)
-        if tok.kind not in ("assume", "assert", "while", "if"):
-            raise self.error(f"expected a statement, found {tok.text or 'end of input'!r}")
-        self.advance()
+            lock = texts[pos + 2]
+            if kinds[pos + 2] != "ident":
+                raise self.expected("ident", pos + 2)
+            if lock not in self.locks:
+                raise _Fail(f"undeclared lock {lock!r}", pos + 2)
+            if kinds[pos + 3] != ")":
+                raise self.expected(")", pos + 3)
+            if kinds[pos + 4] != ";":
+                raise self.expected(";", pos + 4)
+            self.depth -= 1
+            self.pos = pos + 5
+            return Acquire(lock) if kind == "acquire" else Release(lock)
+        if kind not in ("assume", "assert", "while", "if"):
+            raise _Fail(f"expected a statement, found {self.found(pos)}", pos)
+        self.pos = pos + 1
         self.open("(")
         b = self.parse_bexpr()
         self.close(")")
-        if tok.kind == "assume":
+        if kind == "assume":
             self.expect(";")
             return Assume(b)
-        if tok.kind == "assert":
+        if kind == "assert":
             self.expect(";")
             return AssertStmt(b)
         body = self.parse_block()
-        if tok.kind == "while":
+        if kind == "while":
             return WhileStmt(b, body)
         else_body: tuple[Stmt, ...] = ()
-        if self.peek().kind == "else":
-            self.advance()
+        if kinds[self.pos] == "else":
+            self.pos += 1
             else_body = self.parse_block()
         return IfStmt(b, body, else_body)
 
     # expressions
 
     def parse_expr(self) -> Expr:
+        kinds = self.kinds
         terms: list = []
         sign = 1
         while True:
             self.parse_term(sign, terms)
-            if self.peek().kind not in ("+", "-"):
+            kind = kinds[self.pos]
+            if kind == "+":
+                sign = 1
+            elif kind == "-":
+                sign = -1
+            else:
                 return Expr(tuple(terms))
-            sign = 1 if self.advance().kind == "+" else -1
+            self.pos += 1
 
     def parse_term(self, sign: int, terms: list) -> None:
         """Append the term `k1 * ... * kn * atom` to `terms`.  A group of one
         term adds its factors to the term's; a leading group with no factors
         is spliced into `terms`."""
+        kinds, texts, pos = self.kinds, self.texts, self.pos
         factors = []
-        while self.peek().kind == "num" and self.tokens[self.pos + 1].kind == "*":
-            factors.append(self.literal())
-            self.advance()
-        tok = self.peek()
-        if tok.kind == "num":
-            atom = self.literal()
-        elif tok.kind == "ident":
-            self.advance()
-            if tok.text not in self.variables:
-                raise ParseError(f"undeclared variable {tok.text!r}", tok.line, tok.col)
-            atom = tok.text
-        elif tok.kind == "havoc":
-            self.advance()
+        while kinds[pos] == "num" and kinds[pos + 1] == "*":
+            factors.append(self.literal(pos))
+            pos += 2
+        kind = kinds[pos]
+        if kind == "ident":
+            atom = texts[pos]
+            if atom not in self.variables:
+                raise _Fail(f"undeclared variable {atom!r}", pos)
+            self.pos = pos + 1
+        elif kind == "num":
+            atom = self.literal(pos)
+            self.pos = pos + 1
+        elif kind == "havoc":
             atom = HAVOC
-        elif tok.kind == "(":
+            self.pos = pos + 1
+        elif kind == "(":
+            self.pos = pos
             self.open("(")
             group = self.parse_expr()
             self.close(")")
@@ -770,7 +842,7 @@ class _Parser:
             else:
                 atom = group
         else:
-            raise self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
+            raise _Fail(f"expected an expression, found {self.found(pos)}", pos)
         terms.append((sign, tuple(factors), atom))
 
     # boolean expressions; precedence: ! > cmp > && > ||
@@ -781,13 +853,14 @@ class _Parser:
         Both chains are known only once parsed: a chain whose openers reach
         MAX_NESTING is parsed again one level deeper, to fail at the opener
         past it."""
+        kinds = self.kinds
         outer, parts = self.peak, []
         while True:
             start, self.peak = self.pos, 0
             parts.append((start, self.parse_conjuncts(), self.peak))
-            if self.peek().kind != "||":
+            if kinds[self.pos] != "||":
                 break
-            self.advance()
+            self.pos += 1
         peaks = [outer]
         for start, conjuncts, peak in parts:
             if len(conjuncts) > 1 and len(parts) > 1:
@@ -800,54 +873,53 @@ class _Parser:
         return _chain("||", [_chain("&&", conjuncts) for _, conjuncts, _ in parts])
 
     def parse_conjuncts(self) -> list:
+        kinds = self.kinds
         conjuncts = [self.parse_batom()]
-        while self.peek().kind == "&&":
-            self.advance()
+        while kinds[self.pos] == "&&":
+            self.pos += 1
             conjuncts.append(self.parse_batom())
         return conjuncts
 
     def parse_batom(self) -> BoolExpr:
-        tok = self.peek()
-        if tok.kind == "!":
+        kinds, pos = self.kinds, self.pos
+        kind = kinds[pos]
+        if kind == "!":
             self.open("!")
             b = NotExpr(self.parse_batom())
             self.depth -= 1
             return b
-        if tok.kind == "true":
-            self.advance()
-            return BoolLit(True)
-        if tok.kind == "false":
-            self.advance()
-            return BoolLit(False)
-        if tok.kind == "(":
+        if kind == "true" or kind == "false":
+            self.pos = pos + 1
+            return BoolLit(kind == "true")
+        if kind == "(":
             # either a parenthesized bexpr or the left expr of a comparison
-            saved = self.pos, self.depth, self.peak
+            saved = pos, self.depth, self.peak
             try:
                 self.open("(")
                 inner = self.parse_bexpr()
                 self.close(")")
-                if self.peek().kind in CMP_FN:
-                    raise self.error("comparison of boolean value")
+                if kinds[self.pos] in CMP_FN:
+                    raise _Fail("comparison of boolean value", self.pos)
                 return inner
             except _TooDeep:
                 raise
-            except ParseError:
+            except _Fail:
                 self.pos, self.depth, self.peak = saved
         left = self.parse_expr()
-        op = self.peek()
-        if op.kind not in CMP_FN:
-            raise self.error(f"expected a comparison operator, found {op.text!r}")
-        self.advance()
+        at = self.pos
+        op = kinds[at]
+        if op not in CMP_FN:
+            raise _Fail(f"expected a comparison operator, found {self.texts[at]!r}", at)
+        self.pos = at + 1
         right = self.parse_expr()
         if left.linear.havocs or right.linear.havocs:
-            raise ParseError("havoc is not allowed in boolean conditions", op.line, op.col)
-        return Cmp(op.kind, left, right)
+            raise _Fail("havoc is not allowed in boolean conditions", at)
+        return Cmp(op, left, right)
 
 
-def _outside_region(name: Token) -> ParseError:
+def _outside_region(name: str, at: int) -> _Fail:
     # the variable's own region, when undeclared, would take the same name
-    return ParseError(f"region {name.text!r} is named after a variable outside it",
-                      name.line, name.col)
+    return _Fail(f"region {name!r} is named after a variable outside it", at)
 
 
 def _chain(op: str, args: list) -> BoolExpr:
@@ -862,7 +934,11 @@ def _chain(op: str, args: list) -> BoolExpr:
 
 def parse_program(text: str) -> Program:
     """Parse source text; structured statements are kept in AST form."""
-    return _Parser(text).parse_program()
+    parser = _Parser(text)
+    try:
+        return parser.parse_program()
+    except _Fail as e:
+        raise parser.located(e) from None
 
 
 def parse_region_text(text: str, variables: tuple[str, ...]) -> RegionMap:
@@ -875,11 +951,12 @@ def parse_region_text(text: str, variables: tuple[str, ...]) -> RegionMap:
             stripped += ";"
         lines.append(stripped)
     parser = _Parser("\n".join(lines))
-    parser.variables = list(variables)
-    while parser.peek().kind == "region":
-        parser.parse_decl()
-    parser.expect("eof")
-    return RegionMap.from_declared(variables, parser.declared_regions)
+    parser.variables = dict.fromkeys(variables)
+    try:
+        declared = parser.parse_regions()
+    except _Fail as e:
+        raise parser.located(e) from None
+    return RegionMap.from_declared(variables, declared)
 
 
 # ---------------------------------------------------------------------------
@@ -1048,11 +1125,7 @@ def validate_program(p: Program) -> list[Diagnostic]:
                                       f"{seen[loc]!r} and {t.name!r}", loc))
             seen[loc] = t.name
 
-    by_source: dict[int, list[Instruction]] = {}
-    by_target: dict[int, list[Instruction]] = {}
-    for i in p.instructions:
-        by_source.setdefault(i.source, []).append(i)
-        by_target.setdefault(i.target, []).append(i)
+    by_source, by_target = p.by_source, p.by_target
     for i in p.instructions:
         if isinstance(i.command, (Acquire, Release)):
             kind = "acquire" if isinstance(i.command, Acquire) else "release"

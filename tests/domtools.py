@@ -38,8 +38,6 @@ from racefree.checker import must_hold_locksets
 from racefree.concrete import reachable_states
 from racefree.engine import _NARROW_CAP, WIDEN_DELAY, make_domain
 from racefree.lang import (
-    _KEYWORDS,
-    _TOKEN_RE,
     HAVOC as HAVOC_ATOM,
     Acquire,
     AssertStmt,
@@ -58,7 +56,6 @@ from racefree.lang import (
     Release,
     Stmt,
     Thread,
-    Token,
     WhileStmt,
     access_sets,
     desugar,
@@ -1093,23 +1090,44 @@ def program_to_source(p: Program) -> str:
 # the lexer and the fact printer before their per-call costs were cut
 
 
-def tokenize_reference(text: str) -> list:
-    """The lexer that counted each token's column by advancing over every
-    lexeme, the reference for `lang._tokenize`."""
+# The token grammar, stated again for the lexer that matched blanks,
+# comments and tokens one at a time.  The duplicate of `lang._TOKEN_RE`'s
+# grammar is kept for oracle independence: the reference must not scan with
+# the pattern it checks.
+_REFERENCE_KEYWORDS = {
+    "var", "lock", "region", "thread", "assume", "acquire", "release",
+    "assert", "while", "if", "else", "havoc", "true", "false",
+}
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<num>[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>:=|==|!=|<=|>=|&&|\|\||[-+*<>!(){};,])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize_reference(text: str) -> list[tuple[str, str, int, int]]:
+    """`(kind, text, line, column)` of each token, counting the column by
+    advancing over every lexeme: the reference for `lang._tokenize` and
+    `lang._position`."""
     tokens = []
     line, col, pos = 1, 1, 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         lexeme = m.group(0)
         if m.lastgroup == "num":
-            tokens.append(Token("num", lexeme, line, col))
+            tokens.append(("num", lexeme, line, col))
         elif m.lastgroup == "ident":
-            kind = lexeme if lexeme in _KEYWORDS else "ident"
-            tokens.append(Token(kind, lexeme, line, col))
+            kind = lexeme if lexeme in _REFERENCE_KEYWORDS else "ident"
+            tokens.append((kind, lexeme, line, col))
         elif m.lastgroup == "op":
-            tokens.append(Token(lexeme, lexeme, line, col))
+            tokens.append((lexeme, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -1117,7 +1135,7 @@ def tokenize_reference(text: str) -> list:
         else:
             col += len(lexeme)
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens
 
 

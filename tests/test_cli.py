@@ -609,6 +609,21 @@ def test_literal_past_the_int_digit_limit_is_a_parse_error(tmp_path, capsys):
     assert ": 2:17: integer literal of 4301 digits is too long" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    # a tab and a carriage return are one column each
+    ("var x;\r\nthread t {\r\n\tx := 1;\r\n  assert(x == 2 @);\r\n}", "4:17: unexpected character '@'"),
+    # a literal is ASCII digits: U+0661 (ARABIC-INDIC DIGIT ONE) read as 1 gave PROVED, exit 0
+    ("var x; thread t { x := \u0661; assert(x == 1); }", "1:24: unexpected character '\u0661'"),
+])
+def test_an_unexpected_character_is_a_parse_error_at_its_position(tmp_path, capsys, text, where):
+    f = tmp_path / "bad_char.cp"
+    f.write_text(text, encoding="utf-8")
+    code = run_cli(["analyze", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f": {where}" in err
+
+
 def test_analyze_prints_a_bound_past_the_digit_limit_in_hex(tmp_path, capsys):
     # y's bound has 8000 digits; str() of it raised ValueError: exit 3 before
     n = "9" * 4000

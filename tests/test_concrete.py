@@ -39,6 +39,7 @@ from racefree.concrete import (
     std_step,
     translate_for_region_races,
 )
+from racefree.engine import AnalysisConfig, analyze_fixpoint
 from racefree.lang import (
     HAVOC,
     Acquire,
@@ -416,8 +417,12 @@ def test_program_index_rejects_a_location_in_two_threads():
     a, b = p.threads
     moved = replace(b, entry=a.entry,
                     instructions=tuple(replace(i, source=a.entry) for i in b.instructions))
+    shared = replace(p, threads=(a, moved))
     with pytest.raises(ValueError, match="in two threads"):
-        ProgramIndex(replace(p, threads=(a, moved)))
+        ProgramIndex(shared)
+    # the fixpoint engine reads the same edge tables, and refuses it too
+    with pytest.raises(ValueError, match="in two threads"):
+        analyze_fixpoint(shared, AnalysisConfig())
 
 
 def test_lock_safety_along_executions(coupled_xy):

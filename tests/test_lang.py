@@ -20,6 +20,8 @@ from racefree.lang import (
     Linear,
     ParseError,
     Release,
+    _position,
+    _token_offsets,
     _tokenize,
     Thread,
     access_sets,
@@ -107,25 +109,48 @@ def _lex(lexer, text):
         return (e.line, e.col, e.message)
 
 
+def _tokens(text):
+    """`(kind, text, line, column)` of each token of `_tokenize`, placed by
+    `_token_offsets` and `_position`."""
+    kinds, texts = _tokenize(text)
+    offsets = _token_offsets(text)[:len(kinds)]
+    return [(kind, lexeme, *_position(text, offset))
+            for kind, lexeme, offset in zip(kinds, texts, offsets, strict=True)]
+
+
 def test_tokenize_matches_the_reference_lexer():
-    """Same tokens, lines and columns as the lexer that advanced its column
-    over every lexeme, on every program the goldens pin and on inputs whose
-    errors sit after tabs, CRLF line ends and comments."""
+    """Same kinds, texts, lines and columns as the lexer that advanced its
+    column over every lexeme, on every program the goldens pin, on inputs
+    whose errors sit after tabs, CRLF line ends and comments, and on inputs
+    that end in a comment or are empty."""
     texts = [*corpus.SOURCES.values(), *corpus.REGION_TEXTS.values(),
              *RACY_SOURCES.values(),
-             *json.loads(GOLDEN_SCALED.read_text())["sources"].values()]
+             *json.loads(GOLDEN_SCALED.read_text())["sources"].values(),
+             "var x; // a comment at the end, with no newline", "", " \n\t"]
     for text in texts:
-        assert _tokenize(text) == domtools.tokenize_reference(text)
-    errors = {name: _lex(_tokenize, text) for name, text in LEXER_ERROR_INPUTS.items()}
+        assert _tokens(text) == domtools.tokenize_reference(text)
+    errors = {name: _lex(_tokens, text) for name, text in LEXER_ERROR_INPUTS.items()}
     for name, text in LEXER_ERROR_INPUTS.items():
         assert errors[name] == _lex(domtools.tokenize_reference, text), name
         ok = text[:-1]  # without the bad last character, the input lexes
-        assert _tokenize(ok) == domtools.tokenize_reference(ok), name
+        assert _tokens(ok) == domtools.tokenize_reference(ok), name
     assert errors["tab"] == (3, 3, "unexpected character '$'")
     assert errors["crlf"] == (4, 3, "unexpected character '@'")
     assert errors["comment"] == (3, 12, "unexpected character '#'")
     assert errors["line 3"] == (3, 13, "unexpected character '?'")
     assert errors["lone cr"] == (1, 31, "unexpected character '~'")
+
+
+@pytest.mark.parametrize("literal, col", [("\u0661", 24), ("1\u0661", 25)])
+def test_integer_literals_are_ascii_digits(literal, col):
+    """`\\d` would read U+0661, ARABIC-INDIC DIGIT ONE, as a literal 1, and
+    `1` followed by it as 11."""
+    text = f"var x; thread t {{ x := {literal}; assert(x == 1); }}"
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert (e.value.line, e.value.col) == (1, col)
+    assert e.value.message == "unexpected character '\u0661'"
+    assert _lex(domtools.tokenize_reference, text) == (1, col, e.value.message)
 
 
 def test_parse_error_positions_after_tabs_and_crlf():
