@@ -35,7 +35,7 @@ from .concrete import (
     racy_regions_via_translation,
 )
 from .engine import AnalysisConfig, AnalysisLimitError, analyze_fixpoint
-from .lang import ParseError, desugar, parse_program, parse_region_text, validate_program
+from .lang import ParseError, parse_program, parse_region_text, validate_program
 from .metacheck import (
     PreconditionError,
     check_correspondence,
@@ -48,16 +48,24 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of file `path`; a file that cannot be read or decoded
+    is a usage error that names it as `what`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot read {what}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {what}: not UTF-8 text: {e}") from e
+
+
 def _load_program(path: str):
     if path in corpus.SOURCES:
         text = corpus.SOURCES[path]
     else:
-        try:
-            text = Path(path).read_text()
-        except OSError as e:
-            raise UsageError(f"cannot read {path}: {e}") from e
+        text = _read_text(path, path)
     try:
-        program = desugar(parse_program(text))
+        program = parse_program(text)
     except ParseError as e:
         raise UsageError(f"{path}: {e}") from e
     diagnostics = validate_program(program)
@@ -70,10 +78,7 @@ def _load_program(path: str):
 def _load_regions(source: str, program):
     if source == "default":
         return program.regions
-    try:
-        text = Path(source).read_text()
-    except OSError as e:
-        raise UsageError(f"cannot read region file {source}: {e}") from e
+    text = _read_text(source, f"region file {source}")
     try:
         return parse_region_text(text, program.variables)
     except ParseError as e:

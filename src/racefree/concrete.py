@@ -141,7 +141,7 @@ def _guard_source(g: Guard, var_index: dict[str, int], outer: int = 0) -> str:
 
 
 class ProgramIndex:
-    """Lookup tables for one desugared program, built once.
+    """Lookup tables for one program, as the parser lowered it, built once.
 
     `by_source` is the program's edge table (`Program.by_source`): each
     location's outgoing instructions, in thread instruction order.  It
@@ -153,8 +153,6 @@ class ProgramIndex:
     """
 
     def __init__(self, program: Program):
-        if not program.is_desugared:
-            raise ValueError("program must be desugared")
         self.program = program
         self.var_index = {v: i for i, v in enumerate(program.variables)}
         self.lock_index = {m: i for i, m in enumerate(program.locks)}
@@ -667,8 +665,6 @@ def translate_for_region_races(p: Program) -> Program:
     witness race is a region race of `p`, though maybe only past K steps:
     the comparison is bounded.
     """
-    if not p.is_desugared:
-        raise ValueError("program must be desugared")
     rg, witness = p.regions, _region_witnesses(p)
     fresh = max(max(t.locations) for t in p.threads) + 1
     threads = []

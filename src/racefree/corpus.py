@@ -1,13 +1,13 @@
 """Built-in benchmark programs used by the test suite and the CLI docs.
 
 Each program is small enough for exhaustive bounded exploration; the location
-numbering produced by the desugarer (sequential, source order) is relied on
+numbering produced by the parser (sequential, source order) is relied on
 by golden tests, so edits here are breaking changes.
 """
 
 from __future__ import annotations
 
-from .lang import Program, desugar, parse_program
+from .lang import Program, parse_program
 
 # Two threads keep x = y in lockstep under lock m; z is private to the second
 # thread.  coupled_xy_regions groups {x, y}, leaving z alone.
@@ -120,8 +120,8 @@ REGION_TEXTS: dict[str, str] = {
 
 
 def load(name: str) -> Program:
-    """Parse and desugar a built-in program by name."""
-    return desugar(parse_program(SOURCES[name]))
+    """Parse a built-in program by name."""
+    return parse_program(SOURCES[name])
 
 
 def names() -> tuple[str, ...]:

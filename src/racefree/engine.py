@@ -296,7 +296,7 @@ def _solve(frame: _Frame) -> LocationFacts:
     changes in the round; so every round ends.  Every sync edge leads to an
     acquire target, whose facts form a widening sequence after
     `WIDEN_DELAY` rounds that changed them, so they change finitely often
-    (the desugarer puts a step between an acquire and a loop head, so no
+    (the parser puts a step between an acquire and a loop head, so no
     location is both).  A chain location that does not widen changes only
     when its source does, and no cycle avoids the widening points.  After
     each thread's first round, a round starts only from queued acquire

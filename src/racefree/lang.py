@@ -1,11 +1,13 @@
-"""Concurrent toy language: AST, parser, desugaring to assume/goto form.
+"""Concurrent toy language: expressions, commands, and a parser that lowers
+source text to assume/goto form in one pass.
 
 A program is a set of shared integer variables, locks, an optional region
-partition of the variables, and a fixed list of threads.  After desugaring
-each thread is a control-flow graph whose edges carry exactly four kinds of
-commands: assignment, assume, acquire, release.  Structured `while`/`if`
-statements become assume-guarded branch edges and `assert` becomes a no-op
-edge registered in the program's assertion table.
+partition of the variables, and a fixed list of threads.  Each thread is a
+control-flow graph whose edges carry exactly four kinds of commands:
+assignment, assume, acquire, release.  The parser emits the edges as it
+reads each statement: structured `while`/`if` statements become
+assume-guarded branch edges and `assert` becomes a no-op edge registered in
+the program's assertion table.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def eval_bool(b: BoolExpr, env: Mapping[str, int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Commands: the edge labels of the CFG, and statements of their own
+# Commands: the edge labels of the CFG
 
 
 @dataclass(frozen=True)
@@ -282,31 +284,6 @@ class Release:
 Command = Union[Assign, Assume, Acquire, Release]
 
 
-# ---------------------------------------------------------------------------
-# Structured statements (pre-desugar)
-
-
-@dataclass(frozen=True)
-class AssertStmt:
-    cond: BoolExpr
-
-
-@dataclass(frozen=True)
-class WhileStmt:
-    cond: BoolExpr
-    body: tuple["Stmt", ...]
-
-
-@dataclass(frozen=True)
-class IfStmt:
-    cond: BoolExpr
-    then_body: tuple["Stmt", ...]
-    else_body: tuple["Stmt", ...]
-
-
-Stmt = Union[Command, AssertStmt, WhileStmt, IfStmt]
-
-
 _CMP_NEG = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
@@ -325,7 +302,7 @@ def negate_bool(b: "BoolExpr") -> "BoolExpr":
 
 
 # ---------------------------------------------------------------------------
-# The CFG program model (post-desugar)
+# The CFG program model
 
 
 @dataclass(frozen=True)
@@ -357,15 +334,12 @@ def instr_accesses(i: Instruction) -> tuple[frozenset[str], frozenset[str]]:
 @dataclass(frozen=True)
 class Thread:
     name: str
-    body: tuple[Stmt, ...] = ()
-    entry: Optional[int] = None
-    instructions: tuple[Instruction, ...] = ()
+    entry: int
+    instructions: tuple[Instruction, ...]
 
     @cached_property
     def locations(self) -> frozenset[int]:
-        locs = set()
-        if self.entry is not None:
-            locs.add(self.entry)
+        locs = {self.entry}
         for i in self.instructions:
             locs.add(i.source)
             locs.add(i.target)
@@ -432,10 +406,6 @@ class Program:
     regions: RegionMap
     threads: tuple[Thread, ...]
     assertions: tuple[Assertion, ...] = ()
-
-    @property
-    def is_desugared(self) -> bool:
-        return all(t.entry is not None for t in self.threads)
 
     # The instruction and edge tables, built on first use: the validator,
     # the concrete index and the fixpoint engine read the same ones.
@@ -591,7 +561,11 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 class _Parser:
     """A recursive-descent parser over the parallel lists `kinds` and
-    `texts`, at token `pos`.  The hot paths read the kinds in place."""
+    `texts`, at token `pos`.  The hot paths read the kinds in place.
+
+    Statements are lowered as they are read: each one allocates its
+    locations, in source order from 1 up, appends its instructions to `out`
+    (the current thread's) and an `assert` adds to `assertions`."""
 
     def __init__(self, text: str):
         self.text = text
@@ -604,6 +578,10 @@ class _Parser:
         self.in_regions: set[str] = set()
         self.depth = 0
         self.peak = 0  # the deepest opener since parse_bexpr last reset it
+        self.next_loc = 1
+        self.thread = ""  # the name of the thread being read
+        self.out: list[Instruction] = []
+        self.assertions: list[Assertion] = []
 
     def located(self, e: _Fail) -> ParseError:
         """`e` as a ParseError, at its token's line and column."""
@@ -667,6 +645,7 @@ class _Parser:
             locks=tuple(self.locks),
             regions=RegionMap.from_declared(variables, self.declared_regions),
             threads=tuple(threads.values()),
+            assertions=tuple(self.assertions),
         )
 
     def parse_decl(self) -> None:
@@ -724,20 +703,44 @@ class _Parser:
         name = self.expect("ident")
         if name in existing:
             raise _Fail(f"duplicate thread name {name!r}", at)
-        return Thread(name=name, body=self.parse_block())
+        self.thread, self.out = name, []
+        entry = self.alloc()
+        self.parse_block(entry)
+        return Thread(name, entry, tuple(self.out))
 
-    # statements
+    # statements, lowered to instructions
 
-    def parse_block(self) -> tuple[Stmt, ...]:
+    def alloc(self) -> int:
+        loc = self.next_loc
+        self.next_loc = loc + 1
+        return loc
+
+    def emit(self, source: int, command: Command,
+             assert_reads: frozenset[str] = frozenset()) -> int:
+        """Append an edge from `source` to a fresh location; return that."""
+        target = self.alloc()
+        self.out.append(Instruction(source, command, target, assert_reads))
+        return target
+
+    def settled(self, loc: int) -> int:
+        """`loc`, or one `assume(true)` past it when an acquire or release
+        just entered it: the caller adds a second edge into the result."""
+        out = self.out
+        if out and out[-1].target == loc and type(out[-1].command) in (Acquire, Release):
+            return self.emit(loc, Assume(BoolLit(True)))
+        return loc
+
+    def parse_block(self, cur: int) -> int:
+        """Read `{ stmt* }` from location `cur`; return its exit location."""
         self.open("{")
         kinds = self.kinds
-        stmts: list[Stmt] = []
         while kinds[self.pos] != "}" and kinds[self.pos] != "eof":
-            stmts.append(self.parse_stmt())
+            cur = self.parse_stmt(cur)
         self.close("}")
-        return tuple(stmts)
+        return cur
 
-    def parse_stmt(self) -> Stmt:
+    def parse_stmt(self, cur: int) -> int:
+        """Read one statement from location `cur`; return its exit location."""
         # a token past one that is not 'eof' exists, since 'eof' is the last
         kinds, texts, pos = self.kinds, self.texts, self.pos
         kind = kinds[pos]
@@ -753,7 +756,7 @@ class _Parser:
             if kinds[pos] != ";":
                 raise self.expected(";", pos)
             self.pos = pos + 1
-            return Assign(var, e)
+            return self.emit(cur, Assign(var, e))
         if kind == "acquire" or kind == "release":
             self.pos = pos + 1
             self.open("(")
@@ -768,7 +771,7 @@ class _Parser:
                 raise self.expected(";", pos + 4)
             self.depth -= 1
             self.pos = pos + 5
-            return Acquire(lock) if kind == "acquire" else Release(lock)
+            return self.emit(cur, Acquire(lock) if kind == "acquire" else Release(lock))
         if kind not in ("assume", "assert", "while", "if"):
             raise _Fail(f"expected a statement, found {self.found(pos)}", pos)
         self.pos = pos + 1
@@ -777,18 +780,31 @@ class _Parser:
         self.close(")")
         if kind == "assume":
             self.expect(";")
-            return Assume(b)
+            return self.emit(cur, Assume(b))
         if kind == "assert":
+            # a no-op edge that still carries the assertion's reads
             self.expect(";")
-            return AssertStmt(b)
-        body = self.parse_block()
+            self.assertions.append(Assertion(cur, b, self.thread))
+            return self.emit(cur, Assume(BoolLit(True)), vars_of_bool(b))
+        out = self.out
         if kind == "while":
-            return WhileStmt(b, body)
-        else_body: tuple[Stmt, ...] = ()
+            head = self.settled(cur)
+            body_exit = self.parse_block(self.emit(head, Assume(b)))
+            out.append(Instruction(body_exit, Assume(BoolLit(True)), head))
+            return self.emit(head, Assume(negate_bool(b)))
+        then_exit = self.parse_block(self.emit(cur, Assume(b)))
         if kinds[self.pos] == "else":
             self.pos += 1
-            else_body = self.parse_block()
-        return IfStmt(b, body, else_body)
+            # an empty else block is lowered as no else block
+            if kinds[self.pos] != "{" or kinds[self.pos + 1] != "}":
+                else_exit = self.parse_block(self.emit(cur, Assume(negate_bool(b))))
+                join = self.emit(then_exit, Assume(BoolLit(True)))
+                out.append(Instruction(else_exit, Assume(BoolLit(True)), join))
+                return join
+            self.parse_block(cur)
+        then_exit = self.settled(then_exit)
+        out.append(Instruction(cur, Assume(negate_bool(b)), then_exit))
+        return then_exit
 
     # expressions
 
@@ -933,7 +949,8 @@ def _chain(op: str, args: list) -> BoolExpr:
 
 
 def parse_program(text: str) -> Program:
-    """Parse source text; structured statements are kept in AST form."""
+    """Parse source text into its lowered program: instructions, locations
+    numbered from 1 in source order, and the assertion table."""
     parser = _Parser(text)
     try:
         return parser.parse_program()
@@ -959,97 +976,11 @@ def parse_region_text(text: str, variables: tuple[str, ...]) -> RegionMap:
     return RegionMap.from_declared(variables, declared)
 
 
-# ---------------------------------------------------------------------------
-# Desugaring
-
-
-class _Lowering:
-    def __init__(self, program: Program):
-        self.program = program
-        self.next_loc = 1
-        self.assertions: list[Assertion] = []
-
-    def alloc(self) -> int:
-        loc = self.next_loc
-        self.next_loc += 1
-        return loc
-
-    def lower_thread(self, t: Thread) -> Thread:
-        instrs: list[Instruction] = []
-        entry = self.alloc()
-        self.lower_block(t.name, t.body, entry, instrs)
-        return Thread(name=t.name, body=t.body, entry=entry, instructions=tuple(instrs))
-
-    def settled(self, loc, out) -> int:
-        """`loc`, or one `assume(true)` past it when an acquire or release
-        just entered it: the caller adds a second edge into the result."""
-        if out and out[-1].target == loc and isinstance(out[-1].command, (Acquire, Release)):
-            fresh = self.alloc()
-            out.append(Instruction(loc, Assume(BoolLit(True)), fresh))
-            return fresh
-        return loc
-
-    def lower_block(self, tname, stmts, entry, out) -> int:
-        cur = entry
-        for s in stmts:
-            cur = self.lower_stmt(tname, s, cur, out)
-        return cur
-
-    def lower_stmt(self, tname, s, cur, out) -> int:
-        if isinstance(s, (Assign, Assume, Acquire, Release)):
-            tgt = self.alloc()
-            out.append(Instruction(cur, s, tgt))
-            return tgt
-        if isinstance(s, AssertStmt):
-            tgt = self.alloc()
-            out.append(Instruction(cur, Assume(BoolLit(True)), tgt,
-                                   assert_reads=vars_of_bool(s.cond)))
-            self.assertions.append(Assertion(cur, s.cond, tname))
-            return tgt
-        if isinstance(s, WhileStmt):
-            head = self.settled(cur, out)
-            body_entry = self.alloc()
-            enter = Instruction(head, Assume(s.cond), body_entry)
-            out.append(enter)
-            body_exit = self.lower_block(tname, s.body, body_entry, out)
-            out.append(Instruction(body_exit, Assume(BoolLit(True)), head))
-            exit_loc = self.alloc()
-            out.append(Instruction(head, Assume(negate_bool(s.cond)), exit_loc))
-            return exit_loc
-        if isinstance(s, IfStmt):
-            if not s.else_body:
-                then_entry = self.alloc()
-                out.append(Instruction(cur, Assume(s.cond), then_entry))
-                body_exit = self.lower_block(tname, s.then_body, then_entry, out)
-                then_exit = self.settled(body_exit, out)
-                out.append(Instruction(cur, Assume(negate_bool(s.cond)), then_exit))
-                return then_exit
-            then_entry = self.alloc()
-            out.append(Instruction(cur, Assume(s.cond), then_entry))
-            then_exit = self.lower_block(tname, s.then_body, then_entry, out)
-            else_entry = self.alloc()
-            out.append(Instruction(cur, Assume(negate_bool(s.cond)), else_entry))
-            else_exit = self.lower_block(tname, s.else_body, else_entry, out)
-            join = self.alloc()
-            out.append(Instruction(then_exit, Assume(BoolLit(True)), join))
-            out.append(Instruction(else_exit, Assume(BoolLit(True)), join))
-            return join
-        raise TypeError(f"not a statement: {s!r}")
-
-
 def desugar(p: Program) -> Program:
-    """Lower structured control flow to Table-1 commands; idempotent."""
-    if p.is_desugared:
-        return p
-    lowering = _Lowering(p)
-    threads = tuple(lowering.lower_thread(t) for t in p.threads)
-    return Program(
-        variables=p.variables,
-        locks=p.locks,
-        regions=p.regions,
-        threads=threads,
-        assertions=tuple(lowering.assertions),
-    )
+    """The identity: `parse_program` already returns the lowered program.
+    Kept for the benchmark's oracle and tests (perfbench/oracle.py,
+    perfbench/test_perfbench.py), which still call it."""
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -1112,10 +1043,8 @@ class Diagnostic:
 
 
 def validate_program(p: Program) -> list[Diagnostic]:
-    """Check Program invariants on a desugared program; one diagnostic each."""
+    """Check Program invariants; one diagnostic each."""
     out: list[Diagnostic] = []
-    if not p.is_desugared:
-        return [Diagnostic("program is not desugared")]
 
     seen: dict[int, str] = {}
     for t in p.threads:

@@ -30,8 +30,6 @@ class SyncCFG:
 
 
 def build_syncfg(p: Program) -> SyncCFG:
-    if not p.is_desugared:
-        raise ValueError("program must be desugared")
     return SyncCFG(p.release_points, p.acquire_points)
 
 

@@ -40,7 +40,6 @@ from racefree.engine import _NARROW_CAP, WIDEN_DELAY, make_domain
 from racefree.lang import (
     HAVOC as HAVOC_ATOM,
     Acquire,
-    AssertStmt,
     Assertion,
     Assign,
     Assume,
@@ -49,16 +48,11 @@ from racefree.lang import (
     BoolOp,
     Cmp,
     Expr,
-    IfStmt,
     NotExpr,
     ParseError,
     Program,
     Release,
-    Stmt,
-    Thread,
-    WhileStmt,
     access_sets,
-    desugar,
     eval_bool,
     eval_expr,
     instr_accesses,
@@ -105,7 +99,7 @@ def expr(text: str) -> Expr:
     """The expression `text` as the parser reads it."""
     names = sorted(set(re.findall(r"[A-Za-z_]\w*", text)) - {"havoc"}) or ["z"]
     p = parse_program(f"var {', '.join(names)}; thread t {{ {names[0]} := {text}; }}")
-    return p.threads[0].body[0].expr
+    return p.threads[0].instructions[0].command.expr
 
 
 def binop(op: str, left: Expr, right: Expr) -> Expr:
@@ -544,7 +538,7 @@ def random_race_free_programs(
             lines.append("}")
             lines.append("")
         source = "\n".join(lines)
-        program = desugar(parse_program(source))
+        program = parse_program(source)
         if len(program.instructions) > 14:
             continue
         try:
@@ -572,19 +566,20 @@ def _reading(variables) -> BoolExpr:
     return atoms[0] if len(atoms) == 1 else BoolOp("&&", atoms)
 
 
-def _asserted_body(body, readable_anywhere, readable_locked) -> tuple:
-    """`body` with an assert before each release and at the end, each
-    reading what the thread may read there without racing."""
+def _asserted_body(commands, readable_anywhere, readable_locked) -> str:
+    """The statements `commands` with an assert before each release and at
+    the end, each reading what the thread may read there without racing."""
     out, locked = [], False
-    for s in body:
-        if isinstance(s, Release):
-            out.append(AssertStmt(_reading(readable_locked)))
+    for c in commands:
+        if isinstance(c, Release):
+            out.append(f"assert({print_bexpr(_reading(readable_locked))});")
             locked = False
-        elif isinstance(s, Acquire):
+        elif isinstance(c, Acquire):
             locked = True
-        out.append(s)
-    out.append(AssertStmt(_reading(readable_locked if locked else readable_anywhere)))
-    return tuple(out)
+        out.append(f"{print_command(c)};")
+    reading = _reading(readable_locked if locked else readable_anywhere)
+    out.append(f"assert({print_bexpr(reading)});")
+    return " ".join(out)
 
 
 @cache
@@ -596,25 +591,28 @@ def asserted_programs(count: int = 40, seed: int = 1) -> tuple[tuple[str, Progra
     inside a lock section, one no other thread writes outside of one.
     `max` is taken over `reachable_states(q, len(q.instructions))`, which
     is exhaustive on a loop-free program: no execution takes more steps
-    than there are instructions."""
+    than there are instructions.  The programs are straight-line, so each
+    thread's instructions are its statements, in order."""
     out = []
     for name, p in random_race_free_programs(count, seed):
+        commands = {t.name: [i.command for i in t.instructions] for t in p.threads}
         writes, free_writes = {}, {}  # thread -> variables written (outside a lock)
         for t in p.threads:
             writes[t.name], free_writes[t.name], locked = set(), set(), False
-            for s in t.body:
-                locked = isinstance(s, Acquire) or (locked and not isinstance(s, Release))
-                _, written = access_sets(s)
+            for c in commands[t.name]:
+                locked = isinstance(c, Acquire) or (locked and not isinstance(c, Release))
+                _, written = access_sets(c)
                 writes[t.name] |= written
                 if not locked:
                     free_writes[t.name] |= written
-        threads = []
+        source = [f"var {', '.join(p.variables)};", f"lock {', '.join(p.locks)};"]
         for t in p.threads:
             others = [u.name for u in p.threads if u is not t]
             anywhere = set(p.variables).difference(*(writes[u] for u in others))
             locked = set(p.variables).difference(*(free_writes[u] for u in others))
-            threads.append(Thread(t.name, _asserted_body(t.body, anywhere, locked)))
-        q = desugar(Program(p.variables, p.locks, p.regions, tuple(threads)))
+            source.append(f"thread {t.name} {{ "
+                          f"{_asserted_body(commands[t.name], anywhere, locked)} }}")
+        q = parse_program("\n".join(source))
         states = reachable_states(q, len(q.instructions))
         assertions = []
         for a in q.assertions:
@@ -1040,53 +1038,6 @@ def strip_locks(p: Program) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# printing a structured program back to source
-
-
-def _print_stmt(s: Stmt, indent: str) -> list[str]:
-    if isinstance(s, (Assign, Assume, Acquire, Release)):
-        return [f"{indent}{print_command(s)};"]
-    if isinstance(s, AssertStmt):
-        return [f"{indent}assert({print_bexpr(s.cond)});"]
-    if isinstance(s, WhileStmt):
-        lines = [f"{indent}while ({print_bexpr(s.cond)}) {{"]
-        for inner in s.body:
-            lines.extend(_print_stmt(inner, indent + "  "))
-        lines.append(f"{indent}}}")
-        return lines
-    if isinstance(s, IfStmt):
-        lines = [f"{indent}if ({print_bexpr(s.cond)}) {{"]
-        for inner in s.then_body:
-            lines.extend(_print_stmt(inner, indent + "  "))
-        if s.else_body:
-            lines.append(f"{indent}}} else {{")
-            for inner in s.else_body:
-                lines.extend(_print_stmt(inner, indent + "  "))
-        lines.append(f"{indent}}}")
-        return lines
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def program_to_source(p: Program) -> str:
-    """Render a (structured) program back to canonical source text."""
-    lines = []
-    if p.variables:
-        lines.append("var " + ", ".join(p.variables) + ";")
-    if p.locks:
-        lines.append("lock " + ", ".join(p.locks) + ";")
-    for name in p.regions.declared:
-        members = p.regions.region_vars(name)
-        lines.append(f"region {name} {{ " + ", ".join(members) + " };")
-    for t in p.threads:
-        lines.append("")
-        lines.append(f"thread {t.name} {{")
-        for s in t.body:
-            lines.extend(_print_stmt(s, "  "))
-        lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # the lexer and the fact printer before their per-call costs were cut
 
 
@@ -1330,7 +1281,7 @@ def golden_programs():
     """The scaled golden programs, 8-48 octagon literals."""
     golden = Path(__file__).parent / "golden" / "analyze_scaled.json"
     for name, src in sorted(json.loads(golden.read_text())["sources"].items()):
-        yield name, desugar(parse_program(src))
+        yield name, parse_program(src)
 
 
 def _lit(c: int) -> str:
@@ -1373,7 +1324,7 @@ def near_limit_programs(count: int = 120, seed: int = 5):
                   f"thread t {{ acquire(m); {body[0]} release(m); "
                   f"acquire(m); {body[1]} assert(true); release(m); }}\n"
                   f"thread u {{ acquire(m); {body[2]} release(m); }}")
-        q = desugar(parse_program(source))
+        q = parse_program(source)
         (here,) = q.assertions
         tid = q.thread_index(here.thread)
         states = [s.phi for s in reachable_states(q, len(q.instructions))
@@ -1392,7 +1343,7 @@ def near_limit_programs(count: int = 120, seed: int = 5):
             for text in (f"{term} <= {_lit(hi)}", f"{term} <= {_lit(hi - 1)}",
                          f"{term} >= {_lit(lo)}", f"{term} >= {_lit(lo + 1)}"):
                 cond = parse_program(f"var {', '.join(names)}; thread t {{ assume({text}); }}"
-                                     ).threads[0].body[0].cond
+                                     ).threads[0].instructions[0].command.cond
                 assertions.append(Assertion(here.location, cond, here.thread))
         out.append((f"near_limit_{len(out)}", replace(q, assertions=tuple(assertions))))
     return tuple(out)

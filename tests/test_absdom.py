@@ -42,7 +42,7 @@ INF = math.inf
 
 def cond(src, variables="x, y, z"):
     p = parse_program(f"var {variables};\nthread t {{ assume({src}); }}")
-    return p.threads[0].body[0].cond
+    return p.threads[0].instructions[0].command.cond
 
 
 def octagon_from(dom, constraints):
@@ -816,11 +816,10 @@ def test_bottom_and_facts_survive_pickling():
     import pickle
 
     from racefree.engine import AnalysisConfig, analyze_fixpoint
-    from racefree.lang import desugar
 
     assert pickle.loads(pickle.dumps(BOTTOM)) is BOTTOM
-    p = desugar(parse_program(
-        "var x, i;\nthread t { while (i < 10) { i := i + 1; } assume(x >= 1); x := 2; }"))
+    p = parse_program(
+        "var x, i;\nthread t { while (i < 10) { i := i + 1; } assume(x >= 1); x := 2; }")
     dom = OctagonDomain(p.variables)
     for analysis, domain, recency in (("rel", "octagon", False), ("regrel", "octagon", True),
                                       ("valset", "interval", False)):
@@ -1170,14 +1169,14 @@ def test_recency_write_tags_thread():
 def test_recency_apply_per_command():
     """Writes tag the writing thread; assume, acquire and release keep tags."""
     from racefree.engine import AnalysisConfig, _Frame
-    from racefree.lang import Release, desugar
+    from racefree.lang import Release
 
     _, dom = _recency(tid=1)
     f = _tagged(0, {2})
     assert dom.assign(f, "x", expr("1")).tids == frozenset({1, 2})
     assert dom.assume(f, cond("x == x", "x")).tids == frozenset({2})
     assert dom.mix([f], singleton_partition(1)).tids == frozenset({2})
-    p = desugar(parse_program("var x;\nlock m;\nthread t { acquire(m); release(m); }"))
+    p = parse_program("var x;\nlock m;\nthread t { acquire(m); release(m); }")
     frame = _Frame(p, AnalysisConfig(recency=True))
     release = next(i for i in p.instructions if isinstance(i.command, Release))
     own = RecencyFact(frame.domain.initial(), frozenset({0}))

@@ -40,7 +40,7 @@ from racefree.engine import (
     collecting_fixpoint,
     make_domain,
 )
-from racefree.lang import RegionMap, desugar, eval_bool, parse_program
+from racefree.lang import RegionMap, eval_bool, parse_program
 from racefree.metacheck import (
     check_correspondence,
     check_local_abstraction,
@@ -182,7 +182,7 @@ GOLDEN_ROWS = {
 def _row_set(row, variables):
     """Normalize a constraint row to its satisfying set inside the box."""
     p = parse_program(f"var {', '.join(variables)};\nthread t {{ assume({row}); }}")
-    cond = p.threads[0].body[0].cond
+    cond = p.threads[0].instructions[0].command.cond
     out = set()
     for env in product(range(BOX[0], BOX[1] + 1), repeat=len(variables)):
         if eval_bool(cond, dict(zip(variables, env))):
@@ -359,8 +359,8 @@ def test_criterion_8_race_checking(full_corpus, coupled_xy, coupled_xy_regions):
     t0 = time.monotonic()
     clean = find_data_races(coupled_xy, 13)
 
-    stripped = desugar(parse_program(corpus.COUPLED_XY.replace(
-        "  acquire(m);\n  assert(x == y);\n  release(m);", "  assert(x == y);")))
+    stripped = parse_program(corpus.COUPLED_XY.replace(
+        "  acquire(m);\n  assert(x == y);\n  release(m);", "  assert(x == y);"))
     racy = find_data_races(stripped, 13)
 
     one_region = coupled_xy.with_regions(

@@ -18,7 +18,7 @@ from racefree.checker import (
 )
 from racefree.concrete import enumerate_executions
 from racefree.engine import AnalysisConfig, analyze_fixpoint
-from racefree.lang import desugar, eval_bool, parse_program, parse_region_text
+from racefree.lang import eval_bool, parse_program, parse_region_text
 
 
 def analyze(p, **kw):
@@ -47,7 +47,7 @@ def test_static_owned_coupled_xy(coupled_xy):
 
 
 def test_static_owned_single_thread():
-    p = desugar(parse_program("var x, y;\nthread t { x := y; }"))
+    p = parse_program("var x, y;\nthread t { x := y; }")
     owned = compute_owned_static(p)
     for loc in p.threads[0].locations:
         assert owned.owned("t", loc) == frozenset({"x", "y"})
@@ -82,7 +82,7 @@ thread c { x := 3; }
 def test_static_owned_matches_the_reference_scan():
     programs = [corpus.load(n) for n in corpus.names()]
     programs += [p for _, p in random_race_free_programs(50, seed=7)]
-    unlocked = desugar(parse_program(UNLOCKED_WRITER))
+    unlocked = parse_program(UNLOCKED_WRITER)
     programs.append(unlocked)
     assert len(programs) == 55
     for p in programs:
@@ -116,7 +116,7 @@ def test_report_verdicts_per_analysis(coupled_xy, coupled_xy_regions):
 
 
 def test_assert_true_is_proved():
-    p = desugar(parse_program("var x;\nthread t { x := 1; assert(true); }"))
+    p = parse_program("var x;\nthread t { x := 1; assert(true); }")
     facts, cfg = analyze(p, analysis="rel", domain="octagon")
     report = check_assertions(p, facts, compute_owned_static(p), cfg)
     assert report.assertions[0].proved
@@ -125,7 +125,7 @@ def test_assert_true_is_proved():
 def test_unowned_variable_blocks_proof():
     # y written by the other thread with no lock anywhere: never owned at the assert
     src = "var y;\nthread a { assert(y == 0); }\nthread b { y := 1; }"
-    p = desugar(parse_program(src))
+    p = parse_program(src)
     facts, cfg = analyze(p, analysis="rel", domain="octagon")
     report = check_assertions(p, facts, compute_owned_static(p), cfg)
     (a,) = report.assertions
@@ -242,7 +242,7 @@ def test_unproved_entry_carries_fact_string(coupled_xy):
 
 
 def test_program_without_assertions():
-    p = desugar(parse_program("var x;\nthread t { x := 1; }"))
+    p = parse_program("var x;\nthread t { x := 1; }")
     facts, cfg = analyze(p, analysis="rel", domain="octagon")
     report = check_assertions(p, facts, compute_owned_static(p), cfg)
     assert report.assertions == []

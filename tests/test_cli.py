@@ -241,7 +241,7 @@ def test_usage_errors(tmp_path, capsys):
 ], ids=["acquire_then_while", "release_then_while", "one_armed_if_ends_in_release"])
 def test_analyze_takes_sync_before_a_join(tmp_path, capsys, src):
     """An acquire or release just before a while head or at the end of a
-    one-armed if's body desugars to a valid program (no exit 2)."""
+    one-armed if's body is lowered to a valid program (no exit 2)."""
     f = tmp_path / "p.cp"
     f.write_text(f"var c, x;\nlock m;\n{src}\nthread u {{ acquire(m); release(m); }}")
     assert run_cli(["analyze", str(f)]) in (0, 1)
@@ -333,6 +333,23 @@ def test_region_file_without_semicolons(tmp_path, capsys):
     rg.write_text("region rxy { x, y }\n")  # no trailing semicolon
     assert run_cli(["analyze", "--analysis", "regrel", "--regions", str(rg),
                     str(f)]) == 0
+
+
+def test_program_file_not_utf8_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "latin1.cp"
+    f.write_bytes("var x; // caf\xe9\nthread t { x := 1; }\n".encode("latin-1"))
+    assert run_cli(["analyze", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {f}: not UTF-8 text" in err and "internal error" not in err
+
+
+def test_region_file_not_utf8_is_a_usage_error(tmp_path, capsys, fig_file):
+    rg = tmp_path / "latin1.rg"
+    rg.write_bytes("region rxy { x, y } // caf\xe9\n".encode("latin-1"))
+    assert run_cli(["analyze", "--analysis", "regrel", "--regions", str(rg), fig_file]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read region file {rg}: not UTF-8 text" in err
+    assert "internal error" not in err
 
 
 TWO_WRITERS = "var x, y;\n{regions}thread a {{ x := 1; }}\nthread b {{ y := 2; }}\n"

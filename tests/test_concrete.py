@@ -54,7 +54,6 @@ from racefree.lang import (
     RegionMap,
     Release,
     Thread,
-    desugar,
     eval_bool,
     eval_expr,
     instr_accesses,
@@ -75,7 +74,7 @@ TWO_STEPS = "var a, b;\nthread t1 { a := 1; }\nthread t2 { b := 1; }"
 
 
 def prog(src):
-    return desugar(parse_program(src))
+    return parse_program(src)
 
 
 def find_instr(p, source):
@@ -184,7 +183,7 @@ def random_program(rng):
             # each release has a target of its own: one buffer per release point
             target = 50 + j if isinstance(c, Release) else rng.randrange(7)
             instrs.append(Instruction(100 * k + j, c, 100 * k + target))
-        threads.append(Thread(f"t{k}", (), 100 * k, tuple(instrs)))
+        threads.append(Thread(f"t{k}", 100 * k, tuple(instrs)))
     return Program(VARS, ("m", "n"), REGIONS, tuple(threads))
 
 
@@ -645,7 +644,7 @@ def probe_race_depths(p, thread, location, depth):
     fresh = max(max(t.locations) for t in p.threads) + 1
     probe = Instruction(location, Assume(BoolLit(True)), fresh,
                         assert_reads=frozenset(p.variables))
-    threads = tuple(Thread(t.name, t.body, t.entry, t.instructions + (probe,))
+    threads = tuple(Thread(t.name, t.entry, t.instructions + (probe,))
                     if t.name == thread else t for t in p.threads)
     probed = Program(p.variables, p.locks, p.regions, threads, p.assertions)
     shortest = {}

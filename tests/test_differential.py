@@ -25,7 +25,7 @@ import domtools
 from racefree.checker import check_assertions, compute_owned_static
 from racefree.concrete import DEFAULT_HAVOC, find_data_races, reachable_states
 from racefree.engine import AnalysisConfig, PostFixpointError, analyze_fixpoint
-from racefree.lang import desugar, eval_bool, parse_program
+from racefree.lang import eval_bool, parse_program
 
 CONFIGS = [
     *((analysis, domain, recency)
@@ -153,6 +153,6 @@ OPEN_DEFECTS = {
     for name, (*_, reason) in OPEN_DEFECTS.items()])
 def test_open_defect_proves_no_false_assertion(defect):
     source, config, havoc_values, _ = OPEN_DEFECTS[defect]
-    q = desugar(parse_program(source))
+    q = parse_program(source)
     wrong, _ = wrong_proofs(defect, q, config, havoc_values)
     assert not wrong

@@ -15,7 +15,7 @@ from racefree.engine import (
     collecting_fixpoint,
     make_domain,
 )
-from racefree.lang import desugar, parse_program
+from racefree.lang import parse_program
 
 from domtools import (
     corpus_programs,
@@ -33,7 +33,7 @@ def base(fact):
 
 def cond(p, src):
     q = parse_program(f"var {', '.join(p.variables)};\nthread t {{ assume({src}); }}")
-    return q.threads[0].body[0].cond
+    return q.threads[0].instructions[0].command.cond
 
 
 def run(p, **kw):
@@ -174,11 +174,11 @@ def test_widen_points_match_recursive_dfs():
     from racefree.lang import Acquire
 
     programs = [corpus.load(n) for n in corpus.names()]
-    programs.append(desugar(parse_program(GUARDED)))
-    programs.append(desugar(parse_program(
+    programs.append(parse_program(GUARDED))
+    programs.append(parse_program(
         "var c;\nlock m;\nthread t { acquire(m); while (c < 2) { release(m); acquire(m);"
-        " while (c < 1) { c := c + 1; } } release(m); }")))
-    programs.append(desugar(parse_program(NESTED_LOOPS)))
+        " while (c < 1) { c := c + 1; } } release(m); }"))
+    programs.append(parse_program(NESTED_LOOPS))
     for p in programs:
         frame = _Frame(p, AnalysisConfig())
         acquire_targets = {i.target for i in p.instructions if isinstance(i.command, Acquire)}
@@ -192,7 +192,7 @@ def test_widen_points_match_recursive_dfs():
 def test_long_straight_line_thread_analyzes():
     n = 3000
     src = "var x;\nthread t {\n" + "  x := x + 1;\n" * n + f"  assert(x == {n});\n}}\n"
-    p = desugar(parse_program(src))
+    p = parse_program(src)
     facts, cfg = run(p, analysis="rel", domain="octagon")
     dom = make_domain(cfg, p.variables)
     assert dom.entails(base(facts[p.assertions[0].location]), cond(p, f"x == {n}"))
@@ -228,7 +228,7 @@ def test_one_fixpoint_run_builds_each_guard_once(monkeypatch):
             built.append(self)
             return _build(self)
         monkeypatch.setattr(cls, "_guard", counting)
-    p = desugar(parse_program(GUARDED))  # parsed here: no guard is cached yet
+    p = parse_program(GUARDED)  # parsed here: no guard is cached yet
     cfg = AnalysisConfig(analysis="rel")
     facts = analyze_fixpoint(p, cfg)
     check_assertions(p, facts, compute_owned_static(p), cfg)
@@ -254,7 +254,7 @@ thread b { acquire(m); assume(x <= 1); release(m); }
 def _solved(src):
     from racefree.engine import _Frame, _solve
 
-    p = desugar(parse_program(src))
+    p = parse_program(src)
     cfg = AnalysisConfig(analysis="rel", domain="octagon")
     frame = _Frame(p, cfg)
     return p, cfg, frame, _solve(frame)
@@ -314,7 +314,7 @@ def test_check_reuses_every_solver_transfer(monkeypatch):
 
 
 def test_collecting_straight_line_equals_enumeration():
-    p = desugar(parse_program("var x, y;\nthread t { x := 1; y := x + 1; }"))
+    p = parse_program("var x, y;\nthread t { x := 1; y := x + 1; }")
     res = collecting_fixpoint(p, AnalysisConfig(analysis="rel"), (-4, 4))
     reach = reachable_states(p, 4)
     per_loc = {}
@@ -326,7 +326,7 @@ def test_collecting_straight_line_equals_enumeration():
 
 
 def test_collecting_empty_body_thread():
-    p = desugar(parse_program("var x;\nthread t { }"))
+    p = parse_program("var x;\nthread t { }")
     res = collecting_fixpoint(p, AnalysisConfig(analysis="rel"), (-4, 4))
     assert res.facts[p.threads[0].entry] == frozenset({(0,)})
 
@@ -375,7 +375,7 @@ ROUND_CONFIGS = {
 def test_sync_cycles_reach_a_fixpoint_far_below_the_cap(src, config):
     """x grows without bound around each sync cycle: the rounds must cut
     the cycle and widen, well within 100 of the 10,000 visits allowed."""
-    p = desugar(parse_program(src))
+    p = parse_program(src)
     cfg = AnalysisConfig(**ROUND_CONFIGS[config], iteration_cap=100)
     facts = analyze_fixpoint(p, cfg)
     dom = make_domain(cfg, p.variables)
@@ -393,7 +393,7 @@ def test_collecting_facts_do_not_depend_on_the_order():
 
     programs = [corpus.load(n) for n in corpus.names()]
     programs += [p for _, p in random_race_free_programs(12, seed=5)]
-    programs += [desugar(parse_program(src)) for src in (INCREMENT_LOOP, PING_PONG)]
+    programs += [parse_program(src) for src in (INCREMENT_LOOP, PING_PONG)]
     box = (-3, 3)
     for p in programs:
         for analysis in ("valset", "rel", "regrel"):
@@ -430,7 +430,7 @@ thread u { acquire(m); x := 0; release(m); }
 
 @pytest.mark.parametrize("config", ROUND_CONFIGS)
 def test_descent_proves_the_loop_exit_bound(config):
-    p = desugar(parse_program(LOOP_EXIT))
+    p = parse_program(LOOP_EXIT)
     cfg = AnalysisConfig(**ROUND_CONFIGS[config])
     report = check_assertions(p, analyze_fixpoint(p, cfg), compute_owned_static(p), cfg)
     assert [r.proved for r in report.assertions] == [True], report.assertions
@@ -502,9 +502,9 @@ def test_every_cycle_passes_through_a_widening_point():
     from racefree.lang import Acquire
 
     programs = [*corpus_programs(), *golden_programs(), *random_race_free_programs(40, seed=7),
-                ("loop", desugar(parse_program(INCREMENT_LOOP))),
-                ("ping-pong", desugar(parse_program(PING_PONG))),
-                ("nested", desugar(parse_program(NESTED_LOOPS)))]
+                ("loop", parse_program(INCREMENT_LOOP)),
+                ("ping-pong", parse_program(PING_PONG)),
+                ("nested", parse_program(NESTED_LOOPS))]
     for name, p in programs:
         frame = _Frame(p, AnalysisConfig())
         preds: dict[int, set[int]] = {}

@@ -1,4 +1,5 @@
-"""Parser, desugarer, access sets, and program validation."""
+"""Parser and its lowering to instructions, access sets, and program
+validation."""
 
 import json
 from dataclasses import replace
@@ -6,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 import domtools
-from domtools import program_to_source
 from racefree import corpus
 from racefree.lang import (
     HAVOC,
@@ -25,12 +25,12 @@ from racefree.lang import (
     _tokenize,
     Thread,
     access_sets,
-    desugar,
     eval_bool,
     eval_expr,
     instr_accesses,
     parse_program,
     parse_region_text,
+    print_bexpr,
     print_command,
     validate_program,
     vars_of_bool,
@@ -40,7 +40,7 @@ from test_golden import GOLDEN_SCALED, RACY_SOURCES
 
 def test_parse_coupled_xy_shape():
     """Two threads, three variables, one lock, three assertions."""
-    p = desugar(parse_program(corpus.COUPLED_XY))
+    p = parse_program(corpus.COUPLED_XY)
     assert p.variables == ("x", "y", "z")
     assert p.locks == ("m",)
     assert len(p.threads) == 2
@@ -50,7 +50,7 @@ def test_parse_coupled_xy_shape():
 
 
 def test_empty_thread_body():
-    p = desugar(parse_program("var x;\nthread t { }"))
+    p = parse_program("var x;\nthread t { }")
     t = p.threads[0]
     assert t.instructions == ()
     assert t.locations == frozenset({t.entry})
@@ -59,7 +59,7 @@ def test_empty_thread_body():
 def test_thread_locations_are_computed_once():
     """`validate_program` reads them twice per instruction: building them on
     every read made validation quadratic in the length of a thread."""
-    p = desugar(parse_program("var x;\nthread t { " + "x := x + 1; " * 50 + "}"))
+    p = parse_program("var x;\nthread t { " + "x := x + 1; " * 50 + "}")
     t = p.threads[0]
     assert t.locations is t.locations
     assert len(t.locations) == 51
@@ -69,7 +69,7 @@ def test_thread_locations_are_computed_once():
 
 
 def test_assert_recorded_at_source_location():
-    p = desugar(parse_program("var x;\nthread t { x := 1; assert(x == 1); }"))
+    p = parse_program("var x;\nthread t { x := 1; assert(x == 1); }")
     (a,) = p.assertions
     assert a.location == 2
     assert a.thread == "t"
@@ -164,9 +164,9 @@ def test_havoc_banned_in_conditions():
         parse_program("var x;\nthread t { assume(havoc > 0); }")
 
 
-def test_while_desugars_to_assume_branches():
+def test_while_lowers_to_assume_branches():
     src = "var p, y;\nlock m;\nthread t { while (p != 1) { acquire(m); p := y; release(m); } }"
-    p = desugar(parse_program(src))
+    p = parse_program(src)
     t = p.threads[0]
     heads = [i for i in t.instructions if i.source == t.entry]
     assert len(heads) == 2  # enter and exit guards
@@ -178,7 +178,7 @@ def test_while_desugars_to_assume_branches():
 
 
 def test_if_without_else_joins_at_successor():
-    p = desugar(parse_program("var x;\nthread t { if (x == 0) { x := 1; } x := 2; }"))
+    p = parse_program("var x;\nthread t { if (x == 0) { x := 1; } x := 2; }")
     t = p.threads[0]
     guards = [i for i in t.instructions if i.source == t.entry]
     assert len(guards) == 2
@@ -190,16 +190,25 @@ def test_if_without_else_joins_at_successor():
     assert join in targets
 
 
-def test_desugar_is_idempotent():
-    for src in corpus.SOURCES.values():
-        p = desugar(parse_program(src))
-        assert desugar(p) == p
+def _reparsed(p, stmt: str):
+    """The command of `stmt`, parsed alone in a thread over `p`'s names."""
+    locks = f"lock {', '.join(p.locks)};\n" if p.locks else ""
+    (i,) = parse_program(f"var {', '.join(p.variables)};\n{locks}thread t {{ {stmt} }}"
+                         ).threads[0].instructions
+    return i.command
+
+
+def assert_round_trips(p):
+    """Every printed command and every printed assertion parses back equal."""
+    for i in p.instructions:
+        assert _reparsed(p, f"{print_command(i.command)};") == i.command
+    for a in p.assertions:
+        assert _reparsed(p, f"assume({print_bexpr(a.cond)});").cond == a.cond
 
 
 def test_print_parse_round_trip():
     for src in corpus.SOURCES.values():
-        ast = parse_program(src)
-        assert parse_program(program_to_source(ast)) == ast
+        assert_round_trips(parse_program(src))
 
 
 def test_round_trip_covers_nested_control_flow():
@@ -220,14 +229,15 @@ thread t {
   x := havoc;
 }
 """
-    ast = parse_program(src)
-    assert parse_program(program_to_source(ast)) == ast
+    p = parse_program(src)
+    assert len(p.instructions) == 12
+    assert_round_trips(p)
 
 
 def test_sums_and_chains_parse_flat_as_printed():
     p = parse_program("var x, y;\nthread t { x := ((x - y) - (2 * (3 * (y + havoc)))) - (x);"
                       " assume((x > 0 || y < 1) || x == 2 && (y != 3 || x < y)); }")
-    assign, assume = p.threads[0].body
+    assign, assume = (i.command for i in p.threads[0].instructions)
     # the leading groups are spliced in, the groups of one term unwrapped
     group = Expr(((1, (), "y"), (1, (), HAVOC)))
     assert assign.expr.terms == (
@@ -241,25 +251,25 @@ def test_sums_and_chains_parse_flat_as_printed():
 
 def test_linear_view_keeps_zero_coefficient_reads_and_havoc_order():
     p = parse_program("var x, y;\nthread t { x := y - y + 2 * (havoc - 3 * x) - 4 + havoc; }")
-    assert p.threads[0].body[0].expr.linear == Linear(
+    assert p.threads[0].instructions[0].command.expr.linear == Linear(
         const=-4, coeffs={"x": -6}, havocs=(2, 1), reads=frozenset({"x", "y"}))
 
 
 def test_eval_expr_consumes_havoc_choices_in_order():
     p = parse_program("var x, y;\nthread t { x := havoc; y := 3 * (x - havoc) + havoc;"
                       " x := y; x := 4; x := 0 - y; }")
-    single, nested, *plain = (s.expr for s in p.threads[0].body)
+    single, nested, *plain = (i.command.expr for i in p.threads[0].instructions)
     env = {"x": 5, "y": 2}
     assert eval_expr(single, env, (7,)) == 7
     assert eval_expr(nested, env, (1, 2)) == 3 * (5 - 1) + 2
     assert [eval_expr(e, env) for e in plain] == [2, 4, -2]
     assert eval_bool(parse_program("var x, y;\nthread t { assume(x < 3 && y >= 0); }")
-                     .threads[0].body[0].cond, {"x": 2, "y": 0})
+                     .threads[0].instructions[0].command.cond, {"x": 2, "y": 0})
 
 
 def test_eval_expr_rejects_unused_and_missing_havoc_choices():
     p = parse_program("var x;\nthread t { x := x + 1; x := havoc; x := 2 * (x + havoc); }")
-    plain, single, nested = (s.expr for s in p.threads[0].body)
+    plain, single, nested = (i.command.expr for i in p.threads[0].instructions)
     with pytest.raises(ValueError, match="unused havoc choices"):
         eval_expr(plain, {"x": 0}, (1,))
     with pytest.raises(ValueError, match="unused havoc choices"):
@@ -281,7 +291,7 @@ def test_eval_expr_rejects_unused_and_missing_havoc_choices():
     ],
 )
 def test_access_sets(src, reads, writes):
-    p = desugar(parse_program(f"var x, y, z;\nlock m;\nthread t {{ {src} }}"))
+    p = parse_program(f"var x, y, z;\nlock m;\nthread t {{ {src} }}")
     i = p.threads[0].instructions[0]
     r, w = access_sets(i.command)
     assert r == frozenset(reads)
@@ -290,7 +300,7 @@ def test_access_sets(src, reads, writes):
 
 def test_assign_writes_are_singletons():
     for src in corpus.SOURCES.values():
-        p = desugar(parse_program(src))
+        p = parse_program(src)
         for i in p.instructions:
             r, w = access_sets(i.command)
             if isinstance(i.command, Assign):
@@ -301,7 +311,7 @@ def test_assign_writes_are_singletons():
 
 def test_validate_clean_corpus():
     for src in corpus.SOURCES.values():
-        assert validate_program(desugar(parse_program(src))) == []
+        assert validate_program(parse_program(src)) == []
 
 
 # an acquire or release entering the location that a while head or a
@@ -319,16 +329,16 @@ SYNC_THEN_JOIN = {
 @pytest.mark.parametrize("name", SYNC_THEN_JOIN)
 def test_desugared_sync_never_shares_its_target(name):
     """The second edge into such a location leaves from one `assume(true)`
-    past it, so the desugared program is valid."""
-    p = desugar(parse_program("var c, x;\nlock m;\n" + SYNC_THEN_JOIN[name]))
+    past it, so the lowered program is valid."""
+    p = parse_program("var c, x;\nlock m;\n" + SYNC_THEN_JOIN[name])
     assert validate_program(p) == []
 
 
-def test_desugar_settles_only_after_sync():
+def test_lowering_settles_only_after_sync():
     """A while head or one-armed if after any other command keeps its
     location: the same numbering as without the settling edge."""
-    p = desugar(parse_program(
-        "var c;\nthread t { c := 1; while (c < 2) { c := c + 1; } if (c == 0) { c := 1; } }"))
+    p = parse_program(
+        "var c;\nthread t { c := 1; while (c < 2) { c := c + 1; } if (c == 0) { c := 1; } }")
     assert [(i.source, i.target) for i in p.threads[0].instructions] == [
         (1, 2), (2, 3), (3, 4), (4, 2), (2, 5), (5, 6), (6, 7), (5, 7)]
 
@@ -339,7 +349,7 @@ def test_validate_shared_release_target():
     rel = [i for i in t1.instructions if isinstance(i.command, Release)][0]
     # second instruction into the release's target location
     bad = Instruction(2, Assume(BoolLit(True)), rel.target)
-    broken = Thread(t1.name, t1.body, t1.entry, t1.instructions + (bad,))
+    broken = Thread(t1.name, t1.entry, t1.instructions + (bad,))
     diags = validate_program(replace(p, threads=(broken, p.threads[1])))
     assert any("target" in d.message for d in diags)
 
@@ -348,7 +358,7 @@ def test_validate_undeclared_lock():
     p = corpus.load("coupled_xy")
     t1 = p.threads[0]
     bad = Instruction(t1.entry, Acquire("nope"), 2)
-    broken = Thread(t1.name, t1.body, t1.entry, (bad,) + t1.instructions[1:])
+    broken = Thread(t1.name, t1.entry, (bad,) + t1.instructions[1:])
     diags = validate_program(replace(p, threads=(broken, p.threads[1])))
     assert any("undeclared lock" in d.message for d in diags)
 

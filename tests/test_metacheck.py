@@ -18,7 +18,7 @@ from racefree.concrete import (
     find_data_races,
     owned_vars_oracle,
 )
-from racefree.lang import Acquire, Assign, desugar, parse_program, parse_region_text
+from racefree.lang import Acquire, Assign, parse_program, parse_region_text
 from racefree.metacheck import (
     PreconditionError,
     check_correspondence,
@@ -30,7 +30,7 @@ from racefree.threadlocal import ThreadLocalState, VersionedEnv, local_step
 
 
 def prog(src):
-    return desugar(parse_program(src))
+    return parse_program(src)
 
 
 RACY = "var x;\nthread a { x := 1; }\nthread b { x := 2; }"

@@ -13,7 +13,7 @@ from domtools import (
 from racefree import corpus
 from racefree.concrete import enumerate_executions
 from racefree.engine import AnalysisConfig, _Frame
-from racefree.lang import desugar, parse_program
+from racefree.lang import parse_program
 from racefree.syncfg import build_syncfg, to_dot
 from racefree.threadlocal import LocalContext
 
@@ -28,7 +28,7 @@ def table_programs():
     return ([corpus.load(name) for name in corpus.names()]
             + [p for _, p in random_race_free_programs(12, 5)]
             + [p for _, p in asserted_programs()]
-            + [desugar(parse_program(TWO_LOCKS))])
+            + [parse_program(TWO_LOCKS)])
 
 
 def test_lock_tables_match_the_reference_scans():
@@ -70,13 +70,13 @@ def test_sync_lookups_match_a_scan_of_the_edges(name):
 
 
 def test_lock_free_program_has_no_sync_edges():
-    p = desugar(parse_program("var x;\nthread a { x := 1; }\nthread b { }"))
+    p = parse_program("var x;\nthread a { x := 1; }\nthread b { }")
     assert build_syncfg(p).sync_edges == ()
 
 
 def test_single_release_single_acquire():
-    p = desugar(parse_program(
-        "var x;\nlock m;\nthread a { acquire(m); x := 1; release(m); }"))
+    p = parse_program(
+        "var x;\nlock m;\nthread a { acquire(m); x := 1; release(m); }")
     g = build_syncfg(p)
     assert len(g.sync_edges) == 1
 

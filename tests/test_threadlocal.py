@@ -13,7 +13,7 @@ from domtools import (
 
 from racefree import corpus
 from racefree.concrete import initial_state, reachable
-from racefree.lang import Acquire, desugar, parse_program
+from racefree.lang import Acquire, parse_program
 from racefree.threadlocal import (
     InadmissibleStateError,
     LocalContext,
@@ -28,7 +28,7 @@ from racefree.threadlocal import (
 
 
 def prog(src):
-    return desugar(parse_program(src))
+    return parse_program(src)
 
 
 def drive(p, ctx, state, tid, count=1):
