@@ -7,6 +7,10 @@ Three domains share one operation surface:
 - explicit environment sets, a finite reference domain used as the exact
   collecting oracle at desk scale.
 
+They share one base (`_Domain`).  Environment sets in the value box form a
+lattice of finite height: their widening is their join, and their one
+bottom is the empty set.
+
 The mix operator is the join used at lock-acquire points: at variable
 granularity it forgets all correlations between variables (cartesian
 recombination); given a region partition it preserves correlations within
@@ -215,32 +219,65 @@ def is_bottom(d) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Interval domain
+# The base of the three domains
 
 
-class IntervalDomain:
-    kind = "interval"
+class _Domain:
+    """What the three domains share.  Each names its `kind`, its element
+    class `_elem` and its one bottom `_bottom`, and gives the widening step
+    `_widen`, which `widen` takes when `a` is not bottom and `b` not below it."""
+
+    kind: str
+    _elem: type
+    _bottom: object = BOTTOM
 
     def __init__(self, variables: Sequence[str]):
         self.variables = tuple(variables)
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.n = len(self.variables)
 
+    def _check(self, d):
+        if d is self._bottom or isinstance(d, self._elem):
+            return
+        raise DomainError(f"{self.kind} domain got {type(d).__name__}")
+
+    def bottom(self):
+        return self._bottom
+
+    def check_leq(self, a, b) -> bool:
+        """`leq`, complete for intervals and sets; see `OctagonDomain.check_leq`."""
+        return self.leq(a, b)
+
+    def widen(self, a, b):
+        self._check(a), self._check(b)
+        if is_bottom(a):
+            return b
+        if self.leq(b, a):  # a bottom `b` too
+            return a
+        return self._widen(a, b)
+
+    def equal(self, a, b) -> bool:
+        return a == b
+
+    def entails(self, d, b: BoolExpr) -> bool:
+        return is_bottom(self.assume(d, NotExpr(b)))
+
+
+# ---------------------------------------------------------------------------
+# Interval domain
+
+
+class IntervalDomain(_Domain):
+    kind = "interval"
+    _elem = IntervalElem
+
     # lattice
 
     def top(self) -> IntervalElem:
         return IntervalElem(((-INF, INF),) * self.n)
 
-    def bottom(self):
-        return BOTTOM
-
     def initial(self) -> IntervalElem:
         return IntervalElem(((0, 0),) * self.n)
-
-    def _check(self, d):
-        if d is BOTTOM or isinstance(d, IntervalElem):
-            return
-        raise DomainError(f"interval domain got {type(d).__name__}")
 
     def leq(self, a, b) -> bool:
         self._check(a), self._check(b)
@@ -253,8 +290,6 @@ class IntervalDomain:
                 return False
         return True
 
-    check_leq = leq  # complete already; see `OctagonDomain.check_leq`
-
     def join(self, a, b):
         self._check(a), self._check(b)
         if a is BOTTOM:
@@ -265,22 +300,14 @@ class IntervalDomain:
             (bl if bl < al else al, bh if bh > ah else ah)
             for (al, ah), (bl, bh) in zip(a.bounds, b.bounds)]))
 
-    def widen(self, a, b):
+    widen = _Domain.widen  # in the class: the benchmark's tracer wraps only those
+
+    def _widen(self, a, b):
         """Bounds unstable from a to b go to +-inf; applied as a widen (a join b)."""
-        self._check(a), self._check(b)
-        if a is BOTTOM:
-            return b
-        if b is BOTTOM:
-            return a
-        if self.leq(b, a):
-            return a
         b = self.join(a, b)
         return IntervalElem(tuple([
             (al if al <= bl else -INF, ah if bh <= ah else INF)
             for (al, ah), (bl, bh) in zip(a.bounds, b.bounds)]))
-
-    def equal(self, a, b) -> bool:
-        return a == b
 
     # transfer
 
@@ -316,9 +343,6 @@ class IntervalDomain:
 
     # inspection
 
-    def entails(self, d, b: BoolExpr) -> bool:
-        return is_bottom(self.assume(d, NotExpr(b)))
-
     def constraints(self, d) -> list[str]:
         if d is BOTTOM:
             return ["false"]
@@ -336,7 +360,7 @@ class IntervalDomain:
 # Octagon domain
 
 
-class OctagonDomain:
+class OctagonDomain(_Domain):
     """Octagons over `variables` as `OctElem` matrices, or BOTTOM.
 
     BOTTOM is the one encoding of the empty octagon: `_closed` maps an
@@ -346,11 +370,10 @@ class OctagonDomain:
     """
 
     kind = "octagon"
+    _elem = OctElem
 
     def __init__(self, variables: Sequence[str]):
-        self.variables = tuple(variables)
-        self.var_index = {v: i for i, v in enumerate(self.variables)}
-        self.n = len(self.variables)
+        super().__init__(variables)
         self.size = 2 * self.n
         # an int64, so that array comparisons convert no Python int
         self._limit = np.int64(2 ** 59 // max(self.size, 1))  # see `_close_at`
@@ -366,20 +389,12 @@ class OctagonDomain:
         self._gathers: dict[tuple, tuple] = {}  # (x, source) -> `_assign_closed` maps
         self._crosses: dict[int, tuple] = {}  # x -> flat indices of its rows and columns, signs of c
 
-    def _check(self, d):
-        if d is BOTTOM or isinstance(d, OctElem):
-            return
-        raise DomainError(f"octagon domain got {type(d).__name__}")
-
     # construction / closure
 
     def top(self) -> OctElem:
         m = np.full((self.size, self.size), _NO_BOUND, dtype=np.int64)
         np.fill_diagonal(m, 0)
         return OctElem(m, closed=True)
-
-    def bottom(self):
-        return BOTTOM
 
     def initial(self) -> OctElem:
         # every variable is 0, so every difference or sum of literals is 0:
@@ -495,19 +510,14 @@ class OctagonDomain:
             return ca
         return OctElem(np.maximum(ca.m, cb.m), closed=True)
 
-    def widen(self, a, b):
+    widen = _Domain.widen  # see `IntervalDomain.widen`
+
+    def _widen(self, a, b):
         """Entrywise: keep stable bounds, drop unstable ones to `_NO_BOUND`.
 
         The result is deliberately left unclosed; closing a widened matrix
         can reintroduce bounds and defeat termination.
         """
-        self._check(a), self._check(b)
-        if a is BOTTOM:
-            return b
-        if b is BOTTOM:
-            return a
-        if self.leq(b, a):
-            return a
         cb = self._closed(self.join(a, b))
         w = np.where(cb.m <= a.m, a.m, _NO_BOUND)
         w.ravel()[self._diag] = 0
@@ -741,9 +751,6 @@ class OctagonDomain:
 
     # inspection
 
-    def entails(self, d, b: BoolExpr) -> bool:
-        return is_bottom(self.assume(d, NotExpr(b)))
-
     def constraints(self, d) -> list[str]:
         c = self._closed(d)
         if c is BOTTOM:
@@ -798,8 +805,15 @@ class OctagonDomain:
 # Environment-set domain (exact, desk scale)
 
 
-class EnvSetDomain:
+class EnvSetDomain(_Domain):
+    """Sets of environments (value tuples in variable order) in `value_box`;
+    an assign that leaves the box drops the environment and sets `clamped`.
+    The sets form a lattice of finite height, whose join is a widening and
+    whose one bottom is the empty set: `BOTTOM` is no element."""
+
     kind = "envset"
+    _elem = frozenset
+    _bottom = frozenset()
 
     def __init__(
         self,
@@ -807,45 +821,24 @@ class EnvSetDomain:
         value_box: tuple[int, int] = (-4, 4),
         havoc_values: tuple[int, ...] = (0, 1, 2),
     ):
-        self.variables = tuple(variables)
-        self.var_index = {v: i for i, v in enumerate(self.variables)}
-        self.n = len(self.variables)
+        super().__init__(variables)
         self.box = value_box
         self.havoc_values = tuple(sorted(set(havoc_values)))
         self.clamped = False  # set when any environment left the box
-
-    def _check(self, d):
-        if d is BOTTOM or isinstance(d, frozenset):
-            return
-        raise DomainError(f"envset domain got {type(d).__name__}")
-
-    def _norm(self, d):
-        return frozenset() if d is BOTTOM else d
-
-    def top(self):
-        raise DomainError("environment-set top is not representable")
-
-    def bottom(self):
-        return frozenset()
 
     def initial(self):
         return frozenset({(0,) * self.n})
 
     def leq(self, a, b) -> bool:
         self._check(a), self._check(b)
-        return self._norm(a) <= self._norm(b)
-
-    check_leq = leq  # complete already; see `OctagonDomain.check_leq`
+        return a <= b
 
     def join(self, a, b):
         self._check(a), self._check(b)
-        return self._norm(a) | self._norm(b)
+        return a | b
 
-    def widen(self, a, b):
-        raise DomainError("the environment-set reference domain has no widening")
-
-    def equal(self, a, b) -> bool:
-        return self._norm(a) == self._norm(b)
+    widen = _Domain.widen  # see `IntervalDomain.widen`
+    _widen = join
 
     def _in_box(self, value: int) -> bool:
         return self.box[0] <= value <= self.box[1]
@@ -861,7 +854,6 @@ class EnvSetDomain:
 
     def assign(self, d, var: str, e: Expr):
         self._check(d)
-        d = self._norm(d)
         vi = self.var_index[var]
         out = set()
         slots = len(e.linear.havocs)
@@ -874,7 +866,6 @@ class EnvSetDomain:
 
     def assume(self, d, b: BoolExpr):
         self._check(d)
-        d = self._norm(d)
         out = set()
         for env in d:
             env_map = {v: env[i] for v, i in self.var_index.items()}
@@ -890,7 +881,7 @@ class EnvSetDomain:
         pool = set()
         for e in elems:
             self._check(e)
-            pool |= self._norm(e)
+            pool |= e
         if not pool:
             return frozenset()
         projections = []
@@ -905,20 +896,16 @@ class EnvSetDomain:
             out.add(tuple(env))
         return frozenset(out)
 
-    def entails(self, d, b: BoolExpr) -> bool:
-        return self.equal(self.assume(d, NotExpr(b)), frozenset())
-
     def constraints(self, d) -> list[str]:
         if is_bottom(d):
             return ["false"]
-        rows = sorted(self._norm(d))
+        rows = sorted(d)
         return ["{" + ", ".join(f"{v}={env[i]}" for v, i in
                                 sorted(self.var_index.items(), key=lambda kv: kv[1]))
                 + "}" for env in rows]
 
     def contains_points(self, d, pts: np.ndarray) -> np.ndarray:
-        envs = self._norm(d)
-        return np.array([tuple(int(x) for x in row) in envs for row in pts], dtype=bool)
+        return np.array([tuple(int(x) for x in row) in d for row in pts], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .concrete import (
     format_execution,
     racy_regions_via_translation,
 )
-from .engine import AnalysisConfig, AnalysisLimitError, analyze_fixpoint
+from .engine import ANALYSES, DOMAINS, AnalysisConfig, AnalysisLimitError, analyze_fixpoint
 from .lang import ParseError, parse_program, parse_region_text, validate_program
 from .metacheck import (
     PreconditionError,
@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--format", choices=("text", "json"), default="text")
     an.add_argument("--deterministic", action="store_true",
                     help="zero all timings in the output")
-    an.add_argument("--analysis", choices=("valset", "rel", "regrel"), default="rel")
-    an.add_argument("--domain", choices=("interval", "octagon", "envset"))
+    an.add_argument("--analysis", choices=ANALYSES, default="rel")
+    an.add_argument("--domain", choices=DOMAINS)
     an.add_argument("--recency", action="store_true",
                     help="tag facts with writer thread ids and drop stale sync facts")
     an.add_argument("--regions", default="default", metavar="FILE|default")
@@ -181,7 +181,10 @@ def _cmd_analyze(args) -> int:
         havoc_values=havoc,
         value_box=box,
     )
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as e:  # e.g. the value-set analysis over octagons
+        raise UsageError(str(e)) from e
     t0 = time.monotonic()
     facts = analyze_fixpoint(program, cfg)
     t_analysis = time.monotonic() - t0

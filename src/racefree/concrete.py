@@ -77,9 +77,6 @@ class Execution:
     initial: object
     steps: tuple[Transition, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     @property
     def final(self):
         return self.steps[-1].post if self.steps else self.initial

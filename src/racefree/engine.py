@@ -6,8 +6,8 @@ join, the relational analysis uses octagons with a variable-granular mix
 (all correlations forgotten across threads), and its region variant keeps
 correlations inside each declared region.  The recency refinement is one
 more domain, a per-thread wrapper (`RecencyDomain`).  One worklist loop
-(`_solve`) serves both the widening analyses and the exact collecting
-fixpoint over environment sets.  Each run builds the program's full
+(`_solve`) serves every domain the same way, the exact collecting fixpoint
+over environment sets included.  Each run builds the program's full
 sync-CFG itself (`build_syncfg`): every release of a lock feeds every
 acquire of it.
 
@@ -19,7 +19,7 @@ thread rounds.  Within a round every cycle passes through a back-edge
 target of the thread's DFS, which widens after `WIDEN_DELAY` changes in the
 round; across rounds every cycle passes through an acquire target, which
 counts at most one change per round and widens after `WIDEN_DELAY` such
-rounds, and then the widening analyses descend from there without widening.
+rounds, and then the loop descends from there without widening.
 The order decides only which post-fixpoint they reach, never soundness:
 `check_postfixpoint` checks every result.
 
@@ -27,17 +27,18 @@ Like a sequential solver, the loop joins only where paths merge (`_solve`
 has the details).  A chain location (`_Frame.chain`: one in-edge, no thread
 entry) takes its in-edge's transfer, or at a widening point the old fact
 widened by it; merge points and thread entries join.  The descent starts
-only from the sources of the in-edges of merge points and widening points.
-- Exactness: `widen(cur, new)` equals `widen(cur, join(cur, new))`, since
-  the interval, octagon and recency `widen` join first; and where transfers
-  are monotone and the ascent's facts grow, each transfer into a chain
-  location lies above the fact it replaces, so storing it equals the join,
-  and the descent changes exactly the facts it changed when it started from
-  every location.
+from the sources of the in-edges of widening points only.
+- Exactness: every `widen` joins first, so `widen(cur, new)` equals
+  `widen(cur, join(cur, new))`.  Where transfers are monotone and the
+  ascent's facts grow, a transfer into a chain location lies above the fact
+  it replaces, and a merge point that does not widen holds the join of its
+  in-edges' transfers, so the facts are those of joining and descending at
+  every location.  Environment sets widen by their join, so there the
+  ascent ends at the least fixpoint and the descent lowers nothing.
 - Soundness holds everywhere, monotone or not (octagon saturation near the
-  limit is not): `check_postfixpoint` checks each result.
-- Termination: every cycle of the sync-CFG still passes through a widening
-  point, which widens the old fact as before.
+  limit is not, and a merge point may keep a stale join there):
+  `check_postfixpoint` checks each result.
+- Termination: every cycle of the sync-CFG passes through a widening point.
 
 A frame stores each instruction's last transfer with its inputs (the
 source fact, then for an acquire the facts at the release points feeding
@@ -262,33 +263,25 @@ def _solve(frame: _Frame) -> LocationFacts:
     thread joins the outer FIFO), and its own thread's acquire sources only
     for that thread's next round.
 
-    Widening (not over environment sets) applies at back-edge targets and
-    acquire targets, once a count reaches `WIDEN_DELAY`: at a back-edge
-    target the changes of its fact in the current round, at an acquire
-    target the rounds in which its fact changed (its update count).  So a
-    loop that a round re-enters with facts imported from other threads
-    gets `WIDEN_DELAY` fresh steps before they are widened away, and an
-    acquire target inside a loop is not widened by the loop's own
-    iterations.
+    Widening applies at back-edge targets and acquire targets, once a count
+    reaches `WIDEN_DELAY`: at a back-edge target the changes of its fact in
+    the current round, at an acquire target the rounds in which its fact
+    changed (its update count).  So a loop that a round re-enters with facts
+    imported from other threads gets `WIDEN_DELAY` fresh steps before they
+    are widened away, and an acquire target inside a loop is not widened by
+    the loop's own iterations.
 
     A location with two or more in-edges, or a thread entry, gets its old
     fact joined with the transfer (a merge point); a chain location gets the
     transfer itself, and a chain widening point the old fact widened by it.
-    `widen(cur, new)` equals `widen(cur, join(cur, new))`, since the
-    interval, octagon and recency `widen` first join their arguments; and
-    where transfers are monotone and the ascent's facts grow, the transfer
-    into a chain location lies above the stored fact, so the stored facts
-    are those of joining at every location.
 
-    After the ascent, the widening analyses descend without widening: the
-    sources of the in-edges of merge points and of widening points are
-    queued again, and a popped location's target gets its in-edge's
-    transfer if it is a chain location, and otherwise its initial fact
-    joined with all its in-edges' transfers; a recomputation is kept if it
-    is below the stored fact.  Any other location is a chain location that
-    does not widen, whose fact is its in-edge's transfer of its source's
-    fact, so recomputing it would change nothing until its source changes,
-    which queues the source again.
+    After the ascent the loop descends without widening from the sources of
+    the in-edges of widening points: a popped location's target gets its
+    in-edge's transfer if it is a chain location, and otherwise its initial
+    fact joined with all its in-edges' transfers, kept if it is below the
+    stored fact.  Every other location holds what that would give (see the
+    module docstring) until a source of its in-edges changes, which queues
+    that source again.
 
     Termination: within a round only the thread's own CFG edges re-queue
     work, and every cycle of a thread's CFG passes through a back-edge
@@ -303,12 +296,10 @@ def _solve(frame: _Frame) -> LocationFacts:
     sources, and once no acquire target changes, such a round changes
     nothing and queues nothing more.  In the descent each location's fact
     changes at most `_NARROW_CAP` times, and each change queues finitely
-    many locations.  Environment-set transfers are monotone and the sets
-    finite in the value box, so there the facts only grow and the loop
-    ends without widening, at the least fixpoint.  Soundness does not
-    depend on the order: `check_postfixpoint` checks every result.  The
-    descent starts from a post-fixpoint, and with monotone transfers each
-    recomputed fact leaves one."""
+    many locations.  Soundness does not depend on the order:
+    `check_postfixpoint` checks every result.  The descent starts from a
+    post-fixpoint, and with monotone transfers each recomputed fact leaves
+    one."""
     cfg = frame.cfg
     facts = frame.initial_facts()
     rank, order, owner, heads, chain = (frame.rank, frame.order, frame.thread_of,
@@ -346,7 +337,7 @@ def _solve(frame: _Frame) -> LocationFacts:
                     if is_bottom(new):
                         continue
                     joined = new if tgt in chain else dom.join(cur, new)
-                    if cfg.domain != "envset" and tgt in frame.widen_points:
+                    if tgt in frame.widen_points:
                         count = changes.get(tgt, 0) if tgt in heads else update_count.get(tgt, 0)
                         if count >= WIDEN_DELAY:
                             joined = dom.widen(cur, joined)
@@ -381,12 +372,11 @@ def _solve(frame: _Frame) -> LocationFacts:
                             rounds.append(other)
         if deferred[tid]:
             rounds.append(tid)
-        if not rounds and descent is None and cfg.domain != "envset":
+        if not rounds and descent is None:
             # the ascent is at a post-fixpoint: queue the sources of the
-            # in-edges of merge points and widening points
+            # in-edges of widening points
             descent, initial = {}, frame.initial_facts()
-            queued = {i.source for i in frame.p.instructions
-                      if i.target not in chain or i.target in frame.widen_points}
+            queued = {i.source for i in frame.p.instructions if i.target in frame.widen_points}
             pending = [sorted(rank[loc] for loc in t.locations & queued)
                        for t in frame.p.threads]
             rounds.extend(range(len(pending)))

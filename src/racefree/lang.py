@@ -351,7 +351,6 @@ class RegionMap:
     """Partition of the program variables into named regions."""
 
     members: tuple[tuple[str, tuple[str, ...]], ...]
-    declared: tuple[str, ...] = ()
 
     @staticmethod
     def from_declared(
@@ -365,7 +364,7 @@ class RegionMap:
                 members.append((v, (v,)))
         order = {v: i for i, v in enumerate(variables)}
         members.sort(key=lambda item: min(order[v] for v in item[1]))
-        return RegionMap(tuple(members), declared=tuple(sorted(declared)))
+        return RegionMap(tuple(members))
 
     def region_of(self, var: str) -> str:
         for name, vs in self.members:
@@ -1076,8 +1075,6 @@ def validate_program(p: Program) -> list[Diagnostic]:
             if isinstance(i.command, (Acquire, Release)):
                 if i.command.lock not in declared_locks:
                     out.append(Diagnostic(f"undeclared lock {i.command.lock!r}", i.source))
-            if i.source not in t.locations or i.target not in t.locations:
-                out.append(Diagnostic("instruction endpoints leave the thread", i.source))
 
     partition: dict[str, str] = {}
     for name, vs in p.regions.members:

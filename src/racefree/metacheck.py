@@ -320,7 +320,7 @@ def _mix_envs(envs: frozenset, partition) -> frozenset:
     for region in partition:
         projections.append(sorted({tuple(env[i] for i in region) for env in envs}))
     out = set()
-    n = max(max(r) for r in partition) + 1
+    n = len(next(iter(envs)))  # a program without variables has no region
     for combo in product(*projections):
         env = [0] * n
         for region, values in zip(partition, combo):

@@ -1139,7 +1139,8 @@ def fifo_solve_reference(frame) -> dict:
     its lock at once, and every change of a widening point counted.  Kept
     here, not in the engine, for oracle independence: it is the order the
     thread-round solver (`engine._solve`) replaced, and without widening
-    (environment sets) both must reach the same least fixpoint."""
+    (environment sets, which the engine widens by their join) both must
+    reach the same least fixpoint."""
     use_widening = frame.cfg.domain != "envset"
     facts = frame.initial_facts()
     worklist = deque(sorted(t.entry for t in frame.p.threads))
@@ -1189,11 +1190,12 @@ def join_everywhere_solve_reference(frame) -> dict:
     merge: every location's new fact is its old fact joined with the
     transfer (widened at widening points), and the descent starts from every
     location, recomputing each target of a popped location from all its
-    in-edges.  Kept here, not in the engine, for oracle independence: where
-    transfers are monotone and the ascent's facts grow, `engine._solve`, which
-    stores a one-in-edge location's transfer without a join and descends
-    only from the sources of merge and widening points, must reach the same
-    facts."""
+    in-edges; over environment sets it neither widens nor descends.  Kept
+    here, not in the engine, for oracle independence: where transfers are
+    monotone and the ascent's facts grow, `engine._solve`, which stores a
+    one-in-edge location's transfer without a join, widens environment sets
+    by their join and descends over them too, but only from the sources of
+    the in-edges of widening points, must reach the same facts."""
     cfg = frame.cfg
     facts = frame.initial_facts()
     rank, order, owner, heads = frame.rank, frame.order, frame.thread_of, frame.heads

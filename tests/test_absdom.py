@@ -134,10 +134,29 @@ def test_widen_chain_stabilizes_quickly():
     assert w == IntervalElem(((0, INF),))
 
 
-def test_envset_has_no_widening():
+def test_envset_widen_is_join():
+    """Environment sets in the value box form a lattice of finite height,
+    so their widening is their join."""
+    rng = random.Random(13)
+    dom = EnvSetDomain(("x", "y"), value_box=domtools.BOX)
+    for _ in range(100):
+        a, b = domtools.rand_envset(dom, rng), domtools.rand_envset(dom, rng)
+        assert dom.widen(a, b) == dom.join(a, b) == a | b
+
+
+def test_envset_rejects_bottom():
+    """The empty set is the one envset bottom: `BOTTOM`, the other domains'
+    bottom, is no element of it."""
     dom = EnvSetDomain(("x",))
-    with pytest.raises(DomainError):
-        dom.widen(frozenset(), frozenset())
+    ops = [lambda: dom.leq(BOTTOM, frozenset()), lambda: dom.join(frozenset(), BOTTOM),
+           lambda: dom.widen(BOTTOM, frozenset()), lambda: dom.assign(BOTTOM, "x", expr("x + 1")),
+           lambda: dom.assume(BOTTOM, cond("x >= 0", "x")),
+           lambda: dom.mix([BOTTOM], singleton_partition(1)),
+           lambda: dom.entails(BOTTOM, cond("x >= 0", "x"))]
+    for op in ops:
+        with pytest.raises(DomainError):
+            op()
+    assert dom.bottom() == frozenset() and is_bottom(dom.bottom())
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,26 @@ def test_usage_errors(tmp_path, capsys):
                     str(bad)]) == 2
 
 
+def test_invalid_analysis_domain_pair_is_a_usage_error(capsys):
+    """On a program that parses, the pair is rejected as a usage error
+    (exit 2), not an internal error (exit 3)."""
+    assert run_cli(["analyze", "--analysis", "valset", "--domain", "octagon",
+                    "coupled_xy"]) == 2
+    err = capsys.readouterr().err
+    assert "the value-set analysis pairs with the interval domain" in err
+    assert "internal error" not in err
+
+
+def test_metacheck_takes_a_program_without_variables(tmp_path, capsys):
+    """The harness's cartesian mix reads the environments' width from the
+    environments: a program without variables has no region to read it
+    from."""
+    f = tmp_path / "novar.rf"
+    f.write_text("lock m; thread t { acquire(m); release(m); }")
+    assert run_cli(["metacheck", "--samples", "20", str(f)]) == 0
+    assert "internal error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("src", [
     "thread t { acquire(m); while (c < 2) { c := c + 1; } assert(c >= 2); release(m); }",
     "thread t { acquire(m); c := 0; release(m); while (x < 2) { x := x + 1; } }",

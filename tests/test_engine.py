@@ -460,12 +460,13 @@ def test_descent_ends_where_a_jacobi_round_changes_nothing():
 
 def test_facts_equal_the_join_everywhere_reference():
     """Storing a one-in-edge location's transfer without a join, and
-    descending only from the sources of merge and widening points, reaches
-    the facts of the solver that joined and descended everywhere: under
-    valset, rel and regrel, with and without recency, and in the collecting
-    fixpoint over environment sets (on the programs small enough for it).
-    Near the octagon limit saturation is not monotone, so there the
-    differential net checks soundness instead."""
+    descending only from the sources of widening points, reaches the facts
+    of the solver that joined and descended everywhere: under valset, rel
+    and regrel, with and without recency, over intervals, octagons and
+    environment sets, whose widening is their join and whose descent lowers
+    nothing, and in the collecting fixpoint (environment sets only on the
+    programs small enough for them).  Near the octagon limit saturation is
+    not monotone, so there the differential net checks soundness instead."""
     from racefree.engine import _Frame
 
     def same(cfg, p, facts):
@@ -474,11 +475,12 @@ def test_facts_equal_the_join_everywhere_reference():
         return all(frame.domain_at[loc].equal(facts[loc], ref[loc]) for loc in facts)
 
     small = [*corpus_programs(), *random_race_free_programs(40, seed=7)]
-    widening = [kw for kw in CHECK_CONFIGS if kw["domain"] != "envset"]
-    for name, p in [*small, *golden_programs()]:
-        for kw in widening:
-            cfg = AnalysisConfig(**kw)
-            assert same(cfg, p, analyze_fixpoint(p, cfg)), (name, kw)
+    numeric = [kw for kw in CHECK_CONFIGS if kw["domain"] != "envset"]
+    runs = [(name, p, kw) for name, p in small for kw in CHECK_CONFIGS]
+    runs += [(name, p, kw) for name, p in golden_programs() for kw in numeric]
+    for name, p, kw in runs:
+        cfg = AnalysisConfig(**kw)
+        assert same(cfg, p, analyze_fixpoint(p, cfg)), (name, kw)
     box = (-3, 3)
     for name, p in small:
         for analysis in ("valset", "rel", "regrel"):
