@@ -21,9 +21,8 @@ forgets of the join; for environment sets it is computed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +60,7 @@ BOTTOM = _Bottom()
 # Elements
 
 
-@dataclass(frozen=True)
-class IntervalElem:
+class IntervalElem(NamedTuple):
     """Per-variable [lo, hi] bounds: exact Python ints of any magnitude, or
     +-inf for missing bounds."""
 
@@ -912,8 +910,7 @@ class EnvSetDomain(_Domain):
 # Recency (thread-identifier) wrapper
 
 
-@dataclass(frozen=True)
-class RecencyFact:
+class RecencyFact(NamedTuple):
     """A domain element tagged with the threads that may have written since
     the fact was last confirmed fresh."""
 

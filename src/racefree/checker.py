@@ -26,7 +26,7 @@ the bounded semantic oracle from the concrete module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .absdom import split_fact
 from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, owned_vars_oracle
@@ -45,8 +45,7 @@ from .lang import (
 # Owned variables
 
 
-@dataclass(frozen=True)
-class OwnedMap:
+class OwnedMap(NamedTuple):
     mode: str  # "static" | "oracle@<depth>"
     table: dict[tuple[str, int], frozenset[str]]
 
@@ -129,8 +128,7 @@ def compute_owned_oracle(
 # Assertion discharge
 
 
-@dataclass
-class AssertionResult:
+class AssertionResult(NamedTuple):
     location: int
     thread: str
     condition: str
@@ -140,16 +138,15 @@ class AssertionResult:
     reason: str = ""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     program: str
     analysis: str
     domain: str
     recency: bool
     regions: list[dict]
     owned_mode: str
-    assertions: list[AssertionResult] = field(default_factory=list)
-    timing_ms: dict = field(default_factory=dict)
+    assertions: list[AssertionResult]
+    timing_ms: dict  # the CLI's timings, set with `_replace` once they are known
 
     @property
     def all_proved(self) -> bool:
@@ -164,14 +161,7 @@ def check_assertions(
     program_name: str = "<program>",
 ) -> Report:
     domain = make_domain(cfg, p.variables)
-    report = Report(
-        program=program_name,
-        analysis=cfg.analysis,
-        domain=cfg.domain,
-        recency=cfg.recency,
-        regions=[{"name": name, "vars": list(vs)} for name, vs in p.regions.members],
-        owned_mode=owned.mode,
-    )
+    results = []
     for a in p.assertions:
         elem, _ = split_fact(facts[a.location])
         owned_here = owned.owned(a.thread, a.location)
@@ -180,7 +170,7 @@ def check_assertions(
         else:
             proved = domain.entails(elem, a.cond)
             reason = "" if proved else "fact does not entail the condition"
-        report.assertions.append(AssertionResult(
+        results.append(AssertionResult(
             location=a.location,
             thread=a.thread,
             condition=print_bexpr(a.cond),
@@ -189,7 +179,16 @@ def check_assertions(
             owned=sorted(owned_here),
             reason=reason,
         ))
-    return report
+    return Report(
+        program=program_name,
+        analysis=cfg.analysis,
+        domain=cfg.domain,
+        recency=cfg.recency,
+        regions=[{"name": name, "vars": list(vs)} for name, vs in p.regions.members],
+        owned_mode=owned.mode,
+        assertions=results,
+        timing_ms={},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,11 @@ def _cmd_analyze(args) -> int:
         owned = compute_owned_static(program)
     report = check_assertions(program, facts, owned, cfg, args.program)
     t_total = time.monotonic() - t0
-    report.timing_ms = (
+    report = report._replace(timing_ms=(
         {"analysis": 0, "total": 0}
         if args.deterministic
         else {"analysis": round(t_analysis * 1000, 3), "total": round(t_total * 1000, 3)}
-    )
+    ))
     print(emit_report(report, args.format))
     return 0 if report.all_proved else 1
 

@@ -23,7 +23,6 @@ instruction is never stepped.  The budget counts nodes of the reduced tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -54,15 +53,13 @@ class ExplorationLimitError(Exception):
     """The configured exploration budget was exhausted."""
 
 
-@dataclass(frozen=True)
-class StdState:
+class StdState(NamedTuple):
     pc: tuple[int, ...]
     mu: tuple[Optional[int], ...]
     phi: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One step of either semantics; `pre` and `post` are states of it."""
 
     tid: int
@@ -72,8 +69,7 @@ class Transition:
     post: object
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(NamedTuple):
     initial: object
     steps: tuple[Transition, ...]
 
@@ -477,8 +473,7 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
 # Race detection
 
 
-@dataclass(frozen=True)
-class RaceReport:
+class RaceReport(NamedTuple):
     execution: Execution
     first: int
     second: int
@@ -678,9 +673,9 @@ def translate_for_region_races(p: Program) -> Program:
                 mark = Assign(witness[w], Expr(((1, (), witness[w]),) + zeros))
             else:
                 mark = Assume(Cmp("==", Expr(zeros), Expr(zeros)))
-            instrs += [replace(i, target=fresh), Instruction(fresh, mark, i.target)]
+            instrs += [i._replace(target=fresh), Instruction(fresh, mark, i.target)]
             fresh += 1
-        threads.append(replace(t, instructions=tuple(instrs)))
+        threads.append(t._replace(instructions=tuple(instrs)))
     variables = p.variables + tuple(witness.values())
     declared = {name: vs for name, vs in rg.members if len(vs) > 1}
     return Program(variables, p.locks, RegionMap.from_declared(variables, declared),

@@ -61,8 +61,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from heapq import heappop, heappush
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .absdom import (
     EnvSetDomain,
@@ -97,8 +96,7 @@ class PostFixpointError(AssertionError):
     pass
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     analysis: str = "rel"
     domain: str = "octagon"
     recency: bool = False
@@ -413,8 +411,7 @@ def check_postfixpoint(
             )
 
 
-@dataclass
-class CollectingResult:
+class CollectingResult(NamedTuple):
     facts: LocationFacts
     clamped: bool
     value_box: tuple[int, int]
@@ -427,7 +424,7 @@ def collecting_fixpoint(
 ) -> CollectingResult:
     """Exact least fixpoint of the set-based transfer system over a finite
     value box (environments escaping the box are dropped and reported)."""
-    run = replace(cfg, domain="envset", value_box=value_box)
+    run = cfg._replace(domain="envset", value_box=value_box)
     frame = _Frame(p, run)
     facts = _solve(frame)
     check_postfixpoint(p, run, facts, frame=frame)

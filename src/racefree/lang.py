@@ -13,9 +13,100 @@ the program's assertion table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections import _tuplegetter
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Union
+
+
+# ---------------------------------------------------------------------------
+# The value base of the AST and program classes
+
+
+class _Value(tuple):
+    """An immutable record: a tuple of its class's own annotated fields, in
+    order, each read by name.  A field with a class attribute of the same
+    name defaults to it.
+
+    Unlike a NamedTuple, a record equals only records of its own class, so
+    `Acquire("m") != Release("m")`, and never a plain tuple; its hash is the
+    hash of the tuple of its fields.  Attributes cannot be assigned, but the
+    instance dictionary holds the views a `cached_property` computes once per
+    object; neither equality, hashing nor `_replace` reads those.  Nothing is
+    generated or compiled per class, so a class costs no more than its class
+    statement; construction is one `tuple.__new__` call, and field reads and
+    hashing run in C."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if not fields:  # a base such as `Cond`: no fields of its own
+            return
+        cls._fields = fields
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        for i, f in enumerate(fields):
+            # the read-only item getter of `collections.namedtuple`
+            setattr(cls, f, _tuplegetter(i, None))
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        return tuple.__new__(cls, args)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords, defaults or a wrong count."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} arguments, {len(args)} given")
+        values = list(args)
+        for f in fields[len(args):]:
+            if f in kwargs:
+                values.append(kwargs.pop(f))
+            elif f in cls._defaults:
+                values.append(cls._defaults[f])
+            else:
+                raise TypeError(f"{name} missing argument {f!r}")
+        if kwargs:
+            raise TypeError(f"{name} got an unexpected or repeated argument "
+                            f"{next(iter(kwargs))!r}")
+        return values
+
+    # tuple's own `__ne__` would compare across classes, so both are defined
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self) -> tuple:
+        """The fields, for `copy` and `pickle` to call the class with."""
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of an immutable "
+                             f"{self.__class__.__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of an immutable "
+                             f"{self.__class__.__name__}")
+
+    def _replace(self, **changes):
+        """A copy with the fields in `changes` replaced; no cached view is
+        carried over."""
+        values = [changes.pop(f, v) for f, v in zip(self._fields, self)]
+        if changes:
+            raise TypeError(f"{self.__class__.__name__} has no field "
+                            f"{next(iter(changes))!r}")
+        return self.__class__(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +125,7 @@ class Linear(NamedTuple):
     reads: frozenset[str]  # every variable mentioned: `y - y` still reads y
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(_Value):
     """An n-ary sum `t1 +- t2 +- ...`, the only integer expression.
 
     Each term is `(sign, factors, atom)`: `sign` is +1 or -1 (+1 for the
@@ -82,8 +172,7 @@ def _collect(e: Expr, k: int, coeffs: dict[str, int], havocs: list[int]) -> int:
     return const
 
 
-@dataclass(frozen=True)
-class LinearAtom:
+class LinearAtom(_Value):
     """`sum(coeffs[v] * v) <= bound`, with the nonzero coefficients only."""
 
     coeffs: dict[str, int]
@@ -106,7 +195,7 @@ def _negate(g: Guard) -> Guard:
     return ("or" if tag == "and" else "and", tuple(map(_negate, arg)))
 
 
-class Cond:
+class Cond(_Value):
     """The base of the condition classes."""
 
     @cached_property
@@ -117,7 +206,6 @@ class Cond:
         return self._guard()
 
 
-@dataclass(frozen=True)
 class BoolLit(Cond):
     value: bool
 
@@ -125,7 +213,6 @@ class BoolLit(Cond):
         return ("bool", self.value)
 
 
-@dataclass(frozen=True)
 class Cmp(Cond):
     op: str  # ==, !=, <, <=, >, >=
     left: Expr
@@ -149,7 +236,6 @@ class Cmp(Cond):
                 "==": ("and", (le, ge)), "!=": ("or", (gt, lt))}[self.op]
 
 
-@dataclass(frozen=True)
 class BoolOp(Cond):
     """`args[0] op args[1] op ...`; like sums, a leading parenthesised chain
     of the same operator is spliced in."""
@@ -161,7 +247,6 @@ class BoolOp(Cond):
         return ("and" if self.op == "&&" else "or", tuple(a.guard for a in self.args))
 
 
-@dataclass(frozen=True)
 class NotExpr(Cond):
     expr: "BoolExpr"
 
@@ -260,24 +345,20 @@ def eval_bool(b: BoolExpr, env: Mapping[str, int]) -> bool:
 # Commands: the edge labels of the CFG
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(_Value):
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Assume:
+class Assume(_Value):
     cond: BoolExpr
 
 
-@dataclass(frozen=True)
-class Acquire:
+class Acquire(_Value):
     lock: str
 
 
-@dataclass(frozen=True)
-class Release:
+class Release(_Value):
     lock: str
 
 
@@ -305,8 +386,7 @@ def negate_bool(b: "BoolExpr") -> "BoolExpr":
 # The CFG program model
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(_Value):
     source: int
     command: Command
     target: int
@@ -331,8 +411,7 @@ def instr_accesses(i: Instruction) -> tuple[frozenset[str], frozenset[str]]:
     return reads | i.assert_reads, writes
 
 
-@dataclass(frozen=True)
-class Thread:
+class Thread(_Value):
     name: str
     entry: int
     instructions: tuple[Instruction, ...]
@@ -346,8 +425,7 @@ class Thread:
         return frozenset(locs)
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(_Value):
     """Partition of the program variables into named regions."""
 
     members: tuple[tuple[str, tuple[str, ...]], ...]
@@ -391,15 +469,13 @@ class RegionMap:
         return all(len(vs) == 1 for _, vs in self.members)
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(_Value):
     location: int
     cond: BoolExpr
     thread: str
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Value):
     variables: tuple[str, ...]
     locks: tuple[str, ...]
     regions: RegionMap
@@ -455,7 +531,9 @@ class Program:
         return {m: tuple(sorted(locs)) for m, locs in points.items()}
 
     def with_regions(self, regions: RegionMap) -> "Program":
-        return replace(self, regions=regions)
+        """The program over `regions`: itself, with the tables it has built,
+        when they equal its own."""
+        return self if regions == self.regions else self._replace(regions=regions)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1113,7 @@ def print_command(c: Command) -> str:
 # Validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     location: Optional[int] = None
 

@@ -26,7 +26,6 @@ catches a deliberately broken semantics.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
 from operator import gt
 from typing import Callable, Iterable, Optional
@@ -71,11 +70,16 @@ class PreconditionError(Exception):
     only holds for race-free programs, so the check refuses to run."""
 
 
-@dataclass
 class CheckResult:
-    name: str
-    instances: int = 0
-    violations: list[tuple[str, str]] = field(default_factory=list)
+    """One check's instance count and its first violations, both filled in
+    as the check runs."""
+
+    __slots__ = ("name", "instances", "violations")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.instances = 0
+        self.violations: list[tuple[str, str]] = []
 
     @property
     def passed(self) -> bool:

@@ -9,13 +9,12 @@ points: the full graph for which the paper's soundness argument is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lang import Program, print_command
 
 
-@dataclass(frozen=True)
-class SyncCFG:
+class SyncCFG(NamedTuple):
     release_points: dict[str, tuple[int, ...]]
     acquire_points: dict[str, tuple[int, ...]]
 

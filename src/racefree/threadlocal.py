@@ -13,9 +13,8 @@ This module is a reference semantics and oracle, not the shipped analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .concrete import DEFAULT_HAVOC, ProgramIndex, StdState
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap
@@ -25,14 +24,12 @@ class InadmissibleStateError(Exception):
     """Two components agree on a version but disagree on the value."""
 
 
-@dataclass(frozen=True)
-class VersionedEnv:
+class VersionedEnv(NamedTuple):
     values: tuple[int, ...]
     versions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ThreadLocalState:
+class ThreadLocalState(NamedTuple):
     pc: tuple[int, ...]
     mu: tuple[Optional[int], ...]
     theta: tuple[VersionedEnv, ...]

@@ -13,7 +13,7 @@ import math
 import random
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
 from itertools import product
@@ -624,7 +624,7 @@ def asserted_programs(count: int = 40, seed: int = 1) -> tuple[tuple[str, Progra
                 top = max(phi[q.variables.index(v)] for phi in here)
                 assertions += [Assertion(a.location, _bound(v, top), a.thread),
                                Assertion(a.location, _bound(v, top - 1), a.thread)]
-        out.append((name, replace(q, assertions=tuple(assertions))))
+        out.append((name, q._replace(assertions=tuple(assertions))))
     return tuple(out)
 
 
@@ -1030,11 +1030,11 @@ def strip_locks(p: Program) -> Program:
     assume), so that the accesses they guarded race."""
     noop = Assume(BoolLit(True))
     threads = tuple(
-        replace(t, instructions=tuple(
-            replace(i, command=noop) if isinstance(i.command, (Acquire, Release)) else i
+        t._replace(instructions=tuple(
+            i._replace(command=noop) if isinstance(i.command, (Acquire, Release)) else i
             for i in t.instructions))
         for t in p.threads)
-    return replace(p, threads=threads)
+    return p._replace(threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -1347,5 +1347,5 @@ def near_limit_programs(count: int = 120, seed: int = 5):
                 cond = parse_program(f"var {', '.join(names)}; thread t {{ assume({text}); }}"
                                      ).threads[0].instructions[0].command.cond
                 assertions.append(Assertion(here.location, cond, here.thread))
-        out.append((f"near_limit_{len(out)}", replace(q, assertions=tuple(assertions))))
+        out.append((f"near_limit_{len(out)}", q._replace(assertions=tuple(assertions))))
     return tuple(out)

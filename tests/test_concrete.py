@@ -3,7 +3,6 @@
 import copy
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -414,9 +413,9 @@ def test_dfs_preorder_depth_bound():
 def test_program_index_rejects_a_location_in_two_threads():
     p = prog(TWO_STEPS)
     a, b = p.threads
-    moved = replace(b, entry=a.entry,
-                    instructions=tuple(replace(i, source=a.entry) for i in b.instructions))
-    shared = replace(p, threads=(a, moved))
+    moved = b._replace(entry=a.entry,
+                       instructions=tuple(i._replace(source=a.entry) for i in b.instructions))
+    shared = p._replace(threads=(a, moved))
     with pytest.raises(ValueError, match="in two threads"):
         ProgramIndex(shared)
     # the fixpoint engine reads the same edge tables, and refuses it too

@@ -1,6 +1,5 @@
 """Fixpoint engine: post-fixpoint property, golden facts, determinism."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -399,7 +398,7 @@ def test_collecting_facts_do_not_depend_on_the_order():
         for analysis in ("valset", "rel", "regrel"):
             cfg = AnalysisConfig(analysis=analysis)
             res = collecting_fixpoint(p, cfg, box)
-            frame = _Frame(p, replace(cfg, domain="envset", value_box=box))
+            frame = _Frame(p, cfg._replace(domain="envset", value_box=box))
             assert res.facts == fifo_solve_reference(frame)
             assert res.clamped == frame.domain.clamped
 
@@ -486,7 +485,7 @@ def test_facts_equal_the_join_everywhere_reference():
         for analysis in ("valset", "rel", "regrel"):
             cfg = AnalysisConfig(analysis=analysis)
             res = collecting_fixpoint(p, cfg, box)
-            run = replace(cfg, domain="envset", value_box=box)
+            run = cfg._replace(domain="envset", value_box=box)
             assert same(run, p, res.facts), (name, analysis)
 
 

@@ -2,7 +2,6 @@
 validation."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -64,7 +63,7 @@ def test_thread_locations_are_computed_once():
     assert t.locations is t.locations
     assert len(t.locations) == 51
     assert validate_program(p) == []
-    copy = replace(t)  # equality and hashing still see only the fields
+    copy = t._replace()  # equality and hashing still see only the fields
     assert copy == t and hash(copy) == hash(t)
 
 
@@ -350,7 +349,7 @@ def test_validate_shared_release_target():
     # second instruction into the release's target location
     bad = Instruction(2, Assume(BoolLit(True)), rel.target)
     broken = Thread(t1.name, t1.entry, t1.instructions + (bad,))
-    diags = validate_program(replace(p, threads=(broken, p.threads[1])))
+    diags = validate_program(p._replace(threads=(broken, p.threads[1])))
     assert any("target" in d.message for d in diags)
 
 
@@ -359,7 +358,7 @@ def test_validate_undeclared_lock():
     t1 = p.threads[0]
     bad = Instruction(t1.entry, Acquire("nope"), 2)
     broken = Thread(t1.name, t1.entry, (bad,) + t1.instructions[1:])
-    diags = validate_program(replace(p, threads=(broken, p.threads[1])))
+    diags = validate_program(p._replace(threads=(broken, p.threads[1])))
     assert any("undeclared lock" in d.message for d in diags)
 
 

@@ -1,8 +1,6 @@
 """Metatheory harness: correspondence, version invariants, abstraction checks,
 and the fault-injection self-tests that prove the harness can catch bugs."""
 
-from dataclasses import replace
-
 import pytest
 from domtools import (
     local_abstraction_reference,
@@ -69,7 +67,7 @@ def no_bump(p, s, instr, havoc_values, ctx):
     tid = ctx.tid_of_instr[instr]
     versions = s.theta[tid].versions  # the writer's versions before the step
     return tuple(
-        (choices, replace(post, theta=post.theta[:tid] + (
+        (choices, post._replace(theta=post.theta[:tid] + (
             VersionedEnv(post.theta[tid].values, versions),) + post.theta[tid + 1:]))
         for choices, post in out)
 
@@ -78,7 +76,7 @@ def acquire_held_step(p, s, instr, havoc_values, ctx):
     """An acquire enabled while another thread holds the lock."""
     if isinstance(instr.command, Acquire):
         mi = ctx.lock_index[instr.command.lock]
-        s = replace(s, mu=s.mu[:mi] + (None,) + s.mu[mi + 1:])
+        s = s._replace(mu=s.mu[:mi] + (None,) + s.mu[mi + 1:])
     return local_step(p, s, instr, havoc_values, ctx)
 
 
