@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .lang import (
+    DEFAULT_HAVOC,
     BoolExpr,
     Expr,
     Guard,
@@ -37,6 +38,7 @@ from .lang import (
 )
 
 INF = math.inf
+DEFAULT_VALUE_BOX = (-4, 4)  # the environment-set domain's value box (`--value-box`)
 
 
 class DomainError(Exception):
@@ -816,8 +818,8 @@ class EnvSetDomain(_Domain):
     def __init__(
         self,
         variables: Sequence[str],
-        value_box: tuple[int, int] = (-4, 4),
-        havoc_values: tuple[int, ...] = (0, 1, 2),
+        value_box: tuple[int, int] = DEFAULT_VALUE_BOX,
+        havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     ):
         super().__init__(variables)
         self.box = value_box

@@ -29,7 +29,7 @@ import json
 from typing import NamedTuple
 
 from .absdom import split_fact
-from .concrete import DEFAULT_BUDGET, DEFAULT_HAVOC, owned_vars_oracle
+from .concrete import DEFAULT_HAVOC, owned_vars_oracle
 from .engine import AnalysisConfig, LocationFacts, make_domain
 from .lang import (
     Acquire,
@@ -117,11 +117,9 @@ def compute_owned_oracle(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
 ) -> OwnedMap:
     """Bounded semantic oracle; over-approximates when depth is insufficient."""
-    return OwnedMap(mode=f"oracle@{depth}",
-                    table=owned_vars_oracle(p, depth, havoc_values, budget))
+    return OwnedMap(mode=f"oracle@{depth}", table=owned_vars_oracle(p, depth, havoc_values))
 
 
 # ---------------------------------------------------------------------------

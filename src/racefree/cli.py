@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 from . import corpus
+from .absdom import DEFAULT_VALUE_BOX
 from .checker import (
     check_assertions,
     compute_owned_oracle,
@@ -35,8 +36,9 @@ from .concrete import (
     racy_regions_via_translation,
 )
 from .engine import ANALYSES, DOMAINS, AnalysisConfig, AnalysisLimitError, analyze_fixpoint
-from .lang import ParseError, parse_program, parse_region_text, validate_program
+from .lang import DEFAULT_HAVOC, ParseError, parse_program, parse_region_text, validate_program
 from .metacheck import (
+    LOCAL_ABSTRACTION_DEPTH,
     PreconditionError,
     check_correspondence,
     check_local_abstraction,
@@ -102,10 +104,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
 def _add_common(sp):
     sp.add_argument("program", help="program file (or a built-in corpus name)")
-    sp.add_argument("--havoc-set", default="0,1,2", metavar="a,b,c",
-                    help="finite havoc value pool (default 0,1,2)")
+    sp.add_argument("--havoc-set", default=_csv(DEFAULT_HAVOC), metavar="a,b,c",
+                    help=f"finite havoc value pool (default {_csv(DEFAULT_HAVOC)})")
 
 
 # Built once, on first use: `parse_args` leaves the parser as it was.
@@ -127,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--owned", choices=("static", "oracle"), default="static")
     an.add_argument("--depth", type=_count, default=12,
                     help="exploration depth for oracle owned sets")
-    an.add_argument("--value-box", default="-4,4", metavar="lo,hi",
+    an.add_argument("--value-box", default=_csv(DEFAULT_VALUE_BOX), metavar="lo,hi",
                     help="value box for the envset domain")
 
     rc = sub.add_parser("races", help="bounded data/region race search")
@@ -152,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--depth", type=_count, default=12,
                     help="exploration depth of the race precondition, the "
                          "correspondence and the version invariants; the "
-                         "local-abstraction pool is always drawn within 8 steps")
+                         "local-abstraction pool is always drawn within "
+                         f"{LOCAL_ABSTRACTION_DEPTH} steps")
     mc.add_argument("--samples", type=_count, default=200)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--regions", default="default", metavar="FILE|default")

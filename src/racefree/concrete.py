@@ -19,6 +19,10 @@ executions have the same final state, the same po U sw clocks and the same
 length, so every trace of length <= k has an explored representative.  A
 race pair stays ordered because its two steps conflict.  A sleeping
 instruction is never stepped.  The budget counts nodes of the reduced tree.
+
+Every search stops at `DEFAULT_BUDGET` nodes or states, which `dfs` and
+`reachable` read at call time; only `reachable_states` takes a budget of its
+own.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .lang import (
+    DEFAULT_HAVOC,
     Acquire,
     Assign,
     Assume,
@@ -43,8 +48,7 @@ from .lang import (
     print_command,
 )
 
-DEFAULT_HAVOC = (0, 1, 2)
-DEFAULT_BUDGET = 500_000
+DEFAULT_BUDGET = 500_000  # nodes of a tree search, or states of a state search
 Subjects = Callable[[Instruction], tuple[frozenset[str], frozenset[str]]]  # (reads, writes)
 ConflictTable = dict[int, dict[int, tuple[str, ...]]]  # see conflict_table
 
@@ -139,7 +143,7 @@ class ProgramIndex:
     `by_source` is the program's edge table (`Program.by_source`): each
     location's outgoing instructions, in thread instruction order.  It
     relies on every location belonging to one thread, which
-    `validate_program` checks and the constructor enforces.
+    `validate_program` checks and `Program.thread_of` enforces.
 
     `steps` is the step table both semantics read: `id(instr)` -> `Step`,
     filled by `compile` on an instruction's first step.
@@ -149,14 +153,8 @@ class ProgramIndex:
         self.program = program
         self.var_index = {v: i for i, v in enumerate(program.variables)}
         self.lock_index = {m: i for i, m in enumerate(program.locks)}
-        self.tid_of_instr: dict[Instruction, int] = {}
-        owner: dict[int, int] = {}
-        for tid, t in enumerate(program.threads):
-            for loc in t.locations:
-                if owner.setdefault(loc, tid) != tid:
-                    raise ValueError(f"location {loc} is in two threads")
-            for i in t.instructions:
-                self.tid_of_instr[i] = tid
+        thread_of = program.thread_of
+        self.tid_of_instr = {i: thread_of[i.source] for i in program.instructions}
         self.by_source = program.by_source
         self.steps: dict[int, Step] = {}
         self._choices: dict[tuple, tuple[tuple[int, ...], ...]] = {}
@@ -254,18 +252,19 @@ def successors(idx: ProgramIndex, state, step: Callable, havoc_values) -> Iterat
                 yield tid, instr, choices, post
 
 
-def dfs(root, depth: int, budget: int, expand: Callable) -> Iterator[tuple[object, list]]:
+def dfs(root, depth: int, expand: Callable) -> Iterator[tuple[object, list]]:
     """Depth-first search of the tree below `root`, at most `depth` edges deep.
 
     Yields `(node, path)` for every node in pre-order, root first; `path`
     is the list of edges from the root, one list updated in place.
     `expand(node, path)` is a generator of the `(edge, child)` pairs to
     descend into; it is resumed only after the subtree of its previous
-    child is done.  Raises ExplorationLimitError when more than `budget`
-    nodes would be visited.
+    child is done.  Raises ExplorationLimitError when more than
+    `DEFAULT_BUDGET` nodes would be visited.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    budget = DEFAULT_BUDGET
     path: list = []
     stack: list[Iterator] = []  # one generator per node on the path
     node, visited = root, 0
@@ -295,10 +294,12 @@ def dfs(root, depth: int, budget: int, expand: Callable) -> Iterator[tuple[objec
 
 
 def reachable(idx: ProgramIndex, init, step: Callable, depth: int,
-              havoc_values, budget: int) -> list:
+              havoc_values, budget: Optional[int] = None) -> list:
     """Distinct states within `depth` steps of `init` under `step`, in
     breadth-first discovery order.  Raises ExplorationLimitError when more
-    than `budget` states are found."""
+    than `budget` states (by default `DEFAULT_BUDGET`) are found."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
     seen = {init: None}  # a dict keeps the discovery order
     frontier = [init]
     for level in range(1, depth + 1):
@@ -319,7 +320,7 @@ def reachable(idx: ProgramIndex, init, step: Callable, depth: int,
 
 
 def executions(idx: ProgramIndex, init, step: Callable, depth: int,
-               havoc_values, budget: int) -> Iterator[Execution]:
+               havoc_values) -> Iterator[Execution]:
     """Every execution of length <= depth from `init` under `step`, each
     exactly once, in pre-order (every prefix is itself yielded)."""
 
@@ -327,7 +328,7 @@ def executions(idx: ProgramIndex, init, step: Callable, depth: int,
         for tid, instr, choices, post in successors(idx, state, step, havoc_values):
             yield Transition(tid, instr, choices, state, post), post
 
-    for _, path in dfs(init, depth, budget, expand):
+    for _, path in dfs(init, depth, expand):
         yield Execution(init, tuple(path))
 
 
@@ -347,25 +348,24 @@ def enumerate_executions(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Execution]:
     """Every execution of length <= depth, each exactly once, canonical order.
 
     Order is depth-first by (thread index, instruction order, havoc value);
     every prefix is itself yielded.  Raises ExplorationLimitError when more
-    than `budget` executions would be produced.
+    than `DEFAULT_BUDGET` executions would be produced.
     """
-    return executions(ProgramIndex(p), initial_state(p), std_step, depth,
-                      havoc_values, budget)
+    return executions(ProgramIndex(p), initial_state(p), std_step, depth, havoc_values)
 
 
 def reachable_states(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> set[StdState]:
-    """Distinct states reachable within `depth` steps (visited-set pruned)."""
+    """Distinct states reachable within `depth` steps (visited-set pruned),
+    at most `budget` of them (by default `DEFAULT_BUDGET`)."""
     return set(reachable(ProgramIndex(p), initial_state(p), std_step, depth,
                          havoc_values, budget))
 
@@ -386,7 +386,7 @@ def conflict_table(idx: ProgramIndex, subjects_of: Subjects) -> ConflictTable:
     return table
 
 
-def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
+def clocked_walk(idx: ProgramIndex, depth: int, havoc_values,
                  table: ConflictTable) -> Iterator[tuple]:
     """`dfs` of the standard execution tree of `idx.program`, reduced by
     sleep sets (Godefroid 1996), with the vector clocks of happens-before.
@@ -404,7 +404,7 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
     for the others.  A child's sleep set is its parent's plus the
     instructions stepped before it, less every one dependent on the step
     taken.  So a branch that only reorders independent steps of an earlier
-    branch is never entered, and `budget` counts the nodes of the reduced
+    branch is never entered, and the budget counts the nodes of the reduced
     tree.  Keying the sleep set by instruction, not by (instruction, havoc
     choices), prunes the same tree: the choices of one instruction are
     consecutive siblings of one thread, and dependence is decided per
@@ -465,7 +465,7 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values, budget: int,
 
     zero = (0,) * len(p.threads)
     root = (initial_state(p), (zero,) * len(p.threads), (zero,) * len(p.locks), frozenset())
-    for (state, clocks, _, _), path in dfs(root, depth, budget, expand):
+    for (state, clocks, _, _), path in dfs(root, depth, expand):
         yield state, path, clocks
 
 
@@ -484,7 +484,6 @@ def _find_races(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...],
-    budget: int,
     subjects_of: Subjects,
     on_node: Optional[Callable] = None,
 ) -> list[RaceReport]:
@@ -511,7 +510,7 @@ def _find_races(
             pre = post
         return Execution(init, tuple(steps))
 
-    for state, path, clocks in clocked_walk(idx, depth, havoc_values, budget, table):
+    for state, path, clocks in clocked_walk(idx, depth, havoc_values, table):
         if on_node is not None:
             on_node(state, path, clocks)
         if not path:
@@ -539,20 +538,18 @@ def find_data_races(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
     on_node: Optional[Callable] = None,
 ) -> list[RaceReport]:
     """All hb-unordered conflicting same-variable access pairs up to depth.
     `on_node(state, path, clocks)`, if given, reads every node of the walk,
     as the `visit` of `owned_probe` does."""
-    return _find_races(p, depth, havoc_values, budget, instr_accesses, on_node)
+    return _find_races(p, depth, havoc_values, instr_accesses, on_node)
 
 
 def find_region_races(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[RaceReport]:
     """Like find_data_races, with accesses lifted to the partition `p.regions`."""
     rg = p.regions
@@ -564,7 +561,7 @@ def find_region_races(
             frozenset(rg.region_of(v) for v in writes),
         )
 
-    return _find_races(p, depth, havoc_values, budget, region_subjects)
+    return _find_races(p, depth, havoc_values, region_subjects)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +572,6 @@ def owned_vars_oracle(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
 ) -> dict[tuple[str, int], frozenset[str]]:
     """Per (thread, location): the variables that no other thread's write
     races with a read there, in any execution explored up to the given
@@ -588,11 +584,10 @@ def owned_vars_oracle(
     one step deeper.  A read placed earlier, with the write after it, is no
     other case: t idles after the read, so the write alone, one step
     earlier, ends a node of the first kind.  One walk of the tree, reduced
-    by sleep sets and bounded by `budget`, decides every location."""
+    by sleep sets, decides every location."""
     visit, owned = owned_probe(p)
     idx = ProgramIndex(p)
-    for node in clocked_walk(idx, depth, havoc_values, budget,
-                             conflict_table(idx, instr_accesses)):
+    for node in clocked_walk(idx, depth, havoc_values, conflict_table(idx, instr_accesses)):
         visit(*node)
     return owned()
 
@@ -686,11 +681,10 @@ def racy_regions_via_translation(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
 ) -> frozenset[str]:
     """Regions of `p` whose witness variable races in the translated program."""
     region_of = {x: r for r, x in _region_witnesses(p).items()}
-    races = find_data_races(translate_for_region_races(p), depth, havoc_values, budget)
+    races = find_data_races(translate_for_region_races(p), depth, havoc_values)
     return frozenset(region_of[r.subject] for r in races if r.subject in region_of)
 
 

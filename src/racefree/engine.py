@@ -47,9 +47,9 @@ Elements are immutable (and `EnvSetDomain.clamped` only ever turns on), so
 the stored result is what recomputing would give: the descent recomputes
 only the transfers whose inputs changed, and the post-fixpoint check after
 `_solve` recomputes only the transfers out of locations the solver never
-popped, whose facts stayed bottom.
-`check_postfixpoint(..., frame=None)` builds a fresh frame instead and
-recomputes every transfer: that is the independent form of the check.
+popped, whose facts stayed bottom.  Checked on a fresh frame, the same
+facts have every transfer recomputed: that is the independent form of the
+check.
 
 Facts are sound only on the variables a thread owns at a location; the
 engine itself just computes a post-fixpoint of the transfer system and
@@ -64,6 +64,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple, Optional
 
 from .absdom import (
+    DEFAULT_VALUE_BOX,
     EnvSetDomain,
     IntervalDomain,
     OctagonDomain,
@@ -71,13 +72,14 @@ from .absdom import (
     is_bottom,
     singleton_partition,
 )
-from .lang import Acquire, Assign, Assume, Instruction, Program, Release
+from .lang import DEFAULT_HAVOC, Acquire, Assign, Assume, Instruction, Program, Release
 from .syncfg import build_syncfg
 
 ANALYSES = ("valset", "rel", "regrel")
 DOMAINS = ("interval", "octagon", "envset")
 WIDEN_DELAY = 2  # changes of a widening point's fact before widening starts (see `_solve`)
 _NARROW_CAP = 8  # changes of a location's fact in the descent (see `_solve`)
+ITERATION_CAP = 10_000  # worklist visits of one fixpoint, read by `_solve` at call time
 
 
 class AnalysisLimitError(Exception):
@@ -100,9 +102,8 @@ class AnalysisConfig(NamedTuple):
     analysis: str = "rel"
     domain: str = "octagon"
     recency: bool = False
-    iteration_cap: int = 10_000
-    havoc_values: tuple[int, ...] = (0, 1, 2)
-    value_box: tuple[int, int] = (-4, 4)
+    havoc_values: tuple[int, ...] = DEFAULT_HAVOC
+    value_box: tuple[int, int] = DEFAULT_VALUE_BOX
 
     def validate(self) -> None:
         if self.analysis not in ANALYSES:
@@ -142,16 +143,11 @@ class _Frame:
         self.domain = make_domain(cfg, p.variables)
         self.partition = mix_partition(cfg, p)
         self.value_set = cfg.analysis == "valset" and cfg.domain == "envset"
-        # the thread owning each location, and that thread's domain; the
-        # edge tables rely on every location belonging to one thread
-        self.thread_of: dict[int, int] = {}
-        self.domain_at = {}
-        for tid, t in enumerate(p.threads):
-            dom = RecencyDomain(self.domain, tid) if cfg.recency else self.domain
-            for loc in t.locations:
-                if self.thread_of.setdefault(loc, tid) != tid:
-                    raise ValueError(f"location {loc} is in two threads")
-                self.domain_at[loc] = dom
+        # the thread owning each location, and that thread's domain
+        self.thread_of = p.thread_of
+        doms = [RecencyDomain(self.domain, tid) if cfg.recency else self.domain
+                for tid in range(len(p.threads))]
+        self.domain_at = {loc: doms[tid] for loc, tid in self.thread_of.items()}
         self.by_source, self.by_target = p.by_source, p.by_target
         # acquire sources to re-enqueue when a release-point fact changes
         self.dependents: dict[int, tuple[int, ...]] = {
@@ -298,7 +294,6 @@ def _solve(frame: _Frame) -> LocationFacts:
     `check_postfixpoint` checks every result.  The descent starts from a
     post-fixpoint, and with monotone transfers each recomputed fact leaves
     one."""
-    cfg = frame.cfg
     facts = frame.initial_facts()
     rank, order, owner, heads, chain = (frame.rank, frame.order, frame.thread_of,
                                         frame.heads, frame.chain)
@@ -323,9 +318,8 @@ def _solve(frame: _Frame) -> LocationFacts:
             loc = order[heappop(heap)]
             queued.discard(loc)
             visits += 1
-            if visits > cfg.iteration_cap:
-                raise AnalysisLimitError(loc, cfg.iteration_cap, visits,
-                                         update_count.get(loc, 0))
+            if visits > ITERATION_CAP:
+                raise AnalysisLimitError(loc, ITERATION_CAP, visits, update_count.get(loc, 0))
             for instr in frame.by_source.get(loc, ()):
                 tgt = instr.target
                 dom = frame.domain_at[tgt]
@@ -385,25 +379,19 @@ def analyze_fixpoint(p: Program, cfg: AnalysisConfig) -> LocationFacts:
     """Deterministic worklist fixpoint; returns a verified post-fixpoint."""
     frame = _Frame(p, cfg)
     facts = _solve(frame)
-    check_postfixpoint(p, cfg, facts, frame=frame)
+    check_postfixpoint(frame, facts)
     return facts
 
 
-def check_postfixpoint(
-    p: Program,
-    cfg: AnalysisConfig,
-    facts: LocationFacts,
-    frame: Optional[_Frame] = None,
-) -> None:
+def check_postfixpoint(frame: _Frame, facts: LocationFacts) -> None:
     """Assert the per-instruction transfer inequality exhaustively.
 
-    `frame` reuses the transfers that frame stored for unchanged inputs;
-    without one, every transfer is recomputed on a fresh frame.  It
-    compares by the domains' `check_leq`, which also passes an octagon
-    transfer that the entrywise `leq` rejects but whose full closure is
-    below the stored fact."""
-    frame = frame or _Frame(p, cfg)
-    for instr in p.instructions:
+    The check reuses the transfers that `frame` stored for unchanged
+    inputs; on a fresh `_Frame` it recomputes every one.  It compares by
+    the domains' `check_leq`, which also passes an octagon transfer that
+    the entrywise `leq` rejects but whose full closure is below the stored
+    fact."""
+    for instr in frame.p.instructions:
         new = frame.transfer(instr, facts[instr.source], facts)
         if not frame.domain_at[instr.target].check_leq(new, facts[instr.target]):
             raise PostFixpointError(
@@ -413,19 +401,14 @@ def check_postfixpoint(
 
 class CollectingResult(NamedTuple):
     facts: LocationFacts
-    clamped: bool
-    value_box: tuple[int, int]
+    clamped: bool  # some environment left `cfg.value_box`
 
 
-def collecting_fixpoint(
-    p: Program,
-    cfg: AnalysisConfig,
-    value_box: tuple[int, int],
-) -> CollectingResult:
-    """Exact least fixpoint of the set-based transfer system over a finite
-    value box (environments escaping the box are dropped and reported)."""
-    run = cfg._replace(domain="envset", value_box=value_box)
-    frame = _Frame(p, run)
+def collecting_fixpoint(p: Program, cfg: AnalysisConfig) -> CollectingResult:
+    """Exact least fixpoint of the set-based transfer system over the
+    finite value box `cfg.value_box` (environments escaping the box are
+    dropped and reported)."""
+    frame = _Frame(p, cfg._replace(domain="envset"))
     facts = _solve(frame)
-    check_postfixpoint(p, run, facts, frame=frame)
-    return CollectingResult(facts=facts, clamped=frame.domain.clamped, value_box=value_box)
+    check_postfixpoint(frame, facts)
+    return CollectingResult(facts=facts, clamped=frame.domain.clamped)

@@ -113,6 +113,9 @@ class _Value(tuple):
 # Expressions
 
 HAVOC = None  # the atom of a havoc occurrence: a nondeterministic integer
+# the finite pool a havoc draws from in the bounded explorers and the
+# environment-set domain (`--havoc-set`)
+DEFAULT_HAVOC = (0, 1, 2)
 
 
 class Linear(NamedTuple):
@@ -482,12 +485,25 @@ class Program(_Value):
     threads: tuple[Thread, ...]
     assertions: tuple[Assertion, ...] = ()
 
-    # The instruction and edge tables, built on first use: the validator,
-    # the concrete index and the fixpoint engine read the same ones.
+    # The instruction, edge and thread tables, built on first use: the
+    # validator, the concrete index and the fixpoint engine read the same
+    # ones.  None reads the regions (see `with_regions`).
     @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
         """Every instruction, thread by thread in instruction order."""
         return tuple(i for t in self.threads for i in t.instructions)
+
+    @cached_property
+    def thread_of(self) -> dict[int, int]:
+        """Each location's thread index.  The edge tables rely on every
+        location belonging to one thread: a location in two raises
+        ValueError here (`validate_program` reports it as a diagnostic)."""
+        out: dict[int, int] = {}
+        for tid, t in enumerate(self.threads):
+            for loc in t.locations:
+                if out.setdefault(loc, tid) != tid:
+                    raise ValueError(f"location {loc} is in two threads")
+        return out
 
     @cached_property
     def by_source(self) -> dict[int, tuple[Instruction, ...]]:
@@ -531,9 +547,14 @@ class Program(_Value):
         return {m: tuple(sorted(locs)) for m, locs in points.items()}
 
     def with_regions(self, regions: RegionMap) -> "Program":
-        """The program over `regions`: itself, with the tables it has built,
-        when they equal its own."""
-        return self if regions == self.regions else self._replace(regions=regions)
+        """The program over `regions`, with the tables it has built: itself
+        when they equal its own, else a copy that keeps them, since no
+        table reads the regions."""
+        if regions == self.regions:
+            return self
+        out = self._replace(regions=regions)
+        vars(out).update(vars(self))
+        return out
 
 
 # ---------------------------------------------------------------------------

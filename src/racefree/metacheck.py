@@ -19,8 +19,10 @@ is evidence at that depth, not a proof.  The checks:
   through the abstraction that gathers thread environments per location
   (checked for both variable- and region-granular mixes).
 
-Step functions are injectable so the test suite can verify that each check
-catches a deliberately broken semantics.
+The checks look up the step functions (`std_step`, `local_step`) and the
+cartesian mix (`_mix_envs`) as module attributes at call time, so a test can
+replace one with a deliberately broken version and verify that the check
+catches it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from operator import gt
 from typing import Callable, Iterable, Optional
 
 from .concrete import (
-    DEFAULT_BUDGET,
     DEFAULT_HAVOC,
     dfs,
     find_data_races,
@@ -65,6 +66,10 @@ from .threadlocal import (
 )
 
 
+LOCAL_ABSTRACTION_DEPTH = 8  # steps within which the local-abstraction pool is drawn
+MAX_VIOLATIONS = 20  # violations a check keeps; it counts every instance
+
+
 class PreconditionError(Exception):
     """The program races within the bound; the thread-local correspondence
     only holds for race-free programs, so the check refuses to run."""
@@ -85,8 +90,8 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.violations
 
-    def fail(self, witness: str, explanation: str, cap: int = 20) -> None:
-        if len(self.violations) < cap:
+    def fail(self, witness: str, explanation: str) -> None:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append((witness, explanation))
 
     def summary(self) -> str:
@@ -98,7 +103,6 @@ def race_free_owned(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
 ) -> dict[tuple[str, int], frozenset[str]]:
     """The race-freedom precondition of the correspondence and version
     checks, and the owned-set oracle the version invariants read, from one
@@ -107,7 +111,7 @@ def race_free_owned(
     race search and the oracle walk the same tree under the same budget,
     so the shared walk trips where either would."""
     visit, owned = owned_probe(p)
-    races = find_data_races(p, depth, havoc_values, budget, on_node=visit)
+    races = find_data_races(p, depth, havoc_values, on_node=visit)
     if races:
         raise PreconditionError(
             f"data race on {races[0].subject!r} within depth {depth}; "
@@ -146,13 +150,10 @@ def check_correspondence(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    budget: int = DEFAULT_BUDGET,
-    local_step_fn: Optional[Callable] = None,
-    owned: Optional[dict[tuple[str, int], frozenset[str]]] = None,
 ) -> list[CheckResult]:
-    """Walk every bounded thread-local execution (at most `budget` nodes)
-    once, checking the correspondence with the interleaving semantics and
-    the counter invariants; returns one result per check: correspondence,
+    """Walk every bounded thread-local execution once, checking the
+    correspondence with the interleaving semantics and the counter
+    invariants; returns one result per check: correspondence,
     version_bound, write_version_exact, max_version_at_access,
     admissibility, owned_projection.
 
@@ -169,12 +170,9 @@ def check_correspondence(
     the extraction of its node's thread-local state, so it needs no
     extraction of its own.
 
-    `owned` is the owned-set oracle at the same depth and havoc values,
-    given by `race_free_owned`, whose walk has checked the race-freedom
-    precondition; without it this check makes that walk itself."""
-    if owned is None:
-        owned = race_free_owned(p, depth, havoc_values, budget)
-    step_local = local_step_fn or local_step
+    The owned sets come from `race_free_owned`, whose walk of the standard
+    tree first checks the race-freedom precondition."""
+    owned = race_free_owned(p, depth, havoc_values)
     ctx = LocalContext(p)
     var_count = len(p.variables)
     var_index = ctx.var_index
@@ -234,7 +232,7 @@ def check_correspondence(
                         successors(ctx, s, std_step, havoc_values)}
             correspondence.instances += len(standard)
             recorders = (admissible, correspondence)
-        for edge in successors(ctx, sigma, _recording(step_local, path, *recorders),
+        for edge in successors(ctx, sigma, _recording(local_step, path, *recorders),
                                havoc_values):
             tid, instr, choices, sigma2 = edge
             mine = sigma.theta[tid].versions
@@ -281,7 +279,7 @@ def check_correspondence(
 
     sigma0 = initial_local_state(p, ctx)
     root = (initial_state(p), sigma0, (0,) * var_count, newest(sigma0))
-    for (_, sigma, writes, top), path in dfs(root, depth, budget, expand):
+    for (_, sigma, writes, top), path in dfs(root, depth, expand):
         check_state(sigma, writes, top, path)
     return results
 
@@ -340,11 +338,9 @@ def _cartesian_transfer(
     state: LocEnvs,
     partition,
     havoc_values,
-    mix_fn=None,
 ) -> LocEnvs:
     """One application of the location-indexed environment-set transfer:
     only the target's set grows."""
-    mix = mix_fn or _mix_envs
     c = instr.command
     src = state.get(instr.source, frozenset())
     var_index = ctx.var_index
@@ -368,7 +364,7 @@ def _cartesian_transfer(
         pool = set(src)
         for loc in ctx.program.release_points[c.lock]:
             pool |= state.get(loc, frozenset())
-        added = mix(frozenset(pool), partition)
+        added = _mix_envs(frozenset(pool), partition)
     return {**state, instr.target: state.get(instr.target, frozenset()) | added}
 
 
@@ -376,16 +372,14 @@ def check_local_abstraction(
     p: Program,
     samples: int,
     seed: int,
-    depth: int = 8,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     regions: Optional[RegionMap] = None,
-    budget: int = DEFAULT_BUDGET,
-    mix_fn=None,
 ) -> CheckResult:
-    """For sampled sets X of reachable thread-local states and every
-    instruction: abstracting the post-set is below the abstract transfer of
-    the abstracted pre-set.  With a RegionMap the region-granular semantics
-    and mix are used; otherwise variable granularity.
+    """For sampled sets X of thread-local states reachable within
+    `LOCAL_ABSTRACTION_DEPTH` steps and every instruction: abstracting the
+    post-set is below the abstract transfer of the abstracted pre-set.
+    With a RegionMap the region-granular semantics and mix are used;
+    otherwise variable granularity.
 
     Only the instructions enabled in some state of X are stepped and
     compared: an instruction steps only from its thread's pc, and one with
@@ -401,8 +395,8 @@ def check_local_abstraction(
     # a failure names the first undominated location in this order
     rank = {loc: n for n, loc in enumerate(loc for t in p.threads for loc in t.locations)}
 
-    pool = reachable(ctx, initial_local_state(p, ctx), local_step, depth,
-                     havoc_values, budget)
+    pool = reachable(ctx, initial_local_state(p, ctx), local_step,
+                     LOCAL_ABSTRACTION_DEPTH, havoc_values)
 
     rng = random.Random(seed)
     instructions = p.instructions
@@ -422,8 +416,7 @@ def check_local_abstraction(
                     for _, s2 in local_step(p, sigma, instr, havoc_values, ctx)]
             if not post:
                 continue
-            rhs = _cartesian_transfer(ctx, instr, alpha_x, partition,
-                                      havoc_values, mix_fn=mix_fn)
+            rhs = _cartesian_transfer(ctx, instr, alpha_x, partition, havoc_values)
             lhs = _alpha(ctx, post)
             bad = [loc for loc, envs in lhs.items() if not envs <= rhs.get(loc, frozenset())]
             if bad:

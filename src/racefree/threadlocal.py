@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple, Optional
 
-from .concrete import DEFAULT_HAVOC, ProgramIndex, StdState
+from .concrete import ProgramIndex, StdState
 from .lang import Acquire, Assign, Assume, Instruction, Program, RegionMap
 
 
@@ -60,8 +60,7 @@ class LocalContext(ProgramIndex):
             self.bump[vi] = tuple(int(k in group) for k in range(len(self.var_index)))
 
 
-def initial_local_state(p: Program, ctx: Optional[LocalContext] = None) -> ThreadLocalState:
-    ctx = ctx or LocalContext(p)
+def initial_local_state(p: Program, ctx: LocalContext) -> ThreadLocalState:
     zero = VersionedEnv((0,) * len(p.variables), (0,) * len(p.variables))
     return ThreadLocalState(
         pc=tuple(t.entry for t in p.threads),
@@ -105,15 +104,14 @@ def local_step(
     p: Program,
     s: ThreadLocalState,
     instr: Instruction,
-    havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    ctx: Optional[LocalContext] = None,
+    havoc_values: tuple[int, ...],
+    ctx: LocalContext,
 ) -> tuple[tuple[tuple[int, ...], ThreadLocalState], ...]:
     """Successors of `s` under `instr`; empty when the guard is disabled.
 
     Region granularity comes from the LocalContext (a context built with a
     RegionMap bumps whole regions on writes).
     """
-    ctx = ctx or LocalContext(p)
     tid, source, target, kind, slot, slots, fn, _ = (
         ctx.steps.get(id(instr)) or ctx.compile(instr))
     pc, mu, theta, buffers = s.pc, s.mu, s.theta, s.buffers

@@ -541,11 +541,15 @@ def random_race_free_programs(
         program = parse_program(source)
         if len(program.instructions) > 14:
             continue
+        budget = concrete.DEFAULT_BUDGET
+        concrete.DEFAULT_BUDGET = 200_000  # a bigger tree rejects the candidate
         try:
-            if concrete.find_data_races(program, depth, havoc_values, budget=200_000):
+            if concrete.find_data_races(program, depth, havoc_values):
                 continue
         except concrete.ExplorationLimitError:
             continue
+        finally:
+            concrete.DEFAULT_BUDGET = budget
         out.append((f"rand_{seed}_{attempt - 1}", program))
     return out
 
@@ -695,7 +699,7 @@ def happens_before(e: concrete.Execution) -> HappensBefore:
 # the unreduced clocked walk
 
 
-def unreduced_clocked_walk(idx, depth, havoc_values, budget, table):
+def unreduced_clocked_walk(idx, depth, havoc_values, table):
     """`concrete.clocked_walk` without its sleep sets: every node of the
     standard execution tree up to `depth`, with happens-before's vector
     clocks kept in lists along the path and undone after each child; the
@@ -728,7 +732,7 @@ def unreduced_clocked_walk(idx, depth, havoc_values, budget, table):
             if isinstance(cmd, Release):
                 lock_clock[lock] = saved_lock
 
-    for state, path in concrete.dfs(concrete.initial_state(p), depth, budget, expand):
+    for state, path in concrete.dfs(concrete.initial_state(p), depth, expand):
         yield state, path, tuple(thread_clock)
 
 
@@ -766,11 +770,11 @@ def unreduced(search, *args, **kwargs):
 
 
 def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
-                           budget=concrete.DEFAULT_BUDGET, local_step_fn=None) -> CheckResult:
+                           local_step_fn=None) -> CheckResult:
     """`metacheck.check_correspondence` as two walks, without its race
     precondition: standard executions replayed in the thread-local
     semantics, then thread-local executions replayed in the standard
-    semantics, each within `budget` nodes.  Kept for oracle independence,
+    semantics, each within `concrete.DEFAULT_BUDGET` nodes.  Kept for oracle independence,
     as `unreduced_clocked_walk` is kept beside `concrete.clocked_walk`: it
     is the reference of the one paired walk."""
     step_local = local_step_fn or local_step
@@ -828,15 +832,14 @@ def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
                 yield edge, sigma2
 
     init = initial_local_state(p, ctx)
-    for _ in concrete.dfs((concrete.initial_state(p), init), depth, budget, fwd):
+    for _ in concrete.dfs((concrete.initial_state(p), init), depth, fwd):
         pass
-    for _ in concrete.dfs(init, depth, budget, bwd):
+    for _ in concrete.dfs(init, depth, bwd):
         pass
     return result
 
 
 def version_invariants_reference(p, depth, owned, havoc_values=concrete.DEFAULT_HAVOC,
-                                 budget=concrete.DEFAULT_BUDGET,
                                  local_step_fn=None) -> list[CheckResult]:
     """The version-invariant results of `metacheck.check_correspondence` as
     a walk of the thread-local tree of their own, without the race
@@ -903,7 +906,7 @@ def version_invariants_reference(p, depth, owned, havoc_values=concrete.DEFAULT_
             yield edge, (sigma2, writes2)
 
     for (sigma, writes), path in concrete.dfs((initial_local_state(p, ctx), (0,) * var_count),
-                                              depth, budget, expand):
+                                              depth, expand):
         check_state(sigma, writes, path)
     return [version_bound, write_exact, max_at_access, admissible, owned_projection]
 
@@ -952,15 +955,15 @@ def _dense_alpha(p, ctx, states) -> dict[int, frozenset]:
 
 
 def local_abstraction_reference(p, samples, seed, depth=8, havoc_values=HAVOC,
-                                regions=None, budget=concrete.DEFAULT_BUDGET,
-                                mix_fn=None) -> CheckResult:
+                                regions=None) -> CheckResult:
     """`metacheck.check_local_abstraction` as every instruction stepped
     from every sampled state, with dense abstractions and the abstract
     transfer built for every pair.  Kept for oracle independence, as
     `two_way_correspondence` is kept beside the paired walk: it is the
     reference of the check that steps only enabled instructions.  The
-    transfer is `metacheck._cartesian_transfer`, looked up at call time, so
-    a stand-in installed there serves both."""
+    transfer is `metacheck._cartesian_transfer`, looked up at call time,
+    with the mix it looks up, so a stand-in installed for either serves
+    both."""
     ctx = LocalContext(p, regions=regions)
     if regions is None:
         partition = tuple((i,) for i in range(len(p.variables)))
@@ -968,7 +971,7 @@ def local_abstraction_reference(p, samples, seed, depth=8, havoc_values=HAVOC,
         partition = regions.index_partition(p.variables)
     result = CheckResult("local_abstraction" + ("_regions" if regions is not None else ""))
     pool = concrete.reachable(ctx, initial_local_state(p, ctx), local_step, depth,
-                              havoc_values, budget)
+                              havoc_values)
     rng = random.Random(seed)
     for case in range(samples):
         k = rng.randint(1, min(6, len(pool)))
@@ -979,8 +982,7 @@ def local_abstraction_reference(p, samples, seed, depth=8, havoc_values=HAVOC,
                     for _, s2 in local_step(p, sigma, instr, havoc_values, ctx)]
             result.instances += 1
             lhs = _dense_alpha(p, ctx, post) if post else {}
-            rhs = metacheck._cartesian_transfer(ctx, instr, alpha_x, partition,
-                                                havoc_values, mix_fn=mix_fn)
+            rhs = metacheck._cartesian_transfer(ctx, instr, alpha_x, partition, havoc_values)
             for loc, envs in lhs.items():
                 if not envs <= rhs.get(loc, frozenset()):
                     missing = sorted(envs - rhs.get(loc, frozenset()))[:3]
@@ -1017,12 +1019,11 @@ def extract_state_reference(p, s: ThreadLocalState) -> concrete.StdState:
     return concrete.StdState(pc=s.pc, mu=s.mu, phi=tuple(phi))
 
 
-def enumerate_local_executions(p: Program, depth: int, havoc_values=HAVOC, ctx=None,
-                               budget: int = concrete.DEFAULT_BUDGET):
+def enumerate_local_executions(p: Program, depth: int, havoc_values=HAVOC, ctx=None):
     """Every thread-local execution of length <= depth, canonical order."""
     ctx = ctx or LocalContext(p)
     return concrete.executions(ctx, initial_local_state(p, ctx), local_step, depth,
-                               havoc_values, budget)
+                               havoc_values)
 
 
 def strip_locks(p: Program) -> Program:

@@ -206,7 +206,7 @@ def test_criterion_4_collecting_golden_rows(double_increment, double_increment_r
     }
     mismatches = []
     for style, cfg in styles.items():
-        res = collecting_fixpoint(p, cfg, BOX)
+        res = collecting_fixpoint(p, cfg._replace(value_box=BOX))
         for loc, row in GOLDEN_ROWS[style].items():
             want = _row_set(row, p.variables)
             got = res.facts[loc]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,20 @@ def test_analyze_regrel_proves_all(fig_file, region_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PROVED") - out.count("UNPROVED") == 3
+
+
+def test_a_region_file_keeps_the_program_tables(region_file, monkeypatch, capsys):
+    """The program over a region file keeps the edge tables the validator
+    built, since no table reads the regions: each is built once."""
+    from racefree import lang
+
+    built = []
+    edges = lang.Program._edges
+    monkeypatch.setattr(lang.Program, "_edges",
+                        lambda self, end: built.append(end) or edges(self, end))
+    assert run_cli(["analyze", "--analysis", "regrel", "--regions", region_file,
+                    "coupled_xy"]) == 0
+    assert sorted(built) == ["source", "target"]
 
 
 def test_analyze_valset_partial(fig_file, capsys):
@@ -296,6 +311,26 @@ def test_empty_value_box_is_a_usage_error_under_optimization(fig_file):
 
 def test_bad_subcommand_exits_2(capsys):
     assert run_cli(["frobnicate"]) == 2
+
+
+def test_readme_synopsis_lists_every_option():
+    """Each subcommand's synopsis in the README's CLI block names exactly
+    the options its parser defines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented: dict[str, set[str]] = {}
+    command = None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["racefree"]:
+            command = words[1]
+        if command is not None:
+            documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    defined = {name: {o for a in sp._actions for o in a.option_strings
+                      if o not in ("-h", "--help")}
+               for name, sp in subparsers.items()}
+    assert documented == defined
 
 
 def test_parser_is_built_once():

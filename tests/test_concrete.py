@@ -21,7 +21,6 @@ from domtools import (
 )
 from racefree import corpus
 from racefree.concrete import (
-    DEFAULT_BUDGET,
     DEFAULT_HAVOC,
     ProgramIndex,
     StdState,
@@ -317,18 +316,19 @@ def test_an_equal_instruction_steps_like_the_original(coupled_xy):
         assert twin == instr and twin is not instr
         assert std_step(coupled_xy, s, twin, index=idx) == std_step(
             coupled_xy, s, instr, index=idx)
-        assert local_step(coupled_xy, sigma, twin, ctx=ctx) == local_step(
-            coupled_xy, sigma, instr, ctx=ctx)
+        assert local_step(coupled_xy, sigma, twin, DEFAULT_HAVOC, ctx) == local_step(
+            coupled_xy, sigma, instr, DEFAULT_HAVOC, ctx)
         (_, s), = std_step(coupled_xy, s, instr, index=idx)
-        (_, sigma), = local_step(coupled_xy, sigma, twin, ctx=ctx)
+        (_, sigma), = local_step(coupled_xy, sigma, twin, DEFAULT_HAVOC, ctx)
 
 
 def test_a_foreign_instruction_raises_key_error(coupled_xy):
     foreign = Instruction(999, Assign("x", Expr.of(1)), 1000)
     with pytest.raises(KeyError):
         std_step(coupled_xy, initial_state(coupled_xy), foreign)
+    ctx = LocalContext(coupled_xy)
     with pytest.raises(KeyError):
-        local_step(coupled_xy, initial_local_state(coupled_xy), foreign)
+        local_step(coupled_xy, initial_local_state(coupled_xy, ctx), foreign, DEFAULT_HAVOC, ctx)
 
 
 def test_race_searches_step_through_the_module_global(coupled_xy, monkeypatch):
@@ -387,16 +387,23 @@ def test_enumeration_is_deterministic(coupled_xy):
     assert a == b
 
 
-def test_exploration_budget_error(coupled_xy):
-    """The limit message says how far the search got when it tripped."""
+def test_exploration_budget_error(coupled_xy, monkeypatch):
+    """The limit message says how far the search got when it tripped.  A
+    tree search reads `concrete.DEFAULT_BUDGET` at call time; only
+    `reachable_states` takes a budget of its own."""
+    from racefree import concrete
     from racefree.concrete import ExplorationLimitError
 
     with pytest.raises(ExplorationLimitError,
-                       match="^exploration budget 5 exceeded after 6 nodes at depth 5$"):
-        list(enumerate_executions(coupled_xy, 10, budget=5))
-    with pytest.raises(ExplorationLimitError,
                        match="^state budget 5 exceeded after 6 states at depth 2$"):
         reachable_states(coupled_xy, 10, budget=5)
+    monkeypatch.setattr(concrete, "DEFAULT_BUDGET", 5)
+    with pytest.raises(ExplorationLimitError,
+                       match="^exploration budget 5 exceeded after 6 nodes at depth 5$"):
+        list(enumerate_executions(coupled_xy, 10))
+    with pytest.raises(ExplorationLimitError,
+                       match="^state budget 5 exceeded after 6 states at depth 2$"):
+        reachable_states(coupled_xy, 10)
 
 
 def test_dfs_preorder_depth_bound():
@@ -406,7 +413,7 @@ def test_dfs_preorder_depth_bound():
         for child in (2 * n, 2 * n + 1):
             yield child, child
 
-    assert [(n, list(path)) for n, path in dfs(1, 2, 100, expand)] == [
+    assert [(n, list(path)) for n, path in dfs(1, 2, expand)] == [
         (1, []), (2, [2]), (4, [2, 4]), (5, [2, 5]), (3, [3]), (6, [3, 6]), (7, [3, 7])]
 
 
@@ -748,7 +755,7 @@ def test_reduced_walk_yields_every_reachable_state(name):
     p = corpus.load(name)
     idx = ProgramIndex(p)
     for depth in (0, 3, 6, 9, 13):
-        walked = {s for s, *_ in clocked_walk(idx, depth, DEFAULT_HAVOC, DEFAULT_BUDGET,
+        walked = {s for s, *_ in clocked_walk(idx, depth, DEFAULT_HAVOC,
                                               conflict_table(idx, instr_accesses))}
         assert walked == reachable_states(p, depth), depth
 

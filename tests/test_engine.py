@@ -9,6 +9,7 @@ from racefree.checker import check_assertions, compute_owned_static
 from racefree.concrete import reachable_states
 from racefree.engine import (
     AnalysisConfig,
+    _Frame,
     analyze_fixpoint,
     check_postfixpoint,
     collecting_fixpoint,
@@ -61,7 +62,7 @@ def test_postfixpoint_holds_on_all_configs():
         for kw in CHECK_CONFIGS:
             cfg = AnalysisConfig(**kw)
             facts = analyze_fixpoint(p, cfg)
-            check_postfixpoint(p, cfg, facts)  # frame=None: must not raise
+            check_postfixpoint(_Frame(p, cfg), facts)  # must not raise
 
 
 def test_regrel_equality_at_acquire_target(coupled_xy, coupled_xy_regions):
@@ -116,10 +117,12 @@ def test_determinism(coupled_xy, coupled_xy_regions):
         assert base(a[loc]) == base(b[loc])
 
 
-def test_iteration_cap_names_location(capped_counter):
+def test_iteration_cap_names_location(capped_counter, monkeypatch):
+    from racefree import engine
     from racefree.engine import AnalysisLimitError
 
-    cfg = AnalysisConfig(analysis="rel", domain="octagon", iteration_cap=3)
+    monkeypatch.setattr(engine, "ITERATION_CAP", 3)
+    cfg = AnalysisConfig(analysis="rel", domain="octagon")
     with pytest.raises(AnalysisLimitError) as e:
         analyze_fixpoint(capped_counter, cfg)
     assert e.value.location in {loc for t in capped_counter.threads
@@ -265,7 +268,7 @@ def test_cached_check_recomputes_a_changed_input():
     from racefree.engine import PostFixpointError
 
     p, cfg, frame, facts = _solved(HANDOFF)
-    check_postfixpoint(p, cfg, facts, frame=frame)
+    check_postfixpoint(frame, facts)
     b_acquire = p.threads[1].instructions[0]
     dom = frame.domain
     # strictly smaller at b's acquire target: the mix into it exceeds it
@@ -275,7 +278,7 @@ def test_cached_check_recomputes_a_changed_input():
     assert dom.leq(smaller[target], facts[target])
     assert not dom.leq(facts[target], smaller[target])
     with pytest.raises(PostFixpointError):
-        check_postfixpoint(p, cfg, smaller, frame=frame)
+        check_postfixpoint(frame, smaller)
     # top at a's last location, which feeds b's acquire and has no outgoing
     # edge: only a recomputed mix sees it
     a_exit = p.threads[0].instructions[-1].target
@@ -285,7 +288,7 @@ def test_cached_check_recomputes_a_changed_input():
     wider = dict(facts)
     wider[a_exit] = dom.top()
     with pytest.raises(PostFixpointError):
-        check_postfixpoint(p, cfg, wider, frame=frame)
+        check_postfixpoint(frame, wider)
 
 
 def test_check_reuses_every_solver_transfer(monkeypatch):
@@ -304,7 +307,7 @@ def test_check_reuses_every_solver_transfer(monkeypatch):
             facts = engine._solve(frame)
             assert applied  # the count sees the solver's transfers
             applied.clear()
-            check_postfixpoint(p, cfg, facts, frame=frame)
+            check_postfixpoint(frame, facts)
             assert not applied, (name, kw)
 
 
@@ -314,7 +317,7 @@ def test_check_reuses_every_solver_transfer(monkeypatch):
 
 def test_collecting_straight_line_equals_enumeration():
     p = parse_program("var x, y;\nthread t { x := 1; y := x + 1; }")
-    res = collecting_fixpoint(p, AnalysisConfig(analysis="rel"), (-4, 4))
+    res = collecting_fixpoint(p, AnalysisConfig(analysis="rel"))
     reach = reachable_states(p, 4)
     per_loc = {}
     for s in reach:
@@ -326,19 +329,19 @@ def test_collecting_straight_line_equals_enumeration():
 
 def test_collecting_empty_body_thread():
     p = parse_program("var x;\nthread t { }")
-    res = collecting_fixpoint(p, AnalysisConfig(analysis="rel"), (-4, 4))
+    res = collecting_fixpoint(p, AnalysisConfig(analysis="rel"))
     assert res.facts[p.threads[0].entry] == frozenset({(0,)})
 
 
 def test_collecting_regrel_keeps_equality(coupled_xy, coupled_xy_regions):
-    cfg = AnalysisConfig(analysis="regrel")
-    res = collecting_fixpoint(coupled_xy.with_regions(coupled_xy_regions), cfg, (0, 3))
+    cfg = AnalysisConfig(analysis="regrel", value_box=(0, 3))
+    res = collecting_fixpoint(coupled_xy.with_regions(coupled_xy_regions), cfg)
     assert res.facts[11]
     assert all(env[0] == env[1] for env in res.facts[11])  # x == y throughout
 
 
 def test_collecting_reports_clamping(double_increment):
-    res = collecting_fixpoint(double_increment, AnalysisConfig(analysis="rel"), (-2, 2))
+    res = collecting_fixpoint(double_increment, AnalysisConfig(analysis="rel", value_box=(-2, 2)))
     assert res.clamped
 
 
@@ -371,11 +374,14 @@ ROUND_CONFIGS = {
 
 @pytest.mark.parametrize("src", [INCREMENT_LOOP, PING_PONG], ids=["loop", "ping-pong"])
 @pytest.mark.parametrize("config", ROUND_CONFIGS)
-def test_sync_cycles_reach_a_fixpoint_far_below_the_cap(src, config):
+def test_sync_cycles_reach_a_fixpoint_far_below_the_cap(src, config, monkeypatch):
     """x grows without bound around each sync cycle: the rounds must cut
     the cycle and widen, well within 100 of the 10,000 visits allowed."""
+    from racefree import engine
+
+    monkeypatch.setattr(engine, "ITERATION_CAP", 100)
     p = parse_program(src)
-    cfg = AnalysisConfig(**ROUND_CONFIGS[config], iteration_cap=100)
+    cfg = AnalysisConfig(**ROUND_CONFIGS[config])
     facts = analyze_fixpoint(p, cfg)
     dom = make_domain(cfg, p.variables)
     for a in p.assertions:
@@ -396,9 +402,9 @@ def test_collecting_facts_do_not_depend_on_the_order():
     box = (-3, 3)
     for p in programs:
         for analysis in ("valset", "rel", "regrel"):
-            cfg = AnalysisConfig(analysis=analysis)
-            res = collecting_fixpoint(p, cfg, box)
-            frame = _Frame(p, cfg._replace(domain="envset", value_box=box))
+            cfg = AnalysisConfig(analysis=analysis, value_box=box)
+            res = collecting_fixpoint(p, cfg)
+            frame = _Frame(p, cfg._replace(domain="envset"))
             assert res.facts == fifo_solve_reference(frame)
             assert res.clamped == frame.domain.clamped
 
@@ -412,7 +418,7 @@ def test_round_facts_pass_the_independent_check_at_workload_size():
         for config in ("rel", "regrel"):
             cfg = AnalysisConfig(**ROUND_CONFIGS[config])
             facts = _solve(_Frame(p, cfg))
-            check_postfixpoint(p, cfg, facts)  # frame=None: must not raise
+            check_postfixpoint(_Frame(p, cfg), facts)  # must not raise
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +489,9 @@ def test_facts_equal_the_join_everywhere_reference():
     box = (-3, 3)
     for name, p in small:
         for analysis in ("valset", "rel", "regrel"):
-            cfg = AnalysisConfig(analysis=analysis)
-            res = collecting_fixpoint(p, cfg, box)
-            run = cfg._replace(domain="envset", value_box=box)
+            cfg = AnalysisConfig(analysis=analysis, value_box=box)
+            res = collecting_fixpoint(p, cfg)
+            run = cfg._replace(domain="envset")
             assert same(run, p, res.facts), (name, analysis)
 
 

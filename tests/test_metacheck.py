@@ -41,7 +41,8 @@ thread b { acquire(m); x := x + 1; release(m); }
 
 
 # ---------------------------------------------------------------------------
-# broken thread-local step functions (fault injection)
+# broken thread-local step functions (fault injection): a test installs one
+# as `metacheck.local_step`, which the checks look up at call time
 
 
 def no_import_step(p, s, instr, havoc_values, ctx):
@@ -113,11 +114,12 @@ def test_correspondence_requires_race_freedom():
         check_correspondence(prog(RACY), 4)
 
 
-def test_correspondence_catches_broken_acquire():
+def test_correspondence_catches_broken_acquire(monkeypatch):
     """Fault injection: an acquire that ignores the buffers must be caught."""
     handoff = prog(HANDOFF)
     assert check_correspondence(handoff, 8)[0].passed
-    r = check_correspondence(handoff, 8, local_step_fn=no_import_step)[0]
+    monkeypatch.setattr(metacheck, "local_step", no_import_step)
+    r = check_correspondence(handoff, 8)[0]
     assert not r.passed
 
 
@@ -125,17 +127,19 @@ def explanations(r):
     return {explanation for _, explanation in r.violations}
 
 
-def test_correspondence_catches_a_step_only_the_thread_local_semantics_takes():
+def test_correspondence_catches_a_step_only_the_thread_local_semantics_takes(monkeypatch):
     """Fault injection: an acquire of a lock another thread holds is a
     thread-local step that the standard semantics disables."""
-    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=acquire_held_step)[0]
+    monkeypatch.setattr(metacheck, "local_step", acquire_held_step)
+    r = check_correspondence(prog(HANDOFF), 8)[0]
     assert explanations(r) == {"thread-local step disabled in the standard semantics"}
 
 
-def test_correspondence_catches_a_step_only_the_standard_semantics_takes():
+def test_correspondence_catches_a_step_only_the_standard_semantics_takes(monkeypatch):
     """Fault injection: a thread-local semantics without assigns leaves
     every standard assign without a counterpart."""
-    r = check_correspondence(prog(HANDOFF), 8, local_step_fn=no_assign_step)[0]
+    monkeypatch.setattr(metacheck, "local_step", no_assign_step)
+    r = check_correspondence(prog(HANDOFF), 8)[0]
     assert explanations(r) == {"standard step has no thread-local counterpart"}
 
 
@@ -145,7 +149,7 @@ def test_correspondence_walks_once(coupled_xy, monkeypatch):
     walks = []
     monkeypatch.setattr(metacheck, "dfs",
                         lambda *a, _dfs=metacheck.dfs: walks.append(1) or _dfs(*a))
-    results = check_correspondence(coupled_xy, 8, owned=owned_vars_oracle(coupled_xy, 8))
+    results = check_correspondence(coupled_xy, 8)
     assert all(r.passed for r in results)
     assert len(walks) == 1
 
@@ -154,7 +158,7 @@ def summaries(results):
     return [(r.name, r.instances, r.passed, explanations(r)) for r in results]
 
 
-def test_one_walk_matches_the_two_walk_reference():
+def test_one_walk_matches_the_two_walk_reference(monkeypatch):
     """The one walk gives, per check, the instances, verdict and
     explanations of the two replays of the correspondence and of the
     version invariants' own walk: a pass on race-free programs, a failure
@@ -167,32 +171,41 @@ def test_one_walk_matches_the_two_walk_reference():
               for p, depth in ((prog(HANDOFF), 8), (corpus.load("coupled_xy"), 10))]
     for p, depth, step in cases:
         owned = owned_vars_oracle(p, depth)
-        one = check_correspondence(p, depth, local_step_fn=step, owned=owned)
+        with monkeypatch.context() as m:
+            if step is not None:
+                m.setattr(metacheck, "local_step", step)
+            one = check_correspondence(p, depth)
         two = [two_way_correspondence(p, depth, local_step_fn=step),
                *version_invariants_reference(p, depth, owned, local_step_fn=step)]
         assert summaries(one) == summaries(two), (p, depth, step)
         assert all(r.passed for r in one) == (step is None), (p, depth, step)
 
 
-def test_walks_keep_the_budget_without_the_precondition(coupled_xy):
+def test_walks_keep_the_budget_without_the_precondition(coupled_xy, monkeypatch):
+    """With the precondition's walk made beforehand, the thread-local walk
+    itself trips the budget."""
+    owned = owned_vars_oracle(coupled_xy, 10)
+    monkeypatch.setattr(metacheck, "race_free_owned", lambda *a: owned)
+    monkeypatch.setattr(concrete, "DEFAULT_BUDGET", 5)
     with pytest.raises(ExplorationLimitError, match="after 6 nodes"):
-        check_correspondence(coupled_xy, 10, budget=5,
-                             owned=owned_vars_oracle(coupled_xy, 10))
+        check_correspondence(coupled_xy, 10)
 
 
-def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy):
+def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy, monkeypatch):
     """The walks, the owned-set oracle among them, search the tree the
     race-freedom precondition searches, at the same depth, so they never
     trip where it passed."""
     nodes = sum(1 for _ in enumerate_executions(coupled_xy, 10))
     assert nodes == 183
+    monkeypatch.setattr(concrete, "DEFAULT_BUDGET", nodes - 1)
     with pytest.raises(ExplorationLimitError):
-        check_correspondence(coupled_xy, 10, budget=nodes - 1)
-    for r in check_correspondence(coupled_xy, 10, budget=nodes):
+        check_correspondence(coupled_xy, 10)
+    monkeypatch.setattr(concrete, "DEFAULT_BUDGET", nodes)
+    for r in check_correspondence(coupled_xy, 10):
         assert r.passed, r.summary()
 
 
-def test_race_free_owned_is_the_race_search_and_the_oracle(coupled_xy):
+def test_race_free_owned_is_the_race_search_and_the_oracle(coupled_xy, monkeypatch):
     """One walk gives the precondition and the owned sets; an exhausted
     budget trips at the node where the race search trips."""
     cases = [(p, depth) for p in map(corpus.load, corpus.names()) for depth in (0, 4, 9)]
@@ -203,10 +216,11 @@ def test_race_free_owned_is_the_race_search_and_the_oracle(coupled_xy):
     with pytest.raises(PreconditionError, match="data race on 'x' within depth 4"):
         race_free_owned(prog(RACY), 4)
     for budget in (1, 5, 20):
+        monkeypatch.setattr(concrete, "DEFAULT_BUDGET", budget)
         with pytest.raises(ExplorationLimitError) as search:
-            find_data_races(coupled_xy, 10, budget=budget)
+            find_data_races(coupled_xy, 10)
         with pytest.raises(ExplorationLimitError) as shared:
-            race_free_owned(coupled_xy, 10, budget=budget)
+            race_free_owned(coupled_xy, 10)
         assert str(shared.value) == str(search.value)
 
 
@@ -231,9 +245,10 @@ def test_version_invariants_single_thread():
         assert r.passed
 
 
-def test_version_invariants_catch_missing_bump(coupled_xy):
+def test_version_invariants_catch_missing_bump(coupled_xy, monkeypatch):
     """Fault injection: removing the write bump must trip the exactness check."""
-    results = check_version_invariants(coupled_xy, 6, local_step_fn=no_bump)
+    monkeypatch.setattr(metacheck, "local_step", no_bump)
+    results = check_version_invariants(coupled_xy, 6)
     by_name = {r.name: r for r in results}
     assert not by_name["write_version_exact"].passed
 
@@ -244,17 +259,12 @@ def test_version_invariants_precondition():
 
 
 def test_version_invariants_walk_the_standard_tree_once(coupled_xy, monkeypatch):
-    """The precondition and the owned sets come from one walk; owned sets
-    passed in take its place."""
+    """The precondition and the owned sets come from one walk."""
     walks = []
     monkeypatch.setattr(concrete, "clocked_walk",
                         lambda *a, _walk=concrete.clocked_walk: walks.append(1) or _walk(*a))
-    alone = check_version_invariants(coupled_xy, 8)
+    check_version_invariants(coupled_xy, 8)
     assert len(walks) == 1
-    given = check_version_invariants(coupled_xy, 8, owned=race_free_owned(coupled_xy, 8))
-    assert len(walks) == 2
-    assert [(r.name, r.instances, r.violations) for r in given] == [
-        (r.name, r.instances, r.violations) for r in alone]
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +299,16 @@ def test_local_abstraction_initial_state_acquire(capped_counter):
         assert envs <= rhs.get(loc, frozenset())
 
 
-def test_local_abstraction_catches_unsound_mix(coupled_xy):
+def broken_mix(envs, partition):
+    """A mix that keeps the correlations it must forget."""
+    return frozenset(envs)
+
+
+def test_local_abstraction_catches_unsound_mix(coupled_xy, monkeypatch):
     """Fault injection: a mix that keeps cross-variable correlations at
     variable granularity is unsound and must be flagged."""
-
-    def broken_mix(envs, partition):
-        return frozenset(envs)  # keeps correlations it must forget
-
-    r = check_local_abstraction(coupled_xy, samples=40, seed=5, mix_fn=broken_mix)
+    monkeypatch.setattr(metacheck, "_mix_envs", broken_mix)
+    r = check_local_abstraction(coupled_xy, samples=40, seed=5)
     assert not r.passed
 
 
@@ -319,10 +331,11 @@ def test_cartesian_transfer_joins_into_the_target():
             loc: envs for loc, envs in state.items() if loc != instr.target}
 
 
-def test_local_abstraction_pool_budget_is_an_exploration_limit(coupled_xy):
+def test_local_abstraction_pool_budget_is_an_exploration_limit(coupled_xy, monkeypatch):
+    monkeypatch.setattr(concrete, "DEFAULT_BUDGET", 3)
     with pytest.raises(ExplorationLimitError,
                        match="^state budget 3 exceeded after 4 states at depth 2$"):
-        check_local_abstraction(coupled_xy, samples=5, seed=1, budget=3)
+        check_local_abstraction(coupled_xy, samples=5, seed=1)
 
 
 def test_local_abstraction_steps_only_instructions_at_a_pc(coupled_xy, monkeypatch):
@@ -341,13 +354,13 @@ def test_local_abstraction_steps_only_instructions_at_a_pc(coupled_xy, monkeypat
     assert off_pc == []
 
 
-def replacing_transfer(ctx, instr, state, partition, havoc_values, mix_fn=None,
+def replacing_transfer(ctx, instr, state, partition, havoc_values,
                        _transfer=metacheck._cartesian_transfer):
     """`{**state, instr.target: added}`: a transfer that replaces the
     target's set by the image of the instruction instead of joining the
     image into it."""
     added = _transfer(ctx, instr, {**state, instr.target: frozenset()}, partition,
-                      havoc_values, mix_fn)[instr.target]
+                      havoc_values)[instr.target]
     return {**state, instr.target: added}
 
 
@@ -355,10 +368,6 @@ def test_local_abstraction_matches_the_dense_reference(coupled_xy, monkeypatch):
     """Stepping only the enabled instructions, with sparse abstractions,
     gives the instances and violations of stepping every instruction from
     every sampled state."""
-
-    def broken_mix(envs, partition):
-        return frozenset(envs)
-
     cases = [(p, None, None) for p in map(corpus.load, corpus.names())]
     cases += [(p, None, None) for _, p in random_race_free_programs(12, seed=5)]
     for name, text in (("coupled_xy", corpus.COUPLED_XY_REGIONS),
@@ -371,9 +380,12 @@ def test_local_abstraction_matches_the_dense_reference(coupled_xy, monkeypatch):
         failed = 0
         for p, regions, mix in cases:
             for seed in (0, 5):
-                kwargs = dict(samples=25, seed=seed, regions=regions, mix_fn=mix)
-                new = check_local_abstraction(p, **kwargs)
-                ref = local_abstraction_reference(p, **kwargs)
+                kwargs = dict(samples=25, seed=seed, regions=regions)
+                with monkeypatch.context() as m:
+                    if mix is not None:
+                        m.setattr(metacheck, "_mix_envs", mix)
+                    new = check_local_abstraction(p, **kwargs)
+                    ref = local_abstraction_reference(p, **kwargs)
                 assert (new.name, new.instances, new.violations) == (
                     ref.name, ref.instances, ref.violations), (p, regions, mix, seed)
                 failed += not new.passed

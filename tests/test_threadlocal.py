@@ -12,7 +12,7 @@ from domtools import (
 )
 
 from racefree import corpus
-from racefree.concrete import initial_state, reachable
+from racefree.concrete import DEFAULT_HAVOC, initial_state, reachable
 from racefree.lang import Acquire, parse_program
 from racefree.threadlocal import (
     InadmissibleStateError,
@@ -36,7 +36,7 @@ def drive(p, ctx, state, tid, count=1):
         t = p.threads[tid]
         for instr in t.instructions:
             if instr.source == state.pc[tid]:
-                succ = local_step(p, state, instr, ctx=ctx)
+                succ = local_step(p, state, instr, DEFAULT_HAVOC, ctx)
                 assert succ
                 state = succ[0][1]
                 break
@@ -109,7 +109,7 @@ def test_merge_newest_matches_the_recombining_reference():
     for name in corpus.names():
         p = corpus.load(name)
         ctx = LocalContext(p)
-        for s in reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2), 10_000):
+        for s in reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2)):
             for tid, loc in enumerate(s.pc):
                 for instr in ctx.by_source.get(loc, ()):
                     if not isinstance(instr.command, Acquire):
@@ -132,7 +132,7 @@ def test_merge_newest_matches_the_recombining_reference():
     conflicting = ThreadLocalState(s.pc, s.mu, (VersionedEnv((3,), (1,)),) * 2,
                                    (VersionedEnv((4,), (1,)),) * len(s.buffers))
     with pytest.raises(InadmissibleStateError, match="conflicting buffered values"):
-        local_step(p, conflicting, p.threads[0].instructions[0], ctx=ctx)
+        local_step(p, conflicting, p.threads[0].instructions[0], DEFAULT_HAVOC, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +188,20 @@ def test_region_variant_with_singletons_is_identical(capped_counter):
 
 
 def test_extract_initial_state(coupled_xy):
-    assert extract_state(coupled_xy, initial_local_state(coupled_xy)) \
+    assert extract_state(coupled_xy, initial_local_state(coupled_xy, LocalContext(coupled_xy))) \
         == initial_state(coupled_xy)
 
 
 def test_extract_takes_maximal_versions(coupled_xy):
     zero = VersionedEnv((0, 0, 0), (0, 0, 0))
     strong = VersionedEnv((4, 5, 6), (3, 3, 3))
-    s = initial_local_state(coupled_xy)
+    s = initial_local_state(coupled_xy, LocalContext(coupled_xy))
     s = ThreadLocalState(s.pc, s.mu, (strong, zero), s.buffers)
     assert extract_state(coupled_xy, s).phi == (4, 5, 6)
 
 
 def test_admissibility_detects_conflicts(coupled_xy):
-    s = initial_local_state(coupled_xy)
+    s = initial_local_state(coupled_xy, LocalContext(coupled_xy))
     assert is_admissible(s)
     a = VersionedEnv((3, 0, 0), (1, 0, 0))
     b = VersionedEnv((4, 0, 0), (1, 0, 0))
@@ -233,7 +233,7 @@ def test_one_pass_extraction_matches_the_two_pass_reference():
     for name in corpus.names():
         p = corpus.load(name)
         ctx = LocalContext(p)
-        states = reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2), 10_000)
+        states = reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2))
         made = []
         for s in states[::7]:
             # one component's value at x moved off the value another
