@@ -30,8 +30,7 @@ from .checker import (
 from .concrete import (
     ExplorationLimitError,
     enumerate_executions,
-    find_data_races,
-    find_region_races,
+    find_races,
     format_execution,
     racy_regions_via_translation,
 )
@@ -143,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--regions", default="default", metavar="FILE|default")
     rc.add_argument("--kind", choices=("data", "region", "both"), default="data")
     rc.add_argument("--cross-validate", action="store_true",
-                    help="also run the witness-variable translation and compare")
+                    help="also run the witness-variable translation and compare "
+                         "(with --kind region or both)")
 
     ex = sub.add_parser("explore", help="dump bounded executions")
     _add_common(ex)
@@ -226,6 +226,10 @@ def _race_rows(program, races):
 
 
 def _cmd_races(args) -> int:
+    if args.cross_validate and args.kind == "data":
+        raise UsageError("--cross-validate compares the region races with the "
+                         "translation's, so it needs --kind region or --kind both, "
+                         "not --kind data")
     program = _load_program(args.program)
     regions = _load_regions(args.regions, program)
     program = program.with_regions(regions)
@@ -233,20 +237,17 @@ def _cmd_races(args) -> int:
     out = {"program": args.program, "depth": args.depth,
            "verdict_note": f"bounded search: no race found up to depth {args.depth} "
                            "is not a race-freedom proof"}
+    kinds = ("data", "region") if args.kind == "both" else (args.kind,)
     found = False
-    if args.kind in ("data", "both"):
-        races = find_data_races(program, args.depth, havoc)
-        out["data_races"] = _race_rows(program, races)
+    lists = find_races(program, args.depth, kinds, havoc)  # one walk for every kind
+    for kind, races in zip(kinds, lists):
+        out[f"{kind}_races"] = _race_rows(program, races)
         found = found or bool(races)
-    if args.kind in ("region", "both"):
-        races = find_region_races(program, args.depth, havoc)
-        out["region_races"] = _race_rows(program, races)
-        found = found or bool(races)
-        if args.cross_validate:
-            direct = sorted({r.subject for r in races})
-            translated = sorted(racy_regions_via_translation(program, args.depth * 2, havoc))
-            out["translation_agrees"] = direct == translated
-            out["translated_racy_regions"] = translated
+    if args.cross_validate:
+        direct = sorted({r.subject for r in lists[-1]})  # the region races
+        translated = sorted(racy_regions_via_translation(program, args.depth * 2, havoc))
+        out["translation_agrees"] = direct == translated
+        out["translated_racy_regions"] = translated
     if args.format == "json":
         print(json.dumps(out, indent=2))
     else:

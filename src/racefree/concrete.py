@@ -6,11 +6,14 @@ found up to the given depth", never "race free".
 
 The exploration core serves both semantics and every checker: one edge
 table (`ProgramIndex.by_source`), one successor generator (`successors`)
-that takes the step function of a semantics, one depth-bounded tree search
-(`dfs`) and one breadth-first state search (`reachable`).  The race search
-and the owned-variable oracle read one walk of the standard tree whose
-nodes keep happens-before's vector clocks (`clocked_walk`), and the walk
-and the race test read one table of conflicting pairs (`conflict_table`).
+that takes the step function of a semantics (`clocked_walk` runs its loop
+inline, to skip a sleeping instruction unstepped), one depth-bounded tree
+search (`dfs`) and one breadth-first state search (`reachable`).  The race
+search and the owned-variable oracle read one walk of the standard tree
+whose nodes keep happens-before's vector clocks (`clocked_walk`).  A race search
+asks for one or more kinds of race (data, region) in one walk: each kind
+has its table of conflicting pairs (`conflict_table`), which its race test
+reads, and the walk's dependence is the union of the tables.
 
 That walk is reduced by sleep sets: it enters one execution of each
 Mazurkiewicz trace, the executions equal up to reordering adjacent
@@ -19,6 +22,9 @@ executions have the same final state, the same po U sw clocks and the same
 length, so every trace of length <= k has an explored representative.  A
 race pair stays ordered because its two steps conflict.  A sleeping
 instruction is never stepped.  The budget counts nodes of the reduced tree.
+Sleep sets and the readers' write sets are integer bitmasks, and each node
+knows its threads' steps on the path, so the steps a thread has not
+synchronized with are one suffix of each other thread's steps.
 
 Every search stops at `DEFAULT_BUDGET` nodes or states, which `dfs` and
 `reachable` read at call time; only `reachable_states` takes a budget of its
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .lang import (
     DEFAULT_HAVOC,
@@ -387,29 +393,32 @@ def conflict_table(idx: ProgramIndex, subjects_of: Subjects) -> ConflictTable:
 
 
 def clocked_walk(idx: ProgramIndex, depth: int, havoc_values,
-                 table: ConflictTable) -> Iterator[tuple]:
+                 tables: Sequence[ConflictTable]) -> Iterator[tuple]:
     """`dfs` of the standard execution tree of `idx.program`, reduced by
     sleep sets (Godefroid 1996), with the vector clocks of happens-before.
 
     A node is `(state, thread clocks, lock clocks, sleep set)` and a path
     edge `(tid, instr, choices, post, clock)`, `clock` being the step's.
-    Yields `(state, path, thread clocks)` at every node; `path` is updated
-    in place, as in `dfs`.
+    Yields `(state, path, thread clocks, by_thread)` at every node; `path`
+    is updated in place, as in `dfs`, and so is `by_thread`: per thread u,
+    the path indices of u's steps, in order.  Thread u's k-th step has
+    `clock[u] == k`, so the steps of u that a clock `c` has not
+    synchronized with are `by_thread[u][c[u]:]`.
 
     Two steps are dependent when they belong to one thread, both acquire or
-    release one lock, or conflict in `table` (a `conflict_table`);
-    independent steps commute.  A sleep set holds instructions, and a node
-    never steps one: its step function gives no successor for a sleeping
-    instruction and calls `std_step` (the module attribute, at call time)
-    for the others.  A child's sleep set is its parent's plus the
-    instructions stepped before it, less every one dependent on the step
-    taken.  So a branch that only reorders independent steps of an earlier
-    branch is never entered, and the budget counts the nodes of the reduced
-    tree.  Keying the sleep set by instruction, not by (instruction, havoc
-    choices), prunes the same tree: the choices of one instruction are
-    consecutive siblings of one thread, and dependence is decided per
-    instruction, so a sleep set holds all of an instruction's choices or
-    none of them.
+    release one lock, or conflict in one of `tables` (each a
+    `conflict_table`); independent steps commute.  A sleep set holds
+    instructions, as a bitmask over `program.instructions`, and a node
+    skips a sleeping instruction before it calls `std_step` (the module
+    attribute, at call time) for the others.  A child's sleep set is its
+    parent's plus the instructions stepped before it, less every one
+    dependent on the step taken.  So a branch that only reorders
+    independent steps of an earlier branch is never entered, and the
+    budget counts the nodes of the reduced tree.  Keying the sleep set by
+    instruction, not by (instruction, havoc choices), prunes the same tree:
+    the choices of one instruction are consecutive siblings of one thread,
+    and dependence is decided per instruction, so a sleep set holds all of
+    an instruction's choices or none of them.
 
     What the readers see is kept.  Executions that differ only in the order
     of independent steps (one Mazurkiewicz trace) have the same final state,
@@ -421,7 +430,11 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values,
     order in every representative; in a table of region-lifted subjects so
     do two accesses to one region.  The race search therefore reports the same
     triples, each with the same first witness, and the owned oracle sees
-    the same (state, clocks) pairs.
+    the same (state, clocks) pairs.  More tables make more steps dependent
+    and the traces finer: the first execution of a trace of fewer tables is
+    still first in its finer trace, so a walk under several tables reaches
+    every representative each table alone would, and the race test of each
+    table finds the same first witnesses.
 
     The walks that must see every execution or every transition stay
     unreduced: `executions` and `enumerate_executions` promise each
@@ -432,41 +445,58 @@ def clocked_walk(idx: ProgramIndex, depth: int, havoc_values,
     each transition step for step, which a representative skips.
     """
     p = idx.program
-    # dependent[id(a)]: the ids of the instructions whose steps do not
-    # commute with a step of `a`: its conflicts, its thread's (an int key)
-    # and its lock's (a name key)
-    keys = {id(i): (idx.tid_of_instr[i], getattr(i.command, "lock", None))
-            for i in p.instructions}
-    groups: dict[object, set[int]] = {}
-    for a, (t, lock) in keys.items():
-        groups.setdefault(t, set()).add(a)
-        groups.setdefault(lock, set()).add(a)
-    groups[None] = set()  # an assign or assume has no lock to share
-    dependent = {a: frozenset(table[a]).union(*(groups[k] for k in ks)) for a, ks in keys.items()}
+    by_source = idx.by_source
+    bit = {id(i): 1 << n for n, i in enumerate(p.instructions)}
+    # the instructions of each thread (an int key) and of each lock (a name
+    # key), as masks
+    groups: dict[object, int] = {}
+    for i in p.instructions:
+        for key in (idx.tid_of_instr[i], getattr(i.command, "lock", None)):
+            groups[key] = groups.get(key, 0) | bit[id(i)]
+    groups[None] = 0  # an assign or assume has no lock to share
+    # per instruction: its bit; the mask of the instructions whose steps do
+    # not commute with its step (its conflicts, its thread's and its
+    # lock's); its command's class and its lock's index
+    info = {}
+    for i in p.instructions:
+        a, lock = id(i), getattr(i.command, "lock", None)
+        dependent = groups[idx.tid_of_instr[i]] | groups[lock]
+        for table in tables:
+            for b in table[a]:
+                dependent |= bit[b]
+        info[a] = (bit[a], dependent, type(i.command), idx.lock_index.get(lock, 0))
+    by_thread: list[list[int]] = [[] for _ in p.threads]
 
     def expand(node, path):
         state, clocks, locks, sleep = node
-
-        def step(prog, s, instr, values, index):
-            return () if id(instr) in sleep else std_step(prog, s, instr, values, index)
-
-        explored: set[int] = set()
-        for t, instr, choices, post in successors(idx, state, step, havoc_values):
-            _, _, _, kind, slot, _, _, _ = idx.steps.get(id(instr)) or idx.compile(instr)
-            vc = clocks[t]
-            if kind is Acquire:
-                vc = tuple(map(max, vc, locks[slot]))
-            vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
-            child = (post, clocks[:t] + (vc,) + clocks[t + 1:],
-                     locks[:slot] + (vc,) + locks[slot + 1:] if kind is Release else locks,
-                     (sleep | explored) - dependent[id(instr)])
-            explored.add(id(instr))
-            yield (t, instr, choices, post, vc), child
+        k = len(path)  # the index of each child's edge
+        explored = 0
+        for t, loc in enumerate(state.pc):
+            for instr in by_source.get(loc, ()):
+                b, dependent, kind, slot = info[id(instr)]
+                if sleep & b:
+                    continue
+                posts = std_step(p, state, instr, havoc_values, idx)
+                if not posts:
+                    continue
+                vc = clocks[t]
+                if kind is Acquire:
+                    vc = tuple(map(max, vc, locks[slot]))
+                vc = vc[:t] + (vc[t] + 1,) + vc[t + 1:]
+                clocks2 = clocks[:t] + (vc,) + clocks[t + 1:]
+                locks2 = locks[:slot] + (vc,) + locks[slot + 1:] if kind is Release else locks
+                sleep2 = (sleep | explored) & ~dependent
+                mine = by_thread[t]
+                mine.append(k)
+                for choices, post in posts:
+                    yield (t, instr, choices, post, vc), (post, clocks2, locks2, sleep2)
+                mine.pop()
+                explored |= b
 
     zero = (0,) * len(p.threads)
-    root = (initial_state(p), (zero,) * len(p.threads), (zero,) * len(p.locks), frozenset())
+    root = (initial_state(p), (zero,) * len(p.threads), (zero,) * len(p.locks), 0)
     for (state, clocks, _, _), path in dfs(root, depth, expand):
-        yield state, path, clocks
+        yield state, path, clocks, by_thread
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +514,32 @@ def _find_races(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...],
-    subjects_of: Subjects,
+    subject_maps: Sequence[Subjects],
     on_node: Optional[Callable] = None,
-) -> list[RaceReport]:
+) -> list[list[RaceReport]]:
     """DFS over the reduced execution tree of `clocked_walk`, reporting
-    hb-unordered conflicting pairs.
+    hb-unordered conflicting pairs: one report list per map of
+    `subject_maps`, from one walk.
 
-    A pair is reported at the tree node whose last step is its second
-    access, so each distinct (instruction, instruction, subject) triple is
-    witnessed once, by its canonically first execution.  The pairs come
-    from the walk's own `conflict_table`; a pair of one thread is ordered
-    by po, so the clock test skips it.  `on_node(state, path, clocks)`, if
-    given, reads every node of the walk as well.
+    Each map gets its own `conflict_table`, and the walk's dependence is
+    their union.  A pair is reported at the tree node whose last step is
+    its second access, so each distinct (instruction, instruction, subject)
+    triple is witnessed once, by its canonically first execution.  The
+    steps hb-unordered with the last step are, per other thread, the
+    suffix of its steps that the last step's clock has not synchronized
+    with; a step of the same thread is ordered by po.  Each table tests
+    those steps for its own conflicts.  `on_node(state, path, clocks,
+    by_thread)`, if given, reads every node of the walk as well.
     """
     idx = ProgramIndex(p)
     init = initial_state(p)
-    table = conflict_table(idx, subjects_of)
+    tables = [conflict_table(idx, subjects_of) for subjects_of in subject_maps]
     # keyed by identity: hashing an Instruction walks its whole command
-    reported: dict[tuple[int, int, str], RaceReport] = {}
+    reported: list[dict[tuple[int, int, str], RaceReport]] = [{} for _ in tables]
+    # per instruction, (reports, conflict row) of each table it conflicts in
+    rows = {id(i): tuple((found, table[id(i)]) for found, table in zip(reported, tables)
+                         if table[id(i)])
+            for i in p.instructions}
 
     def witness(path) -> Execution:
         steps, pre = [], init
@@ -510,28 +548,55 @@ def _find_races(
             pre = post
         return Execution(init, tuple(steps))
 
-    for state, path, clocks in clocked_walk(idx, depth, havoc_values, table):
+    for state, path, clocks, by_thread in clocked_walk(idx, depth, havoc_values, tables):
         if on_node is not None:
-            on_node(state, path, clocks)
+            on_node(state, path, clocks, by_thread)
         if not path:
             continue
         k = len(path) - 1
-        _, instr, _, _, vc = path[k]
-        row = table[id(instr)]
-        if not row:
+        t, instr, _, _, vc = path[k]
+        conflicts = rows[id(instr)]
+        if not conflicts:
             continue
-        for i, (prior_tid, prior, _, _, prior_vc) in enumerate(path[:k]):
-            both = row.get(id(prior))
-            if both is None or prior_vc[prior_tid] <= vc[prior_tid]:
-                continue  # no conflict, or ordered by happens-before
-            for subject in both:
-                key = (id(prior), id(instr), subject)
-                if key not in reported:
-                    reported[key] = RaceReport(witness(path), i, k, subject)
-    return sorted(
-        reported.values(),
-        key=lambda r: (r.subject, r.first, r.second, len(r.execution.steps)),
-    )
+        for u, steps in enumerate(by_thread):
+            if u == t:
+                continue
+            for i in steps[vc[u]:]:  # ascending, so a triple's first prior step wins
+                prior = id(path[i][1])
+                for found, row in conflicts:
+                    for subject in row.get(prior, ()):
+                        key = (prior, id(instr), subject)
+                        if key not in found:
+                            found[key] = RaceReport(witness(path), i, k, subject)
+    return [sorted(found.values(),
+                   key=lambda r: (r.subject, r.first, r.second, len(r.execution.steps)))
+            for found in reported]
+
+
+def region_accesses(rg: RegionMap) -> Subjects:
+    """`instr_accesses` lifted to the regions of `rg`."""
+
+    def subjects(instr: Instruction):
+        reads, writes = instr_accesses(instr)
+        return (frozenset(rg.region_of(v) for v in reads),
+                frozenset(rg.region_of(v) for v in writes))
+
+    return subjects
+
+
+def find_races(
+    p: Program,
+    depth: int,
+    kinds: Sequence[str],
+    havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
+    on_node: Optional[Callable] = None,
+) -> list[list[RaceReport]]:
+    """One race list per kind of `kinds`, from one walk: "data" races on
+    variables, "region" races on the regions of `p.regions`.  Every data
+    conflict on v is a region conflict on v's region, so a walk for both
+    kinds is the walk of the region search alone."""
+    subjects = {"data": instr_accesses, "region": region_accesses(p.regions)}
+    return _find_races(p, depth, havoc_values, [subjects[k] for k in kinds], on_node)
 
 
 def find_data_races(
@@ -541,9 +606,10 @@ def find_data_races(
     on_node: Optional[Callable] = None,
 ) -> list[RaceReport]:
     """All hb-unordered conflicting same-variable access pairs up to depth.
-    `on_node(state, path, clocks)`, if given, reads every node of the walk,
-    as the `visit` of `owned_probe` does."""
-    return _find_races(p, depth, havoc_values, instr_accesses, on_node)
+    `on_node(state, path, clocks, by_thread)`, if given, reads every node
+    of the walk, as the `visit` of `owned_probe` does."""
+    (races,) = find_races(p, depth, ("data",), havoc_values, on_node)
+    return races
 
 
 def find_region_races(
@@ -552,16 +618,8 @@ def find_region_races(
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
 ) -> list[RaceReport]:
     """Like find_data_races, with accesses lifted to the partition `p.regions`."""
-    rg = p.regions
-
-    def region_subjects(instr: Instruction):
-        reads, writes = instr_accesses(instr)
-        return (
-            frozenset(rg.region_of(v) for v in reads),
-            frozenset(rg.region_of(v) for v in writes),
-        )
-
-    return _find_races(p, depth, havoc_values, region_subjects)
+    (races,) = find_races(p, depth, ("region",), havoc_values)
+    return races
 
 
 # ---------------------------------------------------------------------------
@@ -587,30 +645,40 @@ def owned_vars_oracle(
     by sleep sets, decides every location."""
     visit, owned = owned_probe(p)
     idx = ProgramIndex(p)
-    for node in clocked_walk(idx, depth, havoc_values, conflict_table(idx, instr_accesses)):
+    for node in clocked_walk(idx, depth, havoc_values, (conflict_table(idx, instr_accesses),)):
         visit(*node)
     return owned()
 
 
 def owned_probe(p: Program) -> tuple[Callable, Callable]:
     """The owned oracle as a reader of the nodes of `clocked_walk` under
-    `instr_accesses`: `visit(state, path, clocks)` at every node, then
-    `owned()` for the map.  `find_data_races` walks that tree, so its walk
-    can feed `visit` too."""
-    written = {id(i): instr_accesses(i)[1] for i in p.instructions}
-    racy: dict[tuple[int, int], set[str]] = {
-        (t, loc): set() for t, th in enumerate(p.threads) for loc in th.locations}
+    `instr_accesses`: `visit(state, path, clocks, by_thread)` at every
+    node, then `owned()` for the map.  `find_data_races` walks that tree,
+    so its walk can feed `visit` too.
 
-    def visit(state, path, clocks) -> None:
+    Write sets are bitmasks over `p.variables`.  The steps a thread t has
+    not synchronized with are, per other thread u, the suffix of u's steps
+    from `clocks[t][u]` on; `visit` ORs their write sets."""
+    var_bit = {v: 1 << n for n, v in enumerate(p.variables)}
+    written = {id(i): sum(var_bit[v] for v in instr_accesses(i)[1]) for i in p.instructions}
+    racy: dict[tuple[int, int], int] = {
+        (t, loc): 0 for t, th in enumerate(p.threads) for loc in th.locations}
+
+    def visit(state, path, clocks, by_thread) -> None:
         for t, loc in enumerate(state.pc):
             seen = clocks[t]
-            for u, instr, _, _, vc in path:
-                if u != t and vc[u] > seen[u]:
-                    racy[t, loc] |= written[id(instr)]
+            mask = 0
+            for u, steps in enumerate(by_thread):
+                if u != t:
+                    for i in steps[seen[u]:]:
+                        mask |= written[id(path[i][1])]
+            if mask:
+                racy[t, loc] |= mask
 
     def owned() -> dict[tuple[str, int], frozenset[str]]:
-        return {(p.threads[t].name, loc): frozenset(p.variables) - vs
-                for (t, loc), vs in racy.items()}
+        every = frozenset(p.variables)
+        return {(p.threads[t].name, loc): every - {v for v in p.variables if mask & var_bit[v]}
+                for (t, loc), mask in racy.items()}
 
     return visit, owned
 

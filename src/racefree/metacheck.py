@@ -168,7 +168,7 @@ def check_correspondence(
     descend exactly the edges that both take with agreeing extraction, from
     the same root, so both replays visit the partnered nodes.  A partner is
     the extraction of its node's thread-local state, so it needs no
-    extraction of its own.
+    extraction of its own, and its node no second admissibility test.
 
     The owned sets come from `race_free_owned`, whose walk of the standard
     tree first checks the race-freedom precondition."""
@@ -194,8 +194,10 @@ def check_correspondence(
         return tuple(map(max, zip(*[ve.versions for ve in components(sigma)])))
 
     # `top` is `newest(sigma)`, computed once per node for the checks of the
-    # node and of the edges out of it
-    def check_state(sigma: ThreadLocalState, writes: tuple[int, ...], top, path) -> None:
+    # node and of the edges out of it.  A node with a standard partner `s`
+    # is admissible without a test: `expand` extracted `s` from it, and
+    # extraction tests admissibility (the root's components are all equal).
+    def check_state(s, sigma: ThreadLocalState, writes: tuple[int, ...], top, path) -> None:
         version_bound.instances += 1
         if any(map(gt, top, writes)):
             for ve in components(sigma):
@@ -207,7 +209,7 @@ def check_correspondence(
                             f"{writes[x]} writes",
                         )
         admissible.instances += 1
-        if not is_admissible(sigma):
+        if s is None and not is_admissible(sigma):
             admissible.fail(_trace(path), "inadmissible reachable state")
         owned_projection.instances += 1
         for tid, t in enumerate(p.threads):
@@ -279,8 +281,8 @@ def check_correspondence(
 
     sigma0 = initial_local_state(p, ctx)
     root = (initial_state(p), sigma0, (0,) * var_count, newest(sigma0))
-    for (_, sigma, writes, top), path in dfs(root, depth, expand):
-        check_state(sigma, writes, top, path)
+    for (s, sigma, writes, top), path in dfs(root, depth, expand):
+        check_state(s, sigma, writes, top, path)
     return results
 
 

@@ -699,16 +699,17 @@ def happens_before(e: concrete.Execution) -> HappensBefore:
 # the unreduced clocked walk
 
 
-def unreduced_clocked_walk(idx, depth, havoc_values, table):
+def unreduced_clocked_walk(idx, depth, havoc_values, tables):
     """`concrete.clocked_walk` without its sleep sets: every node of the
     standard execution tree up to `depth`, with happens-before's vector
     clocks kept in lists along the path and undone after each child; the
-    same `(state, path, thread clocks)` at each node, each path edge
-    `(tid, instr, choices, post, clock)`.  The conflict `table` is taken
-    for the signature and not read.  Kept for oracle independence, as
-    `metacheck._mix_envs` is kept beside `EnvSetDomain.mix`: the race
-    searches and the owned oracle, run over it by `unreduced`, are the
-    reference of the reduced ones."""
+    same `(state, path, thread clocks, by_thread)` at each node, each path
+    edge `(tid, instr, choices, post, clock)`, and `by_thread` each
+    thread's path indices, filtered from the path afresh.  The conflict
+    `tables` are taken for the signature and not read.  Kept for oracle
+    independence, as `metacheck._mix_envs` is kept beside
+    `EnvSetDomain.mix`: the race searches and the owned oracle, run over it
+    by `unreduced`, are the reference of the reduced ones."""
     p = idx.program
     zero = (0,) * len(p.threads)
     thread_clock = [zero] * len(p.threads)
@@ -733,7 +734,9 @@ def unreduced_clocked_walk(idx, depth, havoc_values, table):
                 lock_clock[lock] = saved_lock
 
     for state, path in concrete.dfs(concrete.initial_state(p), depth, expand):
-        yield state, path, tuple(thread_clock)
+        by_thread = [[i for i, edge in enumerate(path) if edge[0] == u]
+                     for u in range(len(p.threads))]
+        yield state, path, tuple(thread_clock), by_thread
 
 
 def conflicts(a_reads, a_writes, b_reads, b_writes) -> frozenset[str]:

@@ -124,6 +124,65 @@ def test_races_cross_validate_with_a_witness_named_variable(tmp_path, capsys):
     assert "translation cross-check agrees: True" in out
 
 
+def test_races_cross_validate_needs_region_races(capsys):
+    """The cross-check compares region races, so with --kind data it is a
+    usage error that names the conflict, not a silent skip."""
+    assert run_cli(["races", "--kind", "data", "--cross-validate", "coupled_xy"]) == 2
+    captured = capsys.readouterr()
+    assert "translation" not in captured.out
+    assert "--cross-validate" in captured.err and "--kind data" in captured.err
+
+
+def counting_calls(monkeypatch, module, names) -> list[str]:
+    """The names of `module`'s functions among `names`, appended to the
+    returned list at each call."""
+    calls = []
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_races_of_both_kinds_walk_the_tree_once(monkeypatch, capsys):
+    """`races --kind both` searches for data and region races in one walk
+    of the standard tree, through the module attributes the benchmark's
+    tracer wraps; the cross-check then searches the translated program."""
+    from racefree import concrete
+
+    calls = counting_calls(monkeypatch, concrete, ("_find_races", "clocked_walk"))
+    assert run_cli(["races", "--kind", "both", "--depth", "8", "coupled_xy"]) == 0
+    assert calls == ["_find_races", "clocked_walk"]
+    calls.clear()
+    assert run_cli(["races", "--kind", "both", "--depth", "4", "--cross-validate",
+                    "coupled_xy"]) == 0
+    assert calls == ["_find_races", "clocked_walk"] * 2
+    assert "translation cross-check agrees: True" in capsys.readouterr().out
+
+
+def test_races_of_both_kinds_stop_at_the_budget(tmp_path, monkeypatch, capsys):
+    """An exhausted budget stops the one walk of both kinds: exit 3 with
+    the limit message, and no second walk.  Under one region of every
+    variable the walk is the region search's, so the message names the
+    depth of its 18th node (a data search alone reaches its 18th node at
+    depth 5)."""
+    from racefree import concrete
+
+    rg = tmp_path / "all.rg"
+    rg.write_text("region r { x, y, z };\n")
+    monkeypatch.setattr(concrete, "DEFAULT_BUDGET", 17)
+    calls = counting_calls(monkeypatch, concrete, ("clocked_walk",))
+    assert run_cli(["races", "--kind", "both", "--depth", "12", "--regions", str(rg),
+                    "coupled_xy"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("limit: exploration budget 17 exceeded after 18 nodes "
+                            "at depth 8\n")
+    assert calls == ["clocked_walk"]
+
+
 def test_races_json_schema(tmp_path, capsys):
     f = tmp_path / "p.cp"
     f.write_text(corpus.COUPLED_XY)
@@ -196,19 +255,7 @@ def test_metacheck_walks_the_standard_tree_once(fig_file, monkeypatch):
     the benchmark's tracer wraps."""
     from racefree import concrete
 
-    calls = []
-
-    def counting(name):
-        original = getattr(concrete, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(concrete, name, wrapper)
-
-    counting("clocked_walk")
-    counting("_find_races")
+    calls = counting_calls(monkeypatch, concrete, ("_find_races", "clocked_walk"))
     assert run_cli(["metacheck", "--depth", "6", "--samples", "5", fig_file]) == 0
     assert calls == ["_find_races", "clocked_walk"]
 

@@ -28,12 +28,14 @@ from racefree.concrete import (
     conflict_table,
     enumerate_executions,
     find_data_races,
+    find_races,
     find_region_races,
     format_execution,
     initial_state,
     owned_vars_oracle,
     racy_regions_via_translation,
     reachable_states,
+    region_accesses,
     std_step,
     translate_for_region_races,
 )
@@ -728,25 +730,43 @@ def reduction_net():
     return named + [(f"{name}/stripped", strip_locks(p)) for name, p in named]
 
 
+def dependence(table) -> set:
+    """The instruction pairs a conflict table makes dependent."""
+    return {(a, b) for a, row in table.items() for b in row}
+
+
 def test_reduced_searches_match_the_unreduced_walk():
     """The race searches (data races, and region races under the program's
-    regions and under one region of every variable) report the same
-    triples with the same witness executions, and the owned oracle gives
-    the same map, over the sleep-set reduced walk as over every execution,
-    at each depth up to 8."""
-    racy = 0
+    regions and under one region of every variable, and for coupled_xy
+    under its rxy partition) report the same triples with the same witness
+    executions, and the owned oracle gives the same map, over the sleep-set
+    reduced walk as over every execution, at each depth up to 8.  One walk
+    for both kinds gives each kind's list too, also where the region
+    dependence is strictly larger than the data dependence."""
+    racy, wider = 0, set()
     for name, p in reduction_net():
-        one_region = RegionMap.from_declared(p.variables, {"__all": p.variables})
+        partitions = [p.regions, RegionMap.from_declared(p.variables, {"__all": p.variables})]
+        if name.startswith("coupled_xy"):
+            partitions.append(parse_region_text(corpus.COUPLED_XY_REGIONS, p.variables))
         for depth in range(9):
             races = find_data_races(p, depth)
             assert races == unreduced(find_data_races, p, depth), (name, depth)
-            for q in (p, p.with_regions(one_region)):
-                assert (find_region_races(q, depth)
-                        == unreduced(find_region_races, q, depth)), (name, depth)
+            for rg in partitions:
+                q = p.with_regions(rg)
+                region = unreduced(find_region_races, q, depth)
+                assert find_region_races(q, depth) == region, (name, rg, depth)
+                assert find_races(q, depth, ("data", "region")) == [races, region], (
+                    name, rg, depth)
             assert owned_vars_oracle(p, depth) == unreduced(owned_vars_oracle, p, depth), (
                 name, depth)
         racy += bool(races)
+        idx = ProgramIndex(p)
+        data = dependence(conflict_table(idx, instr_accesses))
+        wider.update((name, rg.names) for rg in partitions
+                     if dependence(conflict_table(idx, region_accesses(rg))) > data)
     assert racy > 12  # most of the 18 stripped variants race
+    assert {("coupled_xy", ("rxy", "z")), ("coupled_xy", ("__all",))} <= wider, wider
+    assert len(wider) > 12, wider
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -756,7 +776,7 @@ def test_reduced_walk_yields_every_reachable_state(name):
     idx = ProgramIndex(p)
     for depth in (0, 3, 6, 9, 13):
         walked = {s for s, *_ in clocked_walk(idx, depth, DEFAULT_HAVOC,
-                                              conflict_table(idx, instr_accesses))}
+                                              (conflict_table(idx, instr_accesses),))}
         assert walked == reachable_states(p, depth), depth
 
 

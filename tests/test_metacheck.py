@@ -154,6 +154,22 @@ def test_correspondence_walks_once(coupled_xy, monkeypatch):
     assert len(walks) == 1
 
 
+def test_partnered_nodes_are_tested_for_admissibility_once(coupled_xy, monkeypatch):
+    """A node with a standard partner passed the admissibility test of its
+    extraction, so the walk tests it no second time.  On a race-free
+    program every node is partnered; under a thread-local semantics that
+    takes a step the standard one disables, the unpartnered nodes are
+    tested."""
+    tested = []
+    monkeypatch.setattr(metacheck, "is_admissible", lambda s: tested.append(s) or True)
+    results = check_correspondence(coupled_xy, 6)
+    assert {r.name: r.instances for r in results}["admissibility"] == 67
+    assert tested == []
+    monkeypatch.setattr(metacheck, "local_step", acquire_held_step)
+    check_correspondence(prog(HANDOFF), 8)
+    assert tested
+
+
 def summaries(results):
     return [(r.name, r.instances, r.passed, explanations(r)) for r in results]
 
