@@ -7,7 +7,8 @@ data/region race search), explore (dump bounded executions), metacheck
 
 Exit codes: 0 clean (all assertions proved / nothing found), 1 findings
 (unproved assertions, races, or check violations), 2 usage errors,
-3 internal errors or exhausted limits.
+3 internal errors or exhausted limits, 141 standard output closed by its
+reader (the shell's code for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -43,6 +45,9 @@ from .metacheck import (
     check_local_abstraction,
 )
 from .syncfg import build_syncfg, to_dot
+from .threadlocal import LocalContext
+
+CLOSED_STDOUT = 141  # 128 + SIGPIPE: the reader of standard output went away
 
 
 class UsageError(Exception):
@@ -271,7 +276,7 @@ def _cmd_explore(args) -> int:
     idx = ProgramIndex(program)
     shown = 0
     for e in enumerate_executions(program, args.depth, havoc):
-        if args.maximal_only and successor_transitions(program, e.final, havoc, idx):
+        if args.maximal_only and successor_transitions(program, e.final, havoc, index=idx):
             continue  # extendable, not maximal
         if shown >= args.limit:
             print(f"... (limit {args.limit} reached)")
@@ -289,10 +294,12 @@ def _cmd_metacheck(args) -> int:
     regions = _load_regions(args.regions, program)
     havoc = _havoc_set(args.havoc_set)
     # one walk of the standard tree checks the race precondition and gives
-    # the owned sets; one walk of the thread-local tree checks the rest
-    results = check_correspondence(program, args.depth, havoc)
+    # the owned sets; one walk of the thread-local tree checks the rest; the
+    # variable-granular checks share one context, and so its successor table
+    ctx = LocalContext(program)
+    results = check_correspondence(program, args.depth, havoc, ctx=ctx)
     results.append(check_local_abstraction(program, args.samples, args.seed,
-                                           havoc_values=havoc))
+                                           havoc_values=havoc, ctx=ctx))
     if not regions.is_singleton():
         results.append(check_local_abstraction(program, args.samples, args.seed,
                                                havoc_values=havoc, regions=regions))
@@ -338,13 +345,24 @@ def run_cli(argv) -> int:
     except (AnalysisLimitError, ExplorationLimitError) as e:
         print(f"limit: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # no input error, no limit: nobody reads the output
+        return CLOSED_STDOUT
     except Exception as e:  # internal error
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()  # here, not at exit, where a closed pipe is reported
+    except BrokenPipeError:
+        code = CLOSED_STDOUT
+    if code == CLOSED_STDOUT:
+        # what is still buffered cannot be written: send it nowhere, so that
+        # the flush at exit prints no "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

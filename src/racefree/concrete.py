@@ -210,12 +210,16 @@ def std_step(
     s: StdState,
     instr: Instruction,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    index: Optional[ProgramIndex] = None,
+    index: ProgramIndex = None,
 ) -> tuple[tuple[tuple[int, ...], StdState], ...]:
-    """Successors of `s` under `instr`, one per havoc choice; empty = disabled."""
-    idx = index or ProgramIndex(p)
+    """Successors of `s` under `instr`, one per havoc choice; empty = disabled.
+
+    `index` is `p`'s ProgramIndex, whose step table the step reads; it is
+    required, and has a default only because it follows `havoc_values`."""
+    if index is None:
+        raise TypeError("std_step() needs index, the program's ProgramIndex")
     tid, source, target, kind, slot, slots, fn, _ = (
-        idx.steps.get(id(instr)) or idx.compile(instr))
+        index.steps.get(id(instr)) or index.compile(instr))
     pc = s.pc
     if pc[tid] != source:
         return ()
@@ -224,7 +228,7 @@ def std_step(
     if kind is Assign:
         head, tail = phi[:slot], phi[slot + 1:]
         return tuple((choices, StdState(pc2, mu, head + (fn(phi, choices),) + tail))
-                     for choices in idx.havoc_choices(slots, havoc_values))
+                     for choices in index.havoc_choices(slots, havoc_values))
     if kind is Assume:
         return (((), StdState(pc2, mu, phi)),) if fn(phi) else ()
     if kind is Acquire:
@@ -299,11 +303,12 @@ def dfs(root, depth: int, expand: Callable) -> Iterator[tuple[object, list]]:
             return
 
 
-def reachable(idx: ProgramIndex, init, step: Callable, depth: int,
-              havoc_values, budget: Optional[int] = None) -> list:
-    """Distinct states within `depth` steps of `init` under `step`, in
-    breadth-first discovery order.  Raises ExplorationLimitError when more
-    than `budget` states (by default `DEFAULT_BUDGET`) are found."""
+def reachable(init, posts: Callable, depth: int, budget: Optional[int] = None) -> list:
+    """Distinct states within `depth` steps of `init`, where `posts(s)`
+    gives the successor states of `s` in canonical order (the posts of
+    `successors`, or state numbers that stand for them), in breadth-first
+    discovery order.  Raises ExplorationLimitError when more than `budget`
+    states (by default `DEFAULT_BUDGET`) are found."""
     if budget is None:
         budget = DEFAULT_BUDGET
     seen = {init: None}  # a dict keeps the discovery order
@@ -311,7 +316,7 @@ def reachable(idx: ProgramIndex, init, step: Callable, depth: int,
     for level in range(1, depth + 1):
         nxt = []
         for s in frontier:
-            for _, _, _, post in successors(idx, s, step, havoc_values):
+            for post in posts(s):
                 if post not in seen:
                     seen[post] = None
                     nxt.append(post)
@@ -342,12 +347,13 @@ def successor_transitions(
     p: Program,
     s: StdState,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
-    index: Optional[ProgramIndex] = None,
+    *,
+    index: ProgramIndex,
 ) -> tuple[Transition, ...]:
-    """All enabled transitions out of `s`, in canonical order."""
-    idx = index or ProgramIndex(p)
+    """All enabled transitions out of `s`, in canonical order; `index` is
+    `p`'s ProgramIndex."""
     return tuple(Transition(tid, instr, choices, s, post)
-                 for tid, instr, choices, post in successors(idx, s, std_step, havoc_values))
+                 for tid, instr, choices, post in successors(index, s, std_step, havoc_values))
 
 
 def enumerate_executions(
@@ -372,8 +378,9 @@ def reachable_states(
 ) -> set[StdState]:
     """Distinct states reachable within `depth` steps (visited-set pruned),
     at most `budget` of them (by default `DEFAULT_BUDGET`)."""
-    return set(reachable(ProgramIndex(p), initial_state(p), std_step, depth,
-                         havoc_values, budget))
+    idx = ProgramIndex(p)
+    return set(reachable(initial_state(p), lambda s: [
+        post for *_, post in successors(idx, s, std_step, havoc_values)], depth, budget))
 
 
 def conflict_table(idx: ProgramIndex, subjects_of: Subjects) -> ConflictTable:

@@ -13,7 +13,8 @@ is evidence at that depth, not a proof.  The checks:
   standard state checks that both semantics take the same steps, and
   every node checks the invariants.  A replay of either semantics in the
   other descends exactly the steps both take with agreeing extraction, so
-  both replays visit the paired nodes of this walk;
+  both replays visit the paired nodes of this walk.  The walk enters each
+  distinct subtree once and counts its repeats without entering them;
 - local abstraction: the per-instruction transfer of the location-indexed
   environment-set analysis dominates the thread-local collecting transfer
   through the abstraction that gathers thread environments per location
@@ -22,7 +23,10 @@ is evidence at that depth, not a proof.  The checks:
 The checks look up the step functions (`std_step`, `local_step`) and the
 cartesian mix (`_mix_envs`) as module attributes at call time, so a test can
 replace one with a deliberately broken version and verify that the check
-catches it.
+catches it.  The thread-local steps they take are kept in one successor
+table per `LocalContext`, which checks given the same context share; no
+table outlives its context, and one filled under another `local_step` is
+not read.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Callable, Iterable, Optional
 
 from .concrete import (
     DEFAULT_HAVOC,
+    StdState,
     dfs,
     find_data_races,
     initial_state,
@@ -126,20 +131,71 @@ def _trace(path, *instrs) -> str:
     return " ".join(f"{i.source}->{i.target}" for i in steps) or "<initial>"
 
 
-def _recording(step: Callable, path, *results: CheckResult) -> Callable:
-    """`step`, except that an InadmissibleStateError disables the
-    instruction and is recorded in each of `results` as a violation after
-    `path`."""
+class _SuccessorTable:
+    """The thread-local states of one context's checks, numbered in the
+    order they are reached (the initial state is 0), and the steps enabled
+    in each.  A state is hashed once, when it is first reached; the tables
+    of the checks are keyed by its number.
 
-    def guarded(p, s, instr, havoc_values, ctx):
-        try:
-            return step(p, s, instr, havoc_values, ctx)
-        except InadmissibleStateError as e:
-            for result in results:
-                result.fail(_trace(path, instr), f"admissibility broken: {e}")
-            return ()
+    `steps(n, on_error)` gives state n's steps as (tid, instr, choices,
+    post number), in canonical order, computed by `local_step` (looked up
+    at call time) on the first request and then kept.  A step that raises
+    InadmissibleStateError is passed to `on_error(instr, error)` and taken
+    as disabled; the steps of that state are then not kept, so that every
+    request meets the error again.  Steps still being computed are not kept
+    yet either: a request meanwhile computes them again."""
 
-    return guarded
+    def __init__(self, ctx: LocalContext, havoc_values):
+        self.ctx = ctx
+        self.havoc_values = havoc_values
+        self.step = local_step  # the table is stale once this changes
+        init = initial_local_state(ctx.program, ctx)
+        self.states = [init]
+        self.numbers = {init: 0}
+        self.edges: list[Optional[tuple]] = [None]
+
+    def steps(self, n: int, on_error: Callable):
+        edges = self.edges[n]
+        return self._compute(n, on_error) if edges is None else edges
+
+    def _compute(self, n: int, on_error: Callable):
+        states, numbers, edges = self.states, self.numbers, []
+        raised = False
+
+        def guarded(p, s, instr, havoc_values, ctx):
+            nonlocal raised
+            try:
+                return local_step(p, s, instr, havoc_values, ctx)
+            except InadmissibleStateError as e:
+                raised = True
+                on_error(instr, e)
+                return ()
+
+        for tid, instr, choices, post in successors(self.ctx, states[n], guarded,
+                                                    self.havoc_values):
+            m = numbers.setdefault(post, len(states))
+            if m == len(states):
+                states.append(post)
+                self.edges.append(None)
+            edge = (tid, instr, choices, m)
+            edges.append(edge)
+            yield edge
+        if not raised:
+            self.edges[n] = tuple(edges)
+
+
+def _successor_table(ctx: LocalContext, havoc_values) -> _SuccessorTable:
+    """The successor table of `ctx` for `havoc_values` under the current
+    `local_step`; a table built for other values or another step function
+    is replaced."""
+    table = ctx.successor_table
+    if table is None or table.havoc_values != havoc_values or table.step is not local_step:
+        table = ctx.successor_table = _SuccessorTable(ctx, havoc_values)
+    return table
+
+
+def _reraise(instr, error):
+    raise error
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +206,7 @@ def check_correspondence(
     p: Program,
     depth: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
+    ctx: Optional[LocalContext] = None,
 ) -> list[CheckResult]:
     """Walk every bounded thread-local execution once, checking the
     correspondence with the interleaving semantics and the counter
@@ -170,10 +227,24 @@ def check_correspondence(
     the extraction of its node's thread-local state, so it needs no
     extraction of its own, and its node no second admissibility test.
 
+    What a subtree checks depends only on its root's state, whether the
+    root has a partner, the writes per variable on the path to it and the
+    steps left; the path enters only the witnesses.  So the walk descends
+    into a child only once per such key: a child whose key was walked
+    before without a violation kept (by any check) adds the instances that
+    walk counted instead.  A subtree that kept a violation is walked again
+    wherever its key recurs, so the counts, the violations and their
+    witnesses are those of the whole tree.
+
     The owned sets come from `race_free_owned`, whose walk of the standard
-    tree first checks the race-freedom precondition."""
+    tree first checks the race-freedom precondition.  `ctx`, a
+    variable-granular context of `p`, shares its successor table with the
+    other checks given it; by default the check builds its own."""
     owned = race_free_owned(p, depth, havoc_values)
-    ctx = LocalContext(p)
+    if ctx is None:
+        ctx = LocalContext(p)
+    table = _successor_table(ctx, havoc_values)
+    states = table.states
     var_count = len(p.variables)
     var_index = ctx.var_index
     # per instruction, the (name, index) of each variable it accesses, sorted
@@ -223,10 +294,29 @@ def check_correspondence(
                         f"{mine[x]} is not the maximum {top[x]}",
                     )
 
-    # a node is (standard partner or None, thread-local state, the number
-    # of writes per variable on the path to it, its `newest` versions)
+    violations = [r.violations for r in results]
+
+    def kept_violations() -> int:
+        return sum(map(len, violations))
+
+    extracted: dict[int, StdState] = {}  # state number -> its extraction
+
+    def extraction(m: int) -> StdState:
+        s = extracted.get(m)
+        if s is None:
+            s = extracted[m] = extract_state(p, states[m])
+        return s
+
+    # per subtree key (has a partner, state number, writes, steps left): the
+    # instances each check counted in a walk of it that kept no violation
+    walked: dict[tuple, tuple[int, ...]] = {}
+
+    # a node is (standard partner or None, thread-local state number, the
+    # number of writes per variable on the path to it, its `newest` versions)
     def expand(node, path):
-        s, sigma, writes, top = node
+        s, n, writes, top = node
+        sigma = states[n]
+        left = depth - len(path) - 1  # steps left below a child
         if s is None:
             standard, recorders = {}, (admissible,)
         else:
@@ -234,9 +324,14 @@ def check_correspondence(
                         successors(ctx, s, std_step, havoc_values)}
             correspondence.instances += len(standard)
             recorders = (admissible, correspondence)
-        for edge in successors(ctx, sigma, _recording(local_step, path, *recorders),
-                               havoc_values):
-            tid, instr, choices, sigma2 = edge
+
+        def record(instr, e):
+            for result in recorders:
+                result.fail(_trace(path, instr), f"admissibility broken: {e}")
+
+        for edge in table.steps(n, record):
+            tid, instr, choices, m = edge
+            sigma2 = states[m]
             mine = sigma.theta[tid].versions
             max_at_access.instances += 1
             for v, x in accessed[id(instr)]:
@@ -265,7 +360,7 @@ def check_correspondence(
                 try:
                     if s2 is None:
                         problem = "thread-local step disabled in the standard semantics"
-                    elif extract_state(p, sigma2) != s2:
+                    elif extraction(m) != s2:
                         problem = "extraction differs from the standard state"
                     else:
                         problem = None
@@ -274,15 +369,24 @@ def check_correspondence(
                 if problem:
                     correspondence.fail(_trace(path, instr), problem)
                     s2 = None
-            yield edge, (s2, sigma2, writes2, newest(sigma2))
+            key = (s2 is not None, m, writes2, left)
+            counts = walked.get(key)
+            if counts is not None:
+                for result, count in zip(results, counts):
+                    result.instances += count
+                continue
+            before = [r.instances for r in results]
+            kept = kept_violations()
+            yield edge, (s2, m, writes2, newest(sigma2))
+            if kept_violations() == kept:
+                walked[key] = tuple(r.instances - b for r, b in zip(results, before))
         for instr, _ in standard:  # the steps left are standard only
             correspondence.fail(_trace(path, instr),
                                 "standard step has no thread-local counterpart")
 
-    sigma0 = initial_local_state(p, ctx)
-    root = (initial_state(p), sigma0, (0,) * var_count, newest(sigma0))
-    for (s, sigma, writes, top), path in dfs(root, depth, expand):
-        check_state(s, sigma, writes, top, path)
+    root = (initial_state(p), 0, (0,) * var_count, newest(states[0]))
+    for (s, n, writes, top), path in dfs(root, depth, expand):
+        check_state(s, states[n], writes, top, path)
     return results
 
 
@@ -300,17 +404,20 @@ def check_version_invariants(*args, **kwargs) -> list[CheckResult]:
 LocEnvs = dict[int, frozenset]
 
 
+def _pairs(ctx: LocalContext, sigma: ThreadLocalState) -> set[tuple[int, tuple]]:
+    """The (location, environment) pairs of `sigma`: each thread's
+    environment at its pc, each buffer's at its post-release point."""
+    return {*zip(sigma.pc, [ve.values for ve in sigma.theta]),
+            *zip(ctx.buffer_points, [ve.values for ve in sigma.buffers])}
+
+
 def _alpha(ctx: LocalContext, states: Iterable[ThreadLocalState]) -> LocEnvs:
-    """Gather, per location, the thread environments of threads standing
-    there and the buffer contents at post-release points.  A location
-    where nothing stands is absent: its set is empty."""
+    """Gather, per location, the environments that the states' pairs put
+    there.  A location where nothing stands is absent: its set is empty."""
     out: dict[int, set] = {}
-    points = ctx.buffer_points
     for sigma in states:
-        for loc, ve in zip(sigma.pc, sigma.theta):
-            out.setdefault(loc, set()).add(ve.values)
-        for loc, ve in zip(points, sigma.buffers):
-            out.setdefault(loc, set()).add(ve.values)
+        for loc, env in _pairs(ctx, sigma):
+            out.setdefault(loc, set()).add(env)
     return {loc: frozenset(envs) for loc, envs in out.items()}
 
 
@@ -376,6 +483,7 @@ def check_local_abstraction(
     seed: int,
     havoc_values: tuple[int, ...] = DEFAULT_HAVOC,
     regions: Optional[RegionMap] = None,
+    ctx: Optional[LocalContext] = None,
 ) -> CheckResult:
     """For sampled sets X of thread-local states reachable within
     `LOCAL_ABSTRACTION_DEPTH` steps and every instruction: abstracting the
@@ -386,8 +494,16 @@ def check_local_abstraction(
     Only the instructions enabled in some state of X are stepped and
     compared: an instruction steps only from its thread's pc, and one with
     an empty post-set has nothing to dominate.  Every (sample,
-    instruction) pair still counts as an instance."""
-    ctx = LocalContext(p, regions=regions)
+    instruction) pair still counts as an instance.  The transfer changes
+    only its target's set, which it computes from the sets it reads (the
+    source's, the target's and, for an acquire, its lock's release
+    points'), so each image is computed once per instruction and sets.
+
+    `ctx`, a context of `p` at the granularity of `regions`, shares its
+    successor table with the other checks given it; by default the check
+    builds its own."""
+    if ctx is None:
+        ctx = LocalContext(p, regions=regions)
     if regions is None:
         partition = tuple((i,) for i in range(len(p.variables)))
     else:
@@ -397,36 +513,69 @@ def check_local_abstraction(
     # a failure names the first undominated location in this order
     rank = {loc: n for n, loc in enumerate(loc for t in p.threads for loc in t.locations)}
 
-    pool = reachable(ctx, initial_local_state(p, ctx), local_step,
-                     LOCAL_ABSTRACTION_DEPTH, havoc_values)
+    table = _successor_table(ctx, havoc_values)
+    states = table.states
+    pool = reachable(0, lambda n: [edge[3] for edge in table.steps(n, _reraise)],
+                     LOCAL_ABSTRACTION_DEPTH)
 
+    # Per state number n: the instructions enabled at n, in program order,
+    # each with the (location, environment) pairs of the abstraction of its
+    # posts that the check must test.  A pair of n itself at any location
+    # but the target is in the abstraction of every sample that holds n,
+    # where the transfer leaves the set unchanged, so it is dominated there.
+    order = {id(instr): k for k, instr in enumerate(p.instructions)}
+    enabled: dict[int, list[tuple[int, Instruction, set]]] = {}
+
+    def enabled_at(n: int) -> list[tuple[int, Instruction, set]]:
+        out = enabled.get(n)
+        if out is None:
+            own = _pairs(ctx, states[n])
+            grouped: dict[int, tuple[Instruction, set]] = {}
+            for _, instr, _, m in table.steps(n, _reraise):
+                grouped.setdefault(id(instr), (instr, set()))[1].update(
+                    pair for pair in _pairs(ctx, states[m])
+                    if pair[0] == instr.target or pair not in own)
+            out = enabled[n] = sorted(
+                (order[i], instr, pairs) for i, (instr, pairs) in grouped.items())
+        return out
+
+    # per instruction, the locations whose sets its transfer reads
+    reads = {}
+    for instr in p.instructions:
+        c = instr.command
+        pool_points = ctx.program.release_points[c.lock] if isinstance(c, Acquire) else ()
+        reads[id(instr)] = (instr.source, instr.target, *pool_points)
+    images: dict[tuple, frozenset] = {}  # (id(instr), the sets it reads) -> target's set
+
+    empty = frozenset()
     rng = random.Random(seed)
-    instructions = p.instructions
     for case in range(samples):
         k = rng.randint(1, min(6, len(pool)))
         X = rng.sample(pool, k)
-        result.instances += len(instructions)
-        alpha_x = _alpha(ctx, X)
-        # the states of X by the locations their threads stand at: an
-        # instruction steps only from its thread's pc
-        standing: dict[int, list[ThreadLocalState]] = {}
-        for sigma in X:
-            for loc in sigma.pc:
-                standing.setdefault(loc, []).append(sigma)
-        for instr in instructions:
-            post = [s2 for sigma in standing.get(instr.source, ())
-                    for _, s2 in local_step(p, sigma, instr, havoc_values, ctx)]
-            if not post:
-                continue
-            rhs = _cartesian_transfer(ctx, instr, alpha_x, partition, havoc_values)
-            lhs = _alpha(ctx, post)
-            bad = [loc for loc, envs in lhs.items() if not envs <= rhs.get(loc, frozenset())]
-            if bad:
-                loc = min(bad, key=rank.__getitem__)
-                missing = sorted(lhs[loc] - rhs.get(loc, frozenset()))[:3]
+        result.instances += len(order)
+        alpha_x = _alpha(ctx, [states[n] for n in X])
+        # per instruction enabled in some state of X, in program order: the
+        # pairs to test of each state of X it steps from
+        stepped: dict[int, list] = {}
+        for n in X:
+            for key, instr, pairs in enabled_at(n):
+                stepped.setdefault(key, [instr]).append(pairs)
+        for key in sorted(stepped):
+            instr, *entries = stepped[key]
+            locs = reads[id(instr)]
+            read = tuple(alpha_x.get(loc, empty) for loc in locs)
+            image = images.get((id(instr), read))
+            if image is None:
+                image = images[id(instr), read] = _cartesian_transfer(
+                    ctx, instr, dict(zip(locs, read)), partition, havoc_values)[instr.target]
+            target = instr.target
+            missing = {(loc, env) for pairs in entries for loc, env in pairs
+                       if env not in (image if loc == target else alpha_x.get(loc, empty))}
+            if missing:
+                loc = min((loc for loc, _ in missing), key=rank.__getitem__)
                 result.fail(
                     f"case {case} instr {instr.source}->{instr.target}",
-                    f"abstraction not dominated at {loc}: missing {missing}",
+                    f"abstraction not dominated at {loc}: missing "
+                    f"{sorted(env for at, env in missing if at == loc)[:3]}",
                 )
     return result
-

@@ -40,6 +40,10 @@ class LocalContext(ProgramIndex):
     """The program's index tables, whose step table `steps` serves both
     semantics, plus the release buffers and version bumps of this one.
     Every buffer of a lock is relevant to every acquire of it.
+
+    `successor_table` is left to metacheck, whose checks keep the states
+    they reach and their steps there, so that checks given one context
+    share them; it lives as long as the context.
     """
 
     def __init__(self, program: Program, regions: Optional[RegionMap] = None):
@@ -58,6 +62,7 @@ class LocalContext(ProgramIndex):
             group = {vi} if regions is None else {
                 self.var_index[w] for w in regions.region_vars(regions.region_of(v))}
             self.bump[vi] = tuple(int(k in group) for k in range(len(self.var_index)))
+        self.successor_table = None
 
 
 def initial_local_state(p: Program, ctx: LocalContext) -> ThreadLocalState:

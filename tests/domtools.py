@@ -62,7 +62,7 @@ from racefree.lang import (
     print_command,
     vars_of_bool,
 )
-from racefree.metacheck import CheckResult, _recording, _trace
+from racefree.metacheck import CheckResult, _trace
 from racefree.threadlocal import (
     InadmissibleStateError,
     LocalContext,
@@ -772,6 +772,33 @@ def unreduced(search, *args, **kwargs):
 # the two-walk correspondence check
 
 
+def local_states(ctx, depth, havoc_values=HAVOC, step=local_step) -> list:
+    """The thread-local states within `depth` steps of the initial state of
+    `ctx`'s program under `step`, in `concrete.reachable`'s breadth-first
+    discovery order, each stepped afresh."""
+    return concrete.reachable(
+        initial_local_state(ctx.program, ctx),
+        lambda s: [post for *_, post in concrete.successors(ctx, s, step, havoc_values)],
+        depth)
+
+
+def _recording(step, path, *results):
+    """`step`, except that an InadmissibleStateError disables the
+    instruction and is recorded in each of `results` as a violation after
+    `path`: the reference walks' form of what `metacheck`'s successor table
+    does with such an error."""
+
+    def guarded(p, s, instr, havoc_values, ctx):
+        try:
+            return step(p, s, instr, havoc_values, ctx)
+        except InadmissibleStateError as e:
+            for result in results:
+                result.fail(_trace(path, instr), f"admissibility broken: {e}")
+            return ()
+
+    return guarded
+
+
 def two_way_correspondence(p, depth, havoc_values=concrete.DEFAULT_HAVOC,
                            local_step_fn=None) -> CheckResult:
     """`metacheck.check_correspondence` as two walks, without its race
@@ -973,8 +1000,7 @@ def local_abstraction_reference(p, samples, seed, depth=8, havoc_values=HAVOC,
     else:
         partition = regions.index_partition(p.variables)
     result = CheckResult("local_abstraction" + ("_regions" if regions is not None else ""))
-    pool = concrete.reachable(ctx, initial_local_state(p, ctx), local_step, depth,
-                              havoc_values)
+    pool = local_states(ctx, depth, havoc_values)
     rng = random.Random(seed)
     for case in range(samples):
         k = rng.randint(1, min(6, len(pool)))

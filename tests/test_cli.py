@@ -11,7 +11,7 @@ import pytest
 
 from racefree import corpus
 from racefree.cli import build_parser, run_cli
-from racefree.concrete import format_step, initial_state, successor_transitions
+from racefree.concrete import ProgramIndex, format_step, initial_state, successor_transitions
 from racefree.lang import MAX_NESTING
 
 
@@ -217,12 +217,12 @@ def test_explore_maximal_only_prints_no_extendable_execution(capsys):
     p = corpus.load("flag_handoff")
     for block in blocks:
         steps = [line for line in block.splitlines()[1:] if " -[" in line]
-        state = initial_state(p)
+        state, idx = initial_state(p), ProgramIndex(p)
         for line in steps:
-            (fired,) = [tr for tr in successor_transitions(p, state)
+            (fired,) = [tr for tr in successor_transitions(p, state, index=idx)
                         if format_step(tr, p) == line]
             state = fired.post
-        assert successor_transitions(p, state) == (), block
+        assert successor_transitions(p, state, index=idx) == (), block
 
 
 def test_metacheck_passes(fig_file, capsys):
@@ -354,6 +354,24 @@ def test_empty_value_box_is_a_usage_error_under_optimization(fig_file):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "bad value box" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--format", "json", "coupled_xy"],
+    ["metacheck", "--depth", "6", "--samples", "5", "--format", "json", "coupled_xy"],
+])
+def test_a_closed_stdout_ends_quietly_with_141(argv):
+    """A reader that goes away is no internal error: the run ends with the
+    shell's code for SIGPIPE and prints nothing, not even at exit."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "racefree.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_bad_subcommand_exits_2(capsys):

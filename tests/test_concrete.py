@@ -109,15 +109,15 @@ def test_step_acquire_disabled_when_held(coupled_xy):
 
 def test_step_assume_guard():
     p = prog("var x;\nthread t { x := 1; assume(x == 2); }")
-    s0 = initial_state(p)
-    ((_, s1),) = std_step(p, s0, find_instr(p, 1))
-    assert std_step(p, s1, find_instr(p, 2)) == ()
+    s0, idx = initial_state(p), ProgramIndex(p)
+    ((_, s1),) = std_step(p, s0, find_instr(p, 1), index=idx)
+    assert std_step(p, s1, find_instr(p, 2), index=idx) == ()
 
 
 def test_step_havoc_enumerates_choices():
     p = prog("var x;\nthread t { x := havoc; }")
     s0 = initial_state(p)
-    succ = std_step(p, s0, find_instr(p, 1), havoc_values=(2, 0, 1))
+    succ = std_step(p, s0, find_instr(p, 1), havoc_values=(2, 0, 1), index=ProgramIndex(p))
     assert [c for c, _ in succ] == [(0,), (1,), (2,)]
     assert sorted(s.phi[0] for _, s in succ) == [0, 1, 2]
 
@@ -327,7 +327,7 @@ def test_an_equal_instruction_steps_like_the_original(coupled_xy):
 def test_a_foreign_instruction_raises_key_error(coupled_xy):
     foreign = Instruction(999, Assign("x", Expr.of(1)), 1000)
     with pytest.raises(KeyError):
-        std_step(coupled_xy, initial_state(coupled_xy), foreign)
+        std_step(coupled_xy, initial_state(coupled_xy), foreign, index=ProgramIndex(coupled_xy))
     ctx = LocalContext(coupled_xy)
     with pytest.raises(KeyError):
         local_step(coupled_xy, initial_local_state(coupled_xy, ctx), foreign, DEFAULT_HAVOC, ctx)

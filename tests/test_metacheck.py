@@ -12,7 +12,6 @@ from domtools import (
 from racefree import concrete, corpus, metacheck
 from racefree.concrete import (
     ExplorationLimitError,
-    enumerate_executions,
     find_data_races,
     owned_vars_oracle,
 )
@@ -208,17 +207,80 @@ def test_walks_keep_the_budget_without_the_precondition(coupled_xy, monkeypatch)
 
 
 def test_walks_fit_in_the_budget_the_precondition_needs(coupled_xy, monkeypatch):
-    """The walks, the owned-set oracle among them, search the tree the
-    race-freedom precondition searches, at the same depth, so they never
-    trip where it passed."""
-    nodes = sum(1 for _ in enumerate_executions(coupled_xy, 10))
-    assert nodes == 183
+    """The thread-local walk descends into each subtree it has not walked
+    before, so on coupled_xy it visits no more nodes than the sleep-set
+    walk of the race-freedom precondition at the same depth, and trips
+    nowhere the precondition passed."""
+    visited = []
+
+    def counting(*args, _walk=concrete.clocked_walk):
+        for node in _walk(*args):
+            visited.append(1)
+            yield node
+
+    with monkeypatch.context() as m:
+        m.setattr(concrete, "clocked_walk", counting)
+        race_free_owned(coupled_xy, 10)
+    nodes = len(visited)
+    assert nodes == 31
     monkeypatch.setattr(concrete, "DEFAULT_BUDGET", nodes - 1)
     with pytest.raises(ExplorationLimitError):
         check_correspondence(coupled_xy, 10)
     monkeypatch.setattr(concrete, "DEFAULT_BUDGET", nodes)
     for r in check_correspondence(coupled_xy, 10):
         assert r.passed, r.summary()
+
+
+# bounded00_0_rf of the benchmark's bounded-check workload at seed 1, of
+# shape (4 threads, 4 variables, 2 regions): at depth 12 its thread-local
+# execution tree has 101,295 nodes but 715 distinct subtrees
+FOUR_BY_FOUR = """var v0, v1, p0, p1;
+lock m0, m1;
+region r0 { v0 };
+region r1 { v1 };
+thread t0 { acquire(m0); v0 := v0 + 1; assert(v0 >= 0); release(m0);
+            p0 := p0 + p0; assert(p0 <= 2); }
+thread t1 { acquire(m0); v0 := v0 + 1; assert(v0 <= 4); release(m0);
+            p1 := 2; assert(p1 >= 0); }
+thread t2 { acquire(m0); v0 := v0 + 1; assert(v0 >= 0); release(m0);
+            acquire(m1); v1 := v1 + 2; assert(v1 <= 3); release(m1); }
+thread t3 { acquire(m1); v1 := v1 + 1; assert(v1 <= 3); release(m1);
+            acquire(m0); v0 := v0 + 2; assert(v0 >= 0); release(m0); }
+"""
+
+
+def test_the_walk_descends_into_each_subtree_once(monkeypatch):
+    """A subtree is keyed by (has a partner, state, writes per variable,
+    steps left); the walk enters no key twice, and still counts the
+    instances of the whole tree."""
+    p = prog(FOUR_BY_FOUR)
+
+    def walk(depth):
+        keys = []
+
+        def recording(root, depth, expand, _dfs=metacheck.dfs):
+            for node, path in _dfs(root, depth, expand):
+                s, n, writes, _ = node
+                keys.append((s is not None, n, writes, depth - len(path)))
+                yield node, path
+
+        with monkeypatch.context() as m:
+            m.setattr(metacheck, "dfs", recording)
+            results = check_correspondence(p, depth)
+        return {r.name: r.instances for r in results}, keys
+
+    counts, keys = walk(12)
+    assert len(keys) == len(set(keys)) <= 1000
+    # the counts of the two references at depth 12, which walk the whole
+    # tree in about 9 s together
+    assert counts == {"correspondence": 202588, "version_bound": 101295,
+                      "write_version_exact": 27188, "max_version_at_access": 101294,
+                      "admissibility": 101295, "owned_projection": 101295}
+    counts, keys = walk(9)
+    assert len(keys) == len(set(keys))
+    reference = [two_way_correspondence(p, 9),
+                 *version_invariants_reference(p, 9, owned_vars_oracle(p, 9))]
+    assert counts == {r.name: r.instances for r in reference}
 
 
 def test_race_free_owned_is_the_race_search_and_the_oracle(coupled_xy, monkeypatch):
@@ -326,6 +388,39 @@ def test_local_abstraction_catches_unsound_mix(coupled_xy, monkeypatch):
     monkeypatch.setattr(metacheck, "_mix_envs", broken_mix)
     r = check_local_abstraction(coupled_xy, samples=40, seed=5)
     assert not r.passed
+
+
+def wrong_value_step(p, s, instr, havoc_values, ctx):
+    """A write that stores one more than the value it computes."""
+    out = local_step(p, s, instr, havoc_values, ctx)
+    if not isinstance(instr.command, Assign):
+        return out
+    tid, x = ctx.tid_of_instr[instr], ctx.var_index[instr.command.var]
+    return tuple(
+        (choices, post._replace(theta=post.theta[:tid] + (post.theta[tid]._replace(
+            values=tuple(v + (k == x) for k, v in enumerate(post.theta[tid].values))),)
+            + post.theta[tid + 1:]))
+        for choices, post in out)
+
+
+def test_local_abstraction_keeps_no_state_across_runs(coupled_xy, monkeypatch):
+    """The successor table and the memoized images of one run serve no
+    other: after a clean run on the same program object, a run under a
+    broken mix and one under a broken step each fail, and so does a run
+    under a broken step on a context whose table a clean run filled."""
+    from racefree.threadlocal import LocalContext
+
+    assert check_local_abstraction(coupled_xy, samples=40, seed=5).passed
+    with monkeypatch.context() as m:
+        m.setattr(metacheck, "_mix_envs", broken_mix)
+        assert not check_local_abstraction(coupled_xy, samples=40, seed=5).passed
+    with monkeypatch.context() as m:
+        m.setattr(metacheck, "local_step", wrong_value_step)
+        assert not check_local_abstraction(coupled_xy, samples=40, seed=5).passed
+    ctx = LocalContext(coupled_xy)
+    assert check_local_abstraction(coupled_xy, samples=40, seed=5, ctx=ctx).passed
+    monkeypatch.setattr(metacheck, "local_step", wrong_value_step)
+    assert not check_local_abstraction(coupled_xy, samples=40, seed=5, ctx=ctx).passed
 
 
 def test_cartesian_transfer_joins_into_the_target():

@@ -7,12 +7,13 @@ from domtools import (
     enumerate_local_executions,
     extract_state_reference,
     is_admissible_reference,
+    local_states,
     take_newest,
     update_env,
 )
 
 from racefree import corpus
-from racefree.concrete import DEFAULT_HAVOC, initial_state, reachable
+from racefree.concrete import DEFAULT_HAVOC, initial_state
 from racefree.lang import Acquire, parse_program
 from racefree.threadlocal import (
     InadmissibleStateError,
@@ -109,7 +110,7 @@ def test_merge_newest_matches_the_recombining_reference():
     for name in corpus.names():
         p = corpus.load(name)
         ctx = LocalContext(p)
-        for s in reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2)):
+        for s in local_states(ctx, 8):
             for tid, loc in enumerate(s.pc):
                 for instr in ctx.by_source.get(loc, ()):
                     if not isinstance(instr.command, Acquire):
@@ -233,7 +234,7 @@ def test_one_pass_extraction_matches_the_two_pass_reference():
     for name in corpus.names():
         p = corpus.load(name)
         ctx = LocalContext(p)
-        states = reachable(ctx, initial_local_state(p, ctx), local_step, 8, (0, 1, 2))
+        states = local_states(ctx, 8)
         made = []
         for s in states[::7]:
             # one component's value at x moved off the value another
