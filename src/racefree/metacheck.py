@@ -137,16 +137,18 @@ class _SuccessorTable:
     in each.  A state is hashed once, when it is first reached; the tables
     of the checks are keyed by its number.
 
-    `steps(n, on_error)` gives state n's steps as (tid, instr, choices,
-    post number), in canonical order, computed by `local_step` (looked up
-    at call time) on the first request and then kept.  A step that raises
-    InadmissibleStateError is passed to `on_error(instr, error)` and taken
-    as disabled; the steps of that state are then not kept, so that every
-    request meets the error again.  Steps still being computed are not kept
-    yet either: a request meanwhile computes them again."""
+    `steps(ctx, n, on_error)` gives state n's steps as (tid, instr,
+    choices, post number), in canonical order, computed by `local_step`
+    (looked up at call time) on the first request and then kept.  A step
+    that raises InadmissibleStateError is passed to `on_error(instr,
+    error)` and taken as disabled; the steps of that state are then not
+    kept, so that every request meets the error again.  Steps still being
+    computed are not kept yet either: a request meanwhile computes them
+    again.  `ctx` is the context that holds the table: the table keeps no
+    reference to it, since the cycle would keep both alive past the run,
+    until the garbage collector's next pass."""
 
     def __init__(self, ctx: LocalContext, havoc_values):
-        self.ctx = ctx
         self.havoc_values = havoc_values
         self.step = local_step  # the table is stale once this changes
         init = initial_local_state(ctx.program, ctx)
@@ -154,11 +156,11 @@ class _SuccessorTable:
         self.numbers = {init: 0}
         self.edges: list[Optional[tuple]] = [None]
 
-    def steps(self, n: int, on_error: Callable):
+    def steps(self, ctx: LocalContext, n: int, on_error: Callable):
         edges = self.edges[n]
-        return self._compute(n, on_error) if edges is None else edges
+        return self._compute(ctx, n, on_error) if edges is None else edges
 
-    def _compute(self, n: int, on_error: Callable):
+    def _compute(self, ctx: LocalContext, n: int, on_error: Callable):
         states, numbers, edges = self.states, self.numbers, []
         raised = False
 
@@ -171,7 +173,7 @@ class _SuccessorTable:
                 on_error(instr, e)
                 return ()
 
-        for tid, instr, choices, post in successors(self.ctx, states[n], guarded,
+        for tid, instr, choices, post in successors(ctx, states[n], guarded,
                                                     self.havoc_values):
             m = numbers.setdefault(post, len(states))
             if m == len(states):
@@ -329,7 +331,7 @@ def check_correspondence(
             for result in recorders:
                 result.fail(_trace(path, instr), f"admissibility broken: {e}")
 
-        for edge in table.steps(n, record):
+        for edge in table.steps(ctx, n, record):
             tid, instr, choices, m = edge
             sigma2 = states[m]
             mine = sigma.theta[tid].versions
@@ -515,7 +517,7 @@ def check_local_abstraction(
 
     table = _successor_table(ctx, havoc_values)
     states = table.states
-    pool = reachable(0, lambda n: [edge[3] for edge in table.steps(n, _reraise)],
+    pool = reachable(0, lambda n: [edge[3] for edge in table.steps(ctx, n, _reraise)],
                      LOCAL_ABSTRACTION_DEPTH)
 
     # Per state number n: the instructions enabled at n, in program order,
@@ -531,7 +533,7 @@ def check_local_abstraction(
         if out is None:
             own = _pairs(ctx, states[n])
             grouped: dict[int, tuple[Instruction, set]] = {}
-            for _, instr, _, m in table.steps(n, _reraise):
+            for _, instr, _, m in table.steps(ctx, n, _reraise):
                 grouped.setdefault(id(instr), (instr, set()))[1].update(
                     pair for pair in _pairs(ctx, states[m])
                     if pair[0] == instr.target or pair not in own)
