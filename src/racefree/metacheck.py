@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Optional
 
 from .concrete import (
     DEFAULT_HAVOC,
-    StdState,
     dfs,
     find_data_races,
     initial_state,
@@ -301,14 +300,6 @@ def check_correspondence(
     def kept_violations() -> int:
         return sum(map(len, violations))
 
-    extracted: dict[int, StdState] = {}  # state number -> its extraction
-
-    def extraction(m: int) -> StdState:
-        s = extracted.get(m)
-        if s is None:
-            s = extracted[m] = extract_state(p, states[m])
-        return s
-
     # per subtree key (has a partner, state number, writes, steps left): the
     # instances each check counted in a walk of it that kept no violation
     walked: dict[tuple, tuple[int, ...]] = {}
@@ -362,7 +353,7 @@ def check_correspondence(
                 try:
                     if s2 is None:
                         problem = "thread-local step disabled in the standard semantics"
-                    elif extraction(m) != s2:
+                    elif extract_state(p, sigma2) != s2:
                         problem = "extraction differs from the standard state"
                     else:
                         problem = None
