@@ -37,6 +37,8 @@ from racefree.concrete import (
     reachable_states,
     region_accesses,
     std_step,
+    successor_transitions,
+    successors,
     translate_for_region_races,
 )
 from racefree.engine import AnalysisConfig, analyze_fixpoint
@@ -322,6 +324,18 @@ def test_an_equal_instruction_steps_like_the_original(coupled_xy):
             coupled_xy, sigma, instr, DEFAULT_HAVOC, ctx)
         (_, s), = std_step(coupled_xy, s, instr, index=idx)
         (_, sigma), = local_step(coupled_xy, sigma, twin, DEFAULT_HAVOC, ctx)
+
+
+def test_the_standard_step_needs_the_program_index(coupled_xy):
+    """Neither the step nor the transition list builds an index of its own."""
+    s, instr = initial_state(coupled_xy), coupled_xy.instructions[0]
+    with pytest.raises(TypeError, match="index"):
+        std_step(coupled_xy, s, instr)
+    with pytest.raises(TypeError, match="index"):
+        successor_transitions(coupled_xy, s)
+    idx = ProgramIndex(coupled_xy)
+    assert [tr.post for tr in successor_transitions(coupled_xy, s, index=idx)] == [
+        post for _, _, _, post in successors(idx, s, std_step, DEFAULT_HAVOC)]
 
 
 def test_a_foreign_instruction_raises_key_error(coupled_xy):
